@@ -4,7 +4,7 @@ Subcommands
 -----------
 constants        closed-form exponents and sharp constants at one triple
 certify          three-witness symmetry-breaking certificate at one triple
-fs-curve         transition curve: closed form vs spectral bisection
+fs-curve         transition curve: closed form vs spectral root (Brent)
 scan             CSV region map over a parameter grid
 verify-all       self-contained invariant battery (fast/full)
 transform-check  fourth-order ODE residuals for the transformed profiles
@@ -410,10 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(sp)
     sp.set_defaults(handler=_cmd_certify)
 
-    sp = sub.add_parser("fs-curve", help="transition curve, closed form vs bisection")
+    sp = sub.add_parser("fs-curve", help="transition curve, closed form vs spectral root")
     sp.add_argument("--N", type=int, required=True, help="dimension (integer >= 5)")
     sp.add_argument("--alpha", required=True, help="value or lo:hi:steps range (alpha > 0)")
-    sp.add_argument("--tol", type=float, default=None, help="bisection width (default 1e-4)")
+    sp.add_argument("--tol", type=float, default=None, help="bracket width (default 1e-4)")
     add_io(sp)
     sp.set_defaults(handler=_cmd_fs_curve)
 

@@ -8,26 +8,25 @@ of index k reduces to the sign of a one-dimensional quadratic form
 
 over decaying profiles X.  This module provides the mode data, direct
 evaluation of Q_k, a Rayleigh-Ritz minimizer for its smallest
-generalized eigenvalue, and bisection on that sign to locate the
+generalized eigenvalue, and Brent's method on that sign to locate the
 symmetry-breaking transition curve in beta.
 
 Two deliberately independent numerical routes coexist: `mode_quadratic_form`
-integrates adaptively one profile at a time, while `ritz_min_eig`
-assembles matrices on a fixed doubling grid; they cross-check each other
-in the test suite.
+integrates adaptively one profile at a time in s, while `ritz_min_eig`
+maps the basis to w = (s^2-1)/(s^2+1) and assembles its matrices exactly
+by Gauss-Jacobi quadrature; the test suite checks the Rayleigh quotient of
+the Ritz minimizer on the adaptive route against the Ritz eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
 
 from .params import Params, derive, validate
-from .profiles import PowerPeakProfile, mode_laplacian
 from .quadrature import integrate_semiinfinite, power_weighted
 from .specfun import DomainError
 
@@ -126,99 +125,75 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
 # ---------------------------------------------------------------------------
 
 GRAM_CONDITION_LIMIT = 1e12
+_EXTRA_NODES = 8  # Gauss-Jacobi nodes beyond J; J+2 already integrate exactly
 
 
-def _ritz_basis(k_prime: int, M: float, J: int) -> list[PowerPeakProfile]:
-    """Degree-graded basis spanning s^k' * (1+s^2)^(-(M-2)/2-j), j < J.
+def _gauss_jacobi(n: int, a: float, b: float):
+    """n-point Gauss-Jacobi rule for the weight (1-w)^a (1+w)^b on (-1, 1).
 
-    Raw peak-power ladders are numerically dependent long before J=16,
-    so the same span is generated as s^k' (1+s^2)^(-(M-2)/2) P_j(w) with
-    w = (s^2-1)/(s^2+1) and Legendre P_j: an orthogonal-polynomial
-    regrading that keeps the Gram condition moderate while containing
-    exactly the same functions (in particular the closed-form kernel
-    mode at the transition curve is the j=0 element).
+    Golub-Welsch: nodes are the eigenvalues of the monic recurrence's
+    Jacobi matrix, weights mu0 * v0^2 from the first eigenvector components.
+    Returns (nodes, v0^2, log mu0), mu0 = 2^(a+b+1) B(a+1, b+1) the mass.
     """
-    half = (_frac_of(M) - 2) / 2
-    basis = []
-    for j in range(J):
-        mono = _legendre.leg2poly(np.eye(j + 1)[-1])
-        terms = []
-        for i, ai in enumerate(mono):
-            if ai == 0.0:
-                continue
-            for t in range(i + 1):
-                coeff = ai * math.comb(i, t) * (-1.0) ** (i - t)
-                terms.append((coeff, k_prime + 2 * t, -half - i))
-        basis.append(PowerPeakProfile(terms, sigma=2, nu=1.0))
-    return basis
-
-
-def _frac_of(x: float) -> Fraction:
-    return Fraction(float(x))
-
-
-def _exp_sinh_grid(h: float):
-    x_cut = math.asinh(600.0 / math.pi)
-    n = int(math.floor(x_cut / h))
-    x = h * np.arange(-n, n + 1)
-    u = math.pi * np.sinh(x)
-    s = np.exp(u)
-    w = math.pi * np.cosh(x) * s * h
-    return s, w
-
-
-def _assemble(rows_a, rows_b, h: float):
-    s, w = _exp_sinh_grid(h)
-    va = np.array([f(s) for f in rows_a])
-    vb = np.array([f(s) for f in rows_b])
-    A = (va * w) @ va.T
-    B = (vb * w) @ vb.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+    i = np.arange(n, dtype=float)
+    t = 2.0 * i + a + b
+    diag = (b - a) * (b + a) / (t * (t + 2.0))
+    i, t = i[1:], t[1:]
+    off = np.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b))
+    off /= np.sqrt(t * t * (t + 1.0) * (t - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    log_mu0 = (a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
+    return nodes, vecs[0] ** 2, log_mu0 - math.lgamma(a + b + 2)
 
 
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     """Least generalized eigenvalue of the mode-k stability form.
 
-    Minimizes Q_k over the J-dimensional basis span: with A the operator
-    part and B the potential-weight Gram, the reported value is
-    rho = (tau_min - g)/g where tau_min is the least eigenvalue of
+    Minimizes Q_k over the span of s^k (1+s^2)^(-(M-2)/2) P_j(w), j < J,
+    with w = (s^2-1)/(s^2+1) and Legendre P_j: the ladder
+    s^k (1+s^2)^(-(M-2)/2-j) regraded to a moderate Gram condition.  With
+    A the operator part and B the potential-weight Gram, the reported value
+    is rho = (tau_min - g)/g where tau_min is the least eigenvalue of
     A c = tau B c and g = (M+4)(M-2)M(M+2), so that sign(rho) equals the
     sign of the minimum of Q_k over the span and rho = 0 marks kernel.
-    Coefficients refer to the regraded basis of `_ritz_basis`.
+    Coefficients refer to that basis.
+
+    In w, B's integrand is 2^(-M-2) (1-w)^a (1+w)^b P_i P_j with
+    (a, b) = (M/2-k+1, M/2+k-1) and A's is 2^(2-M) (1-w)^(a-2) (1+w)^(b-2)
+    R_i R_j with R_j a polynomial of degree j+2, so J+8 Gauss-Jacobi nodes
+    assemble both exactly.  A Jacobi exponent <= -1 means the form
+    diverges on the basis: DomainError.
     """
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
     d = derive(p)
     m = d.M
-    lam = mode_data(k, p).lambda_k
-    qql = d.q**2 * lam
-    k_prime = 1 if k == 1 else k
-    basis = _ritz_basis(k_prime, m, J)
-    operators = [mode_laplacian(phi, m, qql) for phi in basis]
-    half_weight = (m - 1.0) / 2.0
-
-    rows_a = [
-        (lambda s, op=op: op.eval(s, power_shift=half_weight)) for op in operators
-    ]
-    rows_b = [
-        (lambda s, phi=phi: phi.eval(s, power_shift=half_weight, peak_shift=-2.0))
-        for phi in basis
-    ]
-
+    qql = d.q**2 * mode_data(k, p).lambda_k
+    a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
+    if min(a, b) - 2.0 <= -1.0:
+        raise DomainError(
+            f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
+            f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
+        )
+    unit = np.eye(J)
+    w, weight_b, log_mu_b = _gauss_jacobi(J + _EXTRA_NODES, a, b)
+    rows_b = _legendre.legval(w, unit) * np.sqrt(weight_b)
+    w, weight_a, log_mu_a = _gauss_jacobi(J + _EXTRA_NODES, a - 2.0, b - 2.0)
+    # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
+    up, cap = 1.0 + w, 1.0 - w * w
+    potential = k * (k + m - 2.0) - qql
+    potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
+    r_j = (
+        potential * _legendre.legval(w, unit)
+        + cap * (2.0 * k - m * w) * _legendre.legval(w, _legendre.legder(unit))
+        + cap**2 * _legendre.legval(w, _legendre.legder(unit, 2))
+    )
+    # both matrices are divided by B's constant 2^(-M-2) mu0_B, which
+    # leaves the eigenpairs and the Gram condition unchanged at any M
+    rows_a = r_j * (4.0 * np.sqrt(weight_a) * math.exp(0.5 * (log_mu_a - log_mu_b)))
+    A = rows_a @ rows_a.T
+    B = rows_b @ rows_b.T
     gamma = _potential_constant(m)
-    A = B = None
-    prev = None
-    for h in (0.25, 0.125, 0.0625, 0.03125):
-        A, B = _assemble(rows_a, rows_b, h)
-        if prev is not None:
-            scale = max(np.linalg.norm(A), gamma * np.linalg.norm(B)) + 1e-300
-            drift = max(
-                np.linalg.norm(A - prev[0]), gamma * np.linalg.norm(B - prev[1])
-            )
-            if drift <= 1e-13 * scale:
-                break
-        prev = (A, B)
-
     gram_condition = float(np.linalg.cond(B))
     if not np.isfinite(gram_condition) or gram_condition > GRAM_CONDITION_LIMIT:
         raise ConditioningError(
@@ -251,12 +226,15 @@ DEFAULT_FS_BASIS = 16
 
 
 def fs_locate(N: int, alpha: float, tol: float) -> float:
-    """Locate the symmetry-breaking transition in beta by spectral bisection.
+    """Locate the symmetry-breaking transition in beta by Brent's method.
 
-    Bisects sign(rho_1(beta)) over beta in (alpha-2, N*alpha/(N-2)); the
-    least mode-1 eigenvalue is positive below the curve and negative
-    above it.  Requires alpha > 0 (the transition leaves the admissible
-    strip otherwise).
+    Brackets the sign change of rho_1(beta) over beta in (alpha-2,
+    N*alpha/(N-2)); the least mode-1 eigenvalue is positive below the curve
+    and negative above it.  Brent's method (Brent 1973) mixes inverse
+    quadratic interpolation, secant and bisection steps, and returns the end
+    with the smaller |rho_1| once the bracket is at most `tol` wide (or a
+    few ulps of beta).  Requires alpha > 0 (the transition leaves the
+    admissible strip otherwise).
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
@@ -269,8 +247,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
 
     def rho_at(beta: float) -> float:
         # Deep in the strip M grows and the Gram matrix degrades; shrink
-        # the basis until it conditions (the sign, not the value, drives
-        # the bisection, so a coarser basis is still trustworthy).
+        # the basis until it conditions (the sign drives the bracket, so a
+        # coarser basis is still trustworthy).
         basis = DEFAULT_FS_BASIS
         while True:
             try:
@@ -291,13 +269,35 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
             f"least eigenvalue does not change sign on [{lo:.6g}, {hi:.6g}] "
             f"(rho: {rho_lo:.3e}, {rho_hi:.3e})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        rho_mid = rho_at(mid)
-        if rho_mid == 0.0:
-            return mid
-        if rho_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # b is the best estimate, [b, c] brackets the root, a is the previous b
+    a, fa, b, fb, c, fc = lo, rho_lo, hi, rho_hi, lo, rho_lo
+    step = prev_step = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        half_tol = 0.5 * max(tol, 4.0 * math.ulp(b))
+        half_gap = 0.5 * (c - b)
+        if abs(half_gap) <= half_tol or fb == 0.0:
+            return b
+        bisect = True
+        if abs(prev_step) >= half_tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                num, den = 2.0 * half_gap * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                num = s * (2.0 * half_gap * q * (q - r) - (b - a) * (r - 1.0))
+                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            num, den = abs(num), (-den if num > 0.0 else den)
+            if 2.0 * num < min(
+                3.0 * half_gap * den - abs(half_tol * den), abs(prev_step * den)
+            ):
+                prev_step, step, bisect = step, num / den, False
+        if bisect:
+            step = prev_step = half_gap
+        a, fa = b, fb
+        b += step if abs(step) > half_tol else math.copysign(half_tol, half_gap)
+        fb = rho_at(b)

@@ -1,14 +1,22 @@
 """Spherical-mode data, quadratic forms, Ritz minimization, curve location."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre
 
+import ckn_lab.spectral as spectral
 from ckn_lab.params import beta_fs, derive, validate
 from ckn_lab.profiles import PowerPeakProfile, kernel_mode
+from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
+    _gauss_jacobi,
+    _potential_constant,
     fs_locate,
     gamma_m,
     mode_data,
@@ -137,6 +145,62 @@ def test_ritz_rejects_tiny_basis(p511):
         ritz_min_eig(1, p511, 3)
 
 
+def test_ritz_rejects_inadmissible_mode(p511):
+    """M <= 2k makes the form diverge on the basis: a typed error, no warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"k=4.*M=6"):
+            ritz_min_eig(4, p511, 16)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.parametrize("M", [6.0, 11.3, 24.0, 301.75])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_gauss_jacobi_matches_scipy(n, M, k, shift):
+    """Golub-Welsch nodes and weights for the Ritz exponents, against scipy."""
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    a, b = M / 2.0 - k + 1.0 - shift, M / 2.0 + k - 1.0 - shift
+    nodes, v0sq, log_mu0 = _gauss_jacobi(n, a, b)
+    ref_nodes, ref_weights = roots_jacobi(n, a, b)
+    weights = math.exp(log_mu0) * v0sq
+    assert np.max(np.abs(nodes - ref_nodes)) < 1e-13
+    assert math.fsum(v0sq) == pytest.approx(1.0, rel=1e-13)
+    assert np.max(np.abs(weights - ref_weights)) < 1e-12 * np.max(ref_weights)
+
+
+def _ritz_profile(coefficients, k, m):
+    """sum_j c_j s^k (1+s^2)^(-(M-2)/2) P_j(w) as a PowerPeakProfile."""
+    half = (m - 2.0) / 2.0
+    terms = []
+    for j, c in enumerate(coefficients):
+        for i, a_i in enumerate(legendre.leg2poly(np.eye(j + 1)[-1])):
+            for t in range(i + 1):
+                coeff = c * a_i * math.comb(i, t) * (-1.0) ** (i - t)
+                terms.append((coeff, k + 2 * t, -half - i))
+    return PowerPeakProfile(terms, sigma=2, nu=1.0)
+
+
+@pytest.mark.parametrize(
+    ("N", "alpha", "beta", "J"), [(5, 1.0, 1.0, 16), (8, 0.1, -1.8593, 4)]
+)
+def test_ritz_matches_adaptive_rayleigh_quotient(N, alpha, beta, J):
+    """The Ritz minimizer's Rayleigh quotient, by adaptive quadrature in s.
+
+    (8, 0.1, -1.8593) sits at M ~ 302, where only the smallest basis
+    conditions and the integrands are sharply peaked.
+    """
+    p = validate(N, alpha, beta)
+    m = derive(p).M
+    res = ritz_min_eig(1, p, J)
+    x = _ritz_profile(res.coefficients, 1, m)
+    potential = integrate_semiinfinite(
+        lambda s: power_weighted(x.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
+    ).value
+    quotient = mode_quadratic_form(x, 1, p) / (_potential_constant(m) * potential)
+    assert quotient == pytest.approx(res.min_eigenvalue, rel=1e-9)
+
+
 def test_ritz_sign_flips_across_curve():
     N, alpha = 5, 1.0
     curve = beta_fs(N, alpha)
@@ -153,9 +217,24 @@ def test_ritz_second_mode_is_coercive_on_curve():
     )
 
 
-def test_fs_locate_matches_closed_form():
-    located = fs_locate(5, 1.0, 1e-4)
-    assert located == pytest.approx(beta_fs(5, 1.0), abs=1e-4)
+def test_fs_locate_matches_closed_form(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ritz_min_eig(*args)
+
+    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
+    for N, alpha in ((5, 1.0), (6, 2.0)):
+        calls.clear()
+        located = fs_locate(N, alpha, 1e-4)
+        assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
+        assert 2 <= len(calls) <= 10
+
+
+def test_fs_locate_terminates_below_rounding():
+    """A tolerance finer than the spacing of floats in beta still stops."""
+    assert fs_locate(5, 1.0, 1e-300) == pytest.approx(beta_fs(5, 1.0), abs=1e-10)
 
 
 def test_fs_locate_argument_checks():
