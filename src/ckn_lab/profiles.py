@@ -11,12 +11,16 @@ the identity batteries live in one of these families, so fourth-order
 operators can be applied exactly (term rewriting) instead of by finite
 differences.
 
-Two representation choices matter for accuracy downstream:
+Three representation choices matter for accuracy downstream:
 
 * Exponents are kept as exact `Fraction`s (float inputs are dyadic, so
   the conversion is lossless).  Derivative chains then keep terms on an
   exact exponent lattice and equal exponents merge exactly instead of
   drifting apart by rounding.
+* Power-peak coefficients (and nu) are floats, or `Fraction`s when given
+  as `Fraction`s; the algebra is the same for both, and the
+  Euler-Lagrange residual runs its operator chain through it in exact
+  rational arithmetic.
 * `canonical()` rewrites all terms sharing an exponent residue down to
   the smallest peak exponent via binomial expansion.  Combinations that
   are algebraically zero (e.g. the defect of an exact solution in its
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -53,7 +58,6 @@ __all__ = [
     "b_closed",
     "s_0_closed",
     "weighted_laplacian",
-    "mode_laplacian",
     "euler_lagrange_residual",
     "emden_fowler",
     "cosh_profile_residual",
@@ -98,35 +102,46 @@ class PowerPeakProfile:
               + e sigma r^(p+sigma-1) (nu + r^sigma)^(e-1)
 
     so derivatives of any order stay in the family and are exact.
+
+    Coefficients and nu given as `Fraction` stay exact; any other
+    coefficient or nu is converted to float.
     """
 
-    def __init__(self, terms, sigma, nu: float = 1.0):
+    def __init__(self, terms, sigma, nu=1.0):
         sigma = _frac(sigma)
         if sigma <= 0:
             raise DomainError(f"sigma must be positive, got {float(sigma)}")
-        if nu <= 0.0:
+        if nu <= 0:
             raise DomainError(f"nu must be positive, got {nu}")
-        merged: dict[tuple[Fraction, Fraction], float] = {}
+        merged: dict[tuple[Fraction, Fraction], float | Fraction] = {}
         for c, p, e in terms:
-            c = float(c)
-            if c == 0.0:
+            if not isinstance(c, Fraction):
+                c = float(c)
+            if c == 0:
                 continue
             key = (_frac(p), _frac(e))
-            merged[key] = merged.get(key, 0.0) + c
+            # an int seed keeps Fraction sums exact (0.0 + Fraction is a float)
+            merged[key] = merged.get(key, 0) + c
         self.terms = tuple(
-            (c, p, e) for (p, e), c in sorted(merged.items()) if c != 0.0
+            (c, p, e) for (p, e), c in sorted(merged.items()) if c != 0
         )
         self.sigma_frac = sigma
         self.sigma = float(sigma)
-        self.nu = float(nu)
+        self.nu = nu if isinstance(nu, Fraction) else float(nu)
         self._dcache: dict[int, "PowerPeakProfile"] = {0: self}
-        # float views for evaluation
-        self._sign = np.array([math.copysign(1.0, c) for c, _, _ in self.terms])
-        self._logc = np.array([math.log(abs(c)) for c, _, _ in self.terms])
-        self._pf = np.array([float(p) for _, p, _ in self.terms])
-        self._ef = np.array([float(e) for _, _, e in self.terms])
 
     # -- evaluation ---------------------------------------------------
+
+    @cached_property
+    def _float_view(self):
+        """(sign, log|c|, p, e) as float arrays, built on first evaluation."""
+        coeffs = [float(c) for c, _, _ in self.terms]
+        return (
+            np.array([math.copysign(1.0, c) for c in coeffs]),
+            np.array([math.log(abs(c)) for c in coeffs]),
+            np.array([float(p) for _, p, _ in self.terms]),
+            np.array([float(e) for _, _, e in self.terms]),
+        )
 
     def eval(self, r, power_shift: float = 0.0, peak_shift: float = 0.0):
         """Evaluate, optionally times r^power_shift * (nu+r^sigma)^peak_shift.
@@ -135,19 +150,20 @@ class PowerPeakProfile:
         log-space exponentiation instead of multiplying afterwards.
         """
         arr, scalar = _as_array(r)
+        sign, logc, pf, ef = self._float_view
         with np.errstate(all="ignore"):
             lr = np.log(arr)
             lpk = np.logaddexp(math.log(self.nu), self.sigma * lr)
             out = np.zeros_like(arr)
             for i in range(len(self.terms)):
-                pp = self._pf[i] + power_shift
-                ee = self._ef[i] + peak_shift
-                expo = self._logc[i]
+                pp = pf[i] + power_shift
+                ee = ef[i] + peak_shift
+                expo = logc[i]
                 if pp != 0.0:
                     expo = expo + pp * lr
                 if ee != 0.0:
                     expo = expo + ee * lpk
-                out = out + self._sign[i] * np.exp(expo)
+                out = out + sign[i] * np.exp(expo)
         return float(out) if scalar else out
 
     def deriv(self, r, order: int):
@@ -168,9 +184,10 @@ class PowerPeakProfile:
         new_terms = []
         for c, p, e in self.terms:
             if p != 0:
-                new_terms.append((c * float(p), p - 1, e))
+                new_terms.append((c * p, p - 1, e))
             if e != 0:
-                new_terms.append((c * float(e * self.sigma_frac), p + self.sigma_frac - 1, e - 1))
+                # float c times the Fraction e*sigma rounds once, as c * float(e*sigma)
+                new_terms.append((c * (e * self.sigma_frac), p + self.sigma_frac - 1, e - 1))
         return PowerPeakProfile(new_terms, self.sigma_frac, self.nu)
 
     def times_power(self, k) -> "PowerPeakProfile":
@@ -179,7 +196,7 @@ class PowerPeakProfile:
             [(c, p + k, e) for c, p, e in self.terms], self.sigma_frac, self.nu
         )
 
-    def scaled(self, a: float) -> "PowerPeakProfile":
+    def scaled(self, a) -> "PowerPeakProfile":
         return PowerPeakProfile(
             [(a * c, p, e) for c, p, e in self.terms], self.sigma_frac, self.nu
         )
@@ -229,14 +246,14 @@ class PowerPeakProfile:
         )
 
     def __sub__(self, other: "PowerPeakProfile") -> "PowerPeakProfile":
-        return self + other.scaled(-1.0)
+        return self + other.scaled(-1)
 
     def __repr__(self):
         body = " + ".join(
-            f"{c:g}*r^{float(p):g}*(nu+r^{self.sigma:g})^{float(e):g}"
+            f"{float(c):g}*r^{float(p):g}*(nu+r^{self.sigma:g})^{float(e):g}"
             for c, p, e in self.terms
         )
-        return f"PowerPeakProfile({body or '0'}, nu={self.nu:g})"
+        return f"PowerPeakProfile({body or '0'}, nu={float(self.nu):g})"
 
     # -- declared asymptotics -------------------------------------------
 
@@ -441,63 +458,12 @@ def weighted_laplacian(u, alpha: float, N: int):
     """
     d1 = u.differentiate()
     d2 = d1.differentiate()
-    return d2.times_power(alpha) + d1.times_power(_frac(alpha) - 1).scaled(N - 1.0 + alpha)
-
-
-def mode_laplacian(u, N: int, lam: float = 0.0):
-    """u'' + (N-1) u'/r - lam u/r^2: the Laplacian on a mode with angular eigenvalue lam."""
-    d1 = u.differentiate()
-    d2 = d1.differentiate()
-    out = d2 + d1.times_power(-1).scaled(N - 1.0)
-    if lam != 0.0:
-        out = out + u.times_power(-2).scaled(-lam)
-    return out
+    # the exact drift rounds to N - 1.0 + alpha, so float profiles see no change
+    drift = N - 1 + _frac(alpha)
+    return d2.times_power(alpha) + d1.times_power(_frac(alpha) - 1).scaled(drift)
 
 
 DEFAULT_RESIDUAL_SAMPLES = tuple(np.geomspace(1e-2, 1e2, 25))
-
-
-def _exact_accumulate(table, key, c: Fraction):
-    table[key] = table.get(key, Fraction(0)) + c
-
-
-def _exact_differentiate(table, sigma: Fraction):
-    out: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for (p, e), c in table.items():
-        if p:
-            _exact_accumulate(out, (p - 1, e), c * p)
-        if e:
-            _exact_accumulate(out, (p + sigma - 1, e - 1), c * e * sigma)
-    return out
-
-
-def _exact_weighted_laplacian(table, sigma, alpha: Fraction, drift: Fraction):
-    d1 = _exact_differentiate(table, sigma)
-    d2 = _exact_differentiate(d1, sigma)
-    out: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for (p, e), c in d2.items():
-        _exact_accumulate(out, (p + alpha, e), c)
-    for (p, e), c in d1.items():
-        _exact_accumulate(out, (p + alpha - 1, e), c * drift)
-    return out
-
-
-def _exact_reduce(table, sigma: Fraction, nu: Fraction):
-    """Exact-rational version of PowerPeakProfile.canonical()."""
-    groups: dict[Fraction, list] = {}
-    for (p, e), c in table.items():
-        res = e - (e.numerator // e.denominator)
-        groups.setdefault(res, []).append((p, e, c))
-    out: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for group in groups.values():
-        e_min = min(e for _, e, _ in group)
-        for p, e, c in group:
-            j = int(e - e_min)
-            for i in range(j + 1):
-                _exact_accumulate(
-                    out, (p + i * sigma, e_min), c * math.comb(j, i) * nu ** (j - i)
-                )
-    return {key: c for key, c in out.items() if c != 0}
 
 
 def euler_lagrange_residual(u, p: Params, samples=None) -> float:
@@ -509,14 +475,15 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
 
     For a single-term profile a * r^p0 * (nu + r^sigma)^e0 (the minimizer
     family and its multiples) the defect is formed in coefficient space:
-    the operator chain is replayed in exact rational arithmetic in units
-    of the amplitude a (every multiplier it introduces is a dyadic float,
-    hence an exact Fraction), reduced to canonical cells, and the right
-    side subtracted as a single cell.  For an exact solution everything
-    cancels in Q except one ulp of |a|^(p*-2) at the cell that carries
-    the solution's own decay, so the relative defect stays at rounding
-    level uniformly in r instead of being amplified at far field where
-    both sides are ~1e-15 of their peak size.
+    the operator chain runs on the unit profile with `Fraction`
+    coefficients (every multiplier it introduces is a dyadic float, hence
+    an exact Fraction), the right side is subtracted as a single cell, and
+    the difference is reduced to canonical cells before scaling by a.  For
+    an exact solution everything cancels in Q except one ulp of
+    |a|^(p*-2) at the cell that carries the solution's own decay, so the
+    relative defect stays at rounding level uniformly in r instead of
+    being amplified at far field where both sides are ~1e-15 of their
+    peak size.
     """
     d = derive(p)
     inner = weighted_laplacian(u, p.alpha, p.N).times_power(-_frac(p.beta))
@@ -527,33 +494,20 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
     lhs = lhs_profile.eval(pts)
     if isinstance(u, PowerPeakProfile) and len(u.terms) == 1:
         a, p0, e0 = u.terms[0]
-        sigma = u.sigma_frac
-        alpha_f, beta_f = _frac(p.alpha), _frac(p.beta)
-        drift = Fraction(p.N - 1) + alpha_f
-        table = {(p0, e0): Fraction(1)}
-        table = _exact_weighted_laplacian(table, sigma, alpha_f, drift)
-        table = {(pp - beta_f, ee): c for (pp, ee), c in table.items()}
-        table = _exact_weighted_laplacian(table, sigma, alpha_f, drift)
-        m_frac = 2 * (Fraction(p.N) + beta_f) / sigma
+        beta_f = _frac(p.beta)
+        unit = PowerPeakProfile([(Fraction(1), p0, e0)], u.sigma_frac, Fraction(u.nu))
+        inner = weighted_laplacian(unit, p.alpha, p.N).times_power(-beta_f)
+        m_frac = 2 * (Fraction(p.N) + beta_f) / u.sigma_frac
         pstar_frac = 2 * m_frac / (m_frac - 4)
-        rhs_key = (beta_f + p0 * (pstar_frac - 1), e0 * (pstar_frac - 1))
         rhs_unit = math.copysign(abs(a) ** (d.p_star - 2.0), a)
-        rhs_profile = PowerPeakProfile(
-            [(rhs_unit * a, rhs_key[0], rhs_key[1])], sigma, u.nu
+        rhs_cell = PowerPeakProfile(
+            [(_frac(rhs_unit), beta_f + p0 * (pstar_frac - 1), e0 * (pstar_frac - 1))],
+            u.sigma_frac,
+            unit.nu,
         )
-        rhs = rhs_profile.eval(pts)
-        _exact_accumulate(table, rhs_key, -_frac(rhs_unit))
-        dust = _exact_reduce(table, sigma, _frac(u.nu))
-        if dust:
-            defect = np.abs(
-                PowerPeakProfile(
-                    [(a * float(c), pp, ee) for (pp, ee), c in dust.items()],
-                    sigma,
-                    u.nu,
-                ).eval(pts)
-            )
-        else:
-            defect = np.zeros_like(pts)
+        dust = (weighted_laplacian(inner, p.alpha, p.N) - rhs_cell).canonical()
+        rhs = rhs_cell.scaled(a).eval(pts)
+        defect = np.abs(dust.scaled(a).eval(pts))
     else:
         uv = u.eval(pts)
         rhs = pts**p.beta * np.abs(uv) ** (d.p_star - 2.0) * uv

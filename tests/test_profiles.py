@@ -1,6 +1,7 @@
 """Exact profile algebra, ground states, ODE residuals, closed constants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +20,12 @@ from ckn_lab.profiles import (
     euler_lagrange_residual,
     extremal,
     kernel_mode,
-    mode_laplacian,
     s_0_closed,
     s_r_closed,
     weighted_laplacian,
 )
 from ckn_lab.specfun import DomainError
+from ckn_lab.verify import EXTREMALITY_POINTS
 
 R_SAMPLES = np.geomspace(1e-3, 1e3, 41)
 
@@ -195,14 +196,15 @@ def test_weighted_laplacian_reduces_to_laplacian(p500):
         assert lap.eval(r) == pytest.approx(expected, rel=1e-12)
 
 
-def test_mode_laplacian_adds_angular_term():
-    f = PowerPeakProfile([(1.0, 1, -2)], sigma=2, nu=1.0)
-    plain = mode_laplacian(f, 6)
-    mode = mode_laplacian(f, 6, lam=5.0)
-    for r in (0.5, 1.5):
-        assert mode.eval(r) == pytest.approx(
-            plain.eval(r) - 5.0 * f.eval(r) / (r * r), rel=1e-12
-        )
+def test_fraction_coefficients_stay_exact():
+    third = Fraction(1, 3)
+    f = PowerPeakProfile([(third, 1, -2)], sigma=2, nu=third)
+    assert f.differentiate().terms == ((third, 0, -2), (Fraction(-4, 3), 2, -3))
+    # (nu + r^2)^-1 - r^2 (nu + r^2)^-2 reduces to nu (nu + r^2)^-2
+    g = PowerPeakProfile([(Fraction(1), 0, -1), (Fraction(-1), 2, -2)], 2, third)
+    assert g.canonical().terms == ((third, 0, -2),)
+    assert (f - f).terms == ()
+    assert f.eval(0.7) == pytest.approx(0.7 / 3.0 / (1.0 / 3.0 + 0.49) ** 2, rel=1e-15)
 
 
 EL_POINTS = [(5, 1.0, 1.0), (5, 0.0, 0.0), (6, 1.0, 0.5), (5, -1.0, -1.7)]
@@ -214,6 +216,35 @@ def test_ground_state_solves_euler_lagrange(N, alpha, beta, lam):
     p = validate(N, alpha, beta)
     res = euler_lagrange_residual(extremal(p, lam=lam), p)
     assert res < 1e-12
+
+
+@pytest.mark.parametrize("N, alpha, beta", EXTREMALITY_POINTS)
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_exact_euler_lagrange_defect_is_one_cell(N, alpha, beta, lam, monkeypatch):
+    """The exact operator chain cancels down to the right side's own cell."""
+    canonical_forms = []
+    canonical = PowerPeakProfile.canonical
+
+    def record(self):
+        out = canonical(self)
+        canonical_forms.append(out)
+        return out
+
+    monkeypatch.setattr(PowerPeakProfile, "canonical", record)
+    p = validate(N, alpha, beta)
+    u = extremal(p, lam=lam)
+    euler_lagrange_residual(u, p)
+    (defect,) = canonical_forms
+    ((c, pp, ee),) = defect.terms
+    a, p0, e0 = u.terms[0]
+    p_star = derive(p).p_star
+    assert isinstance(c, Fraction)
+    assert ee == e0 - 4
+    # decays like r^beta u^(p*-1), the right side built from the solution
+    assert float(pp + u.sigma_frac * ee) == pytest.approx(
+        beta + (p_star - 1.0) * float(p0 + u.sigma_frac * e0), rel=1e-12
+    )
+    assert abs(c) < 1e-13 * abs(a) ** (p_star - 2.0)
 
 
 def test_perturbed_amplitude_fails_euler_lagrange(p511):
