@@ -1,10 +1,8 @@
 """Scalar special functions used by the closed-form constants.
 
 Everything downstream (sharp constants, Beta-function reductions of the
-spectral integrals, sphere areas) funnels through ``log_gamma``.  The
-implementation is a Lanczos approximation (g = 7, 9 terms) with the
-ascending recurrence applied below x = 0.5, which keeps the relative
-error at the few-ulp level over the whole positive axis.
+spectral integrals, sphere areas) funnels through ``log_gamma``, which
+is the stdlib ``math.lgamma`` restricted to the positive axis.
 """
 
 from __future__ import annotations
@@ -18,24 +16,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-# Lanczos coefficients for g = 7, truncated at 9 terms.  This is the
-# classic parameter set; the partial fraction below reproduces
-# log Gamma to ~1e-15 relative for x >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for real x > 0.
 
@@ -46,16 +26,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Gamma(x) = Gamma(x + 1) / x; one step is enough to reach the
-        # region where the Lanczos sum is well conditioned.
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def gamma(x: float) -> float:
