@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .specfun import log_gamma
 
@@ -149,18 +150,13 @@ def b_fs_first_order(N: int, a: float) -> float:
     return N * d / (2.0 * math.sqrt(d * d + N - 1.0)) + a - a_c
 
 
-class FsCorrespondence(tuple):
+class FsCorrespondence(NamedTuple):
     """(a, b, tau, beta_mapped) linking the first-order curve to ours."""
 
-    __slots__ = ()
-
-    def __new__(cls, a, b, tau, beta_mapped):
-        return super().__new__(cls, (a, b, tau, beta_mapped))
-
-    a = property(lambda self: self[0])
-    b = property(lambda self: self[1])
-    tau = property(lambda self: self[2])
-    beta_mapped = property(lambda self: self[3])
+    a: float
+    b: float
+    tau: float
+    beta_mapped: float
 
 
 def fs_correspondence(N: int, alpha: float) -> FsCorrespondence:

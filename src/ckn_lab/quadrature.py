@@ -78,27 +78,15 @@ class QuadResult:
 
 
 def _vectorized(f):
-    """Return a callable mapping float ndarray -> float ndarray."""
+    """Return a callable mapping float ndarray -> float ndarray of that shape."""
 
     def wrapped(s: np.ndarray) -> np.ndarray:
-        out = f(s)
-        arr = np.asarray(out, dtype=float)
+        arr = np.asarray(f(s), dtype=float)
         if arr.shape != s.shape:
             arr = np.broadcast_to(arr, s.shape).astype(float)
         return arr
 
-    try:
-        with np.errstate(all="ignore"):
-            probe = wrapped(np.array([0.5, 2.0]))
-        if probe.shape == (2,):
-            return wrapped
-    except Exception:
-        pass
-
-    def slow(s: np.ndarray) -> np.ndarray:
-        return np.array([float(f(float(v))) for v in s])
-
-    return slow
+    return wrapped
 
 
 def _screen_endpoints(fv) -> None:
@@ -215,16 +203,12 @@ def set_node_cap(cap: int) -> None:
 
 
 def integrate_semiinfinite(
-    f,
-    tol: float | None = None,
-    *,
-    node_cap: int | None = None,
-    check_endpoints: bool = True,
+    f, tol: float | None = None, *, node_cap: int | None = None
 ) -> QuadResult:
     """Integrate ``f`` over (0, inf) to relative tolerance ``tol``.
 
-    ``f`` may be scalar->scalar or ndarray->ndarray; array-aware
-    integrands are detected and used directly.
+    ``f`` maps a float ndarray of abscissae to an array of integrand
+    values; a result that is constant in s may come back as a scalar.
 
     Raises:
         DivergentIntegralError: endpoint screening found a nonintegrable
@@ -237,8 +221,7 @@ def integrate_semiinfinite(
     if node_cap is None:
         node_cap = NODE_CAP
     fv = _vectorized(f)
-    if check_endpoints:
-        _screen_endpoints(fv)
+    _screen_endpoints(fv)
 
     total_nodes = 0
     prev = None
@@ -293,19 +276,7 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     Companion to :func:`power_weighted` for integrands that are signed
     products rather than even powers (cross terms in integral
     identities)."""
-    vals, s = np.broadcast_arrays(
-        np.asarray(vals, dtype=float), np.asarray(s, dtype=float)
-    )
-    out = np.zeros(vals.shape)
-    mask = (vals != 0.0) & np.isfinite(vals)
-    if np.any(mask):
-        with np.errstate(all="ignore"):
-            out[mask] = np.copysign(
-                np.exp(np.log(np.abs(vals[mask])) + w * np.log(s[mask])),
-                vals[mask],
-            )
-    out[~np.isfinite(vals)] = np.nan
-    return out
+    return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
 def norm_sq(u, p: Params, tol: float | None = None) -> float:
