@@ -26,6 +26,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from . import quadrature
 from .params import (
     ParamError,
     RegionClass,
@@ -312,6 +313,16 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     return row
 
 
+def _init_scan_worker(quad_tol: float, node_cap: int) -> None:
+    """Apply the parent's quadrature settings in a worker.
+
+    Workers started by spawn or forkserver import the package afresh and
+    would otherwise integrate with the built-in defaults.
+    """
+    set_default_tolerance(quad_tol)
+    set_node_cap(node_cap)
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     points = [
         (args.N, alpha, beta)
@@ -320,7 +331,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ]
     jobs = _resolve_jobs(args)
     if jobs > 1 and len(points) > 1:
-        with Pool(processes=jobs) as pool:
+        settings = (quadrature.DEFAULT_TOL, quadrature.NODE_CAP)
+        with Pool(processes=jobs, initializer=_init_scan_worker, initargs=settings) as pool:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]

@@ -352,11 +352,20 @@ def amplitude_constant(p: Params) -> float:
     Equals [(N-4+2a-b)(N-2+a)(N+b)(N+2-a+2b)]^((N-4+2a-b)/(4(2+b-a))),
     or in transformed-dimension variables (gamma/q^4)^((M-4)/8) with
     gamma = (M-4)(M-2)M(M+2).
+
+    Raises:
+        DomainError: if the constant exceeds double range, which happens
+            near the lower edge beta -> alpha - 2 of the strip (M -> inf).
     """
     d = derive(p)
     m = d.M
     gamma = (m - 4.0) * (m - 2.0) * m * (m + 2.0)
-    return math.exp((m - 4.0) / 8.0 * (math.log(gamma) - 4.0 * math.log(d.q)))
+    try:
+        return math.exp((m - 4.0) / 8.0 * (math.log(gamma) - 4.0 * math.log(d.q)))
+    except OverflowError:
+        raise DomainError(
+            f"amplitude constant overflows double precision at M={m!r}"
+        ) from None
 
 
 class ExtremalProfile(PowerPeakProfile):

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import multiprocessing
 
 import pytest
 
+from ckn_lab import cli, quadrature
 from ckn_lab.cli import main
 
 
@@ -158,6 +160,21 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_scan_spawn_workers_keep_quadrature_settings(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "Pool", multiprocessing.get_context("spawn").Pool)
+    # the config file sets these process-wide; restore them afterwards
+    monkeypatch.setattr(quadrature, "DEFAULT_TOL", quadrature.DEFAULT_TOL)
+    monkeypatch.setattr(quadrature, "NODE_CAP", quadrature.NODE_CAP)
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("node_cap = 16\n")
+    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2",
+            "--config", str(cfg)]
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
 def test_scan_env_var_worker_count(tmp_path, monkeypatch):
     monkeypatch.setenv("CKN_LAB_THREADS", "2")
     out = tmp_path / "env.csv"
@@ -236,6 +253,15 @@ def test_transform_check_record(capsys):
     for key in ("cosh_residual_m4_5", "cosh_residual_m5_0",
                 "cosh_residual_m6_0", "cosh_residual_m8_0"):
         assert record[key] < 1e-8
+
+
+@pytest.mark.parametrize("command", ["constants", "certify", "transform-check"])
+def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
+    # an auto-scan cell at M ~ 3000, where the amplitude exceeds double range
+    code, _, err = run(capsys, command, "--N", "5", "--alpha", "0.1", "--beta=-1.89793")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "M=" in err
 
 
 def test_verify_all_perturbation_hook(capsys):

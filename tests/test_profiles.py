@@ -140,6 +140,11 @@ def test_amplitude_constant_reference_values(p511, p500):
     assert amplitude_constant(p500) == pytest.approx(105.0**0.125, rel=1e-13)
 
 
+def test_amplitude_constant_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="M="):
+        amplitude_constant(validate(5, 0.1, -1.89793))
+
+
 def test_extremal_peak_value(p511):
     u = extremal(p511)
     assert u.eval(0.0) == pytest.approx(384.0**0.25, rel=1e-13)
