@@ -10,7 +10,14 @@ relative floor, levels halve the step until two consecutive trapezoid
 sums agree to the requested tolerance, and the final sum is compensated
 (Kahan) in ascending node order so repeated runs are bit-identical.
 
-Before integrating, the integrand is probed near both endpoints and the
+The levels nest: node k at step h is node 2k at step h/2, bit for bit, so
+each abscissa reaches the integrand once per integral.  Every level costs
+one integrand call with its new (odd) nodes over the whole node range,
+except that the first call covers levels 0-2 together, since level 2 is
+the first that may converge; the four endpoint probes ride in it too.
+Truncation is decided afterwards on each side's term array.
+
+Before any sum is used, the integrand is probed near both endpoints and the
 measured log-log slopes are screened: the power at the origin must
 exceed -1 and the power at infinity must fall below -1, otherwise a
 :class:`DivergentIntegralError` is raised with the offending exponent.
@@ -20,6 +27,7 @@ a plausible-looking but meaningless number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +60,6 @@ _X_MAX = 600.0
 _X_CUT = math.asinh(_X_MAX / math.pi)
 _H0 = 0.5
 _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
-_CHUNK = 64
 
 
 class DivergentIntegralError(DomainError):
@@ -72,6 +79,12 @@ class AccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
+    """An integral with its error estimate (the difference of the last two
+    levels) and ``nodes``, the number of terms summed over all levels.
+    ``nodes`` counts terms, not integrand evaluations: a node reused at a
+    finer level counts again there, and nodes evaluated beyond a side's
+    truncation point do not count."""
+
     value: float
     abs_error_estimate: float
     nodes: int
@@ -89,10 +102,11 @@ def _vectorized(f):
     return wrapped
 
 
-def _screen_endpoints(fv) -> None:
-    with np.errstate(all="ignore"):
-        vals = np.abs(fv(np.array([1e-7, 1e-6, 1e6, 1e7])))
-    lo_a, lo_b, hi_a, hi_b = (float(v) for v in vals)
+_PROBES = np.array([1e-7, 1e-6, 1e6, 1e7])
+
+
+def _screen_endpoints(probe_vals: np.ndarray) -> None:
+    lo_a, lo_b, hi_a, hi_b = (float(v) for v in np.abs(probe_vals))
     # Origin side: measured power must exceed -1.
     if max(lo_a, lo_b) > 1e-280:
         if not (math.isfinite(lo_a) and math.isfinite(lo_b)):
@@ -122,59 +136,73 @@ def _screen_endpoints(fv) -> None:
             )
 
 
-def _side_terms(fv, h: float, direction: int):
-    """Collect (k, term) outward from k=+-1 until the tail is negligible."""
-    terms = []
-    scale = 0.0
-    quiet = 0
-    k = direction
-    while abs(k * h) <= _X_CUT:
-        ks = np.arange(k, k + direction * _CHUNK, direction)
-        x = ks * h
-        x = x[np.abs(x) <= _X_CUT]
-        if x.size == 0:
-            break
-        with np.errstate(all="ignore"):
-            s = np.exp(math.pi * np.sinh(x))
-            w = math.pi * np.cosh(x) * s * h
-            vals = fv(s)
-            chunk = vals * w
-        stop = False
-        for i in range(x.size):
-            t = float(chunk[i])
-            if not math.isfinite(t):
-                if scale > 0.0 and abs(terms[-1][1]) <= 1e-18 * scale:
-                    # astronomically small tail overflowed in an
-                    # intermediate; its true contribution is negligible
-                    stop = True
-                    break
-                raise DomainError(
-                    f"integrand produced a non-finite value at s={float(s[i]):.6e}"
-                )
-            terms.append((int(ks[i]), t))
-            mag = abs(t)
-            scale = max(scale, mag)
-            if scale > 0.0 and mag <= _TAIL_EPS * scale:
-                quiet += 1
-                if quiet >= 3:
-                    stop = True
-                    break
-            else:
-                quiet = 0
-        if stop:
-            break
-        k = int(ks[-1]) + direction
-    return terms
+@functools.cache
+def _grid(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae s and weights w of the step-h level, nodes k = -K..K.
 
-
-def _level_sum(fv, h: float) -> tuple[float, int]:
+    K is the largest k with k*h <= _X_CUT, so node k sits at index k + K.
+    Both arrays are read-only: they are shared by every integral.
+    """
+    k = math.floor(_X_CUT / h)
+    x = np.arange(-k, k + 1) * h
     with np.errstate(all="ignore"):
-        center = float(fv(np.array([1.0]))[0]) * math.pi * h
+        s = np.exp(math.pi * np.sinh(x))
+        w = math.pi * np.cosh(x) * s * h
+    s.flags.writeable = False
+    w.flags.writeable = False
+    return s, w
+
+
+def _refine(fv, coarse: np.ndarray, h: float) -> np.ndarray:
+    """Integrand values on the step-h grid from those at step 2h.
+
+    Node 2k at step h is node k at step 2h bit for bit, so only the odd
+    nodes are new; they go to the integrand in one call.
+    """
+    s, _ = _grid(h)
+    old = (s.size // 2) % 2  # even nodes sit at indices of the parity of K
+    vals = np.empty(s.size)
+    vals[old::2] = coarse
+    with np.errstate(all="ignore"):
+        vals[1 - old :: 2] = fv(s[1 - old :: 2].copy())
+    return vals
+
+
+def _side_count(terms: np.ndarray, s: np.ndarray) -> int:
+    """How many of one side's terms (outward from k=+-1) the tail rule keeps.
+
+    The side ends after three consecutive terms at most _TAIL_EPS times
+    the largest term so far, or at a non-finite term that follows an
+    astronomically small one (a negligible tail overflowed in an
+    intermediate).  A non-finite term anywhere else is an error.
+    """
+    finite = np.isfinite(terms)
+    n = terms.size if finite.all() else int(np.argmin(finite))
+    mag = np.abs(terms[:n])
+    scale = np.maximum.accumulate(mag)
+    quiet = (scale > 0.0) & (mag <= _TAIL_EPS * scale)
+    third = quiet[2:] & quiet[1:-1] & quiet[:-2]
+    if third.any():
+        return int(np.argmax(third)) + 3
+    if n < terms.size and not (n > 0 and scale[-1] > 0.0 and mag[-1] <= 1e-18 * scale[-1]):
+        raise DomainError(f"integrand produced a non-finite value at s={float(s[n]):.6e}")
+    return n
+
+
+def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
+    """Truncated trapezoid sum of one level from its integrand values."""
+    s, w = _grid(h)
+    mid = s.size // 2
+    center = float(vals[mid]) * math.pi * h
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
-    neg = _side_terms(fv, h, -1)
-    pos = _side_terms(fv, h, +1)
-    ordered = [t for _, t in reversed(neg)] + [center] + [t for _, t in pos]
+    with np.errstate(all="ignore"):
+        terms = vals * w
+    neg, neg_s = terms[mid - 1 :: -1], s[mid - 1 :: -1]
+    pos, pos_s = terms[mid + 1 :], s[mid + 1 :]
+    neg = neg[: _side_count(neg, neg_s)]
+    pos = pos[: _side_count(pos, pos_s)]
+    ordered = neg[::-1].tolist() + [center] + pos.tolist()
     # Kahan-compensated sum in fixed ascending-node order.
     total = 0.0
     comp = 0.0
@@ -221,7 +249,13 @@ def integrate_semiinfinite(
     if node_cap is None:
         node_cap = NODE_CAP
     fv = _vectorized(f)
-    _screen_endpoints(fv)
+    # Levels 0-2 (steps _H0, _H0/2, _H0/4) nest in the level-2 grid, the
+    # first that may converge; one call evaluates it with the probes.
+    fine, _ = _grid(_H0 / 4)
+    with np.errstate(all="ignore"):
+        vals = fv(np.concatenate((_PROBES, fine)))
+    _screen_endpoints(vals[: _PROBES.size])
+    vals = vals[_PROBES.size :]
 
     total_nodes = 0
     prev = None
@@ -229,7 +263,12 @@ def integrate_semiinfinite(
     h = _H0
     level = 0
     while True:
-        value, n = _level_sum(fv, h)
+        if level > 2:
+            vals = _refine(fv, vals, h)
+        stride = 1 << max(2 - level, 0)  # levels 0 and 1 read every 4th / 2nd node
+        mid = vals.size // 2
+        half = stride * math.floor(_X_CUT / h)
+        value, n = _level_sum(vals[mid - half : mid + half + 1 : stride], h)
         total_nodes += n
         if prev is not None:
             err = abs(value - prev)

@@ -17,6 +17,7 @@ the analytic classification are reported as discrepancies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,11 +112,16 @@ def second_variation(p: Params) -> SecondVariation:
 _GL_THETA_NODES = 64
 
 
+@functools.cache
 def _theta_rule(N: int):
+    """Polar-angle nodes cos(theta) and weights; read-only, built once per N."""
     x, w = np.polynomial.legendre.leggauss(_GL_THETA_NODES)
     theta = 0.5 * math.pi * (x + 1.0)
     weight = 0.5 * math.pi * w * np.sin(theta) ** (N - 2)
-    return np.cos(theta), weight
+    cos_t = np.cos(theta)
+    cos_t.flags.writeable = False
+    weight.flags.writeable = False
+    return cos_t, weight
 
 
 def _mode1_energy(g, p: Params) -> float:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab import quadrature as quad
@@ -22,6 +22,7 @@ from ckn_lab.quadrature import (
     set_node_cap,
     signed_weighted,
 )
+from ckn_lab.specfun import DomainError
 
 
 def test_exponential():
@@ -152,3 +153,110 @@ def test_non_extremal_profile_sits_strictly_above(p511):
 
     bump = PowerPeakProfile([(1.0, 0, -3.0)], sigma=2, nu=1.0)
     assert quotient_radial(bump, p511) > s_r_closed(p511) * (1.0 + 1e-6)
+
+
+def _cube_with_overflowing_tail(s):
+    # inf beyond 1e15, where the terms are already negligible
+    return np.where(s > 1e15, np.inf, (1.0 + s) ** -3.0)
+
+
+# Pinned bit for bit: reusing each node's value at every finer level must
+# give exactly the sums of evaluating every level afresh.
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        (lambda s: np.exp(-s), "QuadResult(value=1.0, abs_error_estimate=5.995204332975845e-15, nodes=318)"),
+        (
+            lambda s: np.exp(-s) / np.sqrt(s),
+            "QuadResult(value=1.772453850905516, abs_error_estimate=1.9984014443252818e-15, nodes=357)",
+        ),
+        (lambda s: (1.0 + s) ** -3.0, "QuadResult(value=0.5, abs_error_estimate=1.8207657603852567e-14, nodes=108)"),
+        (
+            lambda s: np.exp(-s) * np.cos(s),
+            "QuadResult(value=0.5, abs_error_estimate=1.8318679906315083e-14, nodes=620)",
+        ),
+        (_cube_with_overflowing_tail, "QuadResult(value=0.5, abs_error_estimate=1.8207657603852567e-14, nodes=103)"),
+    ],
+    ids=["exp", "exp_over_sqrt", "cube", "exp_cos", "overflowing_tail"],
+)
+def test_result_is_pinned(f, expected):
+    assert repr(integrate_semiinfinite(f)) == expected
+
+
+def test_extremal_quotient_is_pinned(p511):
+    assert repr(quotient_radial(extremal(p511), p511)) == "221.68826741979262"
+
+
+def test_accuracy_error_result_is_pinned():
+    with pytest.raises(AccuracyError) as err:
+        integrate_semiinfinite(lambda s: 1.0 / (1.0 + s * s), tol=1e-14, node_cap=32)
+    assert repr(err.value.result) == (
+        "QuadResult(value=1.5708084354078866, abs_error_estimate=0.008722405441900616, nodes=56)"
+    )
+
+
+def test_significant_nan_names_its_abscissa():
+    def f(s):
+        return np.where(np.abs(s - 2.0) < 0.25, np.nan, np.exp(-s))
+
+    with pytest.raises(DomainError) as err:
+        integrate_semiinfinite(f)
+    assert type(err.value) is DomainError
+    assert str(err.value) == "integrand produced a non-finite value at s=2.211354e+00"
+
+
+def test_each_abscissa_reaches_the_integrand_once():
+    batches = []
+
+    def spy(s):
+        batches.append(np.array(s))
+        return np.exp(-s)
+
+    integrate_semiinfinite(spy)
+    # one call for the probes and levels 0-2, then one per finer level
+    assert len(batches) == 3
+    seen = np.concatenate(batches)
+    assert np.unique(seen).size == seen.size
+
+
+def _side_count_by_loop(terms, s):
+    """The tail rule term by term, as the integrator once applied it."""
+    kept, scale, quiet = 0, 0.0, 0
+    for t in terms:
+        if not math.isfinite(t):
+            if scale > 0.0 and abs(terms[kept - 1]) <= 1e-18 * scale:
+                return kept
+            raise DomainError(f"integrand produced a non-finite value at s={s[kept]:.6e}")
+        kept += 1
+        scale = max(scale, abs(t))
+        if scale > 0.0 and abs(t) <= quad._TAIL_EPS * scale:
+            quiet += 1
+            if quiet >= 3:
+                return kept
+        else:
+            quiet = 0
+    return kept
+
+
+def _outcome(side_count, terms, s):
+    try:
+        return side_count(terms, s)
+    except DomainError as err:
+        return str(err)
+
+
+_TERM = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.0, 1e-17, 1e-19, -1e-21, 1e-22, 1e-23, 1e-40, math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERM, max_size=24))
+@example([1.0, 1e-18, math.inf])  # overflow after a negligible term ends the side
+@example([1.0, 2e-18, math.nan])  # after a significant one it is an error
+@example([0.0, 0.0, 0.0, 1.0, 1e-23, 0.0, -1e-30])
+def test_vectorised_tail_rule_matches_the_loop(terms):
+    s = np.arange(1.0, len(terms) + 1.0)
+    expected = _outcome(_side_count_by_loop, terms, s)
+    assert _outcome(quad._side_count, np.array(terms, dtype=float), s) == expected
