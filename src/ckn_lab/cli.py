@@ -6,7 +6,7 @@ constants        closed-form exponents and sharp constants at one triple
 certify          three-witness symmetry-breaking certificate at one triple
 fs-curve         transition curve: closed form vs spectral root (Brent)
 scan             CSV region map over a parameter grid
-verify-all       self-contained invariant battery (fast/full)
+verify-all       the ten checks of the acceptance gate
 transform-check  fourth-order ODE residuals for the transformed profiles
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
@@ -18,6 +18,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -51,7 +52,8 @@ from .quadrature import (
     set_node_cap,
 )
 from .specfun import DomainError
-from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig
+from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig_fallback
+from .spectral import ritz_min_eig  # noqa: F401  (perfbench's tracer wraps this binding)
 from .variation import DEFAULT_CERT_TOL, DEFAULT_EPS, certify, second_variation
 from .verify import run_all
 
@@ -116,7 +118,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     """Layer an optional key=value config file under explicit flags.
 
     Precedence is CLI flag > config entry > built-in default; quadrature
-    knobs (quad_tol, node_cap) have no flags and apply immediately.
+    knobs (quad_tol, node_cap) have no flags and apply until `main` returns.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -164,25 +166,25 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
 def _open_out(args: argparse.Namespace, newline: str | None = None):
+    """The `--out` file, closed on exit, or stdout."""
     path = getattr(args, "out", None)
-    if path:
-        return open(path, "w", newline=newline), True
-    return sys.stdout, False
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline=newline) as stream:
+        yield stream
 
 
 def _emit_record(record: dict, args: argparse.Namespace) -> None:
-    stream, owned = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if getattr(args, "json", False):
             print(json.dumps(record, sort_keys=True), file=stream)
         else:
             width = max(len(key) for key in record)
             for key, value in record.items():
                 print(f"{key:<{width}}  {value}", file=stream)
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +243,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else 1e-4
-    stream, owned = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
             located = fs_locate(args.N, alpha, tol)
@@ -260,9 +261,6 @@ def _cmd_fs_curve(args: argparse.Namespace) -> int:
                     f"spectral={located!r} gap={row['gap']:.3e}",
                     file=stream,
                 )
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -299,17 +297,10 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
         row[6] = repr(second_variation(p).value)
     except (AccuracyError, DivergentIntegralError):
         pass
-    basis = 16
-    while True:
-        try:
-            row[7] = repr(ritz_min_eig(1, p, basis).min_eigenvalue)
-            break
-        except (ConditioningError, np.linalg.LinAlgError):
-            if basis <= 6:
-                break
-            basis -= 4
-        except (AccuracyError, DivergentIntegralError):
-            break
+    try:
+        row[7] = repr(ritz_min_eig_fallback(1, p).min_eigenvalue)
+    except ConditioningError:
+        pass
     return row
 
 
@@ -336,34 +327,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
-    stream, owned = _open_out(args, newline="")
-    try:
+    with _open_out(args, newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_SCAN_FIELDS)
         writer.writerows(rows)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    results = run_all(args.level, perturb=args.perturb)
-    stream, owned = _open_out(args)
-    try:
+    results = run_all(args.perturb)
+    failures = [r.name for r in results if not r.passed]
+    with _open_out(args) as stream:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status}  {r.name}: {r.detail}", file=stream)
-        failures = [r.name for r in results if not r.passed]
         if failures:
-            print(
-                f"{len(failures)} check(s) failed: {', '.join(failures)}",
-                file=stream,
-            )
-    finally:
-        if owned:
-            stream.close()
-    return 1 if any(not r.passed for r in results) else 0
+            print(f"{len(failures)} check(s) failed: {', '.join(failures)}", file=stream)
+    return 1 if failures else 0
 
 
 def _cmd_transform_check(args: argparse.Namespace) -> int:
@@ -442,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("verify-all", help="run the invariant battery")
-    sp.add_argument("--level", choices=("fast", "full"), default="fast")
     sp.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     add_io(sp, json_flag=False)
     sp.set_defaults(handler=_cmd_verify_all)
@@ -461,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # --config's quadrature settings hold for this command only
+    saved = quadrature.DEFAULT_TOL, quadrature.NODE_CAP
     try:
         _apply_config(args)
         return args.handler(args)
@@ -473,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        quadrature.DEFAULT_TOL, quadrature.NODE_CAP = saved
 
 
 if __name__ == "__main__":

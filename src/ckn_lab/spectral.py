@@ -39,6 +39,7 @@ __all__ = [
     "gamma_m",
     "mode_quadratic_form",
     "ritz_min_eig",
+    "ritz_min_eig_fallback",
     "fs_locate",
 ]
 
@@ -222,7 +223,22 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     )
 
 
-DEFAULT_FS_BASIS = 16
+#: Ritz basis sizes tried in turn by `ritz_min_eig_fallback`.
+FALLBACK_BASES = (16, 12, 8, 4)
+
+
+def ritz_min_eig_fallback(k: int, p: Params) -> RitzResult:
+    """`ritz_min_eig` at the first size in FALLBACK_BASES whose Gram conditions.
+
+    Deep in the strip M grows and the Gram matrix degrades; the last
+    size's ConditioningError propagates.
+    """
+    for J in FALLBACK_BASES[:-1]:
+        try:
+            return ritz_min_eig(k, p, J)
+        except ConditioningError:
+            pass
+    return ritz_min_eig(k, p, FALLBACK_BASES[-1])
 
 
 def fs_locate(N: int, alpha: float, tol: float) -> float:
@@ -246,17 +262,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:
-        # Deep in the strip M grows and the Gram matrix degrades; shrink
-        # the basis until it conditions (the sign drives the bracket, so a
-        # coarser basis is still trustworthy).
-        basis = DEFAULT_FS_BASIS
-        while True:
-            try:
-                return ritz_min_eig(1, validate(N, alpha, beta), basis).min_eigenvalue
-            except ConditioningError:
-                if basis <= 6:
-                    raise
-                basis -= 4
+        # the sign drives the bracket, so a coarser basis is still trustworthy
+        return ritz_min_eig_fallback(1, validate(N, alpha, beta)).min_eigenvalue
 
     rho_lo = rho_at(lo)
     rho_hi = rho_at(hi)

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from ckn_lab import quadrature, validate
+from ckn_lab import validate
 
 _CRITERION_ID = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _criterion_results: dict[int, bool] = {}
@@ -41,14 +41,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number in sorted(_criterion_results):
         status = "PASS" if _criterion_results[number] else "FAIL"
         terminalreporter.write_line(f"CRITERION {number}: {status}")
-
-
-@pytest.fixture(autouse=True)
-def _restore_quadrature_settings():
-    """Undo any `--config` or setter change to the quadrature globals."""
-    saved = quadrature.DEFAULT_TOL, quadrature.NODE_CAP
-    yield
-    quadrature.DEFAULT_TOL, quadrature.NODE_CAP = saved
 
 
 @pytest.fixture(scope="session")

@@ -1,219 +1,88 @@
 """Acceptance gate: eleven pass/fail criteria over the whole toolkit.
 
-Each test is one criterion; the terminal summary (see conftest) prints a
-CRITERION nn: PASS/FAIL line per entry.  Tolerances and runtime ceilings
-are asserted inside the tests themselves.
+Criteria 01-10 run the ten checks of `ckn_lab.verify.CHECKS`, which state
+every grid and bound, each under a runtime ceiling; criterion 11 adds
+deterministic scans and the whole battery.  The terminal summary (see
+conftest) prints a CRITERION nn: PASS/FAIL line per entry.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
 from ckn_lab.cli import main as cli_main
-from ckn_lab.identities import (
-    BATTERY_POINTS,
-    BATTERY_PROFILES,
-    TestFunction,
-    check_boundary_sharp_constant,
-    check_cross_term_identity,
-    check_divergence_expansion,
-    check_eta_substitution,
-    check_laplacian_bound,
-    check_pohozaev_identity,
-    check_rellich_sobolev,
-    rellich_sobolev_extremal,
-)
-from ckn_lab.params import (
-    beta_fs,
-    classify,
-    derive,
-    fs_correspondence,
-    validate,
-)
-from ckn_lab.profiles import (
-    PowerPeakProfile,
-    cosh_profile_residual,
-    euler_lagrange_residual,
-    extremal,
-    s_0_closed,
-    s_r_closed,
-)
-from ckn_lab.quadrature import integrate_semiinfinite, power_weighted, quotient_radial
-from ckn_lab.spectral import (
-    _potential_constant,
-    fs_locate,
-    mode_quadratic_form,
-    ritz_min_eig,
-)
-from ckn_lab.variation import directional_quotient, second_variation
-from ckn_lab.verify import EXTREMALITY_POINTS, run_all
+from ckn_lab.params import classify, validate
+from ckn_lab.variation import second_variation
+from ckn_lab.verify import CHECKS, EXTREMALITY_POINTS, run_all
 
 
-class Stopwatch:
-    __test__ = False
-
-    def __init__(self, budget_seconds: float):
-        self.budget = budget_seconds
-        self.start = time.monotonic()
-
-    def check(self):
-        assert time.monotonic() - self.start < self.budget
+def run_check(number: int, budget_seconds: float):
+    """Run the check of criterion `number` under its runtime ceiling."""
+    start = time.monotonic()
+    result = CHECKS[number - 1](0.0)
+    assert result.passed, result.detail
+    assert time.monotonic() - start < budget_seconds
 
 
 def test_criterion_01():
     """Unweighted closed form coincides with the classical constant."""
-    clock = Stopwatch(1.0)
-    for N in range(5, 11):
-        lhs = s_r_closed(validate(N, 0.0, 0.0))
-        rhs = s_0_closed(N)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-    clock.check()
+    run_check(1, 1.0)
 
 
 def test_criterion_02():
     """Quadrature of the minimizer reproduces the sharp radial constant."""
-    clock = Stopwatch(30.0)
     assert len(EXTREMALITY_POINTS) == 10
     classes = {classify(N, a, b) for N, a, b in EXTREMALITY_POINTS}
     assert len(classes) >= 4  # the points straddle the region taxonomy
-    for N, a, b in EXTREMALITY_POINTS:
-        p = validate(N, a, b)
-        assert quotient_radial(extremal(p), p) == pytest.approx(
-            s_r_closed(p), rel=1e-6
-        )
-    clock.check()
+    run_check(2, 30.0)
 
 
 def test_criterion_03():
     """Minimizer satisfies its fourth-order equation pointwise."""
-    clock = Stopwatch(10.0)
-    samples = np.geomspace(0.05, 20.0, 25)
-    for N, a, b in EXTREMALITY_POINTS:
-        p = validate(N, a, b)
-        assert euler_lagrange_residual(extremal(p), p, samples) < 1e-8
-    clock.check()
+    run_check(3, 10.0)
 
 
 def test_criterion_04():
     """Autonomous-form solitary profile solves the transformed equation."""
-    clock = Stopwatch(5.0)
-    ts = np.linspace(-8.0, 8.0, 161)
-    for m in (4.5, 5.0, 6.0, 8.0):
-        assert np.max(np.abs(cosh_profile_residual(m, ts))) < 1e-6
-    clock.check()
+    run_check(4, 5.0)
 
 
 def test_criterion_05():
-    """Transition curve: closed form, first-order map, spectral bisection."""
-    clock = Stopwatch(300.0)
-    for N in (5, 6):
-        for a in (0.5, 1.0, 2.0):
-            closed = beta_fs(N, a)
-            mapped = fs_correspondence(N, a).beta_mapped
-            assert abs(mapped - closed) <= 1e-10 * max(1.0, abs(closed))
-            located = fs_locate(N, a, 1e-4)
-            assert abs(located - closed) <= 1e-4
-    clock.check()
+    """Transition curve: closed form, first-order map, spectral root."""
+    run_check(5, 300.0)
 
 
 def test_criterion_06():
     """Second-variation sign law on a grid straddling the curve."""
-    clock = Stopwatch(60.0)
-    grid = [
-        (N, a, beta_fs(N, a) + off)
-        for N in (5, 6)
-        for a in (0.5, 1.0)
-        for off in (-0.15, -0.05, 0.05, 0.15, 0.25)
-    ]
-    assert len(grid) == 20
-    for N, a, b in grid:
-        p = validate(N, a, b)
-        d = derive(p)
-        law = d.q * d.q * (N - 1.0) - (d.M - 1.0)
-        value = second_variation(p).value
-        assert value != 0.0 and math.copysign(1.0, value) == math.copysign(1.0, law)
+    run_check(6, 60.0)
     reference = second_variation(validate(5, 1.0, 1.0)).value
     assert reference == pytest.approx(-5.859, rel=1e-2)
     # full-precision pin against the Beta-reduction closed form
     assert reference == pytest.approx(-5.858682485431447, rel=1e-10)
-    clock.check()
 
 
 def test_criterion_07():
     """Three independent witnesses of symmetry breaking at (5, 1, 1)."""
-    clock = Stopwatch(120.0)
-    p = validate(5, 1.0, 1.0)
-    sharp = s_r_closed(p)
-    assert directional_quotient(p, 0.01) < sharp  # quadrature on a bent profile
-    assert ritz_min_eig(1, p, 16).min_eigenvalue < 0.0  # matrix eigenproblem
-    assert second_variation(p).value < 0.0  # closed-form Beta reduction
-    clock.check()
+    run_check(7, 120.0)
 
 
 def test_criterion_08():
     """Kernel structure exactly on the transition curve for (N, a) = (5, 1)."""
-    clock = Stopwatch(60.0)
-    N, a = 5, 1.0
-    curve = beta_fs(N, a)
-    p = validate(N, a, curve)
-    m = derive(p).M
-    x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
-    q1 = mode_quadratic_form(x1, 1, p)
-    scale = _potential_constant(m) * integrate_semiinfinite(
-        lambda s: power_weighted(x1.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)
-    ).value
-    assert abs(q1) / scale < 1e-8
-    assert ritz_min_eig(2, p, 16).min_eigenvalue > 0.0
-    assert ritz_min_eig(1, validate(N, a, curve - 0.05), 16).min_eigenvalue > 0.0
-    assert ritz_min_eig(1, validate(N, a, curve + 0.05), 16).min_eigenvalue < 0.0
-    clock.check()
+    run_check(8, 60.0)
 
 
 def test_criterion_09():
     """Integral-identity battery: bound, expansions, scaling, substitution."""
-    clock = Stopwatch(120.0)
-    for N, a, b in BATTERY_POINTS:
-        p = validate(N, a, b)
-        for _, prof in BATTERY_PROFILES:
-            for k in (0, 1):
-                u = TestFunction(prof, k)
-                ratio, bound, ok = check_laplacian_bound(u, p)
-                assert ok and ratio <= bound * (1.0 + 1e-12)
-                if a == 0.0:
-                    assert bound == 1.0
-                    assert ratio == pytest.approx(1.0, rel=1e-10)
-                assert check_divergence_expansion(u, p) < 1e-8
-                assert check_pohozaev_identity(u, N) < 1e-8
-                if k == 0:
-                    assert check_cross_term_identity(u, p) < 1e-8
-    eta_profile = TestFunction(PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0))
-    for N, a in ((5, -1.0), (6, -0.5), (8, -2.0)):
-        assert check_eta_substitution(eta_profile, N, a) < 1e-8
-    clock.check()
+    run_check(9, 120.0)
 
 
 def test_criterion_10():
     """Equality on the upper boundary line and its shifted counterpart."""
-    clock = Stopwatch(60.0)
-    for N, a in ((5, -1.0), (6, -0.5), (8, -2.0)):
-        quotient, constant, defect = check_boundary_sharp_constant(N, a)
-        assert defect < 1e-6
-        assert quotient == pytest.approx(constant, rel=1e-6)
-        specialized = s_r_closed(validate(N, a, N * a / (N - 2.0)))
-        assert specialized == pytest.approx(constant, rel=1e-10)
-    for amplitude, nu in ((1.0, 1.0), (3.0, 2.5)):
-        mu = 1.0 / 3.0
-        v = rellich_sobolev_extremal(5, mu, amplitude, nu)
-        lhs, rhs, ok = check_rellich_sobolev(v, 5, mu)
-        assert ok
-        assert lhs == pytest.approx(rhs, rel=1e-6)
-    clock.check()
+    run_check(10, 60.0)
 
 
 def test_criterion_11(tmp_path):
-    """Deterministic scans and a green fast verification battery."""
+    """Deterministic scans and a green verification battery."""
     args = ["scan", "--N", "5", "--alpha", "0.5:1.5:3", "--beta", "auto:4"]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(first)]) == 0
@@ -221,7 +90,7 @@ def test_criterion_11(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
     start = time.monotonic()
-    results = run_all(level="fast")
+    results = run_all()
     elapsed = time.monotonic() - start
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     assert elapsed < 60.0

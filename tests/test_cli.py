@@ -8,6 +8,7 @@ import pytest
 
 from ckn_lab import cli, quadrature
 from ckn_lab.cli import main
+from ckn_lab.verify import run_all
 
 
 def run(capsys, *argv):
@@ -162,9 +163,6 @@ def test_scan_parallel_matches_serial(tmp_path):
 
 def test_scan_spawn_workers_keep_quadrature_settings(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "Pool", multiprocessing.get_context("spawn").Pool)
-    # the config file sets these process-wide; restore them afterwards
-    monkeypatch.setattr(quadrature, "DEFAULT_TOL", quadrature.DEFAULT_TOL)
-    monkeypatch.setattr(quadrature, "NODE_CAP", quadrature.NODE_CAP)
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("node_cap = 16\n")
     args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2",
@@ -224,6 +222,19 @@ def test_config_file_layering(tmp_path, capsys):
     assert json.loads(out)["eps"] == pytest.approx(0.03)
 
 
+@pytest.mark.parametrize("last_line", ["", "node_cap = many\n"])
+def test_config_settings_end_with_the_command(tmp_path, capsys, last_line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("quad_tol = 1e-5\nnode_cap = 64\n" + last_line)
+    before = quadrature.DEFAULT_TOL, quadrature.NODE_CAP
+    code, _, _ = run(
+        capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1",
+        "--config", str(cfg),
+    )
+    assert code == (2 if last_line else 0)
+    assert (quadrature.DEFAULT_TOL, quadrature.NODE_CAP) == before
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("grid_points = 7\n")
@@ -264,11 +275,26 @@ def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     assert "M=" in err
 
 
+# criteria 01-10 of the acceptance gate, in order
+CHECK_NAMES = """closed_form_consistency extremality euler_lagrange_residual
+    transform_closed_form fs_curve_recoveries second_variation_sign_law
+    breaking_certificate kernel_at_curve identity_battery boundary_equality""".split()
+
+
+def test_verify_all_runs_the_ten_checks_in_criterion_order(capsys):
+    assert [r.name for r in run_all()] == CHECK_NAMES
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 0
+    assert [line.split()[1].rstrip(":") for line in out.splitlines()] == CHECK_NAMES
+    assert all(line.startswith("PASS  ") for line in out.splitlines())
+
+
 def test_verify_all_perturbation_hook(capsys):
-    code, out, _ = run(capsys, "verify-all", "--level", "fast", "--perturb", "1e-6")
+    code, out, _ = run(capsys, "verify-all", "--perturb", "1e-6")
     assert code == 1
-    assert "FAIL" in out
-    assert "closed_form_consistency" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL  closed_form_consistency:")
 
 
 def test_out_flag_writes_file(tmp_path):
