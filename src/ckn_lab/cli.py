@@ -18,7 +18,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -166,25 +165,25 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
 def _open_out(args: argparse.Namespace, newline: str | None = None):
-    """The `--out` file, closed on exit, or stdout."""
     path = getattr(args, "out", None)
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", newline=newline) as stream:
-        yield stream
+    if path:
+        return open(path, "w", newline=newline), True
+    return sys.stdout, False
 
 
 def _emit_record(record: dict, args: argparse.Namespace) -> None:
-    with _open_out(args) as stream:
+    stream, owned = _open_out(args)
+    try:
         if getattr(args, "json", False):
             print(json.dumps(record, sort_keys=True), file=stream)
         else:
             width = max(len(key) for key in record)
             for key, value in record.items():
                 print(f"{key:<{width}}  {value}", file=stream)
+    finally:
+        if owned:
+            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else 1e-4
-    with _open_out(args) as stream:
+    stream, owned = _open_out(args)
+    try:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
             located = fs_locate(args.N, alpha, tol)
@@ -261,6 +261,9 @@ def _cmd_fs_curve(args: argparse.Namespace) -> int:
                     f"spectral={located!r} gap={row['gap']:.3e}",
                     file=stream,
                 )
+    finally:
+        if owned:
+            stream.close()
     return 0
 
 
@@ -327,23 +330,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
-    with _open_out(args, newline="") as stream:
+    stream, owned = _open_out(args, newline="")
+    try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_SCAN_FIELDS)
         writer.writerows(rows)
+    finally:
+        if owned:
+            stream.close()
     return 0
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     results = run_all(args.perturb)
-    failures = [r.name for r in results if not r.passed]
-    with _open_out(args) as stream:
+    stream, owned = _open_out(args)
+    try:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status}  {r.name}: {r.detail}", file=stream)
+        failures = [r.name for r in results if not r.passed]
         if failures:
-            print(f"{len(failures)} check(s) failed: {', '.join(failures)}", file=stream)
-    return 1 if failures else 0
+            print(
+                f"{len(failures)} check(s) failed: {', '.join(failures)}",
+                file=stream,
+            )
+    finally:
+        if owned:
+            stream.close()
+    return 1 if any(not r.passed for r in results) else 0
 
 
 def _cmd_transform_check(args: argparse.Namespace) -> int:

@@ -10,11 +10,14 @@ The `perturb` argument is a sensitivity hook for the test suite: it
 multiplies one closed-form constant inside one check by (1 + perturb),
 so any nonzero value must make the battery fail (proving the harness
 actually compares things).
+
+Worst cases accumulate with `np.maximum`, which returns NaN when either
+argument is NaN; the built-in `max(0.0, nan)` returns 0.0 and would let
+a NaN defect pass its bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +92,7 @@ def _check_closed_forms(perturb: float) -> CheckResult:
     for N in range(5, 11):
         s_plain = s_0_closed(N)
         s_general = s_r_closed(validate(N, 0.0, 0.0)) * (1.0 + perturb)
-        worst = max(worst, abs(s_general - s_plain) / s_plain)
+        worst = np.maximum(worst, abs(s_general - s_plain) / s_plain)
     return CheckResult(
         "closed_form_consistency", worst < 1e-12, f"max rel defect {worst:.3e}"
     )
@@ -100,7 +103,7 @@ def _check_extremality(perturb: float) -> CheckResult:
     for N, a, b in EXTREMALITY_POINTS:
         p = validate(N, a, b)
         gap = abs(quotient_radial(extremal(p), p) - s_r_closed(p)) / s_r_closed(p)
-        worst = max(worst, gap)
+        worst = np.maximum(worst, gap)
     return CheckResult("extremality", worst < 1e-6, f"max rel defect {worst:.3e}")
 
 
@@ -110,7 +113,7 @@ def _check_euler_lagrange(perturb: float) -> CheckResult:
     worst = 0.0
     for N, a, b in EXTREMALITY_POINTS:
         p = validate(N, a, b)
-        worst = max(worst, euler_lagrange_residual(extremal(p), p, radii))
+        worst = np.maximum(worst, euler_lagrange_residual(extremal(p), p, radii))
     return CheckResult("euler_lagrange_residual", worst < 1e-8, f"max {worst:.3e}")
 
 
@@ -118,7 +121,7 @@ def _check_transform_chain(perturb: float) -> CheckResult:
     ts = np.concatenate((np.linspace(-6.0, 6.0, 101), np.linspace(-8.0, 8.0, 161)))
     worst = 0.0
     for m in (4.5, 5.0, 6.0, 8.0):
-        worst = max(worst, float(np.max(np.abs(cosh_profile_residual(m, ts)))))
+        worst = np.maximum(worst, np.max(np.abs(cosh_profile_residual(m, ts))))
     return CheckResult("transform_closed_form", worst < 1e-6, f"max {worst:.3e}")
 
 
@@ -128,12 +131,15 @@ def _check_fs_recoveries(perturb: float) -> CheckResult:
     for N, a in ((N, a) for N in (5, 6) for a in (0.5, 1.0, 2.0)):
         closed = beta_fs(N, a)
         mapped = fs_correspondence(N, a).beta_mapped
-        worst_first_order = max(worst_first_order, abs(mapped - closed))
+        worst_first_order = np.maximum(worst_first_order, abs(mapped - closed))
         located = fs_locate(N, a, 1e-4)
-        worst_spectral = max(worst_spectral, abs(located - closed))
+        worst_spectral = np.maximum(worst_spectral, abs(located - closed))
     ok = worst_first_order < 1e-10 and worst_spectral < 1e-4
-    detail = f"first-order {worst_first_order:.3e}, spectral {worst_spectral:.3e}"
-    return CheckResult("fs_curve_recoveries", ok, detail)
+    return CheckResult(
+        "fs_curve_recoveries",
+        ok,
+        f"first-order {worst_first_order:.3e}, spectral {worst_spectral:.3e}",
+    )
 
 
 def _check_sign_law(perturb: float) -> CheckResult:
@@ -144,9 +150,10 @@ def _check_sign_law(perturb: float) -> CheckResult:
         p = validate(N, a, b)
         d = derive(p)
         value = second_variation(p).value
-        side = math.copysign(1.0, beta_fs(N, a) - b)
-        law = math.copysign(1.0, d.q * d.q * (N - 1.0) - (d.M - 1.0))
-        if value == 0.0 or not math.copysign(1.0, value) == side == law:
+        side = np.sign(beta_fs(N, a) - b)
+        law = np.sign(d.q * d.q * (N - 1.0) - (d.M - 1.0))
+        # np.sign maps NaN to NaN, which equals no sign
+        if value == 0.0 or not np.sign(value) == side == law:
             bad.append((N, a, b))
     return CheckResult(
         "second_variation_sign_law",
@@ -164,8 +171,11 @@ def _check_certificate(perturb: float) -> CheckResult:
         and not cert.discrepancies
         and cert.witness_signs == (-1, -1, -1)
     )
-    detail = f"verdict {cert.verdict.value}, signs {cert.witness_signs}"
-    return CheckResult("breaking_certificate", ok, detail)
+    return CheckResult(
+        "breaking_certificate",
+        ok,
+        f"verdict {cert.verdict.value}, signs {cert.witness_signs}",
+    )
 
 
 def _check_kernel_at_curve(perturb: float) -> CheckResult:
@@ -185,8 +195,11 @@ def _check_kernel_at_curve(perturb: float) -> CheckResult:
     below = ritz_min_eig(1, validate(N, a, curve - 0.05), 16).min_eigenvalue
     above = ritz_min_eig(1, validate(N, a, curve + 0.05), 16).min_eigenvalue
     ok = rel < 1e-8 and rho2 > 0.0 and below > 0.0 and above < 0.0
-    detail = f"rel |Q1(X1)| {rel:.3e}, rho2 {rho2:.3e}, bracket ({below:.3e}, {above:.3e})"
-    return CheckResult("kernel_at_curve", ok, detail)
+    return CheckResult(
+        "kernel_at_curve",
+        ok,
+        f"rel |Q1(X1)| {rel:.3e}, rho2 {rho2:.3e}, bracket ({below:.3e}, {above:.3e})",
+    )
 
 
 def _check_identity_battery(perturb: float) -> CheckResult:
@@ -203,13 +216,13 @@ def _check_identity_battery(perturb: float) -> CheckResult:
                     ok = ok and bound == 1.0 and abs(ratio - 1.0) <= 1e-10
                 if not ok:
                     bound_failures.append((N, a, b, k))
-                worst = max(worst, check_divergence_expansion(u, p))
-                worst = max(worst, check_pohozaev_identity(u, N))
+                worst = np.maximum(worst, check_divergence_expansion(u, p))
+                worst = np.maximum(worst, check_pohozaev_identity(u, N))
                 if k == 0:
-                    worst = max(worst, check_cross_term_identity(u, p))
+                    worst = np.maximum(worst, check_cross_term_identity(u, p))
     eta_profile = TestFunction(PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0))
     for N, a in NEGATIVE_ALPHA_PAIRS:
-        worst = max(worst, check_eta_substitution(eta_profile, N, a))
+        worst = np.maximum(worst, check_eta_substitution(eta_profile, N, a))
     detail = f"max defect {worst:.3e}"
     if bound_failures:
         detail += f", laplacian bound fails at {bound_failures}"
@@ -221,15 +234,15 @@ def _check_boundary_equality(perturb: float) -> CheckResult:
     for N, a in NEGATIVE_ALPHA_PAIRS:
         _, constant, defect = check_boundary_sharp_constant(N, a)
         specialized = s_r_closed(validate(N, a, N * a / (N - 2.0)))
-        consistency = max(consistency, abs(specialized - constant) / constant)
-        worst = max(worst, defect)
+        consistency = np.maximum(consistency, abs(specialized - constant) / constant)
+        worst = np.maximum(worst, defect)
     mu = 1.0 / 3.0
     all_ok = True
     for amplitude, nu in ((1.0, 1.0), (3.0, 2.5)):
         v = rellich_sobolev_extremal(5, mu, amplitude, nu)
         lhs, rhs, ok = check_rellich_sobolev(v, 5, mu)
         all_ok = all_ok and ok
-        worst = max(worst, abs(lhs / rhs - 1.0))
+        worst = np.maximum(worst, abs(lhs / rhs - 1.0))
     ok = all_ok and worst < 1e-6 and consistency < 1e-10
     detail = f"max defect {worst:.3e}, closed-form consistency {consistency:.3e}"
     return CheckResult("boundary_equality", ok, detail)
