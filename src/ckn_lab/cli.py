@@ -26,7 +26,6 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from . import quadrature
 from .params import (
     ParamError,
     RegionClass,
@@ -44,12 +43,7 @@ from .profiles import (
     extremal,
     s_r_closed,
 )
-from .quadrature import (
-    AccuracyError,
-    DivergentIntegralError,
-    set_default_tolerance,
-    set_node_cap,
-)
+from .quadrature import AccuracyError, DivergentIntegralError
 from .specfun import DomainError
 from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig_fallback
 from .spectral import ritz_min_eig  # noqa: F401  (perfbench's tracer wraps this binding)
@@ -110,14 +104,13 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     return _parse_range(beta_arg, "beta")
 
 
-_CONFIG_KEYS = ("eps", "tol", "jobs", "quad_tol", "node_cap")
+_CONFIG_KEYS = {"eps": float, "tol": float, "jobs": int}
 
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Layer an optional key=value config file under explicit flags.
 
-    Precedence is CLI flag > config entry > built-in default; quadrature
-    knobs (quad_tol, node_cap) have no flags and apply until `main` returns.
+    Precedence is CLI flag > config entry > built-in default.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -140,11 +133,7 @@ def _apply_config(args: argparse.Namespace) -> None:
                 )
             entries[key] = value
     try:
-        if "quad_tol" in entries:
-            set_default_tolerance(float(entries["quad_tol"]))
-        if "node_cap" in entries:
-            set_node_cap(int(entries["node_cap"]))
-        for key, cast in (("eps", float), ("tol", float), ("jobs", int)):
+        for key, cast in _CONFIG_KEYS.items():
             if key in entries and getattr(args, key, None) is None and hasattr(args, key):
                 setattr(args, key, cast(entries[key]))
     except ValueError as exc:
@@ -307,16 +296,6 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     return row
 
 
-def _init_scan_worker(quad_tol: float, node_cap: int) -> None:
-    """Apply the parent's quadrature settings in a worker.
-
-    Workers started by spawn or forkserver import the package afresh and
-    would otherwise integrate with the built-in defaults.
-    """
-    set_default_tolerance(quad_tol)
-    set_node_cap(node_cap)
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     points = [
         (args.N, alpha, beta)
@@ -325,8 +304,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ]
     jobs = _resolve_jobs(args)
     if jobs > 1 and len(points) > 1:
-        settings = (quadrature.DEFAULT_TOL, quadrature.NODE_CAP)
-        with Pool(processes=jobs, initializer=_init_scan_worker, initargs=settings) as pool:
+        with Pool(processes=jobs) as pool:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
@@ -374,7 +352,7 @@ def _cmd_transform_check(args: argparse.Namespace) -> int:
     for m in (4.5, 5.0, 6.0, 8.0):
         value = float(np.max(np.abs(cosh_profile_residual(m, ts))))
         record[f"cosh_residual_m{str(m).replace('.', '_')}"] = value
-        worst = max(worst, value)
+        worst = np.maximum(worst, value)
     _emit_record(record, args)
     return 0 if worst < 1e-6 else 1
 
@@ -396,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_io(sp, json_flag=True):
         if json_flag:
             sp.add_argument("--json", action="store_true", help="emit a JSON line")
-        sp.add_argument("--config", help="key=value config file (eps, tol, jobs, quad_tol, node_cap)")
+        sp.add_argument("--config", help="key=value config file (eps, tol, jobs)")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     def add_point(sp):
@@ -454,8 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # --config's quadrature settings hold for this command only
-    saved = quadrature.DEFAULT_TOL, quadrature.NODE_CAP
     try:
         _apply_config(args)
         return args.handler(args)
@@ -468,8 +444,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        quadrature.DEFAULT_TOL, quadrature.NODE_CAP = saved
 
 
 if __name__ == "__main__":

@@ -69,7 +69,14 @@ def _violations(N: int, alpha: float, beta: float) -> list[str]:
             reasons.append(
                 f"beta must not exceed N*alpha/(N-2) = {N * alpha / (N - 2)}, got beta={beta!r}"
             )
+        sig, kappa = _sigma_kappa(N, alpha, beta)
+        if not reasons and not (sig > 0.0 and kappa > 0.0):
+            reasons.append(f"2+beta-alpha={sig!r} and N-4+2*alpha-beta={kappa!r} must be > 0")
     return reasons
+
+
+def _sigma_kappa(N: int, alpha: float, beta: float) -> tuple[float, float]:
+    return 2.0 + beta - alpha, N - 4.0 + 2.0 * alpha - beta
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,7 @@ def sphere_area(n: int) -> float:
 
 def derive(p: Params) -> Derived:
     """Compute the derived exponents for validated parameters."""
-    sig = 2.0 + p.beta - p.alpha
-    kappa = p.N - 4.0 + 2.0 * p.alpha - p.beta  # positive on the valid set
+    sig, kappa = _sigma_kappa(p.N, p.alpha, p.beta)  # positive, as validated
     return Derived(
         p_star=2.0 * (p.N + p.beta) / kappa,
         q=2.0 / sig,
@@ -228,7 +234,7 @@ class HardyConstants:
 
 
 def hardy_comparison_constants(p: Params) -> HardyConstants:
-    e = (2.0 / (p.N - 4.0 + 2.0 * p.alpha - p.beta)) ** 2
+    e = (2.0 / _sigma_kappa(p.N, p.alpha, p.beta)[1]) ** 2
     c = 1.0 + abs(p.alpha) + e * (abs(p.alpha) + p.alpha * p.alpha)
     return HardyConstants(hardy_e=e, bound_c=c)
 

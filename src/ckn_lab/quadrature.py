@@ -23,6 +23,9 @@ exceed -1 and the power at infinity must fall below -1, otherwise a
 :class:`DivergentIntegralError` is raised with the offending exponent.
 This catches nonintegrable weight combinations before they can produce
 a plausible-looking but meaningless number.
+
+The tolerance ``DEFAULT_TOL`` and the node budget ``NODE_CAP`` are
+constants; a caller that needs others passes ``tol`` or ``node_cap``.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
     "quotient_radial",
     "power_weighted",
     "signed_weighted",
-    "set_default_tolerance",
-    "set_node_cap",
     "DEFAULT_TOL",
     "NODE_CAP",
 ]
@@ -214,25 +215,7 @@ def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
     return total, len(ordered)
 
 
-def set_default_tolerance(tol: float) -> None:
-    """Override the default relative tolerance (config-file hook)."""
-    global DEFAULT_TOL
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    DEFAULT_TOL = float(tol)
-
-
-def set_node_cap(cap: int) -> None:
-    """Override the refinement node budget (config-file hook)."""
-    global NODE_CAP
-    if not cap >= 16:
-        raise DomainError(f"node cap too small: {cap}")
-    NODE_CAP = int(cap)
-
-
-def integrate_semiinfinite(
-    f, tol: float | None = None, *, node_cap: int | None = None
-) -> QuadResult:
+def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> QuadResult:
     """Integrate ``f`` over (0, inf) to relative tolerance ``tol``.
 
     ``f`` maps a float ndarray of abscissae to an array of integrand
@@ -244,10 +227,6 @@ def integrate_semiinfinite(
         AccuracyError: the node budget ``node_cap`` was exhausted before
             two consecutive refinement levels agreed to ``tol``.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
-    if node_cap is None:
-        node_cap = NODE_CAP
     fv = _vectorized(f)
     # Levels 0-2 (steps _H0, _H0/2, _H0/4) nest in the level-2 grid, the
     # first that may converge; one call evaluates it with the probes.
@@ -318,7 +297,7 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
-def norm_sq(u, p: Params, tol: float | None = None) -> float:
+def norm_sq(u, p: Params, tol: float = DEFAULT_TOL) -> float:
     """Squared second-order energy of a radial profile.
 
     For radial u the energy reduces to
@@ -336,7 +315,7 @@ def norm_sq(u, p: Params, tol: float | None = None) -> float:
     return d.omega * integrate_semiinfinite(integrand, tol).value
 
 
-def norm_star(u, p: Params, tol: float | None = None) -> float:
+def norm_star(u, p: Params, tol: float = DEFAULT_TOL) -> float:
     """Weighted critical norm (integral |x|^beta |u|^p* dx)^(1/p*)."""
     d = derive(p)
     w = p.beta + p.N - 1.0
@@ -348,7 +327,7 @@ def norm_star(u, p: Params, tol: float | None = None) -> float:
     return val ** (1.0 / d.p_star)
 
 
-def quotient_radial(u, p: Params, tol: float | None = None) -> float:
+def quotient_radial(u, p: Params, tol: float = DEFAULT_TOL) -> float:
     """Rayleigh quotient norm_sq(u) / norm_star(u)^2 over radial profiles."""
     denom = norm_star(u, p, tol)
     if denom == 0.0:

@@ -6,7 +6,7 @@ import multiprocessing
 
 import pytest
 
-from ckn_lab import cli, quadrature
+from ckn_lab import cli
 from ckn_lab.cli import main
 from ckn_lab.verify import run_all
 
@@ -161,12 +161,9 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_scan_spawn_workers_keep_quadrature_settings(tmp_path, monkeypatch):
+def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "Pool", multiprocessing.get_context("spawn").Pool)
-    cfg = tmp_path / "cap.cfg"
-    cfg.write_text("node_cap = 16\n")
-    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2",
-            "--config", str(cfg)]
+    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2"]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
@@ -205,7 +202,7 @@ def test_unwritable_output_is_io_failure():
 
 def test_config_file_layering(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("# comment line\neps = 0.02\nquad_tol = 1e-9\n")
+    cfg.write_text("# comment line\neps = 0.02\n")
     code, out, _ = run(
         capsys,
         "certify", "--N", "5", "--alpha", "1", "--beta", "1",
@@ -222,22 +219,10 @@ def test_config_file_layering(tmp_path, capsys):
     assert json.loads(out)["eps"] == pytest.approx(0.03)
 
 
-@pytest.mark.parametrize("last_line", ["", "node_cap = many\n"])
-def test_config_settings_end_with_the_command(tmp_path, capsys, last_line):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("quad_tol = 1e-5\nnode_cap = 64\n" + last_line)
-    before = quadrature.DEFAULT_TOL, quadrature.NODE_CAP
-    code, _, _ = run(
-        capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1",
-        "--config", str(cfg),
-    )
-    assert code == (2 if last_line else 0)
-    assert (quadrature.DEFAULT_TOL, quadrature.NODE_CAP) == before
-
-
-def test_config_unknown_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["quad_tol", "node_cap", "grid_points"])
+def test_config_unknown_key_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("grid_points = 7\n")
+    cfg.write_text(f"{key} = 7\n")
     code, _, err = run(
         capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1",
         "--config", str(cfg),
@@ -264,6 +249,12 @@ def test_transform_check_record(capsys):
     for key in ("cosh_residual_m4_5", "cosh_residual_m5_0",
                 "cosh_residual_m6_0", "cosh_residual_m8_0"):
         assert record[key] < 1e-8
+
+
+def test_transform_check_nan_residual_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cosh_profile_residual", lambda m, ts: float("nan"))
+    code, _, _ = run(capsys, "transform-check", "--N", "5", "--alpha", "1", "--beta", "1")
+    assert code == 1
 
 
 @pytest.mark.parametrize("command", ["constants", "certify", "transform-check"])

@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckn_lab.cli import main
 from ckn_lab.params import (
     ParamError,
     RegionClass,
@@ -19,6 +20,10 @@ from ckn_lab.params import (
     sphere_area,
     validate,
 )
+
+
+# 2 + beta - alpha, and N - 4 + 2*alpha - beta, round to exactly 0.0
+ROUNDED_ZERO = [(5, 1.0, -0.9999999999999999), (17, -14.999999999999998, -16.999999999999996)]
 
 
 def test_validate_accepts_interior_point():
@@ -35,11 +40,50 @@ def test_validate_accepts_interior_point():
         (5, 1.0, -1.5),         # below the lower boundary
         (5, 1.0, 1.7),          # above N*alpha/(N-2)
         (5.5, 1.0, 1.0),        # fractional dimension
+        *ROUNDED_ZERO,
     ],
 )
 def test_validate_rejects(N, alpha, beta):
     with pytest.raises(ParamError):
         validate(N, alpha, beta)
+
+
+@pytest.mark.parametrize("N, alpha, beta", ROUNDED_ZERO)
+def test_rounded_zero_denominator_is_parameter_error(N, alpha, beta):
+    assert main(["constants", "--N", str(N), f"--alpha={alpha!r}", f"--beta={beta!r}"]) == 2
+
+
+def _ulps(x, k):
+    """x moved k units in the last place (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=60),
+    st.one_of(st.integers(min_value=-64, max_value=64), st.floats(min_value=0.0, max_value=50.0)),
+    st.booleans(),
+    st.integers(min_value=-64, max_value=64),
+)
+@example(5, 4.0, False, 1)  # ROUNDED_ZERO's first triple
+@example(17, 1, True, 0)  # ROUNDED_ZERO's second triple
+def test_strip_edges_validate_or_derive_finite(N, alpha_draw, upper, k):
+    """Within 64 ulps of alpha = 2-N, beta = alpha-2 or beta = N*alpha/(N-2), a
+    triple is rejected or has finite p* > 0, q > 0 and M > 4 (p* may round to 2)."""
+    if isinstance(alpha_draw, int):
+        alpha = _ulps(2.0 - N, alpha_draw)
+    else:
+        alpha = 2.0 - N + alpha_draw
+    beta = _ulps(N * alpha / (N - 2) if upper else alpha - 2.0, k)
+    try:
+        d = derive(validate(N, alpha, beta))
+    except ParamError:
+        return
+    assert math.isfinite(d.p_star) and d.p_star > 0.0
+    assert math.isfinite(d.q) and d.q > 0.0
+    assert math.isfinite(d.M) and d.M > 4.0
 
 
 def test_validate_error_lists_reasons():
