@@ -8,8 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab import quadrature as quad
-from ckn_lab.params import validate
-from ckn_lab.profiles import extremal, s_r_closed
+from ckn_lab.identities import (
+    BATTERY_PROFILES,
+    TestFunction,
+    check_divergence_expansion,
+    check_laplacian_bound,
+    check_pohozaev_identity,
+    check_rellich_sobolev,
+    rellich_sobolev_extremal,
+)
+from ckn_lab.params import beta_fs, derive, validate
+from ckn_lab.profiles import PowerPeakProfile, extremal, s_r_closed
 from ckn_lab.quadrature import (
     AccuracyError,
     DivergentIntegralError,
@@ -21,6 +30,8 @@ from ckn_lab.quadrature import (
     signed_weighted,
 )
 from ckn_lab.specfun import DomainError
+from ckn_lab.spectral import mode_quadratic_form
+from ckn_lab.variation import directional_quotient
 
 
 def test_exponential():
@@ -168,6 +179,43 @@ def test_result_is_pinned(f, expected):
 
 def test_extremal_quotient_is_pinned(p511):
     assert repr(quotient_radial(extremal(p511), p511)) == "221.68826741979262"
+
+
+def _mode1_on_curve():
+    p = validate(5, 1.0, beta_fs(5, 1.0))
+    m = derive(p).M
+    return mode_quadratic_form(PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0), 1, p)
+
+
+def _battery_test_function(index, mode):
+    return TestFunction(BATTERY_PROFILES[index][1], mode)
+
+
+# Pinned bit for bit: values whose integrands go through the mode-k operator
+# r^-a div(r^a grad(f Y_k)) -> f'' + drift f'/r - lam f/r^2.
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (_mode1_on_curve, "-9.769962616701378e-15"),
+        (
+            lambda: check_laplacian_bound(_battery_test_function(1, 1), validate(6, 1.0, 0.5)),
+            "(0.7197035745422843, 2.6530612244897958, True)",
+        ),
+        (
+            lambda: check_divergence_expansion(_battery_test_function(0, 1), validate(6, 1.0, 0.5)),
+            "1.5157257058903395e-16",
+        ),
+        (lambda: check_pohozaev_identity(_battery_test_function(1, 1), 5), "1.2371844231029978e-16"),
+        (
+            lambda: check_rellich_sobolev(rellich_sobolev_extremal(5, 1.0 / 3.0), 5, 1.0 / 3.0),
+            "(30.144991216958164, 30.1449912169582, True)",
+        ),
+        (lambda: directional_quotient(validate(5, 1.0, 1.0), 0.01), "221.6882185149147"),
+    ],
+    ids=["mode_form_on_curve", "laplacian_bound", "divergence_expansion", "pohozaev", "rellich_sobolev", "directional_quotient"],
+)
+def test_mode_operator_values_are_pinned(compute, expected):
+    assert repr(compute()) == expected
 
 
 def test_accuracy_error_result_is_pinned():
