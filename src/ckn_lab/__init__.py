@@ -124,6 +124,7 @@ __all__ = [
     "rellich_infimum",
     "rellich_sobolev_constants",
     "rellich_sobolev_extremal",
+    "ritz_min_eig",
     "run_all",
     "s_0_closed",
     "s_r_closed",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from multiprocessing import Pool
@@ -99,59 +100,11 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
         width = hi - lo
         if width <= 0.0:
             raise DomainError(f"empty beta strip at alpha={alpha} (need alpha > {2 - N})")
+        if not math.isfinite(width):
+            raise DomainError(f"beta strip at alpha={alpha} has no finite width")
         delta = 1e-3 * width
         return [float(v) for v in np.linspace(lo + delta, hi, steps)]
     return _parse_range(beta_arg, "beta")
-
-
-_CONFIG_KEYS = {"eps": float, "tol": float, "jobs": int}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Layer an optional key=value config file under explicit flags.
-
-    Precedence is CLI flag > config entry > built-in default.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    entries: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(
-                    f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise DomainError(
-                    f"{path}:{lineno}: unknown key {key!r} "
-                    f"(known: {', '.join(_CONFIG_KEYS)})"
-                )
-            entries[key] = value
-    try:
-        for key, cast in _CONFIG_KEYS.items():
-            if key in entries and getattr(args, key, None) is None and hasattr(args, key):
-                setattr(args, key, cast(entries[key]))
-    except ValueError as exc:
-        raise DomainError(f"{path}: bad value: {exc}") from exc
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("CKN_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(
-                f"CKN_LAB_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return os.cpu_count() or 1
 
 
 def _open_out(args: argparse.Namespace, newline: str | None = None):
@@ -208,9 +161,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     p = validate(args.N, args.alpha, args.beta)
-    eps = args.eps if args.eps is not None else DEFAULT_EPS
-    tol = args.tol if args.tol is not None else DEFAULT_CERT_TOL
-    cert = certify(p, eps=eps, tol=tol)
+    cert = certify(p, eps=args.eps, tol=args.tol)
     record = {
         "n": p.N,
         "alpha": p.alpha,
@@ -230,12 +181,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else 1e-4
     stream, owned = _open_out(args)
     try:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
-            located = fs_locate(args.N, alpha, tol)
+            located = fs_locate(args.N, alpha, args.tol)
             row = {
                 "alpha": alpha,
                 "beta_fs_closed": closed,
@@ -297,14 +247,15 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     points = [
         (args.N, alpha, beta)
         for alpha in _parse_range(args.alpha, "alpha")
         for beta in _beta_values(args.N, alpha, args.beta)
     ]
-    jobs = _resolve_jobs(args)
-    if jobs > 1 and len(points) > 1:
-        with Pool(processes=jobs) as pool:
+    if args.jobs > 1 and len(points) > 1:
+        with Pool(processes=args.jobs) as pool:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
@@ -374,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_io(sp, json_flag=True):
         if json_flag:
             sp.add_argument("--json", action="store_true", help="emit a JSON line")
-        sp.add_argument("--config", help="key=value config file (eps, tol, jobs)")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     def add_point(sp):
@@ -389,15 +339,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="three-witness symmetry-breaking certificate")
     add_point(sp)
-    sp.add_argument("--eps", type=float, default=None, help="perturbation amplitude (default 0.01)")
-    sp.add_argument("--tol", type=float, default=None, help="dead-zone tolerance for witness signs")
+    sp.add_argument(
+        "--eps", type=float, default=DEFAULT_EPS, help="perturbation size (default %(default)g)"
+    )
+    sp.add_argument(
+        "--tol", type=float, default=DEFAULT_CERT_TOL, help="sign dead zone (default %(default)g)"
+    )
     add_io(sp)
     sp.set_defaults(handler=_cmd_certify)
 
     sp = sub.add_parser("fs-curve", help="transition curve, closed form vs spectral root")
     sp.add_argument("--N", type=int, required=True, help="dimension (integer >= 5)")
     sp.add_argument("--alpha", required=True, help="value or lo:hi:steps range (alpha > 0)")
-    sp.add_argument("--tol", type=float, default=None, help="bracket width (default 1e-4)")
+    sp.add_argument("--tol", type=float, default=1e-4, help="bracket width (default %(default)g)")
     add_io(sp)
     sp.set_defaults(handler=_cmd_fs_curve)
 
@@ -409,7 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="value, lo:hi:steps range, or auto[:steps] for the valid strip",
     )
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    sp.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1, help="workers (default: all cores)"
+    )
     add_io(sp, json_flag=False)
     sp.set_defaults(handler=_cmd_scan)
 
@@ -433,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _apply_config(args)
         return args.handler(args)
     except (ParamError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

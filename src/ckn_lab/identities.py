@@ -7,10 +7,10 @@ quadrature and verifies to near machine precision — no Monte Carlo noise.
 Both sides of a quadratic identity carry the same harmonic normalization
 factor, which therefore cancels and is omitted throughout.
 
-Mode-k reduction rules used below, for u = f(r) Y_k:
+Mode-k reduction rules used below, for u = f(r) Y_k and lam_k =
+`harmonic_eigenvalue(N, k)`:
 
-    Delta u              -> f'' + (N-1)f'/r - lam_k f/r^2       (lam_k = k(N-2+k))
-    div(|x|^a grad u)    -> r^a [f'' + (N-1+a)f'/r - lam_k f/r^2]
+    div(|x|^a grad u)    -> r^a mode_operator(f, r, N-1+a, lam_k)   (a = 0: Delta u)
     |grad u|^2           -> (f')^2 + lam_k f^2/r^2
     x . grad u           -> r f'
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, derive, hardy_comparison_constants, sphere_area, validate
+from .params import Params, harmonic_eigenvalue, hardy_comparison_constants, sphere_area, validate
 from .profiles import (
     GaussianProfile,
     PowerPeakProfile,
@@ -33,7 +33,8 @@ from .profiles import (
 )
 from .quadrature import (
     integrate_semiinfinite,
-    norm_sq,
+    mode_energy,
+    mode_operator,
     power_weighted,
     quotient_radial,
     signed_weighted,
@@ -95,10 +96,6 @@ def _integral(fn) -> float:
     return integrate_semiinfinite(fn).value
 
 
-def _mode_eigenvalue(N: int, k: int) -> float:
-    return float(k * (N - 2 + k))
-
-
 def check_laplacian_bound(u: TestFunction, p: Params):
     """Pure-Laplacian energy vs the full weighted energy.
 
@@ -108,20 +105,10 @@ def check_laplacian_bound(u: TestFunction, p: Params):
     the same integral and the ratio is exactly 1.
     """
     f = u.radial_part
-    lam = _mode_eigenvalue(p.N, u.mode_k)
-    drift = p.N - 1.0 + p.alpha
+    lam = harmonic_eigenvalue(p.N, u.mode_k)
     w = 2.0 * p.alpha - p.beta + p.N - 1.0
-
-    def plain(r):
-        vals = f.deriv(r, 2) + (p.N - 1.0) * f.deriv(r, 1) / r - lam * f.eval(r) / r**2
-        return power_weighted(vals, r, 2.0, w)
-
-    def weighted(r):
-        vals = f.deriv(r, 2) + drift * f.deriv(r, 1) / r - lam * f.eval(r) / r**2
-        return power_weighted(vals, r, 2.0, w)
-
-    numerator = _integral(plain)
-    denominator = _integral(weighted)
+    numerator = mode_energy(f, p.N - 1.0, lam, w)
+    denominator = mode_energy(f, p.N - 1.0 + p.alpha, lam, w)
     if denominator == 0.0:
         raise DomainError("test function annihilated by the weighted operator")
     ratio = numerator / denominator
@@ -148,8 +135,7 @@ def check_cross_term_identity(u: TestFunction, p: Params) -> float:
     base = 2.0 * p.alpha - p.beta + p.N - 1.0
 
     def lhs_fn(r):
-        op = f.deriv(r, 2) + drift * f.deriv(r, 1) / r
-        return signed_weighted(-op * f.eval(r), r, base - 2.0)
+        return signed_weighted(-mode_operator(f, r, drift, 0.0) * f.eval(r), r, base - 2.0)
 
     def zeroth_fn(r):
         return power_weighted(f.eval(r), r, 2.0, base - 4.0)
@@ -171,24 +157,17 @@ def check_divergence_expansion(u: TestFunction, p: Params) -> float:
     gradient terms.  Returns the relative defect; exactly 0 at alpha = 0.
     """
     f = u.radial_part
-    lam = _mode_eigenvalue(p.N, u.mode_k)
-    drift = p.N - 1.0 + p.alpha
+    lam = harmonic_eigenvalue(p.N, u.mode_k)
     base = 2.0 * p.alpha - p.beta + p.N - 1.0
-
-    def laplacian(r):
-        return f.deriv(r, 2) + (p.N - 1.0) * f.deriv(r, 1) / r - lam * f.eval(r) / r**2
-
-    def lhs_fn(r):
-        vals = f.deriv(r, 2) + drift * f.deriv(r, 1) / r - lam * f.eval(r) / r**2
-        return power_weighted(vals, r, 2.0, base)
-
-    lhs = _integral(lhs_fn)
-    pure = _integral(lambda r: power_weighted(laplacian(r), r, 2.0, base))
+    lhs = mode_energy(f, p.N - 1.0 + p.alpha, lam, base)
+    pure = mode_energy(f, p.N - 1.0, lam, base)
     if p.alpha == 0.0:
         rhs = pure
     else:
         cross = _integral(
-            lambda r: signed_weighted(laplacian(r) * f.deriv(r, 1), r, base - 1.0)
+            lambda r: signed_weighted(
+                mode_operator(f, r, p.N - 1.0, lam) * f.deriv(r, 1), r, base - 1.0
+            )
         )
         radial_sq = _integral(lambda r: power_weighted(f.deriv(r, 1), r, 2.0, base - 2.0))
         rhs = pure + 2.0 * p.alpha * cross + p.alpha**2 * radial_sq
@@ -204,7 +183,7 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
     if N < 5:
         raise DomainError(f"dimension must be at least 5, got {N}")
     f = v.radial_part
-    lam = _mode_eigenvalue(N, v.mode_k)
+    lam = harmonic_eigenvalue(N, v.mode_k)
 
     def lhs_fn(r):
         grad_sq = power_weighted(f.deriv(r, 1), r, 2.0, N - 3.0)
@@ -213,8 +192,7 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
         return grad_sq
 
     def rhs_fn(r):
-        op = f.deriv(r, 2) + (N - 3.0) * f.deriv(r, 1) / r - lam * f.eval(r) / r**2
-        return signed_weighted(f.deriv(r, 1) * op, r, N - 2.0)
+        return signed_weighted(f.deriv(r, 1) * mode_operator(f, r, N - 3.0, lam), r, N - 2.0)
 
     lhs = (N - 4.0) * _integral(lhs_fn)
     rhs = 2.0 * _integral(rhs_fn)
@@ -313,10 +291,6 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
     omega = sphere_area(N)
     crit = 2.0 * N / (N - 4.0)
 
-    def laplacian_sq(r):
-        vals = v.deriv(r, 2) + (N - 1.0) * v.deriv(r, 1) / r
-        return power_weighted(vals, r, 2.0, N - 1.0)
-
     def gradient_sq(r):
         return power_weighted(v.deriv(r, 1), r, 2.0, N - 3.0)
 
@@ -327,7 +301,9 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
         return power_weighted(v.eval(r), r, crit, N - 1.0)
 
     lhs = omega * (
-        _integral(laplacian_sq) - c1 * _integral(gradient_sq) + c2 * _integral(zeroth_sq)
+        mode_energy(v, N - 1.0, 0.0, N - 1.0)
+        - c1 * _integral(gradient_sq)
+        + c2 * _integral(zeroth_sq)
     )
     rhs = (
         (1.0 - mu / (N - 4.0)) ** (4.0 - 4.0 / N)

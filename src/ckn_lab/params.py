@@ -39,6 +39,7 @@ __all__ = [
     "hardy_comparison_constants",
     "rellich_infimum",
     "sphere_area",
+    "harmonic_eigenvalue",
 ]
 
 #: Absolute tolerance for boundary comparisons in :func:`classify`.
@@ -119,6 +120,11 @@ class Derived:
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^(n-1) in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     return 2.0 * math.exp(0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
+
+
+def harmonic_eigenvalue(N: int, k: int) -> float:
+    """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1)."""
+    return float(k * (N - 2 + k))
 
 
 def derive(p: Params) -> Derived:

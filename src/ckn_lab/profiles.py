@@ -51,6 +51,7 @@ __all__ = [
     "ExtremalProfile",
     "KernelMode",
     "constant_profile",
+    "gamma_m",
     "amplitude_constant",
     "extremal",
     "kernel_mode",
@@ -346,12 +347,18 @@ def constant_profile(c: float) -> PowerPeakProfile:
 # ---------------------------------------------------------------------------
 
 
+def gamma_m(M: float) -> float:
+    """(M-4)(M-2)M(M+2), the coupling constant of the transformed equation."""
+    if not (M > 4.0):
+        raise DomainError(f"requires M > 4, got {M}")
+    return (M - 4.0) * (M - 2.0) * M * (M + 2.0)
+
+
 def amplitude_constant(p: Params) -> float:
     """Normalization making the ground-state profile solve the equation.
 
     Equals [(N-4+2a-b)(N-2+a)(N+b)(N+2-a+2b)]^((N-4+2a-b)/(4(2+b-a))),
-    or in transformed-dimension variables (gamma/q^4)^((M-4)/8) with
-    gamma = (M-4)(M-2)M(M+2).
+    or in transformed-dimension variables (gamma_m(M)/q^4)^((M-4)/8).
 
     Raises:
         DomainError: if the constant exceeds double range, which happens
@@ -359,9 +366,8 @@ def amplitude_constant(p: Params) -> float:
     """
     d = derive(p)
     m = d.M
-    gamma = (m - 4.0) * (m - 2.0) * m * (m + 2.0)
     try:
-        return math.exp((m - 4.0) / 8.0 * (math.log(gamma) - 4.0 * math.log(d.q)))
+        return math.exp((m - 4.0) / 8.0 * (math.log(gamma_m(m)) - 4.0 * math.log(d.q)))
     except OverflowError:
         raise DomainError(
             f"amplitude constant overflows double precision at M={m!r}"
@@ -423,10 +429,8 @@ def kernel_mode(p: Params, which: str) -> KernelMode:
 
 
 def b_closed(M: float) -> float:
-    """(M-4)(M-2)M(M+2) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4."""
-    if not (M > 4.0):
-        raise DomainError(f"b_closed requires M > 4, got {M}")
-    gamma = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
+    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4."""
+    gamma = gamma_m(M)
     log_bracket = 2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M)
     return gamma * math.exp(4.0 / M * log_bracket)
 
@@ -578,17 +582,15 @@ def emden_fowler(u, p: Params):
 def cosh_profile_residual(M: float, t) -> float:
     """ODE defect of the closed-form solitary profile, for any M > 4.
 
-    The profile gamma^((M-4)/8) * (2 cosh t)^(-(M-4)/2) with
-    gamma = (M-4)(M-2)M(M+2) should solve the transformed equation; this
-    evaluates the defect directly from M, independent of any parameter
-    triple (fractional M included).  Derivatives use the recursion
-    F^(n) = F * p_n(tanh t) with p_(n+1) = (1-u^2) p_n' - kappa u p_n.
+    The profile gamma_m(M)^((M-4)/8) * (2 cosh t)^(-(M-4)/2) should solve
+    the transformed equation; this evaluates the defect directly from M,
+    independent of any parameter triple (fractional M included).
+    Derivatives use the recursion F^(n) = F * p_n(tanh t) with
+    p_(n+1) = (1-u^2) p_n' - kappa u p_n.
     """
-    if not (M > 4.0):
-        raise DomainError(f"requires M > 4, got {M}")
+    amp = math.exp(math.log(gamma_m(M)) * (M - 4.0) / 8.0)
     arr, scalar = _as_array(t)
     kappa = (M - 4.0) / 2.0
-    amp = math.exp(math.log((M - 4.0) * (M - 2.0) * M * (M + 2.0)) * (M - 4.0) / 8.0)
     u = np.tanh(arr)
     # p_n as ascending coefficient arrays in u = tanh t; deg(p_n) = n <= 4
     size = 6

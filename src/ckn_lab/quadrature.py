@@ -26,6 +26,11 @@ a plausible-looking but meaningless number.
 
 The tolerance ``DEFAULT_TOL`` and the node budget ``NODE_CAP`` are
 constants; a caller that needs others passes ``tol`` or ``node_cap``.
+
+On u = f(r) Y_k (Y_k a degree-k harmonic), r^-a div(|x|^a grad u) is
+f'' + (N-1+a) f'/r - lam_k f/r^2 with lam_k = k(N-2+k); :func:`mode_energy`
+integrates its weighted square, and every such operator in the package is
+evaluated by :func:`mode_operator`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "quotient_radial",
     "power_weighted",
     "signed_weighted",
+    "mode_energy",
     "DEFAULT_TOL",
     "NODE_CAP",
 ]
@@ -297,6 +303,28 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
+def mode_operator(f, r, drift: float, lam: float) -> np.ndarray:
+    """f'' + drift f'/r - lam f/r^2 at the nodes r.
+
+    The lam term is skipped when lam == 0: 0 * f/r^2 is NaN where r^2
+    underflows.  Not in ``__all__``: it runs once per integrand call,
+    and the perfbench tracer wraps every function listed there.
+    """
+    vals = f.deriv(r, 2) + drift * f.deriv(r, 1) / r
+    if lam != 0.0:
+        vals = vals - lam * f.eval(r) / r**2
+    return vals
+
+
+def mode_energy(f, drift: float, lam: float, w: float, tol: float = DEFAULT_TOL) -> float:
+    """integral of [f'' + drift f'/r - lam f/r^2]^2 r^w dr over (0, inf)."""
+
+    def integrand(r):
+        return power_weighted(mode_operator(f, r, drift, lam), r, 2.0, w)
+
+    return integrate_semiinfinite(integrand, tol).value
+
+
 def norm_sq(u, p: Params, tol: float = DEFAULT_TOL) -> float:
     """Squared second-order energy of a radial profile.
 
@@ -304,15 +332,8 @@ def norm_sq(u, p: Params, tol: float = DEFAULT_TOL) -> float:
 
         omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr.
     """
-    d = derive(p)
-    c1 = p.N - 1.0 + p.alpha
     w = p.N + 2.0 * p.alpha - p.beta - 1.0
-
-    def integrand(s):
-        bracket = u.deriv(s, 2) + c1 * u.deriv(s, 1) / s
-        return power_weighted(bracket, s, 2.0, w)
-
-    return d.omega * integrate_semiinfinite(integrand, tol).value
+    return derive(p).omega * mode_energy(u, p.N - 1.0 + p.alpha, 0.0, w, tol)
 
 
 def norm_star(u, p: Params, tol: float = DEFAULT_TOL) -> float:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as _legendre
 
-from .params import Params, derive, validate
-from .quadrature import integrate_semiinfinite, power_weighted
+from .params import Params, derive, harmonic_eigenvalue, validate
+from .quadrature import integrate_semiinfinite, mode_energy, power_weighted
 from .specfun import DomainError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ConditioningError",
     "BracketError",
     "mode_data",
-    "gamma_m",
     "mode_quadratic_form",
     "ritz_min_eig",
     "ritz_min_eig_fallback",
@@ -74,7 +73,7 @@ def mode_data(k: int, p: Params) -> ModeData:
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
     N = p.N
-    lam = float(k * (N - 2 + k))
+    lam = harmonic_eigenvalue(N, k)
     if k == 0:
         mult = 1
     else:
@@ -85,15 +84,8 @@ def mode_data(k: int, p: Params) -> ModeData:
     return ModeData(k=k, lambda_k=lam, l_k=mult, varpi_k=float(k) * (m - 2.0 + k))
 
 
-def gamma_m(M: float) -> float:
-    """(M-4)(M-2)M(M+2), the coupling constant of the transformed equation."""
-    if not (M > 4.0):
-        raise DomainError(f"requires M > 4, got {M}")
-    return (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-
-
 def _potential_constant(M: float) -> float:
-    # (2M/(M-4) - 1) * gamma_m(M), simplified
+    # (2M/(M-4) - 1) * profiles.gamma_m(M), simplified
     return (M + 4.0) * (M - 2.0) * M * (M + 2.0)
 
 
@@ -106,17 +98,11 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     """
     d = derive(p)
     m = d.M
-    lam = mode_data(k, p).lambda_k
-    qql = d.q**2 * lam
-
-    def operator_part(s):
-        ls = X.deriv(s, 2) + (m - 1.0) * X.deriv(s, 1) / s - qql * X.eval(s) / s**2
-        return power_weighted(ls, s, 2.0, m - 1.0)
+    lead = mode_energy(X, m - 1.0, d.q**2 * mode_data(k, p).lambda_k, m - 1.0)
 
     def potential_part(s):
         return power_weighted(X.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
 
-    lead = integrate_semiinfinite(operator_part).value
     pot = integrate_semiinfinite(potential_part).value
     return lead - _potential_constant(m) * pot
 
@@ -254,8 +240,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     beta_max = N * alpha / (N - 2.0)
     width = beta_max - (alpha - 2.0)
     lo = (alpha - 2.0) + 0.1 * width

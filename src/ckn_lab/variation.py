@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import Params, RegionClass, beta_fs, classify, derive, sphere_area
+from .params import Params, RegionClass, beta_fs, classify, derive, harmonic_eigenvalue, sphere_area
 from .profiles import PowerPeakProfile, extremal, kernel_mode, s_r_closed
-from .quadrature import AccuracyError, integrate_semiinfinite, norm_sq, power_weighted
+from .quadrature import AccuracyError, integrate_semiinfinite, mode_energy, norm_sq, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import DomainError, beta_fn
 
@@ -124,21 +124,6 @@ def _theta_rule(N: int):
     return cos_t, weight
 
 
-def _mode1_energy(g, p: Params) -> float:
-    """Energy of the perturbation g(r) x_i/|x|: (omega/N) times the
-    1D integral of the squared mode-1 weighted operator."""
-    d = derive(p)
-    drift = p.N - 1.0 + p.alpha
-    lam = p.N - 1.0  # angular eigenvalue of mode 1
-    weight_power = p.N + 2.0 * p.alpha - p.beta - 1.0
-
-    def integrand(r):
-        op = g.deriv(r, 2) + drift * g.deriv(r, 1) / r - lam * g.eval(r) / r**2
-        return power_weighted(op, r, 2.0, weight_power)
-
-    return d.omega / p.N * integrate_semiinfinite(integrand).value
-
-
 def directional_quotient(p: Params, eps: float) -> float:
     """Rayleigh quotient of U + eps * g(r) x_i/|x| (first harmonic).
 
@@ -156,7 +141,10 @@ def directional_quotient(p: Params, eps: float) -> float:
     g = kernel_mode(p, "Z1_radial")
     numerator = norm_sq(u, p)
     if eps != 0.0:
-        numerator += eps**2 * _mode1_energy(g, p)
+        # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
+        w = p.N + 2.0 * p.alpha - p.beta - 1.0
+        lam = harmonic_eigenvalue(p.N, 1)
+        numerator += eps**2 * (d.omega / p.N * mode_energy(g, p.N - 1.0 + p.alpha, lam, w))
 
     cos_t, w_t = _theta_rule(p.N)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
@@ -225,8 +213,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     """
     if eps == 0.0 or not abs(eps) < 0.5:
         raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5, got {eps}")
-    if tol < 0.0:
-        raise DomainError(f"tolerance must be >= 0, got {tol}")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
     sv = second_variation(p)
     s_r = s_r_closed(p)
     quotient = directional_quotient(p, eps)

@@ -1,4 +1,4 @@
-"""End-to-end command-line behavior: records, scans, exit codes, config."""
+"""End-to-end command-line behavior: records, scans, exit codes."""
 
 import csv
 import json
@@ -170,23 +170,6 @@ def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_scan_env_var_worker_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("CKN_LAB_THREADS", "2")
-    out = tmp_path / "env.csv"
-    assert main(
-        ["scan", "--N", "5", "--alpha", "1", "--beta", "0.3:1.0:2", "--out", str(out)]
-    ) == 0
-    assert len(out.read_text().splitlines()) == 3
-
-
-def test_scan_env_var_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("CKN_LAB_THREADS", "many")
-    assert main(
-        ["scan", "--N", "5", "--alpha", "1", "--beta", "0.3:1.0:2",
-         "--out", str(tmp_path / "x.csv")]
-    ) == 2
-
-
 def test_scan_bad_range_spec():
     assert main(["scan", "--N", "5", "--alpha", "2:1:5", "--beta", "auto"]) == 2
     assert main(["scan", "--N", "5", "--alpha", "1:2:1", "--beta", "auto"]) == 2
@@ -200,43 +183,35 @@ def test_unwritable_output_is_io_failure():
     assert code == 3
 
 
-def test_config_file_layering(tmp_path, capsys):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("# comment line\neps = 0.02\n")
+def test_certify_eps_flag(capsys):
     code, out, _ = run(
         capsys,
-        "certify", "--N", "5", "--alpha", "1", "--beta", "1",
-        "--config", str(cfg), "--json",
+        "certify", "--N", "5", "--alpha", "1", "--beta", "1", "--eps", "0.03", "--json",
     )
     assert code == 0
-    assert json.loads(out)["eps"] == pytest.approx(0.02)
-    # explicit flag outranks the file
-    code, out, _ = run(
-        capsys,
-        "certify", "--N", "5", "--alpha", "1", "--beta", "1",
-        "--config", str(cfg), "--eps", "0.03", "--json",
-    )
     assert json.loads(out)["eps"] == pytest.approx(0.03)
 
 
-@pytest.mark.parametrize("key", ["quad_tol", "node_cap", "grid_points"])
-def test_config_unknown_key_rejected(tmp_path, capsys, key):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{key} = 7\n")
-    code, _, err = run(
-        capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1",
-        "--config", str(cfg),
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "0"],
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "-1"],
+        ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--tol", "nan"],
+        ["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--config", "x"],
+    ],
+    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed"],
+)
+def test_bad_setting_is_parameter_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
     assert code == 2
-    assert "unknown key" in err
+    assert out == ""
 
 
-def test_missing_config_is_io_failure(capsys):
-    code, _, _ = run(
-        capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1",
-        "--config", "/no/such/file.cfg",
-    )
-    assert code == 3
+def test_auto_strip_of_infinite_width_is_parameter_error(capsys):
+    code, _, err = run(capsys, "scan", "--N", "5", "--alpha", "1e308", "--beta", "auto:3")
+    assert code == 2
+    assert "finite" in err
 
 
 def test_transform_check_record(capsys):

@@ -11,14 +11,13 @@ from numpy.polynomial import legendre
 
 import ckn_lab.spectral as spectral
 from ckn_lab.params import beta_fs, derive, validate
-from ckn_lab.profiles import PowerPeakProfile, kernel_mode
+from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
     _gauss_jacobi,
     _potential_constant,
     fs_locate,
-    gamma_m,
     mode_data,
     mode_quadratic_form,
     ritz_min_eig,
@@ -242,3 +241,5 @@ def test_fs_locate_argument_checks():
         fs_locate(5, -1.0, 1e-4)
     with pytest.raises(DomainError):
         fs_locate(5, 1.0, 0.0)
+    with pytest.raises(DomainError, match="tol"):
+        fs_locate(5, 1.0, float("nan"))

@@ -136,6 +136,10 @@ def test_certificate_argument_validation(p511):
         certify(p511, eps=0.0)
     with pytest.raises(DomainError):
         certify(p511, tol=-1.0)
+    with pytest.raises(DomainError, match="tol"):
+        certify(p511, tol=float("nan"))
+    with pytest.raises(DomainError):
+        certify(p511, eps=float("nan"))
 
 
 def test_certificate_is_frozen(p511):
