@@ -545,7 +545,10 @@ def emden_fowler(u, p: Params):
 
     Returns (phi, residual): phi(t) evaluates the transformed profile,
     residual(t) the defect in the ODE above, both accepting scalars or
-    arrays.  Derivatives in t come from the exact s-derivatives of the
+    arrays.  residual(t, relative=True) gives |defect| divided by the
+    larger of M^2(M-4)^2/16 |phi| and |phi|^(8/(M-4)) |phi| at each t, so
+    that it judges the profile and not its size (0 where the defect is
+    exactly 0).  Derivatives in t come from the exact s-derivatives of the
     profile algebra via d/dt = -s d/ds.
     """
     d = derive(p)
@@ -565,7 +568,7 @@ def emden_fowler(u, p: Params):
         out = psi.eval(s)
         return float(out) if scalar else out
 
-    def residual(t):
+    def residual(t, relative=False):
         arr, scalar = _as_array(t)
         s = np.exp(-arr)
         d1, d2, d3, d4 = (psi.deriv(s, k) for k in (1, 2, 3, 4))
@@ -574,6 +577,11 @@ def emden_fowler(u, p: Params):
         phi2 = s * d1 + s**2 * d2
         phi4 = s * d1 + 7.0 * s**2 * d2 + 6.0 * s**3 * d3 + s**4 * d4
         out = phi4 - c2 * phi2 + c0 * v - np.abs(v) ** pw * v
+        if relative:
+            mag = np.abs(v)
+            size = np.maximum(c0 * mag, mag**pw * mag)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(out == 0.0, 0.0, np.abs(out) / size)
         return float(out) if scalar else out
 
     return phi, residual

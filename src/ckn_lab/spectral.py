@@ -20,6 +20,7 @@ the Ritz minimizer on the adaptive route against the Ritz eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,6 +134,16 @@ def _gauss_jacobi(n: int, a: float, b: float):
     return nodes, vecs[0] ** 2, log_mu0 - math.lgamma(a + b + 2)
 
 
+@functools.cache
+def _legendre_tables(J: int):
+    """Coefficients of P_j, P_j' and P_j'' for j < J; read-only, built once per J."""
+    unit = np.eye(J)
+    tables = (unit, _legendre.legder(unit), _legendre.legder(unit, 2))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     """Least generalized eigenvalue of the mode-k stability form.
 
@@ -162,25 +173,11 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
             f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
         )
-    unit = np.eye(J)
+    unit, d_unit, d2_unit = _legendre_tables(J)
     w, weight_b, log_mu_b = _gauss_jacobi(J + _EXTRA_NODES, a, b)
     rows_b = _legendre.legval(w, unit) * np.sqrt(weight_b)
-    w, weight_a, log_mu_a = _gauss_jacobi(J + _EXTRA_NODES, a - 2.0, b - 2.0)
-    # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
-    up, cap = 1.0 + w, 1.0 - w * w
-    potential = k * (k + m - 2.0) - qql
-    potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
-    r_j = (
-        potential * _legendre.legval(w, unit)
-        + cap * (2.0 * k - m * w) * _legendre.legval(w, _legendre.legder(unit))
-        + cap**2 * _legendre.legval(w, _legendre.legder(unit, 2))
-    )
-    # both matrices are divided by B's constant 2^(-M-2) mu0_B, which
-    # leaves the eigenpairs and the Gram condition unchanged at any M
-    rows_a = r_j * (4.0 * np.sqrt(weight_a) * math.exp(0.5 * (log_mu_a - log_mu_b)))
-    A = rows_a @ rows_a.T
     B = rows_b @ rows_b.T
-    gamma = _potential_constant(m)
+    # judge B before building A: a basis that fails here is discarded anyway
     gram_condition = float(np.linalg.cond(B))
     if not np.isfinite(gram_condition) or gram_condition > GRAM_CONDITION_LIMIT:
         raise ConditioningError(
@@ -194,6 +191,21 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"potential Gram not positive definite at basis size {J}; "
             "retry with smaller J"
         ) from exc
+    w, weight_a, log_mu_a = _gauss_jacobi(J + _EXTRA_NODES, a - 2.0, b - 2.0)
+    # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
+    up, cap = 1.0 + w, 1.0 - w * w
+    potential = k * (k + m - 2.0) - qql
+    potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
+    r_j = (
+        potential * _legendre.legval(w, unit)
+        + cap * (2.0 * k - m * w) * _legendre.legval(w, d_unit)
+        + cap**2 * _legendre.legval(w, d2_unit)
+    )
+    # both matrices are divided by B's constant 2^(-M-2) mu0_B, which
+    # leaves the eigenpairs and the Gram condition unchanged at any M
+    rows_a = r_j * (4.0 * np.sqrt(weight_a) * math.exp(0.5 * (log_mu_a - log_mu_b)))
+    A = rows_a @ rows_a.T
+    gamma = _potential_constant(m)
     inv_l = np.linalg.inv(chol)
     reduced = inv_l @ A @ inv_l.T
     evals, evecs = np.linalg.eigh(0.5 * (reduced + reduced.T))

@@ -28,7 +28,7 @@ import numpy as np
 from .params import Params, RegionClass, beta_fs, classify, derive, harmonic_eigenvalue, sphere_area
 from .profiles import PowerPeakProfile, extremal, kernel_mode, s_r_closed
 from .quadrature import AccuracyError, integrate_semiinfinite, mode_energy, norm_sq, power_weighted
-from .spectral import ritz_min_eig
+from .spectral import ritz_min_eig_fallback
 from .specfun import DomainError, beta_fn
 
 __all__ = [
@@ -177,6 +177,7 @@ class BreakingCertificate:
     directional_quotient: float
     eps: float
     ritz_rho1: float
+    ritz_basis_size: int  # Ritz basis size used after fallback
     verdict: Verdict
     expected: Verdict
     witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
@@ -185,7 +186,6 @@ class BreakingCertificate:
 
 DEFAULT_EPS = 1e-2
 DEFAULT_CERT_TOL = 1e-6
-_RITZ_BASIS = 16
 _CURVE_WINDOW = 1e-9  # |beta - beta_fs| treated as exactly on the curve
 
 
@@ -203,10 +203,11 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
 
     Witnesses (independent code paths): the factored second variation,
     the measured quotient drop I(U+eps Z) - S_r, and the least mode-1
-    Ritz eigenvalue.  Each is reduced to a sign with dead zone `tol`
-    (the quotient drop is compared against tol * S_r * eps^2, its
-    natural second-order scale).  All-negative yields Breaking,
-    all-positive NotBreaking, zeros without sign conflict Boundary.
+    Ritz eigenvalue at the first basis size that conditions.  Each is
+    reduced to a sign with dead zone `tol` (the quotient drop is compared
+    against tol * S_r * eps^2, its natural second-order scale).
+    All-negative yields Breaking, all-positive NotBreaking, zeros without
+    sign conflict Boundary.
     The verdict is what was *measured*; if it differs from the analytic
     classification (or the witnesses conflict), the discrepancies field
     says so explicitly.
@@ -218,7 +219,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     sv = second_variation(p)
     s_r = s_r_closed(p)
     quotient = directional_quotient(p, eps)
-    rho1 = ritz_min_eig(1, p, _RITZ_BASIS).min_eigenvalue
+    ritz = ritz_min_eig_fallback(1, p)
+    rho1 = ritz.min_eigenvalue
 
     def sign_with_dead_zone(x: float, threshold: float) -> int:
         if abs(x) <= threshold:
@@ -257,6 +259,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         directional_quotient=quotient,
         eps=eps,
         ritz_rho1=rho1,
+        ritz_basis_size=ritz.basis_size,
         verdict=verdict,
         expected=expected,
         witness_signs=signs,

@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,25 @@ def test_scan_reruns_are_byte_identical(tmp_path):
     assert len(lines) == 1 + 3 * 4
 
 
+GOLDEN_SCAN = Path(__file__).parent / "data" / "scan_golden.csv"
+
+
+def test_scan_matches_golden_fixture(tmp_path):
+    """Scan output is byte-identical to the committed fixture.
+
+    The fixture holds `scan --N 5 --alpha 0.1:2:4 --beta auto:5` followed by
+    the rows of `scan --N 8 --alpha 2 --beta auto:8`; a deliberate change of
+    a value regenerates it.
+    """
+    five, eight = tmp_path / "n5.csv", tmp_path / "n8.csv"
+    assert main(["scan", "--N", "5", "--alpha", "0.1:2:4", "--beta", "auto:5",
+                 "--jobs", "1", "--out", str(five)]) == 0
+    assert main(["scan", "--N", "8", "--alpha", "2", "--beta", "auto:8",
+                 "--jobs", "1", "--out", str(eight)]) == 0
+    rows_8 = eight.read_bytes().split(b"\n", 1)[1]
+    assert five.read_bytes() + rows_8 == GOLDEN_SCAN.read_bytes()
+
+
 def test_scan_rows_are_class_consistent(tmp_path):
     from ckn_lab.params import classify
 
@@ -183,6 +203,25 @@ def test_unwritable_output_is_io_failure():
     assert code == 3
 
 
+def test_certify_falls_back_to_a_smaller_ritz_basis(capsys):
+    """At M = 42 the J = 16 Gram does not condition; J = 12 answers."""
+    _, out, err = run(
+        capsys, "certify", "--N", "5", "--alpha", "1", "--beta=-0.8", "--json"
+    )
+    assert "verification failure" not in err
+    record = json.loads(out)
+    assert record["ritz_basis_size"] == 12
+    assert record["ritz_rho1"] == pytest.approx(2.2204, abs=1e-4)
+    assert record["witness_signs"][2] == 1
+
+
+def test_certify_text_output_has_no_basis_size(capsys):
+    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1")
+    assert code == 0
+    assert "ritz_rho1" in out
+    assert "ritz_basis_size" not in out
+
+
 def test_certify_eps_flag(capsys):
     code, out, _ = run(
         capsys,
@@ -224,6 +263,19 @@ def test_transform_check_record(capsys):
     for key in ("cosh_residual_m4_5", "cosh_residual_m5_0",
                 "cosh_residual_m6_0", "cosh_residual_m8_0"):
         assert record[key] < 1e-8
+
+
+@pytest.mark.parametrize("point", [("10", "10"), ("100", "100")])
+def test_transform_check_judges_the_relative_residual(capsys, point):
+    """Large-amplitude ground states pass on their relative defect."""
+    alpha, beta = point
+    code, out, _ = run(
+        capsys, "transform-check", "--N", "5", "--alpha", alpha, "--beta", beta, "--json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["ground_state_residual_rel"] < 1e-10
+    assert record["ground_state_residual"] > 1e-6
 
 
 def test_transform_check_nan_residual_fails(capsys, monkeypatch):
@@ -278,3 +330,19 @@ def test_missing_subcommand_is_parameter_error(capsys):
 
 def test_unknown_flag_is_parameter_error(capsys):
     assert main(["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--frob", "2"]) == 2
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_keeps_nothing_between_calls(capsys):
+    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1", "--json")
+    assert code == 0
+    json.loads(out)
+    code, out, _ = run(capsys, "constants", "--N", "5", "--alpha", "1", "--beta", "1")
+    assert code == 0
+    assert out.startswith("n ")
+    code, _, err = run(capsys, "scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "0")
+    assert code == 2
+    assert "--jobs" in err

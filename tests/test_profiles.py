@@ -272,6 +272,18 @@ def test_transform_to_autonomous_picture(p511):
     assert np.max(np.abs(residual(ts))) < 1e-10
 
 
+@pytest.mark.parametrize("point", [(5, 1.0, 1.0), (5, 10.0, 10.0), (5, 100.0, 100.0)])
+def test_relative_transform_residual_judges_the_profile_not_its_size(point):
+    """The ground state passes at any amplitude; twice the ground state fails."""
+    p = validate(*point)
+    ts = np.linspace(-6.0, 6.0, 101)
+    _, residual = emden_fowler(extremal(p), p)
+    assert np.max(residual(ts, relative=True)) < 1e-10
+    _, wrong = emden_fowler(extremal(p).scaled(2.0), p)
+    assert np.max(wrong(ts, relative=True)) >= 0.05
+    assert wrong(0.0, relative=True) >= 0.05
+
+
 @pytest.mark.parametrize("m", [4.5, 5.0, 6.0, 8.0])
 def test_cosh_profile_solves_autonomous_equation(m):
     ts = np.linspace(-8.0, 8.0, 81)

@@ -15,7 +15,9 @@ from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
+    ConditioningError,
     _gauss_jacobi,
+    _legendre_tables,
     _potential_constant,
     fs_locate,
     mode_data,
@@ -137,6 +139,26 @@ def test_ritz_minimum_is_monotone_in_basis_size(p511):
     rho16 = ritz_min_eig(1, p511, 16).min_eigenvalue
     rho20 = ritz_min_eig(1, p511, 20).min_eigenvalue
     assert rho20 <= rho16 + 1e-10
+
+
+@pytest.mark.parametrize("J", [4, 16])
+def test_legendre_tables_are_shared_and_read_only(J):
+    tables = _legendre_tables(J)
+    assert _legendre_tables(J) is tables
+    unit = np.eye(J)
+    for table, fresh in zip(tables, (unit, legendre.legder(unit), legendre.legder(unit, 2))):
+        np.testing.assert_array_equal(table, fresh)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_ritz_gram_failure_is_reported_before_assembling_the_operator():
+    """The J = 16 basis at (8, 1, -0.95) cannot condition; the error is unchanged."""
+    with pytest.raises(ConditioningError) as info:
+        ritz_min_eig(1, validate(8, 1.0, -0.95), 16)
+    assert str(info.value) == (
+        "Gram condition 6.420e+18 exceeds 1e+12 at basis size 16; retry with smaller J"
+    )
 
 
 def test_ritz_rejects_tiny_basis(p511):
