@@ -1,0 +1,215 @@
+"""Alternating benchmark runs of several checkouts, recorded in one JSON file.
+
+Usage (from the repository root):
+
+    python3 scripts/bench_pairs.py --checkout parent=../parent \
+        --checkout change=. --out BENCH_8.json
+
+Each checkout is a directory holding a copy of the repository; the first
+one named is the baseline.  Each of ROUNDS rounds visits every checkout,
+in an order that is reversed every other round, and in each one runs
+
+* ``perfbench/run.py --workload all --seed 1 --seconds S`` and keeps its
+  last line, the end-to-end figures (S is ``run_seconds`` from the
+  baseline's BENCHMARK.json, so every checkout runs equally long), and
+* the command-line runs of CLI_RUNS, each a few ``ckn-lab`` processes
+  that call ``main`` once and loop over many cells or alphas inside it,
+  as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
+  (N = 5, 6, 8; 603 CSV rows), ``fs_curve_cli_s`` two ``fs-curve``
+  processes (N = 5, 8; 40 alphas each).  Each process runs in every
+  checkout in turn before the next one starts, so the checkouts meet
+  the same phase of the host's load, and its wall time is scaled to the
+  reference speed by the perfbench speed kernel, run KERNEL_RUNS times
+  just before and just after it (the unscaled sum is kept as
+  ``..._wall_s``).  The SHA-256 of each checkout's concatenated output
+  is kept, so differing output shows.
+
+After the rounds, one traced ``scan`` and one traced ``fs_curve`` run per
+checkout give per-layer self times.  For every figure the output holds
+each checkout's runs, median and quartiles and, against the baseline, the
+number of rounds in which the checkout did better, the ratio of medians,
+and whether the gap between medians exceeds the baseline's interquartile
+range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import speed  # noqa: E402
+
+PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1"]
+CLI_RUNS = {
+    "scan_cli_s": [
+        ["scan", "--N", str(n), "--alpha", "0.1:2:10", "--beta", "auto:20", "--jobs", "1"]
+        for n in (5, 6, 8)
+    ],
+    "fs_curve_cli_s": [["fs-curve", "--N", str(n), "--alpha", "0.1:2:40", "--json"] for n in (5, 8)],
+}
+#: rounds of runs; a gain counts when it wins nine tenths of at least ten
+ROUNDS = 10
+KERNEL_RUNS = 5
+TRACED = ("scan", "fs_curve")
+TRACE_KEYS = (
+    "cli.main.self_ms",
+    "spectral.ritz_min_eig.self_ms",
+    "spectral.ritz_min_eig.calls",
+    "spectral.ritz_min_eig.useful_ratio",
+    "spectral.fs_locate.self_ms",
+)
+
+
+def _env(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _last_lines(root: Path, args: list[str]) -> tuple[dict, dict]:
+    out = subprocess.run(
+        [sys.executable, *args], cwd=root, env=_env(root), check=True, capture_output=True, text=True
+    ).stdout.splitlines()
+    return json.loads(out[-2]), json.loads(out[-1])
+
+
+def _time_cli(root: Path, command: list[str]) -> tuple[float, float, bytes]:
+    """Scaled and wall seconds of one `ckn-lab` process, and its output."""
+    kernel = [speed.kernel_s() for _ in range(KERNEL_RUNS)]
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "ckn_lab.cli", *command],
+        cwd=root, env=_env(root), check=True, capture_output=True,
+    ).stdout
+    wall = time.perf_counter() - start
+    kernel += [speed.kernel_s() for _ in range(KERNEL_RUNS)]
+    return wall * speed.REFERENCE_KERNEL_S * len(kernel) / sum(kernel), wall, out
+
+
+def _higher_is_better(metric: str) -> bool:
+    return "_per_" in metric
+
+
+def _commit(root: Path) -> str | None:
+    done = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True
+    )
+    return done.stdout.strip() or None
+
+
+def _summary(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--checkout", action="append", required=True, metavar="NAME=DIR")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--description", default="", help="what the checkouts are")
+    args = parser.parse_args(argv)
+    roots = {}
+    for item in args.checkout:
+        name, _, path = item.partition("=")
+        roots[name] = Path(path).resolve()
+    names = list(roots)
+    base = names[0]
+    seconds = str(json.loads((roots[base] / "BENCHMARK.json").read_text())["run_seconds"])
+    bench = [*PERFBENCH, "--seconds", seconds]
+
+    record = {
+        "description": args.description,
+        "command": " ".join(["python3", *bench]),
+        "cli_commands": {
+            key: [" ".join(["ckn-lab", *command]) for command in commands]
+            for key, commands in CLI_RUNS.items()
+        },
+        "checkouts": {name: {"commit": _commit(root), "runs": []} for name, root in roots.items()},
+        "order": [],
+    }
+    for i in range(ROUNDS):
+        order = names if i % 2 == 0 else names[::-1]
+        record["order"].append(order)
+        for name in order:
+            machine, last = _last_lines(roots[name], bench)
+            record["machine"] = machine["machine"]
+            run = {key: last[key] for key in ("correct", "attempted", "failed")}
+            run["metrics"] = {key: m["value"] for key, m in last["metrics"].items()}
+            run["output_sha256"] = {}
+            record["checkouts"][name]["runs"].append(run)
+        for key, commands in CLI_RUNS.items():
+            wall_key = key.replace("_s", "_wall_s")
+            digests = {name: hashlib.sha256() for name in order}
+            for name in order:
+                record["checkouts"][name]["runs"][i]["metrics"].update({key: 0.0, wall_key: 0.0})
+            for command in commands:
+                for name in order:
+                    scaled, wall, out = _time_cli(roots[name], command)
+                    metrics = record["checkouts"][name]["runs"][i]["metrics"]
+                    metrics[key] += scaled
+                    metrics[wall_key] += wall
+                    digests[name].update(out)
+            for name in order:
+                record["checkouts"][name]["runs"][i]["output_sha256"][key] = digests[name].hexdigest()
+        for name in order:
+            metrics = record["checkouts"][name]["runs"][i]["metrics"]
+            print(f"round {i + 1} {name}: scan {metrics['scan.points_per_s']:.1f}/s, "
+                  f"cli scan {metrics['scan_cli_s']:.3f} s", file=sys.stderr, flush=True)
+
+    for name, root in roots.items():
+        entry = record["checkouts"][name]
+        runs = entry["runs"]
+        entry["summary"] = {
+            key: _summary([run["metrics"][key] for run in runs]) for key in runs[0]["metrics"]
+        }
+        entry["trace"] = {}
+        for workload in TRACED:
+            _, last = _last_lines(
+                root, ["perfbench/run.py", "--workload", workload, "--seed", "1",
+                       "--seconds", seconds, "--trace", "1"]
+            )
+            entry["trace"][workload] = {
+                key: last["metrics"][key]["value"] for key in TRACE_KEYS if key in last["metrics"]
+            }
+
+    base_runs = record["checkouts"][base]["runs"]
+    base_summary = record["checkouts"][base]["summary"]
+    record["against_" + base] = {}
+    for name in names[1:]:
+        runs = record["checkouts"][name]["runs"]
+        summary = record["checkouts"][name]["summary"]
+        table = {}
+        for key, b in base_summary.items():
+            sign = 1.0 if _higher_is_better(key) else -1.0
+            wins = sum(
+                sign * (run["metrics"][key] - ref["metrics"][key]) > 0
+                for run, ref in zip(runs, base_runs)
+            )
+            table[key] = {
+                "better": "higher" if sign > 0 else "lower",
+                "wins": wins,
+                "rounds": len(runs),
+                "median_ratio": summary[key]["median"] / b["median"],
+                "baseline_iqr": b["q3"] - b["q1"],
+                "gap_exceeds_baseline_iqr": abs(summary[key]["median"] - b["median"]) > b["q3"] - b["q1"],
+            }
+        table["same_cli_output"] = all(
+            run["output_sha256"] == ref["output_sha256"] for run, ref in zip(runs, base_runs)
+        )
+        record["against_" + base][name] = table
+
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -152,13 +152,28 @@ def test_legendre_tables_are_shared_and_read_only(J):
             table[0, 0] = 1.0
 
 
-def test_ritz_gram_failure_is_reported_before_assembling_the_operator():
-    """The J = 16 basis at (8, 1, -0.95) cannot condition; the error is unchanged."""
+def test_ritz_gram_failure_is_reported_before_assembling_the_operator(p511, monkeypatch):
+    """The J = 16 basis at (8, 1, -0.95) cannot condition; the error is unchanged.
+
+    Only B's quadrature rule is built before the error: the second rule,
+    for the operator matrix A, is never asked for.
+    """
+    rules = []
+
+    def counted(n, a, b):
+        rules.append((a, b))
+        return _gauss_jacobi(n, a, b)
+
+    monkeypatch.setattr(spectral, "_gauss_jacobi", counted)
+    ritz_min_eig(1, p511, 16)
+    assert len(rules) == 2
+    rules.clear()
     with pytest.raises(ConditioningError) as info:
         ritz_min_eig(1, validate(8, 1.0, -0.95), 16)
     assert str(info.value) == (
         "Gram condition 6.420e+18 exceeds 1e+12 at basis size 16; retry with smaller J"
     )
+    assert len(rules) == 1
 
 
 def test_ritz_rejects_tiny_basis(p511):
