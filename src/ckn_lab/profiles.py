@@ -550,6 +550,11 @@ def emden_fowler(u, p: Params):
     that it judges the profile and not its size (0 where the defect is
     exactly 0).  Derivatives in t come from the exact s-derivatives of the
     profile algebra via d/dt = -s d/ds.
+
+    Raises:
+        DomainError: if a coefficient of phi, or later a term of the
+            residual, exceeds double range, which happens for the ground
+            state near the lower edge of the strip (M in the hundreds).
     """
     d = derive(p)
     m = d.M
@@ -557,7 +562,15 @@ def emden_fowler(u, p: Params):
     q_frac = 2 / sigma_frac
     m_frac = 2 * (Fraction(p.N) + _frac(p.beta)) / sigma_frac
     half = (m_frac - 4) / 2
-    psi = u.compose_power(q_frac).times_power(half).scaled(d.q ** float(half))
+    try:
+        scale = d.q ** float(half)
+    except OverflowError:
+        scale = math.inf
+    psi = u.compose_power(q_frac).times_power(half).scaled(scale)
+    if not all(math.isfinite(c) for c, _, _ in psi.terms):
+        raise DomainError(
+            f"transformed profile q^((M-4)/2) u overflows double precision at M={m!r}"
+        )
     c2 = ((m - 2.0) ** 2 + 4.0) / 2.0
     c0 = m**2 * (m - 4.0) ** 2 / 16.0
     pw = 8.0 / (m - 4.0)
@@ -577,6 +590,10 @@ def emden_fowler(u, p: Params):
         phi2 = s * d1 + s**2 * d2
         phi4 = s * d1 + 7.0 * s**2 * d2 + 6.0 * s**3 * d3 + s**4 * d4
         out = phi4 - c2 * phi2 + c0 * v - np.abs(v) ** pw * v
+        if not np.all(np.isfinite(out)):
+            raise DomainError(
+                f"Emden-Fowler residual overflows double precision at M={m!r}"
+            )
         if relative:
             mag = np.abs(v)
             size = np.maximum(c0 * mag, mag**pw * mag)

@@ -260,8 +260,7 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:
-        # the sign drives the bracket, so a coarser basis is still trustworthy
-        return ritz_min_eig_fallback(1, validate(N, alpha, beta)).min_eigenvalue
+        return ritz_min_eig(1, validate(N, alpha, beta), FALLBACK_BASES[-1]).min_eigenvalue
 
     rho_lo = rho_at(lo)
     rho_hi = rho_at(hi)
