@@ -16,6 +16,8 @@ integrates adaptively one profile at a time in s, while `ritz_min_eig`
 maps the basis to w = (s^2-1)/(s^2+1) and assembles its matrices exactly
 by Gauss-Jacobi quadrature; the test suite checks the Rayleigh quotient of
 the Ritz minimizer on the adaptive route against the Ritz eigenvalue.
+The root search needs only the smallest basis, because every basis holds
+the exact mode-1 ground state on the curve (see `fs_locate`).
 """
 
 from __future__ import annotations
@@ -249,6 +251,14 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     with the smaller |rho_1| once the bracket is at most `tol` wide (or a
     few ulps of beta).  Requires alpha > 0 (the transition leaves the
     admissible strip otherwise).
+
+    Every step solves the smallest basis, J = FALLBACK_BASES[-1].  On the
+    curve nu_1 = 1, so the first basis function s (1+s^2)^(-(M-2)/2) is the
+    exact mode-1 ground state: rho_J vanishes there for every J, and the
+    root does not depend on the basis.  Elsewhere Rayleigh-Ritz keeps rho_J
+    at or above the true rho_1.  Exact assembly makes B_4 the leading block
+    of B_J, and by interlacing cond(B_4) <= cond(B_J): the smallest basis
+    conditions wherever a larger one does.
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")

@@ -284,6 +284,20 @@ def test_transform_check_nan_residual_fails(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("beta", ["-1.852", "-1.859", "-1.87"])
+def test_transform_check_overflow_is_parameter_error(capsys, beta):
+    """Near the lower strip edge (M = 256, 300, 409 at N = 8, alpha = 0.1)
+    the transformed ground state leaves double range: exit 2 with a
+    message, and no record with NaN residuals."""
+    code, out, err = run(
+        capsys, "transform-check", "--N", "8", "--alpha", "0.1", f"--beta={beta}", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "overflows double precision at M=" in err
+
+
 @pytest.mark.parametrize("command", ["constants", "certify", "transform-check"])
 def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     # an auto-scan cell at M ~ 3000, where the amplitude exceeds double range

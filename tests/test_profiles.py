@@ -284,6 +284,28 @@ def test_relative_transform_residual_judges_the_profile_not_its_size(point):
     assert wrong(0.0, relative=True) >= 0.05
 
 
+@pytest.mark.parametrize(
+    ("beta", "message"),
+    [
+        (-1.852, "Emden-Fowler residual overflows"),
+        (-1.859, "transformed profile .* overflows"),
+        (-1.87, "transformed profile .* overflows"),
+    ],
+)
+def test_transform_overflow_is_a_domain_error(beta, message):
+    """The ground state's transform near the lower strip edge, N = 8, alpha = 0.1.
+
+    At M = 256 a term of the ODE leaves double range, at M = 300 the
+    coefficient amplitude * q^((M-4)/2), at M = 409 q^((M-4)/2) itself;
+    each raises DomainError instead of giving inf or NaN.
+    """
+    p = validate(8, 0.1, beta)
+    ts = np.linspace(-6.0, 6.0, 101)
+    with pytest.raises(DomainError, match=message + " double precision at M="):
+        _, residual = emden_fowler(extremal(p), p)
+        residual(ts, relative=True)
+
+
 @pytest.mark.parametrize("m", [4.5, 5.0, 6.0, 8.0])
 def test_cosh_profile_solves_autonomous_equation(m):
     ts = np.linspace(-8.0, 8.0, 81)

@@ -15,6 +15,8 @@ from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
+    FALLBACK_BASES,
+    BracketError,
     ConditioningError,
     _gauss_jacobi,
     _legendre_tables,
@@ -23,7 +25,9 @@ from ckn_lab.spectral import (
     mode_data,
     mode_quadratic_form,
     ritz_min_eig,
+    ritz_min_eig_fallback,
 )
+from ckn_lab.verify import EXTREMALITY_POINTS
 
 
 def test_mode_data_reference_values(p511):
@@ -253,6 +257,31 @@ def test_ritz_second_mode_is_coercive_on_curve():
     )
 
 
+@pytest.mark.parametrize("N", [5, 6, 8, 12])
+def test_ritz_vanishes_on_the_curve_at_every_basis_size(N):
+    """On beta = beta_FS, nu_1 = 1 and the first basis function
+    s (1+s^2)^(-(M-2)/2) is the exact mode-1 ground state, so rho_J = 0
+    for every J: the root `fs_locate` seeks does not depend on the basis."""
+    for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        p = validate(N, alpha, beta_fs(N, alpha))
+        for J in (4, 8, 12, 16):
+            try:
+                rho = ritz_min_eig(1, p, J).min_eigenvalue
+            except ConditioningError:
+                continue
+            assert abs(rho) <= 1e-12
+
+
+@pytest.mark.parametrize("point", EXTREMALITY_POINTS)
+def test_smallest_ritz_basis_bounds_the_larger_from_above(point):
+    """Rayleigh-Ritz: the J = 4 span lies inside every larger one."""
+    p = validate(*point)
+    assert (
+        ritz_min_eig(1, p, 4).min_eigenvalue
+        >= ritz_min_eig_fallback(1, p).min_eigenvalue - 1e-12
+    )
+
+
 def test_fs_locate_matches_closed_form(monkeypatch):
     calls = []
 
@@ -266,6 +295,26 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
         assert 2 <= len(calls) <= 10
+        assert all(J == FALLBACK_BASES[-1] for _, _, J in calls)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])
+def test_fs_locate_finds_the_curve_wherever_its_bracket_holds_it(N):
+    """fs_locate searches [alpha-2 + width/10, 0.99 N alpha/(N-2)].
+
+    Where beta_FS lies inside it returns beta_FS to the tolerance;
+    elsewhere the least eigenvalue has no sign change there: BracketError.
+    """
+    for alpha in np.geomspace(0.02, 50.0, 30):
+        alpha = float(alpha)
+        beta_max = N * alpha / (N - 2.0)
+        lo = (alpha - 2.0) + 0.1 * (beta_max - (alpha - 2.0))
+        closed = beta_fs(N, alpha)
+        if lo <= closed <= 0.99 * beta_max:
+            assert fs_locate(N, alpha, 1e-4) == pytest.approx(closed, abs=1e-4)
+        else:
+            with pytest.raises(BracketError):
+                fs_locate(N, alpha, 1e-4)
 
 
 def test_fs_locate_terminates_below_rounding():
