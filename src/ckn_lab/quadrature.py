@@ -15,7 +15,7 @@ each abscissa reaches the integrand once per integral.  Every level costs
 one integrand call with its new (odd) nodes over the whole node range,
 except that the first call covers levels 0-2 together, since level 2 is
 the first that may converge; the four endpoint probes ride in it too.
-Truncation is decided afterwards on each side's term array.
+Truncation is decided afterwards, one outward pass per side to the cut.
 
 Before any sum is used, the integrand is probed near both endpoints and the
 measured log-log slopes are screened: the power at the origin must
@@ -175,7 +175,7 @@ def _refine(fv, coarse: np.ndarray, h: float) -> np.ndarray:
     return vals
 
 
-def _side_count(terms: np.ndarray, s: np.ndarray) -> int:
+def _side_count(terms: list, s: np.ndarray) -> int:
     """How many of one side's terms (outward from k=+-1) the tail rule keeps.
 
     The side ends after three consecutive terms at most _TAIL_EPS times
@@ -183,36 +183,40 @@ def _side_count(terms: np.ndarray, s: np.ndarray) -> int:
     astronomically small one (a negligible tail overflowed in an
     intermediate).  A non-finite term anywhere else is an error.
     """
-    finite = np.isfinite(terms)
-    n = terms.size if finite.all() else int(np.argmin(finite))
-    mag = np.abs(terms[:n])
-    scale = np.maximum.accumulate(mag)
-    quiet = (scale > 0.0) & (mag <= _TAIL_EPS * scale)
-    third = quiet[2:] & quiet[1:-1] & quiet[:-2]
-    if third.any():
-        return int(np.argmax(third)) + 3
-    if n < terms.size and not (n > 0 and scale[-1] > 0.0 and mag[-1] <= 1e-18 * scale[-1]):
-        raise DomainError(f"integrand produced a non-finite value at s={float(s[n]):.6e}")
-    return n
+    scale, floor, quiet = 0.0, 0.0, 0  # floor = _TAIL_EPS * scale
+    for kept, t in enumerate(terms):
+        mag = abs(t)
+        if mag <= floor and scale > 0.0:
+            quiet += 1
+            if quiet == 3:
+                return kept + 1
+        elif mag < math.inf:
+            quiet = 0
+            if mag > scale:
+                scale, floor = mag, _TAIL_EPS * mag
+        elif scale > 0.0 and abs(terms[kept - 1]) <= 1e-18 * scale:
+            return kept
+        else:
+            raise DomainError(f"integrand produced a non-finite value at s={float(s[kept]):.6e}")
+    return len(terms)
 
 
 def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
-    """Truncated trapezoid sum of one level from its integrand values."""
+    """Truncated trapezoid sum of one level from its integrand values; each
+    side's term list is walked outward only as far as the tail rule keeps."""
     s, w = _grid(h)
     mid = s.size // 2
     center = float(vals[mid]) * math.pi * h
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
     with np.errstate(all="ignore"):
-        terms = vals * w
-    neg, neg_s = terms[mid - 1 :: -1], s[mid - 1 :: -1]
-    pos, pos_s = terms[mid + 1 :], s[mid + 1 :]
-    neg = neg[: _side_count(neg, neg_s)]
-    pos = pos[: _side_count(pos, pos_s)]
-    ordered = neg[::-1].tolist() + [center] + pos.tolist()
+        terms = (vals * w).tolist()
+    neg, pos = terms[mid - 1 :: -1], terms[mid + 1 :]
+    neg = neg[: _side_count(neg, s[mid - 1 :: -1])]
+    pos = pos[: _side_count(pos, s[mid + 1 :])]
+    ordered = neg[::-1] + [center] + pos
     # Kahan-compensated sum in fixed ascending-node order.
-    total = 0.0
-    comp = 0.0
+    total = comp = 0.0
     for t in ordered:
         y = t - comp
         acc = total + y
@@ -256,10 +260,9 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
         value, n = _level_sum(vals[mid - half : mid + half + 1 : stride], h)
         total_nodes += n
         if prev is not None:
-            err = abs(value - prev)
-            best_err = err
-            if level >= 2 and err <= max(tol * abs(value), 1e-300):
-                return QuadResult(value=value, abs_error_estimate=err, nodes=total_nodes)
+            best_err = abs(value - prev)
+            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
+                return QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
         if total_nodes >= node_cap:
             result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
             raise AccuracyError(
@@ -280,16 +283,13 @@ def power_weighted(vals: np.ndarray, s: np.ndarray, expo: float, w: float) -> np
     compensating tiny number by then).  Points where vals == 0 are
     exactly 0 regardless of the weight.
     """
-    vals, s = np.broadcast_arrays(
-        np.asarray(vals, dtype=float), np.asarray(s, dtype=float)
-    )
-    out = np.zeros(vals.shape)
-    mask = (vals != 0.0) & np.isfinite(vals)
-    if np.any(mask):
-        with np.errstate(all="ignore"):
-            out[mask] = np.exp(
-                expo * np.log(np.abs(vals[mask])) + w * np.log(s[mask])
-            )
+    vals = np.asarray(vals, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if vals.shape != s.shape:
+        vals, s = np.broadcast_arrays(vals, s)
+    with np.errstate(all="ignore"):
+        out = np.asarray(np.exp(expo * np.log(np.abs(vals)) + w * np.log(s)))
+    out[vals == 0.0] = 0.0
     out[~np.isfinite(vals)] = np.nan
     return out
 

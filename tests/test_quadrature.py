@@ -287,7 +287,120 @@ _TERM = st.one_of(
 @example([1.0, 1e-18, math.inf])  # overflow after a negligible term ends the side
 @example([1.0, 2e-18, math.nan])  # after a significant one it is an error
 @example([0.0, 0.0, 0.0, 1.0, 1e-23, 0.0, -1e-30])
+@example([1.0, 1e-22, 1e-22, 1e-22, 5.0])  # a term exactly at the floor is quiet
 def test_vectorised_tail_rule_matches_the_loop(terms):
     s = np.arange(1.0, len(terms) + 1.0)
     expected = _outcome(_side_count_by_loop, terms, s)
-    assert _outcome(quad._side_count, np.array(terms, dtype=float), s) == expected
+    assert _outcome(quad._side_count, [float(t) for t in terms], s) == expected
+
+
+def _side_count_vectorised(terms, s):
+    """The tail rule as whole-array numpy passes, as the integrator once applied it."""
+    finite = np.isfinite(terms)
+    n = terms.size if finite.all() else int(np.argmin(finite))
+    mag = np.abs(terms[:n])
+    scale = np.maximum.accumulate(mag)
+    quiet = (scale > 0.0) & (mag <= quad._TAIL_EPS * scale)
+    third = quiet[2:] & quiet[1:-1] & quiet[:-2]
+    if third.any():
+        return int(np.argmax(third)) + 3
+    if n < terms.size and not (n > 0 and scale[-1] > 0.0 and mag[-1] <= 1e-18 * scale[-1]):
+        raise DomainError(f"integrand produced a non-finite value at s={float(s[n]):.6e}")
+    return n
+
+
+def _level_sum_vectorised(vals, h):
+    """A level's sum with the vectorised tail rule above, then Kahan in ascending node order."""
+    s, w = quad._grid(h)
+    mid = s.size // 2
+    center = float(vals[mid]) * math.pi * h
+    if not math.isfinite(center):
+        raise DomainError("integrand produced a non-finite value at s=1")
+    with np.errstate(all="ignore"):
+        terms = vals * w
+    neg, neg_s = terms[mid - 1 :: -1], s[mid - 1 :: -1]
+    pos, pos_s = terms[mid + 1 :], s[mid + 1 :]
+    neg = neg[: _side_count_vectorised(neg, neg_s)]
+    pos = pos[: _side_count_vectorised(pos, pos_s)]
+    ordered = neg[::-1].tolist() + [center] + pos.tolist()
+    total = 0.0
+    comp = 0.0
+    for t in ordered:
+        y = t - comp
+        acc = total + y
+        comp = (acc - total) - y
+        total = acc
+    return total, len(ordered)
+
+
+def _level_outcome(level_sum, vals, h):
+    try:
+        total, count = level_sum(vals, h)
+    except DomainError as err:
+        return str(err)
+    return total.hex(), count
+
+
+_SUBNORMALS = [5e-324, -5e-324, 2.5e-320, 1e-310]
+_LEVEL_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e-18, 1e-23, -1e-23, 1e-300, math.inf, -math.inf, math.nan]),
+    st.sampled_from(_SUBNORMALS),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _level_values(draw):
+    """(vals, h) for one of the two coarsest levels; values near s = 1 stay finite
+    often enough to reach the tail rule, and runs of tiny values end sides."""
+    h = draw(st.sampled_from([quad._H0, quad._H0 / 2]))
+    size = quad._grid(h)[0].size
+    vals = draw(st.lists(_LEVEL_VALUE, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        vals[size // 2] = 1.0
+    return np.array(vals, dtype=float), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_values())
+@example((np.exp(-quad._grid(quad._H0)[0]), quad._H0))
+@example((_cube_with_overflowing_tail(quad._grid(quad._H0 / 2)[0]), quad._H0 / 2))
+def test_level_sum_matches_the_vectorised_rule(level):
+    vals, h = level
+    expected = _level_outcome(_level_sum_vectorised, vals, h)
+    assert _level_outcome(quad._level_sum, vals, h) == expected
+
+
+def _power_weighted_masked(vals, s, expo, w):
+    """power_weighted as a gather over the finite nonzero values, as once written."""
+    vals, s = np.broadcast_arrays(np.asarray(vals, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(vals.shape)
+    mask = (vals != 0.0) & np.isfinite(vals)
+    if np.any(mask):
+        with np.errstate(all="ignore"):
+            out[mask] = np.exp(expo * np.log(np.abs(vals[mask])) + w * np.log(s[mask]))
+    out[~np.isfinite(vals)] = np.nan
+    return out
+
+
+_WEIGHT_ARG = st.one_of(
+    st.sampled_from([0.0, 1e-23, 1e-300, 1e300, math.inf, -math.inf, math.nan, *_SUBNORMALS]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_ABSCISSA = st.one_of(st.sampled_from([1e-261, 1.0, 1e261, 5e-324]), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_WEIGHT_ARG, _ABSCISSA), min_size=1, max_size=40),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.floats(min_value=-400.0, max_value=400.0),
+)
+def test_power_weighted_matches_the_masked_form(pairs, expo, w):
+    vals = np.array([v for v, _ in pairs])
+    s = np.array([x for _, x in pairs])
+    for args in ((vals, s), (vals[:, None], s), (vals[0], s), (vals, s[0])):
+        expected = _power_weighted_masked(*args, expo, w)
+        got = power_weighted(*args, expo, w)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
