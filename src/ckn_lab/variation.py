@@ -125,8 +125,9 @@ def _theta_rule(N: int):
 
 
 def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U + eps * g(r) x_i/|x| (first harmonic).
+    """Rayleigh quotient of U + eps * A g(r) x_i/|x| (first harmonic).
 
+    A is U's amplitude, so eps is relative to U whatever its scale.
     Numerator: ||U||^2 + eps^2 ||Z||^2 (the cross term vanishes by
     harmonic orthogonality, so it is not quadratured away).  Denominator:
     full 2D quadrature, a 64-node Gauss-Legendre rule in the polar angle
@@ -140,11 +141,12 @@ def directional_quotient(p: Params, eps: float) -> float:
     u = extremal(p)
     g = kernel_mode(p, "Z1_radial")
     numerator = norm_sq(u, p)
+    eps_z = eps * u.amplitude
     if eps != 0.0:
         # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
         w = p.N + 2.0 * p.alpha - p.beta - 1.0
         lam = harmonic_eigenvalue(p.N, 1)
-        numerator += eps**2 * (d.omega / p.N * mode_energy(g, p.N - 1.0 + p.alpha, lam, w))
+        numerator += eps_z**2 * (d.omega / p.N * mode_energy(g, p.N - 1.0 + p.alpha, lam, w))
 
     cos_t, w_t = _theta_rule(p.N)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
@@ -154,7 +156,7 @@ def directional_quotient(p: Params, eps: float) -> float:
         r = np.asarray(r, dtype=float)
         uv = u.eval(r)
         gv = g.eval(r)
-        vals = np.abs(uv[None, :] + eps * np.outer(cos_t, gv)) ** d.p_star
+        vals = np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star
         angular = w_t @ vals
         return angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)
 

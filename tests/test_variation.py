@@ -60,7 +60,7 @@ def test_second_variation_sign_tracks_curve_side():
 
 def test_directional_quotient_reference_value(p511):
     q = directional_quotient(p511, 0.01)
-    assert q == pytest.approx(221.68821851491452, rel=1e-10)
+    assert q == pytest.approx(221.68730915697185, rel=1e-10)
     assert q < s_r_closed(p511)
 
 
@@ -75,13 +75,15 @@ def test_directional_quotient_recovers_radial_constant(p511):
 
 
 def test_directional_quotient_taylor_window(p511):
-    """The epsilon^2 drop is within a small factor of the curvature model."""
+    """The epsilon^2 drop is within a small factor of the curvature model.
+
+    The direction carries U's amplitude, so its size is eps times it."""
     s_r = s_r_closed(p511)
     eps = 1e-2
     drop = s_r - directional_quotient(p511, eps)
-    model = -second_variation(p511).value * eps * eps / norm_star(
-        extremal(p511), p511
-    ) ** 2
+    u = extremal(p511)
+    size = eps * u.amplitude
+    model = -second_variation(p511).value * size * size / norm_star(u, p511) ** 2
     assert drop > 0.0
     assert 0.2 < drop / model < 5.0
 
@@ -116,10 +118,38 @@ def test_certificate_at_symmetric_point():
 
 
 def test_certificate_on_the_curve():
+    """On the curve the second-order witnesses vanish; the quotient rises at
+    fourth order in eps, just above its second-order dead zone."""
     p = validate(5, 1.0, beta_fs(5, 1.0))
     cert = certify(p)
     assert cert.verdict is Verdict.BOUNDARY
-    assert cert.witness_signs == (0, 0, 0)
+    assert cert.witness_signs == (0, 1, 0)
+    assert cert.discrepancies == ()
+
+
+_SWEEP_POINTS = [
+    (N, alpha, beta_fs(N, alpha) + frac * (N * alpha / (N - 2.0) - beta_fs(N, alpha)))
+    for N in (5, 6, 8, 12)
+    for alpha in (0.5, 1.0, 2.0, 4.0, 8.0)
+    for frac in (0.5, 0.95)
+]
+
+
+@pytest.mark.parametrize("point", _SWEEP_POINTS, ids=lambda pt: "N{}-a{}-b{:.4g}".format(*pt))
+def test_certificate_breaks_across_the_breaking_region(point):
+    """Half and 95 % of the way from the curve to the upper edge, with
+    amplitudes up to 2e8 at N = 12, every witness says Breaking."""
+    cert = certify(validate(*point))
+    assert cert.verdict is Verdict.BREAKING
+    assert cert.witness_signs == (-1, -1, -1)
+    assert cert.discrepancies == ()
+
+
+@pytest.mark.parametrize("beta", [-0.5, -0.7, -0.8])
+def test_certificate_below_the_curve_deep_in_the_strip(beta):
+    cert = certify(validate(5, 1.0, beta))
+    assert cert.verdict is Verdict.NOT_BREAKING
+    assert cert.witness_signs == (1, 1, 1)
     assert cert.discrepancies == ()
 
 
