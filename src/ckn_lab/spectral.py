@@ -262,8 +262,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     beta_max = N * alpha / (N - 2.0)
     width = beta_max - (alpha - 2.0)
     lo = (alpha - 2.0) + 0.1 * width

@@ -246,8 +246,11 @@ def test_certify_eps_flag(capsys):
         ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "-1"],
         ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--tol", "nan"],
         ["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--config", "x"],
+        ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "inf"],
+        ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "nan"],
+        ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "0"],
     ],
-    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed"],
+    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
