@@ -16,7 +16,8 @@ in an order that is reversed every other round, and in each one runs
   that call ``main`` once and loop over many cells or alphas inside it,
   as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
   (N = 5, 6, 8; 603 CSV rows), ``fs_curve_cli_s`` two ``fs-curve``
-  processes (N = 5, 8; 40 alphas each).  Each process runs in every
+  processes (N = 5, 8; 40 alphas each), ``verify_all_cli_s`` one
+  ``verify-all`` process.  Each process runs in every
   checkout in turn before the next one starts, so the checkouts meet
   the same phase of the host's load, and its wall time is scaled to the
   reference speed by the perfbench speed kernel, run KERNEL_RUNS times
@@ -24,8 +25,8 @@ in an order that is reversed every other round, and in each one runs
   ``..._wall_s``).  The SHA-256 of each checkout's concatenated output
   is kept, so differing output shows.
 
-After the rounds, one traced ``scan`` and one traced ``fs_curve`` run per
-checkout give per-layer self times.  For every figure the output holds
+After the rounds, one traced run of each workload in TRACED per checkout
+gives the per-layer figures of TRACE_KEYS that the workload reports.  For every figure the output holds
 each checkout's runs, median and quartiles and, against the baseline, the
 number of rounds in which the checkout did better, the ratio of medians,
 and whether the gap between medians exceeds the baseline's interquartile
@@ -54,17 +55,22 @@ CLI_RUNS = {
         for n in (5, 6, 8)
     ],
     "fs_curve_cli_s": [["fs-curve", "--N", str(n), "--alpha", "0.1:2:40", "--json"] for n in (5, 8)],
+    "verify_all_cli_s": [["verify-all"]],
 }
 #: rounds of runs; a gain counts when it wins nine tenths of at least ten
 ROUNDS = 10
 KERNEL_RUNS = 5
-TRACED = ("scan", "fs_curve")
+TRACED = ("scan", "fs_curve", "invariants")
 TRACE_KEYS = (
     "cli.main.self_ms",
     "spectral.ritz_min_eig.self_ms",
     "spectral.ritz_min_eig.calls",
     "spectral.ritz_min_eig.useful_ratio",
     "spectral.fs_locate.self_ms",
+    "quadrature.integrate_semiinfinite.self_ms",
+    "quadrature.integrate_semiinfinite.calls",
+    "quadrature.integrate_semiinfinite.nodes",
+    "variation.directional_quotient.self_ms",
 )
 
 
