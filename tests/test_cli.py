@@ -67,14 +67,6 @@ def test_certify_symmetric_point(capsys):
     assert json.loads(out)["verdict"] == "NotBreaking"
 
 
-def test_certify_deep_in_the_symmetric_strip(capsys):
-    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta=-0.7", "--json")
-    assert code == 0
-    record = json.loads(out)
-    assert record["verdict"] == "NotBreaking"
-    assert record["witness_signs"] == [1, 1, 1]
-
-
 def test_certify_corrupted_tolerance_exits_one(capsys):
     code, out, _ = run(
         capsys,

@@ -399,7 +399,7 @@ _ABSCISSA = st.one_of(st.sampled_from([1e-261, 1.0, 1e261, 5e-324]), st.floats(m
 def test_power_weighted_matches_the_masked_form(pairs, expo, w):
     vals = np.array([v for v, _ in pairs])
     s = np.array([x for _, x in pairs])
-    for args in ((vals, s), (vals[:, None], s), (vals[0], s), (vals, s[0])):
+    for args in ((vals, s), (vals[:, None], s), (vals[0], s), (vals, s[0]), (np.array(vals[0]), np.array(s[0]))):
         expected = _power_weighted_masked(*args, expo, w)
         got = power_weighted(*args, expo, w)
         assert got.shape == expected.shape
