@@ -26,11 +26,11 @@ in an order that is reversed every other round, and in each one runs
   is kept, so differing output shows.
 
 After the rounds, one traced run of each workload in TRACED per checkout
-gives the per-layer figures of TRACE_KEYS that the workload reports.  For every figure the output holds
-each checkout's runs, median and quartiles and, against the baseline, the
-number of rounds in which the checkout did better, the ratio of medians,
-and whether the gap between medians exceeds the baseline's interquartile
-range.
+gives the per-layer figures of TRACE_KEYS that the workload reports.  For
+every figure the output holds each checkout's runs, median and quartiles
+and, against the baseline, the number of rounds in which the checkout did
+better, the ratio of medians, and whether the gap between medians exceeds
+the baseline's interquartile range.
 """
 
 from __future__ import annotations
