@@ -9,9 +9,12 @@ Each checkout is a directory holding a copy of the repository; the first
 one named is the baseline.  Each of ROUNDS rounds visits every checkout,
 in an order that is reversed every other round, and in each one runs
 
-* ``perfbench/run.py --workload all --seed 1 --seconds S`` and keeps its
-  last line, the end-to-end figures (S is ``run_seconds`` from the
-  baseline's BENCHMARK.json, so every checkout runs equally long), and
+* ``perfbench/run.py --workload W --seed 1 --seconds S`` for each workload
+  W in WORKLOADS, and keeps the end-to-end figures of its last line that
+  BENCHMARK.json bounds (``setup_s``, ``ops_per_s``, ``op_ms_p50``,
+  ``op_ms_p90``) as ``W/<figure>`` (S is ``run_seconds`` from the
+  baseline's BENCHMARK.json, so every checkout runs equally long); each
+  workload runs in every checkout in turn before the next one starts, and
 * the command-line runs of CLI_RUNS, each a few ``ckn-lab`` processes
   that call ``main`` once and loop over many cells or alphas inside it,
   as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
@@ -25,10 +28,12 @@ in an order that is reversed every other round, and in each one runs
   ``..._wall_s``).  The SHA-256 of each checkout's concatenated output
   is kept, so differing output shows.
 
-After the rounds, one traced run of each workload in TRACED per checkout
-gives the per-layer figures of TRACE_KEYS that the workload reports.  For
-every figure the output holds each checkout's runs, median and quartiles
-and, against the baseline, the number of rounds in which the checkout did
+After the rounds, TRACED_RUNS traced runs of each workload per checkout
+give the per-layer figures of TRACE_KEYS that the workload reports; the
+record keeps every traced run and, per figure, their median, because one
+traced run drifts far more than the code does.  For every end-to-end
+figure the output holds each checkout's runs, median and quartiles and,
+against the baseline, the number of rounds in which the checkout did
 better, the ratio of medians, and whether the gap between medians exceeds
 the baseline's interquartile range.
 """
@@ -48,7 +53,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import speed  # noqa: E402
 
-PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1"]
+WORKLOADS = ("scan", "fs_curve", "invariants")
+#: the end-to-end figures BENCHMARK.json bounds, kept per workload
+BOUNDED = ("setup_s", "ops_per_s", "op_ms_p50", "op_ms_p90")
 CLI_RUNS = {
     "scan_cli_s": [
         ["scan", "--N", str(n), "--alpha", "0.1:2:10", "--beta", "auto:20", "--jobs", "1"]
@@ -60,18 +67,25 @@ CLI_RUNS = {
 #: rounds of runs; a gain counts when it wins nine tenths of at least ten
 ROUNDS = 10
 KERNEL_RUNS = 5
-TRACED = ("scan", "fs_curve", "invariants")
+TRACED_RUNS = 3
 TRACE_KEYS = (
     "cli.main.self_ms",
     "spectral.ritz_min_eig.self_ms",
     "spectral.ritz_min_eig.calls",
     "spectral.ritz_min_eig.useful_ratio",
+    "spectral.ritz_min_eig.basis_size_mean",
+    "spectral.ritz_min_eig.gram_condition_max",
     "spectral.fs_locate.self_ms",
     "quadrature.integrate_semiinfinite.self_ms",
     "quadrature.integrate_semiinfinite.calls",
     "quadrature.integrate_semiinfinite.nodes",
     "variation.directional_quotient.self_ms",
 )
+
+
+def _perfbench(workload: str, seconds: str, trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", seconds, "--trace", str(trace)]
 
 
 def _env(root: Path) -> dict:
@@ -130,11 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     names = list(roots)
     base = names[0]
     seconds = str(json.loads((roots[base] / "BENCHMARK.json").read_text())["run_seconds"])
-    bench = [*PERFBENCH, "--seconds", seconds]
 
     record = {
         "description": args.description,
-        "command": " ".join(["python3", *bench]),
+        "command": " ".join(["python3", *_perfbench("<workload>", seconds, 0)]),
         "cli_commands": {
             key: [" ".join(["ckn-lab", *command]) for command in commands]
             for key, commands in CLI_RUNS.items()
@@ -146,12 +159,16 @@ def main(argv: list[str] | None = None) -> int:
         order = names if i % 2 == 0 else names[::-1]
         record["order"].append(order)
         for name in order:
-            machine, last = _last_lines(roots[name], bench)
-            record["machine"] = machine["machine"]
-            run = {key: last[key] for key in ("correct", "attempted", "failed")}
-            run["metrics"] = {key: m["value"] for key, m in last["metrics"].items()}
-            run["output_sha256"] = {}
-            record["checkouts"][name]["runs"].append(run)
+            record["checkouts"][name]["runs"].append({"ops": {}, "metrics": {}, "output_sha256": {}})
+        for workload in WORKLOADS:
+            for name in order:
+                machine, last = _last_lines(roots[name], _perfbench(workload, seconds, 0))
+                record["machine"] = machine["machine"]
+                run = record["checkouts"][name]["runs"][i]
+                run["ops"][workload] = {key: last[key] for key in ("correct", "attempted", "failed")}
+                run["metrics"].update(
+                    {f"{workload}/{key}": last["metrics"][key]["value"] for key in BOUNDED}
+                )
         for key, commands in CLI_RUNS.items():
             wall_key = key.replace("_s", "_wall_s")
             digests = {name: hashlib.sha256() for name in order}
@@ -168,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                 record["checkouts"][name]["runs"][i]["output_sha256"][key] = digests[name].hexdigest()
         for name in order:
             metrics = record["checkouts"][name]["runs"][i]["metrics"]
-            print(f"round {i + 1} {name}: scan {metrics['scan.points_per_s']:.1f}/s, "
+            print(f"round {i + 1} {name}: scan {metrics['scan/ops_per_s']:.1f}/s, "
                   f"cli scan {metrics['scan_cli_s']:.3f} s", file=sys.stderr, flush=True)
 
     for name, root in roots.items():
@@ -178,13 +195,13 @@ def main(argv: list[str] | None = None) -> int:
             key: _summary([run["metrics"][key] for run in runs]) for key in runs[0]["metrics"]
         }
         entry["trace"] = {}
-        for workload in TRACED:
-            _, last = _last_lines(
-                root, ["perfbench/run.py", "--workload", workload, "--seed", "1",
-                       "--seconds", seconds, "--trace", "1"]
-            )
+        for workload in WORKLOADS:
+            traced = [_last_lines(root, _perfbench(workload, seconds, 1))[1]["metrics"]
+                      for _ in range(TRACED_RUNS)]
+            keys = [key for key in TRACE_KEYS if key in traced[0]]
             entry["trace"][workload] = {
-                key: last["metrics"][key]["value"] for key in TRACE_KEYS if key in last["metrics"]
+                "runs": [{key: metrics[key]["value"] for key in keys} for metrics in traced],
+                "median": {key: statistics.median(m[key]["value"] for m in traced) for key in keys},
             }
 
     base_runs = record["checkouts"][base]["runs"]

@@ -60,6 +60,7 @@ from .spectral import (
     RitzResult,
     fs_locate,
     mode_data,
+    mode_eigenvalue,
     mode_quadratic_form,
     ritz_min_eig,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "integrate_semiinfinite",
     "kernel_mode",
     "mode_data",
+    "mode_eigenvalue",
     "mode_quadratic_form",
     "norm_sq",
     "norm_star",

@@ -47,8 +47,7 @@ from .profiles import (
 )
 from .quadrature import AccuracyError, DivergentIntegralError
 from .specfun import DomainError
-from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig_fallback
-from .spectral import ritz_min_eig  # noqa: F401  (perfbench's tracer wraps this binding)
+from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig
 from .variation import DEFAULT_CERT_TOL, DEFAULT_EPS, certify, second_variation
 from .verify import run_all
 
@@ -226,9 +225,9 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     """One CSV row; must stay top-level so worker processes can pickle it.
 
     Numeric cells are empty where the quantity is undefined (Invalid or
-    degenerate triples) or where the computation cannot condition at the
-    extreme edge of the strip; wall_time_ms stays empty so reruns are
-    byte-identical.
+    degenerate triples) or where the computation cannot converge or
+    assemble at the extreme edge of the strip; wall_time_ms stays empty so
+    reruns are byte-identical.
     """
     N, alpha, beta = point
     tag = classify(N, alpha, beta)
@@ -243,7 +242,7 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     except (AccuracyError, DivergentIntegralError):
         pass
     try:
-        row[7] = repr(ritz_min_eig_fallback(1, p).min_eigenvalue)
+        row[7] = repr(ritz_min_eig(1, p, 16).min_eigenvalue)
     except ConditioningError:
         pass
     return row

@@ -7,27 +7,27 @@ of index k reduces to the sign of a one-dimensional quadratic form
              - (M+4)(M-2)M(M+2) int (1+s^2)^(-4) X^2 s^(M-1) ds
 
 over decaying profiles X.  This module provides the mode data, direct
-evaluation of Q_k, a Rayleigh-Ritz minimizer for its smallest
-generalized eigenvalue, and Brent's method on that sign to locate the
-symmetry-breaking transition curve in beta.
+evaluation of Q_k, the closed form of its generalized eigenvalues, a
+Rayleigh-Ritz minimizer for the smallest one, and Brent's method on that
+sign to locate the symmetry-breaking transition curve in beta.
 
-Two deliberately independent numerical routes coexist: `mode_quadratic_form`
-integrates adaptively one profile at a time in s, while `ritz_min_eig`
-maps the basis to w = (s^2-1)/(s^2+1) and assembles its matrices exactly
-by Gauss-Jacobi quadrature; the test suite checks the Rayleigh quotient of
-the Ritz minimizer on the adaptive route against the Ritz eigenvalue.
-The root search needs only the smallest basis, because every basis holds
-the exact mode-1 ground state on the curve (see `fs_locate`).
+Three deliberately independent routes coexist: `mode_quadratic_form`
+integrates adaptively one profile at a time in s; `ritz_min_eig` maps the
+basis to w = (s^2-1)/(s^2+1), makes it orthonormal for the potential
+weight and assembles the operator exactly by Gauss-Jacobi quadrature; and
+`mode_eigenvalue` is the closed form the Ritz value falls to from above.
+The test suite checks the Ritz minimizer's Rayleigh quotient on the
+adaptive route and the Ritz value against the closed form.  The root
+search needs only the smallest basis, because every basis holds the exact
+mode-1 ground state on the curve (see `fs_locate`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as _legendre
 
 from .params import Params, derive, harmonic_eigenvalue, validate
 from .quadrature import integrate_semiinfinite, mode_energy, power_weighted
@@ -39,15 +39,15 @@ __all__ = [
     "ConditioningError",
     "BracketError",
     "mode_data",
+    "mode_eigenvalue",
     "mode_quadratic_form",
     "ritz_min_eig",
-    "ritz_min_eig_fallback",
     "fs_locate",
 ]
 
 
 class ConditioningError(RuntimeError):
-    """Gram matrix of the Ritz basis is numerically singular."""
+    """The Ritz operator matrix could not be assembled in floating point."""
 
 
 class BracketError(RuntimeError):
@@ -110,20 +110,38 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     return lead - _potential_constant(m) * pot
 
 
+def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
+    """Closed-form j-th generalized eigenvalue of the mode-k stability form.
+
+    With nu >= 0 solving nu (nu + M - 2) = q^2 lambda_k, the form has
+    eigenvalues tau_j = (x+M-4)(x+M-2)(x+M)(x+M+2), x = 2 nu + 2j, against
+    the potential weight, and the value returned is rho = tau_j/g - 1 with
+    g = (M+4)(M-2)M(M+2), the quantity `ritz_min_eig` approximates from
+    above at j = 0.  Valid for every k, also where M <= 2k.  Each factor
+    of tau_j/g is 1 + 2(nu-1+j)/c, c in (M-2, M, M+2, M+4), and
+    nu - 1 = (q^2 lambda_k - (M-1))/(nu + M - 1), so rho keeps its
+    relative accuracy near the curve and at large M.
+    """
+    if j < 0:
+        raise DomainError(f"eigenvalue index must be >= 0, got {j}")
+    d = derive(p)
+    m = d.M
+    qql = d.q**2 * mode_data(k, p).lambda_k
+    nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
+    shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
+    return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
+
+
 # ---------------------------------------------------------------------------
 # Rayleigh-Ritz
 # ---------------------------------------------------------------------------
 
-GRAM_CONDITION_LIMIT = 1e12
-_EXTRA_NODES = 8  # Gauss-Jacobi nodes beyond J; J+2 already integrate exactly
+def _jacobi_recurrence(n: int, a: float, b: float):
+    """Three-term recurrence of the orthonormal Jacobi polynomials p_0..p_n-1.
 
-
-def _gauss_jacobi(n: int, a: float, b: float):
-    """n-point Gauss-Jacobi rule for the weight (1-w)^a (1+w)^b on (-1, 1).
-
-    Golub-Welsch: nodes are the eigenvalues of the monic recurrence's
-    Jacobi matrix, weights mu0 * v0^2 from the first eigenvector components.
-    Returns (nodes, v0^2, log mu0), mu0 = 2^(a+b+1) B(a+1, b+1) the mass.
+    For the weight (1-w)^a (1+w)^b normalized to unit mass:
+    w p_j = off[j] p_(j+1) + diag[j] p_j + off[j-1] p_(j-1), p_0 = 1.
+    Returns diag (length n) and off (length n-1), the Jacobi matrix.
     """
     i = np.arange(n, dtype=float)
     t = 2.0 * i + a + b
@@ -131,38 +149,60 @@ def _gauss_jacobi(n: int, a: float, b: float):
     i, t = i[1:], t[1:]
     off = np.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b))
     off /= np.sqrt(t * t * (t + 1.0) * (t - 1.0))
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    log_mu0 = (a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
-    return nodes, vecs[0] ** 2, log_mu0 - math.lgamma(a + b + 2)
+    return diag, off
 
 
-@functools.cache
-def _legendre_tables(J: int):
-    """Coefficients of P_j, P_j' and P_j'' for j < J; read-only, built once per J."""
-    unit = np.eye(J)
-    tables = (unit, _legendre.legder(unit), _legendre.legder(unit, 2))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _orthonormal_jacobi(w: np.ndarray, n: int, a: float, b: float, order: int = 0) -> np.ndarray:
+    """p_j and its first `order` derivatives at w for j < n, shape (n, order+1, len(w)).
+
+    By the three-term recurrence; (w p)^(r) = r p^(r-1) + w p^(r) carries
+    it over to the derivatives.
+    """
+    diag, off = _jacobi_recurrence(n, a, b)
+    rise = np.arange(1.0, order + 1.0)[:, None]
+    vals = np.zeros((n, order + 1, w.size))
+    vals[0, 0] = 1.0
+    for j in range(n - 1):
+        step = (w - diag[j]) * vals[j] - (off[j - 1] * vals[j - 1] if j else 0.0)
+        step[1:] += rise * vals[j, :order]
+        vals[j + 1] = step / off[j]
+    return vals
+
+
+def _gauss_jacobi(n: int, a: float, b: float):
+    """n-point Gauss-Jacobi rule for the weight (1-w)^a (1+w)^b on (-1, 1).
+
+    Golub-Welsch: nodes are the eigenvalues of the recurrence's Jacobi
+    matrix.  The weights, normalized to sum 1, are the Christoffel numbers
+    1 / sum_j p_j(w)^2, which keep their relative accuracy where the
+    squared eigenvector components would not (the tail nodes of a
+    skewed weight).  Returns the nodes and the weights divided by the
+    mass of the weight function.
+    """
+    diag, off = _jacobi_recurrence(n, a, b)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    values = _orthonormal_jacobi(nodes, n, a, b)[:, 0]
+    return nodes, 1.0 / np.sum(values * values, axis=0)
 
 
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     """Least generalized eigenvalue of the mode-k stability form.
 
-    Minimizes Q_k over the span of s^k (1+s^2)^(-(M-2)/2) P_j(w), j < J,
-    with w = (s^2-1)/(s^2+1) and Legendre P_j: the ladder
-    s^k (1+s^2)^(-(M-2)/2-j) regraded to a moderate Gram condition.  With
-    A the operator part and B the potential-weight Gram, the reported value
-    is rho = (tau_min - g)/g where tau_min is the least eigenvalue of
-    A c = tau B c and g = (M+4)(M-2)M(M+2), so that sign(rho) equals the
-    sign of the minimum of Q_k over the span and rho = 0 marks kernel.
-    Coefficients refer to that basis.
+    Minimizes Q_k over the span of s^k (1+s^2)^(-(M-2)/2) p_j(w), j < J,
+    w = (s^2-1)/(s^2+1), with p_j the polynomials orthonormal for the
+    potential weight, so that the potential Gram B is the identity.  The
+    reported value is rho = (tau_min - g)/g, tau_min the least eigenvalue
+    of the operator matrix A and g = (M+4)(M-2)M(M+2): sign(rho) is the
+    sign of the minimum of Q_k over the span, rho = 0 marks kernel, and
+    rho >= mode_eigenvalue(k, p).  Coefficients refer to the p_j basis.
 
-    In w, B's integrand is 2^(-M-2) (1-w)^a (1+w)^b P_i P_j with
-    (a, b) = (M/2-k+1, M/2+k-1) and A's is 2^(2-M) (1-w)^(a-2) (1+w)^(b-2)
-    R_i R_j with R_j a polynomial of degree j+2, so J+8 Gauss-Jacobi nodes
-    assemble both exactly.  A Jacobi exponent <= -1 means the form
-    diverges on the basis: DomainError.
+    In w, B's integrand is 2^(-M-2) (1-w)^a (1+w)^b p_i p_j with
+    (a, b) = (M/2-k+1, M/2+k-1), and A's is 2^(2-M) (1-w)^(a-2)
+    (1+w)^(b-2) R_i R_j with R_j of degree j+2, so J+2 Gauss-Jacobi nodes
+    assemble A exactly.  Both are divided by B's constant 2^(-M-2) mu0,
+    which leaves the eigenpairs unchanged at any M; `gram_condition` is 1.
+    A Jacobi exponent <= -1 means the form diverges on the basis:
+    DomainError.  A non-finite A raises ConditioningError.
     """
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
@@ -175,70 +215,28 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
             f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
         )
-    unit, d_unit, d2_unit = _legendre_tables(J)
-    w, weight_b, log_mu_b = _gauss_jacobi(J + _EXTRA_NODES, a, b)
-    rows_b = _legendre.legval(w, unit) * np.sqrt(weight_b)
-    B = rows_b @ rows_b.T
-    # judge B before building A: a basis that fails here is discarded anyway
-    gram_condition = float(np.linalg.cond(B))
-    if not np.isfinite(gram_condition) or gram_condition > GRAM_CONDITION_LIMIT:
-        raise ConditioningError(
-            f"Gram condition {gram_condition:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e} "
-            f"at basis size {J}; retry with smaller J"
-        )
-    try:
-        chol = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"potential Gram not positive definite at basis size {J}; "
-            "retry with smaller J"
-        ) from exc
-    w, weight_a, log_mu_a = _gauss_jacobi(J + _EXTRA_NODES, a - 2.0, b - 2.0)
+    w, weight_a = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
+    p_j, dp_j, d2p_j = _orthonormal_jacobi(w, J, a, b, order=2).transpose(1, 0, 2)
     # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
     up, cap = 1.0 + w, 1.0 - w * w
     potential = k * (k + m - 2.0) - qql
     potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
-    r_j = (
-        potential * _legendre.legval(w, unit)
-        + cap * (2.0 * k - m * w) * _legendre.legval(w, d_unit)
-        + cap**2 * _legendre.legval(w, d2_unit)
-    )
-    # both matrices are divided by B's constant 2^(-M-2) mu0_B, which
-    # leaves the eigenpairs and the Gram condition unchanged at any M
-    rows_a = r_j * (4.0 * np.sqrt(weight_a) * math.exp(0.5 * (log_mu_a - log_mu_b)))
+    r_j = potential * p_j + cap * (2.0 * k - m * w) * dp_j + cap**2 * d2p_j
+    # 2^(2-M) mu0_A / (2^(-M-2) mu0_B), rational since Gamma(x+1) = x Gamma(x)
+    mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
+    rows_a = r_j * np.sqrt(weight_a * mass_ratio)
     A = rows_a @ rows_a.T
+    if not np.all(np.isfinite(A)):
+        raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
+    evals, evecs = np.linalg.eigh(A)
     gamma = _potential_constant(m)
-    inv_l = np.linalg.inv(chol)
-    reduced = inv_l @ A @ inv_l.T
-    evals, evecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    tau_min = float(evals[0])
-    coeff = inv_l.T @ evecs[:, 0]
-    coeff = coeff / np.max(np.abs(coeff))
-    rho = (tau_min - gamma) / gamma
+    coeff = evecs[:, 0] / np.max(np.abs(evecs[:, 0]))
     return RitzResult(
-        min_eigenvalue=rho,
+        min_eigenvalue=(float(evals[0]) - gamma) / gamma,
         coefficients=coeff,
         basis_size=J,
-        gram_condition=gram_condition,
+        gram_condition=1.0,
     )
-
-
-#: Ritz basis sizes tried in turn by `ritz_min_eig_fallback`.
-FALLBACK_BASES = (16, 12, 8, 4)
-
-
-def ritz_min_eig_fallback(k: int, p: Params) -> RitzResult:
-    """`ritz_min_eig` at the first size in FALLBACK_BASES whose Gram conditions.
-
-    Deep in the strip M grows and the Gram matrix degrades; the last
-    size's ConditioningError propagates.
-    """
-    for J in FALLBACK_BASES[:-1]:
-        try:
-            return ritz_min_eig(k, p, J)
-        except ConditioningError:
-            pass
-    return ritz_min_eig(k, p, FALLBACK_BASES[-1])
 
 
 def fs_locate(N: int, alpha: float, tol: float) -> float:
@@ -252,13 +250,11 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     few ulps of beta).  Requires alpha > 0 (the transition leaves the
     admissible strip otherwise).
 
-    Every step solves the smallest basis, J = FALLBACK_BASES[-1].  On the
-    curve nu_1 = 1, so the first basis function s (1+s^2)^(-(M-2)/2) is the
-    exact mode-1 ground state: rho_J vanishes there for every J, and the
-    root does not depend on the basis.  Elsewhere Rayleigh-Ritz keeps rho_J
-    at or above the true rho_1.  Exact assembly makes B_4 the leading block
-    of B_J, and by interlacing cond(B_4) <= cond(B_J): the smallest basis
-    conditions wherever a larger one does.
+    Every step solves the smallest basis, J = 4.  On the curve nu_1 = 1,
+    so the first basis function s (1+s^2)^(-(M-2)/2) is the exact mode-1
+    ground state: rho_J vanishes there for every J, and the root does not
+    depend on the basis.  Elsewhere Rayleigh-Ritz keeps rho_J at or above
+    the true rho_1.
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
@@ -270,7 +266,7 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:
-        return ritz_min_eig(1, validate(N, alpha, beta), FALLBACK_BASES[-1]).min_eigenvalue
+        return ritz_min_eig(1, validate(N, alpha, beta), 4).min_eigenvalue
 
     rho_lo = rho_at(lo)
     rho_hi = rho_at(hi)

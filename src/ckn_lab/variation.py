@@ -28,7 +28,7 @@ import numpy as np
 from .params import Params, RegionClass, beta_fs, classify, derive, harmonic_eigenvalue, sphere_area
 from .profiles import PowerPeakProfile, extremal, kernel_mode, s_r_closed
 from .quadrature import AccuracyError, integrate_semiinfinite, mode_energy, norm_sq, power_weighted
-from .spectral import ritz_min_eig_fallback
+from .spectral import ritz_min_eig
 from .specfun import DomainError, beta_fn
 
 __all__ = [
@@ -179,7 +179,7 @@ class BreakingCertificate:
     directional_quotient: float
     eps: float
     ritz_rho1: float
-    ritz_basis_size: int  # Ritz basis size used after fallback
+    ritz_basis_size: int  # Ritz basis size solved, always 16
     verdict: Verdict
     expected: Verdict
     witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
@@ -205,7 +205,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
 
     Witnesses (independent code paths): the factored second variation,
     the measured quotient drop I(U+eps Z) - S_r, and the least mode-1
-    Ritz eigenvalue at the first basis size that conditions.  Each is
+    Ritz eigenvalue in a basis of 16 functions.  Each is
     reduced to a sign with dead zone `tol` (the quotient drop is compared
     against tol * S_r * eps^2, its natural second-order scale).
     All-negative yields Breaking, all-positive NotBreaking, zeros without
@@ -221,7 +221,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     sv = second_variation(p)
     s_r = s_r_closed(p)
     quotient = directional_quotient(p, eps)
-    ritz = ritz_min_eig_fallback(1, p)
+    ritz = ritz_min_eig(1, p, 16)
     rho1 = ritz.min_eigenvalue
 
     def sign_with_dead_zone(x: float, threshold: float) -> int:

@@ -203,14 +203,14 @@ def test_unwritable_output_is_io_failure():
     assert code == 3
 
 
-def test_certify_falls_back_to_a_smaller_ritz_basis(capsys):
-    """At M = 42 the J = 16 Gram does not condition; J = 12 answers."""
+def test_certify_solves_the_full_ritz_basis_deep_in_the_strip(capsys):
+    """At M = 42 the Ritz witness solves J = 16, with no smaller fallback."""
     _, out, err = run(
         capsys, "certify", "--N", "5", "--alpha", "1", "--beta=-0.8", "--json"
     )
     assert "verification failure" not in err
     record = json.loads(out)
-    assert record["ritz_basis_size"] == 12
+    assert record["ritz_basis_size"] == 16
     assert record["ritz_rho1"] == pytest.approx(2.2204, abs=1e-4)
     assert record["witness_signs"][2] == 1
 

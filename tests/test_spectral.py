@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import legendre
+from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
 from ckn_lab.params import beta_fs, derive, validate
@@ -15,17 +15,16 @@ from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
-    FALLBACK_BASES,
     BracketError,
-    ConditioningError,
     _gauss_jacobi,
-    _legendre_tables,
+    _jacobi_recurrence,
+    _orthonormal_jacobi,
     _potential_constant,
     fs_locate,
     mode_data,
+    mode_eigenvalue,
     mode_quadratic_form,
     ritz_min_eig,
-    ritz_min_eig_fallback,
 )
 from ckn_lab.verify import EXTREMALITY_POINTS
 
@@ -145,39 +144,55 @@ def test_ritz_minimum_is_monotone_in_basis_size(p511):
     assert rho20 <= rho16 + 1e-10
 
 
+def _jacobi_polynomials(J, a, b):
+    """p_0..p_(J-1) as numpy Polynomials in w, by the orthonormal recurrence."""
+    diag, off = _jacobi_recurrence(J, a, b)
+    w = Polynomial([0.0, 1.0])
+    polys = [Polynomial([1.0]), (w - diag[0]) / off[0]]
+    for j in range(1, J - 1):
+        polys.append(((w - diag[j]) * polys[j] - off[j - 1] * polys[j - 1]) / off[j])
+    return polys[:J]
+
+
+@pytest.mark.parametrize(("M", "k"), [(6.0, 1), (11.3, 2), (301.75, 1)])
+def test_orthonormal_jacobi_values_and_derivatives(M, k):
+    """The recurrence's p_j, p_j', p_j'' against the same recurrence on Polynomials."""
+    a, b = M / 2.0 - k + 1.0, M / 2.0 + k - 1.0
+    w = np.linspace(-0.95, 0.95, 11)
+    vals = _orthonormal_jacobi(w, 8, a, b, order=2)
+    assert vals.shape == (8, 3, 11)
+    for j, poly in enumerate(_jacobi_polynomials(8, a, b)):
+        for r in range(3):
+            expected = poly.deriv(r)(w)
+            assert np.max(np.abs(vals[j, r] - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("M", [6.0, 11.3, 24.0, 301.75, 3002.0, 3e7])
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("J", [4, 16])
-def test_legendre_tables_are_shared_and_read_only(J):
-    tables = _legendre_tables(J)
-    assert _legendre_tables(J) is tables
-    unit = np.eye(J)
-    for table, fresh in zip(tables, (unit, legendre.legder(unit), legendre.legder(unit, 2))):
-        np.testing.assert_array_equal(table, fresh)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+def test_ritz_basis_is_orthonormal_for_the_potential_weight(M, k, J):
+    """B = I in the Ritz basis: the premise that lets `ritz_min_eig` skip B.
 
-
-def test_ritz_gram_failure_is_reported_before_assembling_the_operator(p511, monkeypatch):
-    """The J = 16 basis at (8, 1, -0.95) cannot condition; the error is unchanged.
-
-    Only B's quadrature rule is built before the error: the second rule,
-    for the operator matrix A, is never asked for.
+    B's integrand in w is (1-w)^a (1+w)^b p_i p_j up to a constant, and
+    an (a, b) Gauss-Jacobi rule with J + 2 nodes integrates it exactly.
     """
-    rules = []
+    a, b = M / 2.0 - k + 1.0, M / 2.0 + k - 1.0
+    w, weights = _gauss_jacobi(J + 2, a, b)
+    p = _orthonormal_jacobi(w, J, a, b)[:, 0]
+    gram = (p * weights) @ p.T
+    assert np.max(np.abs(gram - np.eye(J))) <= 1e-12
 
-    def counted(n, a, b):
-        rules.append((a, b))
-        return _gauss_jacobi(n, a, b)
 
-    monkeypatch.setattr(spectral, "_gauss_jacobi", counted)
-    ritz_min_eig(1, p511, 16)
-    assert len(rules) == 2
-    rules.clear()
-    with pytest.raises(ConditioningError) as info:
-        ritz_min_eig(1, validate(8, 1.0, -0.95), 16)
-    assert str(info.value) == (
-        "Gram condition 6.420e+18 exceeds 1e+12 at basis size 16; retry with smaller J"
-    )
-    assert len(rules) == 1
+def test_ritz_conditions_where_the_legendre_gram_did_not():
+    """At (8, 1, -0.95), M = 282, a J = 16 Legendre Gram had condition 6e18;
+    the orthonormal basis answers there, on the closed form, without warnings."""
+    p = validate(8, 1.0, -0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ritz_min_eig(1, p, 16)
+    assert res.basis_size == 16
+    assert res.gram_condition == 1.0
+    assert res.min_eigenvalue == pytest.approx(mode_eigenvalue(1, p), rel=1e-10)
 
 
 def test_ritz_rejects_tiny_basis(p511):
@@ -201,23 +216,28 @@ def test_gauss_jacobi_matches_scipy(n, M, k, shift):
     """Golub-Welsch nodes and weights for the Ritz exponents, against scipy."""
     roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
     a, b = M / 2.0 - k + 1.0 - shift, M / 2.0 + k - 1.0 - shift
-    nodes, v0sq, log_mu0 = _gauss_jacobi(n, a, b)
+    nodes, normalized = _gauss_jacobi(n, a, b)
     ref_nodes, ref_weights = roots_jacobi(n, a, b)
-    weights = math.exp(log_mu0) * v0sq
+    log_mu0 = (a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
+    weights = math.exp(log_mu0 - math.lgamma(a + b + 2)) * normalized
     assert np.max(np.abs(nodes - ref_nodes)) < 1e-13
-    assert math.fsum(v0sq) == pytest.approx(1.0, rel=1e-13)
+    assert math.fsum(normalized) == pytest.approx(1.0, rel=1e-13)
     assert np.max(np.abs(weights - ref_weights)) < 1e-12 * np.max(ref_weights)
 
 
 def _ritz_profile(coefficients, k, m):
-    """sum_j c_j s^k (1+s^2)^(-(M-2)/2) P_j(w) as a PowerPeakProfile."""
+    """sum_j c_j s^k (1+s^2)^(-(M-2)/2) p_j(w) as a PowerPeakProfile.
+
+    p_j are expanded into powers of w by the orthonormal recurrence, and
+    w^i = (s^2-1)^i (1+s^2)^(-i) term by term.
+    """
     half = (m - 2.0) / 2.0
+    polys = _jacobi_polynomials(len(coefficients), m / 2.0 - k + 1.0, m / 2.0 + k - 1.0)
+    combined = sum((c * poly for c, poly in zip(coefficients, polys)), Polynomial([0.0]))
     terms = []
-    for j, c in enumerate(coefficients):
-        for i, a_i in enumerate(legendre.leg2poly(np.eye(j + 1)[-1])):
-            for t in range(i + 1):
-                coeff = c * a_i * math.comb(i, t) * (-1.0) ** (i - t)
-                terms.append((coeff, k + 2 * t, -half - i))
+    for i, a_i in enumerate(combined.coef):
+        for t in range(i + 1):
+            terms.append((a_i * math.comb(i, t) * (-1.0) ** (i - t), k + 2 * t, -half - i))
     return PowerPeakProfile(terms, sigma=2, nu=1.0)
 
 
@@ -227,8 +247,8 @@ def _ritz_profile(coefficients, k, m):
 def test_ritz_matches_adaptive_rayleigh_quotient(N, alpha, beta, J):
     """The Ritz minimizer's Rayleigh quotient, by adaptive quadrature in s.
 
-    (8, 0.1, -1.8593) sits at M ~ 302, where only the smallest basis
-    conditions and the integrands are sharply peaked.
+    (8, 0.1, -1.8593) sits at M ~ 302, where the integrands are sharply
+    peaked.
     """
     p = validate(N, alpha, beta)
     m = derive(p).M
@@ -265,11 +285,7 @@ def test_ritz_vanishes_on_the_curve_at_every_basis_size(N):
     for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         p = validate(N, alpha, beta_fs(N, alpha))
         for J in (4, 8, 12, 16):
-            try:
-                rho = ritz_min_eig(1, p, J).min_eigenvalue
-            except ConditioningError:
-                continue
-            assert abs(rho) <= 1e-12
+            assert abs(ritz_min_eig(1, p, J).min_eigenvalue) <= 1e-12
 
 
 @pytest.mark.parametrize("point", EXTREMALITY_POINTS)
@@ -278,8 +294,49 @@ def test_smallest_ritz_basis_bounds_the_larger_from_above(point):
     p = validate(*point)
     assert (
         ritz_min_eig(1, p, 4).min_eigenvalue
-        >= ritz_min_eig_fallback(1, p).min_eigenvalue - 1e-12
+        >= ritz_min_eig(1, p, 16).min_eigenvalue - 1e-12
     )
+
+
+LOWER_EDGE_POINTS = ((5, 0.1, -1.89793), (8, 0.1, -1.8593), (8, 1.0, -0.95))
+
+
+@pytest.mark.parametrize("point", EXTREMALITY_POINTS + LOWER_EDGE_POINTS)
+def test_ritz_falls_to_the_closed_form_from_above(point):
+    """Rayleigh-Ritz: rho_J >= mode_eigenvalue, and rho_J does not rise with J."""
+    p = validate(*point)
+    m = derive(p).M
+    for k in (1, 2, 3):
+        if m <= 2 * k:  # the mode's form diverges on the Ritz basis
+            continue
+        rho = mode_eigenvalue(k, p)
+        slack = 1e-12 * max(1.0, abs(rho))
+        ritz = [ritz_min_eig(k, p, J).min_eigenvalue for J in (4, 8, 16)]
+        assert min(ritz) >= rho - slack
+        assert ritz[1] <= ritz[0] + slack
+        assert ritz[2] <= ritz[1] + slack
+
+
+@pytest.mark.parametrize("point", LOWER_EDGE_POINTS)
+def test_ritz_matches_the_closed_form_at_the_lower_edge(point):
+    p = validate(*point)
+    assert ritz_min_eig(1, p, 16).min_eigenvalue == pytest.approx(
+        mode_eigenvalue(1, p), rel=1e-10
+    )
+
+
+def test_mode_eigenvalue_special_values(p511):
+    """Kernel on the curve (k = 1, j = 0) and the dilation (k = 0, j = 1)."""
+    on_curve = validate(5, 1.0, beta_fs(5, 1.0))
+    assert abs(mode_eigenvalue(1, on_curve)) <= 1e-15
+    m = derive(p511).M
+    assert mode_eigenvalue(0, p511) == pytest.approx(-8.0 / (m + 4.0), rel=1e-14)
+    assert abs(mode_eigenvalue(0, p511, 1)) <= 1e-15
+    assert mode_eigenvalue(1, p511) < 0.0 < mode_eigenvalue(2, p511)
+    # defined also where the Ritz basis rejects the mode (M = 6 <= 2k)
+    assert mode_eigenvalue(4, p511) > mode_eigenvalue(3, p511)
+    with pytest.raises(DomainError):
+        mode_eigenvalue(1, p511, -1)
 
 
 def test_fs_locate_matches_closed_form(monkeypatch):
@@ -295,7 +352,7 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
         assert 2 <= len(calls) <= 10
-        assert all(J == FALLBACK_BASES[-1] for _, _, J in calls)
+        assert all(J == 4 for _, _, J in calls)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])
