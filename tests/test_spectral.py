@@ -151,7 +151,7 @@ def _jacobi_polynomials(J, a, b):
     polys = [Polynomial([1.0]), (w - diag[0]) / off[0]]
     for j in range(1, J - 1):
         polys.append(((w - diag[j]) * polys[j] - off[j - 1] * polys[j - 1]) / off[j])
-    return polys[:J]
+    return polys
 
 
 @pytest.mark.parametrize(("M", "k"), [(6.0, 1), (11.3, 2), (301.75, 1)])
@@ -174,7 +174,8 @@ def test_ritz_basis_is_orthonormal_for_the_potential_weight(M, k, J):
     """B = I in the Ritz basis: the premise that lets `ritz_min_eig` skip B.
 
     B's integrand in w is (1-w)^a (1+w)^b p_i p_j up to a constant, and
-    an (a, b) Gauss-Jacobi rule with J + 2 nodes integrates it exactly.
+    an (a, b) Gauss-Jacobi rule with J + 2 nodes integrates it exactly
+    (`test_gauss_jacobi_matches_scipy` checks the rule itself).
     """
     a, b = M / 2.0 - k + 1.0, M / 2.0 + k - 1.0
     w, weights = _gauss_jacobi(J + 2, a, b)
@@ -322,6 +323,17 @@ def test_ritz_matches_the_closed_form_at_the_lower_edge(point):
     p = validate(*point)
     assert ritz_min_eig(1, p, 16).min_eigenvalue == pytest.approx(
         mode_eigenvalue(1, p), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("depth", [1e-5, 1e-9, 1e-13])
+@pytest.mark.parametrize(("N", "alpha"), [(5, 0.1), (8, 1.0)])
+def test_ritz_stays_on_the_closed_form_deep_in_the_strip(N, alpha, depth):
+    """beta = alpha - 2 + depth puts M between 6e5 and 1.4e14; the weight
+    masses must enter as their exact ratio, not as a difference of lgammas."""
+    p = validate(N, alpha, alpha - 2.0 + depth)
+    assert ritz_min_eig(1, p, 16).min_eigenvalue == pytest.approx(
+        mode_eigenvalue(1, p), rel=1e-12
     )
 
 
