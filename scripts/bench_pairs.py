@@ -75,7 +75,9 @@ TRACE_KEYS = (
     "spectral.ritz_min_eig.useful_ratio",
     "spectral.ritz_min_eig.basis_size_mean",
     "spectral.ritz_min_eig.gram_condition_max",
+    "spectral.ritz_min_eig.ms_p50",
     "spectral.fs_locate.self_ms",
+    "spectral.fs_locate.ritz_per_call",
     "quadrature.integrate_semiinfinite.self_ms",
     "quadrature.integrate_semiinfinite.calls",
     "quadrature.integrate_semiinfinite.nodes",

@@ -72,17 +72,16 @@ class RitzResult:
     gram_condition: float
 
 
-def mode_data(k: int, p: Params) -> ModeData:
+def _mode_lambda(k: int, N: int) -> float:
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
+    return harmonic_eigenvalue(N, k)
+
+
+def mode_data(k: int, p: Params) -> ModeData:
     N = p.N
-    lam = harmonic_eigenvalue(N, k)
-    if k == 0:
-        mult = 1
-    else:
-        mult = (N + 2 * k - 2) * math.factorial(N + k - 3) // (
-            math.factorial(N - 2) * math.factorial(k)
-        )
+    lam = _mode_lambda(k, N)
+    mult = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
     m = derive(p).M
     return ModeData(k=k, lambda_k=lam, l_k=mult, varpi_k=float(k) * (m - 2.0 + k))
 
@@ -101,7 +100,7 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     """
     d = derive(p)
     m = d.M
-    lead = mode_energy(X, m - 1.0, d.q**2 * mode_data(k, p).lambda_k, m - 1.0)
+    lead = mode_energy(X, m - 1.0, d.q**2 * _mode_lambda(k, p.N), m - 1.0)
 
     def potential_part(s):
         return power_weighted(X.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
@@ -126,7 +125,7 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
         raise DomainError(f"eigenvalue index must be >= 0, got {j}")
     d = derive(p)
     m = d.M
-    qql = d.q**2 * mode_data(k, p).lambda_k
+    qql = d.q**2 * _mode_lambda(k, p.N)
     nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
     shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
     return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
@@ -141,15 +140,14 @@ def _jacobi_recurrence(n: int, a: float, b: float):
 
     For the weight (1-w)^a (1+w)^b normalized to unit mass:
     w p_j = off[j] p_(j+1) + diag[j] p_j + off[j-1] p_(j-1), p_0 = 1.
-    Returns diag (length n) and off (length n-1), the Jacobi matrix.
+    Returns diag (length n) and off (length n-1), the Jacobi matrix, from
+    scalar steps: n <= 22 for every caller, too few for numpy to pay off.
     """
-    i = np.arange(n, dtype=float)
-    t = 2.0 * i + a + b
-    diag = (b - a) * (b + a) / (t * (t + 2.0))
-    i, t = i[1:], t[1:]
-    off = np.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b))
-    off /= np.sqrt(t * t * (t + 1.0) * (t - 1.0))
-    return diag, off
+    t = [2.0 * i + a + b for i in range(n)]
+    diag = [(b - a) * (b + a) / (u * (u + 2.0)) for u in t]
+    off = [math.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b)) / math.sqrt(u * u * (u + 1.0) * (u - 1.0))
+           for i, u in enumerate(t[1:], 1)]
+    return np.array(diag), np.array(off)
 
 
 def _orthonormal_jacobi(w: np.ndarray, n: int, a: float, b: float, order: int = 0) -> np.ndarray:
@@ -159,12 +157,16 @@ def _orthonormal_jacobi(w: np.ndarray, n: int, a: float, b: float, order: int = 
     it over to the derivatives.
     """
     diag, off = _jacobi_recurrence(n, a, b)
+    shifted, off = w - diag[:, None], off.tolist()
     rise = np.arange(1.0, order + 1.0)[:, None]
     vals = np.zeros((n, order + 1, w.size))
     vals[0, 0] = 1.0
     for j in range(n - 1):
-        step = (w - diag[j]) * vals[j] - (off[j - 1] * vals[j - 1] if j else 0.0)
-        step[1:] += rise * vals[j, :order]
+        step = shifted[j] * vals[j]
+        if j:
+            step -= off[j - 1] * vals[j - 1]
+        if order:
+            step[1:] += rise * vals[j, :order]
         vals[j + 1] = step / off[j]
     return vals
 
@@ -174,15 +176,23 @@ def _gauss_jacobi(n: int, a: float, b: float):
 
     Golub-Welsch: nodes are the eigenvalues of the recurrence's Jacobi
     matrix.  The weights, normalized to sum 1, are the Christoffel numbers
-    1 / sum_j p_j(w)^2, which keep their relative accuracy where the
-    squared eigenvector components would not (the tail nodes of a
-    skewed weight).  Returns the nodes and the weights divided by the
-    mass of the weight function.
+    1 / sum_j p_j(w)^2, summed over j along each node's scalar recurrence;
+    they keep their relative accuracy where the squared eigenvector
+    components would not (the tail nodes of a skewed weight).  Returns the
+    nodes and the weights divided by the mass of the weight function.
     """
     diag, off = _jacobi_recurrence(n, a, b)
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    values = _orthonormal_jacobi(nodes, n, a, b)[:, 0]
-    return nodes, 1.0 / np.sum(values * values, axis=0)
+    jacobi = np.diag(diag)
+    jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
+    nodes = np.linalg.eigvalsh(jacobi)
+    steps = list(zip(diag.tolist(), [0.0, *off.tolist()], off.tolist()))
+    sums = [1.0] * n
+    for i, x in enumerate(nodes.tolist()):
+        prev, cur = 0.0, 1.0
+        for centre, below, above in steps:
+            prev, cur = cur, ((x - centre) * cur - below * prev) / above
+            sums[i] += cur * cur
+    return nodes, 1.0 / np.array(sums)
 
 
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
@@ -208,7 +218,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
         raise DomainError(f"basis size must be >= 4, got {J}")
     d = derive(p)
     m = d.M
-    qql = d.q**2 * mode_data(k, p).lambda_k
+    qql = d.q**2 * _mode_lambda(k, p.N)
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
         raise DomainError(

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -52,6 +52,18 @@ def test_mode_data_combinatorics(N, k):
     )
     assert data.l_k == expected_l
     assert data.l_k >= 1
+
+
+def test_negative_mode_index_is_a_domain_error(p511):
+    _, x1 = _x_modes(derive(p511).M)
+    for compute in (
+        lambda: mode_data(-1, p511),
+        lambda: mode_eigenvalue(-1, p511),
+        lambda: mode_quadratic_form(x1, -1, p511),
+        lambda: ritz_min_eig(-1, p511, 4),
+    ):
+        with pytest.raises(DomainError, match="mode index"):
+            compute()
 
 
 def test_multiplicity_small_modes(p511):
@@ -226,6 +238,201 @@ def test_gauss_jacobi_matches_scipy(n, M, k, shift):
     assert np.max(np.abs(weights - ref_weights)) < 1e-12 * np.max(ref_weights)
 
 
+def _jacobi_recurrence_by_arrays(n, a, b):
+    i = np.arange(n, dtype=float)
+    t = 2.0 * i + a + b
+    diag = (b - a) * (b + a) / (t * (t + 2.0))
+    i, t = i[1:], t[1:]
+    off = np.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b))
+    off /= np.sqrt(t * t * (t + 1.0) * (t - 1.0))
+    return diag, off
+
+
+def _orthonormal_jacobi_by_arrays(w, n, a, b, order=0):
+    diag, off = _jacobi_recurrence_by_arrays(n, a, b)
+    rise = np.arange(1.0, order + 1.0)[:, None]
+    vals = np.zeros((n, order + 1, w.size))
+    vals[0, 0] = 1.0
+    for j in range(n - 1):
+        step = (w - diag[j]) * vals[j] - (off[j - 1] * vals[j - 1] if j else 0.0)
+        step[1:] += rise * vals[j, :order]
+        vals[j + 1] = step / off[j]
+    return vals
+
+
+def _gauss_jacobi_by_arrays(n, a, b):
+    diag, off = _jacobi_recurrence_by_arrays(n, a, b)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    values = _orthonormal_jacobi_by_arrays(nodes, n, a, b)[:, 0]
+    return nodes, 1.0 / np.sum(values * values, axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_m=st.floats(min_value=math.log10(4.5), max_value=16.0),
+    k=st.integers(min_value=0, max_value=3),
+    shift=st.sampled_from([0.0, 2.0]),
+    n=st.integers(min_value=2, max_value=22),
+    order=st.integers(min_value=0, max_value=2),
+    w=st.lists(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=24),
+)
+def test_ritz_kernels_match_the_array_loops_bit_for_bit(log_m, k, shift, n, order, w):
+    """The scalar kernels repeat the array loops' floating-point operations
+    in the same order, so they agree exactly; numpy's axis-0 sum adds the
+    squares row by row, as the Christoffel sums do in increasing j.  The
+    exponents are those of either Ritz rule wherever the mode is admissible."""
+    m = 10.0**log_m
+    a, b = m / 2.0 - k + 1.0 - shift, m / 2.0 + k - 1.0 - shift
+    assume(min(a, b) > -1.0)
+    w = np.array(sorted(w))
+    for got, expected in (
+        (_jacobi_recurrence(n, a, b), _jacobi_recurrence_by_arrays(n, a, b)),
+        ((_orthonormal_jacobi(w, n, a, b, order),), (_orthonormal_jacobi_by_arrays(w, n, a, b, order),)),
+        (_gauss_jacobi(n, a, b), _gauss_jacobi_by_arrays(n, a, b)),
+    ):
+        for x, y in zip(got, expected):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def _hex(values):
+    return " ".join(float(v).hex() for v in values)
+
+
+# Pinned bit for bit: the (a-2, b-2) rule that assembles A and the Ritz
+# solutions, as the array loops computed them.
+@pytest.mark.parametrize(
+    ("n", "M", "k", "nodes", "weights"),
+    [
+        (
+            6,
+            6.0,
+            1,
+            (
+                "-0x1.be54b988eafaap-1 -0x1.2ef3538095d14p-1 -0x1.aca5117fc1966p-3 0x1.aca5117fc1956p-3 "
+                "0x1.2ef3538095d16p-1 0x1.be54b988eafa9p-1"
+            ),
+            (
+                "0x1.36c91657f86f3p-5 0x1.54850cf8d32b3p-3 0x1.2ee456b8975c9p-2 0x1.2ee456b8975cbp-2 "
+                "0x1.54850cf8d32aep-3 0x1.36c91657f86f9p-5"
+            ),
+        ),
+        (
+            18,
+            301.75,
+            2,
+            (
+                "-0x1.8581170e5b52cp-2 -0x1.4a7c4995a9e95p-2 -0x1.174463a125e00p-2 -0x1.cf7f4552487bcp-3 "
+                "-0x1.74c9ec3c75c02p-3 -0x1.1cd69824bf539p-3 -0x1.8d6285ec37573p-4 -0x1.c6ca0179c1fdap-5 "
+                "-0x1.d5a82edba1526p-7 0x1.b61879f94d46fp-6 0x1.161927e296cdfp-4 0x1.bfdc18a8c4714p-4 "
+                "0x1.35e68450e2150p-3 0x1.8d9c162523b96p-3 0x1.e8008f765ecb9p-3 0x1.235117cb4686bp-2 "
+                "0x1.5645b218b4602p-2 0x1.90edca907832cp-2"
+            ),
+            (
+                "0x1.13bb069f69b35p-36 0x1.ebacb2f578b61p-27 0x1.fa95d05f09289p-20 0x1.46b5eb2c3280cp-14 "
+                "0x1.66c95b56fa7d8p-10 0x1.8951f76374c5ap-7 0x1.d801db5a86d66p-5 0x1.47ba2622872f3p-3 "
+                "0x1.0fe0f57a4ce38p-2 0x1.117ed67111bc2p-2 0x1.4d9f2d557f1a3p-3 0x1.e64eee1e11aadp-5 "
+                "0x1.9a3aa2a8ae3dep-7 0x1.7af3846c5eb94p-10 0x1.5da029c2e92fdp-14 0x1.12dabd2a4d799p-19 "
+                "0x1.0edc7ebd3ba04p-26 0x1.354da5ae60927p-36"
+            ),
+        ),
+        (
+            18,
+            30000000.0,
+            1,
+            (
+                "-0x1.55b323034a8ddp-10 -0x1.1f88f162033d2p-10 -0x1.e3c870b7b3adcp-11 "
+                "-0x1.90e21b98bb5a2p-11 -0x1.4308da5b3dafdp-11 -0x1.f0f42ca05bd8ep-12 "
+                "-0x1.60367534f6384p-12 -0x1.a48f59a553835p-13 -0x1.17b1dc9d09251p-14 "
+                "0x1.17b1dc9d09254p-14 0x1.a48f59a553831p-13 0x1.60367534f6380p-12 0x1.f0f42ca05bd8ep-12 "
+                "0x1.4308da5b3dafbp-11 0x1.90e21b98bb5a5p-11 0x1.e3c870b7b3adcp-11 0x1.1f88f162033d6p-10 "
+                "0x1.55b323034a8ddp-10"
+            ),
+            (
+                "0x1.36cb510ff75f4p-38 0x1.95d37c2872b58p-28 0x1.123908ce99618p-20 0x1.b285f1a754cdep-15 "
+                "0x1.174faf4c66d23p-10 0x1.589b169ff69f9p-7 0x1.c1b6a90f42590p-5 0x1.491561ac59debp-3 "
+                "0x1.1754788046ef8p-2 0x1.1754788046ef8p-2 0x1.491561ac59df0p-3 0x1.c1b6a90f4259fp-5 "
+                "0x1.589b169ff69f9p-7 0x1.174faf4c66d3ap-10 0x1.b285f1a754c9ep-15 0x1.123908ce99618p-20 "
+                "0x1.95d37c2872a8ep-28 0x1.36cb510ff75f4p-38"
+            ),
+        ),
+    ],
+    ids=["M6", "M301.75", "M3e7"],
+)
+def test_gauss_jacobi_is_pinned(n, M, k, nodes, weights):
+    got_nodes, got_weights = _gauss_jacobi(n, M / 2.0 - k - 1.0, M / 2.0 + k - 3.0)
+    assert (_hex(got_nodes), _hex(got_weights)) == (nodes, weights)
+
+
+@pytest.mark.parametrize(
+    ("k", "point", "J", "rho", "coefficients"),
+    [
+        (
+            1,
+            (5, 1.0, 1.0),
+            4,
+            "-0x1.9fdbfbd680f22p-3",
+            "0x1.0000000000000p+0 0x1.d80ee60dbbd24p-52 0x1.014b6e433e85dp-6 -0x1.dedfe8b2daa9cp-53",
+        ),
+        (
+            1,
+            (5, 1.0, 1.0),
+            16,
+            "-0x1.a0738bdc7b6ebp-3",
+            (
+                "0x1.0000000000000p+0 -0x1.560bd467d3a36p-52 0x1.07eacdf934bb0p-6 -0x1.b3019bff06764p-55 "
+                "0x1.95c6afce3e573p-9 0x1.e33cb7fbed107p-55 0x1.02eb4757662ddp-10 -0x1.966b610c35d66p-54 "
+                "0x1.a9513e0f7d022p-12 -0x1.20402bbe6d42cp-56 0x1.976281ff9fb0fp-13 "
+                "-0x1.7de4ef891b03cp-55 0x1.b048a599bcc59p-14 0x1.210c59e95c060p-54 "
+                "0x1.ec442f851aa8dp-15 -0x1.943fe1832fbecp-55"
+            ),
+        ),
+        (
+            2,
+            (5, 1.0, beta_fs(5, 1.0)),
+            16,
+            "0x1.e6005d38278cap+0",
+            (
+                "0x1.0000000000000p+0 -0x1.9ec6f799512b1p-2 -0x1.6c3ec23ba96acp-8 0x1.eefd4c26bab1dp-9 "
+                "-0x1.4a0b9f7315732p-11 0x1.1549cbad253f0p-11 -0x1.210dc5f0d08f4p-13 "
+                "0x1.12fe3073bb558p-13 -0x1.60609336b377ep-15 0x1.6d05d03b2c553p-15 "
+                "-0x1.077cb512d3ea2p-16 0x1.245d362bd7a14p-16 -0x1.c34d39e36ef43p-18 "
+                "0x1.0d839d89b84adp-17 -0x1.a4b80e49327eap-19 0x1.191227589c5dap-18"
+            ),
+        ),
+        (
+            1,
+            (5, 0.1, -1.89793),
+            16,
+            "0x1.8512da53d441dp+2",
+            (
+                "0x1.0000000000000p+0 -0x1.6151e2b2809fbp-44 -0x1.5b615d22b479cp-3 "
+                "-0x1.4bea2052c424cp-45 0x1.1fe7420f64bbbp-5 0x1.567751e18c0d8p-44 -0x1.f5b68b20846e0p-8 "
+                "-0x1.59cf639c99f45p-44 0x1.bec4223d4ad26p-10 0x1.326fb5143f872p-44 "
+                "-0x1.9256886bbe566p-12 -0x1.c14c461cb073cp-45 0x1.6b856af8a19fcp-14 "
+                "0x1.1614169c1a730p-45 -0x1.37d110043fcb4p-16 -0x1.08a3938f6f5b5p-46"
+            ),
+        ),
+        (
+            1,
+            (8, 1.0, -1.0 + 1e-13),
+            16,
+            "0x1.7829cbc14e322p+0",
+            (
+                "0x1.0000000000000p+0 0x1.3af8dea61b7a8p-9 -0x1.3dddba046992ap-4 0x1.3cc5561bb36b5p-11 "
+                "0x1.f757548c9f247p-8 -0x1.3735b2cea37abp-10 -0x1.74f8c76b8c83dp-10 "
+                "0x1.fc2d19b4864bcp-11 0x1.90ffa0e0d14a5p-11 -0x1.3fb4012d16a23p-11 "
+                "-0x1.ffc2d4091985cp-12 0x1.201bb006e5732p-12 0x1.9f0bd16da244bp-13 "
+                "-0x1.595fbba377cd9p-13 -0x1.eed16e3aef661p-14 0x1.a71ccb47dd754p-13"
+            ),
+        ),
+    ],
+    ids=["511_J4", "511_J16", "k2_on_curve", "lower_edge_N5", "lower_edge_N8"],
+)
+def test_ritz_solution_is_pinned(k, point, J, rho, coefficients):
+    res = ritz_min_eig(k, validate(*point), J)
+    assert (res.min_eigenvalue.hex(), _hex(res.coefficients)) == (rho, coefficients)
+
+
 def _ritz_profile(coefficients, k, m):
     """sum_j c_j s^k (1+s^2)^(-(M-2)/2) p_j(w) as a PowerPeakProfile.
 
@@ -359,10 +566,11 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         return ritz_min_eig(*args)
 
     monkeypatch.setattr(spectral, "ritz_min_eig", counted)
-    for N, alpha in ((5, 1.0), (6, 2.0)):
+    for N, alpha, pinned in ((5, 1.0, "0.6568530606586875"), (6, 2.0, "1.4833145210181031")):
         calls.clear()
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
+        assert repr(located) == pinned
         assert 2 <= len(calls) <= 10
         assert all(J == 4 for _, _, J in calls)
 
