@@ -82,6 +82,9 @@ TRACE_KEYS = (
     "quadrature.integrate_semiinfinite.calls",
     "quadrature.integrate_semiinfinite.nodes",
     "variation.directional_quotient.self_ms",
+    "profiles.PowerPeakProfile.constructed",
+    "profiles.algebra.self_ms",
+    "profiles.euler_lagrange_residual.ms_p50",
 )
 
 

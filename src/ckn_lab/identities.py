@@ -10,7 +10,7 @@ factor, which therefore cancels and is omitted throughout.
 Mode-k reduction rules used below, for u = f(r) Y_k and lam_k =
 `harmonic_eigenvalue(N, k)`:
 
-    div(|x|^a grad u)    -> r^a mode_operator(f, r, N-1+a, lam_k)   (a = 0: Delta u)
+    div(|x|^a grad u)    -> r^a mode_operator(f.jet(r, 2), r, N-1+a, lam_k)   (a = 0: Delta u)
     |grad u|^2           -> (f')^2 + lam_k f^2/r^2
     x . grad u           -> r f'
 """
@@ -135,7 +135,8 @@ def check_cross_term_identity(u: TestFunction, p: Params) -> float:
     base = 2.0 * p.alpha - p.beta + p.N - 1.0
 
     def lhs_fn(r):
-        return signed_weighted(-mode_operator(f, r, drift, 0.0) * f.eval(r), r, base - 2.0)
+        jet = f.jet(r, 2)
+        return signed_weighted(-mode_operator(jet, r, drift, 0.0) * jet[0], r, base - 2.0)
 
     def zeroth_fn(r):
         return power_weighted(f.eval(r), r, 2.0, base - 4.0)
@@ -164,11 +165,12 @@ def check_divergence_expansion(u: TestFunction, p: Params) -> float:
     if p.alpha == 0.0:
         rhs = pure
     else:
-        cross = _integral(
-            lambda r: signed_weighted(
-                mode_operator(f, r, p.N - 1.0, lam) * f.deriv(r, 1), r, base - 1.0
-            )
-        )
+
+        def cross_fn(r):
+            jet = f.jet(r, 2)
+            return signed_weighted(mode_operator(jet, r, p.N - 1.0, lam) * jet[1], r, base - 1.0)
+
+        cross = _integral(cross_fn)
         radial_sq = _integral(lambda r: power_weighted(f.deriv(r, 1), r, 2.0, base - 2.0))
         rhs = pure + 2.0 * p.alpha * cross + p.alpha**2 * radial_sq
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
@@ -186,13 +188,15 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
     lam = harmonic_eigenvalue(N, v.mode_k)
 
     def lhs_fn(r):
-        grad_sq = power_weighted(f.deriv(r, 1), r, 2.0, N - 3.0)
+        f0, f1 = f.jet(r, 1)
+        grad_sq = power_weighted(f1, r, 2.0, N - 3.0)
         if lam != 0.0:
-            grad_sq = grad_sq + lam * power_weighted(f.eval(r), r, 2.0, N - 5.0)
+            grad_sq = grad_sq + lam * power_weighted(f0, r, 2.0, N - 5.0)
         return grad_sq
 
     def rhs_fn(r):
-        return signed_weighted(f.deriv(r, 1) * mode_operator(f, r, N - 3.0, lam), r, N - 2.0)
+        jet = f.jet(r, 2)
+        return signed_weighted(jet[1] * mode_operator(jet, r, N - 3.0, lam), r, N - 2.0)
 
     lhs = (N - 4.0) * _integral(lhs_fn)
     rhs = 2.0 * _integral(rhs_fn)

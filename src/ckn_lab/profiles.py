@@ -29,7 +29,9 @@ Three representation choices matter for accuracy downstream:
   cancellation at large r would cost eight significant digits.
 
 Evaluation runs in log space: the factors r^p and (nu + r^sigma)^e
-overflow double precision long before their product does.
+overflow double precision long before their product does.  `jet(r, k)`
+returns f, f', ..., f^(k) from one pass of log r and log(nu + r^sigma),
+which `eval` (k = 0) and the second-order operators share.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class RadialProfile(Protocol):
 
     def deriv(self, r, order: int): ...
 
+    def jet(self, r, order: int) -> list: ...
+
     @property
     def decay_exponent(self) -> float: ...
 
@@ -85,6 +89,53 @@ def _as_array(r):
     return arr, arr.ndim == 0
 
 
+def _chain(f, order) -> list:
+    """[f, f', ..., f^(order)]; each derivative is built once per profile."""
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
+    cache = f._dcache
+    while len(cache) <= order:
+        cache.append(cache[-1].differentiate())
+    return cache[: order + 1]
+
+
+def _values(profiles, r) -> list:
+    """Each profile at r, from the first one's log pass."""
+    arr, scalar = _as_array(r)
+    with np.errstate(all="ignore"):
+        logs = profiles[0]._logs(arr)
+        out = [f._sum(logs) for f in profiles]
+    if scalar:
+        return [float(v) for v in out]
+    # a profile without r-dependent terms sums to a scalar
+    return [v if np.ndim(v) else np.full(arr.shape, v) for v in out]
+
+
+class _Evaluation:
+    """eval, deriv and jet from a family's `_logs(arr)` and `_sum(logs)`."""
+
+    def eval(self, r):
+        return _values([self], r)[0]
+
+    def deriv(self, r, order: int):
+        return _chain(self, order)[order].eval(r)
+
+    def jet(self, r, order: int) -> list:
+        """[f(r), f'(r), ..., f^(order)(r)] from one log pass."""
+        return _values(_chain(self, order), r)
+
+
+def eval_shared(profiles, r) -> list:
+    """Power-peak profiles with one sigma and nu at r, from one log pass.
+
+    Not in ``__all__``, like `quadrature.mode_operator`: it runs once per integrand call.
+    """
+    head = profiles[0]
+    if any(f.sigma_frac != head.sigma_frac or f.nu != head.nu for f in profiles):
+        raise DomainError("profiles share a log pass only with matching sigma and nu")
+    return _values(profiles, r)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -93,7 +144,7 @@ def _frac(x) -> Fraction:
     return Fraction(float(x))  # exact: binary floats are dyadic rationals
 
 
-class PowerPeakProfile:
+class PowerPeakProfile(_Evaluation):
     """sum of c * r^p * (nu + r^sigma)^e terms (fixed sigma and nu).
 
     Immutable by convention.  The family is closed under d/dr:
@@ -112,72 +163,47 @@ class PowerPeakProfile:
         sigma = _frac(sigma)
         if sigma <= 0:
             raise DomainError(f"sigma must be positive, got {float(sigma)}")
-        if nu <= 0:
+        if not nu > 0:
             raise DomainError(f"nu must be positive, got {nu}")
-        merged: dict[tuple[Fraction, Fraction], float | Fraction] = {}
+        # merged on integer keys: hashing a Fraction costs a modular inverse
+        merged: dict[tuple[int, int, int, int], list] = {}
         for c, p, e in terms:
             if not isinstance(c, Fraction):
                 c = float(c)
             if c == 0:
                 continue
-            key = (_frac(p), _frac(e))
+            p, e = _frac(p), _frac(e)
             # an int seed keeps Fraction sums exact (0.0 + Fraction is a float)
-            merged[key] = merged.get(key, 0) + c
-        self.terms = tuple(
-            (c, p, e) for (p, e), c in sorted(merged.items()) if c != 0
-        )
+            cell = merged.setdefault((p.numerator, p.denominator, e.numerator, e.denominator), [p, e, 0])
+            cell[2] = cell[2] + c
+        self.terms = tuple((c, p, e) for p, e, c in sorted(merged.values()) if c != 0)
         self.sigma_frac = sigma
         self.sigma = float(sigma)
         self.nu = nu if isinstance(nu, Fraction) else float(nu)
-        self._dcache: dict[int, "PowerPeakProfile"] = {0: self}
+        self._dcache: list = [self]
 
     # -- evaluation ---------------------------------------------------
 
     @cached_property
-    def _float_view(self):
-        """(sign, log|c|, p, e) as float arrays, built on first evaluation."""
-        coeffs = [float(c) for c, _, _ in self.terms]
-        return (
-            np.array([math.copysign(1.0, c) for c in coeffs]),
-            np.array([math.log(abs(c)) for c in coeffs]),
-            np.array([float(p) for _, p, _ in self.terms]),
-            np.array([float(e) for _, _, e in self.terms]),
-        )
+    def _float_view(self) -> list:
+        """(c > 0, log|c|, p, e) per term as Python floats, built on first evaluation."""
+        return [(float(c) > 0.0, math.log(abs(float(c))), float(p), float(e)) for c, p, e in self.terms]
 
-    def eval(self, r, power_shift: float = 0.0, peak_shift: float = 0.0):
-        """Evaluate, optionally times r^power_shift * (nu+r^sigma)^peak_shift.
+    def _logs(self, arr):
+        lr = np.log(arr)
+        return lr, np.logaddexp(math.log(self.nu), self.sigma * lr)
 
-        The shifts let callers fold integration weights into the same
-        log-space exponentiation instead of multiplying afterwards.
-        """
-        arr, scalar = _as_array(r)
-        sign, logc, pf, ef = self._float_view
-        with np.errstate(all="ignore"):
-            lr = np.log(arr)
-            lpk = np.logaddexp(math.log(self.nu), self.sigma * lr)
-            out = np.zeros_like(arr)
-            for i in range(len(self.terms)):
-                pp = pf[i] + power_shift
-                ee = ef[i] + peak_shift
-                expo = logc[i]
-                if pp != 0.0:
-                    expo = expo + pp * lr
-                if ee != 0.0:
-                    expo = expo + ee * lpk
-                out = out + sign[i] * np.exp(expo)
-        return float(out) if scalar else out
-
-    def deriv(self, r, order: int):
-        return self._chain(order).eval(r)
-
-    def _chain(self, order: int) -> "PowerPeakProfile":
-        if order < 0:
-            raise DomainError("derivative order must be >= 0")
-        highest = max(self._dcache)
-        while highest < order:
-            self._dcache[highest + 1] = self._dcache[highest].differentiate()
-            highest += 1
-        return self._dcache[order]
+    def _sum(self, logs):
+        lr, lpk = logs
+        out = 0.0  # a negative first term is 0.0 - t: +0.0 where t underflows
+        for plus, logc, p, e in self._float_view:
+            expo = logc
+            if p != 0.0:
+                expo = expo + p * lr
+            if e != 0.0:
+                expo = expo + e * lpk
+            out = out + np.exp(expo) if plus else out - np.exp(expo)
+        return out
 
     # -- algebra ------------------------------------------------------
 
@@ -276,7 +302,7 @@ class PowerPeakProfile:
         return float(max(live)) if live else float(min(groups))
 
 
-class GaussianProfile:
+class GaussianProfile(_Evaluation):
     """sum of c * r^p * exp(-r^2) terms; closed under differentiation."""
 
     def __init__(self, terms):
@@ -285,27 +311,21 @@ class GaussianProfile:
             if c != 0.0:
                 merged[float(p)] = merged.get(float(p), 0.0) + float(c)
         self.terms = tuple((c, p) for p, c in sorted(merged.items()) if c != 0.0)
-        self._dcache: dict[int, "GaussianProfile"] = {0: self}
+        self._dcache: list = [self]
 
-    def eval(self, r):
-        arr, scalar = _as_array(r)
-        with np.errstate(all="ignore"):
-            lr = np.log(arr)
-            damp = -arr * arr
-            out = np.zeros_like(arr)
-            for c, p in self.terms:
-                expo = math.log(abs(c)) + damp
-                if p != 0.0:
-                    expo = expo + p * lr
-                out = out + math.copysign(1.0, c) * np.exp(expo)
-        return float(out) if scalar else out
+    @staticmethod
+    def _logs(arr):
+        return np.log(arr), -arr * arr
 
-    def deriv(self, r, order: int):
-        highest = max(self._dcache)
-        while highest < order:
-            self._dcache[highest + 1] = self._dcache[highest].differentiate()
-            highest += 1
-        return self._dcache[order].eval(r)
+    def _sum(self, logs):
+        lr, damp = logs
+        out = 0.0
+        for c, p in self.terms:
+            expo = math.log(abs(c)) + damp
+            if p != 0.0:
+                expo = expo + p * lr
+            out = out + np.exp(expo) if c > 0.0 else out - np.exp(expo)
+        return out
 
     def differentiate(self) -> "GaussianProfile":
         new_terms = []
@@ -382,8 +402,8 @@ class ExtremalProfile(PowerPeakProfile):
     """
 
     def __init__(self, p: Params, lam: float = 1.0):
-        if lam <= 0.0:
-            raise DomainError(f"scaling parameter must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise DomainError(f"scaling parameter must be positive and finite, got {lam}")
         self.params = p
         self.lam = float(lam)
         self.amplitude = amplitude_constant(p)
@@ -504,7 +524,6 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
     pts = np.asarray(
         DEFAULT_RESIDUAL_SAMPLES if samples is None else samples, dtype=float
     )
-    lhs = lhs_profile.eval(pts)
     if isinstance(u, PowerPeakProfile) and len(u.terms) == 1:
         a, p0, e0 = u.terms[0]
         beta_f = _frac(p.beta)
@@ -519,10 +538,10 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
             unit.nu,
         )
         dust = (weighted_laplacian(inner, p.alpha, p.N) - rhs_cell).canonical()
-        rhs = rhs_cell.scaled(a).eval(pts)
-        defect = np.abs(dust.scaled(a).eval(pts))
+        lhs, rhs, defect = eval_shared((lhs_profile, rhs_cell.scaled(a), dust.scaled(a)), pts)
+        defect = np.abs(defect)
     else:
-        uv = u.eval(pts)
+        lhs, uv = lhs_profile.eval(pts), u.eval(pts)
         rhs = pts**p.beta * np.abs(uv) ** (d.p_star - 2.0) * uv
         defect = np.abs(lhs - rhs)
     return float(np.max(defect / (np.abs(lhs) + np.abs(rhs) + 1e-300)))

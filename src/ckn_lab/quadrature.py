@@ -303,16 +303,17 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
-def mode_operator(f, r, drift: float, lam: float) -> np.ndarray:
-    """f'' + drift f'/r - lam f/r^2 at the nodes r.
+def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
+    """f'' + drift f'/r - lam f/r^2 at the nodes r, from jet = f.jet(r, 2).
 
     The lam term is skipped when lam == 0: 0 * f/r^2 is NaN where r^2
     underflows.  Not in ``__all__``: it runs once per integrand call,
     and the perfbench tracer wraps every function listed there.
     """
-    vals = f.deriv(r, 2) + drift * f.deriv(r, 1) / r
+    f0, f1, f2 = jet
+    vals = f2 + drift * f1 / r
     if lam != 0.0:
-        vals = vals - lam * f.eval(r) / r**2
+        vals = vals - lam * f0 / r**2
     return vals
 
 
@@ -320,7 +321,7 @@ def mode_energy(f, drift: float, lam: float, w: float, tol: float = DEFAULT_TOL)
     """integral of [f'' + drift f'/r - lam f/r^2]^2 r^w dr over (0, inf)."""
 
     def integrand(r):
-        return power_weighted(mode_operator(f, r, drift, lam), r, 2.0, w)
+        return power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w)
 
     return integrate_semiinfinite(integrand, tol).value
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .params import Params, RegionClass, beta_fs, classify, derive, harmonic_eigenvalue, sphere_area
-from .profiles import PowerPeakProfile, extremal, kernel_mode, s_r_closed
+from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode, s_r_closed
 from .quadrature import AccuracyError, integrate_semiinfinite, mode_energy, norm_sq, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import DomainError, beta_fn
@@ -154,8 +154,7 @@ def directional_quotient(p: Params, eps: float) -> float:
 
     def integrand(r):
         r = np.asarray(r, dtype=float)
-        uv = u.eval(r)
-        gv = g.eval(r)
+        uv, gv = eval_shared((u, g), r)
         vals = np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star
         angular = w_t @ vals
         return angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)

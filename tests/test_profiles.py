@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab.params import derive, validate
@@ -16,8 +16,10 @@ from ckn_lab.profiles import (
     b_closed,
     constant_profile,
     cosh_profile_residual,
+    _frac,
     emden_fowler,
     euler_lagrange_residual,
+    eval_shared,
     extremal,
     kernel_mode,
     s_0_closed,
@@ -130,6 +132,202 @@ def test_gaussian_profile_derivatives():
         assert g.deriv(r, 2) == pytest.approx(
             (4.0 * r * r - 2.0) * math.exp(-r * r), rel=1e-13
         )
+
+
+# -- evaluation in one log pass, bit for bit -----------------------------------
+
+
+def _eval_by_terms(prof, r):
+    """A power-peak profile as a per-term loop over float arrays from a
+    zeros_like start, each term's sign multiplied in, as eval once computed."""
+    arr = np.asarray(r, dtype=float)
+    coeffs = [float(c) for c, _, _ in prof.terms]
+    sign = np.array([math.copysign(1.0, c) for c in coeffs])
+    logc = np.array([math.log(abs(c)) for c in coeffs])
+    pf = np.array([float(p) for _, p, _ in prof.terms])
+    ef = np.array([float(e) for _, _, e in prof.terms])
+    with np.errstate(all="ignore"):
+        lr = np.log(arr)
+        lpk = np.logaddexp(math.log(prof.nu), prof.sigma * lr)
+        out = np.zeros_like(arr)
+        for i in range(len(prof.terms)):
+            expo = logc[i]
+            if pf[i] != 0.0:
+                expo = expo + pf[i] * lr
+            if ef[i] != 0.0:
+                expo = expo + ef[i] * lpk
+            out = out + sign[i] * np.exp(expo)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _gaussian_eval_by_terms(prof, r):
+    """The Gaussian family's per-term loop, as eval once computed."""
+    arr = np.asarray(r, dtype=float)
+    with np.errstate(all="ignore"):
+        lr = np.log(arr)
+        damp = -arr * arr
+        out = np.zeros_like(arr)
+        for c, p in prof.terms:
+            expo = math.log(abs(c)) + damp
+            if p != 0.0:
+                expo = expo + p * lr
+            out = out + math.copysign(1.0, c) * np.exp(expo)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _merge_by_fraction_keys(terms):
+    """PowerPeakProfile's term merge over a dict keyed by Fraction tuples, as once computed."""
+    merged = {}
+    for c, p, e in terms:
+        if not isinstance(c, Fraction):
+            c = float(c)
+        if c == 0:
+            continue
+        key = (_frac(p), _frac(e))
+        merged[key] = merged.get(key, 0) + c
+    return tuple((c, p, e) for (p, e), c in sorted(merged.items()) if c != 0)
+
+
+def _hex(values):
+    """Type, shape and float.hex of every entry: equal only bit for bit."""
+    return [
+        (type(v).__name__, np.shape(v), [float(x).hex() for x in np.ravel(v)]) for v in values
+    ]
+
+
+def _typed_terms(terms):
+    return [
+        tuple((type(x).__name__, x.hex() if isinstance(x, float) else x) for x in term)
+        for term in terms
+    ]
+
+
+_EXPONENTS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(-300)]),
+    st.sampled_from([0.5, -1.5, 0.1, 2.0]),
+)
+_COEFFICIENTS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(min_value=-3, max_value=3),
+)
+_RADII = st.one_of(
+    st.sampled_from([0.0, math.inf, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms with repeated (p, e) cells, and negated copies that cancel."""
+    terms = draw(st.lists(st.tuples(_COEFFICIENTS, _EXPONENTS, _EXPONENTS), max_size=5))
+    if terms:
+        terms += draw(st.lists(st.sampled_from(terms), max_size=3))
+        terms += [(-c, p, e) for c, p, e in draw(st.lists(st.sampled_from(terms), max_size=2))]
+    return terms
+
+
+@st.composite
+def _radii(draw):
+    """An array of radii or, as 0-d input, one radius."""
+    if draw(st.booleans()):
+        return np.asarray(draw(_RADII))
+    return np.array(draw(st.lists(_RADII, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=_term_lists(),
+    sigma=st.sampled_from([2, Fraction(1, 2), Fraction(7, 3), 2.5]),
+    nu=st.sampled_from([1.0, 0.5, Fraction(1, 3), 3.0]),
+)
+def test_terms_match_the_fraction_keyed_merge(terms, sigma, nu):
+    """Integer keys merge the same cells, in the same order, into the same sums."""
+    got = PowerPeakProfile(terms, sigma, nu).terms
+    assert _typed_terms(got) == _typed_terms(_merge_by_fraction_keys(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=_term_lists(),
+    sigma=st.sampled_from([2, Fraction(1, 2), Fraction(7, 3), 2.5]),
+    nu=st.sampled_from([1.0, 0.5, Fraction(1, 3), 3.0]),
+    r=_radii(),
+    order=st.integers(min_value=0, max_value=3),
+)
+@example(terms=[(-1.0, 2, 0)], sigma=2, nu=1.0, r=np.array([1e-300, 0.0]), order=0)
+@example(terms=[(-1.0, 0, -300), (1.0, 0, 0)], sigma=2, nu=1.0, r=np.asarray(1e300), order=1)
+@example(terms=[(2.0, 0, 0)], sigma=2, nu=1.0, r=np.array([0.0, math.inf]), order=2)
+def test_jet_matches_deriv_and_the_term_loop_bit_for_bit(terms, sigma, nu, r, order):
+    """One log pass, each sign as an add or a subtract: every value as before,
+    including +0.0 where a negative first term underflows."""
+    f = PowerPeakProfile(terms, sigma, nu)
+    chain = [f]
+    for _ in range(order):
+        chain.append(chain[-1].differentiate())
+    got = _hex(f.jet(r, order))
+    assert got == _hex([f.deriv(r, k) for k in range(order + 1)])
+    assert got == _hex([_eval_by_terms(g, r) for g in chain])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+            st.sampled_from([0.0, 1.0, 2.0, 3.5]),
+        ),
+        max_size=4,
+    ),
+    r=_radii(),
+    order=st.integers(min_value=0, max_value=3),
+)
+def test_gaussian_jet_matches_deriv_and_the_term_loop_bit_for_bit(terms, r, order):
+    f = GaussianProfile(terms)
+    chain = [f]
+    for _ in range(order):
+        chain.append(chain[-1].differentiate())
+    got = _hex(f.jet(r, order))
+    assert got == _hex([f.deriv(r, k) for k in range(order + 1)])
+    assert got == _hex([_gaussian_eval_by_terms(g, r) for g in chain])
+
+
+def test_negative_term_that_underflows_reads_plus_zero():
+    f = PowerPeakProfile([(-1.0, 40, 0)], sigma=2, nu=1.0)
+    assert f.eval(1e-10).hex() == "0x0.0p+0"
+    assert [v.hex() for v in f.jet(np.array([1e-10]), 1)[1]] == ["0x0.0p+0"]
+
+
+def test_profiles_share_a_log_pass_only_on_one_sigma_and_nu(p511):
+    u, g = extremal(p511), kernel_mode(p511, "Z1_radial")
+    uv, gv = eval_shared((u, g), R_SAMPLES)
+    assert _hex([uv, gv]) == _hex([u.eval(R_SAMPLES), g.eval(R_SAMPLES)])
+    with pytest.raises(DomainError, match="matching sigma and nu"):
+        eval_shared((u, extremal(p511, lam=2.0)), R_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "f", [PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0), GaussianProfile([(1.0, 0.0)])]
+)
+@pytest.mark.parametrize("order", [-1, 1.5, 2.0, "1"])
+def test_derivative_order_must_be_a_nonnegative_integer(f, order):
+    with pytest.raises(DomainError, match="derivative order"):
+        f.deriv(0.5, order)
+    with pytest.raises(DomainError, match="derivative order"):
+        f.jet(0.5, order)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_nonpositive_scaling_is_a_domain_error(p511, lam):
+    with pytest.raises(DomainError, match="scaling parameter"):
+        extremal(p511, lam)
+
+
+@pytest.mark.parametrize("nu", [math.nan, 0.0, -1.0])
+def test_nan_or_nonpositive_nu_is_a_domain_error(nu):
+    with pytest.raises(DomainError, match="nu must be positive"):
+        PowerPeakProfile([(1.0, 0, -1)], sigma=2, nu=nu)
 
 
 # -- ground-state family ------------------------------------------------------

@@ -12,7 +12,7 @@ from numpy.polynomial import Polynomial
 import ckn_lab.spectral as spectral
 from ckn_lab.params import beta_fs, derive, validate
 from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
-from ckn_lab.quadrature import integrate_semiinfinite, power_weighted
+from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
     BracketError,
@@ -472,6 +472,27 @@ def test_ritz_matches_adaptive_rayleigh_quotient(N, alpha, beta, J):
     ).value
     quotient = mode_quadratic_form(x, 1, p) / (_potential_constant(m) * potential)
     assert quotient == pytest.approx(res.min_eigenvalue, rel=1e-9)
+
+
+def test_adaptive_quadratic_form_never_reads_zero_at_the_lower_edge():
+    """At (5, 0.1, -1.89793), M ~ 2997, every integral of the J = 4 Ritz
+    minimizer is about 1e-900: the adaptive form must refuse there or
+    reproduce the Ritz value, never read the underflow as 0.0.  Folding
+    1/r^2 into `power_weighted` alone turns today's refusal into 0.0, so
+    that change needs log-space integrals with it."""
+    p = validate(5, 0.1, -1.89793)
+    m = derive(p).M
+    res = ritz_min_eig(1, p, 4)
+    x = _ritz_profile(res.coefficients, 1, m)
+    try:
+        form = mode_quadratic_form(x, 1, p)
+    except (DomainError, AccuracyError):
+        return
+    assert form != 0.0
+    potential = integrate_semiinfinite(
+        lambda s: power_weighted(x.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
+    ).value
+    assert form / (_potential_constant(m) * potential) == pytest.approx(res.min_eigenvalue, rel=1e-9)
 
 
 def test_ritz_sign_flips_across_curve():
