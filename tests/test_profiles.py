@@ -236,7 +236,7 @@ def _radii(draw):
     return np.array(draw(st.lists(_RADII, max_size=8)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     terms=_term_lists(),
     sigma=st.sampled_from([2, Fraction(1, 2), Fraction(7, 3), 2.5]),
@@ -248,7 +248,7 @@ def test_terms_match_the_fraction_keyed_merge(terms, sigma, nu):
     assert _typed_terms(got) == _typed_terms(_merge_by_fraction_keys(terms))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     terms=_term_lists(),
     sigma=st.sampled_from([2, Fraction(1, 2), Fraction(7, 3), 2.5]),
@@ -271,7 +271,7 @@ def test_jet_matches_deriv_and_the_term_loop_bit_for_bit(terms, sigma, nu, r, or
     assert got == _hex([_eval_by_terms(g, r) for g in chain])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     terms=st.lists(
         st.tuples(
