@@ -28,14 +28,17 @@ in an order that is reversed every other round, and in each one runs
   ``..._wall_s``).  The SHA-256 of each checkout's concatenated output
   is kept, so differing output shows.
 
-After the rounds, TRACED_RUNS traced runs of each workload per checkout
-give the per-layer figures of TRACE_KEYS that the workload reports; the
-record keeps every traced run and, per figure, their median, because one
-traced run drifts far more than the code does.  For every end-to-end
-figure the output holds each checkout's runs, median and quartiles and,
-against the baseline, the number of rounds in which the checkout did
-better, the ratio of medians, and whether the gap between medians exceeds
-the baseline's interquartile range.
+After the rounds, TRACED_RUNS traced rounds give the per-layer figures
+of TRACE_KEYS that each workload reports.  They alternate like the timed
+rounds: each traced round visits the checkouts in an order reversed
+every other round, and runs each workload in every checkout in turn
+before the next one starts, so host drift does not read as a per-layer
+difference.  The record keeps every traced run and, per figure, their
+median, because one traced run drifts far more than the code does.
+For every end-to-end figure the output holds each checkout's runs,
+median and quartiles and, against the baseline, the number of rounds in
+which the checkout did better, the ratio of medians, and whether the gap
+between medians exceeds the baseline's interquartile range.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ def _time_cli(root: Path, command: list[str]) -> tuple[float, float, bytes]:
     return wall * speed.REFERENCE_KERNEL_S * len(kernel) / sum(kernel), wall, out
 
 
+def _order(names: list[str], i: int) -> list[str]:
+    """The checkouts in the order round i visits them: reversed every other round."""
+    return names if i % 2 == 0 else names[::-1]
+
+
 def _higher_is_better(metric: str) -> bool:
     return "_per_" in metric
 
@@ -161,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         "order": [],
     }
     for i in range(ROUNDS):
-        order = names if i % 2 == 0 else names[::-1]
+        order = _order(names, i)
         record["order"].append(order)
         for name in order:
             record["checkouts"][name]["runs"].append({"ops": {}, "metrics": {}, "output_sha256": {}})
@@ -193,20 +201,28 @@ def main(argv: list[str] | None = None) -> int:
             print(f"round {i + 1} {name}: scan {metrics['scan/ops_per_s']:.1f}/s, "
                   f"cli scan {metrics['scan_cli_s']:.3f} s", file=sys.stderr, flush=True)
 
-    for name, root in roots.items():
+    traced = {name: {workload: [] for workload in WORKLOADS} for name in names}
+    record["trace_order"] = []
+    for i in range(TRACED_RUNS):
+        order = _order(names, i)
+        record["trace_order"].append(order)
+        for workload in WORKLOADS:
+            for name in order:
+                traced[name][workload].append(
+                    _last_lines(roots[name], _perfbench(workload, seconds, 1))[1]["metrics"]
+                )
+    for name in names:
         entry = record["checkouts"][name]
         runs = entry["runs"]
         entry["summary"] = {
             key: _summary([run["metrics"][key] for run in runs]) for key in runs[0]["metrics"]
         }
         entry["trace"] = {}
-        for workload in WORKLOADS:
-            traced = [_last_lines(root, _perfbench(workload, seconds, 1))[1]["metrics"]
-                      for _ in range(TRACED_RUNS)]
-            keys = [key for key in TRACE_KEYS if key in traced[0]]
+        for workload, traced_runs in traced[name].items():
+            keys = [key for key in TRACE_KEYS if key in traced_runs[0]]
             entry["trace"][workload] = {
-                "runs": [{key: metrics[key]["value"] for key in keys} for metrics in traced],
-                "median": {key: statistics.median(m[key]["value"] for m in traced) for key in keys},
+                "runs": [{key: metrics[key]["value"] for key in keys} for metrics in traced_runs],
+                "median": {key: statistics.median(m[key]["value"] for m in traced_runs) for key in keys},
             }
 
     base_runs = record["checkouts"][base]["runs"]

@@ -37,6 +37,7 @@ which `eval` (k = 0) and the second-order operators share.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Protocol
@@ -409,10 +410,17 @@ class ExtremalProfile(PowerPeakProfile):
         self.amplitude = amplitude_constant(p)
         sigma = Fraction(2) + _frac(p.beta) - _frac(p.alpha)
         kappa = Fraction(p.N - 4) + 2 * _frac(p.alpha) - _frac(p.beta)
-        coeff = self.amplitude * lam ** (-float(kappa) / 2.0)
-        super().__init__(
-            [(coeff, 0, -kappa / sigma)], sigma=sigma, nu=lam ** (-float(sigma))
-        )
+        try:  # the plain float powers, so every in-range profile keeps its bits
+            coeff = self.amplitude * self.lam ** (-float(kappa) / 2.0)
+            nu = self.lam ** (-float(sigma))
+        except OverflowError:
+            coeff = nu = math.inf
+        if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
+            raise DomainError(
+                f"scaling parameter {self.lam!r} puts nu = lam^(-{float(sigma):g}) or the coefficient "
+                f"amplitude * lam^(-{float(kappa) / 2.0:g}) outside double range"
+            )
+        super().__init__([(coeff, 0, -kappa / sigma)], sigma=sigma, nu=nu)
 
 
 def extremal(p: Params, lam: float = 1.0) -> ExtremalProfile:

@@ -11,11 +11,13 @@ sums agree to the requested tolerance, and the final sum is compensated
 (Kahan) in ascending node order so repeated runs are bit-identical.
 
 The levels nest: node k at step h is node 2k at step h/2, bit for bit, so
-each abscissa reaches the integrand once per integral.  Every level costs
-one integrand call with its new (odd) nodes over the whole node range,
-except that the first call covers levels 0-2 together, since level 2 is
-the first that may converge; the four endpoint probes ride in it too.
-Truncation is decided afterwards, one outward pass per side to the cut.
+each abscissa reaches the integrand at most once per integral.  The first
+call covers levels 0-2 together, since level 2 is the first that may
+converge, and the four endpoint probes ride in it.  Each finer level costs
+one call with its new (odd) nodes in a window that reaches _MARGIN coarse
+nodes past each side's tail cut on the level before.  Truncation is then
+decided by one outward pass per side; a pass that runs off the window
+first costs one more call, for the rest of the level, and starts again.
 
 Before any sum is used, the integrand is probed near both endpoints and the
 measured log-log slopes are screened: the power at the origin must
@@ -67,6 +69,7 @@ _X_MAX = 600.0
 _X_CUT = math.asinh(_X_MAX / math.pi)
 _H0 = 0.5
 _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
+_MARGIN = 3  # coarse nodes past a level's tail cut that the next level evaluates
 
 
 class DivergentIntegralError(DomainError):
@@ -160,19 +163,18 @@ def _grid(h: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _refine(fv, coarse: np.ndarray, h: float) -> np.ndarray:
-    """Integrand values on the step-h grid from those at step 2h.
-
-    Node 2k at step h is node k at step 2h bit for bit, so only the odd
-    nodes are new; they go to the integrand in one call.
-    """
+def _refine(fv, coarse: np.ndarray, known: np.ndarray, h: float, lo: int, hi: int):
+    """Values on the step-h grid, and which are known, from those at step 2h
+    (node k there is node 2k here, bit for bit) and one integrand call at
+    the odd nodes among -lo..hi, for even lo and hi."""
     s, _ = _grid(h)
-    old = (s.size // 2) % 2  # even nodes sit at indices of the parity of K
-    vals = np.empty(s.size)
-    vals[old::2] = coarse
+    mid = s.size // 2
+    vals, got = np.empty(s.size), np.zeros(s.size, dtype=bool)
+    vals[mid % 2 :: 2], got[mid % 2 :: 2] = coarse, known
     with np.errstate(all="ignore"):
-        vals[1 - old :: 2] = fv(s[1 - old :: 2].copy())
-    return vals
+        vals[mid - lo + 1 : mid + hi : 2] = fv(s[mid - lo + 1 : mid + hi : 2].copy())
+    got[mid - lo : mid + hi + 1] = True
+    return vals, got
 
 
 def _side_count(terms: list, s: np.ndarray) -> int:
@@ -201,20 +203,23 @@ def _side_count(terms: list, s: np.ndarray) -> int:
     return len(terms)
 
 
-def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
-    """Truncated trapezoid sum of one level from its integrand values; each
-    side's term list is walked outward only as far as the tail rule keeps."""
+def _walk(vals: np.ndarray, h: float, lo: int) -> tuple[float, int, int] | None:
+    """Truncated trapezoid sum of one level and the terms kept per side, from
+    its values on the nodes -lo..; sides are walked outward, negative first,
+    as far as the tail rule keeps.  None if one runs off vals before then."""
     s, w = _grid(h)
     mid = s.size // 2
-    center = float(vals[mid]) * math.pi * h
+    center = float(vals[lo]) * math.pi * h
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
     with np.errstate(all="ignore"):
-        terms = (vals * w).tolist()
-    neg, pos = terms[mid - 1 :: -1], terms[mid + 1 :]
-    neg = neg[: _side_count(neg, s[mid - 1 :: -1])]
-    pos = pos[: _side_count(pos, s[mid + 1 :])]
-    ordered = neg[::-1] + [center] + pos
+        terms = (vals * w[mid - lo : mid - lo + vals.size]).tolist()
+    kept = []
+    for side, side_s in ((terms[lo - 1 :: -1], s[mid - 1 :: -1]), (terms[lo + 1 :], s[mid + 1 :])):
+        kept.append(side[: _side_count(side, side_s)])
+        if len(kept[-1]) == len(side) < mid:  # off the window's edge, short of the grid's
+            return None
+    ordered = kept[0][::-1] + [center] + kept[1]
     # Kahan-compensated sum in fixed ascending-node order.
     total = comp = 0.0
     for t in ordered:
@@ -222,7 +227,13 @@ def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
         acc = total + y
         comp = (acc - total) - y
         total = acc
-    return total, len(ordered)
+    return total, len(kept[0]), len(kept[1])
+
+
+def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
+    """Truncated trapezoid sum and term count of one level from its whole grid."""
+    total, n_neg, n_pos = _walk(vals, h, vals.size // 2)
+    return total, n_neg + n_pos + 1
 
 
 def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> QuadResult:
@@ -245,6 +256,7 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
         vals = fv(np.concatenate((_PROBES, fine)))
     _screen_endpoints(vals[: _PROBES.size])
     vals = vals[_PROBES.size :]
+    got = np.ones(vals.size, dtype=bool)
 
     total_nodes = 0
     prev = None
@@ -252,13 +264,20 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
     h = _H0
     level = 0
     while True:
-        if level > 2:
-            vals = _refine(fv, vals, h)
+        if level > 2:  # the new odd nodes up to _MARGIN coarse nodes past the cut
+            lo, hi = 2 * min(n_neg + _MARGIN, lo), 2 * min(n_pos + _MARGIN, hi)
+            vals, got = _refine(fv, vals, got, h, lo, hi)
+        else:
+            lo = hi = math.floor(_X_CUT / h)
         stride = 1 << max(2 - level, 0)  # levels 0 and 1 read every 4th / 2nd node
         mid = vals.size // 2
-        half = stride * math.floor(_X_CUT / h)
-        value, n = _level_sum(vals[mid - half : mid + half + 1 : stride], h)
-        total_nodes += n
+        while (walked := _walk(vals[mid - stride * lo : mid + stride * hi + 1 : stride], h, lo)) is None:
+            lo = hi = mid  # a tail runs off the window: evaluate the rest of the level
+            with np.errstate(all="ignore"):
+                vals[~got] = fv(_grid(h)[0][~got])
+            got[:] = True
+        value, n_neg, n_pos = walked
+        total_nodes += n_neg + n_pos + 1
         if prev is not None:
             best_err = abs(value - prev)
             if level >= 2 and best_err <= max(tol * abs(value), 1e-300):

@@ -324,6 +324,33 @@ def test_non_finite_or_nonpositive_scaling_is_a_domain_error(p511, lam):
         extremal(p511, lam)
 
 
+@pytest.mark.parametrize(
+    "point, lam",
+    [
+        ((5, 1.0, 1.0), 1e-200),  # lam^(-2) overflows
+        ((5, 1.0, 1.0), 1e200),  # lam^(-2) underflows to 0
+        ((5, 1.0, 1.0), 1e154),  # lam^(-2) is subnormal
+        ((12, 1.0, 0.0), 1e-60),  # lam^(-5) is finite, the amplitude times it is not
+        ((12, 1.0, 0.0), 1e70),  # lam^(-5) underflows; nu = lam^(-1) is fine
+    ],
+)
+def test_scaling_out_of_double_range_is_a_domain_error_naming_lam(point, lam):
+    """The error names lam, not an overflow or a nu of 0."""
+    with pytest.raises(DomainError) as err:
+        extremal(validate(*point), lam)
+    assert type(err.value) is DomainError
+    assert str(err.value).startswith(f"scaling parameter {lam!r} puts nu = lam^(")
+    assert str(err.value).endswith("outside double range")
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e-3, 1.0, 7.5, 1e150])
+def test_scaling_inside_double_range_keeps_the_power_expressions(p511, lam):
+    """In range, nu and the coefficient are the plain float powers, bit for bit."""
+    u = extremal(p511, lam)
+    assert u.nu.hex() == (lam ** -2.0).hex()
+    assert u.terms[0][0].hex() == (u.amplitude * lam ** -1.0).hex()
+
+
 @pytest.mark.parametrize("nu", [math.nan, 0.0, -1.0])
 def test_nan_or_nonpositive_nu_is_a_domain_error(nu):
     with pytest.raises(DomainError, match="nu must be positive"):

@@ -22,6 +22,7 @@ from ckn_lab.profiles import PowerPeakProfile, extremal, s_r_closed
 from ckn_lab.quadrature import (
     AccuracyError,
     DivergentIntegralError,
+    QuadResult,
     integrate_semiinfinite,
     norm_sq,
     norm_star,
@@ -218,6 +219,31 @@ def test_mode_operator_values_are_pinned(compute, expected):
     assert repr(compute()) == expected
 
 
+# Pinned as hex: the angular sum w_t @ vals runs through BLAS, whose rounding
+# may depend on the batch width, and the integrand's batches change with the
+# window each level evaluates.  Points above and below beta_FS of each (N, alpha).
+@pytest.mark.parametrize(
+    "N, alpha, beta, eps, expected",
+    [
+        (6, 1.0, 0.4082039324993694, 0.01, "0x1.14d7bcee9842fp+8"),
+        (6, 1.0, 0.4082039324993694, 0.003, "0x1.14d79ea0ec745p+8"),
+        (6, 1.0, 1.0082039324993695, 0.01, "0x1.a1ca4638be6d1p+8"),
+        (6, 1.0, 1.0082039324993695, 0.003, "0x1.a1ca7974d6b6ap+8"),
+        (8, 1.0, 0.4749643873921226, 0.01, "0x1.592b902cf1a28p+9"),
+        (8, 1.0, 0.4749643873921226, 0.003, "0x1.592b7ed21352ap+9"),
+        (8, 1.0, 1.0749643873921226, 0.01, "0x1.ee8055ae75b35p+9"),
+        (8, 1.0, 1.0749643873921226, 0.003, "0x1.ee807038f2d8dp+9"),
+        (12, 2.0, 1.4113092008020878, 0.01, "0x1.53d231f4b730bp+11"),
+        (12, 2.0, 1.4113092008020878, 0.003, "0x1.53d22c7c49715p+11"),
+        (12, 2.0, 2.0113092008020876, 0.01, "0x1.a14f4cd2d8926p+11"),
+        (12, 2.0, 2.0113092008020876, 0.003, "0x1.a14f53be9655fp+11"),
+    ],
+)
+def test_directional_quotient_is_pinned_across_batch_widths(N, alpha, beta, eps, expected):
+    assert abs(beta - beta_fs(N, alpha)) == pytest.approx(0.3)
+    assert directional_quotient(validate(N, alpha, beta), eps).hex() == expected
+
+
 def test_accuracy_error_result_is_pinned():
     with pytest.raises(AccuracyError) as err:
         integrate_semiinfinite(lambda s: 1.0 / (1.0 + s * s), tol=1e-14, node_cap=32)
@@ -248,6 +274,182 @@ def test_each_abscissa_reaches_the_integrand_once():
     assert len(batches) == 3
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
+
+
+def test_finer_levels_evaluate_only_inside_the_tail_cut():
+    batches = []
+
+    def spy(s):
+        batches.append(np.array(s))
+        return np.exp(-s)
+
+    integrate_semiinfinite(spy)
+    # the probes and levels 0-2, then levels 3 and 4, each abscissa once
+    assert len(batches) == 3
+    seen = np.concatenate(batches)
+    assert np.unique(seen).size == seen.size
+    # levels 3 and 4 have 96 and 190 odd nodes over the whole node range
+    halves = [quad._grid(quad._H0 / 2**level)[0].size // 2 for level in (3, 4)]
+    odd = [np.count_nonzero(np.arange(-k, k + 1) % 2) for k in halves]
+    assert odd == [96, 190]
+    assert batches[1].size < odd[0]
+    assert batches[2].size < odd[1]
+
+
+def _refine_full(fv, coarse, h):
+    """Values on the step-h grid from those at step 2h, every odd node evaluated."""
+    s, _ = quad._grid(h)
+    old = (s.size // 2) % 2
+    vals = np.empty(s.size)
+    vals[old::2] = coarse
+    with np.errstate(all="ignore"):
+        vals[1 - old :: 2] = fv(s[1 - old :: 2].copy())
+    return vals
+
+
+def _integrate_by_full_levels(f, tol=quad.DEFAULT_TOL, *, node_cap=quad.NODE_CAP):
+    """The integrator as it once ran: every finer level evaluates its new odd
+    nodes over the whole node range, and the tail rule then walks them."""
+    fv = quad._vectorized(f)
+    fine, _ = quad._grid(quad._H0 / 4)
+    with np.errstate(all="ignore"):
+        vals = fv(np.concatenate((quad._PROBES, fine)))
+    quad._screen_endpoints(vals[: quad._PROBES.size])
+    vals = vals[quad._PROBES.size :]
+    total_nodes, prev, best_err, h, level = 0, None, math.inf, quad._H0, 0
+    while True:
+        if level > 2:
+            vals = _refine_full(fv, vals, h)
+        stride = 1 << max(2 - level, 0)
+        mid = vals.size // 2
+        half = stride * math.floor(quad._X_CUT / h)
+        value, n = quad._level_sum(vals[mid - half : mid + half + 1 : stride], h)
+        total_nodes += n
+        if prev is not None:
+            best_err = abs(value - prev)
+            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
+                return QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
+        if total_nodes >= node_cap:
+            result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
+            raise AccuracyError(
+                f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})",
+                result,
+            )
+        prev = value
+        h *= 0.5
+        level += 1
+
+
+def _integral_outcome(integrate, f, tol, node_cap):
+    try:
+        return repr(integrate(f, tol, node_cap=node_cap))
+    except AccuracyError as err:
+        return "AccuracyError", str(err), repr(err.result)
+    except DomainError as err:
+        return type(err).__name__, str(err)
+
+
+_LEVEL_2_ABSCISSAE = quad._grid(quad._H0 / 4)[0]
+
+
+def _quiet_on_level_2(s):
+    """exp(-s) on the level-2 nodes, a loud slow tail between them."""
+    return np.where(np.isin(s, _LEVEL_2_ABSCISSAE), np.exp(-s), 1e-3 * np.exp(-s / 1e3))
+
+
+def _nan_near_two(s):
+    return np.where(np.abs(s - 2.0) < 0.25, np.nan, np.exp(-s))
+
+
+def _nans_on_both_sides(s):
+    """exp(-s) on the level-2 nodes but NaN below 1e-80, past their tail cut;
+    off them a slow s^-0.9 tail towards 0 that runs off the level-3 window, and
+    NaN at s in (2, 5), inside it.  The error must name the negative side's NaN,
+    as the whole grid does, not the one the positive side meets first."""
+    with np.errstate(all="ignore"):
+        on = np.where(s < 1e-80, np.nan, np.exp(-s))
+        off = np.where((s > 2.0) & (s < 5.0), np.nan, np.exp(-s) * s**-0.9)
+    return np.where(np.isin(s, _LEVEL_2_ABSCISSAE), on, off)
+
+
+@st.composite
+def _integrands(draw):
+    """(f, tol, node_cap): power laws, exponentials and oscillations with random
+    exponents, some louder off the level-2 nodes, some with a NaN or overflowing
+    end, under small and default budgets."""
+    family = draw(st.sampled_from(["power", "exp", "oscillatory"]))
+    a = draw(st.floats(min_value=-0.95, max_value=4.0))
+    b = a + draw(st.floats(min_value=1.05, max_value=8.0))
+    if draw(st.integers(0, 9)) == 0:  # now and then a nonintegrable end
+        a, b = draw(st.sampled_from([(a - 1.0, b), (a, b - 1.0)]))
+    if family == "power":
+
+        def base(s):
+            return s**a / (1.0 + s) ** b
+
+    else:
+        c = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+        omega = draw(st.floats(min_value=0.0, max_value=12.0)) if family == "oscillatory" else 0.0
+        phase = draw(st.floats(min_value=0.0, max_value=3.2))
+
+        def base(s):
+            return s**a * np.exp(-c * s) * np.cos(omega * s + phase)
+
+    f = base
+    if draw(st.booleans()):  # louder between the level-2 nodes: the tails outrun the windows
+        loud, stretch = 10.0 ** draw(st.floats(min_value=-4.0, max_value=0.0)), draw(st.floats(1.0, 1e3))
+
+        def f(s):
+            return np.where(np.isin(s, _LEVEL_2_ABSCISSAE), base(s), loud * base(s / stretch))
+
+    split = f
+    tail = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+    if tail is not None:
+        cut = 10.0 ** draw(st.floats(min_value=-30.0, max_value=30.0))
+        above = draw(st.booleans())
+
+        def f(s):
+            return np.where(s > cut if above else s < cut, tail, split(s))
+
+    node_cap = draw(st.sampled_from([8, 40, 120, 400, 1500, quad.NODE_CAP, quad.NODE_CAP]))
+    tol = draw(st.sampled_from([1e-6, quad.DEFAULT_TOL, 1e-14]))
+    return f, tol, node_cap
+
+
+# The windowed levels must give every result and error of the full levels,
+# bit for bit and word for word.
+@settings(max_examples=300, deadline=None)
+@given(_integrands())
+@example((_quiet_on_level_2, quad.DEFAULT_TOL, quad.NODE_CAP))
+@example((_nan_near_two, quad.DEFAULT_TOL, quad.NODE_CAP))
+@example((_nans_on_both_sides, quad.DEFAULT_TOL, quad.NODE_CAP))
+@example((_cube_with_overflowing_tail, quad.DEFAULT_TOL, quad.NODE_CAP))
+@example((lambda s: 1.0 / (1.0 + s * s), 1e-14, 32))
+def test_windowed_levels_match_the_full_levels(case):
+    expected = _integral_outcome(_integrate_by_full_levels, *case)
+    assert _integral_outcome(integrate_semiinfinite, *case) == expected
+
+
+def test_a_tail_past_the_window_evaluates_the_rest_of_the_level():
+    """Loud odd nodes beyond the level-2 cut force the fallback; the outcome
+    is the full levels' AccuracyError, and no abscissa is evaluated twice."""
+    batches, full_batches = [], []
+
+    def spy(s):
+        batches.append(np.array(s))
+        return _quiet_on_level_2(s)
+
+    def full_spy(s):
+        full_batches.append(np.array(s))
+        return _quiet_on_level_2(s)
+
+    outcome = _integral_outcome(integrate_semiinfinite, spy, quad.DEFAULT_TOL, quad.NODE_CAP)
+    assert outcome == _integral_outcome(_integrate_by_full_levels, full_spy, quad.DEFAULT_TOL, quad.NODE_CAP)
+    assert outcome[0] == "AccuracyError"
+    assert len(batches) == len(full_batches) + 1  # level 3 takes a second call
+    seen = np.concatenate(batches)
+    assert np.unique(seen).size == seen.size
+    assert seen.size < np.concatenate(full_batches).size
 
 
 def _side_count_by_loop(terms, s):
