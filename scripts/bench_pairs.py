@@ -34,11 +34,17 @@ rounds: each traced round visits the checkouts in an order reversed
 every other round, and runs each workload in every checkout in turn
 before the next one starts, so host drift does not read as a per-layer
 difference.  The record keeps every traced run and, per figure, their
-median, because one traced run drifts far more than the code does.
-For every end-to-end figure the output holds each checkout's runs,
-median and quartiles and, against the baseline, the number of rounds in
-which the checkout did better, the ratio of medians, and whether the gap
-between medians exceeds the baseline's interquartile range.
+median and quartiles, because one traced run drifts far more than the
+code does.  For every end-to-end figure the output holds each checkout's
+runs, median and quartiles and, against the baseline, the number of
+rounds in which the checkout did better, the ratio of medians, and
+whether the gap between medians exceeds the baseline's interquartile
+range; the traced figures get the same ratio and gap, per workload, so
+the record marks a per-layer difference it cannot resolve.
+
+Each checkout is named by its commit when it is a git work tree of its
+own, and always by a SHA-256 of its ``src/`` files, which a ``git
+archive`` copy or a dirty tree also has.
 """
 
 from __future__ import annotations
@@ -132,16 +138,38 @@ def _higher_is_better(metric: str) -> bool:
     return "_per_" in metric
 
 
-def _commit(root: Path) -> str | None:
-    done = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True
-    )
-    return done.stdout.strip() or None
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
+
+
+def _identity(root: Path) -> dict:
+    """The checkout's commit and a digest of its src/ files.
+
+    The commit is null unless the checkout is the top of its own work
+    tree: a copy nested in another tree would otherwise take that tree's.
+    """
+    top = _git(root, "rev-parse", "--show-toplevel")
+    commit = _git(root, "describe", "--always", "--dirty") if top and Path(top).resolve() == root else None
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return {"commit": commit, "src_sha256": digest.hexdigest()}
 
 
 def _summary(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
+
+
+def _gap(value: dict, ref: dict) -> dict:
+    """Ratio of two medians, and whether their gap exceeds the reference's interquartile range."""
+    iqr = ref["q3"] - ref["q1"]
+    return {
+        "median_ratio": value["median"] / ref["median"] if ref["median"] else None,
+        "baseline_iqr": iqr,
+        "gap_exceeds_baseline_iqr": abs(value["median"] - ref["median"]) > iqr,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -165,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
             key: [" ".join(["ckn-lab", *command]) for command in commands]
             for key, commands in CLI_RUNS.items()
         },
-        "checkouts": {name: {"commit": _commit(root), "runs": []} for name, root in roots.items()},
+        "checkouts": {name: {**_identity(root), "runs": []} for name, root in roots.items()},
         "order": [],
     }
     for i in range(ROUNDS):
@@ -222,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             keys = [key for key in TRACE_KEYS if key in traced_runs[0]]
             entry["trace"][workload] = {
                 "runs": [{key: metrics[key]["value"] for key in keys} for metrics in traced_runs],
-                "median": {key: statistics.median(m[key]["value"] for m in traced_runs) for key in keys},
+                "summary": {key: _summary([m[key]["value"] for m in traced_runs]) for key in keys},
             }
 
     base_runs = record["checkouts"][base]["runs"]
@@ -242,13 +270,19 @@ def main(argv: list[str] | None = None) -> int:
                 "better": "higher" if sign > 0 else "lower",
                 "wins": wins,
                 "rounds": len(runs),
-                "median_ratio": summary[key]["median"] / b["median"],
-                "baseline_iqr": b["q3"] - b["q1"],
-                "gap_exceeds_baseline_iqr": abs(summary[key]["median"] - b["median"]) > b["q3"] - b["q1"],
+                **_gap(summary[key], b),
             }
         table["same_cli_output"] = all(
             run["output_sha256"] == ref["output_sha256"] for run, ref in zip(runs, base_runs)
         )
+        base_trace = record["checkouts"][base]["trace"]
+        table["trace"] = {
+            workload: {
+                key: _gap(value, base_trace[workload]["summary"][key])
+                for key, value in block["summary"].items()
+            }
+            for workload, block in record["checkouts"][name]["trace"].items()
+        }
         record["against_" + base][name] = table
 
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

@@ -18,6 +18,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -107,25 +108,24 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     return _parse_range(beta_arg, "beta")
 
 
-def _open_out(args: argparse.Namespace, newline: str | None = None):
-    path = getattr(args, "out", None)
-    if path:
-        return open(path, "w", newline=newline), True
-    return sys.stdout, False
+@contextlib.contextmanager
+def _output(args: argparse.Namespace, newline: str | None = None):
+    """The ``--out`` file, closed when the block ends, or stdout without one."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline=newline) as stream:
+        yield stream
 
 
 def _emit_record(record: dict, args: argparse.Namespace) -> None:
-    stream, owned = _open_out(args)
-    try:
+    with _output(args) as stream:
         if getattr(args, "json", False):
             print(json.dumps(record, sort_keys=True), file=stream)
         else:
             width = max(len(key) for key in record)
             for key, value in record.items():
                 print(f"{key:<{width}}  {value}", file=stream)
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
-    stream, owned = _open_out(args)
-    try:
+    with _output(args) as stream:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
             located = fs_locate(args.N, alpha, args.tol)
@@ -202,9 +201,6 @@ def _cmd_fs_curve(args: argparse.Namespace) -> int:
                     f"spectral={located!r} gap={row['gap']:.3e}",
                     file=stream,
                 )
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -261,34 +257,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
-    stream, owned = _open_out(args, newline="")
-    try:
+    with _output(args, newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_SCAN_FIELDS)
         writer.writerows(rows)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    results = run_all(args.perturb)
-    stream, owned = _open_out(args)
-    try:
+    results = run_all()
+    failures = [r.name for r in results if not r.passed]
+    with _output(args) as stream:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status}  {r.name}: {r.detail}", file=stream)
-        failures = [r.name for r in results if not r.passed]
         if failures:
             print(
                 f"{len(failures)} check(s) failed: {', '.join(failures)}",
                 file=stream,
             )
-    finally:
-        if owned:
-            stream.close()
-    return 1 if any(not r.passed for r in results) else 0
+    return 1 if failures else 0
 
 
 def _cmd_transform_check(args: argparse.Namespace) -> int:
@@ -381,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("verify-all", help="run the invariant battery")
-    sp.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     add_io(sp, json_flag=False)
     sp.set_defaults(handler=_cmd_verify_all)
 

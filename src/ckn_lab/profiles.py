@@ -527,8 +527,6 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
     peak size.
     """
     d = derive(p)
-    inner = weighted_laplacian(u, p.alpha, p.N).times_power(-_frac(p.beta))
-    lhs_profile = weighted_laplacian(inner, p.alpha, p.N)
     pts = np.asarray(
         DEFAULT_RESIDUAL_SAMPLES if samples is None else samples, dtype=float
     )
@@ -546,10 +544,13 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
             unit.nu,
         )
         dust = (weighted_laplacian(inner, p.alpha, p.N) - rhs_cell).canonical()
-        lhs, rhs, defect = eval_shared((lhs_profile, rhs_cell.scaled(a), dust.scaled(a)), pts)
+        rhs, defect = eval_shared((rhs_cell.scaled(a), dust.scaled(a)), pts)
+        # the chain on u is a times the chain on the unit profile, rhs + dust
+        lhs = rhs + defect
         defect = np.abs(defect)
     else:
-        lhs, uv = lhs_profile.eval(pts), u.eval(pts)
+        inner = weighted_laplacian(u, p.alpha, p.N).times_power(-_frac(p.beta))
+        lhs, uv = weighted_laplacian(inner, p.alpha, p.N).eval(pts), u.eval(pts)
         rhs = pts**p.beta * np.abs(uv) ** (d.p_star - 2.0) * uv
         defect = np.abs(lhs - rhs)
     return float(np.max(defect / (np.abs(lhs) + np.abs(rhs) + 1e-300)))
@@ -611,8 +612,7 @@ def emden_fowler(u, p: Params):
     def residual(t, relative=False):
         arr, scalar = _as_array(t)
         s = np.exp(-arr)
-        d1, d2, d3, d4 = (psi.deriv(s, k) for k in (1, 2, 3, 4))
-        v = psi.eval(s)
+        v, d1, d2, d3, d4 = psi.jet(s, 4)
         # t-derivatives by the chain rule for t = -ln s:
         phi2 = s * d1 + s**2 * d2
         phi4 = s * d1 + 7.0 * s**2 * d2 + 6.0 * s**3 * d3 + s**4 * d4
@@ -638,30 +638,29 @@ def cosh_profile_residual(M: float, t) -> float:
     the transformed equation; this evaluates the defect directly from M,
     independent of any parameter triple (fractional M included).
     Derivatives use the recursion F^(n) = F * p_n(tanh t) with
-    p_(n+1) = (1-u^2) p_n' - kappa u p_n.
+    p_(n+1) = (1-w^2) p_n' - kappa w p_n.
+
+    Raises:
+        DomainError: if the amplitude gamma_m(M)^((M-4)/8) exceeds double
+            range, which happens from M ~ 259.5 on.
     """
-    amp = math.exp(math.log(gamma_m(M)) * (M - 4.0) / 8.0)
+    try:
+        amp = math.exp(math.log(gamma_m(M)) * (M - 4.0) / 8.0)
+    except OverflowError:
+        raise DomainError(
+            f"cosh profile amplitude overflows double precision at M={M!r}"
+        ) from None
     arr, scalar = _as_array(t)
     kappa = (M - 4.0) / 2.0
     u = np.tanh(arr)
-    # p_n as ascending coefficient arrays in u = tanh t; deg(p_n) = n <= 4
-    size = 6
-    poly = np.zeros(size)
-    poly[0] = 1.0
-    polys = [poly.copy()]
+    w = np.polynomial.Polynomial([0.0, 1.0])
+    polys = [np.polynomial.Polynomial([1.0])]
     for _ in range(4):
-        dp = np.zeros(size)
-        dp[:-1] = poly[1:] * np.arange(1, size)  # p'
-        u2dp = np.zeros(size)
-        u2dp[2:] = dp[:-2]  # u^2 p'
-        up = np.zeros(size)
-        up[1:] = poly[:-1]  # u p
-        poly = dp - u2dp - kappa * up
-        polys.append(poly.copy())
+        p = polys[-1]
+        polys.append((1 - w**2) * p.deriv() - kappa * w * p)
     # log(2 cosh t) = |t| + log1p(e^(-2|t|)), stable for large |t|
     F = np.exp(-kappa * (np.abs(arr) + np.log1p(np.exp(-2.0 * np.abs(arr)))))
-    p2 = np.polynomial.polynomial.polyval(u, polys[2])
-    p4 = np.polynomial.polynomial.polyval(u, polys[4])
+    p2, p4 = polys[2](u), polys[4](u)
     c2 = ((M - 2.0) ** 2 + 4.0) / 2.0
     c0 = M**2 * (M - 4.0) ** 2 / 16.0
     phi = amp * F

@@ -6,11 +6,6 @@ them in the order of acceptance criteria 01-10: the acceptance gate runs
 entry n-1 as criterion n, and `run_all` (behind `verify-all`) runs them
 all.
 
-The `perturb` argument is a sensitivity hook for the test suite: it
-multiplies one closed-form constant inside one check by (1 + perturb),
-so any nonzero value must make the battery fail (proving the harness
-actually compares things).
-
 Worst cases accumulate with `np.maximum`, which returns NaN when either
 argument is NaN; the built-in `max(0.0, nan)` returns 0.0 and would let
 a NaN defect pass its bound.
@@ -87,18 +82,18 @@ SIGN_LAW_GRID = tuple(
 NEGATIVE_ALPHA_PAIRS = ((5, -1.0), (6, -0.5), (8, -2.0))
 
 
-def _check_closed_forms(perturb: float) -> CheckResult:
+def _check_closed_forms() -> CheckResult:
     worst = 0.0
     for N in range(5, 11):
         s_plain = s_0_closed(N)
-        s_general = s_r_closed(validate(N, 0.0, 0.0)) * (1.0 + perturb)
+        s_general = s_r_closed(validate(N, 0.0, 0.0))
         worst = np.maximum(worst, abs(s_general - s_plain) / s_plain)
     return CheckResult(
         "closed_form_consistency", worst < 1e-12, f"max rel defect {worst:.3e}"
     )
 
 
-def _check_extremality(perturb: float) -> CheckResult:
+def _check_extremality() -> CheckResult:
     worst = 0.0
     for N, a, b in EXTREMALITY_POINTS:
         p = validate(N, a, b)
@@ -107,7 +102,7 @@ def _check_extremality(perturb: float) -> CheckResult:
     return CheckResult("extremality", worst < 1e-6, f"max rel defect {worst:.3e}")
 
 
-def _check_euler_lagrange(perturb: float) -> CheckResult:
+def _check_euler_lagrange() -> CheckResult:
     # the default radii on [1e-2, 1e2] and 25 more on [0.05, 20]
     radii = np.concatenate((DEFAULT_RESIDUAL_SAMPLES, np.geomspace(0.05, 20.0, 25)))
     worst = 0.0
@@ -117,7 +112,7 @@ def _check_euler_lagrange(perturb: float) -> CheckResult:
     return CheckResult("euler_lagrange_residual", worst < 1e-8, f"max {worst:.3e}")
 
 
-def _check_transform_chain(perturb: float) -> CheckResult:
+def _check_transform_chain() -> CheckResult:
     ts = np.concatenate((np.linspace(-6.0, 6.0, 101), np.linspace(-8.0, 8.0, 161)))
     worst = 0.0
     for m in (4.5, 5.0, 6.0, 8.0):
@@ -125,7 +120,7 @@ def _check_transform_chain(perturb: float) -> CheckResult:
     return CheckResult("transform_closed_form", worst < 1e-6, f"max {worst:.3e}")
 
 
-def _check_fs_recoveries(perturb: float) -> CheckResult:
+def _check_fs_recoveries() -> CheckResult:
     worst_first_order = 0.0
     worst_spectral = 0.0
     for N, a in ((N, a) for N in (5, 6) for a in (0.5, 1.0, 2.0)):
@@ -142,7 +137,7 @@ def _check_fs_recoveries(perturb: float) -> CheckResult:
     )
 
 
-def _check_sign_law(perturb: float) -> CheckResult:
+def _check_sign_law() -> CheckResult:
     # the sign must be nonzero and equal both the side of the curve and
     # the closed-form law q^2 (N-1) - (M-1)
     bad = []
@@ -164,7 +159,7 @@ def _check_sign_law(perturb: float) -> CheckResult:
     )
 
 
-def _check_certificate(perturb: float) -> CheckResult:
+def _check_certificate() -> CheckResult:
     cert = certify(validate(5, 1.0, 1.0))
     ok = (
         cert.verdict is Verdict.BREAKING
@@ -178,7 +173,7 @@ def _check_certificate(perturb: float) -> CheckResult:
     )
 
 
-def _check_kernel_at_curve(perturb: float) -> CheckResult:
+def _check_kernel_at_curve() -> CheckResult:
     N, a = 5, 1.0
     curve = beta_fs(N, a)
     p = validate(N, a, curve)
@@ -202,7 +197,7 @@ def _check_kernel_at_curve(perturb: float) -> CheckResult:
     )
 
 
-def _check_identity_battery(perturb: float) -> CheckResult:
+def _check_identity_battery() -> CheckResult:
     worst = 0.0
     bound_failures = []
     for N, a, b in BATTERY_POINTS:
@@ -229,7 +224,7 @@ def _check_identity_battery(perturb: float) -> CheckResult:
     return CheckResult("identity_battery", worst < 1e-8 and not bound_failures, detail)
 
 
-def _check_boundary_equality(perturb: float) -> CheckResult:
+def _check_boundary_equality() -> CheckResult:
     worst = consistency = 0.0
     for N, a in NEGATIVE_ALPHA_PAIRS:
         _, constant, defect = check_boundary_sharp_constant(N, a)
@@ -263,5 +258,5 @@ CHECKS = (
 )
 
 
-def run_all(perturb: float = 0.0) -> list[CheckResult]:
-    return [check(perturb) for check in CHECKS]
+def run_all() -> list[CheckResult]:
+    return [check() for check in CHECKS]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: records, scans, exit codes."""
 
+import argparse
 import csv
 import json
 import multiprocessing
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckn_lab import cli
+from ckn_lab import cli, verify
 from ckn_lab.cli import main
 from ckn_lab.verify import run_all
 
@@ -324,8 +325,11 @@ def test_verify_all_runs_the_ten_checks_in_criterion_order(capsys):
     assert all(line.startswith("PASS  ") for line in out.splitlines())
 
 
-def test_verify_all_perturbation_hook(capsys):
-    code, out, _ = run(capsys, "verify-all", "--perturb", "1e-6")
+def test_verify_all_perturbation_hook(capsys, monkeypatch):
+    """One closed form off by 1e-6 fails exactly the check that compares it."""
+    s_0_closed = verify.s_0_closed
+    monkeypatch.setattr(verify, "s_0_closed", lambda N: s_0_closed(N) * (1 + 1e-6))
+    code, out, _ = run(capsys, "verify-all")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1
@@ -339,6 +343,40 @@ def test_out_flag_writes_file(tmp_path):
          "--json", "--out", str(target)]
     ) == 0
     assert json.loads(target.read_text())["m"] == pytest.approx(6.0)
+
+
+# one small invocation of every subcommand
+OUTPUT_COMMANDS = {
+    "constants": ["constants", "--N", "5", "--alpha", "1", "--beta", "1"],
+    "certify": ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--json"],
+    "fs-curve": ["fs-curve", "--N", "5", "--alpha", "1"],
+    "scan": ["scan", "--N", "5", "--alpha", "1", "--beta", "auto:3", "--jobs", "1"],
+    "verify-all": ["verify-all"],
+    "transform-check": ["transform-check", "--N", "5", "--alpha", "1", "--beta", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS)
+def test_out_file_holds_the_stdout_bytes(capsysbinary, tmp_path, argv):
+    code = main(argv)
+    stdout = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    assert main(argv + ["--out", str(target)]) == code == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == stdout != b""
+
+
+def test_every_option_is_shown_in_help():
+    (subcommands,) = (
+        a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subcommands) == set(OUTPUT_COMMANDS)
+    for name, sp in subcommands.items():
+        shown = sp.format_help()
+        for action in sp._actions:
+            assert action.help is not argparse.SUPPRESS, (name, action.dest)
+            for option in action.option_strings:
+                assert option in shown, (name, option)
 
 
 def test_missing_subcommand_is_parameter_error(capsys):

@@ -537,6 +537,53 @@ def test_cosh_profile_solves_autonomous_equation(m):
     assert np.max(np.abs(cosh_profile_residual(m, ts))) < 1e-12
 
 
+def test_cosh_profile_amplitude_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows double precision at M=300.0"):
+        cosh_profile_residual(300.0, 0.0)
+
+
+PIN_TS = np.array([-7.5, -0.3, 0.7, 11.0])
+#: cosh_profile_residual(M, PIN_TS), bit for bit
+COSH_HEX = {
+    4.5: ["0x1.85038bff20000p-55", "0x1.c000000000000p-50", "0x1.0000000000000p-52", "0x1.e7a5a179a4bfdp-56"],
+    6.0: ["0x1.f5b3058980000p-60", "-0x1.0000000000000p-46", "0x0.0p+0", "0x1.337e3cd2bac19p-62"],
+    37.3: ["-0x1.bcee770b80000p-130", "0x1.0000000000000p+34", "0x1.0000000000000p+29", "0x1.fc70263fc520ap-215"],
+    200.0: ["0x1.258dbf4b08000p-340", "-0x1.6000000000000p+621", "-0x1.6000000000000p+594", "-0x0.0p+0"],
+}
+#: the ground state's Emden-Fowler residual at PIN_TS, absolute and relative,
+#: at M = 6, 37.3 and 200
+EF_HEX = {
+    (5, 1.0, 1.0): (
+        ["0x1.2fe941aca2c38p-47", "0x1.2000000000000p-44", "-0x1.8000000000000p-47", "-0x1.814dd4d7028b0p-61"],
+        ["0x1.af00b7fe98f80p-42", "0x1.b11adf5c2d59cp-50", "0x1.68540164d6de0p-51", "0x1.1abd7eb6040d2p-50"],
+    ),
+    (5, 1.0, -0.7734): (
+        ["-0x1.4c811704d9580p-124", "-0x1.1140000000000p+43", "-0x1.de00000000000p+34", "-0x1.2a04a97a6a182p-207"],
+        ["0x1.af5d041ed9931p-47", "0x1.011a6c6ecf6d5p-42", "0x1.27a499a35bec9p-46", "0x1.99eb7df640f83p-46"],
+    ),
+    (5, 1.0, -0.9596): (
+        ["-0x1.1f7a18169ce34p-322", "-0x1.46c0000000000p+628", "-0x1.6ca0000000000p+602", "0x1.abfb8b4aaf15ap-826"],
+        ["0x1.96a73cbdcd4e4p-37", "0x1.9008f106d15d2p-43", "0x1.96ca4748ae1ffp-43", "0x1.195413efb47a8p-45"],
+    ),
+}
+
+
+@pytest.mark.parametrize("m", COSH_HEX)
+def test_cosh_profile_residual_is_pinned_bit_for_bit(m):
+    assert [float(v).hex() for v in cosh_profile_residual(m, PIN_TS)] == COSH_HEX[m]
+    assert cosh_profile_residual(m, 0.7).hex() == COSH_HEX[m][2]
+
+
+@pytest.mark.parametrize("point", EF_HEX)
+def test_emden_fowler_residual_is_pinned_bit_for_bit(point):
+    p = validate(*point)
+    _, residual = emden_fowler(extremal(p), p)
+    absolute, relative = EF_HEX[point]
+    assert [float(v).hex() for v in residual(PIN_TS)] == absolute
+    assert [float(v).hex() for v in residual(PIN_TS, relative=True)] == relative
+    assert residual(0.7).hex() == absolute[2]
+
+
 # -- closed-form constants ----------------------------------------------------
 
 

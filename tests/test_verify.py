@@ -27,6 +27,6 @@ NAN_INPUTS = [
 
 @pytest.mark.parametrize("check, name, stand_in", NAN_INPUTS, ids=[n for _, n, _ in NAN_INPUTS])
 def test_nan_input_fails_its_check(monkeypatch, check, name, stand_in):
-    assert check(0.0).passed
+    assert check().passed
     monkeypatch.setattr(verify, name, stand_in)
-    assert not check(0.0).passed
+    assert not check().passed
