@@ -20,7 +20,9 @@ in an order that is reversed every other round, and in each one runs
   as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
   (N = 5, 6, 8; 603 CSV rows), ``fs_curve_cli_s`` two ``fs-curve``
   processes (N = 5, 8; 40 alphas each), ``verify_all_cli_s`` one
-  ``verify-all`` process.  Each process runs in every
+  ``verify-all`` process, and ``constants_cli_s`` five ``constants
+  --json`` processes at points across the strip, which time start-up as
+  a closed-form query meets it.  Each process runs in every
   checkout in turn before the next one starts, so the checkouts meet
   the same phase of the host's load, and its wall time is scaled to the
   reference speed by the perfbench speed kernel, run KERNEL_RUNS times
@@ -40,7 +42,10 @@ runs, median and quartiles and, against the baseline, the number of
 rounds in which the checkout did better, the ratio of medians, and
 whether the gap between medians exceeds the baseline's interquartile
 range; the traced figures get the same ratio and gap, per workload, so
-the record marks a per-layer difference it cannot resolve.
+the record marks a per-layer difference it cannot resolve.  Beside that
+gap, ``separated`` is true only when every run of the checkout falls on
+one side of every baseline run: with three traced runs the quartiles are
+too narrow a yardstick, and host drift between runs can exceed them.
 
 Each checkout is named by its commit when it is a git work tree of its
 own, and always by a SHA-256 of its ``src/`` files, which a ``git
@@ -72,6 +77,10 @@ CLI_RUNS = {
     ],
     "fs_curve_cli_s": [["fs-curve", "--N", str(n), "--alpha", "0.1:2:40", "--json"] for n in (5, 8)],
     "verify_all_cli_s": [["verify-all"]],
+    "constants_cli_s": [
+        ["constants", "--N", str(n), f"--alpha={alpha}", f"--beta={beta}", "--json"]
+        for n, alpha, beta in ((5, 1, 1), (5, 0.1, -1.8), (6, -1, -2), (7, 2, 2.8), (8, -2, -3.5))
+    ],
 }
 #: rounds of runs; a gain counts when it wins nine tenths of at least ten
 ROUNDS = 10
@@ -162,13 +171,16 @@ def _summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def _gap(value: dict, ref: dict) -> dict:
-    """Ratio of two medians, and whether their gap exceeds the reference's interquartile range."""
+def _gap(values: list[float], refs: list[float]) -> dict:
+    """Ratio of two medians, whether their gap exceeds the reference's
+    interquartile range, and whether no run lies between two reference runs."""
+    value, ref = _summary(values), _summary(refs)
     iqr = ref["q3"] - ref["q1"]
     return {
         "median_ratio": value["median"] / ref["median"] if ref["median"] else None,
         "baseline_iqr": iqr,
         "gap_exceeds_baseline_iqr": abs(value["median"] - ref["median"]) > iqr,
+        "separated": max(values) < min(refs) or min(values) > max(refs),
     }
 
 
@@ -258,9 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     record["against_" + base] = {}
     for name in names[1:]:
         runs = record["checkouts"][name]["runs"]
-        summary = record["checkouts"][name]["summary"]
         table = {}
-        for key, b in base_summary.items():
+        for key in base_summary:
             sign = 1.0 if _higher_is_better(key) else -1.0
             wins = sum(
                 sign * (run["metrics"][key] - ref["metrics"][key]) > 0
@@ -270,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
                 "better": "higher" if sign > 0 else "lower",
                 "wins": wins,
                 "rounds": len(runs),
-                **_gap(summary[key], b),
+                **_gap([run["metrics"][key] for run in runs], [run["metrics"][key] for run in base_runs]),
             }
         table["same_cli_output"] = all(
             run["output_sha256"] == ref["output_sha256"] for run, ref in zip(runs, base_runs)
@@ -278,8 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         base_trace = record["checkouts"][base]["trace"]
         table["trace"] = {
             workload: {
-                key: _gap(value, base_trace[workload]["summary"][key])
-                for key, value in block["summary"].items()
+                key: _gap([run[key] for run in block["runs"]], [run[key] for run in base_trace[workload]["runs"]])
+                for key in block["summary"]
             }
             for workload, block in record["checkouts"][name]["trace"].items()
         }

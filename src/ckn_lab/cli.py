@@ -13,6 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 3 I/O failure.  Single-point commands emit JSON lines with ``--json``;
 ``scan`` always writes CSV with a fixed header so reruns are
 byte-identical.
+
+numpy, multiprocessing and the numerical layers are imported by the
+handlers that use them, so ``constants``, ``--help`` and argument errors
+run on the stdlib alone.
 """
 
 from __future__ import annotations
@@ -21,38 +25,43 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib
 import json
 import math
 import os
 import sys
-from multiprocessing import Pool
-
-import numpy as np
 
 from .params import (
+    DEFAULT_CERT_TOL,
+    DEFAULT_EPS,
     ParamError,
     RegionClass,
+    amplitude_constant,
     beta_fs,
     classify,
     derive,
     hardy_comparison_constants,
     rellich_infimum,
+    s_r_closed,
     validate,
 )
-from .profiles import (
-    amplitude_constant,
-    cosh_profile_residual,
-    emden_fowler,
-    extremal,
-    s_r_closed,
-)
-from .quadrature import AccuracyError, DivergentIntegralError
-from .specfun import DomainError
-from .spectral import BracketError, ConditioningError, fs_locate, ritz_min_eig
-from .variation import DEFAULT_CERT_TOL, DEFAULT_EPS, certify, second_variation
-from .verify import run_all
+from .specfun import AccuracyError, BracketError, ConditioningError, DivergentIntegralError, DomainError
 
 __all__ = ["main"]
+
+#: numerical-layer functions the handlers import when they run, by defining module
+_LAYER_NAMES = {
+    "cosh_profile_residual": "profiles", "emden_fowler": "profiles", "extremal": "profiles",
+    "fs_locate": "spectral", "ritz_min_eig": "spectral",
+    "certify": "variation", "second_variation": "variation", "run_all": "verify",
+}
+
+
+def __getattr__(name: str):
+    """A name of `_LAYER_NAMES`, read from its module on every access (so a rebinding there shows)."""
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_LAYER_NAMES[name]}"), name)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +71,8 @@ __all__ = ["main"]
 def _parse_range(text: str, name: str) -> list[float]:
     """Parse 'lo:hi:steps' into a linspace, or a bare number into [x]."""
     if ":" in text:
+        import numpy as np
+
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"{name} range must be lo:hi:steps, got {text!r}")
@@ -88,6 +99,8 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     open lower boundary is never sampled.
     """
     if beta_arg.startswith("auto"):
+        import numpy as np
+
         steps = 20
         if ":" in beta_arg:
             try:
@@ -160,6 +173,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .variation import certify
+
     p = validate(args.N, args.alpha, args.beta)
     cert = certify(p, eps=args.eps, tol=args.tol)
     record = {
@@ -183,6 +198,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
+    from .spectral import fs_locate
+
     with _output(args) as stream:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
@@ -220,11 +237,17 @@ _SCAN_FIELDS = (
 def _scan_point(point: tuple[int, float, float]) -> list[str]:
     """One CSV row; must stay top-level so worker processes can pickle it.
 
+    It imports the numerical layers when called, as every handler does, so
+    a worker loads them on its first cell.
+
     Numeric cells are empty where the quantity is undefined (Invalid or
     degenerate triples) or where the computation cannot converge or
     assemble at the extreme edge of the strip; wall_time_ms stays empty so
     reruns are byte-identical.
     """
+    from .spectral import ritz_min_eig
+    from .variation import second_variation
+
     N, alpha, beta = point
     tag = classify(N, alpha, beta)
     row = [str(N), repr(alpha), repr(beta), tag.value, "", "", "", "", ""]
@@ -253,6 +276,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for beta in _beta_values(args.N, alpha, args.beta)
     ]
     if args.jobs > 1 and len(points) > 1:
+        from multiprocessing import Pool
+
         with Pool(processes=args.jobs) as pool:
             rows = pool.map(_scan_point, points)
     else:
@@ -265,6 +290,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from .verify import run_all
+
     results = run_all()
     failures = [r.name for r in results if not r.passed]
     with _output(args) as stream:
@@ -280,6 +307,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform_check(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .profiles import cosh_profile_residual, emden_fowler, extremal
+
     p = validate(args.N, args.alpha, args.beta)
     ts = np.linspace(-6.0, 6.0, 101)
     _, residual = emden_fowler(extremal(p), p)

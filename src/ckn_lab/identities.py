@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, harmonic_eigenvalue, hardy_comparison_constants, sphere_area, validate
-from .profiles import (
-    GaussianProfile,
-    PowerPeakProfile,
-    RadialProfile,
-    extremal,
+from .params import (
+    Params,
+    harmonic_eigenvalue,
+    hardy_comparison_constants,
     s_0_closed,
     s_r_closed,
+    sphere_area,
+    validate,
 )
+from .profiles import GaussianProfile, PowerPeakProfile, RadialProfile, extremal
 from .quadrature import (
     integrate_semiinfinite,
     mode_energy,

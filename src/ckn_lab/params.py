@@ -11,7 +11,8 @@ admissible parameter set is
 
 and every quantity downstream (critical exponent, transformed dimension,
 sharp constants, symmetry-breaking thresholds) is a function of the
-triple (N, alpha, beta).  This module owns that bookkeeping.
+triple (N, alpha, beta).  This module owns that bookkeeping, and the
+closed-form sharp constants with it, so that they need only the stdlib.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .specfun import log_gamma
+from .specfun import DomainError, log_gamma
 
 __all__ = [
     "ParamError",
@@ -40,10 +41,21 @@ __all__ = [
     "rellich_infimum",
     "sphere_area",
     "harmonic_eigenvalue",
+    "gamma_m",
+    "amplitude_constant",
+    "b_closed",
+    "s_r_closed",
+    "s_0_closed",
+    "DEFAULT_EPS",
+    "DEFAULT_CERT_TOL",
 ]
 
 #: Absolute tolerance for boundary comparisons in :func:`classify`.
 BOUNDARY_TOL = 1e-12
+#: Perturbation size and sign dead zone of `variation.certify` by default,
+#: kept here so that the command line shows them without loading numpy.
+DEFAULT_EPS = 1e-2
+DEFAULT_CERT_TOL = 1e-6
 
 
 class ParamError(ValueError):
@@ -263,3 +275,65 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
         if val < best_val:
             best_val, best_k = val, k
     return best_val, best_k
+
+
+# ---------------------------------------------------------------------------
+# Sharp constants
+# ---------------------------------------------------------------------------
+
+
+def gamma_m(M: float) -> float:
+    """(M-4)(M-2)M(M+2), the coupling constant of the transformed equation."""
+    if not (M > 4.0):
+        raise DomainError(f"requires M > 4, got {M}")
+    return (M - 4.0) * (M - 2.0) * M * (M + 2.0)
+
+
+def amplitude_constant(p: Params) -> float:
+    """Normalization making the ground-state profile solve the equation.
+
+    Equals [(N-4+2a-b)(N-2+a)(N+b)(N+2-a+2b)]^((N-4+2a-b)/(4(2+b-a))),
+    or in transformed-dimension variables (gamma_m(M)/q^4)^((M-4)/8).
+
+    Raises:
+        DomainError: if the constant exceeds double range, which happens
+            near the lower edge beta -> alpha - 2 of the strip (M -> inf).
+    """
+    d = derive(p)
+    m = d.M
+    try:
+        return math.exp((m - 4.0) / 8.0 * (math.log(gamma_m(m)) - 4.0 * math.log(d.q)))
+    except OverflowError:
+        raise DomainError(
+            f"amplitude constant overflows double precision at M={m!r}"
+        ) from None
+
+
+def b_closed(M: float) -> float:
+    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4."""
+    gamma = gamma_m(M)
+    log_bracket = 2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M)
+    return gamma * math.exp(4.0 / M * log_bracket)
+
+
+def s_r_closed(p: Params) -> float:
+    """Sharp constant of the radial problem, in closed form.
+
+    q^(4/M - 4) * omega^(4/M) * b_closed(M); reduces to s_0_closed(N)
+    at alpha = beta = 0 and to (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N)
+    on the upper boundary beta = N*alpha/(N-2).
+    """
+    d = derive(p)
+    return math.exp(
+        (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * math.log(d.omega)
+    ) * b_closed(d.M)
+
+
+def s_0_closed(N: int) -> float:
+    """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N)."""
+    if N < 5:
+        raise DomainError(f"dimension must be at least 5, got {N}")
+    poly = N * (N - 4.0) * (N * N - 4.0)
+    return math.pi**2 * poly * math.exp(
+        4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
+    )

@@ -1,4 +1,4 @@
-"""Closed-form radial profiles and sharp constants.
+"""Closed-form radial profiles.
 
 Everything here is built from two small families that are closed under
 differentiation, multiplication by powers of r, and linear combination:
@@ -44,8 +44,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .params import Params, derive
-from .specfun import DomainError, log_gamma
+# the sharp constants live in params; b_closed, s_r_closed and s_0_closed are re-bound for callers
+from .params import Params, amplitude_constant, b_closed, derive, gamma_m, s_0_closed, s_r_closed  # noqa: F401
+from .specfun import DomainError
 
 __all__ = [
     "RadialProfile",
@@ -364,35 +365,8 @@ def constant_profile(c: float) -> PowerPeakProfile:
 
 
 # ---------------------------------------------------------------------------
-# Ground state and sharp constants
+# Ground state and kernel modes
 # ---------------------------------------------------------------------------
-
-
-def gamma_m(M: float) -> float:
-    """(M-4)(M-2)M(M+2), the coupling constant of the transformed equation."""
-    if not (M > 4.0):
-        raise DomainError(f"requires M > 4, got {M}")
-    return (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-
-
-def amplitude_constant(p: Params) -> float:
-    """Normalization making the ground-state profile solve the equation.
-
-    Equals [(N-4+2a-b)(N-2+a)(N+b)(N+2-a+2b)]^((N-4+2a-b)/(4(2+b-a))),
-    or in transformed-dimension variables (gamma_m(M)/q^4)^((M-4)/8).
-
-    Raises:
-        DomainError: if the constant exceeds double range, which happens
-            near the lower edge beta -> alpha - 2 of the strip (M -> inf).
-    """
-    d = derive(p)
-    m = d.M
-    try:
-        return math.exp((m - 4.0) / 8.0 * (math.log(gamma_m(m)) - 4.0 * math.log(d.q)))
-    except OverflowError:
-        raise DomainError(
-            f"amplitude constant overflows double precision at M={m!r}"
-        ) from None
 
 
 class ExtremalProfile(PowerPeakProfile):
@@ -456,36 +430,6 @@ def kernel_mode(p: Params, which: str) -> KernelMode:
     return KernelMode(p, which)
 
 
-def b_closed(M: float) -> float:
-    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4."""
-    gamma = gamma_m(M)
-    log_bracket = 2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M)
-    return gamma * math.exp(4.0 / M * log_bracket)
-
-
-def s_r_closed(p: Params) -> float:
-    """Sharp constant of the radial problem, in closed form.
-
-    q^(4/M - 4) * omega^(4/M) * b_closed(M); reduces to s_0_closed(N)
-    at alpha = beta = 0 and to (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N)
-    on the upper boundary beta = N*alpha/(N-2).
-    """
-    d = derive(p)
-    return math.exp(
-        (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * math.log(d.omega)
-    ) * b_closed(d.M)
-
-
-def s_0_closed(N: int) -> float:
-    """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N)."""
-    if N < 5:
-        raise DomainError(f"dimension must be at least 5, got {N}")
-    poly = N * (N - 4.0) * (N * N - 4.0)
-    return math.pi**2 * poly * math.exp(
-        4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Weighted radial operators
 # ---------------------------------------------------------------------------
@@ -537,7 +481,8 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
         inner = weighted_laplacian(unit, p.alpha, p.N).times_power(-beta_f)
         m_frac = 2 * (Fraction(p.N) + beta_f) / u.sigma_frac
         pstar_frac = 2 * m_frac / (m_frac - 4)
-        rhs_unit = math.copysign(abs(a) ** (d.p_star - 2.0), a)
+        # |u|^(p*-2) u is a times |a|^(p*-2) |unit|^(p*-2) unit, for either sign of a
+        rhs_unit = abs(a) ** (d.p_star - 2.0)
         rhs_cell = PowerPeakProfile(
             [(_frac(rhs_unit), beta_f + p0 * (pstar_frac - 1), e0 * (pstar_frac - 1))],
             u.sigma_frac,

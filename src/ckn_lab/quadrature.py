@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params, derive
-from .specfun import DomainError
+from .specfun import AccuracyError, DivergentIntegralError, DomainError
 
 __all__ = [
     "QuadResult",
@@ -70,21 +70,6 @@ _X_CUT = math.asinh(_X_MAX / math.pi)
 _H0 = 0.5
 _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
 _MARGIN = 3  # coarse nodes past a level's tail cut that the next level evaluates
-
-
-class DivergentIntegralError(DomainError):
-    """Endpoint screening judged the integral nonintegrable."""
-
-
-class AccuracyError(RuntimeError):
-    """Node budget exhausted before the tolerance was met.
-
-    The best estimate so far is attached as ``result``.
-    """
-
-    def __init__(self, message: str, result: "QuadResult"):
-        super().__init__(message)
-        self.result = result
 
 
 @dataclass(frozen=True)

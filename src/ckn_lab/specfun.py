@@ -1,19 +1,47 @@
-"""Scalar special functions used by the closed-form constants.
+"""Scalar special functions used by the closed-form constants, and the typed errors.
 
 Everything downstream (sharp constants, Beta-function reductions of the
 spectral integrals, sphere areas) funnels through ``log_gamma``, which
-is the stdlib ``math.lgamma`` restricted to the positive axis.
+is the stdlib ``math.lgamma`` restricted to the positive axis.  The
+errors the numerical layers raise live here too, beside ``DomainError``,
+so the command line can catch them without importing those layers.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "gamma", "log_beta", "beta_fn", "DomainError"]
+__all__ = [
+    "log_gamma", "gamma", "log_beta", "beta_fn",
+    "DomainError", "DivergentIntegralError", "AccuracyError", "ConditioningError", "BracketError",
+]
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+class DivergentIntegralError(DomainError):
+    """Endpoint screening judged the integral nonintegrable."""
+
+
+class AccuracyError(RuntimeError):
+    """Node budget exhausted before the tolerance was met.
+
+    The best estimate so far, a `quadrature.QuadResult`, is attached as ``result``.
+    """
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
+
+
+class ConditioningError(RuntimeError):
+    """The Ritz operator matrix could not be assembled in floating point."""
+
+
+class BracketError(RuntimeError):
+    """No sign change of the least eigenvalue inside the search interval."""
 
 
 def log_gamma(x: float) -> float:

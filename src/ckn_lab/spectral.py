@@ -31,7 +31,7 @@ import numpy as np
 
 from .params import Params, derive, harmonic_eigenvalue, validate
 from .quadrature import integrate_semiinfinite, mode_energy, power_weighted
-from .specfun import DomainError
+from .specfun import BracketError, ConditioningError, DomainError
 
 __all__ = [
     "ModeData",
@@ -44,14 +44,6 @@ __all__ = [
     "ritz_min_eig",
     "fs_locate",
 ]
-
-
-class ConditioningError(RuntimeError):
-    """The Ritz operator matrix could not be assembled in floating point."""
-
-
-class BracketError(RuntimeError):
-    """No sign change of the least eigenvalue inside the search interval."""
 
 
 @dataclass(frozen=True)

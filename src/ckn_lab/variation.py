@@ -25,11 +25,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import Params, RegionClass, beta_fs, classify, derive, harmonic_eigenvalue, sphere_area
-from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode, s_r_closed
-from .quadrature import AccuracyError, integrate_semiinfinite, mode_energy, norm_sq, power_weighted
+from .params import (
+    DEFAULT_CERT_TOL,
+    DEFAULT_EPS,
+    Params,
+    RegionClass,
+    beta_fs,
+    classify,
+    derive,
+    harmonic_eigenvalue,
+    s_r_closed,
+    sphere_area,
+)
+from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode
+from .quadrature import integrate_semiinfinite, mode_energy, norm_sq, power_weighted
 from .spectral import ritz_min_eig
-from .specfun import DomainError, beta_fn
+from .specfun import AccuracyError, DomainError, beta_fn
 
 __all__ = [
     "SecondVariation",
@@ -185,8 +196,6 @@ class BreakingCertificate:
     discrepancies: tuple
 
 
-DEFAULT_EPS = 1e-2
-DEFAULT_CERT_TOL = 1e-6
 _CURVE_WINDOW = 1e-9  # |beta - beta_fs| treated as exactly on the curve
 
 

@@ -30,15 +30,13 @@ from .identities import (
     check_rellich_sobolev,
     rellich_sobolev_extremal,
 )
-from .params import beta_fs, derive, fs_correspondence, validate
+from .params import beta_fs, derive, fs_correspondence, s_0_closed, s_r_closed, validate
 from .profiles import (
     DEFAULT_RESIDUAL_SAMPLES,
     PowerPeakProfile,
     cosh_profile_residual,
     euler_lagrange_residual,
     extremal,
-    s_0_closed,
-    s_r_closed,
 )
 from .quadrature import integrate_semiinfinite, power_weighted, quotient_radial
 from .spectral import _potential_constant, fs_locate, mode_quadratic_form, ritz_min_eig

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckn_lab import cli, verify
+from ckn_lab import cli, profiles, verify
 from ckn_lab.cli import main
 from ckn_lab.verify import run_all
 
@@ -183,7 +183,7 @@ def test_scan_parallel_matches_serial(tmp_path):
 
 
 def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "Pool", multiprocessing.get_context("spawn").Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2"]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
@@ -283,7 +283,7 @@ def test_transform_check_judges_the_relative_residual(capsys, point):
 
 
 def test_transform_check_nan_residual_fails(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cosh_profile_residual", lambda m, ts: float("nan"))
+    monkeypatch.setattr(profiles, "cosh_profile_residual", lambda m, ts: float("nan"))
     code, _, _ = run(capsys, "transform-check", "--N", "5", "--alpha", "1", "--beta", "1")
     assert code == 1
 

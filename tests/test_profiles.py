@@ -477,6 +477,39 @@ def test_exact_euler_lagrange_defect_is_one_cell(N, alpha, beta, lam, monkeypatc
     assert abs(c) < 1e-13 * abs(a) ** (p_star - 2.0)
 
 
+#: euler_lagrange_residual(extremal(p, lam), p).hex() at lam = 1 and 1e3
+EL_HEX = {
+    (5, 0.0, 0.0): ("0x1.381381381382ap-52", "0x1.91940b0c30c50p-51"),
+    (5, 1.0, 1.0): ("0x1.0000000000015p-52", "0x1.85d2c2a000022p-52"),
+    (5, 1.0, 0.3): ("0x1.16f7d75d1056fp-50", "0x1.2f0f4ff6b26ebp-49"),
+    (5, 1.0, 5.0 / 3.0): ("0x1.315f15f15f186p-52", "0x1.1e63eb831e9f3p-50"),
+    (5, -1.0, -5.0 / 3.0): ("0x1.5075075075091p-52", "0x1.935f1a83a83dbp-52"),
+    (5, -1.0, -1.7): ("0x1.b300a05af8881p-54", "0x1.26bbe143e3f77p-51"),
+    (6, 1.0, 0.5): ("0x1.2012012012028p-52", "0x1.33f0dd76f412dp-50"),
+    (6, 2.0, 2.5): ("0x1.6f26016f2603ep-51", "0x1.1b03670c60ef3p-49"),
+    (7, 2.0, 1.3): ("0x1.ae96abda1a013p-50", "0x1.7c90d8c5fa280p-53"),
+    (8, -2.0, -8.0 / 3.0): ("0x1.13999999999b2p-49", "0x1.80df01ccccd0ep-51"),
+}
+
+
+def test_el_pins_cover_the_extremality_points():
+    assert tuple(EL_HEX) == EXTREMALITY_POINTS
+
+
+@pytest.mark.parametrize("N, alpha, beta", EXTREMALITY_POINTS)
+def test_euler_lagrange_residual_is_pinned_bit_for_bit(N, alpha, beta):
+    p = validate(N, alpha, beta)
+    got = tuple(euler_lagrange_residual(extremal(p, lam=lam), p).hex() for lam in (1.0, 1e3))
+    assert got == EL_HEX[(N, alpha, beta)]
+
+
+@pytest.mark.parametrize("N, alpha, beta", EXTREMALITY_POINTS)
+def test_negative_multiple_of_the_minimizer_solves_euler_lagrange(N, alpha, beta):
+    """|u|^(p*-2) u is odd in u, so -u solves the equation whenever u does."""
+    p = validate(N, alpha, beta)
+    assert euler_lagrange_residual(extremal(p).scaled(-1), p) < 1e-8
+
+
 def test_perturbed_amplitude_fails_euler_lagrange(p511):
     u = extremal(p511)
     wrong = PowerPeakProfile(
