@@ -20,15 +20,18 @@ in an order that is reversed every other round, and in each one runs
   as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
   (N = 5, 6, 8; 603 CSV rows), ``fs_curve_cli_s`` two ``fs-curve``
   processes (N = 5, 8; 40 alphas each), ``verify_all_cli_s`` one
-  ``verify-all`` process, and ``constants_cli_s`` five ``constants
-  --json`` processes at points across the strip, which time start-up as
-  a closed-form query meets it.  Each process runs in every
-  checkout in turn before the next one starts, so the checkouts meet
-  the same phase of the host's load, and its wall time is scaled to the
-  reference speed by the perfbench speed kernel, run KERNEL_RUNS times
-  just before and just after it (the unscaled sum is kept as
-  ``..._wall_s``).  The SHA-256 of each checkout's concatenated output
-  is kept, so differing output shows.
+  ``verify-all`` process, ``constants_cli_s`` five ``constants --json``
+  processes at points across the strip, which time start-up as a
+  closed-form query meets it, ``certify_cli_s`` three ``certify --json``
+  processes, one on each side of the breaking curve and one deep in the
+  symmetric strip, and ``transform_check_cli_s`` two ``transform-check
+  --json`` processes; the last two run the minimizer, its kernel mode and
+  its transformed profile.  Each process runs in every checkout in turn
+  before the next one starts, so the checkouts meet the same phase of
+  the host's load, and its wall time is scaled to the reference speed by
+  the perfbench speed kernel, run KERNEL_RUNS times just before and just
+  after it (the unscaled sum is kept as ``..._wall_s``).  The SHA-256 of
+  each checkout's concatenated output is kept, so differing output shows.
 
 After the rounds, TRACED_RUNS traced rounds give the per-layer figures
 of TRACE_KEYS that each workload reports.  They alternate like the timed
@@ -80,6 +83,14 @@ CLI_RUNS = {
     "constants_cli_s": [
         ["constants", "--N", str(n), f"--alpha={alpha}", f"--beta={beta}", "--json"]
         for n, alpha, beta in ((5, 1, 1), (5, 0.1, -1.8), (6, -1, -2), (7, 2, 2.8), (8, -2, -3.5))
+    ],
+    "certify_cli_s": [
+        ["certify", "--N", str(n), f"--alpha={alpha}", f"--beta={beta}", "--json"]
+        for n, alpha, beta in ((5, 1, 1), (5, 1, 0.3), (6, 0.5, -1.2))
+    ],
+    "transform_check_cli_s": [
+        ["transform-check", "--N", str(n), f"--alpha={alpha}", f"--beta={beta}", "--json"]
+        for n, alpha, beta in ((5, 1, 1), (7, 2, 1.3))
     ],
 }
 #: rounds of runs; a gain counts when it wins nine tenths of at least ten

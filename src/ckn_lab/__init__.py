@@ -24,8 +24,8 @@ _EXPORTS = {
         ("params", ("ParamError", "Params", "RegionClass", "amplitude_constant", "beta_fs", "classify",
                     "derive", "fs_correspondence", "hardy_comparison_constants", "rellich_infimum",
                     "s_0_closed", "s_r_closed", "sphere_area", "validate")),
-        ("profiles", ("ExtremalProfile", "GaussianProfile", "PowerPeakProfile", "cosh_profile_residual",
-                      "emden_fowler", "euler_lagrange_residual", "extremal", "kernel_mode")),
+        ("profiles", ("GaussianProfile", "PowerPeakProfile", "cosh_profile_residual", "emden_fowler",
+                      "euler_lagrange_residual", "extremal", "kernel_mode")),
         ("quadrature", ("integrate_semiinfinite", "norm_sq", "norm_star", "quotient_radial")),
         ("specfun", ("AccuracyError", "BracketError", "ConditioningError", "DivergentIntegralError",
                      "DomainError")),

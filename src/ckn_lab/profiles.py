@@ -52,8 +52,6 @@ __all__ = [
     "RadialProfile",
     "PowerPeakProfile",
     "GaussianProfile",
-    "ExtremalProfile",
-    "KernelMode",
     "constant_profile",
     "gamma_m",
     "amplitude_constant",
@@ -369,40 +367,36 @@ def constant_profile(c: float) -> PowerPeakProfile:
 # ---------------------------------------------------------------------------
 
 
-class ExtremalProfile(PowerPeakProfile):
+def _exponents(p: Params) -> tuple[Fraction, Fraction]:
+    """The exact sigma = 2+beta-alpha and kappa = N-4+2*alpha-beta of the float inputs."""
+    alpha, beta = _frac(p.alpha), _frac(p.beta)
+    return 2 + beta - alpha, p.N - 4 + 2 * alpha - beta
+
+
+def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
     """The radial minimizer family: lam^(kappa/2) * U(lam * r).
 
     kappa = N-4+2*alpha-beta is the decay rate; the profile is
     amplitude * lam^(-kappa/2) * (lam^(-sigma) + r^sigma)^(-kappa/sigma).
     """
-
-    def __init__(self, p: Params, lam: float = 1.0):
-        if not 0.0 < lam < math.inf:
-            raise DomainError(f"scaling parameter must be positive and finite, got {lam}")
-        self.params = p
-        self.lam = float(lam)
-        self.amplitude = amplitude_constant(p)
-        sigma = Fraction(2) + _frac(p.beta) - _frac(p.alpha)
-        kappa = Fraction(p.N - 4) + 2 * _frac(p.alpha) - _frac(p.beta)
-        try:  # the plain float powers, so every in-range profile keeps its bits
-            coeff = self.amplitude * self.lam ** (-float(kappa) / 2.0)
-            nu = self.lam ** (-float(sigma))
-        except OverflowError:
-            coeff = nu = math.inf
-        if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
-            raise DomainError(
-                f"scaling parameter {self.lam!r} puts nu = lam^(-{float(sigma):g}) or the coefficient "
-                f"amplitude * lam^(-{float(kappa) / 2.0:g}) outside double range"
-            )
-        super().__init__([(coeff, 0, -kappa / sigma)], sigma=sigma, nu=nu)
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"scaling parameter must be positive and finite, got {lam}")
+    lam = float(lam)
+    sigma, kappa = _exponents(p)
+    try:  # the plain float powers, so every in-range profile keeps its bits
+        coeff = amplitude_constant(p) * lam ** (-float(kappa) / 2.0)
+        nu = lam ** (-float(sigma))
+    except OverflowError:
+        coeff = nu = math.inf
+    if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
+        raise DomainError(
+            f"scaling parameter {lam!r} puts nu = lam^(-{float(sigma):g}) or the coefficient "
+            f"amplitude * lam^(-{float(kappa) / 2.0:g}) outside double range"
+        )
+    return PowerPeakProfile([(coeff, 0, -kappa / sigma)], sigma=sigma, nu=nu)
 
 
-def extremal(p: Params, lam: float = 1.0) -> ExtremalProfile:
-    """Member of the scaling family of radial minimizers."""
-    return ExtremalProfile(p, lam)
-
-
-class KernelMode(PowerPeakProfile):
+def kernel_mode(p: Params, which: str) -> PowerPeakProfile:
     """Radial factor of a linearized-kernel direction.
 
     which='Z0': scaling direction, (1 - r^sigma)(1 + r^sigma)^(-(N-2+alpha)/sigma);
@@ -411,23 +405,15 @@ class KernelMode(PowerPeakProfile):
     r^(sigma/2)(1 + r^sigma)^(-(N-2+alpha)/sigma); the full mode carries an
     extra angular factor x_i/|x| tracked by mode index, not here.
     """
-
-    def __init__(self, p: Params, which: str):
-        self.params = p
-        self.which = which
-        sigma = Fraction(2) + _frac(p.beta) - _frac(p.alpha)
-        e = -(Fraction(p.N - 2) + _frac(p.alpha)) / sigma
-        if which == "Z0":
-            terms = [(1.0, 0, e), (-1.0, sigma, e)]
-        elif which == "Z1_radial":
-            terms = [(1.0, sigma / 2, e)]
-        else:
-            raise DomainError(f"unknown kernel mode {which!r}")
-        super().__init__(terms, sigma=sigma, nu=1.0)
-
-
-def kernel_mode(p: Params, which: str) -> KernelMode:
-    return KernelMode(p, which)
+    sigma, kappa = _exponents(p)
+    e = -1 - kappa / sigma  # -(N-2+alpha)/sigma, as N-2+alpha = sigma + kappa
+    if which == "Z0":
+        terms = [(1.0, 0, e), (-1.0, sigma, e)]
+    elif which == "Z1_radial":
+        terms = [(1.0, sigma / 2, e)]
+    else:
+        raise DomainError(f"unknown kernel mode {which!r}")
+    return PowerPeakProfile(terms, sigma=sigma, nu=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +465,7 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
         beta_f = _frac(p.beta)
         unit = PowerPeakProfile([(Fraction(1), p0, e0)], u.sigma_frac, Fraction(u.nu))
         inner = weighted_laplacian(unit, p.alpha, p.N).times_power(-beta_f)
-        m_frac = 2 * (Fraction(p.N) + beta_f) / u.sigma_frac
-        pstar_frac = 2 * m_frac / (m_frac - 4)
+        pstar_frac = 2 * (p.N + beta_f) / _exponents(p)[1]  # the equation's p*, whatever u's sigma
         # |u|^(p*-2) u is a times |a|^(p*-2) |unit|^(p*-2) unit, for either sign of a
         rhs_unit = abs(a) ** (d.p_star - 2.0)
         rhs_cell = PowerPeakProfile(
@@ -531,15 +516,13 @@ def emden_fowler(u, p: Params):
     """
     d = derive(p)
     m = d.M
-    sigma_frac = Fraction(2) + _frac(p.beta) - _frac(p.alpha)
-    q_frac = 2 / sigma_frac
-    m_frac = 2 * (Fraction(p.N) + _frac(p.beta)) / sigma_frac
-    half = (m_frac - 4) / 2
+    sigma, kappa = _exponents(p)
+    half = kappa / sigma  # (M-4)/2
     try:
         scale = d.q ** float(half)
     except OverflowError:
         scale = math.inf
-    psi = u.compose_power(q_frac).times_power(half).scaled(scale)
+    psi = u.compose_power(2 / sigma).times_power(half).scaled(scale)
     if not all(math.isfinite(c) for c, _, _ in psi.terms):
         raise DomainError(
             f"transformed profile q^((M-4)/2) u overflows double precision at M={m!r}"

@@ -21,7 +21,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .params import (
     DEFAULT_EPS,
     Params,
     RegionClass,
+    amplitude_constant,
     beta_fs,
     classify,
     derive,
@@ -97,8 +97,7 @@ def second_variation(p: Params) -> SecondVariation:
     )
     i2 = 0.5 * beta_fn((m - 2.0) / 2.0, (m - 2.0) / 2.0)
 
-    half = (Fraction(m) - 2) / 2
-    x1 = PowerPeakProfile([(1.0, 1, -half)], sigma=2, nu=1.0)
+    x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
 
     def i1_integrand(s):
         return power_weighted(x1.deriv(s, 1), s, 2.0, m - 4.0)
@@ -152,7 +151,7 @@ def directional_quotient(p: Params, eps: float) -> float:
     u = extremal(p)
     g = kernel_mode(p, "Z1_radial")
     numerator = norm_sq(u, p)
-    eps_z = eps * u.amplitude
+    eps_z = eps * amplitude_constant(p)
     if eps != 0.0:
         # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
         w = p.N + 2.0 * p.alpha - p.beta - 1.0

@@ -37,13 +37,14 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--json"]) == 0
     assert main(["--help"]) == 0
     assert main(["constants", "--N", "4", "--alpha", "1", "--beta", "1"]) == 2
-print(sorted({"numpy", "multiprocessing"} & set(sys.modules)))
+print(sorted({"numpy", "multiprocessing", "fractions"} & set(sys.modules)))
 sys.exit(main(["scan", "--N", "5", "--alpha", sys.argv[1], "--beta=" + sys.argv[2], "--jobs", "1"]))
 """
 
 
 def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
-    """constants, --help and a ParamError exit run on the stdlib; scan then still works."""
+    """constants, --help and a ParamError exit run on the stdlib without numpy, multiprocessing
+    or fractions; scan then still works."""
     row = GOLDEN_SCAN.read_text().splitlines()[2]
     _, alpha, beta, *_ = row.split(",")
     env = dict(os.environ, PYTHONPATH=str(Path(ckn_lab.__file__).resolve().parents[1]))

@@ -1,14 +1,15 @@
 """Exact profile algebra, ground states, ODE residuals, closed constants."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ckn_lab.params import derive, validate
+from ckn_lab.params import ParamError, derive, validate
 from ckn_lab.profiles import (
     GaussianProfile,
     PowerPeakProfile,
@@ -348,7 +349,7 @@ def test_scaling_inside_double_range_keeps_the_power_expressions(p511, lam):
     """In range, nu and the coefficient are the plain float powers, bit for bit."""
     u = extremal(p511, lam)
     assert u.nu.hex() == (lam ** -2.0).hex()
-    assert u.terms[0][0].hex() == (u.amplitude * lam ** -1.0).hex()
+    assert u.terms[0][0].hex() == (amplitude_constant(p511) * lam ** -1.0).hex()
 
 
 @pytest.mark.parametrize("nu", [math.nan, 0.0, -1.0])
@@ -373,8 +374,6 @@ def test_amplitude_constant_overflow_is_domain_error():
 def test_extremal_peak_value(p511):
     u = extremal(p511)
     assert u.eval(0.0) == pytest.approx(384.0**0.25, rel=1e-13)
-    assert u.params is p511
-    assert u.lam == 1.0
 
 
 def test_extremal_dilation_family(p511):
@@ -399,6 +398,72 @@ def test_scaling_direction_is_dilation_derivative(p511):
             2.0 * h
         )
         assert fd / z0.eval(r) == pytest.approx(expected, rel=1e-7)
+
+
+def _reference_exponents(p):
+    """sigma and kappa as the builders once wrote them, the reference of the pins below."""
+    sigma = Fraction(2) + _frac(p.beta) - _frac(p.alpha)
+    kappa = Fraction(p.N - 4) + 2 * _frac(p.alpha) - _frac(p.beta)
+    return sigma, kappa
+
+
+@st.composite
+def _admissible(draw):
+    """A validated triple anywhere in the admissible box, its edges included."""
+    N = draw(st.integers(min_value=5, max_value=12))
+    alpha = draw(st.one_of(
+        st.floats(min_value=2.0 - N, max_value=8.0, exclude_min=True),
+        st.sampled_from([math.nextafter(2.0 - N, 0.0), 0.0, 1.0, 8.0]),
+    ))
+    lower, upper = alpha - 2.0, N * alpha / (N - 2)
+    edges = st.sampled_from([math.nextafter(lower, math.inf), upper])
+    inner = st.floats(min_value=lower, max_value=upper, exclude_min=True) if lower < upper else edges
+    beta = draw(st.one_of(edges, inner))
+    try:
+        return validate(N, alpha, beta)
+    except ParamError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=_admissible(),
+    lam=st.one_of(
+        st.just(1.0),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.sampled_from([1e-150, 1e-60, 1e70, 1e154, 1e200]),
+    ),
+)
+@example(p=validate(5, 1.0, 1.0), lam=1.0)
+@example(p=validate(5, 1.0, 5.0 / 3.0), lam=1e3)
+def test_extremal_keeps_the_exponents_and_bits_it_was_built_with(p, lam):
+    """terms, sigma and nu of the minimizer are those of the formulas it was first built from."""
+    sigma, kappa = _reference_exponents(p)
+    try:
+        coeff = amplitude_constant(p) * lam ** (-float(kappa) / 2.0)
+        nu = lam ** (-float(sigma))
+    except (DomainError, OverflowError):
+        coeff = nu = math.inf
+    if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
+        with pytest.raises(DomainError):
+            extremal(p, lam)
+        return
+    u = extremal(p, lam)
+    assert u.sigma_frac == sigma
+    assert u.nu.hex() == nu.hex()
+    ((c, p0, e0),) = u.terms
+    assert (c.hex(), p0, e0) == (coeff.hex(), 0, -kappa / sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_admissible())
+def test_kernel_modes_keep_the_exponents_they_were_built_with(p):
+    sigma, _ = _reference_exponents(p)
+    e = -(Fraction(p.N - 2) + _frac(p.alpha)) / sigma
+    z0, z1 = kernel_mode(p, "Z0"), kernel_mode(p, "Z1_radial")
+    assert (z0.sigma_frac, z1.sigma_frac) == (sigma, sigma)
+    assert z0.terms == ((1.0, 0, e), (-1.0, sigma, e))
+    assert z1.terms == ((1.0, sigma / 2, e),)
 
 
 def test_kernel_modes_shape(p511):
@@ -508,6 +573,20 @@ def test_negative_multiple_of_the_minimizer_solves_euler_lagrange(N, alpha, beta
     """|u|^(p*-2) u is odd in u, so -u solves the equation whenever u does."""
     p = validate(N, alpha, beta)
     assert euler_lagrange_residual(extremal(p).scaled(-1), p) < 1e-8
+
+
+@pytest.mark.parametrize("point", [(5, 1.0, 0.3), (6, 2.0, 2.5)])
+@pytest.mark.parametrize("sigma", [2, 4])
+def test_single_term_residual_meets_the_parameters_equation(point, sigma):
+    """A single-term profile whose sigma is not 2+beta-alpha is judged against
+    the same p* as the same function written as two terms."""
+    p = validate(*point)
+    one = PowerPeakProfile([(1.0, 0, -1.5)], sigma=sigma)
+    two = PowerPeakProfile([(1.0, 0, -2.5), (1.0, sigma, -2.5)], sigma=sigma)
+    for r in (0.5, 1.0, 2.0):
+        assert euler_lagrange_residual(one, p, samples=[r]) == pytest.approx(
+            euler_lagrange_residual(two, p, samples=[r]), rel=1e-9
+        )
 
 
 def test_perturbed_amplitude_fails_euler_lagrange(p511):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ckn_lab.params import beta_fs, derive, validate
-from ckn_lab.profiles import extremal, s_r_closed
+from ckn_lab.profiles import amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import norm_star
 from ckn_lab.specfun import DomainError
 from ckn_lab.variation import (
@@ -82,7 +82,7 @@ def test_directional_quotient_taylor_window(p511):
     eps = 1e-2
     drop = s_r - directional_quotient(p511, eps)
     u = extremal(p511)
-    size = eps * u.amplitude
+    size = eps * amplitude_constant(p511)
     model = -second_variation(p511).value * size * size / norm_star(u, p511) ** 2
     assert drop > 0.0
     assert 0.2 < drop / model < 5.0
