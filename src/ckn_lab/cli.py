@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import importlib
 import json
@@ -109,6 +108,8 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
                 raise DomainError(f"bad auto step count in {beta_arg!r}") from exc
         if steps < 2:
             raise DomainError(f"auto beta range needs steps >= 2, got {steps}")
+        if N == 2:
+            raise DomainError("auto beta strip has no upper end N*alpha/(N-2) at N=2")
         lo = alpha - 2.0
         hi = N * alpha / (N - 2.0)
         width = hi - lo
@@ -268,6 +269,8 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    import csv
+
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     points = [
@@ -278,7 +281,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs > 1 and len(points) > 1:
         from multiprocessing import Pool
 
-        with Pool(processes=args.jobs) as pool:
+        with Pool(processes=min(args.jobs, len(points))) as pool:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]

@@ -18,7 +18,7 @@ Mode-k reduction rules used below, for u = f(r) Y_k and lam_k =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +59,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple("TestFunction", [("radial_part", RadialProfile), ("mode_k", int)])):
     """A separated test function: radial factor times the mode-k harmonic."""
 
+    __slots__ = ()
     __test__ = False  # calculus-of-variations noun, not a pytest suite
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    radial_part: RadialProfile
-    mode_k: int = 0
-
-    def __post_init__(self):
-        if self.mode_k < 0:
-            raise DomainError(f"mode index must be >= 0, got {self.mode_k}")
+    def __new__(cls, radial_part: RadialProfile, mode_k: int = 0):
+        if mode_k < 0:
+            raise DomainError(f"mode index must be >= 0, got {mode_k}")
+        return super().__new__(cls, radial_part, mode_k)
 
 
 #: Fixed battery: varied decay rates, origin behavior, and families.
@@ -209,8 +208,7 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftConstants:
+class ShiftConstants(NamedTuple):
     """Constants of the power-shift reduction for 2-N < alpha < 0.
 
     mu5 is the shift exponent in (0, N-4); c_mu1 and c_mu2 are the

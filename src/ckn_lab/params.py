@@ -18,7 +18,6 @@ closed-form sharp constants with it, so that they need only the stdlib.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -92,18 +91,17 @@ def _sigma_kappa(N: int, alpha: float, beta: float) -> tuple[float, float]:
     return 2.0 + beta - alpha, N - 4.0 + 2.0 * alpha - beta
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple("Params", [("N", int), ("alpha", float), ("beta", float)])):
     """Validated parameter triple.  Construction enforces admissibility."""
 
-    N: int
-    alpha: float
-    beta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        reasons = _violations(self.N, self.alpha, self.beta)
+    def __new__(cls, N: int, alpha: float, beta: float):
+        reasons = _violations(N, alpha, beta)
         if reasons:
             raise ParamError(reasons)
+        return super().__new__(cls, N, alpha, beta)
 
 
 def validate(N: int, alpha: float, beta: float) -> Params:
@@ -111,8 +109,7 @@ def validate(N: int, alpha: float, beta: float) -> Params:
     return Params(N, float(alpha), float(beta))
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(NamedTuple):
     """Derived exponents for a parameter triple.
 
     p_star: critical exponent 2(N+beta)/(N-4+2*alpha-beta), in (2, inf).
@@ -238,8 +235,7 @@ def classify(N: int, alpha: float, beta: float, tol: float = BOUNDARY_TOL) -> Re
     return RegionClass.CONJECTURED_SYMMETRY
 
 
-@dataclass(frozen=True)
-class HardyConstants:
+class HardyConstants(NamedTuple):
     """Constants of the second-order comparison bound.
 
     hardy_e is the square (2/(N-4+2*alpha-beta))^2 entering the weighted

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
 _MARGIN = 3  # coarse nodes past a level's tail cut that the next level evaluates
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """An integral with its error estimate (the difference of the last two
     levels) and ``nodes``, the number of terms summed over all levels.
     ``nodes`` counts terms, not integrand evaluations: a node reused at a

@@ -25,7 +25,7 @@ mode-1 ground state on the curve (see `fs_locate`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeData:
+class ModeData(NamedTuple):
     """Angular data of spherical-harmonic mode k in dimension N."""
 
     k: int
@@ -56,12 +55,14 @@ class ModeData:
     varpi_k: float  # transformed eigenvalue k(M-2+k)
 
 
-@dataclass(frozen=True, eq=False)
-class RitzResult:
+class RitzResult(NamedTuple):
     min_eigenvalue: float
     coefficients: np.ndarray
     basis_size: int
     gram_condition: float
+
+    # compared and hashed by identity: tuple equality over the ndarray would raise
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _mode_lambda(k: int, N: int) -> float:
@@ -262,6 +263,7 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    validate(N, alpha, alpha)  # beta = alpha is admissible for every alpha > 0, so this checks N
     beta_max = N * alpha / (N - 2.0)
     width = beta_max - (alpha - 2.0)
     lo = (alpha - 2.0) + 0.1 * width

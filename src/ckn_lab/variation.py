@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SecondVariation:
+class SecondVariation(NamedTuple):
     """Factored second variation of the quotient at the radial minimizer.
 
     value = prefactor * factor * (2*I1 + ((2M-5)+mu)*I2), where
@@ -180,8 +179,7 @@ class Verdict(Enum):
     BOUNDARY = "Boundary"
 
 
-@dataclass(frozen=True, eq=False)
-class BreakingCertificate:
+class BreakingCertificate(NamedTuple):
     params: Params
     s_r: float
     second_variation: float
@@ -193,6 +191,9 @@ class BreakingCertificate:
     expected: Verdict
     witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
     discrepancies: tuple
+
+    # compared and hashed by identity, like RitzResult
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 _CURVE_WINDOW = 1e-9  # |beta - beta_fs| treated as exactly on the curve
@@ -223,8 +224,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     """
     if eps == 0.0 or not abs(eps) < 0.5:
         raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5, got {eps}")
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be >= 0 and finite, got {tol}")
     sv = second_variation(p)
     s_r = s_r_closed(p)
     quotient = directional_quotient(p, eps)

@@ -13,7 +13,7 @@ a NaN defect pass its bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .variation import Verdict, certify, second_variation
 __all__ = ["CheckResult", "CHECKS", "run_all", "EXTREMALITY_POINTS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -191,6 +191,33 @@ def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_scan_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    """--jobs above the cell count starts one worker per cell; the rows and their order stay."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.2:1.0:3"]
+    serial, capped, fewer = tmp_path / "s.csv", tmp_path / "c.csv", tmp_path / "f.csv"
+    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(args + ["--jobs", "64", "--out", str(capped)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(fewer)]) == 0
+    assert started == [3, 2]
+    assert serial.read_bytes() == capped.read_bytes() == fewer.read_bytes()
+
+
 def test_scan_bad_range_spec():
     assert main(["scan", "--N", "5", "--alpha", "2:1:5", "--beta", "auto"]) == 2
     assert main(["scan", "--N", "5", "--alpha", "1:2:1", "--beta", "auto"]) == 2
@@ -242,8 +269,12 @@ def test_certify_eps_flag(capsys):
         ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "inf"],
         ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "nan"],
         ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "0"],
+        ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--tol", "inf"],
+        ["scan", "--N", "2", "--alpha", "1", "--beta", "auto"],
+        ["fs-curve", "--N", "2", "--alpha", "1"],
     ],
-    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero"],
+    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero",
+         "tol_inf", "auto_strip_n2", "fs_n2"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)

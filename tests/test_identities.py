@@ -34,6 +34,11 @@ def test_mode_index_must_be_nonnegative():
     prof = PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0)
     with pytest.raises(DomainError):
         TestFunction(prof, -1)
+    with pytest.raises(DomainError):
+        TestFunction(radial_part=prof, mode_k=-1)
+    with pytest.raises(DomainError):
+        TestFunction(prof)._replace(mode_k=-1)
+    assert TestFunction(prof) == (prof, 0)
 
 
 def test_laplacian_bound_holds_on_sample(p511):

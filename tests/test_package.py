@@ -7,7 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ckn_lab
+from ckn_lab import (
+    CheckResult,
+    TestFunction,
+    certify,
+    derive,
+    extremal,
+    hardy_comparison_constants,
+    integrate_semiinfinite,
+    mode_data,
+    rellich_sobolev_constants,
+    ritz_min_eig,
+    second_variation,
+    validate,
+)
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "scan_golden.csv"
 
@@ -37,14 +53,14 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--json"]) == 0
     assert main(["--help"]) == 0
     assert main(["constants", "--N", "4", "--alpha", "1", "--beta", "1"]) == 2
-print(sorted({"numpy", "multiprocessing", "fractions"} & set(sys.modules)))
+print(sorted({"numpy", "multiprocessing", "fractions", "dataclasses", "csv"} & set(sys.modules)))
 sys.exit(main(["scan", "--N", "5", "--alpha", sys.argv[1], "--beta=" + sys.argv[2], "--jobs", "1"]))
 """
 
 
 def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
-    """constants, --help and a ParamError exit run on the stdlib without numpy, multiprocessing
-    or fractions; scan then still works."""
+    """constants, --help and a ParamError exit run on the stdlib without numpy, multiprocessing,
+    fractions, dataclasses or csv; scan then still works."""
     row = GOLDEN_SCAN.read_text().splitlines()[2]
     _, alpha, beta, *_ = row.split(",")
     env = dict(os.environ, PYTHONPATH=str(Path(ckn_lab.__file__).resolve().parents[1]))
@@ -55,3 +71,48 @@ def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
     loaded, header, scanned = done.stdout.splitlines()
     assert loaded == "[]"
     assert scanned == row
+
+
+def test_no_layer_loads_dataclasses():
+    """Importing every layer and numpy leaves dataclasses unloaded."""
+    layers = ", ".join(f"ckn_lab.{name}" for name in sorted(set(ckn_lab._EXPORTS.values())) + ["cli"])
+    env = dict(os.environ, PYTHONPATH=str(Path(ckn_lab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {layers}; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_records_are_read_only_tuples():
+    p = validate(5, 1.0, 1.0)
+    records = [
+        p,
+        derive(p),
+        hardy_comparison_constants(p),
+        integrate_semiinfinite(lambda s: 1.0 / (1.0 + s * s)),
+        mode_data(1, p),
+        ritz_min_eig(1, p, 4),
+        second_variation(p),
+        certify(p),
+        TestFunction(extremal(p)),
+        rellich_sobolev_constants(5, -0.5),
+        CheckResult("name", True, "detail"),
+    ]
+    assert len({type(r) for r in records}) == 11
+    for record in records:
+        assert isinstance(record, tuple)
+        assert len(record) == len(record._fields)
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
+def test_ritz_results_and_certificates_compare_by_identity():
+    """A copy with the same fields is another record: tuple equality over an ndarray would raise."""
+    for record in (ritz_min_eig(1, validate(5, 1.0, 1.0), 4), certify(validate(5, 1.0, 1.0))):
+        twin = record._replace()
+        assert twin is not record
+        assert record == record and record != twin and not record == twin
+        assert len({record, twin, record}) == 2

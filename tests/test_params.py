@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ckn_lab.cli import main
 from ckn_lab.params import (
     ParamError,
+    Params,
     RegionClass,
     b_fs_first_order,
     beta_fs,
@@ -46,6 +47,16 @@ def test_validate_accepts_interior_point():
 def test_validate_rejects(N, alpha, beta):
     with pytest.raises(ParamError):
         validate(N, alpha, beta)
+
+
+def test_params_validate_when_constructed():
+    with pytest.raises(ParamError):
+        Params(5, 1.0, 9.0)
+    with pytest.raises(ParamError):
+        Params(N=5, alpha=1.0, beta=9.0)
+    with pytest.raises(ParamError):
+        validate(5, 1, 1)._replace(beta=9.0)
+    assert Params(5, 1.0, 1.0) == validate(5, 1, 1) == (5, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("N, alpha, beta", ROUNDED_ZERO)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
-from ckn_lab.params import beta_fs, derive, validate
+from ckn_lab.params import ParamError, beta_fs, derive, validate
 from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
@@ -628,6 +628,8 @@ def test_fs_locate_terminates_below_rounding():
 def test_fs_locate_argument_checks():
     with pytest.raises(DomainError):
         fs_locate(5, -1.0, 1e-4)
+    with pytest.raises(ParamError, match="N=2"):
+        fs_locate(2, 1.0, 1e-4)
     with pytest.raises(DomainError):
         fs_locate(5, 1.0, 0.0)
     with pytest.raises(DomainError, match="tol"):
