@@ -37,6 +37,7 @@ from .params import (
     RegionClass,
     amplitude_constant,
     beta_fs,
+    beta_strip,
     classify,
     derive,
     hardy_comparison_constants,
@@ -67,27 +68,29 @@ def __getattr__(name: str):
 # argument helpers
 
 
+def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
+    """`steps` evenly spaced values from lo to hi; numpy loads only for a valid range."""
+    if steps < 2:
+        raise DomainError(f"{name} range needs steps >= 2, got {steps}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{name} range from {lo} to {hi} has no finite width")
+    if not lo < hi:
+        raise DomainError(f"{name} range needs lo < hi, got {lo} >= {hi}")
+    import numpy as np
+
+    return [float(v) for v in np.linspace(lo, hi, steps)]
+
+
 def _parse_range(text: str, name: str) -> list[float]:
     """Parse 'lo:hi:steps' into a linspace, or a bare number into [x]."""
-    if ":" in text:
-        import numpy as np
-
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"{name} range must be lo:hi:steps, got {text!r}")
-        try:
-            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DomainError(f"unparseable {name} range {text!r}: {exc}") from exc
-        if steps < 2:
-            raise DomainError(f"{name} range needs steps >= 2, got {steps}")
-        if not lo < hi:
-            raise DomainError(f"{name} range needs lo < hi, got {lo} >= {hi}")
-        return [float(v) for v in np.linspace(lo, hi, steps)]
     try:
-        return [float(text)]
+        if ":" not in text:
+            return [float(text)]
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
-        raise DomainError(f"unparseable {name} value {text!r}") from exc
+        raise DomainError(f"{name} must be a number or lo:hi:steps, got {text!r}") from exc
+    return _grid(lo, hi, steps, name)
 
 
 def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
@@ -97,29 +100,14 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     [alpha-2+delta, N*alpha/(N-2)] with delta = 1e-3 * strip width, so the
     open lower boundary is never sampled.
     """
-    if beta_arg.startswith("auto"):
-        import numpy as np
-
-        steps = 20
-        if ":" in beta_arg:
-            try:
-                steps = int(beta_arg.split(":", 1)[1])
-            except ValueError as exc:
-                raise DomainError(f"bad auto step count in {beta_arg!r}") from exc
-        if steps < 2:
-            raise DomainError(f"auto beta range needs steps >= 2, got {steps}")
-        if N == 2:
-            raise DomainError("auto beta strip has no upper end N*alpha/(N-2) at N=2")
-        lo = alpha - 2.0
-        hi = N * alpha / (N - 2.0)
-        width = hi - lo
-        if width <= 0.0:
-            raise DomainError(f"empty beta strip at alpha={alpha} (need alpha > {2 - N})")
-        if not math.isfinite(width):
-            raise DomainError(f"beta strip at alpha={alpha} has no finite width")
-        delta = 1e-3 * width
-        return [float(v) for v in np.linspace(lo + delta, hi, steps)]
-    return _parse_range(beta_arg, "beta")
+    if not beta_arg.startswith("auto"):
+        return _parse_range(beta_arg, "beta")
+    try:
+        steps = int(beta_arg.split(":", 1)[1]) if ":" in beta_arg else 20
+    except ValueError as exc:
+        raise DomainError(f"bad auto step count in {beta_arg!r}") from exc
+    lo, hi = beta_strip(N, alpha)
+    return _grid(lo + 1e-3 * (hi - lo), hi, steps, "auto beta")
 
 
 @contextlib.contextmanager
@@ -201,6 +189,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
     from .spectral import fs_locate
 
+    beta_strip(args.N, 0.0)  # alpha = 0 is admissible at every N >= 3: this checks N
     with _output(args) as stream:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
@@ -269,10 +258,9 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    import csv
-
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+    beta_strip(args.N, 0.0)  # alpha = 0 is admissible at every N >= 3: this checks N
     points = [
         (args.N, alpha, beta)
         for alpha in _parse_range(args.alpha, "alpha")
@@ -285,6 +273,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             rows = pool.map(_scan_point, points)
     else:
         rows = [_scan_point(pt) for pt in points]
+    import csv
+
     with _output(args, newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_SCAN_FIELDS)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .params import (
     Params,
+    beta_strip,
     harmonic_eigenvalue,
     hardy_comparison_constants,
     s_0_closed,
@@ -254,7 +255,7 @@ def check_eta_substitution(v: TestFunction, N: int, alpha: float) -> float:
     consts = rellich_sobolev_constants(N, alpha)
     f = v.radial_part
     crit = 2.0 * N / (N - 4.0)
-    lhs_weight = N * alpha / (N - 2.0) + consts.eta * crit + (N - 1.0)
+    lhs_weight = beta_strip(N, alpha)[1] + consts.eta * crit + (N - 1.0)
 
     def lhs_fn(r):
         return power_weighted(f.eval(r), r, crit, lhs_weight)
@@ -328,8 +329,7 @@ def check_boundary_sharp_constant(N: int, alpha: float):
         raise DomainError(
             f"boundary equality needs 2 - N < alpha < 0, got alpha={alpha} at N={N}"
         )
-    beta = N * alpha / (N - 2.0)
-    p = validate(N, alpha, beta)
+    p = validate(N, alpha, beta_strip(N, alpha)[1])
     quotient = quotient_radial(extremal(p), p)
     constant = (1.0 + alpha / (N - 2.0)) ** (4.0 - 4.0 / N) * s_0_closed(N)
     return quotient, constant, abs(quotient - constant) / constant

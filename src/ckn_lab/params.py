@@ -27,6 +27,7 @@ __all__ = [
     "ParamError",
     "Params",
     "validate",
+    "beta_strip",
     "Derived",
     "derive",
     "beta_fs",
@@ -68,19 +69,33 @@ class ParamError(ValueError):
         super().__init__("; ".join(self.reasons))
 
 
-def _violations(N: int, alpha: float, beta: float) -> list[str]:
-    reasons = []
+def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
+    """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
     if not (isinstance(N, int) and N >= 5):
-        reasons.append(f"dimension must be an integer >= 5, got N={N!r}")
-    else:
-        if not alpha > 2 - N:
-            reasons.append(f"alpha must exceed 2 - N = {2 - N}, got alpha={alpha!r}")
-        if not beta > alpha - 2:
-            reasons.append(f"beta must exceed alpha - 2 = {alpha - 2}, got beta={beta!r}")
-        if not beta <= N * alpha / (N - 2):
-            reasons.append(
-                f"beta must not exceed N*alpha/(N-2) = {N * alpha / (N - 2)}, got beta={beta!r}"
-            )
+        return [f"dimension must be an integer >= 5, got N={N!r}"], None
+    reasons = [] if alpha > 2 - N else [f"alpha must exceed 2 - N = {2 - N}, got alpha={alpha!r}"]
+    return reasons, (alpha - 2.0, N * alpha / (N - 2.0))
+
+
+def beta_strip(N: int, alpha: float) -> tuple[float, float]:
+    """Ends (lo, hi) = (alpha - 2, N*alpha/(N-2)) of the admissible strip lo < beta <= hi.
+
+    Raises ParamError if N is not an integer >= 5 or alpha <= 2 - N.
+    """
+    reasons, ends = _strip(N, alpha)
+    if reasons:
+        raise ParamError(reasons)
+    return ends
+
+
+def _violations(N: int, alpha: float, beta: float) -> list[str]:
+    reasons, ends = _strip(N, alpha)
+    if ends is not None:
+        lo, hi = ends
+        if not beta > lo:
+            reasons.append(f"beta must exceed alpha - 2 = {lo}, got beta={beta!r}")
+        if not beta <= hi:
+            reasons.append(f"beta must not exceed N*alpha/(N-2) = {hi}, got beta={beta!r}")
         sig, kappa = _sigma_kappa(N, alpha, beta)
         if not reasons and not (sig > 0.0 and kappa > 0.0):
             reasons.append(f"2+beta-alpha={sig!r} and N-4+2*alpha-beta={kappa!r} must be > 0")
@@ -132,7 +147,9 @@ def sphere_area(n: int) -> float:
 
 
 def harmonic_eigenvalue(N: int, k: int) -> float:
-    """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1)."""
+    """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1), k >= 0."""
+    if k < 0:
+        raise DomainError(f"mode index must be >= 0, got {k}")
     return float(k * (N - 2 + k))
 
 
@@ -151,10 +168,10 @@ def beta_fs(N: int, alpha: float) -> float:
     """Symmetry-breaking threshold curve beta as a function of alpha.
 
     Defined by -N + sqrt(N^2 + alpha^2 + 2(N-2)alpha); the radicand
-    equals (alpha + N - 2)^2 + 4(N - 1) and is always positive.
+    equals (alpha + N - 2)^2 + 4(N - 1), positive at every N >= 1.
     """
     rad = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
-    if rad < 0.0:  # pragma: no cover - unreachable for N >= 2, kept as a guard
+    if rad < 0.0:  # only at N < 1, outside the domain
         raise ParamError([f"threshold radicand negative: {rad}"])
     return -N + math.sqrt(rad)
 
@@ -208,29 +225,30 @@ class RegionClass(Enum):
     RELLICH_DEGENERATE = "RellichDegenerate"
 
 
-def classify(N: int, alpha: float, beta: float, tol: float = BOUNDARY_TOL) -> RegionClass:
+def classify(N: int, alpha: float, beta: float) -> RegionClass:
     """Classify a raw triple into exactly one :class:`RegionClass`.
 
-    Boundary comparisons use absolute tolerance ``tol``.  The degenerate
-    edge beta = alpha - 2 (critical exponent collapses to 2, the energy
-    reduces to a pure Rellich form) sits outside the admissible box but
-    is reported with its own tag rather than as plain Invalid.
+    Boundary comparisons use the absolute tolerance ``BOUNDARY_TOL``.  The
+    degenerate edge beta = alpha - 2 (critical exponent collapses to 2, the
+    energy reduces to a pure Rellich form) sits outside the admissible box
+    but is reported with its own tag rather than as plain Invalid.
     """
-    if not (isinstance(N, int) and N >= 5) or not alpha > 2 - N:
+    try:
+        lo, upper = beta_strip(N, alpha)
+    except ParamError:
         return RegionClass.INVALID
-    upper = N * alpha / (N - 2.0)
-    if abs(beta - (alpha - 2.0)) <= tol:
+    if abs(beta - lo) <= BOUNDARY_TOL:
         return RegionClass.RELLICH_DEGENERATE
-    if beta < alpha - 2.0 or beta > upper + tol:
+    if not lo < beta <= upper + BOUNDARY_TOL:
         return RegionClass.INVALID
-    if abs(alpha) <= tol and abs(beta) <= tol:
+    if abs(alpha) <= BOUNDARY_TOL and abs(beta) <= BOUNDARY_TOL:
         return RegionClass.CLASSICAL
-    on_upper = abs(beta - upper) <= tol
-    if on_upper and alpha > tol:
+    on_upper = abs(beta - upper) <= BOUNDARY_TOL
+    if on_upper and alpha > BOUNDARY_TOL:
         return RegionClass.NOT_ATTAINED_BOUNDARY
-    if on_upper and alpha < -tol:
+    if on_upper and alpha < -BOUNDARY_TOL:
         return RegionClass.PROVEN_SYMMETRY_BOUNDARY
-    if alpha > tol and beta > beta_fs(N, alpha) + tol:
+    if alpha > BOUNDARY_TOL and beta > beta_fs(N, alpha) + BOUNDARY_TOL:
         return RegionClass.SYMMETRY_BREAKING
     return RegionClass.CONJECTURED_SYMMETRY
 

@@ -27,7 +27,7 @@ This catches nonintegrable weight combinations before they can produce
 a plausible-looking but meaningless number.
 
 The tolerance ``DEFAULT_TOL`` and the node budget ``NODE_CAP`` are
-constants; a caller that needs others passes ``tol`` or ``node_cap``.
+constants that only :func:`integrate_semiinfinite` lets a caller change.
 
 On u = f(r) Y_k (Y_k a degree-k harmonic), r^-a div(|x|^a grad u) is
 f'' + (N-1+a) f'/r - lam_k f/r^2 with lam_k = k(N-2+k); :func:`mode_energy`
@@ -320,16 +320,16 @@ def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
     return vals
 
 
-def mode_energy(f, drift: float, lam: float, w: float, tol: float = DEFAULT_TOL) -> float:
+def mode_energy(f, drift: float, lam: float, w: float) -> float:
     """integral of [f'' + drift f'/r - lam f/r^2]^2 r^w dr over (0, inf)."""
 
     def integrand(r):
         return power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w)
 
-    return integrate_semiinfinite(integrand, tol).value
+    return integrate_semiinfinite(integrand).value
 
 
-def norm_sq(u, p: Params, tol: float = DEFAULT_TOL) -> float:
+def norm_sq(u, p: Params) -> float:
     """Squared second-order energy of a radial profile.
 
     For radial u the energy reduces to
@@ -337,10 +337,10 @@ def norm_sq(u, p: Params, tol: float = DEFAULT_TOL) -> float:
         omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr.
     """
     w = p.N + 2.0 * p.alpha - p.beta - 1.0
-    return derive(p).omega * mode_energy(u, p.N - 1.0 + p.alpha, 0.0, w, tol)
+    return derive(p).omega * mode_energy(u, p.N - 1.0 + p.alpha, 0.0, w)
 
 
-def norm_star(u, p: Params, tol: float = DEFAULT_TOL) -> float:
+def norm_star(u, p: Params) -> float:
     """Weighted critical norm (integral |x|^beta |u|^p* dx)^(1/p*)."""
     d = derive(p)
     w = p.beta + p.N - 1.0
@@ -348,13 +348,13 @@ def norm_star(u, p: Params, tol: float = DEFAULT_TOL) -> float:
     def integrand(s):
         return power_weighted(u.eval(s), s, d.p_star, w)
 
-    val = d.omega * integrate_semiinfinite(integrand, tol).value
+    val = d.omega * integrate_semiinfinite(integrand).value
     return val ** (1.0 / d.p_star)
 
 
-def quotient_radial(u, p: Params, tol: float = DEFAULT_TOL) -> float:
+def quotient_radial(u, p: Params) -> float:
     """Rayleigh quotient norm_sq(u) / norm_star(u)^2 over radial profiles."""
-    denom = norm_star(u, p, tol)
+    denom = norm_star(u, p)
     if denom == 0.0:
         raise DomainError("quotient undefined: norm_star(u) = 0")
-    return norm_sq(u, p, tol) / (denom * denom)
+    return norm_sq(u, p) / (denom * denom)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import Params, derive, harmonic_eigenvalue, validate
+from .params import Params, beta_strip, derive, harmonic_eigenvalue, validate
 from .quadrature import integrate_semiinfinite, mode_energy, power_weighted
 from .specfun import BracketError, ConditioningError, DomainError
 
@@ -65,15 +65,9 @@ class RitzResult(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def _mode_lambda(k: int, N: int) -> float:
-    if k < 0:
-        raise DomainError(f"mode index must be >= 0, got {k}")
-    return harmonic_eigenvalue(N, k)
-
-
 def mode_data(k: int, p: Params) -> ModeData:
     N = p.N
-    lam = _mode_lambda(k, N)
+    lam = harmonic_eigenvalue(N, k)
     mult = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
     m = derive(p).M
     return ModeData(k=k, lambda_k=lam, l_k=mult, varpi_k=float(k) * (m - 2.0 + k))
@@ -93,7 +87,7 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     """
     d = derive(p)
     m = d.M
-    lead = mode_energy(X, m - 1.0, d.q**2 * _mode_lambda(k, p.N), m - 1.0)
+    lead = mode_energy(X, m - 1.0, d.q**2 * harmonic_eigenvalue(p.N, k), m - 1.0)
 
     def potential_part(s):
         return power_weighted(X.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
@@ -118,7 +112,7 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
         raise DomainError(f"eigenvalue index must be >= 0, got {j}")
     d = derive(p)
     m = d.M
-    qql = d.q**2 * _mode_lambda(k, p.N)
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
     nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
     shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
     return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
@@ -211,7 +205,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
         raise DomainError(f"basis size must be >= 4, got {J}")
     d = derive(p)
     m = d.M
-    qql = d.q**2 * _mode_lambda(k, p.N)
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
         raise DomainError(
@@ -263,10 +257,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    validate(N, alpha, alpha)  # beta = alpha is admissible for every alpha > 0, so this checks N
-    beta_max = N * alpha / (N - 2.0)
-    width = beta_max - (alpha - 2.0)
-    lo = (alpha - 2.0) + 0.1 * width
+    beta_min, beta_max = beta_strip(N, alpha)
+    lo = beta_min + 0.1 * (beta_max - beta_min)
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:

@@ -30,7 +30,7 @@ from .identities import (
     check_rellich_sobolev,
     rellich_sobolev_extremal,
 )
-from .params import beta_fs, derive, fs_correspondence, s_0_closed, s_r_closed, validate
+from .params import beta_fs, beta_strip, derive, fs_correspondence, s_0_closed, s_r_closed, validate
 from .profiles import (
     DEFAULT_RESIDUAL_SAMPLES,
     PowerPeakProfile,
@@ -225,7 +225,7 @@ def _check_boundary_equality() -> CheckResult:
     worst = consistency = 0.0
     for N, a in NEGATIVE_ALPHA_PAIRS:
         _, constant, defect = check_boundary_sharp_constant(N, a)
-        specialized = s_r_closed(validate(N, a, N * a / (N - 2.0)))
+        specialized = s_r_closed(validate(N, a, beta_strip(N, a)[1]))
         consistency = np.maximum(consistency, abs(specialized - constant) / constant)
         worst = np.maximum(worst, defect)
     mu = 1.0 / 3.0

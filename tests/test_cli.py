@@ -272,14 +272,33 @@ def test_certify_eps_flag(capsys):
         ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--tol", "inf"],
         ["scan", "--N", "2", "--alpha", "1", "--beta", "auto"],
         ["fs-curve", "--N", "2", "--alpha", "1"],
+        ["scan", "--N", "5", "--alpha", "1:inf:3", "--beta", "1"],
+        ["scan", "--N", "5", "--alpha=-1e308:1e308:3", "--beta", "1"],
     ],
     ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero",
-         "tol_inf", "auto_strip_n2", "fs_n2"],
+         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--N", "3", "--alpha", "1", "--beta", "auto:3"],
+        ["scan", "--N", "4", "--alpha", "1", "--beta", "1"],
+        ["fs-curve", "--N", "0", "--alpha", "1"],
+    ],
+    ids=["scan_n3", "scan_n4", "fs_n0"],
+)
+def test_dimension_outside_domain_is_parameter_error(capsys, argv):
+    """scan and fs-curve reject N < 5 before any cell or transition value is computed."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "dimension must be an integer >= 5" in err
 
 
 def test_auto_strip_of_infinite_width_is_parameter_error(capsys):

@@ -53,14 +53,17 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--json"]) == 0
     assert main(["--help"]) == 0
     assert main(["constants", "--N", "4", "--alpha", "1", "--beta", "1"]) == 2
+    assert main(["scan", "--N", "5", "--alpha", "2:1:5", "--beta", "1"]) == 2
+    assert main(["scan", "--N", "2", "--alpha", "1", "--beta", "auto"]) == 2
 print(sorted({"numpy", "multiprocessing", "fractions", "dataclasses", "csv"} & set(sys.modules)))
 sys.exit(main(["scan", "--N", "5", "--alpha", sys.argv[1], "--beta=" + sys.argv[2], "--jobs", "1"]))
 """
 
 
 def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
-    """constants, --help and a ParamError exit run on the stdlib without numpy, multiprocessing,
-    fractions, dataclasses or csv; scan then still works."""
+    """constants, --help, a ParamError exit and a scan whose range or dimension is rejected run
+    on the stdlib without numpy, multiprocessing, fractions, dataclasses or csv; scan then
+    still works."""
     row = GOLDEN_SCAN.read_text().splitlines()[2]
     _, alpha, beta, *_ = row.split(",")
     env = dict(os.environ, PYTHONPATH=str(Path(ckn_lab.__file__).resolve().parents[1]))

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from ckn_lab.cli import main
 from ckn_lab.params import (
+    BOUNDARY_TOL,
     ParamError,
     Params,
     RegionClass,
     b_fs_first_order,
     beta_fs,
+    beta_strip,
     classify,
     derive,
     fs_correspondence,
@@ -101,6 +103,56 @@ def test_validate_error_lists_reasons():
     with pytest.raises(ParamError) as err:
         validate(5, -3.5, 7.0)
     assert len(err.value.reasons) == 2
+
+
+def test_beta_strip_ends_and_domain_errors():
+    """The strip's ends are alpha - 2 and N*alpha/(N-2) to the bit; outside the domain the
+    strip and the transition curve raise ParamError."""
+    assert beta_strip(5, 1.0) == (-1.0, 5.0 / 3.0)
+    assert beta_strip(7, -0.3) == (-0.3 - 2.0, 7 * -0.3 / 5)
+    with pytest.raises(ParamError, match=r"^dimension must be an integer >= 5, got N=4$"):
+        beta_strip(4, 1.0)
+    with pytest.raises(ParamError, match=r"^alpha must exceed 2 - N = -3, got alpha=-3\.0$"):
+        beta_strip(5, -3.0)
+    with pytest.raises(ParamError, match="radicand"):
+        beta_fs(0, 1.0)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.one_of(_NON_FINITE, st.integers(min_value=-64, max_value=64), st.floats(-50.0, 50.0)),
+    st.one_of(
+        _NON_FINITE,
+        st.tuples(st.booleans(), st.integers(min_value=-64, max_value=64)),
+        st.floats(-100.0, 100.0),
+    ),
+)
+@example(5, 1.0, math.nan)
+@example(5, math.inf, math.inf)
+@example(5, 1.0, (True, 1))  # just above the upper end, within BOUNDARY_TOL
+def test_classify_agrees_with_validate_at_the_edges(N, alpha_draw, beta_draw):
+    """alpha is drawn within 64 ulps of 2 - N, beta within 64 ulps of a strip end, or
+    either is non-finite.  A triple validate rejects is Invalid or RellichDegenerate
+    unless beta is within BOUNDARY_TOL of an end; a triple it accepts is not Invalid."""
+    alpha = _ulps(2.0 - N, alpha_draw) if isinstance(alpha_draw, int) else alpha_draw
+    ends = (alpha - 2.0, N * alpha / (N - 2)) if N >= 5 and alpha > 2 - N else ()
+    if isinstance(beta_draw, tuple):
+        upper, k = beta_draw
+        beta = _ulps((alpha - 2.0, N * alpha / (N - 2))[upper], k)
+    else:
+        beta = beta_draw
+    tag = classify(N, alpha, beta)
+    try:
+        validate(N, alpha, beta)
+    except ParamError:
+        near_end = any(abs(beta - end) <= BOUNDARY_TOL for end in ends)
+        assert tag in (RegionClass.INVALID, RegionClass.RELLICH_DEGENERATE) or near_end
+    else:
+        assert tag is not RegionClass.INVALID
 
 
 def test_derived_at_reference_point(p511):

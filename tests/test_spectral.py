@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
-from ckn_lab.params import ParamError, beta_fs, derive, validate
+from ckn_lab.params import ParamError, beta_fs, derive, harmonic_eigenvalue, validate
 from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
@@ -61,6 +61,7 @@ def test_negative_mode_index_is_a_domain_error(p511):
         lambda: mode_eigenvalue(-1, p511),
         lambda: mode_quadratic_form(x1, -1, p511),
         lambda: ritz_min_eig(-1, p511, 4),
+        lambda: harmonic_eigenvalue(5, -1),
     ):
         with pytest.raises(DomainError, match="mode index"):
             compute()
