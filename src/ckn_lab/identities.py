@@ -39,7 +39,8 @@ from .quadrature import (
     mode_operator,
     power_weighted,
     quotient_radial,
-    signed_weighted,
+    signed_integral,
+    weighted_integral,
 )
 from .specfun import DomainError
 
@@ -93,10 +94,6 @@ BATTERY_POINTS = (
 )
 
 
-def _integral(fn) -> float:
-    return integrate_semiinfinite(fn).value
-
-
 def check_laplacian_bound(u: TestFunction, p: Params):
     """Pure-Laplacian energy vs the full weighted energy.
 
@@ -137,17 +134,12 @@ def check_cross_term_identity(u: TestFunction, p: Params) -> float:
 
     def lhs_fn(r):
         jet = f.jet(r, 2)
-        return signed_weighted(-mode_operator(jet, r, drift, 0.0) * jet[0], r, base - 2.0)
+        return -mode_operator(jet, r, drift, 0.0) * jet[0]
 
-    def zeroth_fn(r):
-        return power_weighted(f.eval(r), r, 2.0, base - 4.0)
-
-    def gradient_fn(r):
-        return power_weighted(f.deriv(r, 1), r, 2.0, base - 2.0)
-
-    lhs = _integral(lhs_fn)
+    lhs = signed_integral(lhs_fn, base - 2.0)
     coeff = (2.0 + p.beta - p.alpha) * (p.N + 2.0 * p.alpha - p.beta - 4.0) / 2.0
-    rhs = coeff * _integral(zeroth_fn) + _integral(gradient_fn)
+    zeroth = weighted_integral(f.eval, 2.0, base - 4.0)
+    rhs = coeff * zeroth + weighted_integral(lambda r: f.deriv(r, 1), 2.0, base - 2.0)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -169,10 +161,10 @@ def check_divergence_expansion(u: TestFunction, p: Params) -> float:
 
         def cross_fn(r):
             jet = f.jet(r, 2)
-            return signed_weighted(mode_operator(jet, r, p.N - 1.0, lam) * jet[1], r, base - 1.0)
+            return mode_operator(jet, r, p.N - 1.0, lam) * jet[1]
 
-        cross = _integral(cross_fn)
-        radial_sq = _integral(lambda r: power_weighted(f.deriv(r, 1), r, 2.0, base - 2.0))
+        cross = signed_integral(cross_fn, base - 1.0)
+        radial_sq = weighted_integral(lambda r: f.deriv(r, 1), 2.0, base - 2.0)
         rhs = pure + 2.0 * p.alpha * cross + p.alpha**2 * radial_sq
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
@@ -197,10 +189,10 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
 
     def rhs_fn(r):
         jet = f.jet(r, 2)
-        return signed_weighted(jet[1] * mode_operator(jet, r, N - 3.0, lam), r, N - 2.0)
+        return jet[1] * mode_operator(jet, r, N - 3.0, lam)
 
-    lhs = (N - 4.0) * _integral(lhs_fn)
-    rhs = 2.0 * _integral(rhs_fn)
+    lhs = (N - 4.0) * integrate_semiinfinite(lhs_fn).value
+    rhs = 2.0 * signed_integral(rhs_fn, N - 2.0)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -255,16 +247,8 @@ def check_eta_substitution(v: TestFunction, N: int, alpha: float) -> float:
     consts = rellich_sobolev_constants(N, alpha)
     f = v.radial_part
     crit = 2.0 * N / (N - 4.0)
-    lhs_weight = beta_strip(N, alpha)[1] + consts.eta * crit + (N - 1.0)
-
-    def lhs_fn(r):
-        return power_weighted(f.eval(r), r, crit, lhs_weight)
-
-    def rhs_fn(r):
-        return power_weighted(f.eval(r), r, crit, N - 1.0)
-
-    lhs = _integral(lhs_fn)
-    rhs = _integral(rhs_fn)
+    lhs = weighted_integral(f.eval, crit, beta_strip(N, alpha)[1] + consts.eta * crit + (N - 1.0))
+    rhs = weighted_integral(f.eval, crit, N - 1.0)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -293,26 +277,15 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
         raise DomainError(f"dimension must be at least 5, got {N}")
     c1, c2 = _shift_coefficients(N, mu)
     omega = sphere_area(N)
-    crit = 2.0 * N / (N - 4.0)
-
-    def gradient_sq(r):
-        return power_weighted(v.deriv(r, 1), r, 2.0, N - 3.0)
-
-    def zeroth_sq(r):
-        return power_weighted(v.eval(r), r, 2.0, N - 5.0)
-
-    def critical(r):
-        return power_weighted(v.eval(r), r, crit, N - 1.0)
-
     lhs = omega * (
         mode_energy(v, N - 1.0, 0.0, N - 1.0)
-        - c1 * _integral(gradient_sq)
-        + c2 * _integral(zeroth_sq)
+        - c1 * weighted_integral(lambda r: v.deriv(r, 1), 2.0, N - 3.0)
+        + c2 * weighted_integral(v.eval, 2.0, N - 5.0)
     )
     rhs = (
         (1.0 - mu / (N - 4.0)) ** (4.0 - 4.0 / N)
         * s_0_closed(N)
-        * (omega * _integral(critical)) ** ((N - 4.0) / N)
+        * (omega * weighted_integral(v.eval, 2.0 * N / (N - 4.0), N - 1.0)) ** ((N - 4.0) / N)
     )
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-8)
 

@@ -228,10 +228,11 @@ class RegionClass(Enum):
 def classify(N: int, alpha: float, beta: float) -> RegionClass:
     """Classify a raw triple into exactly one :class:`RegionClass`.
 
-    Boundary comparisons use the absolute tolerance ``BOUNDARY_TOL``.  The
-    degenerate edge beta = alpha - 2 (critical exponent collapses to 2, the
-    energy reduces to a pure Rellich form) sits outside the admissible box
-    but is reported with its own tag rather than as plain Invalid.
+    The strip test is exact, as in `validate`; the absolute tolerance
+    ``BOUNDARY_TOL`` only labels the on-edge tags.  The degenerate edge
+    beta = alpha - 2 (critical exponent collapses to 2, the energy reduces
+    to a pure Rellich form) sits outside the admissible box but is
+    reported with its own tag rather than as plain Invalid.
     """
     try:
         lo, upper = beta_strip(N, alpha)
@@ -239,7 +240,7 @@ def classify(N: int, alpha: float, beta: float) -> RegionClass:
         return RegionClass.INVALID
     if abs(beta - lo) <= BOUNDARY_TOL:
         return RegionClass.RELLICH_DEGENERATE
-    if not lo < beta <= upper + BOUNDARY_TOL:
+    if not lo < beta <= upper:
         return RegionClass.INVALID
     if abs(alpha) <= BOUNDARY_TOL and abs(beta) <= BOUNDARY_TOL:
         return RegionClass.CLASSICAL

@@ -69,7 +69,9 @@ __all__ = [
 
 
 class RadialProfile(Protocol):
-    """Minimal interface the quadrature layer relies on."""
+    """What every radial profile offers.  The radial integrals call only ``eval``,
+    ``deriv`` and ``jet``; nothing reads ``decay_exponent`` or ``origin_exponent``
+    yet, which could screen integrability in place of the endpoint probes."""
 
     def eval(self, r): ...
 

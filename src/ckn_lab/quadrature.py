@@ -32,7 +32,9 @@ constants that only :func:`integrate_semiinfinite` lets a caller change.
 On u = f(r) Y_k (Y_k a degree-k harmonic), r^-a div(|x|^a grad u) is
 f'' + (N-1+a) f'/r - lam_k f/r^2 with lam_k = k(N-2+k); :func:`mode_energy`
 integrates its weighted square, and every such operator in the package is
-evaluated by :func:`mode_operator`.
+evaluated by :func:`mode_operator`.  The package forms its radial integrals
+of |g|^e r^w and g r^w with :func:`weighted_integral` and
+:func:`signed_integral`, which take the weight in log space.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ __all__ = [
     "quotient_radial",
     "power_weighted",
     "signed_weighted",
+    "weighted_integral",
+    "signed_integral",
     "mode_energy",
     "DEFAULT_TOL",
     "NODE_CAP",
@@ -306,6 +310,16 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
+def weighted_integral(g, expo: float, w: float) -> float:
+    """integral of |g(r)|^expo r^w dr over (0, inf), the weight taken in log space."""
+    return integrate_semiinfinite(lambda r: power_weighted(g(r), r, expo, w)).value
+
+
+def signed_integral(g, w: float) -> float:
+    """integral of g(r) r^w dr over (0, inf), the weight taken in log space."""
+    return integrate_semiinfinite(lambda r: signed_weighted(g(r), r, w)).value
+
+
 def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
     """f'' + drift f'/r - lam f/r^2 at the nodes r, from jet = f.jet(r, 2).
 
@@ -322,11 +336,7 @@ def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
 
 def mode_energy(f, drift: float, lam: float, w: float) -> float:
     """integral of [f'' + drift f'/r - lam f/r^2]^2 r^w dr over (0, inf)."""
-
-    def integrand(r):
-        return power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w)
-
-    return integrate_semiinfinite(integrand).value
+    return weighted_integral(lambda r: mode_operator(f.jet(r, 2), r, drift, lam), 2.0, w)
 
 
 def norm_sq(u, p: Params) -> float:
@@ -343,12 +353,7 @@ def norm_sq(u, p: Params) -> float:
 def norm_star(u, p: Params) -> float:
     """Weighted critical norm (integral |x|^beta |u|^p* dx)^(1/p*)."""
     d = derive(p)
-    w = p.beta + p.N - 1.0
-
-    def integrand(s):
-        return power_weighted(u.eval(s), s, d.p_star, w)
-
-    val = d.omega * integrate_semiinfinite(integrand).value
+    val = d.omega * weighted_integral(u.eval, d.p_star, p.beta + p.N - 1.0)
     return val ** (1.0 / d.p_star)
 
 

@@ -244,8 +244,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     and negative above it.  Brent's method (Brent 1973) mixes inverse
     quadratic interpolation, secant and bisection steps, and returns the end
     with the smaller |rho_1| once the bracket is at most `tol` wide (or a
-    few ulps of beta).  Requires alpha > 0 (the transition leaves the
-    admissible strip otherwise).
+    few ulps of beta).  Requires a finite alpha > 0 (the transition leaves
+    the admissible strip otherwise).
 
     Every step solves the smallest basis, J = 4.  On the curve nu_1 = 1,
     so the first basis function s (1+s^2)^(-(M-2)/2) is the exact mode-1
@@ -255,6 +255,8 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
+    if not alpha < math.inf:
+        raise DomainError(f"transition search requires a finite alpha, got alpha={alpha}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     beta_min, beta_max = beta_strip(N, alpha)

@@ -38,7 +38,7 @@ from .params import (
     sphere_area,
 )
 from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode
-from .quadrature import integrate_semiinfinite, mode_energy, norm_sq, power_weighted
+from .quadrature import integrate_semiinfinite, mode_energy, norm_sq, power_weighted, weighted_integral
 from .spectral import ritz_min_eig
 from .specfun import AccuracyError, DomainError, beta_fn
 
@@ -97,15 +97,8 @@ def second_variation(p: Params) -> SecondVariation:
     i2 = 0.5 * beta_fn((m - 2.0) / 2.0, (m - 2.0) / 2.0)
 
     x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
-
-    def i1_integrand(s):
-        return power_weighted(x1.deriv(s, 1), s, 2.0, m - 4.0)
-
-    def i2_integrand(s):
-        return power_weighted(x1.eval(s), s, 2.0, m - 5.0)
-
-    i1_quad = integrate_semiinfinite(i1_integrand).value
-    i2_quad = integrate_semiinfinite(i2_integrand).value
+    i1_quad = weighted_integral(lambda s: x1.deriv(s, 1), 2.0, m - 4.0)
+    i2_quad = weighted_integral(x1.eval, 2.0, m - 5.0)
     for name, closed, quad in (("I1", i1, i1_quad), ("I2", i2, i2_quad)):
         if abs(closed - quad) > _BETA_VS_QUAD_TOL * (abs(closed) + abs(quad)):
             raise AccuracyError(

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib
 import json
 import multiprocessing
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from ckn_lab import cli, profiles, verify
 from ckn_lab.cli import main
+from ckn_lab.specfun import AccuracyError, ConditioningError, DivergentIntegralError
 from ckn_lab.verify import run_all
 
 
@@ -160,6 +162,46 @@ def test_scan_blank_cells_outside_validity(tmp_path):
     assert rows["1.0"]["s_r"] != ""
 
 
+def test_scan_cell_just_above_the_strip_is_an_invalid_row(tmp_path):
+    """A beta 3.3e-14 above N*alpha/(N-2), within BOUNDARY_TOL, is outside the
+    strip: its row is Invalid with blank cells, and the grid's other rows stay."""
+    out = tmp_path / "edge.csv"
+    assert main(
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "1.6:1.6666666666667:2",
+         "--jobs", "1", "--out", str(out)]
+    ) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows[0].startswith("5,1.0,1.6,SymmetryBreaking,0.")
+    assert rows[1] == "5,1.0,1.6666666666667,Invalid,,,,,"
+
+
+@pytest.mark.parametrize(
+    "module, name, error, blank",
+    [
+        ("variation", "second_variation", AccuracyError("no convergence", None), "second_variation"),
+        ("variation", "second_variation", DivergentIntegralError("divergent"), "second_variation"),
+        ("spectral", "ritz_min_eig", ConditioningError("not assembled"), "rho1"),
+    ],
+    ids=["accuracy", "divergent", "conditioning"],
+)
+def test_scan_leaves_a_failed_cell_blank(tmp_path, monkeypatch, module, name, error, blank):
+    """A cell whose computation raises one of the expected errors stays blank;
+    the command exits 0 and fills the row's other cells."""
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(importlib.import_module(f"ckn_lab.{module}"), name, fail)
+    out = tmp_path / "cell.csv"
+    assert main(
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "1", "--out", str(out)]
+    ) == 0
+    (row,) = csv.DictReader(out.open())
+    assert row["class"] == "SymmetryBreaking"
+    for key in ("beta_fs", "s_r", "second_variation", "rho1"):
+        assert (row[key] == "") == (key == blank)
+
+
 def test_scan_single_point_matches_constants(tmp_path, capsys):
     out = tmp_path / "one.csv"
     assert main(
@@ -243,6 +285,14 @@ def test_certify_solves_the_full_ritz_basis_deep_in_the_strip(capsys):
     assert record["witness_signs"][2] == 1
 
 
+def test_fs_curve_without_a_bracket_is_verification_failure(capsys):
+    """At (5, 50) beta_FS lies below fs_locate's search interval: BracketError, exit 1."""
+    code, out, err = run(capsys, "fs-curve", "--N", "5", "--alpha", "50")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: least eigenvalue does not change sign")
+
+
 def test_certify_text_output_has_no_basis_size(capsys):
     code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1")
     assert code == 0
@@ -274,9 +324,10 @@ def test_certify_eps_flag(capsys):
         ["fs-curve", "--N", "2", "--alpha", "1"],
         ["scan", "--N", "5", "--alpha", "1:inf:3", "--beta", "1"],
         ["scan", "--N", "5", "--alpha=-1e308:1e308:3", "--beta", "1"],
+        ["fs-curve", "--N", "5", "--alpha", "inf"],
     ],
     ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero",
-         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows"],
+         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows", "fs_alpha_inf"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)

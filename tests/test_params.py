@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ckn_lab.cli import main
 from ckn_lab.params import (
-    BOUNDARY_TOL,
     ParamError,
     Params,
     RegionClass,
@@ -136,10 +135,9 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 @example(5, 1.0, (True, 1))  # just above the upper end, within BOUNDARY_TOL
 def test_classify_agrees_with_validate_at_the_edges(N, alpha_draw, beta_draw):
     """alpha is drawn within 64 ulps of 2 - N, beta within 64 ulps of a strip end, or
-    either is non-finite.  A triple validate rejects is Invalid or RellichDegenerate
-    unless beta is within BOUNDARY_TOL of an end; a triple it accepts is not Invalid."""
+    either is non-finite.  A triple validate rejects is Invalid or RellichDegenerate;
+    a triple it accepts is not Invalid."""
     alpha = _ulps(2.0 - N, alpha_draw) if isinstance(alpha_draw, int) else alpha_draw
-    ends = (alpha - 2.0, N * alpha / (N - 2)) if N >= 5 and alpha > 2 - N else ()
     if isinstance(beta_draw, tuple):
         upper, k = beta_draw
         beta = _ulps((alpha - 2.0, N * alpha / (N - 2))[upper], k)
@@ -149,8 +147,7 @@ def test_classify_agrees_with_validate_at_the_edges(N, alpha_draw, beta_draw):
     try:
         validate(N, alpha, beta)
     except ParamError:
-        near_end = any(abs(beta - end) <= BOUNDARY_TOL for end in ends)
-        assert tag in (RegionClass.INVALID, RegionClass.RELLICH_DEGENERATE) or near_end
+        assert tag in (RegionClass.INVALID, RegionClass.RELLICH_DEGENERATE)
     else:
         assert tag is not RegionClass.INVALID
 

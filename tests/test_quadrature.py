@@ -28,7 +28,9 @@ from ckn_lab.quadrature import (
     norm_star,
     power_weighted,
     quotient_radial,
+    signed_integral,
     signed_weighted,
+    weighted_integral,
 )
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import mode_quadratic_form
@@ -176,6 +178,53 @@ def _cube_with_overflowing_tail(s):
 )
 def test_result_is_pinned(f, expected):
     assert repr(integrate_semiinfinite(f)) == expected
+
+
+def test_a_scalar_integrand_is_broadcast():
+    """An integrand constant in s may return a scalar; it is spread over the nodes."""
+    assert repr(integrate_semiinfinite(lambda s: 0.0)) == (
+        "QuadResult(value=0.0, abs_error_estimate=0.0, nodes=165)"
+    )
+
+
+# Pinned bit for bit: each value is that of the integrand closure around
+# power_weighted or signed_weighted that the two functions replace, at
+# profiles of the identity battery and their derivatives.
+@pytest.mark.parametrize(
+    "name, order, expo, w, expected",
+    [
+        ("inverse_square_2", 0, 2.0, 4.0, "0x1.921fb54442d18p-4"),
+        ("gaussian", 1, 2.0, 2.5, "0x1.e9a4e7227a877p-2"),
+        ("bump_r2", 0, 10.0 / 3.0, 4.0, "0x1.3e265026144fap-14"),
+        ("quartic_peak", 2, 2.0, 5.0, "0x1.5a5c4fa14b8d1p+2"),
+    ],
+)
+def test_weighted_integral_is_the_closure_form(name, order, expo, w, expected):
+    f = dict(BATTERY_PROFILES)[name]
+
+    def g(r):
+        return f.deriv(r, order)
+
+    closure = integrate_semiinfinite(lambda r: power_weighted(g(r), r, expo, w)).value
+    assert weighted_integral(g, expo, w).hex() == closure.hex() == expected
+
+
+@pytest.mark.parametrize(
+    "name, w, expected",
+    [
+        ("inverse_square_3", 3.0, "-0x1.2d97c7f3321d2p-1"),
+        ("gaussian", 2.0, "-0x1.0000000000000p+0"),
+        ("bump_r2", 4.0, "-0x1.5555555555554p-1"),
+    ],
+)
+def test_signed_integral_is_the_closure_form(name, w, expected):
+    f = dict(BATTERY_PROFILES)[name]
+
+    def g(r):
+        return f.deriv(r, 1)
+
+    closure = integrate_semiinfinite(lambda r: signed_weighted(g(r), r, w)).value
+    assert signed_integral(g, w).hex() == closure.hex() == expected
 
 
 def test_extremal_quotient_is_pinned(p511):

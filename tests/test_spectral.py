@@ -629,6 +629,9 @@ def test_fs_locate_terminates_below_rounding():
 def test_fs_locate_argument_checks():
     with pytest.raises(DomainError):
         fs_locate(5, -1.0, 1e-4)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"alpha={alpha}"):
+            fs_locate(5, alpha, 1e-4)
     with pytest.raises(ParamError, match="N=2"):
         fs_locate(2, 1.0, 1e-4)
     with pytest.raises(DomainError):
