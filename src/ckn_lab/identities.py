@@ -33,15 +33,7 @@ from .params import (
     validate,
 )
 from .profiles import GaussianProfile, PowerPeakProfile, RadialProfile, extremal
-from .quadrature import (
-    integrate_semiinfinite,
-    mode_energy,
-    mode_operator,
-    power_weighted,
-    quotient_radial,
-    signed_integral,
-    weighted_integral,
-)
+from .quadrature import integrate_rows, mode_operator, power_weighted, quotient_radial, signed_weighted
 from .specfun import DomainError
 
 __all__ = [
@@ -105,8 +97,12 @@ def check_laplacian_bound(u: TestFunction, p: Params):
     f = u.radial_part
     lam = harmonic_eigenvalue(p.N, u.mode_k)
     w = 2.0 * p.alpha - p.beta + p.N - 1.0
-    numerator = mode_energy(f, p.N - 1.0, lam, w)
-    denominator = mode_energy(f, p.N - 1.0 + p.alpha, lam, w)
+
+    def rows(r):
+        jet = f.jet(r, 2)
+        return [power_weighted(mode_operator(jet, r, p.N - 1.0 + a, lam), r, 2.0, w) for a in (0.0, p.alpha)]
+
+    numerator, denominator = (res.value for res in integrate_rows(rows))
     if denominator == 0.0:
         raise DomainError("test function annihilated by the weighted operator")
     ratio = numerator / denominator
@@ -132,14 +128,17 @@ def check_cross_term_identity(u: TestFunction, p: Params) -> float:
     drift = p.N - 1.0 + p.alpha
     base = 2.0 * p.alpha - p.beta + p.N - 1.0
 
-    def lhs_fn(r):
+    def rows(r):
         jet = f.jet(r, 2)
-        return -mode_operator(jet, r, drift, 0.0) * jet[0]
+        return (
+            signed_weighted(-mode_operator(jet, r, drift, 0.0) * jet[0], r, base - 2.0),
+            power_weighted(jet[0], r, 2.0, base - 4.0),
+            power_weighted(jet[1], r, 2.0, base - 2.0),
+        )
 
-    lhs = signed_integral(lhs_fn, base - 2.0)
+    lhs, zeroth, gradient = (res.value for res in integrate_rows(rows))
     coeff = (2.0 + p.beta - p.alpha) * (p.N + 2.0 * p.alpha - p.beta - 4.0) / 2.0
-    zeroth = weighted_integral(f.eval, 2.0, base - 4.0)
-    rhs = coeff * zeroth + weighted_integral(lambda r: f.deriv(r, 1), 2.0, base - 2.0)
+    rhs = coeff * zeroth + gradient
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -153,18 +152,21 @@ def check_divergence_expansion(u: TestFunction, p: Params) -> float:
     f = u.radial_part
     lam = harmonic_eigenvalue(p.N, u.mode_k)
     base = 2.0 * p.alpha - p.beta + p.N - 1.0
-    lhs = mode_energy(f, p.N - 1.0 + p.alpha, lam, base)
-    pure = mode_energy(f, p.N - 1.0, lam, base)
+
+    def rows(r):  # lhs and the pure-Laplacian, cross and radial-gradient terms
+        jet = f.jet(r, 2)
+        laplacian = mode_operator(jet, r, p.N - 1.0, lam)
+        out = [power_weighted(mode_operator(jet, r, p.N - 1.0 + p.alpha, lam), r, 2.0, base)]
+        out.append(power_weighted(laplacian, r, 2.0, base))
+        if p.alpha != 0.0:
+            out += [signed_weighted(laplacian * jet[1], r, base - 1.0), power_weighted(jet[1], r, 2.0, base - 2.0)]
+        return out
+
+    lhs, pure, *terms = (res.value for res in integrate_rows(rows))
     if p.alpha == 0.0:
         rhs = pure
     else:
-
-        def cross_fn(r):
-            jet = f.jet(r, 2)
-            return mode_operator(jet, r, p.N - 1.0, lam) * jet[1]
-
-        cross = signed_integral(cross_fn, base - 1.0)
-        radial_sq = weighted_integral(lambda r: f.deriv(r, 1), 2.0, base - 2.0)
+        cross, radial_sq = terms
         rhs = pure + 2.0 * p.alpha * cross + p.alpha**2 * radial_sq
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
@@ -180,19 +182,14 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
     f = v.radial_part
     lam = harmonic_eigenvalue(N, v.mode_k)
 
-    def lhs_fn(r):
-        f0, f1 = f.jet(r, 1)
-        grad_sq = power_weighted(f1, r, 2.0, N - 3.0)
-        if lam != 0.0:
-            grad_sq = grad_sq + lam * power_weighted(f0, r, 2.0, N - 5.0)
-        return grad_sq
-
-    def rhs_fn(r):
+    def rows(r):
         jet = f.jet(r, 2)
-        return jet[1] * mode_operator(jet, r, N - 3.0, lam)
+        grad_sq = power_weighted(jet[1], r, 2.0, N - 3.0)
+        if lam != 0.0:
+            grad_sq = grad_sq + lam * power_weighted(jet[0], r, 2.0, N - 5.0)
+        return grad_sq, signed_weighted(jet[1] * mode_operator(jet, r, N - 3.0, lam), r, N - 2.0)
 
-    lhs = (N - 4.0) * integrate_semiinfinite(lhs_fn).value
-    rhs = 2.0 * signed_integral(rhs_fn, N - 2.0)
+    lhs, rhs = (c * res.value for c, res in zip((N - 4.0, 2.0), integrate_rows(rows)))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -247,8 +244,13 @@ def check_eta_substitution(v: TestFunction, N: int, alpha: float) -> float:
     consts = rellich_sobolev_constants(N, alpha)
     f = v.radial_part
     crit = 2.0 * N / (N - 4.0)
-    lhs = weighted_integral(f.eval, crit, beta_strip(N, alpha)[1] + consts.eta * crit + (N - 1.0))
-    rhs = weighted_integral(f.eval, crit, N - 1.0)
+    weights = (beta_strip(N, alpha)[1] + consts.eta * crit + (N - 1.0), N - 1.0)
+
+    def rows(r):
+        v = f.eval(r)
+        return [power_weighted(v, r, crit, w) for w in weights]
+
+    lhs, rhs = (res.value for res in integrate_rows(rows))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -277,16 +279,19 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
         raise DomainError(f"dimension must be at least 5, got {N}")
     c1, c2 = _shift_coefficients(N, mu)
     omega = sphere_area(N)
-    lhs = omega * (
-        mode_energy(v, N - 1.0, 0.0, N - 1.0)
-        - c1 * weighted_integral(lambda r: v.deriv(r, 1), 2.0, N - 3.0)
-        + c2 * weighted_integral(v.eval, 2.0, N - 5.0)
-    )
-    rhs = (
-        (1.0 - mu / (N - 4.0)) ** (4.0 - 4.0 / N)
-        * s_0_closed(N)
-        * (omega * weighted_integral(v.eval, 2.0 * N / (N - 4.0), N - 1.0)) ** ((N - 4.0) / N)
-    )
+
+    def rows(r):  # |Delta v|^2, |grad v|^2/|x|^2, v^2/|x|^4 and |v|^(2N/(N-4))
+        jet = v.jet(r, 2)
+        return (
+            power_weighted(mode_operator(jet, r, N - 1.0, 0.0), r, 2.0, N - 1.0),
+            power_weighted(jet[1], r, 2.0, N - 3.0),
+            power_weighted(jet[0], r, 2.0, N - 5.0),
+            power_weighted(jet[0], r, 2.0 * N / (N - 4.0), N - 1.0),
+        )
+
+    laplacian, gradient, zeroth, critical = (res.value for res in integrate_rows(rows))
+    lhs = omega * (laplacian - c1 * gradient + c2 * zeroth)
+    rhs = (1.0 - mu / (N - 4.0)) ** (4.0 - 4.0 / N) * s_0_closed(N) * (omega * critical) ** ((N - 4.0) / N)
     return lhs, rhs, lhs >= rhs * (1.0 - 1e-8)
 
 

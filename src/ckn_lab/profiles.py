@@ -52,7 +52,6 @@ __all__ = [
     "RadialProfile",
     "PowerPeakProfile",
     "GaussianProfile",
-    "constant_profile",
     "gamma_m",
     "amplitude_constant",
     "extremal",
@@ -69,8 +68,8 @@ __all__ = [
 
 
 class RadialProfile(Protocol):
-    """What every radial profile offers.  The radial integrals call only ``eval``,
-    ``deriv`` and ``jet``; nothing reads ``decay_exponent`` or ``origin_exponent``
+    """What every radial profile offers.  The radial integrals read ``jet``, one per level for all
+    integrals of a profile, or ``eval``; nothing reads ``decay_exponent`` or ``origin_exponent``
     yet, which could screen integrability in place of the endpoint probes."""
 
     def eval(self, r): ...
@@ -337,20 +336,6 @@ class GaussianProfile(_Evaluation):
             new_terms.append((-2.0 * c, p + 1.0))
         return GaussianProfile(new_terms)
 
-    def times_power(self, k: float) -> "GaussianProfile":
-        return GaussianProfile([(c, p + float(k)) for c, p in self.terms])
-
-    def scaled(self, a: float) -> "GaussianProfile":
-        return GaussianProfile([(a * c, p) for c, p in self.terms])
-
-    def __add__(self, other):
-        if not isinstance(other, GaussianProfile):
-            return NotImplemented
-        return GaussianProfile(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
     @property
     def origin_exponent(self) -> float:
         return min((p for _, p in self.terms), default=0.0)
@@ -358,10 +343,6 @@ class GaussianProfile(_Evaluation):
     @property
     def decay_exponent(self) -> float:
         return -math.inf
-
-
-def constant_profile(c: float) -> PowerPeakProfile:
-    return PowerPeakProfile([(c, 0, 0)], sigma=2, nu=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,18 @@ sums agree to the requested tolerance, and the final sum is compensated
 (Kahan) in ascending node order so repeated runs are bit-identical.
 
 The levels nest: node k at step h is node 2k at step h/2, bit for bit, so
-each abscissa reaches the integrand at most once per integral.  The first
+each abscissa reaches the integrand at most once per integration.  The first
 call covers levels 0-2 together, since level 2 is the first that may
 converge, and the four endpoint probes ride in it.  Each finer level costs
 one call with its new (odd) nodes in a window that reaches _MARGIN coarse
 nodes past each side's tail cut on the level before.  Truncation is then
 decided by one outward pass per side; a pass that runs off the window
 first costs one more call, for the rest of the level, and starts again.
+
+:func:`integrate_rows` runs that loop for several integrands on shared
+abscissae, one row per integral: each row keeps its own cuts, levels and
+error estimate, so it gets the bits it would get alone, while each call
+serves all rows.  :func:`integrate_semiinfinite` is its one-row case.
 
 Before any sum is used, the integrand is probed near both endpoints and the
 measured log-log slopes are screened: the power at the origin must
@@ -27,14 +32,13 @@ This catches nonintegrable weight combinations before they can produce
 a plausible-looking but meaningless number.
 
 The tolerance ``DEFAULT_TOL`` and the node budget ``NODE_CAP`` are
-constants that only :func:`integrate_semiinfinite` lets a caller change.
+constants that only the two integrators let a caller change.
 
 On u = f(r) Y_k (Y_k a degree-k harmonic), r^-a div(|x|^a grad u) is
-f'' + (N-1+a) f'/r - lam_k f/r^2 with lam_k = k(N-2+k); :func:`mode_energy`
-integrates its weighted square, and every such operator in the package is
-evaluated by :func:`mode_operator`.  The package forms its radial integrals
-of |g|^e r^w and g r^w with :func:`weighted_integral` and
-:func:`signed_integral`, which take the weight in log space.
+f'' + (N-1+a) f'/r - lam_k f/r^2 with lam_k = k(N-2+k), evaluated by
+:func:`mode_operator`.  Integrands |g|^e r^w and g r^w are formed in log
+space by :func:`power_weighted` and :func:`signed_weighted`; the package
+passes those of one profile jet together to :func:`integrate_rows`.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "DivergentIntegralError",
     "AccuracyError",
     "integrate_semiinfinite",
+    "integrate_rows",
     "norm_sq",
     "norm_star",
     "quotient_radial",
@@ -60,7 +65,6 @@ __all__ = [
     "signed_weighted",
     "weighted_integral",
     "signed_integral",
-    "mode_energy",
     "DEFAULT_TOL",
     "NODE_CAP",
 ]
@@ -88,29 +92,16 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-def _vectorized(f):
-    """Return a callable mapping float ndarray -> float ndarray of that shape."""
-
-    def wrapped(s: np.ndarray) -> np.ndarray:
-        arr = np.asarray(f(s), dtype=float)
-        if arr.shape != s.shape:
-            arr = np.broadcast_to(arr, s.shape).astype(float)
-        return arr
-
-    return wrapped
-
-
 _PROBES = np.array([1e-7, 1e-6, 1e6, 1e7])
 
 
 def _screen_endpoints(probe_vals: np.ndarray) -> None:
     lo_a, lo_b, hi_a, hi_b = (float(v) for v in np.abs(probe_vals))
-    # Origin side: measured power must exceed -1.
+    # Origin side: measured power must exceed -1.  Finiteness comes first:
+    # a NaN probe would pass every magnitude test.
+    if not (math.isfinite(lo_a) and math.isfinite(lo_b)):
+        raise DivergentIntegralError("integrand not finite near the origin (probes at 1e-7, 1e-6)")
     if max(lo_a, lo_b) > 1e-280:
-        if not (math.isfinite(lo_a) and math.isfinite(lo_b)):
-            raise DivergentIntegralError(
-                "integrand not finite near the origin (probes at 1e-7, 1e-6)"
-            )
         if lo_a > 0.0 and lo_b > 0.0:
             slope = (math.log(lo_b) - math.log(lo_a)) / math.log(10.0)
             if slope <= -1.0 + 1e-3:
@@ -119,11 +110,9 @@ def _screen_endpoints(probe_vals: np.ndarray) -> None:
                     "power must exceed -1 for integrability"
                 )
     # Infinity side: measured power must fall below -1.
+    if not (math.isfinite(hi_a) and math.isfinite(hi_b)):
+        raise DivergentIntegralError("integrand not finite near infinity (probes at 1e6, 1e7)")
     if max(hi_a, hi_b) > 1e-280:
-        if not (math.isfinite(hi_a) and math.isfinite(hi_b)):
-            raise DivergentIntegralError(
-                "integrand not finite near infinity (probes at 1e6, 1e7)"
-            )
         if hi_b == 0.0:
             return  # dropped below underflow between the probes: decays fine
         slope = (math.log(hi_b) - math.log(hi_a)) / math.log(10.0)
@@ -151,18 +140,16 @@ def _grid(h: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _refine(fv, coarse: np.ndarray, known: np.ndarray, h: float, lo: int, hi: int):
-    """Values on the step-h grid, and which are known, from those at step 2h
-    (node k there is node 2k here, bit for bit) and one integrand call at
-    the odd nodes among -lo..hi, for even lo and hi."""
-    s, _ = _grid(h)
-    mid = s.size // 2
-    vals, got = np.empty(s.size), np.zeros(s.size, dtype=bool)
-    vals[mid % 2 :: 2], got[mid % 2 :: 2] = coarse, known
-    with np.errstate(all="ignore"):
-        vals[mid - lo + 1 : mid + hi : 2] = fv(s[mid - lo + 1 : mid + hi : 2].copy())
-    got[mid - lo : mid + hi + 1] = True
-    return vals, got
+def _refine(vals: list, got: np.ndarray, h: float):
+    """Each row's values on the step-h grid, and which are known, from those
+    at step 2h: node k there is node 2k here, bit for bit."""
+    size = _grid(h)[0].size
+    coarse = slice(size // 2 % 2, None, 2)
+    fine, known = [np.empty(size) for _ in vals], np.zeros(size, dtype=bool)
+    for row, v in zip(fine, vals):
+        row[coarse] = v
+    known[coarse] = got
+    return fine, known
 
 
 def _side_count(terms: list, s: np.ndarray) -> int:
@@ -194,14 +181,14 @@ def _side_count(terms: list, s: np.ndarray) -> int:
 def _walk(vals: np.ndarray, h: float, lo: int) -> tuple[float, int, int] | None:
     """Truncated trapezoid sum of one level and the terms kept per side, from
     its values on the nodes -lo..; sides are walked outward, negative first,
-    as far as the tail rule keeps.  None if one runs off vals before then."""
+    as far as the tail rule keeps.  None if one runs off vals before then.
+    Called under np.errstate(all="ignore"), like the integrand."""
     s, w = _grid(h)
     mid = s.size // 2
     center = float(vals[lo]) * math.pi * h
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
-    with np.errstate(all="ignore"):
-        terms = (vals * w[mid - lo : mid - lo + vals.size]).tolist()
+    terms = (vals * w[mid - lo : mid - lo + vals.size]).tolist()
     kept = []
     for side, side_s in ((terms[lo - 1 :: -1], s[mid - 1 :: -1]), (terms[lo + 1 :], s[mid + 1 :])):
         kept.append(side[: _side_count(side, side_s)])
@@ -218,10 +205,94 @@ def _walk(vals: np.ndarray, h: float, lo: int) -> tuple[float, int, int] | None:
     return total, len(kept[0]), len(kept[1])
 
 
-def _level_sum(vals: np.ndarray, h: float) -> tuple[float, int]:
-    """Truncated trapezoid sum and term count of one level from its whole grid."""
-    total, n_neg, n_pos = _walk(vals, h, vals.size // 2)
-    return total, n_neg + n_pos + 1
+def _levels(probes: np.ndarray, read, tol: float, node_cap: int):
+    """One row's integral: a generator that yields each window (level, lo, hi)
+    of nodes -lo..hi it needs evaluated, reads their values with read(level,
+    lo, hi) once they are in, and returns the row's QuadResult."""
+    _screen_endpoints(probes)
+    total_nodes, prev, best_err, h, level = 0, None, math.inf, _H0, 0
+    while True:
+        if level > 2:  # the new odd nodes up to _MARGIN coarse nodes past the cut
+            lo, hi = 2 * min(n_neg + _MARGIN, lo), 2 * min(n_pos + _MARGIN, hi)
+            yield level, lo, hi
+        else:  # levels 0-2 are in from the first call
+            lo = hi = math.floor(_X_CUT / h)
+        while (walked := _walk(read(level, lo, hi), h, lo)) is None:
+            lo = hi = math.floor(_X_CUT / h)  # a tail runs off the window: evaluate the rest of the level
+            yield level, lo, hi
+        value, n_neg, n_pos = walked
+        total_nodes += n_neg + n_pos + 1
+        if prev is not None:
+            best_err = abs(value - prev)
+            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
+                return QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
+        if total_nodes >= node_cap:
+            raise AccuracyError(
+                f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})",
+                QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes),
+            )
+        prev = value
+        h *= 0.5
+        level += 1
+
+
+def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
+    """The body of both integrators, so that a trace times each apart.  Runs
+    under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow."""
+    s = np.concatenate((_PROBES, _grid(_H0 / 4)[0]))  # the probes and levels 0-2, see the module docstring
+    rows = [np.asarray(v, dtype=float) for v in f(s)]
+    rows = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in rows]
+    vals, got = [v[_PROBES.size :] for v in rows], np.ones(s.size - _PROBES.size, dtype=bool)
+    top = 2  # the level whose grid vals and got cover; a coarser level is a strided view
+
+    def nodes(level, lo, hi):
+        stride, mid = 1 << (top - level), got.size // 2
+        return slice(mid - stride * lo, mid + stride * hi + 1, stride)
+
+    runs = [_levels(v[: _PROBES.size], lambda *w, i=i: vals[i][nodes(*w)], tol, node_cap) for i, v in enumerate(rows)]
+    results, asks, failure = [None] * len(runs), dict.fromkeys(range(len(runs))), None
+    while asks:
+        if wanted := [w for w in asks.values() if w]:  # one call for the nodes asked that are not in yet
+            if fresh := max(wanted)[0] > top:
+                top += 1
+                vals, got = _refine(vals, got, _H0 / 2**top)
+            if fresh and min(wanted)[0] == top:  # only the odd nodes of a new level are not in
+                mid = got.size // 2
+                new = slice(mid + 1 - max(w[1] for w in wanted), mid + max(w[2] for w in wanted), 2)
+            else:  # a tail ran off its window, or a row lags behind
+                new = np.zeros(got.size, dtype=bool)
+                for w in wanted:
+                    new[nodes(*w)] = True
+                new = new > got
+            if (s := _grid(_H0 / 2**top)[0][new].copy()).size:
+                for row, v in zip(vals, f(s)):  # a row constant in s may be a scalar
+                    row[new] = v
+                got[new] = True
+        for i in list(asks):
+            if i not in asks:
+                continue
+            try:
+                asks[i] = next(runs[i])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            except (DomainError, AccuracyError) as err:  # rows after a failing one need not finish
+                failure, asks = err, {j: w for j, w in asks.items() if j < i}
+    if failure is not None:
+        raise failure
+    return tuple(results)
+
+
+def integrate_rows(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> tuple[QuadResult, ...]:
+    """Integrate each row of ``f`` over (0, inf) to relative tolerance ``tol``.
+
+    ``f`` maps a float ndarray of abscissae to a sequence of integrand rows,
+    one per integral (a row constant in s may be a scalar).  Row i's result
+    is :func:`integrate_semiinfinite` of row i alone, bit for bit, and what
+    it raises is what integrating the rows one by one in order would raise.
+    """
+    with np.errstate(all="ignore"):
+        return _integrate(f, tol, node_cap)
 
 
 def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> QuadResult:
@@ -236,50 +307,8 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
         AccuracyError: the node budget ``node_cap`` was exhausted before
             two consecutive refinement levels agreed to ``tol``.
     """
-    fv = _vectorized(f)
-    # Levels 0-2 (steps _H0, _H0/2, _H0/4) nest in the level-2 grid, the
-    # first that may converge; one call evaluates it with the probes.
-    fine, _ = _grid(_H0 / 4)
     with np.errstate(all="ignore"):
-        vals = fv(np.concatenate((_PROBES, fine)))
-    _screen_endpoints(vals[: _PROBES.size])
-    vals = vals[_PROBES.size :]
-    got = np.ones(vals.size, dtype=bool)
-
-    total_nodes = 0
-    prev = None
-    best_err = math.inf
-    h = _H0
-    level = 0
-    while True:
-        if level > 2:  # the new odd nodes up to _MARGIN coarse nodes past the cut
-            lo, hi = 2 * min(n_neg + _MARGIN, lo), 2 * min(n_pos + _MARGIN, hi)
-            vals, got = _refine(fv, vals, got, h, lo, hi)
-        else:
-            lo = hi = math.floor(_X_CUT / h)
-        stride = 1 << max(2 - level, 0)  # levels 0 and 1 read every 4th / 2nd node
-        mid = vals.size // 2
-        while (walked := _walk(vals[mid - stride * lo : mid + stride * hi + 1 : stride], h, lo)) is None:
-            lo = hi = mid  # a tail runs off the window: evaluate the rest of the level
-            with np.errstate(all="ignore"):
-                vals[~got] = fv(_grid(h)[0][~got])
-            got[:] = True
-        value, n_neg, n_pos = walked
-        total_nodes += n_neg + n_pos + 1
-        if prev is not None:
-            best_err = abs(value - prev)
-            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
-                return QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
-        if total_nodes >= node_cap:
-            result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
-            raise AccuracyError(
-                f"no convergence to tol={tol:g} within {node_cap} nodes "
-                f"(best error estimate {best_err:g})",
-                result,
-            )
-        prev = value
-        h *= 0.5
-        level += 1
+        return _integrate(lambda s: (f(s),), tol, node_cap)[0]
 
 
 def power_weighted(vals: np.ndarray, s: np.ndarray, expo: float, w: float) -> np.ndarray:
@@ -334,11 +363,6 @@ def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
     return vals
 
 
-def mode_energy(f, drift: float, lam: float, w: float) -> float:
-    """integral of [f'' + drift f'/r - lam f/r^2]^2 r^w dr over (0, inf)."""
-    return weighted_integral(lambda r: mode_operator(f.jet(r, 2), r, drift, lam), 2.0, w)
-
-
 def norm_sq(u, p: Params) -> float:
     """Squared second-order energy of a radial profile.
 
@@ -347,7 +371,8 @@ def norm_sq(u, p: Params) -> float:
         omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr.
     """
     w = p.N + 2.0 * p.alpha - p.beta - 1.0
-    return derive(p).omega * mode_energy(u, p.N - 1.0 + p.alpha, 0.0, w)
+    drift = p.N - 1.0 + p.alpha
+    return derive(p).omega * weighted_integral(lambda r: mode_operator(u.jet(r, 2), r, drift, 0.0), 2.0, w)
 
 
 def norm_star(u, p: Params) -> float:
@@ -359,7 +384,17 @@ def norm_star(u, p: Params) -> float:
 
 def quotient_radial(u, p: Params) -> float:
     """Rayleigh quotient norm_sq(u) / norm_star(u)^2 over radial profiles."""
-    denom = norm_star(u, p)
+    d = derive(p)
+
+    def rows(r):  # the integrands of norm_star and norm_sq, from one jet
+        jet = u.jet(r, 2)
+        return (
+            power_weighted(jet[0], r, d.p_star, p.beta + p.N - 1.0),
+            power_weighted(mode_operator(jet, r, p.N - 1.0 + p.alpha, 0.0), r, 2.0, p.N + 2.0 * p.alpha - p.beta - 1.0),
+        )
+
+    star, energy = (res.value for res in integrate_rows(rows))
+    denom = (d.omega * star) ** (1.0 / d.p_star)
     if denom == 0.0:
         raise DomainError("quotient undefined: norm_star(u) = 0")
-    return norm_sq(u, p) / (denom * denom)
+    return d.omega * energy / (denom * denom)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "log_gamma", "gamma", "log_beta", "beta_fn",
+    "log_gamma", "log_beta", "beta_fn",
     "DomainError", "DivergentIntegralError", "AccuracyError", "ConditioningError", "BracketError",
 ]
 
@@ -55,11 +55,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x > 0 (exp of :func:`log_gamma`)."""
-    return math.exp(log_gamma(x))
 
 
 def log_beta(a: float, b: float) -> float:

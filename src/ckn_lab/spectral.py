@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import Params, beta_strip, derive, harmonic_eigenvalue, validate
-from .quadrature import integrate_semiinfinite, mode_energy, power_weighted
+from .quadrature import integrate_rows, mode_operator, power_weighted
 from .specfun import BracketError, ConditioningError, DomainError
 
 __all__ = [
@@ -87,12 +87,16 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     """
     d = derive(p)
     m = d.M
-    lead = mode_energy(X, m - 1.0, d.q**2 * harmonic_eigenvalue(p.N, k), m - 1.0)
+    lam = d.q**2 * harmonic_eigenvalue(p.N, k)
 
-    def potential_part(s):
-        return power_weighted(X.eval(s), s, 2.0, m - 1.0) / (1.0 + s * s) ** 4
+    def rows(s):  # the lead energy and the potential part, from one jet
+        jet = X.jet(s, 2)
+        return (
+            power_weighted(mode_operator(jet, s, m - 1.0, lam), s, 2.0, m - 1.0),
+            power_weighted(jet[0], s, 2.0, m - 1.0) / (1.0 + s * s) ** 4,
+        )
 
-    pot = integrate_semiinfinite(potential_part).value
+    lead, pot = (res.value for res in integrate_rows(rows))
     return lead - _potential_constant(m) * pot
 
 

@@ -38,7 +38,7 @@ from .params import (
     sphere_area,
 )
 from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode
-from .quadrature import integrate_semiinfinite, mode_energy, norm_sq, power_weighted, weighted_integral
+from .quadrature import integrate_rows, integrate_semiinfinite, mode_operator, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import AccuracyError, DomainError, beta_fn
 
@@ -97,8 +97,12 @@ def second_variation(p: Params) -> SecondVariation:
     i2 = 0.5 * beta_fn((m - 2.0) / 2.0, (m - 2.0) / 2.0)
 
     x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
-    i1_quad = weighted_integral(lambda s: x1.deriv(s, 1), 2.0, m - 4.0)
-    i2_quad = weighted_integral(x1.eval, 2.0, m - 5.0)
+
+    def rows(s):
+        x, dx = x1.jet(s, 1)
+        return power_weighted(dx, s, 2.0, m - 4.0), power_weighted(x, s, 2.0, m - 5.0)
+
+    i1_quad, i2_quad = (res.value for res in integrate_rows(rows))
     for name, closed, quad in (("I1", i1, i1_quad), ("I2", i2, i2_quad)):
         if abs(closed - quad) > _BETA_VS_QUAD_TOL * (abs(closed) + abs(quad)):
             raise AccuracyError(
@@ -142,13 +146,18 @@ def directional_quotient(p: Params, eps: float) -> float:
     d = derive(p)
     u = extremal(p)
     g = kernel_mode(p, "Z1_radial")
-    numerator = norm_sq(u, p)
     eps_z = eps * amplitude_constant(p)
+    w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
+    modes = ((u, 0.0), (g, harmonic_eigenvalue(p.N, 1)))[: 1 + (eps != 0.0)]  # ||U||^2, and g's energy for eps != 0
+
+    def energies(r):
+        return [power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w) for f, lam in modes]
+
+    energy = [res.value for res in integrate_rows(energies)]
+    numerator = d.omega * energy[0]
     if eps != 0.0:
         # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
-        w = p.N + 2.0 * p.alpha - p.beta - 1.0
-        lam = harmonic_eigenvalue(p.N, 1)
-        numerator += eps_z**2 * (d.omega / p.N * mode_energy(g, p.N - 1.0 + p.alpha, lam, w))
+        numerator += eps_z**2 * (d.omega / p.N * energy[1])
 
     cos_t, w_t = _theta_rule(p.N)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction

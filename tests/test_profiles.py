@@ -15,7 +15,6 @@ from ckn_lab.profiles import (
     PowerPeakProfile,
     amplitude_constant,
     b_closed,
-    constant_profile,
     cosh_profile_residual,
     _frac,
     emden_fowler,

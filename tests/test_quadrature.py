@@ -23,6 +23,7 @@ from ckn_lab.quadrature import (
     AccuracyError,
     DivergentIntegralError,
     QuadResult,
+    integrate_rows,
     integrate_semiinfinite,
     norm_sq,
     norm_star,
@@ -89,6 +90,25 @@ def test_divergence_at_origin_is_screened():
         integrate_semiinfinite(lambda s: np.exp(-s) * s**-1.5)
 
 
+# A NaN probe used to pass the screen, as max(nan, x) is nan and nan > 1e-280
+# is false: the first case raised DomainError at s=1.193561e-167, the third
+# AccuracyError, both for a nonintegrable integrand.
+@pytest.mark.parametrize(
+    "f, side",
+    [
+        (lambda s: np.where(s == 1e-7, np.nan, s**-2.0 / (1.0 + s) ** 2), "the origin (probes at 1e-7, 1e-6)"),
+        (lambda s: np.where(s == 1e-6, np.nan, s**-2.0 / (1.0 + s) ** 2), "the origin (probes at 1e-7, 1e-6)"),
+        (lambda s: np.where(s == 1e6, np.nan, 1.0 / np.sqrt(1.0 + s)), "infinity (probes at 1e6, 1e7)"),
+        (lambda s: np.where(s == 1e7, np.nan, 1.0 / np.sqrt(1.0 + s)), "infinity (probes at 1e6, 1e7)"),
+    ],
+    ids=["origin_first_probe", "origin_second_probe", "infinity_first_probe", "infinity_second_probe"],
+)
+def test_a_nan_probe_is_screened(f, side):
+    with np.errstate(all="ignore"), pytest.raises(DivergentIntegralError) as err:
+        integrate_semiinfinite(f)
+    assert str(err.value) == f"integrand not finite near {side}"
+
+
 def test_error_estimate_is_honest():
     res = integrate_semiinfinite(lambda s: np.exp(-s) * np.cos(s))
     assert abs(res.value - 0.5) <= max(10.0 * res.abs_error_estimate, 1e-12)
@@ -119,9 +139,11 @@ def test_signed_weighted_preserves_sign():
     assert out[2] == pytest.approx(8.0, rel=1e-14)
 
 
-def test_norm_sq_vanishes_on_constants(p511):
-    from ckn_lab.profiles import constant_profile
+def constant_profile(c: float) -> PowerPeakProfile:
+    return PowerPeakProfile([(c, 0, 0)], sigma=2, nu=1.0)
 
+
+def test_norm_sq_vanishes_on_constants(p511):
     assert norm_sq(constant_profile(3.0), p511) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -345,6 +367,24 @@ def test_finer_levels_evaluate_only_inside_the_tail_cut():
     assert batches[2].size < odd[1]
 
 
+def _vectorized(f):
+    """f with its result as a float array of the abscissae's shape."""
+
+    def wrapped(s):
+        arr = np.asarray(f(s), dtype=float)
+        return arr if arr.shape == s.shape else np.broadcast_to(arr, s.shape).astype(float)
+
+    return wrapped
+
+
+def _level_sum(vals, h):
+    """Truncated trapezoid sum and term count of one level from its whole grid,
+    walked under the errstate the integrator walks its levels in."""
+    with np.errstate(all="ignore"):
+        total, n_neg, n_pos = quad._walk(vals, h, vals.size // 2)
+    return total, n_neg + n_pos + 1
+
+
 def _refine_full(fv, coarse, h):
     """Values on the step-h grid from those at step 2h, every odd node evaluated."""
     s, _ = quad._grid(h)
@@ -359,7 +399,7 @@ def _refine_full(fv, coarse, h):
 def _integrate_by_full_levels(f, tol=quad.DEFAULT_TOL, *, node_cap=quad.NODE_CAP):
     """The integrator as it once ran: every finer level evaluates its new odd
     nodes over the whole node range, and the tail rule then walks them."""
-    fv = quad._vectorized(f)
+    fv = _vectorized(f)
     fine, _ = quad._grid(quad._H0 / 4)
     with np.errstate(all="ignore"):
         vals = fv(np.concatenate((quad._PROBES, fine)))
@@ -372,7 +412,7 @@ def _integrate_by_full_levels(f, tol=quad.DEFAULT_TOL, *, node_cap=quad.NODE_CAP
         stride = 1 << max(2 - level, 0)
         mid = vals.size // 2
         half = stride * math.floor(quad._X_CUT / h)
-        value, n = quad._level_sum(vals[mid - half : mid + half + 1 : stride], h)
+        value, n = _level_sum(vals[mid - half : mid + half + 1 : stride], h)
         total_nodes += n
         if prev is not None:
             best_err = abs(value - prev)
@@ -477,6 +517,67 @@ def _integrands(draw):
 def test_windowed_levels_match_the_full_levels(case):
     expected = _integral_outcome(_integrate_by_full_levels, *case)
     assert _integral_outcome(integrate_semiinfinite, *case) == expected
+
+
+def _rows_outcome(run):
+    try:
+        return run()
+    except AccuracyError as err:
+        return "AccuracyError", str(err), repr(err.result)
+    except DomainError as err:
+        return type(err).__name__, str(err)
+
+
+def _exp(s):
+    return np.exp(-s)
+
+
+# Rows integrated together must give what integrating them one by one in
+# order gives, bit for bit and word for word, with fewer integrand calls.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_integrands(), min_size=1, max_size=4),
+    st.sampled_from([1e-6, quad.DEFAULT_TOL, 1e-14]),
+    st.sampled_from([8, 40, 120, 400, 1500, quad.NODE_CAP]),
+)
+@example([(_exp, None, None), (_quiet_on_level_2, None, None)], quad.DEFAULT_TOL, quad.NODE_CAP)  # a row lags
+@example([(_exp, None, None), (_nan_near_two, None, None)], quad.DEFAULT_TOL, quad.NODE_CAP)
+@example([(_nan_near_two, None, None), (lambda s: 1.0 / (1.0 + s), None, None)], quad.DEFAULT_TOL, quad.NODE_CAP)
+@example([(lambda s: 1.0 / (1.0 + s * s), None, None), (_nan_near_two, None, None)], 1e-14, 32)
+@example([(_cube_with_overflowing_tail, None, None), (_nans_on_both_sides, None, None), (_exp, None, None)],
+         quad.DEFAULT_TOL, quad.NODE_CAP)
+def test_rows_integrate_as_they_do_one_by_one(cases, tol, node_cap):
+    fs = [f for f, _, _ in cases]
+    alone, calls_alone = [], []
+    for f in fs:  # the sequence stops at its first error
+        calls = []
+
+        def counted(s, f=f, calls=calls):
+            calls.append(s.size)
+            return f(s)
+
+        alone.append(_rows_outcome(lambda: repr(integrate_semiinfinite(counted, tol, node_cap=node_cap))))
+        calls_alone.append(len(calls))
+        if not isinstance(alone[-1], str):
+            break
+    batches = []
+
+    def rows(s):
+        batches.append(np.array(s))
+        return [f(s) for f in fs]
+
+    outcome = _rows_outcome(lambda: tuple(repr(res) for res in integrate_rows(rows, tol, node_cap=node_cap)))
+    assert outcome == (tuple(alone) if isinstance(alone[-1], str) else alone[-1])
+    seen = np.concatenate(batches)
+    assert np.unique(seen).size == seen.size  # each abscissa at most once
+    assert len(batches) <= max(calls_alone)  # no more calls than the most demanding row alone
+
+
+def test_a_scalar_row_is_broadcast():
+    assert integrate_rows(lambda s: (0.0, np.exp(-s))) == (
+        integrate_semiinfinite(lambda s: 0.0),
+        integrate_semiinfinite(lambda s: np.exp(-s)),
+    )
 
 
 def test_a_tail_past_the_window_evaluates_the_rest_of_the_level():
@@ -619,7 +720,7 @@ def _level_values(draw):
 def test_level_sum_matches_the_vectorised_rule(level):
     vals, h = level
     expected = _level_outcome(_level_sum_vectorised, vals, h)
-    assert _level_outcome(quad._level_sum, vals, h) == expected
+    assert _level_outcome(_level_sum, vals, h) == expected
 
 
 def _power_weighted_masked(vals, s, expo, w):

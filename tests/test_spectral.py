@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
-from ckn_lab.params import ParamError, beta_fs, derive, harmonic_eigenvalue, validate
+from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, harmonic_eigenvalue, validate
 from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
@@ -619,6 +619,39 @@ def test_fs_locate_finds_the_curve_wherever_its_bracket_holds_it(N):
         else:
             with pytest.raises(BracketError):
                 fs_locate(N, alpha, 1e-4)
+
+
+def _synthetic_rho(monkeypatch, rho):
+    """fs_locate's bracket for (5, 1), with ritz_min_eig replaced by rho(beta);
+    returns the bracket and the list of betas evaluated."""
+    seen = []
+
+    def fake(k, p, J):
+        seen.append(p.beta)
+        return spectral.RitzResult(rho(p.beta), np.zeros(J), J, 1.0)
+
+    monkeypatch.setattr(spectral, "ritz_min_eig", fake)
+    beta_min, beta_max = beta_strip(5, 1.0)
+    return beta_min + 0.1 * (beta_max - beta_min), 0.99 * beta_max, seen
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_fs_locate_returns_an_end_where_rho_is_exactly_zero(monkeypatch, end):
+    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: root - beta)
+    root = (lo, hi)[end]
+    assert fs_locate(5, 1.0, 1e-4) == root
+    assert seen == [lo, hi]
+
+
+def test_fs_locate_bisects_a_step_that_defeats_interpolation(monkeypatch):
+    """With rho = +-1, |rho(a)| never exceeds |rho(b)|, so Brent's method never
+    interpolates and each step halves the bracket; the root comes back within tol."""
+    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: 1.0 if beta < root else -1.0)
+    root = lo + 0.3 * (hi - lo)
+    tol = 1e-6
+    assert abs(fs_locate(5, 1.0, tol) - root) <= tol
+    assert seen[2] == pytest.approx(0.5 * (lo + hi), abs=1e-12)  # the first step is a bisection
+    assert len(seen) == pytest.approx(2 + math.log2((hi - lo) / tol), abs=2)
 
 
 def test_fs_locate_terminates_below_rounding():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import ckn_lab.variation as variation
 from ckn_lab.params import beta_fs, derive, validate
 from ckn_lab.profiles import amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import norm_star
@@ -159,6 +160,20 @@ def test_certificate_flags_forced_disagreement(p511):
     cert = certify(p511, tol=1e30)
     assert cert.verdict is Verdict.BOUNDARY
     assert cert.discrepancies != ()
+
+
+def test_certificate_reports_conflicting_witness_signs(monkeypatch, p511):
+    """A quotient that rises against two negative witnesses is a conflict:
+    Boundary, with both the conflict and the missed expectation reported."""
+    monkeypatch.setattr(variation, "directional_quotient", lambda p, eps: s_r_closed(p) * (1.0 + eps))
+    cert = certify(p511)
+    assert cert.witness_signs == (-1, 1, -1)
+    assert cert.verdict is Verdict.BOUNDARY
+    assert cert.expected is Verdict.BREAKING
+    assert cert.discrepancies == (
+        "witness signs conflict: second_variation/quotient/ritz = (-1, 1, -1)",
+        "measured verdict Boundary != expected Breaking from classification SymmetryBreaking",
+    )
 
 
 def test_certificate_argument_validation(p511):
