@@ -6,15 +6,16 @@ Usage (from the repository root):
         --checkout change=. --out BENCH_8.json
 
 Each checkout is a directory holding a copy of the repository; the first
-one named is the baseline.  Each of ROUNDS rounds visits every checkout,
-in an order that is reversed every other round, and in each one runs
+one named is the baseline, and its BENCHMARK.json names the workloads, the
+end-to-end figures each workload's run reports (with the direction in which
+each is better), the seconds S of a run and the unit of every per-layer
+figure.  Each of ROUNDS rounds visits every checkout, in an order that is
+reversed every other round, and in each one runs
 
 * ``perfbench/run.py --workload W --seed 1 --seconds S`` for each workload
-  W in WORKLOADS, and keeps the end-to-end figures of its last line that
-  BENCHMARK.json bounds (``setup_s``, ``ops_per_s``, ``op_ms_p50``,
-  ``op_ms_p90``) as ``W/<figure>`` (S is ``run_seconds`` from the
-  baseline's BENCHMARK.json, so every checkout runs equally long); each
-  workload runs in every checkout in turn before the next one starts, and
+  W, and keeps the figures of its last line that BENCHMARK.json bounds as
+  ``W/<figure>``; each workload runs in every checkout in turn before the
+  next one starts, and
 * the command-line runs of CLI_RUNS, each a few ``ckn-lab`` processes
   that call ``main`` once and loop over many cells or alphas inside it,
   as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
@@ -33,22 +34,23 @@ in an order that is reversed every other round, and in each one runs
   after it (the unscaled sum is kept as ``..._wall_s``).  The SHA-256 of
   each checkout's concatenated output is kept, so differing output shows.
 
-After the rounds, TRACED_RUNS traced rounds give the per-layer figures
-of TRACE_KEYS that each workload reports.  They alternate like the timed
-rounds: each traced round visits the checkouts in an order reversed
-every other round, and runs each workload in every checkout in turn
-before the next one starts, so host drift does not read as a per-layer
-difference.  The record keeps every traced run and, per figure, their
-median and quartiles, because one traced run drifts far more than the
-code does.  For every end-to-end figure the output holds each checkout's
-runs, median and quartiles and, against the baseline, the number of
-rounds in which the checkout did better, the ratio of medians, and
-whether the gap between medians exceeds the baseline's interquartile
-range; the traced figures get the same ratio and gap, per workload, so
-the record marks a per-layer difference it cannot resolve.  Beside that
-gap, ``separated`` is true only when every run of the checkout falls on
-one side of every baseline run: with three traced runs the quartiles are
-too narrow a yardstick, and host drift between runs can exceed them.
+For every end-to-end figure the output holds each checkout's runs, median
+and quartiles and, against the baseline, the number of rounds in which the
+checkout did better, the ratio of medians, whether the gap between medians
+exceeds the baseline's interquartile range, and whether every run of the
+checkout falls on one side of every baseline run (``separated``).
+
+After the rounds, one traced run (``--trace 1``) per checkout and workload
+gives the per-layer figures, kept as reported.  For a fixed seed the work
+of each layer is fixed, so each figure whose BENCHMARK.json unit is
+``count`` is compared with the baseline's as an exact ratio: 1.0 when the
+two are equal (zeros included), null when only the baseline's is 0.
+Traced milliseconds drift with the host's load more than with the code,
+and get no ratio or verdict.
+
+A perfbench run whose last line does not report ``correct: true`` stops
+the script, naming the checkout, the workload and the run's unexpected
+failures.
 
 Each checkout is named by its commit when it is a git work tree of its
 own, and always by a SHA-256 of its ``src/`` files, which a ``git
@@ -70,9 +72,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import speed  # noqa: E402
 
-WORKLOADS = ("scan", "fs_curve", "invariants")
-#: the end-to-end figures BENCHMARK.json bounds, kept per workload
-BOUNDED = ("setup_s", "ops_per_s", "op_ms_p50", "op_ms_p90")
 CLI_RUNS = {
     "scan_cli_s": [
         ["scan", "--N", str(n), "--alpha", "0.1:2:10", "--beta", "auto:20", "--jobs", "1"]
@@ -96,25 +95,6 @@ CLI_RUNS = {
 #: rounds of runs; a gain counts when it wins nine tenths of at least ten
 ROUNDS = 10
 KERNEL_RUNS = 5
-TRACED_RUNS = 3
-TRACE_KEYS = (
-    "cli.main.self_ms",
-    "spectral.ritz_min_eig.self_ms",
-    "spectral.ritz_min_eig.calls",
-    "spectral.ritz_min_eig.useful_ratio",
-    "spectral.ritz_min_eig.basis_size_mean",
-    "spectral.ritz_min_eig.gram_condition_max",
-    "spectral.ritz_min_eig.ms_p50",
-    "spectral.fs_locate.self_ms",
-    "spectral.fs_locate.ritz_per_call",
-    "quadrature.integrate_semiinfinite.self_ms",
-    "quadrature.integrate_semiinfinite.calls",
-    "quadrature.integrate_semiinfinite.nodes",
-    "variation.directional_quotient.self_ms",
-    "profiles.PowerPeakProfile.constructed",
-    "profiles.algebra.self_ms",
-    "profiles.euler_lagrange_residual.ms_p50",
-)
 
 
 def _perfbench(workload: str, seconds: str, trace: int) -> list[str]:
@@ -129,11 +109,20 @@ def _env(root: Path) -> dict:
     return env
 
 
-def _last_lines(root: Path, args: list[str]) -> tuple[dict, dict]:
+def _run(name: str, root: Path, workload: str, seconds: str, trace: int) -> tuple[dict, dict]:
+    """The record and the result line of one perfbench run, which must
+    have met its oracles."""
     out = subprocess.run(
-        [sys.executable, *args], cwd=root, env=_env(root), check=True, capture_output=True, text=True
+        [sys.executable, *_perfbench(workload, seconds, trace)],
+        cwd=root, env=_env(root), check=True, capture_output=True, text=True,
     ).stdout.splitlines()
-    return json.loads(out[-2]), json.loads(out[-1])
+    record, line = json.loads(out[-2]), json.loads(out[-1])
+    if line["correct"] is not True:
+        sys.exit(
+            f"{name}: the {workload} run (--trace {trace}) failed its oracles; "
+            f"unexpected failures: {json.dumps(record['unexpected_failures'])}"
+        )
+    return record, line
 
 
 def _time_cli(root: Path, command: list[str]) -> tuple[float, float, bytes]:
@@ -152,10 +141,6 @@ def _time_cli(root: Path, command: list[str]) -> tuple[float, float, bytes]:
 def _order(names: list[str], i: int) -> list[str]:
     """The checkouts in the order round i visits them: reversed every other round."""
     return names if i % 2 == 0 else names[::-1]
-
-
-def _higher_is_better(metric: str) -> bool:
-    return "_per_" in metric
 
 
 def _git(root: Path, *args: str) -> str:
@@ -195,6 +180,25 @@ def _gap(values: list[float], refs: list[float]) -> dict:
     }
 
 
+def _ratio(value: float, ref: float) -> float | None:
+    """Exact ratio of two counts: 1.0 when they are equal, null when only ref is 0."""
+    if value == ref:
+        return 1.0
+    return value / ref if ref else None
+
+
+def _count_ratios(trace: dict, base_trace: dict, counts: list[str]) -> dict:
+    """Per workload, the exact ratio of each count figure that both traces hold."""
+    return {
+        workload: {
+            key: _ratio(figures[key], base_trace[workload][key])
+            for key in counts
+            if key in figures and key in base_trace[workload]
+        }
+        for workload, figures in trace.items()
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", action="append", required=True, metavar="NAME=DIR")
@@ -207,7 +211,11 @@ def main(argv: list[str] | None = None) -> int:
         roots[name] = Path(path).resolve()
     names = list(roots)
     base = names[0]
-    seconds = str(json.loads((roots[base] / "BENCHMARK.json").read_text())["run_seconds"])
+    bench = json.loads((roots[base] / "BENCHMARK.json").read_text())
+    seconds = str(bench["run_seconds"])
+    workloads = [workload["name"] for workload in bench["workloads"]]
+    better = {figure["name"]: figure["better"] for figure in bench["end_to_end"]}
+    counts = [figure["name"] for figure in bench["per_layer"] if figure["unit"] == "count"]
 
     record = {
         "description": args.description,
@@ -216,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
             key: [" ".join(["ckn-lab", *command]) for command in commands]
             for key, commands in CLI_RUNS.items()
         },
-        "checkouts": {name: {**_identity(root), "runs": []} for name, root in roots.items()},
+        "checkouts": {name: {**_identity(root), "runs": [], "trace": {}} for name, root in roots.items()},
         "order": [],
     }
     for i in range(ROUNDS):
@@ -224,14 +232,14 @@ def main(argv: list[str] | None = None) -> int:
         record["order"].append(order)
         for name in order:
             record["checkouts"][name]["runs"].append({"ops": {}, "metrics": {}, "output_sha256": {}})
-        for workload in WORKLOADS:
+        for workload in workloads:
             for name in order:
-                machine, last = _last_lines(roots[name], _perfbench(workload, seconds, 0))
+                machine, last = _run(name, roots[name], workload, seconds, 0)
                 record["machine"] = machine["machine"]
                 run = record["checkouts"][name]["runs"][i]
                 run["ops"][workload] = {key: last[key] for key in ("correct", "attempted", "failed")}
                 run["metrics"].update(
-                    {f"{workload}/{key}": last["metrics"][key]["value"] for key in BOUNDED}
+                    {f"{workload}/{key}": last["metrics"][key]["value"] for key in better}
                 )
         for key, commands in CLI_RUNS.items():
             wall_key = key.replace("_s", "_wall_s")
@@ -252,38 +260,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"round {i + 1} {name}: scan {metrics['scan/ops_per_s']:.1f}/s, "
                   f"cli scan {metrics['scan_cli_s']:.3f} s", file=sys.stderr, flush=True)
 
-    traced = {name: {workload: [] for workload in WORKLOADS} for name in names}
-    record["trace_order"] = []
-    for i in range(TRACED_RUNS):
-        order = _order(names, i)
-        record["trace_order"].append(order)
-        for workload in WORKLOADS:
-            for name in order:
-                traced[name][workload].append(
-                    _last_lines(roots[name], _perfbench(workload, seconds, 1))[1]["metrics"]
-                )
-    for name in names:
-        entry = record["checkouts"][name]
+    for workload in workloads:
+        for name in names:
+            metrics = _run(name, roots[name], workload, seconds, 1)[1]["metrics"]
+            record["checkouts"][name]["trace"][workload] = {key: m["value"] for key, m in metrics.items()}
+    for entry in record["checkouts"].values():
         runs = entry["runs"]
         entry["summary"] = {
             key: _summary([run["metrics"][key] for run in runs]) for key in runs[0]["metrics"]
         }
-        entry["trace"] = {}
-        for workload, traced_runs in traced[name].items():
-            keys = [key for key in TRACE_KEYS if key in traced_runs[0]]
-            entry["trace"][workload] = {
-                "runs": [{key: metrics[key]["value"] for key in keys} for metrics in traced_runs],
-                "summary": {key: _summary([m[key]["value"] for m in traced_runs]) for key in keys},
-            }
 
     base_runs = record["checkouts"][base]["runs"]
-    base_summary = record["checkouts"][base]["summary"]
     record["against_" + base] = {}
     for name in names[1:]:
         runs = record["checkouts"][name]["runs"]
         table = {}
-        for key in base_summary:
-            sign = 1.0 if _higher_is_better(key) else -1.0
+        for key in record["checkouts"][base]["summary"]:
+            sign = 1.0 if better.get(key.partition("/")[2]) == "higher" else -1.0
             wins = sum(
                 sign * (run["metrics"][key] - ref["metrics"][key]) > 0
                 for run, ref in zip(runs, base_runs)
@@ -297,14 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         table["same_cli_output"] = all(
             run["output_sha256"] == ref["output_sha256"] for run, ref in zip(runs, base_runs)
         )
-        base_trace = record["checkouts"][base]["trace"]
-        table["trace"] = {
-            workload: {
-                key: _gap([run[key] for run in block["runs"]], [run[key] for run in base_trace[workload]["runs"]])
-                for key in block["summary"]
-            }
-            for workload, block in record["checkouts"][name]["trace"].items()
-        }
+        table["trace"] = _count_ratios(
+            record["checkouts"][name]["trace"], record["checkouts"][base]["trace"], counts
+        )
         record["against_" + base][name] = table
 
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

@@ -64,7 +64,6 @@ __all__ = [
     "power_weighted",
     "signed_weighted",
     "weighted_integral",
-    "signed_integral",
     "DEFAULT_TOL",
     "NODE_CAP",
 ]
@@ -342,11 +341,6 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
 def weighted_integral(g, expo: float, w: float) -> float:
     """integral of |g(r)|^expo r^w dr over (0, inf), the weight taken in log space."""
     return integrate_semiinfinite(lambda r: power_weighted(g(r), r, expo, w)).value
-
-
-def signed_integral(g, w: float) -> float:
-    """integral of g(r) r^w dr over (0, inf), the weight taken in log space."""
-    return integrate_semiinfinite(lambda r: signed_weighted(g(r), r, w)).value
 
 
 def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:

@@ -240,6 +240,12 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     )
 
 
+#: the largest M at which fs_locate's lower bracket end may solve: the J = 4
+#: Ritz value keeps the closed form's sign beyond it, and there
+#: 2 + beta - alpha = 2(N + beta)/M is still about 1e4 ulps of N + beta
+M_CAP = 1e12
+
+
 def fs_locate(N: int, alpha: float, tol: float) -> float:
     """Locate the symmetry-breaking transition in beta by Brent's method.
 
@@ -256,6 +262,13 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     ground state: rho_J vanishes there for every J, and the root does not
     depend on the basis.  Elsewhere Rayleigh-Ritz keeps rho_J at or above
     the true rho_1.
+
+    The bracket starts at lo = beta_min + width/10 and hi = 0.99 beta_max.
+    Where hi is no upper end (at large N beta_FS/beta_max tends to 1) it
+    moves to beta_max itself: there M = N and q < 1, so rho_1 < 0 exactly.
+    Where rho_1(lo) < 0 (at large alpha beta_FS sinks toward beta_min) lo
+    moves to beta_min + (lo - beta_min)/8 until rho_1 turns positive, or
+    until M passes M_CAP: BracketError.
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
@@ -271,7 +284,18 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
         return ritz_min_eig(1, validate(N, alpha, beta), 4).min_eigenvalue
 
     rho_lo = rho_at(lo)
-    rho_hi = rho_at(hi)
+    rho_hi = rho_at(hi) if hi > lo else math.inf
+    if rho_hi > 0.0:
+        hi, rho_hi = beta_max, rho_at(beta_max)
+    while rho_lo < 0.0:
+        lo = beta_min + (lo - beta_min) / 8.0
+        m = derive(validate(N, alpha, lo)).M
+        if m > M_CAP:
+            raise BracketError(
+                f"least eigenvalue stays negative toward alpha - 2 = {beta_min:.6g}: "
+                f"the next lower end, beta={lo:.9g}, has M={m:.3g} above the cap {M_CAP:.0e}"
+            )
+        rho_lo = rho_at(lo)
     if rho_lo == 0.0:
         return lo
     if rho_hi == 0.0:

@@ -285,12 +285,27 @@ def test_certify_solves_the_full_ritz_basis_deep_in_the_strip(capsys):
     assert record["witness_signs"][2] == 1
 
 
-def test_fs_curve_without_a_bracket_is_verification_failure(capsys):
-    """At (5, 50) beta_FS lies below fs_locate's search interval: BracketError, exit 1."""
+def test_fs_curve_without_a_bracket_is_verification_failure(capsys, monkeypatch):
+    """A least eigenvalue that is positive across the strip has no sign change
+    for fs_locate to bracket: BracketError, exit 1."""
+    from ckn_lab import spectral
+
+    monkeypatch.setattr(
+        spectral, "ritz_min_eig", lambda k, p, J: spectral.RitzResult(1.0, None, J, 1.0)
+    )
     code, out, err = run(capsys, "fs-curve", "--N", "5", "--alpha", "50")
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: least eigenvalue does not change sign")
+
+
+@pytest.mark.parametrize("N, alpha", [("5", "8"), ("500", "1")])
+def test_fs_curve_locates_near_either_end_of_the_strip(capsys, N, alpha):
+    """At (5, 8) beta_FS lies in the lowest tenth of the strip, at (500, 1)
+    above 0.99 N alpha/(N-2); both come back within the default tol."""
+    code, out, _ = run(capsys, "fs-curve", "--N", N, "--alpha", alpha, "--json")
+    assert code == 0
+    assert abs(json.loads(out)["gap"]) <= 1e-4
 
 
 def test_certify_text_output_has_no_basis_size(capsys):

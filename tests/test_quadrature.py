@@ -29,7 +29,6 @@ from ckn_lab.quadrature import (
     norm_star,
     power_weighted,
     quotient_radial,
-    signed_integral,
     signed_weighted,
     weighted_integral,
 )
@@ -210,8 +209,8 @@ def test_a_scalar_integrand_is_broadcast():
 
 
 # Pinned bit for bit: each value is that of the integrand closure around
-# power_weighted or signed_weighted that the two functions replace, at
-# profiles of the identity battery and their derivatives.
+# power_weighted that weighted_integral replaces, at profiles of the
+# identity battery and their derivatives.
 @pytest.mark.parametrize(
     "name, order, expo, w, expected",
     [
@@ -229,24 +228,6 @@ def test_weighted_integral_is_the_closure_form(name, order, expo, w, expected):
 
     closure = integrate_semiinfinite(lambda r: power_weighted(g(r), r, expo, w)).value
     assert weighted_integral(g, expo, w).hex() == closure.hex() == expected
-
-
-@pytest.mark.parametrize(
-    "name, w, expected",
-    [
-        ("inverse_square_3", 3.0, "-0x1.2d97c7f3321d2p-1"),
-        ("gaussian", 2.0, "-0x1.0000000000000p+0"),
-        ("bump_r2", 4.0, "-0x1.5555555555554p-1"),
-    ],
-)
-def test_signed_integral_is_the_closure_form(name, w, expected):
-    f = dict(BATTERY_PROFILES)[name]
-
-    def g(r):
-        return f.deriv(r, 1)
-
-    closure = integrate_semiinfinite(lambda r: signed_weighted(g(r), r, w)).value
-    assert signed_integral(g, w).hex() == closure.hex() == expected
 
 
 def test_extremal_quotient_is_pinned(p511):

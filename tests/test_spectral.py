@@ -604,21 +604,50 @@ def test_fs_locate_matches_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])
 def test_fs_locate_finds_the_curve_wherever_its_bracket_holds_it(N):
-    """fs_locate searches [alpha-2 + width/10, 0.99 N alpha/(N-2)].
+    """fs_locate starts from [alpha-2 + width/10, 0.99 N alpha/(N-2)].
 
-    Where beta_FS lies inside it returns beta_FS to the tolerance;
-    elsewhere the least eigenvalue has no sign change there: BracketError.
+    Where beta_FS lies inside it returns beta_FS to the tolerance; elsewhere
+    the bracket widens toward the strip's ends until it holds beta_FS, so
+    the curve comes back to the tolerance there too.
     """
     for alpha in np.geomspace(0.02, 50.0, 30):
         alpha = float(alpha)
-        beta_max = N * alpha / (N - 2.0)
-        lo = (alpha - 2.0) + 0.1 * (beta_max - (alpha - 2.0))
-        closed = beta_fs(N, alpha)
-        if lo <= closed <= 0.99 * beta_max:
-            assert fs_locate(N, alpha, 1e-4) == pytest.approx(closed, abs=1e-4)
-        else:
-            with pytest.raises(BracketError):
-                fs_locate(N, alpha, 1e-4)
+        assert fs_locate(N, alpha, 1e-4) == pytest.approx(beta_fs(N, alpha), abs=1e-4)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_fs_locate_finds_the_curve_on_the_whole_alpha_axis(monkeypatch, tol):
+    """At large alpha beta_FS sinks toward alpha - 2 and at large N it nears
+    N alpha/(N-2); the widened bracket finds it at both ends, in at most
+    eleven J = 4 solves."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ritz_min_eig(*args)
+
+    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
+    for N in (5, 6, 8, 12, 100, 500, 1000):
+        for alpha in (1e-3, 0.1, 1.0, 2.0, 8.0, 20.0, 100.0, 1000.0):
+            calls.clear()
+            assert abs(fs_locate(N, alpha, tol) - beta_fs(N, alpha)) <= tol, (N, alpha)
+            assert len(calls) <= 11, (N, alpha)
+
+
+def test_fs_locate_caps_the_walk_toward_the_lower_edge(monkeypatch):
+    """A rho_1 that is negative everywhere moves lo toward alpha - 2 until M
+    passes M_CAP, and the BracketError names that M."""
+    seen = []
+
+    def negative(k, p, J):
+        seen.append(derive(p).M)
+        return spectral.RitzResult(-1.0, np.zeros(J), J, 1.0)
+
+    monkeypatch.setattr(spectral, "ritz_min_eig", negative)
+    with pytest.raises(BracketError, match=r"M=\S+ above the cap 1e\+12"):
+        fs_locate(5, 1.0, 1e-4)
+    assert max(seen) <= spectral.M_CAP < 8.0 * max(seen)
+    assert seen[2:] == sorted(seen[2:])  # lo, hi, then lo walking toward alpha - 2
 
 
 def _synthetic_rho(monkeypatch, rho):
