@@ -18,6 +18,7 @@ closed-form sharp constants with it, so that they need only the stdlib.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -141,9 +142,15 @@ class Derived(NamedTuple):
     omega: float
 
 
+def _log_half_sphere_area(n: int) -> float:
+    return 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n)
+
+
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^(n-1) in R^n: 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
+    """Surface area of the unit sphere S^(n-1) in R^n: 2 pi^(n/2) / Gamma(n/2).
+
+    Subnormal from n = 439 and 0.0 from n = 456."""
+    return 2.0 * math.exp(_log_half_sphere_area(n))
 
 
 def harmonic_eigenvalue(N: int, k: int) -> float:
@@ -339,9 +346,11 @@ def s_r_closed(p: Params) -> float:
     on the upper boundary beta = N*alpha/(N-2).
     """
     d = derive(p)
-    return math.exp(
-        (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * math.log(d.omega)
-    ) * b_closed(d.M)
+    if d.omega >= sys.float_info.min:
+        log_omega = math.log(d.omega)
+    else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
+        log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
+    return math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
 
 
 def s_0_closed(N: int) -> float:

@@ -68,9 +68,9 @@ __all__ = [
 
 
 class RadialProfile(Protocol):
-    """What every radial profile offers.  The radial integrals read ``jet``, one per level for all
-    integrals of a profile, or ``eval``; nothing reads ``decay_exponent`` or ``origin_exponent``
-    yet, which could screen integrability in place of the endpoint probes."""
+    """What every radial profile offers.  The radial integrals read ``jet``, once per integrand
+    call for all integrals of a profile, or ``eval``; nothing reads ``decay_exponent`` or
+    ``origin_exponent`` yet, which could screen integrability in place of the endpoint probes."""
 
     def eval(self, r): ...
 

@@ -11,13 +11,12 @@ sums agree to the requested tolerance, and the final sum is compensated
 (Kahan) in ascending node order so repeated runs are bit-identical.
 
 The levels nest: node k at step h is node 2k at step h/2, bit for bit, so
-each abscissa reaches the integrand at most once per integration.  The first
-call covers levels 0-2 together, since level 2 is the first that may
-converge, and the four endpoint probes ride in it.  Each finer level costs
-one call with its new (odd) nodes in a window that reaches _MARGIN coarse
-nodes past each side's tail cut on the level before.  Truncation is then
-decided by one outward pass per side; a pass that runs off the window
-first costs one more call, for the rest of the level, and starts again.
+each abscissa reaches the integrand at most once per integration.  Calls,
+not abscissae, set the cost, so the first call carries the four endpoint
+probes and the whole level-_FIRST grid, of which every coarser level is a
+strided view; most integrals converge inside it.  Each finer level costs one
+call with its new (odd) nodes over the whole node range, and truncation is
+decided on it by one outward pass per side.
 
 :func:`integrate_rows` runs that loop for several integrands on shared
 abscissae, one row per integral: each row keeps its own cuts, levels and
@@ -75,16 +74,16 @@ NODE_CAP = 2**16
 _X_MAX = 600.0
 _X_CUT = math.asinh(_X_MAX / math.pi)
 _H0 = 0.5
+_FIRST = 4  # the finest level of the first call: step _H0 / 16, 381 nodes
 _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
-_MARGIN = 3  # coarse nodes past a level's tail cut that the next level evaluates
 
 
 class QuadResult(NamedTuple):
     """An integral with its error estimate (the difference of the last two
     levels) and ``nodes``, the number of terms summed over all levels.
     ``nodes`` counts terms, not integrand evaluations: a node reused at a
-    finer level counts again there, and nodes evaluated beyond a side's
-    truncation point do not count."""
+    finer level counts again there, and a node past a side's truncation
+    point does not count, though the first call evaluates it."""
 
     value: float
     abs_error_estimate: float
@@ -139,16 +138,16 @@ def _grid(h: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _refine(vals: list, got: np.ndarray, h: float):
-    """Each row's values on the step-h grid, and which are known, from those
-    at step 2h: node k there is node 2k here, bit for bit."""
-    size = _grid(h)[0].size
-    coarse = slice(size // 2 % 2, None, 2)
-    fine, known = [np.empty(size) for _ in vals], np.zeros(size, dtype=bool)
-    for row, v in zip(fine, vals):
-        row[coarse] = v
-    known[coarse] = got
-    return fine, known
+def _refine(vals: list, f, h: float) -> list:
+    """Each row's values on the step-h grid: those at step 2h on its even nodes,
+    as node k there is node 2k here, bit for bit, and one call of f on its odd
+    nodes."""
+    s = _grid(h)[0]
+    old, new = slice(s.size // 2 % 2, None, 2), slice(1 - s.size // 2 % 2, None, 2)
+    fine = [np.empty(s.size) for _ in vals]
+    for row, v, odd in zip(fine, vals, f(s[new].copy())):  # a row constant in s may be a scalar
+        row[old], row[new] = v, odd
+    return fine
 
 
 def _side_count(terms: list, s: np.ndarray) -> int:
@@ -177,49 +176,43 @@ def _side_count(terms: list, s: np.ndarray) -> int:
     return len(terms)
 
 
-def _walk(vals: np.ndarray, h: float, lo: int) -> tuple[float, int, int] | None:
+def _walk(vals: np.ndarray, h: float) -> tuple[float, int, int]:
     """Truncated trapezoid sum of one level and the terms kept per side, from
-    its values on the nodes -lo..; sides are walked outward, negative first,
-    as far as the tail rule keeps.  None if one runs off vals before then.
-    Called under np.errstate(all="ignore"), like the integrand."""
+    its values on the whole grid; sides are walked outward, negative first,
+    as far as the tail rule keeps.  Called under np.errstate(all="ignore"),
+    like the integrand."""
     s, w = _grid(h)
     mid = s.size // 2
-    center = float(vals[lo]) * math.pi * h
+    center = float(vals[mid]) * math.pi * h
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
-    terms = (vals * w[mid - lo : mid - lo + vals.size]).tolist()
-    kept = []
-    for side, side_s in ((terms[lo - 1 :: -1], s[mid - 1 :: -1]), (terms[lo + 1 :], s[mid + 1 :])):
-        kept.append(side[: _side_count(side, side_s)])
-        if len(kept[-1]) == len(side) < mid:  # off the window's edge, short of the grid's
-            return None
-    ordered = kept[0][::-1] + [center] + kept[1]
+    terms = (vals * w).tolist()
+    neg = terms[mid - 1 :: -1]
+    neg = neg[: _side_count(neg, s[mid - 1 :: -1])]
+    pos = terms[mid + 1 :]
+    pos = pos[: _side_count(pos, s[mid + 1 :])]
     # Kahan-compensated sum in fixed ascending-node order.
     total = comp = 0.0
-    for t in ordered:
+    for t in neg[::-1] + [center] + pos:
         y = t - comp
         acc = total + y
         comp = (acc - total) - y
         total = acc
-    return total, len(kept[0]), len(kept[1])
+    return total, len(neg), len(pos)
 
 
-def _levels(probes: np.ndarray, read, tol: float, node_cap: int):
-    """One row's integral: a generator that yields each window (level, lo, hi)
-    of nodes -lo..hi it needs evaluated, reads their values with read(level,
-    lo, hi) once they are in, and returns the row's QuadResult."""
+def _levels(probes: np.ndarray, finest, tol: float, node_cap: int):
+    """One row's integral: a generator that yields when it needs the level
+    after the finest one evaluated, reads its values on the finest grid with
+    finest() once they are in, and returns the row's QuadResult."""
     _screen_endpoints(probes)
     total_nodes, prev, best_err, h, level = 0, None, math.inf, _H0, 0
     while True:
-        if level > 2:  # the new odd nodes up to _MARGIN coarse nodes past the cut
-            lo, hi = 2 * min(n_neg + _MARGIN, lo), 2 * min(n_pos + _MARGIN, hi)
-            yield level, lo, hi
-        else:  # levels 0-2 are in from the first call
-            lo = hi = math.floor(_X_CUT / h)
-        while (walked := _walk(read(level, lo, hi), h, lo)) is None:
-            lo = hi = math.floor(_X_CUT / h)  # a tail runs off the window: evaluate the rest of the level
-            yield level, lo, hi
-        value, n_neg, n_pos = walked
+        if level > _FIRST:
+            yield
+        vals = finest()  # this level is every stride-th node of it, centred on s = 1
+        stride = 1 << max(_FIRST - level, 0)
+        value, n_neg, n_pos = _walk(vals[vals.size // 2 % stride :: stride], h)
         total_nodes += n_neg + n_pos + 1
         if prev is not None:
             best_err = abs(value - prev)
@@ -238,45 +231,27 @@ def _levels(probes: np.ndarray, read, tol: float, node_cap: int):
 def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
     """The body of both integrators, so that a trace times each apart.  Runs
     under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow."""
-    s = np.concatenate((_PROBES, _grid(_H0 / 4)[0]))  # the probes and levels 0-2, see the module docstring
+    h = _H0 / 2**_FIRST
+    s = np.concatenate((_PROBES, _grid(h)[0]))  # the probes and levels 0 to _FIRST, see the module docstring
     rows = [np.asarray(v, dtype=float) for v in f(s)]
     rows = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in rows]
-    vals, got = [v[_PROBES.size :] for v in rows], np.ones(s.size - _PROBES.size, dtype=bool)
-    top = 2  # the level whose grid vals and got cover; a coarser level is a strided view
-
-    def nodes(level, lo, hi):
-        stride, mid = 1 << (top - level), got.size // 2
-        return slice(mid - stride * lo, mid + stride * hi + 1, stride)
-
-    runs = [_levels(v[: _PROBES.size], lambda *w, i=i: vals[i][nodes(*w)], tol, node_cap) for i, v in enumerate(rows)]
-    results, asks, failure = [None] * len(runs), dict.fromkeys(range(len(runs))), None
-    while asks:
-        if wanted := [w for w in asks.values() if w]:  # one call for the nodes asked that are not in yet
-            if fresh := max(wanted)[0] > top:
-                top += 1
-                vals, got = _refine(vals, got, _H0 / 2**top)
-            if fresh and min(wanted)[0] == top:  # only the odd nodes of a new level are not in
-                mid = got.size // 2
-                new = slice(mid + 1 - max(w[1] for w in wanted), mid + max(w[2] for w in wanted), 2)
-            else:  # a tail ran off its window, or a row lags behind
-                new = np.zeros(got.size, dtype=bool)
-                for w in wanted:
-                    new[nodes(*w)] = True
-                new = new > got
-            if (s := _grid(_H0 / 2**top)[0][new].copy()).size:
-                for row, v in zip(vals, f(s)):  # a row constant in s may be a scalar
-                    row[new] = v
-                got[new] = True
-        for i in list(asks):
-            if i not in asks:
-                continue
+    vals = [v[_PROBES.size :] for v in rows]
+    runs = [_levels(v[: _PROBES.size], lambda i=i: vals[i], tol, node_cap) for i, v in enumerate(rows)]
+    results, live, failure = [None] * len(runs), list(range(len(runs))), None
+    while True:
+        for i in list(live):
             try:
-                asks[i] = next(runs[i])
+                next(runs[i])
             except StopIteration as done:
                 results[i] = done.value
-                del asks[i]
+                live.remove(i)
             except (DomainError, AccuracyError) as err:  # rows after a failing one need not finish
-                failure, asks = err, {j: w for j, w in asks.items() if j < i}
+                failure, live = err, [j for j in live if j < i]
+                break
+        if not live:
+            break
+        h *= 0.5  # every running row asks for the next level
+        vals = _refine(vals, f, h)
     if failure is not None:
         raise failure
     return tuple(results)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import importlib
 import json
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from ckn_lab import cli, profiles, verify
 from ckn_lab.cli import main
+from ckn_lab.params import validate
 from ckn_lab.specfun import AccuracyError, ConditioningError, DivergentIntegralError
 from ckn_lab.verify import run_all
 
@@ -214,6 +216,19 @@ def test_scan_single_point_matches_constants(tmp_path, capsys):
     record = json.loads(text)
     assert float(row["s_r"]) == record["s_r"]
     assert row["class"] == record["class"]
+
+
+@pytest.mark.parametrize("N", [439, 456, 1000])
+def test_scan_reports_s_r_where_the_sphere_area_underflows(tmp_path, capsys, N):
+    out = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan", "--N", str(N), "--alpha", "1", "--beta", "auto:3", "--jobs", "1",
+                       "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["s_r"]) == profiles.s_r_closed(validate(N, 1.0, float(row["beta"])))
+        assert 0.0 < float(row["s_r"]) < math.inf
 
 
 def test_scan_parallel_matches_serial(tmp_path):

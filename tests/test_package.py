@@ -76,6 +76,27 @@ def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
     assert scanned == row
 
 
+RUNTIME = """
+import contextlib, io, sys
+from ckn_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["scan", "--N", "5", "--alpha", "0.5:1.5:2", "--beta", "auto:3", "--jobs", "1"]) == 0
+    assert main(["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--json"]) == 0
+    assert main(["fs-curve", "--N", "5", "--alpha", "1", "--json"]) == 0
+    assert main(["verify-all"]) == 0
+print(sorted({"scipy", "mpmath", "sympy", "hypothesis"} & set(sys.modules)))
+"""
+
+
+def test_commands_run_on_numpy_alone():
+    """scan, certify, fs-curve and verify-all load none of the test-only oracles: numpy is the
+    one runtime dependency, though the test extras install scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ckn_lab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", RUNTIME], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_no_layer_loads_dataclasses():
     """Importing every layer and numpy leaves dataclasses unloaded."""
     layers = ", ".join(f"ckn_lab.{name}" for name in sorted(set(ckn_lab._EXPORTS.values())) + ["cli"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ckn_lab.params import ParamError, derive, validate
+from ckn_lab.params import ParamError, derive, sphere_area, validate
 from ckn_lab.profiles import (
     GaussianProfile,
     PowerPeakProfile,
@@ -715,6 +715,32 @@ def test_b_closed_independent_oracle():
 
 def test_s_r_closed_reference_value(p511):
     assert s_r_closed(p511) == pytest.approx(221.68826741979237, rel=1e-12)
+
+
+def _s_r_by_lgamma(p):
+    """s_r = q^(4/M - 4) omega^(4/M) b(M) in log space from math.lgamma, omega never formed."""
+    d, m = derive(p), derive(p).M
+    log_omega = math.log(2.0) + 0.5 * p.N * math.log(math.pi) - math.lgamma(0.5 * p.N)
+    log_bracket = 2.0 * math.lgamma(m / 2.0) - math.log(2.0) - math.lgamma(m)
+    log_b = math.log((m - 4.0) * (m - 2.0) * m * (m + 2.0)) + 4.0 / m * log_bracket
+    return math.exp((4.0 / m - 4.0) * math.log(d.q) + 4.0 / m * log_omega + log_b)
+
+
+# sphere_area(N) is subnormal from N = 439 and 0.0 from N = 456: there s_r
+# once lost digits without a word, then raised a bare ValueError.
+@pytest.mark.parametrize("N", [438, 439, 450, 456, 1000])
+def test_s_r_closed_at_large_n_against_lgamma(N):
+    p = validate(N, 1.0, 0.5)
+    assert s_r_closed(p) == pytest.approx(_s_r_by_lgamma(p), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [5, 100, 438])
+def test_s_r_closed_takes_the_log_of_a_normal_sphere_area(N):
+    p = validate(N, 1.0, 0.5)
+    d = derive(p)
+    log_omega = math.log(sphere_area(N))
+    expected = math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
+    assert s_r_closed(p).hex() == expected.hex()
 
 
 def test_s_0_closed_independent_oracle():

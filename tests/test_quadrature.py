@@ -272,8 +272,9 @@ def test_mode_operator_values_are_pinned(compute, expected):
 
 
 # Pinned as hex: the angular sum w_t @ vals runs through BLAS, whose rounding
-# may depend on the batch width, and the integrand's batches change with the
-# window each level evaluates.  Points above and below beta_FS of each (N, alpha).
+# may depend on the batch width, and the integrand's batches are set by the
+# call schedule: 385 abscissae in the first call, a level's odd nodes in each
+# later one.  Points above and below beta_FS of each (N, alpha).
 @pytest.mark.parametrize(
     "N, alpha, beta, eps, expected",
     [
@@ -314,6 +315,12 @@ def test_significant_nan_names_its_abscissa():
     assert str(err.value) == "integrand produced a non-finite value at s=2.211354e+00"
 
 
+def _odd_nodes(level):
+    """The abscissae a level adds to the one before: its nodes with odd k."""
+    s, _ = quad._grid(quad._H0 / 2**level)
+    return s[1 - s.size // 2 % 2 :: 2]
+
+
 def test_each_abscissa_reaches_the_integrand_once():
     batches = []
 
@@ -322,30 +329,27 @@ def test_each_abscissa_reaches_the_integrand_once():
         return np.exp(-s)
 
     integrate_semiinfinite(spy)
-    # one call for the probes and levels 0-2, then one per finer level
-    assert len(batches) == 3
+    # one call for the probes and the whole level-4 grid, where it converges
+    assert [b.size for b in batches] == [4 + 381]
+    assert quad._grid(quad._H0 / 2**4)[0].size == 381
+    assert np.array_equal(batches[0], np.concatenate((quad._PROBES, quad._grid(quad._H0 / 2**4)[0])))
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
 
 
-def test_finer_levels_evaluate_only_inside_the_tail_cut():
+def test_a_finer_level_evaluates_exactly_its_odd_nodes():
     batches = []
 
     def spy(s):
         batches.append(np.array(s))
-        return np.exp(-s)
+        return np.exp(-s) * np.cos(s)
 
     integrate_semiinfinite(spy)
-    # the probes and levels 0-2, then levels 3 and 4, each abscissa once
-    assert len(batches) == 3
+    # the probes and levels 0-4, then level 5's 380 odd nodes over the whole node range
+    assert [b.size for b in batches] == [4 + 381, 380]
+    assert np.array_equal(batches[1], _odd_nodes(5))
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
-    # levels 3 and 4 have 96 and 190 odd nodes over the whole node range
-    halves = [quad._grid(quad._H0 / 2**level)[0].size // 2 for level in (3, 4)]
-    odd = [np.count_nonzero(np.arange(-k, k + 1) % 2) for k in halves]
-    assert odd == [96, 190]
-    assert batches[1].size < odd[0]
-    assert batches[2].size < odd[1]
 
 
 def _vectorized(f):
@@ -362,7 +366,7 @@ def _level_sum(vals, h):
     """Truncated trapezoid sum and term count of one level from its whole grid,
     walked under the errstate the integrator walks its levels in."""
     with np.errstate(all="ignore"):
-        total, n_neg, n_pos = quad._walk(vals, h, vals.size // 2)
+        total, n_neg, n_pos = quad._walk(vals, h)
     return total, n_neg + n_pos + 1
 
 
@@ -433,8 +437,8 @@ def _nan_near_two(s):
 
 def _nans_on_both_sides(s):
     """exp(-s) on the level-2 nodes but NaN below 1e-80, past their tail cut;
-    off them a slow s^-0.9 tail towards 0 that runs off the level-3 window, and
-    NaN at s in (2, 5), inside it.  The error must name the negative side's NaN,
+    off them a slow s^-0.9 tail towards 0 that reaches past that cut, and NaN
+    at s in (2, 5), inside it.  The error must name the negative side's NaN,
     as the whole grid does, not the one the positive side meets first."""
     with np.errstate(all="ignore"):
         on = np.where(s < 1e-80, np.nan, np.exp(-s))
@@ -466,7 +470,7 @@ def _integrands(draw):
             return s**a * np.exp(-c * s) * np.cos(omega * s + phase)
 
     f = base
-    if draw(st.booleans()):  # louder between the level-2 nodes: the tails outrun the windows
+    if draw(st.booleans()):  # louder between the level-2 nodes: finer levels see another tail
         loud, stretch = 10.0 ** draw(st.floats(min_value=-4.0, max_value=0.0)), draw(st.floats(1.0, 1e3))
 
         def f(s):
@@ -486,8 +490,8 @@ def _integrands(draw):
     return f, tol, node_cap
 
 
-# The windowed levels must give every result and error of the full levels,
-# bit for bit and word for word.
+# Levels read from the first call's grid must give every result and error of
+# the full levels evaluated one call each, bit for bit and word for word.
 @settings(max_examples=300, deadline=None)
 @given(_integrands())
 @example((_quiet_on_level_2, quad.DEFAULT_TOL, quad.NODE_CAP))
@@ -495,7 +499,7 @@ def _integrands(draw):
 @example((_nans_on_both_sides, quad.DEFAULT_TOL, quad.NODE_CAP))
 @example((_cube_with_overflowing_tail, quad.DEFAULT_TOL, quad.NODE_CAP))
 @example((lambda s: 1.0 / (1.0 + s * s), 1e-14, 32))
-def test_windowed_levels_match_the_full_levels(case):
+def test_levels_match_the_full_levels(case):
     expected = _integral_outcome(_integrate_by_full_levels, *case)
     assert _integral_outcome(integrate_semiinfinite, *case) == expected
 
@@ -561,9 +565,10 @@ def test_a_scalar_row_is_broadcast():
     )
 
 
-def test_a_tail_past_the_window_evaluates_the_rest_of_the_level():
-    """Loud odd nodes beyond the level-2 cut force the fallback; the outcome
-    is the full levels' AccuracyError, and no abscissa is evaluated twice."""
+def test_a_loud_tail_off_the_level_2_nodes_evaluates_each_finer_level_once():
+    """Loud nodes between those of level 2 keep the integral from converging;
+    the outcome is the full levels' AccuracyError, reached on the same
+    abscissae, each evaluated once, in two fewer calls."""
     batches, full_batches = [], []
 
     def spy(s):
@@ -577,10 +582,12 @@ def test_a_tail_past_the_window_evaluates_the_rest_of_the_level():
     outcome = _integral_outcome(integrate_semiinfinite, spy, quad.DEFAULT_TOL, quad.NODE_CAP)
     assert outcome == _integral_outcome(_integrate_by_full_levels, full_spy, quad.DEFAULT_TOL, quad.NODE_CAP)
     assert outcome[0] == "AccuracyError"
-    assert len(batches) == len(full_batches) + 1  # level 3 takes a second call
+    assert len(batches) == len(full_batches) - 2  # levels 3 and 4 ride in the first call
+    for level, batch in enumerate(batches[1:], start=5):
+        assert np.array_equal(batch, _odd_nodes(level))
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
-    assert seen.size < np.concatenate(full_batches).size
+    assert np.array_equal(np.sort(seen), np.sort(np.concatenate(full_batches)))
 
 
 def _side_count_by_loop(terms, s):
