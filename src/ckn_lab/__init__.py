@@ -26,7 +26,7 @@ _EXPORTS = {
                     "s_0_closed", "s_r_closed", "sphere_area", "validate")),
         ("profiles", ("GaussianProfile", "PowerPeakProfile", "cosh_profile_residual", "emden_fowler",
                       "euler_lagrange_residual", "extremal", "kernel_mode")),
-        ("quadrature", ("integrate_semiinfinite", "norm_sq", "norm_star", "quotient_radial")),
+        ("quadrature", ("integrate_semiinfinite", "quotient_radial")),
         ("specfun", ("AccuracyError", "BracketError", "ConditioningError", "DivergentIntegralError",
                      "DomainError")),
         ("spectral", ("ModeData", "RitzResult", "fs_locate", "mode_data", "mode_eigenvalue",

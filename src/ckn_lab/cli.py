@@ -102,8 +102,8 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     """
     if not beta_arg.startswith("auto"):
         return _parse_range(beta_arg, "beta")
-    try:
-        steps = int(beta_arg.split(":", 1)[1]) if ":" in beta_arg else 20
+    try:  # exactly 'auto' or 'auto:<steps>': 'auto3' and 'autofoo' are no step counts
+        steps = 20 if beta_arg == "auto" else int(beta_arg.removeprefix("auto:"))
     except ValueError as exc:
         raise DomainError(f"bad auto step count in {beta_arg!r}") from exc
     lo, hi = beta_strip(N, alpha)

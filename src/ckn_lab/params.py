@@ -18,6 +18,7 @@ closed-form sharp constants with it, so that they need only the stdlib.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from enum import Enum
 from typing import NamedTuple
@@ -72,10 +73,14 @@ class ParamError(ValueError):
 
 def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
     """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
-    if not (isinstance(N, int) and N >= 5):
+    try:
+        n = operator.index(N)  # any integral type, e.g. numpy's; 5.0 is no integer
+    except TypeError:
+        n = 0
+    if n < 5:
         return [f"dimension must be an integer >= 5, got N={N!r}"], None
-    reasons = [] if alpha > 2 - N else [f"alpha must exceed 2 - N = {2 - N}, got alpha={alpha!r}"]
-    return reasons, (alpha - 2.0, N * alpha / (N - 2.0))
+    reasons = [] if alpha > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
+    return reasons, (alpha - 2.0, n * alpha / (n - 2.0))
 
 
 def beta_strip(N: int, alpha: float) -> tuple[float, float]:
@@ -117,11 +122,13 @@ class Params(NamedTuple("Params", [("N", int), ("alpha", float), ("beta", float)
         reasons = _violations(N, alpha, beta)
         if reasons:
             raise ParamError(reasons)
-        return super().__new__(cls, N, alpha, beta)
+        return super().__new__(cls, operator.index(N), alpha, beta)
 
 
 def validate(N: int, alpha: float, beta: float) -> Params:
-    """Return a validated :class:`Params` or raise :class:`ParamError`."""
+    """Return a validated :class:`Params` or raise :class:`ParamError`.
+
+    N may be of any integral type, numpy's too; ``Params.N`` is an int."""
     return Params(N, float(alpha), float(beta))
 
 
@@ -245,6 +252,7 @@ def classify(N: int, alpha: float, beta: float) -> RegionClass:
         lo, upper = beta_strip(N, alpha)
     except ParamError:
         return RegionClass.INVALID
+    N = operator.index(N)  # integral, as checked; -N of an unsigned numpy N would wrap
     if abs(beta - lo) <= BOUNDARY_TOL:
         return RegionClass.RELLICH_DEGENERATE
     if not lo < beta <= upper:

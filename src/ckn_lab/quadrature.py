@@ -1,4 +1,4 @@
-"""Adaptive quadrature on (0, inf) and the weighted radial norms.
+"""Adaptive quadrature on (0, inf) and the radial Rayleigh quotient.
 
 The integrator maps the half line through s = exp(pi*sinh(x)), i.e. the
 double-exponential (tanh-sinh family) rule specialised to (0, inf): the
@@ -18,10 +18,13 @@ strided view; most integrals converge inside it.  Each finer level costs one
 call with its new (odd) nodes over the whole node range, and truncation is
 decided on it by one outward pass per side.
 
-:func:`integrate_rows` runs that loop for several integrands on shared
-abscissae, one row per integral: each row keeps its own cuts, levels and
-error estimate, so it gets the bits it would get alone, while each call
-serves all rows.  :func:`integrate_semiinfinite` is its one-row case.
+:func:`integrate_rows` integrates several integrands on shared abscissae,
+one row per integral, one row after the other: each row runs that loop on
+its own cuts, levels and error estimate, reading every level as a strided
+view of the finest grid evaluated so far, so it gets the bits it would get
+alone.  A row that needs a finer level refines the grid for all rows in one
+call, and the rows after it find that level evaluated.
+:func:`integrate_semiinfinite` is the one-row case.
 
 Before any sum is used, the integrand is probed near both endpoints and the
 measured log-log slopes are screened: the power at the origin must
@@ -57,12 +60,9 @@ __all__ = [
     "AccuracyError",
     "integrate_semiinfinite",
     "integrate_rows",
-    "norm_sq",
-    "norm_star",
     "quotient_radial",
     "power_weighted",
     "signed_weighted",
-    "weighted_integral",
     "DEFAULT_TOL",
     "NODE_CAP",
 ]
@@ -201,59 +201,38 @@ def _walk(vals: np.ndarray, h: float) -> tuple[float, int, int]:
     return total, len(neg), len(pos)
 
 
-def _levels(probes: np.ndarray, finest, tol: float, node_cap: int):
-    """One row's integral: a generator that yields when it needs the level
-    after the finest one evaluated, reads its values on the finest grid with
-    finest() once they are in, and returns the row's QuadResult."""
-    _screen_endpoints(probes)
-    total_nodes, prev, best_err, h, level = 0, None, math.inf, _H0, 0
-    while True:
-        if level > _FIRST:
-            yield
-        vals = finest()  # this level is every stride-th node of it, centred on s = 1
-        stride = 1 << max(_FIRST - level, 0)
-        value, n_neg, n_pos = _walk(vals[vals.size // 2 % stride :: stride], h)
-        total_nodes += n_neg + n_pos + 1
-        if prev is not None:
-            best_err = abs(value - prev)
-            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
-                return QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
-        if total_nodes >= node_cap:
-            raise AccuracyError(
-                f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})",
-                QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes),
-            )
-        prev = value
-        h *= 0.5
-        level += 1
-
-
 def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
     """The body of both integrators, so that a trace times each apart.  Runs
-    under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow."""
-    h = _H0 / 2**_FIRST
-    s = np.concatenate((_PROBES, _grid(h)[0]))  # the probes and levels 0 to _FIRST, see the module docstring
+    under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow.
+    Rows run one by one, each to its result or its error (module docstring)."""
+    finest = _FIRST
+    s = np.concatenate((_PROBES, _grid(_H0 / 2**finest)[0]))  # the probes and levels 0 to _FIRST
     rows = [np.asarray(v, dtype=float) for v in f(s)]
     rows = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in rows]
-    vals = [v[_PROBES.size :] for v in rows]
-    runs = [_levels(v[: _PROBES.size], lambda i=i: vals[i], tol, node_cap) for i, v in enumerate(rows)]
-    results, live, failure = [None] * len(runs), list(range(len(runs))), None
-    while True:
-        for i in list(live):
-            try:
-                next(runs[i])
-            except StopIteration as done:
-                results[i] = done.value
-                live.remove(i)
-            except (DomainError, AccuracyError) as err:  # rows after a failing one need not finish
-                failure, live = err, [j for j in live if j < i]
+    grid = [v[_PROBES.size :] for v in rows]
+    results = []
+    for i, row in enumerate(rows):
+        _screen_endpoints(row[: _PROBES.size])
+        total_nodes, prev, best_err, level = 0, None, math.inf, 0
+        while True:
+            h = _H0 / 2**level
+            if level > finest:
+                finest, grid = level, _refine(grid, f, h)
+            stride = 1 << (finest - level)  # this level is every stride-th node, centred on s = 1
+            value, n_neg, n_pos = _walk(grid[i][grid[i].size // 2 % stride :: stride], h)
+            total_nodes += n_neg + n_pos + 1
+            if level:
+                best_err = abs(value - prev)
+            result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
+            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
                 break
-        if not live:
-            break
-        h *= 0.5  # every running row asks for the next level
-        vals = _refine(vals, f, h)
-    if failure is not None:
-        raise failure
+            if total_nodes >= node_cap:
+                raise AccuracyError(
+                    f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})", result
+                )
+            prev = value
+            level += 1
+        results.append(result)
     return tuple(results)
 
 
@@ -261,9 +240,11 @@ def integrate_rows(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> 
     """Integrate each row of ``f`` over (0, inf) to relative tolerance ``tol``.
 
     ``f`` maps a float ndarray of abscissae to a sequence of integrand rows,
-    one per integral (a row constant in s may be a scalar).  Row i's result
-    is :func:`integrate_semiinfinite` of row i alone, bit for bit, and what
-    it raises is what integrating the rows one by one in order would raise.
+    one per integral (a row constant in s may be a scalar).  The rows are
+    integrated one by one, in order, on one grid that each call of ``f``
+    refines for all of them: row i's result is :func:`integrate_semiinfinite`
+    of row i alone, bit for bit, and the first row that fails raises what it
+    would raise alone.
     """
     with np.errstate(all="ignore"):
         return _integrate(f, tol, node_cap)
@@ -313,11 +294,6 @@ def signed_weighted(vals: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
     return np.copysign(power_weighted(vals, s, 1.0, w), vals)
 
 
-def weighted_integral(g, expo: float, w: float) -> float:
-    """integral of |g(r)|^expo r^w dr over (0, inf), the weight taken in log space."""
-    return integrate_semiinfinite(lambda r: power_weighted(g(r), r, expo, w)).value
-
-
 def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
     """f'' + drift f'/r - lam f/r^2 at the nodes r, from jet = f.jet(r, 2).
 
@@ -332,30 +308,15 @@ def mode_operator(jet, r, drift: float, lam: float) -> np.ndarray:
     return vals
 
 
-def norm_sq(u, p: Params) -> float:
-    """Squared second-order energy of a radial profile.
-
-    For radial u the energy reduces to
-
-        omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr.
-    """
-    w = p.N + 2.0 * p.alpha - p.beta - 1.0
-    drift = p.N - 1.0 + p.alpha
-    return derive(p).omega * weighted_integral(lambda r: mode_operator(u.jet(r, 2), r, drift, 0.0), 2.0, w)
-
-
-def norm_star(u, p: Params) -> float:
-    """Weighted critical norm (integral |x|^beta |u|^p* dx)^(1/p*)."""
-    d = derive(p)
-    val = d.omega * weighted_integral(u.eval, d.p_star, p.beta + p.N - 1.0)
-    return val ** (1.0 / d.p_star)
-
-
 def quotient_radial(u, p: Params) -> float:
-    """Rayleigh quotient norm_sq(u) / norm_star(u)^2 over radial profiles."""
+    """Rayleigh quotient ||u||^2 / ||u||_*^2 over radial profiles.
+
+    The energy is omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr,
+    the critical norm ||u||_* is (omega * integral |u|^p* r^(beta+N-1) dr)^(1/p*).
+    """
     d = derive(p)
 
-    def rows(r):  # the integrands of norm_star and norm_sq, from one jet
+    def rows(r):  # the integrands of ||u||_* and ||u||^2, from one jet
         jet = u.jet(r, 2)
         return (
             power_weighted(jet[0], r, d.p_star, p.beta + p.N - 1.0),
@@ -365,5 +326,5 @@ def quotient_radial(u, p: Params) -> float:
     star, energy = (res.value for res in integrate_rows(rows))
     denom = (d.omega * star) ** (1.0 / d.p_star)
     if denom == 0.0:
-        raise DomainError("quotient undefined: norm_star(u) = 0")
+        raise DomainError("quotient undefined: ||u||_* = 0")
     return d.omega * energy / (denom * denom)

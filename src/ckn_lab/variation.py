@@ -38,7 +38,7 @@ from .params import (
     sphere_area,
 )
 from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode
-from .quadrature import integrate_rows, integrate_semiinfinite, mode_operator, power_weighted
+from .quadrature import integrate_rows, mode_operator, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import AccuracyError, DomainError, beta_fn
 
@@ -149,28 +149,21 @@ def directional_quotient(p: Params, eps: float) -> float:
     eps_z = eps * amplitude_constant(p)
     w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
     modes = ((u, 0.0), (g, harmonic_eigenvalue(p.N, 1)))[: 1 + (eps != 0.0)]  # ||U||^2, and g's energy for eps != 0
+    cos_t, w_t = _theta_rule(p.N)
+    radial_power = p.beta + p.N - 1.0
 
-    def energies(r):
-        return [power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w) for f, lam in modes]
+    def rows(r):  # the energies, then the angular sum of the denominator
+        energies = [power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w) for f, lam in modes]
+        uv, gv = eval_shared((u, g), r)
+        angular = w_t @ (np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star)
+        return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
 
-    energy = [res.value for res in integrate_rows(energies)]
+    *energy, raw = (res.value for res in integrate_rows(rows))
     numerator = d.omega * energy[0]
     if eps != 0.0:
         # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
         numerator += eps_z**2 * (d.omega / p.N * energy[1])
-
-    cos_t, w_t = _theta_rule(p.N)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
-    radial_power = p.beta + p.N - 1.0
-
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        uv, gv = eval_shared((u, g), r)
-        vals = np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star
-        angular = w_t @ vals
-        return angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)
-
-    raw = integrate_semiinfinite(integrand).value
     denominator = (area_factor * raw) ** (2.0 / d.p_star)
     return numerator / denominator
 

@@ -38,7 +38,7 @@ from .profiles import (
     euler_lagrange_residual,
     extremal,
 )
-from .quadrature import quotient_radial, weighted_integral
+from .quadrature import integrate_semiinfinite, power_weighted, quotient_radial
 from .spectral import _potential_constant, fs_locate, mode_quadratic_form, ritz_min_eig
 from .variation import Verdict, certify, second_variation
 
@@ -179,7 +179,7 @@ def _check_kernel_at_curve() -> CheckResult:
     q1 = mode_quadratic_form(x1, 1, p)
     # Relative to the (positive) zero-order part of the form, which equals
     # the operator part when the form vanishes.
-    pot = weighted_integral(lambda s: x1.eval(s) / (1.0 + s * s) ** 2, 2.0, m - 1.0)
+    pot = integrate_semiinfinite(lambda s: power_weighted(x1.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)).value
     rel = abs(q1) / (_potential_constant(m) * pot)
     rho2 = ritz_min_eig(2, p, 16).min_eigenvalue
     below = ritz_min_eig(1, validate(N, a, curve - 0.05), 16).min_eigenvalue

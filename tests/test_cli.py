@@ -355,9 +355,13 @@ def test_certify_eps_flag(capsys):
         ["scan", "--N", "5", "--alpha", "1:inf:3", "--beta", "1"],
         ["scan", "--N", "5", "--alpha=-1e308:1e308:3", "--beta", "1"],
         ["fs-curve", "--N", "5", "--alpha", "inf"],
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "auto3"],  # once scanned the strip in 20 steps
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "autofoo"],
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "auto:x"],
     ],
     ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero",
-         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows", "fs_alpha_inf"],
+         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows", "fs_alpha_inf",
+         "auto_digits", "auto_word", "auto_bad_steps"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)

@@ -55,13 +55,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert main(["constants", "--N", "4", "--alpha", "1", "--beta", "1"]) == 2
     assert main(["scan", "--N", "5", "--alpha", "2:1:5", "--beta", "1"]) == 2
     assert main(["scan", "--N", "2", "--alpha", "1", "--beta", "auto"]) == 2
+    assert main(["scan", "--N", "5", "--alpha", "1", "--beta", "auto3"]) == 2
+    assert main(["scan", "--N", "5", "--alpha", "1", "--beta", "autofoo"]) == 2
 print(sorted({"numpy", "multiprocessing", "fractions", "dataclasses", "csv"} & set(sys.modules)))
 sys.exit(main(["scan", "--N", "5", "--alpha", sys.argv[1], "--beta=" + sys.argv[2], "--jobs", "1"]))
 """
 
 
 def test_closed_form_commands_load_neither_numpy_nor_multiprocessing():
-    """constants, --help, a ParamError exit and a scan whose range or dimension is rejected run
+    """constants, --help, a ParamError exit and a scan whose range, dimension or auto step count is rejected run
     on the stdlib without numpy, multiprocessing, fractions, dataclasses or csv; scan then
     still works."""
     row = GOLDEN_SCAN.read_text().splitlines()[2]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,12 +43,22 @@ def test_validate_accepts_interior_point():
         (5, 1.0, -1.5),         # below the lower boundary
         (5, 1.0, 1.7),          # above N*alpha/(N-2)
         (5.5, 1.0, 1.0),        # fractional dimension
+        (5.0, 1.0, 1.0),        # a float, though integral
+        (np.int64(4), 0.0, 0.0),  # integral but too small
         *ROUNDED_ZERO,
     ],
 )
 def test_validate_rejects(N, alpha, beta):
     with pytest.raises(ParamError):
         validate(N, alpha, beta)
+
+
+@pytest.mark.parametrize("N", [np.int64(5), np.int32(6), np.uint8(7)])
+def test_an_integral_dimension_of_any_type_is_accepted_as_int(N):
+    p = validate(N, 1, 1)
+    assert type(p.N) is int and p.N == N
+    assert type(Params(N, 1.0, 1.0).N) is int
+    assert classify(N, 1.0, 1.0) is RegionClass.SYMMETRY_BREAKING
 
 
 def test_params_validate_when_constructed():

@@ -7,7 +7,7 @@ import pytest
 import ckn_lab.variation as variation
 from ckn_lab.params import beta_fs, derive, validate
 from ckn_lab.profiles import amplitude_constant, extremal, s_r_closed
-from ckn_lab.quadrature import norm_star
+from ckn_lab.quadrature import integrate_rows, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.variation import (
     DEFAULT_EPS,
@@ -82,11 +82,33 @@ def test_directional_quotient_taylor_window(p511):
     s_r = s_r_closed(p511)
     eps = 1e-2
     drop = s_r - directional_quotient(p511, eps)
-    u = extremal(p511)
+    u, d = extremal(p511), derive(p511)
+    (star,) = integrate_rows(lambda r: (power_weighted(u.eval(r), r, d.p_star, p511.beta + p511.N - 1.0),))
+    norm_star = (d.omega * star.value) ** (1.0 / d.p_star)
     size = eps * amplitude_constant(p511)
-    model = -second_variation(p511).value * size * size / norm_star(u, p511) ** 2
+    model = -second_variation(p511).value * size * size / norm_star**2
     assert drop > 0.0
     assert 0.2 < drop / model < 5.0
+
+
+@pytest.mark.parametrize("eps, expected", [(0.0, "221.68826741979248"), (0.01, "221.68730915697185")])
+def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, expected):
+    """The energies and the angular sum are rows of one integrate_rows call."""
+    calls = []
+
+    def spy(name, integrate):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return integrate(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(variation, "integrate_rows", spy("integrate_rows", integrate_rows))
+    monkeypatch.setattr(
+        variation, "integrate_semiinfinite", spy("integrate_semiinfinite", integrate_semiinfinite), raising=False
+    )
+    assert repr(directional_quotient(p511, eps)) == expected
+    assert calls == ["integrate_rows"]
 
 
 def test_directional_quotient_rejects_large_eps(p511):
