@@ -71,11 +71,19 @@ class ParamError(ValueError):
         super().__init__("; ".join(self.reasons))
 
 
+def _integral(N) -> int:
+    """N as an int, from any integral type (numpy's too, where -N or N*N would wrap)."""
+    try:
+        return operator.index(N)
+    except TypeError:
+        raise ParamError([f"dimension must be an integer, got N={N!r}"]) from None
+
+
 def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
     """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
     try:
-        n = operator.index(N)  # any integral type, e.g. numpy's; 5.0 is no integer
-    except TypeError:
+        n = _integral(N)  # any integral type, e.g. numpy's; 5.0 is no integer
+    except ParamError:
         n = 0
     if n < 5:
         return [f"dimension must be an integer >= 5, got N={N!r}"], None
@@ -122,7 +130,7 @@ class Params(NamedTuple("Params", [("N", int), ("alpha", float), ("beta", float)
         reasons = _violations(N, alpha, beta)
         if reasons:
             raise ParamError(reasons)
-        return super().__new__(cls, operator.index(N), alpha, beta)
+        return super().__new__(cls, _integral(N), alpha, beta)
 
 
 def validate(N: int, alpha: float, beta: float) -> Params:
@@ -164,7 +172,7 @@ def harmonic_eigenvalue(N: int, k: int) -> float:
     """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1), k >= 0."""
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
-    return float(k * (N - 2 + k))
+    return float(k * (_integral(N) - 2 + k))
 
 
 def derive(p: Params) -> Derived:
@@ -184,6 +192,7 @@ def beta_fs(N: int, alpha: float) -> float:
     Defined by -N + sqrt(N^2 + alpha^2 + 2(N-2)alpha); the radicand
     equals (alpha + N - 2)^2 + 4(N - 1), positive at every N >= 1.
     """
+    N = _integral(N)
     rad = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
     if rad < 0.0:  # only at N < 1, outside the domain
         raise ParamError([f"threshold radicand negative: {rad}"])
@@ -252,7 +261,6 @@ def classify(N: int, alpha: float, beta: float) -> RegionClass:
         lo, upper = beta_strip(N, alpha)
     except ParamError:
         return RegionClass.INVALID
-    N = operator.index(N)  # integral, as checked; -N of an unsigned numpy N would wrap
     if abs(beta - lo) <= BOUNDARY_TOL:
         return RegionClass.RELLICH_DEGENERATE
     if not lo < beta <= upper:

@@ -101,7 +101,7 @@ def _chain(f, order) -> list:
 
 
 def _values(profiles, r) -> list:
-    """Each profile at r, from the first one's log pass."""
+    """Each profile at r, from the first one's log pass (so all must share its sigma and nu)."""
     arr, scalar = _as_array(r)
     with np.errstate(all="ignore"):
         logs = profiles[0]._logs(arr)
@@ -124,17 +124,6 @@ class _Evaluation:
     def jet(self, r, order: int) -> list:
         """[f(r), f'(r), ..., f^(order)(r)] from one log pass."""
         return _values(_chain(self, order), r)
-
-
-def eval_shared(profiles, r) -> list:
-    """Power-peak profiles with one sigma and nu at r, from one log pass.
-
-    Not in ``__all__``, like `quadrature.mode_operator`: it runs once per integrand call.
-    """
-    head = profiles[0]
-    if any(f.sigma_frac != head.sigma_frac or f.nu != head.nu for f in profiles):
-        raise DomainError("profiles share a log pass only with matching sigma and nu")
-    return _values(profiles, r)
 
 
 def _frac(x) -> Fraction:
@@ -410,8 +399,7 @@ def weighted_laplacian(u, alpha: float, N: int):
     Returns a profile in the same closed family as u (derivatives to
     order 2 of the result need u to order 4).
     """
-    d1 = u.differentiate()
-    d2 = d1.differentiate()
+    _, d1, d2 = _chain(u, 2)
     # the exact drift rounds to N - 1.0 + alpha, so float profiles see no change
     drift = N - 1 + _frac(alpha)
     return d2.times_power(alpha) + d1.times_power(_frac(alpha) - 1).scaled(drift)
@@ -457,7 +445,7 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
             unit.nu,
         )
         dust = (weighted_laplacian(inner, p.alpha, p.N) - rhs_cell).canonical()
-        rhs, defect = eval_shared((rhs_cell.scaled(a), dust.scaled(a)), pts)
+        rhs, defect = _values((rhs_cell.scaled(a), dust.scaled(a)), pts)
         # the chain on u is a times the chain on the unit profile, rhs + dust
         lhs = rhs + defect
         defect = np.abs(defect)

@@ -37,7 +37,7 @@ from .params import (
     s_r_closed,
     sphere_area,
 )
-from .profiles import PowerPeakProfile, eval_shared, extremal, kernel_mode
+from .profiles import PowerPeakProfile, extremal, kernel_mode
 from .quadrature import integrate_rows, mode_operator, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import AccuracyError, DomainError, beta_fn
@@ -148,13 +148,14 @@ def directional_quotient(p: Params, eps: float) -> float:
     g = kernel_mode(p, "Z1_radial")
     eps_z = eps * amplitude_constant(p)
     w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
-    modes = ((u, 0.0), (g, harmonic_eigenvalue(p.N, 1)))[: 1 + (eps != 0.0)]  # ||U||^2, and g's energy for eps != 0
+    lams = (0.0, harmonic_eigenvalue(p.N, 1))[: 1 + (eps != 0.0)]  # ||U||^2, and g's energy for eps != 0
     cos_t, w_t = _theta_rule(p.N)
     radial_power = p.beta + p.N - 1.0
 
     def rows(r):  # the energies, then the angular sum of the denominator
-        energies = [power_weighted(mode_operator(f.jet(r, 2), r, drift, lam), r, 2.0, w) for f, lam in modes]
-        uv, gv = eval_shared((u, g), r)
+        jets = u.jet(r, 2), g.jet(r, 2 if eps != 0.0 else 0)  # one log pass each; at eps = 0 g's value only
+        energies = [power_weighted(mode_operator(jet, r, drift, lam), r, 2.0, w) for jet, lam in zip(jets, lams)]
+        uv, gv = (jet[0] for jet in jets)
         angular = w_t @ (np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star)
         return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
 

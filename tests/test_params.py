@@ -19,6 +19,7 @@ from ckn_lab.params import (
     derive,
     fs_correspondence,
     hardy_comparison_constants,
+    harmonic_eigenvalue,
     rellich_infimum,
     sphere_area,
     validate,
@@ -59,6 +60,31 @@ def test_an_integral_dimension_of_any_type_is_accepted_as_int(N):
     assert type(p.N) is int and p.N == N
     assert type(Params(N, 1.0, 1.0).N) is int
     assert classify(N, 1.0, 1.0) is RegionClass.SYMMETRY_BREAKING
+
+
+# beta_fs at integer N, to the bit: taking N through operator.index must not move a value
+BETA_FS_PINS = [(5, 1.0, "0x1.504f333f9de68p-1"), (7, 1.0, "0x1.7def58a7a76d0p-1"),
+                (16, 3.0, "0x1.573cc217942c0p+1"), (500, 0.25, "0x1.fdf3f9369b800p-3")]
+
+
+@pytest.mark.parametrize("N, alpha, expected", BETA_FS_PINS)
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint16])
+def test_closed_forms_take_an_integral_dimension_of_any_type(kind, N, alpha, expected):
+    assert beta_fs(kind(N), alpha).hex() == expected
+    assert harmonic_eigenvalue(kind(N), 60) == 60.0 * (N + 58)
+
+
+def test_an_unsigned_dimension_does_not_wrap():
+    assert beta_fs(np.uint8(7), 1.0) == beta_fs(7, 1.0)  # not 256.746: -N and N*N wrap in uint8
+    assert harmonic_eigenvalue(np.uint8(200), 60) == 15480.0  # not 120.0
+
+
+@pytest.mark.parametrize("N", [5.0, 5.5, np.float64(5.0), "5"], ids=["float", "half", "float64", "str"])
+def test_closed_forms_reject_a_non_integral_dimension(N):
+    with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
+        beta_fs(N, 1.0)
+    with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
+        harmonic_eigenvalue(N, 1)
 
 
 def test_params_validate_when_constructed():

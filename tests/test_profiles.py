@@ -19,7 +19,6 @@ from ckn_lab.profiles import (
     _frac,
     emden_fowler,
     euler_lagrange_residual,
-    eval_shared,
     extremal,
     kernel_mode,
     s_0_closed,
@@ -297,14 +296,6 @@ def test_negative_term_that_underflows_reads_plus_zero():
     f = PowerPeakProfile([(-1.0, 40, 0)], sigma=2, nu=1.0)
     assert f.eval(1e-10).hex() == "0x0.0p+0"
     assert [v.hex() for v in f.jet(np.array([1e-10]), 1)[1]] == ["0x0.0p+0"]
-
-
-def test_profiles_share_a_log_pass_only_on_one_sigma_and_nu(p511):
-    u, g = extremal(p511), kernel_mode(p511, "Z1_radial")
-    uv, gv = eval_shared((u, g), R_SAMPLES)
-    assert _hex([uv, gv]) == _hex([u.eval(R_SAMPLES), g.eval(R_SAMPLES)])
-    with pytest.raises(DomainError, match="matching sigma and nu"):
-        eval_shared((u, extremal(p511, lam=2.0)), R_SAMPLES)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 import ckn_lab.variation as variation
 from ckn_lab.params import beta_fs, derive, validate
-from ckn_lab.profiles import amplitude_constant, extremal, s_r_closed
+from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.variation import (
@@ -109,6 +109,24 @@ def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, exp
     )
     assert repr(directional_quotient(p511, eps)) == expected
     assert calls == ["integrate_rows"]
+
+
+def test_directional_quotient_makes_one_log_pass_per_profile(monkeypatch):
+    """U's and g's values come from their jets: two log passes per integrand call, not three."""
+    passes, calls = [], []
+    logs = PowerPeakProfile._logs
+    monkeypatch.setattr(PowerPeakProfile, "_logs", lambda self, arr: passes.append(self) or logs(self, arr))
+
+    def counted(rows):
+        def integrand(r):
+            calls.append(r.size)
+            return rows(r)
+
+        return integrand
+
+    monkeypatch.setattr(variation, "integrate_rows", lambda rows: integrate_rows(counted(rows)))
+    directional_quotient(validate(5, 1.0, 1.0), 1e-2)
+    assert calls and len(passes) == 2 * len(calls)
 
 
 def test_directional_quotient_rejects_large_eps(p511):
