@@ -208,17 +208,7 @@ def _cmd_fs_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-_SCAN_FIELDS = (
-    "N",
-    "alpha",
-    "beta",
-    "class",
-    "beta_fs",
-    "s_r",
-    "second_variation",
-    "rho1",
-    "wall_time_ms",
-)
+_SCAN_FIELDS = ("N", "alpha", "beta", "class", "beta_fs", "s_r", "second_variation", "rho1", "wall_time_ms")
 
 
 def _scan_point(point: tuple[int, float, float]) -> list[str]:
@@ -227,12 +217,14 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     It imports the numerical layers when called, as every handler does, so
     a worker loads them on its first cell.
 
+    rho1 is the closed-form least mode-1 eigenvalue `mode_eigenvalue(1, p)`,
+    negative exactly where the radial extremal is unstable (beta > beta_fs).
     Numeric cells are empty where the quantity is undefined (Invalid or
-    degenerate triples) or where the computation cannot converge or
-    assemble at the extreme edge of the strip; wall_time_ms stays empty so
-    reruns are byte-identical.
+    degenerate triples) or where second_variation cannot converge at the
+    extreme edge of the strip; wall_time_ms stays empty so reruns are
+    byte-identical.
     """
-    from .spectral import ritz_min_eig
+    from .spectral import mode_eigenvalue
     from .variation import second_variation
 
     N, alpha, beta = point
@@ -243,14 +235,9 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     p = validate(N, alpha, beta)
     row[4] = repr(beta_fs(N, alpha))
     row[5] = repr(s_r_closed(p))
-    try:
+    with contextlib.suppress(AccuracyError, DivergentIntegralError):
         row[6] = repr(second_variation(p).value)
-    except (AccuracyError, DivergentIntegralError):
-        pass
-    try:
-        row[7] = repr(ritz_min_eig(1, p, 16).min_eigenvalue)
-    except ConditioningError:
-        pass
+    row[7] = repr(mode_eigenvalue(1, p))
     return row
 
 

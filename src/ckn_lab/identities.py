@@ -24,6 +24,7 @@ import numpy as np
 
 from .params import (
     Params,
+    _index,
     beta_strip,
     harmonic_eigenvalue,
     hardy_comparison_constants,
@@ -61,9 +62,7 @@ class TestFunction(NamedTuple("TestFunction", [("radial_part", RadialProfile), (
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, radial_part: RadialProfile, mode_k: int = 0):
-        if mode_k < 0:
-            raise DomainError(f"mode index must be >= 0, got {mode_k}")
-        return super().__new__(cls, radial_part, mode_k)
+        return super().__new__(cls, radial_part, _index(mode_k, "mode index"))
 
 
 #: Fixed battery: varied decay rates, origin behavior, and families.

@@ -79,6 +79,17 @@ def _integral(N) -> int:
         raise ParamError([f"dimension must be an integer, got N={N!r}"]) from None
 
 
+def _index(k, name: str) -> int:
+    """An index k >= 0 as an int, from any integral type (numpy's unwrapped); DomainError otherwise."""
+    try:
+        i = operator.index(k)
+    except TypeError:
+        i = -1
+    if i < 0:
+        raise DomainError(f"{name} must be an integer >= 0, got {k!r}")
+    return i
+
+
 def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
     """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
     try:
@@ -170,8 +181,7 @@ def sphere_area(n: int) -> float:
 
 def harmonic_eigenvalue(N: int, k: int) -> float:
     """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1), k >= 0."""
-    if k < 0:
-        raise DomainError(f"mode index must be >= 0, got {k}")
+    k = _index(k, "mode index")
     return float(k * (_integral(N) - 2 + k))
 
 
@@ -204,6 +214,7 @@ def b_fs_first_order(N: int, a: float) -> float:
 
     Uses the L^2 normalisation a_c = (N-2)/2 and requires a < a_c.
     """
+    N = _integral(N)
     a_c = (N - 2.0) / 2.0
     if not a < a_c:
         raise ParamError([f"first-order curve needs a < (N-2)/2 = {a_c}, got a={a!r}"])
@@ -228,6 +239,7 @@ def fs_correspondence(N: int, alpha: float) -> FsCorrespondence:
     reproduces :func:`beta_fs` exactly; the round trip is a consistency
     anchor between the two formulations.
     """
+    N = _integral(N)
     if not alpha > 0.0:
         raise ParamError([f"correspondence defined for alpha > 0, got {alpha!r}"])
     a = -alpha / 2.0
@@ -305,6 +317,7 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     at -N/2 - a and a - (N-4)/2, so f is increasing once k passes the
     larger root; scanning up to it (plus slack) is exhaustive.
     """
+    N = _integral(N)
     k_hi = math.ceil(max(0.0, a - (N - 4.0) / 2.0, -N / 2.0 - a)) + 2
     best_val, best_k = math.inf, 0
     for k in range(k_hi + 1):
@@ -371,6 +384,7 @@ def s_r_closed(p: Params) -> float:
 
 def s_0_closed(N: int) -> float:
     """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N)."""
+    N = _integral(N)
     if N < 5:
         raise DomainError(f"dimension must be at least 5, got {N}")
     poly = N * (N - 4.0) * (N * N - 4.0)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import Params, beta_strip, derive, harmonic_eigenvalue, validate
+from .params import Params, _index, beta_strip, derive, harmonic_eigenvalue, validate
 from .quadrature import integrate_rows, mode_operator, power_weighted
 from .specfun import BracketError, ConditioningError, DomainError
 
@@ -66,7 +66,7 @@ class RitzResult(NamedTuple):
 
 
 def mode_data(k: int, p: Params) -> ModeData:
-    N = p.N
+    k, N = _index(k, "mode index"), p.N
     lam = harmonic_eigenvalue(N, k)
     mult = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
     m = derive(p).M
@@ -112,8 +112,7 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
     nu - 1 = (q^2 lambda_k - (M-1))/(nu + M - 1), so rho keeps its
     relative accuracy near the curve and at large M.
     """
-    if j < 0:
-        raise DomainError(f"eigenvalue index must be >= 0, got {j}")
+    j = _index(j, "eigenvalue index")
     d = derive(p)
     m = d.M
     qql = d.q**2 * harmonic_eigenvalue(p.N, k)

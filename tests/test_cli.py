@@ -9,11 +9,14 @@ import multiprocessing
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckn_lab import cli, profiles, verify
 from ckn_lab.cli import main
-from ckn_lab.params import validate
-from ckn_lab.specfun import AccuracyError, ConditioningError, DivergentIntegralError
+from ckn_lab.params import beta_fs, beta_strip, validate
+from ckn_lab.specfun import AccuracyError, DivergentIntegralError
+from ckn_lab.spectral import mode_eigenvalue, ritz_min_eig
 from ckn_lab.verify import run_all
 
 
@@ -129,6 +132,34 @@ def test_scan_matches_golden_fixture(tmp_path):
     assert five.read_bytes() + rows_8 == GOLDEN_SCAN.read_bytes()
 
 
+def test_golden_rho1_is_the_closed_form():
+    """Every rho1 of the fixture is the closed-form least mode-1 eigenvalue, to the bit."""
+    rows = list(csv.DictReader(GOLDEN_SCAN.open()))
+    assert len(rows) == 28
+    for row in rows:
+        p = validate(int(row["N"]), float(row["alpha"]), float(row["beta"]))
+        assert row["rho1"] == repr(mode_eigenvalue(1, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.sampled_from([5, 6, 8]), alpha=st.floats(0.1, 2.0), t=st.floats(1e-3, 1.0))
+@example(N=5, alpha=0.1, t=1e-3)  # M near 3000
+@example(N=8, alpha=2.0, t=1.0)  # the upper end of the strip
+def test_scan_rho1_has_the_sign_of_the_breaking_criterion(N, alpha, t):
+    """A scan row's rho1 is negative above beta_fs and positive below it, and the
+    J = 16 Ritz value, which scan no longer computes, stays an upper bound of it."""
+    lo, hi = beta_strip(N, alpha)
+    beta = min(hi, lo + t * (hi - lo))
+    row = dict(zip(cli._SCAN_FIELDS, cli._scan_point((N, alpha, beta))))
+    p = validate(N, alpha, beta)
+    rho1 = float(row["rho1"])
+    gap = beta_fs(N, alpha) - beta
+    if abs(gap) > 1e-4:
+        assert math.copysign(1.0, rho1) == math.copysign(1.0, gap) and rho1 != 0.0
+    ritz = ritz_min_eig(1, p, 16).min_eigenvalue
+    assert ritz >= rho1 - 1e-12 * max(1.0, abs(rho1))
+
+
 def test_scan_rows_are_class_consistent(tmp_path):
     from ckn_lab.params import classify
 
@@ -182,9 +213,8 @@ def test_scan_cell_just_above_the_strip_is_an_invalid_row(tmp_path):
     [
         ("variation", "second_variation", AccuracyError("no convergence", None), "second_variation"),
         ("variation", "second_variation", DivergentIntegralError("divergent"), "second_variation"),
-        ("spectral", "ritz_min_eig", ConditioningError("not assembled"), "rho1"),
     ],
-    ids=["accuracy", "divergent", "conditioning"],
+    ids=["accuracy", "divergent"],
 )
 def test_scan_leaves_a_failed_cell_blank(tmp_path, monkeypatch, module, name, error, blank):
     """A cell whose computation raises one of the expected errors stays blank;

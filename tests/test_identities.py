@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ckn_lab.identities import (
@@ -38,7 +39,10 @@ def test_mode_index_must_be_nonnegative():
         TestFunction(radial_part=prof, mode_k=-1)
     with pytest.raises(DomainError):
         TestFunction(prof)._replace(mode_k=-1)
+    with pytest.raises(DomainError):
+        TestFunction(prof, 1.5)
     assert TestFunction(prof) == (prof, 0)
+    assert type(TestFunction(prof, np.uint8(200)).mode_k) is int
 
 
 def test_laplacian_bound_holds_on_sample(p511):

@@ -1,6 +1,7 @@
 """Parameter validation, derived exponents, transition curve, regions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ckn_lab.params import (
     hardy_comparison_constants,
     harmonic_eigenvalue,
     rellich_infimum,
+    s_0_closed,
     sphere_area,
     validate,
 )
@@ -79,12 +81,33 @@ def test_an_unsigned_dimension_does_not_wrap():
     assert harmonic_eigenvalue(np.uint8(200), 60) == 15480.0  # not 120.0
 
 
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint8])
+def test_every_closed_form_takes_an_integral_dimension_of_any_type(kind):
+    """Pinned to the bit at int N.  In uint8, -7 overflows and 16*16 wraps to 0;
+    neither may show, as a value or as a warning, and every value is a float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rellich_infimum(kind(7), 0.5) == (16.0, 0)
+        assert s_0_closed(kind(16)).hex() == "0x1.d6522526db1f1p+11"
+        assert b_fs_first_order(kind(7), -0.5).hex() == "-0x1.27d875243e008p-2"
+        corr = fs_correspondence(kind(7), 1.0)
+    assert [x.hex() for x in corr] == [
+        "-0x1.0000000000000p-1", "-0x1.27d875243e008p-2", "0x1.4a7e9cb8a3491p+1", "0x1.7def58a7a76cbp-1"]
+    assert {type(x) for x in (*corr, s_0_closed(kind(16)), b_fs_first_order(kind(7), -0.5))} == {float}
+
+
 @pytest.mark.parametrize("N", [5.0, 5.5, np.float64(5.0), "5"], ids=["float", "half", "float64", "str"])
 def test_closed_forms_reject_a_non_integral_dimension(N):
-    with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
-        beta_fs(N, 1.0)
-    with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
-        harmonic_eigenvalue(N, 1)
+    for compute in (
+        lambda: beta_fs(N, 1.0),
+        lambda: harmonic_eigenvalue(N, 1),
+        lambda: rellich_infimum(N, 0.5),
+        lambda: s_0_closed(N),
+        lambda: b_fs_first_order(N, -0.5),
+        lambda: fs_correspondence(N, 1.0),
+    ):
+        with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
+            compute()
 
 
 def test_params_validate_when_constructed():

@@ -67,6 +67,30 @@ def test_negative_mode_index_is_a_domain_error(p511):
             compute()
 
 
+@pytest.mark.parametrize("index", [1.5, 0.5, np.float64(1.0), "1", None], ids=["half", "low", "float64", "str", "none"])
+def test_a_non_integral_mode_index_is_a_domain_error(p511, index):
+    """Unchecked, k = 1.5 and j = 0.5 give plausible eigenvalues (0.4062, 0.4895)."""
+    for compute in (
+        lambda: harmonic_eigenvalue(5, index),
+        lambda: mode_eigenvalue(index, p511),
+        lambda: mode_eigenvalue(1, p511, index),
+        lambda: mode_data(index, p511),
+    ):
+        with pytest.raises(DomainError, match="index must be an integer >= 0"):
+            compute()
+
+
+def test_numpy_mode_indices_do_not_wrap(p511):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert harmonic_eigenvalue(5, np.uint8(200)) == 40600.0  # not 200 * 203 mod 256
+        assert mode_eigenvalue(np.uint8(200), p511) == mode_eigenvalue(200, p511)
+        assert mode_eigenvalue(1, p511, np.uint8(200)) == mode_eigenvalue(1, p511, 200)
+        assert mode_eigenvalue(np.int64(1), p511, np.int32(0)) == mode_eigenvalue(1, p511)
+        data = mode_data(np.uint8(200), p511)
+    assert data == mode_data(200, p511) and type(data.k) is type(data.l_k) is int
+
+
 def test_multiplicity_small_modes(p511):
     assert mode_data(0, p511).l_k == 1
     assert mode_data(1, p511).l_k == 5  # = N
