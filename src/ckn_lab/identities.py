@@ -25,6 +25,7 @@ import numpy as np
 from .params import (
     Params,
     _index,
+    _integral,
     beta_strip,
     harmonic_eigenvalue,
     hardy_comparison_constants,
@@ -221,6 +222,7 @@ def _shift_coefficients(N: int, mu: float):
 
 
 def rellich_sobolev_constants(N: int, alpha: float) -> ShiftConstants:
+    N = _integral(N)
     if not (2 - N < alpha < 0):
         raise DomainError(
             f"shift reduction needs 2 - N < alpha < 0, got alpha={alpha} at N={N}"
@@ -257,6 +259,7 @@ def rellich_sobolev_extremal(
     N: int, mu: float, amplitude: float = 1.0, nu: float = 1.0
 ) -> PowerPeakProfile:
     """Equality-case profile A r^(-mu/2) (nu + r^(2(1-mu/(N-4))))^(-(N-4)/2)."""
+    N = _integral(N)
     if not (0.0 < mu < N - 4.0):
         raise DomainError(f"shift exponent must lie in (0, {N - 4}), got {mu}")
     sigma = 2.0 * (1.0 - mu / (N - 4.0))
@@ -274,6 +277,7 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
     with passed = lhs >= rhs*(1 - 1e-8); equality holds on the
     `rellich_sobolev_extremal` family.
     """
+    N = _integral(N)
     if N < 5:
         raise DomainError(f"dimension must be at least 5, got {N}")
     c1, c2 = _shift_coefficients(N, mu)
@@ -302,6 +306,7 @@ def check_boundary_sharp_constant(N: int, alpha: float):
     the measured quotient of the minimizer, the closed-form constant, and
     their relative gap.
     """
+    N = _integral(N)
     if not (2 - N < alpha < 0):
         raise DomainError(
             f"boundary equality needs 2 - N < alpha < 0, got alpha={alpha} at N={N}"

@@ -69,20 +69,14 @@ __all__ = [
 
 class RadialProfile(Protocol):
     """What every radial profile offers.  The radial integrals read ``jet``, once per integrand
-    call for all integrals of a profile, or ``eval``; nothing reads ``decay_exponent`` or
-    ``origin_exponent`` yet, which could screen integrability in place of the endpoint probes."""
+    call for all integrals of a profile, or ``eval``; the quadrature's tail rule, not the
+    profile, judges whether an integrand decays at 0 and at infinity."""
 
     def eval(self, r): ...
 
     def deriv(self, r, order: int): ...
 
     def jet(self, r, order: int) -> list: ...
-
-    @property
-    def decay_exponent(self) -> float: ...
-
-    @property
-    def origin_exponent(self) -> float: ...
 
 
 def _as_array(r):
@@ -272,25 +266,6 @@ class PowerPeakProfile(_Evaluation):
         )
         return f"PowerPeakProfile({body or '0'}, nu={float(self.nu):g})"
 
-    # -- declared asymptotics -------------------------------------------
-
-    @property
-    def origin_exponent(self) -> float:
-        if not self.terms:
-            return 0.0
-        return float(min(p for _, p, _ in self.terms))
-
-    @property
-    def decay_exponent(self) -> float:
-        if not self.terms:
-            return 0.0
-        groups: dict[Fraction, float] = {}
-        for c, p, e in self.terms:
-            key = p + self.sigma_frac * e
-            groups[key] = groups.get(key, 0.0) + c
-        live = [k for k, csum in groups.items() if csum != 0.0]
-        return float(max(live)) if live else float(min(groups))
-
 
 class GaussianProfile(_Evaluation):
     """sum of c * r^p * exp(-r^2) terms; closed under differentiation."""
@@ -324,14 +299,6 @@ class GaussianProfile(_Evaluation):
                 new_terms.append((c * p, p - 1.0))
             new_terms.append((-2.0 * c, p + 1.0))
         return GaussianProfile(new_terms)
-
-    @property
-    def origin_exponent(self) -> float:
-        return min((p for _, p in self.terms), default=0.0)
-
-    @property
-    def decay_exponent(self) -> float:
-        return -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ sums agree to the requested tolerance, and the final sum is compensated
 
 The levels nest: node k at step h is node 2k at step h/2, bit for bit, so
 each abscissa reaches the integrand at most once per integration.  Calls,
-not abscissae, set the cost, so the first call carries the four endpoint
-probes and the whole level-_FIRST grid, of which every coarser level is a
-strided view; most integrals converge inside it.  Each finer level costs one
-call with its new (odd) nodes over the whole node range, and truncation is
-decided on it by one outward pass per side.
+not abscissae, set the cost, so the first call carries the whole
+level-_FIRST grid, of which every coarser level is a strided view; most
+integrals converge inside it.  Each finer level costs one call with its
+new (odd) nodes over the whole node range, and truncation is decided on
+it by one outward pass per side.
 
 :func:`integrate_rows` integrates several integrands on shared abscissae,
 one row per integral, one row after the other: each row runs that loop on
@@ -26,12 +26,12 @@ alone.  A row that needs a finer level refines the grid for all rows in one
 call, and the rows after it find that level evaluated.
 :func:`integrate_semiinfinite` is the one-row case.
 
-Before any sum is used, the integrand is probed near both endpoints and the
-measured log-log slopes are screened: the power at the origin must
-exceed -1 and the power at infinity must fall below -1, otherwise a
-:class:`DivergentIntegralError` is raised with the offending exponent.
-This catches nonintegrable weight combinations before they can produce
-a plausible-looking but meaningless number.
+The tail rule that truncates each side also judges integrability: a side
+whose terms still grow at its last node, or overflow right after their
+largest, raises :class:`DivergentIntegralError` naming the end (0 or
+infinity) and the abscissa.  Level 0 already reaches s = 1e-167 and
+1e167, so a nonintegrable integrand raises in the first call, before any
+sum is used, and cannot produce a plausible-looking but meaningless number.
 
 The tolerance ``DEFAULT_TOL`` and the node budget ``NODE_CAP`` are
 constants that only the two integrators let a caller change.
@@ -90,37 +90,6 @@ class QuadResult(NamedTuple):
     nodes: int
 
 
-_PROBES = np.array([1e-7, 1e-6, 1e6, 1e7])
-
-
-def _screen_endpoints(probe_vals: np.ndarray) -> None:
-    lo_a, lo_b, hi_a, hi_b = (float(v) for v in np.abs(probe_vals))
-    # Origin side: measured power must exceed -1.  Finiteness comes first:
-    # a NaN probe would pass every magnitude test.
-    if not (math.isfinite(lo_a) and math.isfinite(lo_b)):
-        raise DivergentIntegralError("integrand not finite near the origin (probes at 1e-7, 1e-6)")
-    if max(lo_a, lo_b) > 1e-280:
-        if lo_a > 0.0 and lo_b > 0.0:
-            slope = (math.log(lo_b) - math.log(lo_a)) / math.log(10.0)
-            if slope <= -1.0 + 1e-3:
-                raise DivergentIntegralError(
-                    f"integrand behaves like s^({slope:.6f}) near 0; "
-                    "power must exceed -1 for integrability"
-                )
-    # Infinity side: measured power must fall below -1.
-    if not (math.isfinite(hi_a) and math.isfinite(hi_b)):
-        raise DivergentIntegralError("integrand not finite near infinity (probes at 1e6, 1e7)")
-    if max(hi_a, hi_b) > 1e-280:
-        if hi_b == 0.0:
-            return  # dropped below underflow between the probes: decays fine
-        slope = (math.log(hi_b) - math.log(hi_a)) / math.log(10.0)
-        if slope >= -1.0 - 1e-3:
-            raise DivergentIntegralError(
-                f"integrand behaves like s^({slope:.6f}) near infinity; "
-                "power must fall below -1 for integrability"
-            )
-
-
 @functools.cache
 def _grid(h: float) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae s and weights w of the step-h level, nodes k = -K..K.
@@ -156,7 +125,10 @@ def _side_count(terms: list, s: np.ndarray) -> int:
     The side ends after three consecutive terms at most _TAIL_EPS times
     the largest term so far, or at a non-finite term that follows an
     astronomically small one (a negligible tail overflowed in an
-    intermediate).  A non-finite term anywhere else is an error.
+    intermediate).  A side whose last node carries its largest term, or
+    whose terms turn non-finite right after their largest, does not decay:
+    the integral diverges at that end.  A non-finite term anywhere else is
+    an error.
     """
     scale, floor, quiet = 0.0, 0.0, 0  # floor = _TAIL_EPS * scale
     for kept, t in enumerate(terms):
@@ -171,9 +143,16 @@ def _side_count(terms: list, s: np.ndarray) -> int:
                 scale, floor = mag, _TAIL_EPS * mag
         elif scale > 0.0 and abs(terms[kept - 1]) <= 1e-18 * scale:
             return kept
+        elif scale > 0.0 and abs(terms[kept - 1]) == scale:
+            break
         else:
             raise DomainError(f"integrand produced a non-finite value at s={float(s[kept]):.6e}")
-    return len(terms)
+    else:
+        if scale == 0.0 or abs(terms[-1]) < scale:
+            return len(terms)
+    # s[kept] is the last node or the first non-finite term
+    side = "0" if s[kept] < 1.0 else "infinity"
+    raise DivergentIntegralError(f"integrand does not decay toward {side}: its terms grow up to s={float(s[kept]):.6e}")
 
 
 def _walk(vals: np.ndarray, h: float) -> tuple[float, int, int]:
@@ -206,13 +185,11 @@ def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
     under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow.
     Rows run one by one, each to its result or its error (module docstring)."""
     finest = _FIRST
-    s = np.concatenate((_PROBES, _grid(_H0 / 2**finest)[0]))  # the probes and levels 0 to _FIRST
-    rows = [np.asarray(v, dtype=float) for v in f(s)]
-    rows = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in rows]
-    grid = [v[_PROBES.size :] for v in rows]
+    s = _grid(_H0 / 2**finest)[0].copy()  # levels 0 to _FIRST, writable for the integrand
+    grid = [np.asarray(v, dtype=float) for v in f(s)]
+    grid = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in grid]
     results = []
-    for i, row in enumerate(rows):
-        _screen_endpoints(row[: _PROBES.size])
+    for i in range(len(grid)):
         total_nodes, prev, best_err, level = 0, None, math.inf, 0
         while True:
             h = _H0 / 2**level
@@ -257,8 +234,8 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
     values; a result that is constant in s may come back as a scalar.
 
     Raises:
-        DivergentIntegralError: endpoint screening found a nonintegrable
-            power (see module docstring).
+        DivergentIntegralError: the terms of one side do not decay
+            toward its end (see module docstring).
         AccuracyError: the node budget ``node_cap`` was exhausted before
             two consecutive refinement levels agreed to ``tol``.
     """

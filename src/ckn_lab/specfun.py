@@ -22,7 +22,7 @@ class DomainError(ValueError):
 
 
 class DivergentIntegralError(DomainError):
-    """Endpoint screening judged the integral nonintegrable."""
+    """The quadrature's tail rule found that an integrand does not decay at 0 or at infinity."""
 
 
 class AccuracyError(RuntimeError):

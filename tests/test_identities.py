@@ -1,6 +1,8 @@
 """Integral identities: operator expansions, comparison bounds, equality cases."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ckn_lab.identities import (
     rellich_sobolev_constants,
     rellich_sobolev_extremal,
 )
-from ckn_lab.params import validate
+from ckn_lab.params import ParamError, validate
 from ckn_lab.profiles import PowerPeakProfile, s_r_closed
 from ckn_lab.specfun import DomainError
 
@@ -161,3 +163,37 @@ def test_boundary_constant_formula_oracle():
     expected = (1.0 + alpha / (N - 2.0)) ** (4.0 - 4.0 / N) * s0
     _, constant, _ = check_boundary_sharp_constant(N, alpha)
     assert constant == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint8])
+def test_the_shift_reduction_takes_an_integral_dimension_of_any_type(kind):
+    """Pinned to the bit at int N.  In uint8, 2 - N overflows, which once refused a valid N."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shift = rellich_sobolev_constants(kind(5), -0.5)
+        boundary = check_boundary_sharp_constant(kind(5), -1.0)
+        v = rellich_sobolev_extremal(kind(5), 1.0 / 3.0)
+        lhs, rhs, passed = check_rellich_sobolev(v, kind(5), 1.0 / 3.0)
+    assert [x.hex() for x in shift] == [
+        "0x1.5555555555555p-3", "0x1.fc71c71c71c71p+0", "-0x1.3ff35ba781948p-2", "0x1.5555555555555p-4"]
+    assert [x.hex() for x in boundary] == ["0x1.bf90dd160fc7fp+4", "0x1.bf90dd160fc88p+4", "0x1.49764d45e0ca8p-50"]
+    assert v.terms == ((1.0, Fraction(-6004799503160661, 36028797018963968), Fraction(-1, 2)),)
+    assert v.sigma.hex() == "0x1.5555555555556p+0"
+    assert (lhs.hex(), rhs.hex(), passed) == ("0x1.e251e24f70ae5p+4", "0x1.e251e24f70aefp+4", True)
+    assert {type(x) for x in (*shift, *boundary, lhs, rhs)} == {float}
+
+
+@pytest.mark.parametrize("N", [5.0, 5.5], ids=["float", "half"])
+def test_the_identities_reject_a_non_integral_dimension(N):
+    prof = BATTERY_PROFILES[0][1]
+    v = rellich_sobolev_extremal(5, 1.0 / 3.0)
+    for compute in (
+        lambda: rellich_sobolev_constants(N, -0.5),
+        lambda: check_boundary_sharp_constant(N, -1.0),
+        lambda: rellich_sobolev_extremal(N, 1.0 / 3.0),
+        lambda: check_rellich_sobolev(v, N, 1.0 / 3.0),
+        lambda: check_pohozaev_identity(TestFunction(prof, 1), N),
+        lambda: check_eta_substitution(TestFunction(prof), N, -0.5),
+    ):
+        with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
+            compute()

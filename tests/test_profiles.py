@@ -116,13 +116,6 @@ def test_canonical_preserves_values():
     assert len(g.terms) == 1
 
 
-def test_decay_and_origin_exponents():
-    f = PowerPeakProfile([(1.0, 1, -3), (2.0, 0, -1)], sigma=2, nu=1.0)
-    assert float(f.origin_exponent) == 0.0
-    # tail: max(p + sigma*e) = max(1-6, 0-2) = -2
-    assert float(f.decay_exponent) == -2.0
-
-
 def test_gaussian_profile_derivatives():
     g = GaussianProfile([(1.0, 0)])
     for r in (0.0, 0.5, 2.0):
