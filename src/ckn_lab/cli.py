@@ -27,7 +27,6 @@ import functools
 import importlib
 import json
 import math
-import os
 import sys
 
 from .params import (
@@ -107,14 +106,9 @@ def _beta_values(N: int, alpha: float, beta_arg: str) -> list[float]:
     return _grid(lo + 1e-3 * (hi - lo), hi, steps, "auto beta")
 
 
-@contextlib.contextmanager
 def _output(args: argparse.Namespace, newline: str | None = None):
     """The ``--out`` file, closed when the block ends, or stdout without one."""
-    if not args.out:
-        yield sys.stdout
-        return
-    with open(args.out, "w", newline=newline) as stream:
-        yield stream
+    return open(args.out, "w", newline=newline) if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_record(record: dict, args: argparse.Namespace) -> None:
@@ -177,8 +171,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "ritz_rho1": cert.ritz_rho1,
         "discrepancies": list(cert.discrepancies),
     }
-    if getattr(args, "json", False):
-        record["ritz_basis_size"] = cert.ritz_basis_size
     _emit_record(record, args)
     return 1 if cert.discrepancies else 0
 
@@ -371,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="value, lo:hi:steps range, or auto[:steps] for the valid strip",
     )
     sp.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="workers (default: all cores)"
+        "--jobs", type=int, default=1, help="worker processes (default %(default)s)"
     )
     add_io(sp, json_flag=False)
     sp.set_defaults(handler=_cmd_scan)

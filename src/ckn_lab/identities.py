@@ -91,8 +91,8 @@ def check_laplacian_bound(u: TestFunction, p: Params):
 
     Returns (ratio, bound, passed): ratio of int |x|^(2a-b) |Delta u|^2 to
     the squared weighted norm, the closed-form comparison constant, and
-    whether ratio <= bound + 1e-10.  At alpha = 0 the two energies are
-    the same integral and the ratio is exactly 1.
+    whether ratio <= bound + 1e-10 and ratio <= bound (1 + 1e-12).  At alpha = 0
+    the two energies are one integral: passing also needs bound == 1 and ratio 1 to 1e-10.
     """
     f = u.radial_part
     lam = harmonic_eigenvalue(p.N, u.mode_k)
@@ -107,7 +107,10 @@ def check_laplacian_bound(u: TestFunction, p: Params):
         raise DomainError("test function annihilated by the weighted operator")
     ratio = numerator / denominator
     bound = hardy_comparison_constants(p).bound_c
-    return ratio, bound, ratio <= bound + 1e-10
+    passed = ratio <= bound + 1e-10 and ratio <= bound * (1.0 + 1e-12)
+    if p.alpha == 0.0:  # unweighted: the bound is an identity
+        passed = passed and bound == 1.0 and abs(ratio - 1.0) <= 1e-10
+    return ratio, bound, passed
 
 
 def check_cross_term_identity(u: TestFunction, p: Params) -> float:

@@ -319,13 +319,13 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     """
     N = _integral(N)
     k_hi = math.ceil(max(0.0, a - (N - 4.0) / 2.0, -N / 2.0 - a)) + 2
-    best_val, best_k = math.inf, 0
-    for k in range(k_hi + 1):
+
+    def f(k: int) -> float:
         g = (k + N / 2.0 + a) * (k + (N - 4.0) / 2.0 - a)
-        val = g * g
-        if val < best_val:
-            best_val, best_k = val, k
-    return best_val, best_k
+        return g * g
+
+    best_k = min(range(k_hi + 1), key=f)  # the first k of the least value
+    return f(best_k), best_k
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,6 @@ class RadialProfile(Protocol):
 
     def eval(self, r): ...
 
-    def deriv(self, r, order: int): ...
-
     def jet(self, r, order: int) -> list: ...
 
 
@@ -107,13 +105,10 @@ def _values(profiles, r) -> list:
 
 
 class _Evaluation:
-    """eval, deriv and jet from a family's `_logs(arr)` and `_sum(logs)`."""
+    """eval and jet from a family's `_logs(arr)` and `_sum(logs)`."""
 
     def eval(self, r):
         return _values([self], r)[0]
-
-    def deriv(self, r, order: int):
-        return _chain(self, order)[order].eval(r)
 
     def jet(self, r, order: int) -> list:
         """[f(r), f'(r), ..., f^(order)(r)] from one log pass."""
@@ -360,12 +355,18 @@ def kernel_mode(p: Params, which: str) -> PowerPeakProfile:
 # ---------------------------------------------------------------------------
 
 
+def _require_power_peak(u) -> None:
+    if not isinstance(u, PowerPeakProfile):
+        raise DomainError(f"{type(u).__name__} is outside the power-peak family c r^p (nu + r^sigma)^e")
+
+
 def weighted_laplacian(u, alpha: float, N: int):
     """Radial form of the weighted divergence: r^alpha * (u'' + (N-1+alpha) u'/r).
 
-    Returns a profile in the same closed family as u (derivatives to
-    order 2 of the result need u to order 4).
+    u must be a `PowerPeakProfile` (DomainError otherwise), and so is the
+    result; its derivatives to order 2 need u to order 4.
     """
+    _require_power_peak(u)
     _, d1, d2 = _chain(u, 2)
     # the exact drift rounds to N - 1.0 + alpha, so float profiles see no change
     drift = N - 1 + _frac(alpha)
@@ -448,10 +449,11 @@ def emden_fowler(u, p: Params):
     profile algebra via d/dt = -s d/ds.
 
     Raises:
-        DomainError: if a coefficient of phi, or later a term of the
-            residual, exceeds double range, which happens for the ground
-            state near the lower edge of the strip (M in the hundreds).
+        DomainError: if u is not a `PowerPeakProfile`, or if a coefficient of phi,
+            or later a term of the residual, exceeds double range, which happens
+            for the ground state near the lower edge of the strip (M in the hundreds).
     """
+    _require_power_peak(u)
     d = derive(p)
     m = d.M
     sigma, kappa = _exponents(p)
@@ -470,10 +472,7 @@ def emden_fowler(u, p: Params):
     pw = 8.0 / (m - 4.0)
 
     def phi(t):
-        arr, scalar = _as_array(t)
-        s = np.exp(-arr)
-        out = psi.eval(s)
-        return float(out) if scalar else out
+        return psi.eval(np.exp(-np.asarray(t, dtype=float)))  # a float for a scalar t, as eval gives
 
     def residual(t, relative=False):
         arr, scalar = _as_array(t)

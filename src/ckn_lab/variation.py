@@ -148,22 +148,20 @@ def directional_quotient(p: Params, eps: float) -> float:
     g = kernel_mode(p, "Z1_radial")
     eps_z = eps * amplitude_constant(p)
     w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
-    lams = (0.0, harmonic_eigenvalue(p.N, 1))[: 1 + (eps != 0.0)]  # ||U||^2, and g's energy for eps != 0
+    lams = (0.0, harmonic_eigenvalue(p.N, 1))  # ||U||^2, and g's mode-1 energy
     cos_t, w_t = _theta_rule(p.N)
     radial_power = p.beta + p.N - 1.0
 
     def rows(r):  # the energies, then the angular sum of the denominator
-        jets = u.jet(r, 2), g.jet(r, 2 if eps != 0.0 else 0)  # one log pass each; at eps = 0 g's value only
+        jets = u.jet(r, 2), g.jet(r, 2)  # one log pass each
         energies = [power_weighted(mode_operator(jet, r, drift, lam), r, 2.0, w) for jet, lam in zip(jets, lams)]
         uv, gv = (jet[0] for jet in jets)
         angular = w_t @ (np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star)
         return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
 
-    *energy, raw = (res.value for res in integrate_rows(rows))
-    numerator = d.omega * energy[0]
-    if eps != 0.0:
-        # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
-        numerator += eps_z**2 * (d.omega / p.N * energy[1])
+    energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
+    # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
+    numerator = d.omega * energy_u + eps_z**2 * (d.omega / p.N * energy_g)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
     denominator = (area_factor * raw) ** (2.0 / d.p_star)
     return numerator / denominator
@@ -182,7 +180,6 @@ class BreakingCertificate(NamedTuple):
     directional_quotient: float
     eps: float
     ritz_rho1: float
-    ritz_basis_size: int  # Ritz basis size solved, always 16
     verdict: Verdict
     expected: Verdict
     witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
@@ -210,8 +207,9 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     Witnesses (independent code paths): the factored second variation,
     the measured quotient drop I(U+eps Z) - S_r, and the least mode-1
     Ritz eigenvalue in a basis of 16 functions.  Each is
-    reduced to a sign with dead zone `tol` (the quotient drop is compared
-    against tol * S_r * eps^2, its natural second-order scale).
+    reduced to a sign with dead zone `tol` (the second variation through
+    its sign-carrying factor, the quotient drop against tol * S_r * eps^2,
+    its natural second-order scale).
     All-negative yields Breaking, all-positive NotBreaking, zeros without
     sign conflict Boundary.
     The verdict is what was *measured*; if it differs from the analytic
@@ -225,17 +223,15 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     sv = second_variation(p)
     s_r = s_r_closed(p)
     quotient = directional_quotient(p, eps)
-    ritz = ritz_min_eig(1, p, 16)
-    rho1 = ritz.min_eigenvalue
+    rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
 
     def sign_with_dead_zone(x: float, threshold: float) -> int:
         if abs(x) <= threshold:
             return 0
         return -1 if x < 0.0 else 1
 
-    sv_scale = sv.prefactor * (2.0 * sv.I1 + ((2.0 * derive(p).M - 5.0) + sv.mu) * sv.I2)
     signs = (
-        sign_with_dead_zone(sv.value, tol * sv_scale),
+        sign_with_dead_zone(sv.factor, tol),  # value is factor times a positive bracket
         sign_with_dead_zone(quotient - s_r, tol * s_r * eps**2),
         sign_with_dead_zone(rho1, tol),
     )
@@ -265,7 +261,6 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         directional_quotient=quotient,
         eps=eps,
         ritz_rho1=rho1,
-        ritz_basis_size=ritz.basis_size,
         verdict=verdict,
         expected=expected,
         witness_signs=signs,

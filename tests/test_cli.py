@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckn_lab import cli, profiles, verify
+from ckn_lab import cli, profiles, variation, verify
 from ckn_lab.cli import main
 from ckn_lab.params import beta_fs, beta_strip, validate
 from ckn_lab.specfun import AccuracyError, DivergentIntegralError
@@ -278,6 +278,18 @@ def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_a_default_scan_starts_no_workers(tmp_path, monkeypatch):
+    """--jobs defaults to 1: every cell runs in this process, as with --jobs 1."""
+    started = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda **kwargs: started.append(kwargs))
+    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.2:1.0:3"]
+    default, serial = tmp_path / "d.csv", tmp_path / "s.csv"
+    assert main(args + ["--out", str(default)]) == 0
+    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert started == []
+    assert default.read_bytes() == serial.read_bytes()
+
+
 def test_scan_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     """--jobs above the cell count starts one worker per cell; the rows and their order stay."""
     started = []
@@ -318,14 +330,21 @@ def test_unwritable_output_is_io_failure():
     assert code == 3
 
 
-def test_certify_solves_the_full_ritz_basis_deep_in_the_strip(capsys):
+def test_certify_solves_the_full_ritz_basis_deep_in_the_strip(capsys, monkeypatch):
     """At M = 42 the Ritz witness solves J = 16, with no smaller fallback."""
+    sizes = []
+
+    def solve(k, p, J):
+        sizes.append(J)
+        return ritz_min_eig(k, p, J)
+
+    monkeypatch.setattr(variation, "ritz_min_eig", solve)
     _, out, err = run(
         capsys, "certify", "--N", "5", "--alpha", "1", "--beta=-0.8", "--json"
     )
     assert "verification failure" not in err
     record = json.loads(out)
-    assert record["ritz_basis_size"] == 16
+    assert sizes == [16]
     assert record["ritz_rho1"] == pytest.approx(2.2204, abs=1e-4)
     assert record["witness_signs"][2] == 1
 
@@ -354,10 +373,15 @@ def test_fs_curve_locates_near_either_end_of_the_strip(capsys, N, alpha):
 
 
 def test_certify_text_output_has_no_basis_size(capsys):
+    """Neither record carries the basis size, which is always 16."""
     code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1")
     assert code == 0
     assert "ritz_rho1" in out
     assert "ritz_basis_size" not in out
+    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1", "--json")
+    assert code == 0
+    assert "ritz_rho1" in json.loads(out)
+    assert "ritz_basis_size" not in json.loads(out)
 
 
 def test_certify_eps_flag(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ckn_lab import identities
 from ckn_lab.identities import (
     BATTERY_POINTS,
     BATTERY_PROFILES,
@@ -21,7 +22,7 @@ from ckn_lab.identities import (
     rellich_sobolev_constants,
     rellich_sobolev_extremal,
 )
-from ckn_lab.params import ParamError, validate
+from ckn_lab.params import HardyConstants, ParamError, validate
 from ckn_lab.profiles import PowerPeakProfile, s_r_closed
 from ckn_lab.specfun import DomainError
 
@@ -63,6 +64,26 @@ def test_laplacian_bound_is_equality_at_zero_weight(p500):
         assert passed
         assert bound == pytest.approx(1.0, rel=1e-13)
         assert ratio == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "point, bound_of",
+    [
+        ((5, 1.0, 1.0), lambda ratio: ratio * (1.0 - 1e-11)),  # within bound + 1e-10, not bound (1 + 1e-12)
+        ((5, 0.0, 0.0), lambda ratio: 1.5),  # at alpha = 0 the bound must be exactly 1
+    ],
+    ids=["relative_margin", "unweighted_identity"],
+)
+def test_laplacian_bound_verdict_is_the_whole_judgement(monkeypatch, point, bound_of):
+    """The third value fails a bound that only ratio <= bound + 1e-10 would pass."""
+    p = validate(*point)
+    u = TestFunction(BATTERY_PROFILES[0][1], 0)
+    ratio, _, passed = check_laplacian_bound(u, p)
+    assert passed
+    bound = bound_of(ratio)
+    assert ratio <= bound + 1e-10
+    monkeypatch.setattr(identities, "hardy_comparison_constants", lambda p: HardyConstants(1.0, bound))
+    assert check_laplacian_bound(u, p) == (ratio, bound, False)
 
 
 @pytest.mark.parametrize("name, prof", BATTERY_PROFILES[:3])

@@ -44,7 +44,7 @@ def test_eval_matches_direct_formula():
 def test_eval_at_origin_is_safe():
     prof = PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0)
     assert prof.eval(0.0) == pytest.approx(1.0, rel=1e-14)
-    assert prof.deriv(0.0, 1) == 0.0
+    assert prof.jet(0.0, 1)[1] == 0.0
 
 
 def test_derivative_against_finite_differences():
@@ -52,7 +52,7 @@ def test_derivative_against_finite_differences():
     h = 1e-6
     for r in (0.3, 1.1, 4.0):
         fd = (prof.eval(r + h) - prof.eval(r - h)) / (2.0 * h)
-        assert prof.deriv(r, 1) == pytest.approx(fd, rel=1e-8)
+        assert prof.jet(r, 1)[1] == pytest.approx(fd, rel=1e-8)
 
 
 def test_fourth_derivative_of_known_function():
@@ -60,7 +60,7 @@ def test_fourth_derivative_of_known_function():
     prof = PowerPeakProfile([(1.0, 0, -1)], sigma=2, nu=1.0)
     for r in (0.2, 1.0, 3.0):
         expected = 24.0 * (5.0 * r**4 - 10.0 * r**2 + 1.0) / (1.0 + r * r) ** 5
-        assert prof.deriv(r, 4) == pytest.approx(expected, rel=1e-12)
+        assert prof.jet(r, 4)[4] == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,8 +76,8 @@ def test_power_multiplication_product_rule(c, p, e):
     f = PowerPeakProfile([(c, p, e)], sigma=2, nu=1.0)
     lhs = f.times_power(2)
     rs = np.array([0.5, 1.0, 2.5])
-    got = lhs.deriv(rs, 1)
-    want = 2.0 * rs * f.eval(rs) + rs * rs * f.deriv(rs, 1)
+    got = lhs.jet(rs, 1)[1]
+    want = 2.0 * rs * f.eval(rs) + rs * rs * f.jet(rs, 1)[1]
     # the oracle itself cancels near sign changes, so allow tiny absolute slack
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
@@ -120,8 +120,8 @@ def test_gaussian_profile_derivatives():
     g = GaussianProfile([(1.0, 0)])
     for r in (0.0, 0.5, 2.0):
         assert g.eval(r) == pytest.approx(math.exp(-r * r), rel=1e-14)
-        assert g.deriv(r, 1) == pytest.approx(-2.0 * r * math.exp(-r * r), rel=1e-13)
-        assert g.deriv(r, 2) == pytest.approx(
+        assert g.jet(r, 1)[1] == pytest.approx(-2.0 * r * math.exp(-r * r), rel=1e-13)
+        assert g.jet(r, 2)[2] == pytest.approx(
             (4.0 * r * r - 2.0) * math.exp(-r * r), rel=1e-13
         )
 
@@ -252,14 +252,14 @@ def test_terms_match_the_fraction_keyed_merge(terms, sigma, nu):
 @example(terms=[(-1.0, 0, -300), (1.0, 0, 0)], sigma=2, nu=1.0, r=np.asarray(1e300), order=1)
 @example(terms=[(2.0, 0, 0)], sigma=2, nu=1.0, r=np.array([0.0, math.inf]), order=2)
 def test_jet_matches_deriv_and_the_term_loop_bit_for_bit(terms, sigma, nu, r, order):
-    """One log pass, each sign as an add or a subtract: every value as before,
-    including +0.0 where a negative first term underflows."""
+    """One log pass, each sign as an add or a subtract: every value as each
+    derivative's own eval gives it, including +0.0 where a negative first term underflows."""
     f = PowerPeakProfile(terms, sigma, nu)
     chain = [f]
     for _ in range(order):
         chain.append(chain[-1].differentiate())
     got = _hex(f.jet(r, order))
-    assert got == _hex([f.deriv(r, k) for k in range(order + 1)])
+    assert got == _hex([g.eval(r) for g in chain])
     assert got == _hex([_eval_by_terms(g, r) for g in chain])
 
 
@@ -281,7 +281,7 @@ def test_gaussian_jet_matches_deriv_and_the_term_loop_bit_for_bit(terms, r, orde
     for _ in range(order):
         chain.append(chain[-1].differentiate())
     got = _hex(f.jet(r, order))
-    assert got == _hex([f.deriv(r, k) for k in range(order + 1)])
+    assert got == _hex([g.eval(r) for g in chain])
     assert got == _hex([_gaussian_eval_by_terms(g, r) for g in chain])
 
 
@@ -296,8 +296,6 @@ def test_negative_term_that_underflows_reads_plus_zero():
 )
 @pytest.mark.parametrize("order", [-1, 1.5, 2.0, "1"])
 def test_derivative_order_must_be_a_nonnegative_integer(f, order):
-    with pytest.raises(DomainError, match="derivative order"):
-        f.deriv(0.5, order)
     with pytest.raises(DomainError, match="derivative order"):
         f.jet(0.5, order)
 
@@ -472,6 +470,17 @@ def test_weighted_laplacian_reduces_to_laplacian(p500):
             -2.0 * r / t**2
         )
         assert lap.eval(r) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [lambda u, p: weighted_laplacian(u, p.alpha, p.N), euler_lagrange_residual, emden_fowler],
+    ids=["weighted_laplacian", "euler_lagrange_residual", "emden_fowler"],
+)
+def test_operators_reject_a_profile_outside_the_power_peak_family(apply, p511):
+    """They rewrite power-peak terms; a Gaussian profile is a DomainError, not an AttributeError."""
+    with pytest.raises(DomainError, match="GaussianProfile is outside the power-peak family"):
+        apply(GaussianProfile([(1.0, 0.0)]), p511)
 
 
 def test_fraction_coefficients_stay_exact():

@@ -19,7 +19,14 @@ from ckn_lab.identities import (
     rellich_sobolev_extremal,
 )
 from ckn_lab.params import beta_fs, derive, validate
-from ckn_lab.profiles import PowerPeakProfile, _exponents, extremal, s_r_closed
+from ckn_lab.profiles import (
+    DEFAULT_RESIDUAL_SAMPLES,
+    PowerPeakProfile,
+    _exponents,
+    euler_lagrange_residual,
+    extremal,
+    s_r_closed,
+)
 from ckn_lab.quadrature import (
     AccuracyError,
     DivergentIntegralError,
@@ -234,13 +241,17 @@ def _outcome_or_error(compute):
         return type(err)
 
 
-def _assert_kelvin_invariant(compute, u, kappa):
+def _assert_same_outcome(compute, compute_inverted):
     """Both sides agree to 1e-12 relative, or raise the same typed error."""
-    plain, inverted = _outcome_or_error(lambda: compute(u)), _outcome_or_error(lambda: compute(kelvin(u, kappa)))
+    plain, inverted = _outcome_or_error(compute), _outcome_or_error(compute_inverted)
     if isinstance(plain, type) or isinstance(inverted, type):
         assert plain is inverted
     else:
         assert inverted == pytest.approx(plain, rel=1e-12)
+
+
+def _assert_kelvin_invariant(compute, u, kappa):
+    _assert_same_outcome(lambda: compute(u), lambda: compute(kelvin(u, kappa)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,6 +262,21 @@ def test_the_quotient_is_invariant_under_inversion(point, log_lam):
     """kappa = N-4+2*alpha-beta; K maps extremal(p, lam) to extremal(p, 1/lam)."""
     p = validate(*point)
     _assert_kelvin_invariant(lambda u: quotient_radial(u, p), extremal(p, 10.0**log_lam), _exponents(p)[1])
+
+
+@pytest.mark.parametrize("c", [1.1, -2.0])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("point", EXTREMALITY_POINTS)
+def test_the_euler_lagrange_residual_is_invariant_under_inversion(point, lam, c):
+    """K maps c extremal(p, lam) to c extremal(p, 1/lam), and the equation is covariant under K, so
+    the relative defect of these non-solutions at r is the image's at 1/r (worst seen 7.2e-14)."""
+    p = validate(*point)
+    u = extremal(p, lam).scaled(c)
+    image = kelvin(u, _exponents(p)[1])
+    for r in DEFAULT_RESIDUAL_SAMPLES[::3]:
+        _assert_same_outcome(
+            lambda: euler_lagrange_residual(u, p, [r]), lambda: euler_lagrange_residual(image, p, [1.0 / r])
+        )
 
 
 def _two_term_profiles(m, k):

@@ -194,6 +194,14 @@ def test_certificate_below_the_curve_deep_in_the_strip(beta):
     assert cert.discrepancies == ()
 
 
+def test_second_variation_dead_zone_is_its_factor(p511):
+    """The second variation is its factor times a positive bracket, so tol bounds the factor."""
+    factor = second_variation(p511).factor
+    assert factor < 0.0
+    assert certify(p511, tol=abs(factor) * (1.0 + 1e-9)).witness_signs[0] == 0
+    assert certify(p511, tol=abs(factor) * (1.0 - 1e-9)).witness_signs[0] == -1
+
+
 def test_certificate_flags_forced_disagreement(p511):
     """A giant dead zone kills every witness; the verdict then contradicts
     the region expectation and must surface as a discrepancy."""
