@@ -44,7 +44,7 @@ from .params import (
     s_r_closed,
     validate,
 )
-from .specfun import AccuracyError, BracketError, ConditioningError, DivergentIntegralError, DomainError
+from .specfun import AccuracyError, BracketError, ConditioningError, DomainError
 
 __all__ = ["main"]
 
@@ -212,8 +212,8 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     rho1 is the closed-form least mode-1 eigenvalue `mode_eigenvalue(1, p)`,
     negative exactly where the radial extremal is unstable (beta > beta_fs).
     Numeric cells are empty where the quantity is undefined (Invalid or
-    degenerate triples) or where second_variation cannot converge at the
-    extreme edge of the strip; wall_time_ms stays empty so reruns are
+    degenerate triples) or where second_variation underflows double
+    precision (large M or large N); wall_time_ms stays empty so reruns are
     byte-identical.
     """
     from .spectral import mode_eigenvalue
@@ -227,7 +227,7 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
     p = validate(N, alpha, beta)
     row[4] = repr(beta_fs(N, alpha))
     row[5] = repr(s_r_closed(p))
-    with contextlib.suppress(AccuracyError, DivergentIntegralError):
+    with contextlib.suppress(DomainError):
         row[6] = repr(second_variation(p).value)
     row[7] = repr(mode_eigenvalue(1, p))
     return row

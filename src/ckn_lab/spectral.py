@@ -25,13 +25,14 @@ mode-1 ground state on the curve (see `fs_locate`).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import Params, _index, beta_strip, derive, harmonic_eigenvalue, validate
-from .quadrature import integrate_rows, mode_operator, power_weighted
-from .specfun import BracketError, ConditioningError, DomainError
+from .quadrature import integrate_rows, power_weighted
+from .specfun import AccuracyError, BracketError, ConditioningError, DomainError
 
 __all__ = [
     "ModeData",
@@ -83,21 +84,26 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
 
     Negative values certify an energy-lowering perturbation in mode k.
     Raises the quadrature layer's divergence error if X is inadmissible
-    (e.g. non-decaying, or k >= 1 with X(0) != 0).
+    (e.g. non-decaying, or k >= 1 with X(0) != 0), and AccuracyError, with
+    the part's QuadResult, where a part's largest terms are subnormal.
     """
     d = derive(p)
     m = d.M
     lam = d.q**2 * harmonic_eigenvalue(p.N, k)
 
-    def rows(s):  # the lead energy and the potential part, from one jet
-        jet = X.jet(s, 2)
+    def rows(s):  # the lead energy and the potential part, from one jet; s^-2 and (1+s^2)^-4 in the weights
+        x, x1, x2 = X.jet(s, 2)
         return (
-            power_weighted(mode_operator(jet, s, m - 1.0, lam), s, 2.0, m - 1.0),
-            power_weighted(jet[0], s, 2.0, m - 1.0) / (1.0 + s * s) ** 4,
+            power_weighted(s * (s * x2 + (m - 1.0) * x1) - lam * x, s, 2.0, m - 5.0),
+            power_weighted(x / (1.0 + s * s) ** 2, s, 2.0, m - 1.0),
         )
 
-    lead, pot = (res.value for res in integrate_rows(rows))
-    return lead - _potential_constant(m) * pot
+    lead, pot = integrate_rows(rows)
+    floor = sys.float_info.min / sys.float_info.epsilon  # 2^-970: below it the largest terms are subnormal
+    for name, part in (("lead energy", lead), ("potential part", pot)):
+        if part.value < floor:
+            raise AccuracyError(f"mode-{k} form's {name} {part.value!r} is below {floor!r} at M={m!r}", part)
+    return lead.value - _potential_constant(m) * pot.value
 
 
 def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:

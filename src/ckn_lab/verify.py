@@ -38,7 +38,8 @@ from .profiles import (
     euler_lagrange_residual,
     extremal,
 )
-from .quadrature import integrate_semiinfinite, power_weighted, quotient_radial
+from .quadrature import quotient_radial
+from .specfun import beta_fn
 from .spectral import _potential_constant, fs_locate, mode_quadratic_form, ritz_min_eig
 from .variation import Verdict, certify, second_variation
 
@@ -178,8 +179,9 @@ def _check_kernel_at_curve() -> CheckResult:
     x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
     q1 = mode_quadratic_form(x1, 1, p)
     # Relative to the (positive) zero-order part of the form, which equals
-    # the operator part when the form vanishes.
-    pot = integrate_semiinfinite(lambda s: power_weighted(x1.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)).value
+    # the operator part when the form vanishes: int X1^2 (1+s^2)^-4 s^(M-1) ds
+    # = B((M+2)/2, (M+2)/2) / 2.
+    pot = 0.5 * beta_fn((m + 2.0) / 2.0, (m + 2.0) / 2.0)
     rel = abs(q1) / (_potential_constant(m) * pot)
     rho2 = ritz_min_eig(2, p, 16).min_eigenvalue
     below = ritz_min_eig(1, validate(N, a, curve - 0.05), 16).min_eigenvalue

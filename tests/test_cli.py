@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import importlib
 import json
 import math
 import multiprocessing
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from ckn_lab import cli, profiles, variation, verify
 from ckn_lab.cli import main
 from ckn_lab.params import beta_fs, beta_strip, validate
-from ckn_lab.specfun import AccuracyError, DivergentIntegralError
+from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import mode_eigenvalue, ritz_min_eig
 from ckn_lab.verify import run_all
 
@@ -208,22 +207,14 @@ def test_scan_cell_just_above_the_strip_is_an_invalid_row(tmp_path):
     assert rows[1] == "5,1.0,1.6666666666667,Invalid,,,,,"
 
 
-@pytest.mark.parametrize(
-    "module, name, error, blank",
-    [
-        ("variation", "second_variation", AccuracyError("no convergence", None), "second_variation"),
-        ("variation", "second_variation", DivergentIntegralError("divergent"), "second_variation"),
-    ],
-    ids=["accuracy", "divergent"],
-)
-def test_scan_leaves_a_failed_cell_blank(tmp_path, monkeypatch, module, name, error, blank):
-    """A cell whose computation raises one of the expected errors stays blank;
-    the command exits 0 and fills the row's other cells."""
+def test_scan_leaves_an_underflowing_cell_blank(tmp_path, monkeypatch):
+    """A second variation that underflows double precision raises DomainError, and its cell
+    stays blank; the command exits 0 and fills the row's other cells."""
 
-    def fail(*args):
-        raise error
+    def underflow(p):
+        raise DomainError("second variation underflows double precision at M=3000.0")
 
-    monkeypatch.setattr(importlib.import_module(f"ckn_lab.{module}"), name, fail)
+    monkeypatch.setattr(variation, "second_variation", underflow)
     out = tmp_path / "cell.csv"
     assert main(
         ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "1", "--out", str(out)]
@@ -231,7 +222,7 @@ def test_scan_leaves_a_failed_cell_blank(tmp_path, monkeypatch, module, name, er
     (row,) = csv.DictReader(out.open())
     assert row["class"] == "SymmetryBreaking"
     for key in ("beta_fs", "s_r", "second_variation", "rho1"):
-        assert (row[key] == "") == (key == blank)
+        assert (row[key] == "") == (key == "second_variation")
 
 
 def test_scan_single_point_matches_constants(tmp_path, capsys):
@@ -248,8 +239,10 @@ def test_scan_single_point_matches_constants(tmp_path, capsys):
     assert row["class"] == record["class"]
 
 
-@pytest.mark.parametrize("N", [439, 456, 1000])
+@pytest.mark.parametrize("N", [438, 439, 456, 1000])
 def test_scan_reports_s_r_where_the_sphere_area_underflows(tmp_path, capsys, N):
+    """From N = 438 the sphere area is below about 1e-307: s_r still answers, and the second
+    variation, which underflows to +-0.0, leaves its cell blank."""
     out = tmp_path / "scan.csv"
     code, _, err = run(capsys, "scan", "--N", str(N), "--alpha", "1", "--beta", "auto:3", "--jobs", "1",
                        "--out", str(out))
@@ -259,6 +252,7 @@ def test_scan_reports_s_r_where_the_sphere_area_underflows(tmp_path, capsys, N):
     for row in rows:
         assert float(row["s_r"]) == profiles.s_r_closed(validate(N, 1.0, float(row["beta"])))
         assert 0.0 < float(row["s_r"]) < math.inf
+        assert row["second_variation"] == ""
 
 
 def test_scan_parallel_matches_serial(tmp_path):
@@ -498,6 +492,18 @@ def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     assert code == 2
     assert err.startswith("error:")
     assert "M=" in err
+
+
+def test_certify_perturbation_overflow_is_parameter_error(capsys):
+    """U's amplitude is 8.0e166 at M = 320.7, so eps^2 times its square leaves double range:
+    exit 2 with a message, not a traceback."""
+    code, out, err = run(
+        capsys, "certify", "--N", "12", "--alpha", "1.2873567717275503", "--beta=-0.6418136948579916", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "overflows double precision at M=" in err
 
 
 # criteria 01-10 of the acceptance gate, in order

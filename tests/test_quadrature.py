@@ -288,19 +288,16 @@ def _two_term_profiles(m, k):
     )
 
 
-# X = s^3 (1+s^2)^-2 + 0.5 s^5 (1+s^2)^-3 at M = 6 decays like s^-1, so its k = 3 form diverges like
-# log s at infinity.  But X'' underflows to 0 past s ~ 1e103, where the tail rule sees no growth, so
-# that side ends in AccuracyError while the inverted side raises DivergentIntegralError.
-_UNDERFLOWING_DIVERGENCE = pytest.mark.xfail(strict=True, reason="a divergent tail that underflows is not judged")
-
-
 @pytest.mark.parametrize("which", [0, 1])
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("point", [(5, 1.0, 1.0), (5, 4.5, 3.5), (6, 2.0, 2.5), (7, 2.0, 1.3), (8, -2.0, -8.0 / 3.0)])
-def test_the_mode_forms_are_invariant_under_inversion(point, k, which, request):
-    """In s the inversion is the Kelvin transform s^-(M-4) X(1/s)."""
-    if (point, k, which) == ((5, 1.0, 1.0), 3, 0):
-        request.applymarker(_UNDERFLOWING_DIVERGENCE)
+def test_the_mode_forms_are_invariant_under_inversion(point, k, which):
+    """In s the inversion is the Kelvin transform s^-(M-4) X(1/s).
+
+    At (5, 1, 1), k = 3, the first profile decays like s^-1, so the form diverges like log s at
+    infinity.  The lead row carries s^2 X'' + (M-1) s X' - lam X with s^-4 in its log-space weight,
+    so its terms keep growing past s ~ 1e103, where X'' alone underflows, and both sides raise
+    DivergentIntegralError."""
     p = validate(*point)
     m = derive(p).M
     _assert_kelvin_invariant(lambda x: mode_quadratic_form(x, k, p), _two_term_profiles(m, k)[which], m - 4.0)
@@ -356,11 +353,12 @@ def _battery_test_function(index, mode):
 
 
 # Pinned bit for bit: values whose integrands go through the mode-k operator
-# r^-a div(r^a grad(f Y_k)) -> f'' + drift f'/r - lam f/r^2.
+# r^-a div(r^a grad(f Y_k)) -> f'' + drift f'/r - lam f/r^2 (the mode form
+# takes it times s^2, with s^-4 in the weight).
 @pytest.mark.parametrize(
     "compute, expected",
     [
-        (_mode1_on_curve, "-9.769962616701378e-15"),
+        (_mode1_on_curve, "-1.0658141036401503e-14"),
         (
             lambda: check_laplacian_bound(_battery_test_function(1, 1), validate(6, 1.0, 0.5)),
             "(0.7197035745422843, 2.6530612244897958, True)",

@@ -520,6 +520,39 @@ def test_adaptive_quadratic_form_never_reads_zero_at_the_lower_edge():
     assert form / (_potential_constant(m) * potential) == pytest.approx(res.min_eigenvalue, rel=1e-9)
 
 
+def _mode_ground_state(k, p):
+    """X = s^nu (1+s^2)^(-(M+2nu-4)/2) with nu(nu+M-2) = q^2 lambda_k: the exact ground state of the
+    mode-k form, whose Rayleigh quotient is mode_eigenvalue(k, p)."""
+    d = derive(p)
+    m = d.M
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
+    nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
+    return PowerPeakProfile([(1.0, nu, -(m + 2.0 * nu - 4.0) / 2.0)], sigma=2, nu=1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adaptive_form_of_the_ground_state_is_its_eigenvalue_at_m_302(k):
+    """At (8, 0.1, -1.8593), M = 301.75, a separate s^-2 factor underflowed below s ~ 1e-162 and
+    made the integrand non-finite for k = 2 and 3; in the log-space weight it cannot."""
+    p = validate(8, 0.1, -1.8593)
+    m = derive(p).M
+    x = _mode_ground_state(k, p)
+    potential = integrate_semiinfinite(
+        lambda s: power_weighted(x.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)
+    ).value
+    quotient = mode_quadratic_form(x, k, p) / (_potential_constant(m) * potential)
+    assert quotient == pytest.approx(mode_eigenvalue(k, p), rel=1e-12)
+
+
+def test_adaptive_form_refuses_where_its_parts_are_subnormal():
+    """At (5, 0.1, -1.89), M = 622, the ground state's lead energy is about 4e-295 and its potential
+    part 2e-306, so their largest terms are subnormal and their quotient is 93 % off rho_1."""
+    p = validate(5, 0.1, -1.89)
+    with pytest.raises(AccuracyError, match="below") as err:
+        mode_quadratic_form(_mode_ground_state(1, p), 1, p)
+    assert 0.0 < err.value.result.value < 2.0**-970
+
+
 def test_ritz_sign_flips_across_curve():
     N, alpha = 5, 1.0
     curve = beta_fs(N, alpha)

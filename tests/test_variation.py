@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ckn_lab.variation as variation
 from ckn_lab.params import beta_fs, derive, validate
@@ -57,6 +59,64 @@ def test_second_variation_sign_tracks_curve_side():
     assert second_variation(validate(N, alpha, curve - 0.1)).value > 0.0
     on_curve = second_variation(validate(N, alpha, curve)).value
     assert on_curve == pytest.approx(0.0, abs=1e-12)
+
+
+def _beta_at(N, alpha, M):
+    """The beta at which (N, alpha, beta) has transformed dimension M; M > N lies in the strip."""
+    return (2.0 * N - M * (2.0 - alpha)) / (M - 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(5, 12), alpha=st.floats(0.1, 4.0), t=st.floats(1e-6, 1.0))
+@example(N=5, alpha=1.0, t=1.0)  # M = 990
+def test_second_variation_integrals_against_quadrature(N, alpha, t):
+    """The Beta reductions of I1 and I2 against the adaptive quadrature of their
+    integrands (X1')^2 s^(M-4) and X1^2 s^(M-5), X1 = s(1+s^2)^(-(M-2)/2), for M up to 990."""
+    p = validate(N, alpha, _beta_at(N, alpha, N + t * (990.0 - N)))
+    m = derive(p).M
+    x1 = PowerPeakProfile([(1.0, 1, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
+
+    def rows(s):
+        x, dx = x1.jet(s, 1)
+        return power_weighted(dx, s, 2.0, m - 4.0), power_weighted(x, s, 2.0, m - 5.0)
+
+    i1, i2 = (res.value for res in integrate_rows(rows))
+    sv = second_variation(p)
+    assert abs(sv.I1 - i1) <= 1e-9 * i1
+    assert abs(sv.I2 - i2) <= 1e-9 * i2
+
+
+@pytest.mark.parametrize("N, alpha, M", [(5, 1.0, 995.0), (8, 0.5, 1007.0), (6, 1.9, 1019.0)])
+def test_second_variation_near_the_smallest_normal_against_mpmath(N, alpha, M):
+    """Near M = 1000 the integrals are about 1e-300, still normal: the closed form answers
+    there, to 1e-10 of a 50-digit evaluation from the same (N, alpha, beta)."""
+    mpmath = pytest.importorskip("mpmath")
+    p = validate(N, alpha, _beta_at(N, alpha, M))
+    with mpmath.workdps(50):
+        n, a, b = (mpmath.mpf(x) for x in p)
+        q, m = 2 / (2 + b - a), 2 * (n + b) / (2 + b - a)
+        mu = q**2 * (n - 1)
+        i1 = (mpmath.beta((m - 3) / 2, (m + 3) / 2) + (m - 3) * (m - 5) * mpmath.beta((m - 1) / 2, (m + 1) / 2)) / 2
+        i2 = mpmath.beta((m - 2) / 2, (m - 2) / 2) / 2
+        omega = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+        exact = [float(x) for x in (omega / n / q**3 * (mu - (m - 1)) * (2 * i1 + (2 * m - 5 + mu) * i2), i1, i2)]
+    sv = second_variation(p)
+    for got, want in zip((sv.value, sv.I1, sv.I2), exact):
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("point", [(5, 1.0, _beta_at(5, 1.0, 3000.0)), (438, 1.0, 1.0)], ids=["M3000", "N438"])
+def test_second_variation_refuses_to_underflow(point):
+    """At M = 3000 the Beta values underflow; at N = 438 the sphere area is about 1e-307 and
+    the value underflows to -0.0.  Neither is reported as a number."""
+    with pytest.raises(DomainError, match="underflows double precision at M="):
+        second_variation(validate(*point))
+
+
+def test_second_variation_on_the_curve_is_an_exact_zero():
+    """At (5, 4.5, 3.5) the factor is exactly 0.0, so the value 0.0 is no underflow."""
+    sv = second_variation(validate(5, 4.5, 3.5))
+    assert (sv.factor, sv.value) == (0.0, 0.0)
 
 
 def test_directional_quotient_reference_value(p511):
