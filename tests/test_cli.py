@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ckn_lab import cli, profiles, variation, verify
 from ckn_lab.cli import main
 from ckn_lab.params import beta_fs, beta_strip, validate
-from ckn_lab.specfun import DomainError
+from ckn_lab.specfun import DivergentIntegralError, DomainError
 from ckn_lab.spectral import mode_eigenvalue, ritz_min_eig
 from ckn_lab.verify import run_all
 
@@ -207,14 +207,23 @@ def test_scan_cell_just_above_the_strip_is_an_invalid_row(tmp_path):
     assert rows[1] == "5,1.0,1.6666666666667,Invalid,,,,,"
 
 
-def test_scan_leaves_an_underflowing_cell_blank(tmp_path, monkeypatch):
-    """A second variation that underflows double precision raises DomainError, and its cell
-    stays blank; the command exits 0 and fills the row's other cells."""
+@pytest.mark.parametrize(
+    "error",
+    [
+        DomainError("second variation underflows double precision at M=3000.0"),
+        DivergentIntegralError("divergent"),
+    ],
+    ids=["accuracy", "divergent"],
+)
+def test_scan_leaves_a_failed_cell_blank(tmp_path, monkeypatch, error):
+    """A second variation that cannot give an accurate double (its Beta values underflow) or
+    meets a divergent integral raises a DomainError, and its cell stays blank; the command
+    exits 0 and fills the row's other cells."""
 
-    def underflow(p):
-        raise DomainError("second variation underflows double precision at M=3000.0")
+    def fail(p):
+        raise error
 
-    monkeypatch.setattr(variation, "second_variation", underflow)
+    monkeypatch.setattr(variation, "second_variation", fail)
     out = tmp_path / "cell.csv"
     assert main(
         ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "1", "--out", str(out)]
