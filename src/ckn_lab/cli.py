@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 ``scan`` always writes CSV with a fixed header so reruns are
 byte-identical.
 
-numpy, multiprocessing and the numerical layers are imported by the
-handlers that use them, so ``constants``, ``--help`` and argument errors
-run on the stdlib alone.
+numpy and the numerical layers are imported by the handlers that use
+them, so ``constants``, ``--help`` and argument errors run on the stdlib
+alone.
 """
 
 from __future__ import annotations
@@ -204,10 +204,7 @@ _SCAN_FIELDS = ("N", "alpha", "beta", "class", "beta_fs", "s_r", "second_variati
 
 
 def _scan_point(point: tuple[int, float, float]) -> list[str]:
-    """One CSV row; must stay top-level so worker processes can pickle it.
-
-    It imports the numerical layers when called, as every handler does, so
-    a worker loads them on its first cell.
+    """One CSV row of the scan grid.
 
     rho1 is the closed-form least mode-1 eigenvalue `mode_eigenvalue(1, p)`,
     negative exactly where the radial extremal is unstable (beta > beta_fs).
@@ -234,21 +231,13 @@ def _scan_point(point: tuple[int, float, float]) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     beta_strip(args.N, 0.0)  # alpha = 0 is admissible at every N >= 3: this checks N
     points = [
         (args.N, alpha, beta)
         for alpha in _parse_range(args.alpha, "alpha")
         for beta in _beta_values(args.N, alpha, args.beta)
     ]
-    if args.jobs > 1 and len(points) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=min(args.jobs, len(points))) as pool:
-            rows = pool.map(_scan_point, points)
-    else:
-        rows = [_scan_point(pt) for pt in points]
+    rows = [_scan_point(pt) for pt in points]
     import csv
 
     with _output(args, newline="") as stream:
@@ -363,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="value, lo:hi:steps range, or auto[:steps] for the valid strip",
     )
     sp.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default %(default)s)"
+        "--jobs", type=int, choices=[1], default=1,
+        help="accepts only 1: every cell runs in the calling process (default %(default)s)",
     )
     add_io(sp, json_flag=False)
     sp.set_defaults(handler=_cmd_scan)

@@ -4,7 +4,6 @@ import argparse
 import csv
 import json
 import math
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -264,60 +263,13 @@ def test_scan_reports_s_r_where_the_sphere_area_underflows(tmp_path, capsys, N):
         assert row["second_variation"] == ""
 
 
-def test_scan_parallel_matches_serial(tmp_path):
-    args = ["scan", "--N", "5", "--alpha", "0.8:1.2:2", "--beta", "0.2:1.0:3"]
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_scan_spawn_workers_match_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
-    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.5:1.0:2"]
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_a_default_scan_starts_no_workers(tmp_path, monkeypatch):
-    """--jobs defaults to 1: every cell runs in this process, as with --jobs 1."""
-    started = []
-    monkeypatch.setattr(multiprocessing, "Pool", lambda **kwargs: started.append(kwargs))
+def test_a_default_scan_starts_no_workers(tmp_path):
+    """--jobs accepts only its default 1: every cell runs in this process, as with no flag."""
     args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.2:1.0:3"]
     default, serial = tmp_path / "d.csv", tmp_path / "s.csv"
     assert main(args + ["--out", str(default)]) == 0
     assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert started == []
     assert default.read_bytes() == serial.read_bytes()
-
-
-def test_scan_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
-    """--jobs above the cell count starts one worker per cell; the rows and their order stay."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    args = ["scan", "--N", "5", "--alpha", "1.0", "--beta", "0.2:1.0:3"]
-    serial, capped, fewer = tmp_path / "s.csv", tmp_path / "c.csv", tmp_path / "f.csv"
-    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "64", "--out", str(capped)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(fewer)]) == 0
-    assert started == [3, 2]
-    assert serial.read_bytes() == capped.read_bytes() == fewer.read_bytes()
 
 
 def test_scan_bad_range_spec():
@@ -401,6 +353,7 @@ def test_certify_eps_flag(capsys):
     [
         ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "0"],
         ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "-1"],
+        ["scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "2"],
         ["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--tol", "nan"],
         ["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--config", "x"],
         ["fs-curve", "--N", "5", "--alpha", "1", "--tol", "inf"],
@@ -416,9 +369,9 @@ def test_certify_eps_flag(capsys):
         ["scan", "--N", "5", "--alpha", "1", "--beta", "autofoo"],
         ["scan", "--N", "5", "--alpha", "1", "--beta", "auto:x"],
     ],
-    ids=["jobs_zero", "jobs_negative", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan", "fs_tol_zero",
-         "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows", "fs_alpha_inf",
-         "auto_digits", "auto_word", "auto_bad_steps"],
+    ids=["jobs_zero", "jobs_negative", "jobs_two", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan",
+         "fs_tol_zero", "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows",
+         "fs_alpha_inf", "auto_digits", "auto_word", "auto_bad_steps"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
