@@ -16,6 +16,12 @@ integrates adaptively one profile at a time in s; `ritz_min_eig` maps the
 basis to w = (s^2-1)/(s^2+1), makes it orthonormal for the potential
 weight and assembles the operator exactly by Gauss-Jacobi quadrature; and
 `mode_eigenvalue` is the closed form the Ritz value falls to from above.
+A Ritz solve in use works on J + 2 nodes and J polynomials, J = 4 for
+the root search and 16 for the certificate: too few for numpy's per-call
+cost to pay off.  Its recurrences and its assembly run node by node on
+Python floats, and the only numpy calls that decide bits are the three
+linear algebra steps: the nodes' `eigvalsh`, the factor's product with
+its transpose, and `eigh`.
 The test suite checks the Ritz minimizer's Rayleigh quotient on the
 adaptive route and the Ritz value against the closed form.  The root
 search needs only the smallest basis, because every basis holds the exact
@@ -136,59 +142,73 @@ def _jacobi_recurrence(n: int, a: float, b: float):
 
     For the weight (1-w)^a (1+w)^b normalized to unit mass:
     w p_j = off[j] p_(j+1) + diag[j] p_j + off[j-1] p_(j-1), p_0 = 1.
-    Returns diag (length n) and off (length n-1), the Jacobi matrix, from
-    scalar steps: n <= 22 for every caller, too few for numpy to pay off.
+    Returns diag (length n) and off (length n-1), the Jacobi matrix, as
+    lists of Python floats: n <= J + 2 = 18 for every caller, and the whole
+    Ritz solve, not only this recurrence, is too small for numpy to pay off
+    outside its three linear algebra steps.
     """
     t = [2.0 * i + a + b for i in range(n)]
     diag = [(b - a) * (b + a) / (u * (u + 2.0)) for u in t]
     off = [math.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b)) / math.sqrt(u * u * (u + 1.0) * (u - 1.0))
            for i, u in enumerate(t[1:], 1)]
-    return np.array(diag), np.array(off)
+    return diag, off
 
 
-def _orthonormal_jacobi(w: np.ndarray, n: int, a: float, b: float, order: int = 0) -> np.ndarray:
-    """p_j and its first `order` derivatives at w for j < n, shape (n, order+1, len(w)).
+def _orthonormal_jacobi(
+    x: float, diag: list[float], off: list[float], c0: float, c1: float, c2: float, scale: float
+) -> list[float]:
+    """(c0 p_j(x) + c1 p_j'(x) + c2 p_j''(x)) scale for j < len(diag).
 
-    By the three-term recurrence; (w p)^(r) = r p^(r-1) + w p^(r) carries
-    it over to the derivatives.
+    p_j are the orthonormal polynomials of `_jacobi_recurrence`, and
+    (w p)^(r) = r p^(r-1) + w p^(r) carries their recurrence over to the
+    derivatives.  Each step takes (x - diag[j]) v_j, subtracts
+    off[j-1] v_(j-1), adds 1 v_j and 2 v_j' to the first and second
+    derivatives and divides by off[j], in the order of the array loop the
+    tests keep, so every value agrees with it to the bit; the step at j = 0
+    subtracts 0 * 0, which changes no value.  The combination is formed as
+    each p_j comes, with the recurrence's values in local names: handing
+    (p_j, p_j', p_j'') back for the caller to combine made a J = 16 solve
+    slower than the array loop it replaces.
     """
-    diag, off = _jacobi_recurrence(n, a, b)
-    shifted, off = w - diag[:, None], off.tolist()
-    rise = np.arange(1.0, order + 1.0)[:, None]
-    vals = np.zeros((n, order + 1, w.size))
-    vals[0, 0] = 1.0
-    for j in range(n - 1):
-        step = shifted[j] * vals[j]
-        if j:
-            step -= off[j - 1] * vals[j - 1]
-        if order:
-            step[1:] += rise * vals[j, :order]
-        vals[j + 1] = step / off[j]
-    return vals
+    v0, v1, v2 = 1.0, 0.0, 0.0
+    u0 = u1 = u2 = 0.0
+    column = [(c0 * v0 + c1 * v1 + c2 * v2) * scale]
+    append = column.append
+    for centre, below, above in zip(diag, [0.0, *off], off):
+        shift = x - centre
+        n0 = shift * v0 - below * u0
+        n1 = shift * v1 - below * u1 + v0
+        n2 = shift * v2 - below * u2 + 2.0 * v1
+        u0, u1, u2 = v0, v1, v2
+        v0, v1, v2 = n0 / above, n1 / above, n2 / above
+        append((c0 * v0 + c1 * v1 + c2 * v2) * scale)
+    return column
 
 
 def _gauss_jacobi(n: int, a: float, b: float):
     """n-point Gauss-Jacobi rule for the weight (1-w)^a (1+w)^b on (-1, 1).
 
     Golub-Welsch: nodes are the eigenvalues of the recurrence's Jacobi
-    matrix.  The weights, normalized to sum 1, are the Christoffel numbers
-    1 / sum_j p_j(w)^2, summed over j along each node's scalar recurrence;
-    they keep their relative accuracy where the squared eigenvector
-    components would not (the tail nodes of a skewed weight).  Returns the
-    nodes and the weights divided by the mass of the weight function.
+    matrix, by numpy's `eigvalsh`.  The weights, normalized to sum 1, are
+    the Christoffel numbers 1 / sum_j p_j(w)^2, summed over j along each
+    node's scalar recurrence; they keep their relative accuracy where the
+    squared eigenvector components would not (the tail nodes of a skewed
+    weight).  Returns the nodes and the weights divided by the mass of the
+    weight function, as lists of Python floats.
     """
     diag, off = _jacobi_recurrence(n, a, b)
     jacobi = np.diag(diag)
     jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
-    nodes = np.linalg.eigvalsh(jacobi)
-    steps = list(zip(diag.tolist(), [0.0, *off.tolist()], off.tolist()))
-    sums = [1.0] * n
-    for i, x in enumerate(nodes.tolist()):
-        prev, cur = 0.0, 1.0
+    nodes = np.linalg.eigvalsh(jacobi).tolist()
+    steps = list(zip(diag, [0.0, *off], off))
+    weights = []
+    for x in nodes:
+        prev, cur, total = 0.0, 1.0, 1.0
         for centre, below, above in steps:
             prev, cur = cur, ((x - centre) * cur - below * prev) / above
-            sums[i] += cur * cur
-    return nodes, 1.0 / np.array(sums)
+            total += cur * cur
+        weights.append(1.0 / total)
+    return nodes, weights
 
 
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
@@ -209,6 +229,11 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     which leaves the eigenpairs unchanged at any M; `gram_condition` is 1.
     A Jacobi exponent <= -1 means the form diverges on the basis:
     DomainError.  A non-finite A raises ConditioningError.
+
+    A's factor is assembled node by node on Python floats, in the order of
+    operations of the whole-array assembly the tests keep.  Three numpy
+    calls decide bits: `eigvalsh` for the nodes, the product of the factor
+    with its transpose, and `eigh`.
     """
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
@@ -221,25 +246,32 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
             f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
         )
-    w, weight_a = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
-    p_j, dp_j, d2p_j = _orthonormal_jacobi(w, J, a, b, order=2).transpose(1, 0, 2)
-    # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
-    up, cap = 1.0 + w, 1.0 - w * w
-    potential = k * (k + m - 2.0) - qql
-    potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
-    r_j = potential * p_j + cap * (2.0 * k - m * w) * dp_j + cap**2 * d2p_j
+    nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
+    diag, off = _jacobi_recurrence(J, a, b)
     # 2^(2-M) mu0_A / (2^(-M-2) mu0_B), rational since Gamma(x+1) = x Gamma(x)
     mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
-    rows_a = r_j * np.sqrt(weight_a * mass_ratio)
+    base, centre, slope = k * (k + m - 2.0) - qql, (m + 2.0 * k) / 2.0, 2.0 * k
+    entries = []
+    for w, weight in zip(nodes, weights):
+        # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
+        up, cap = 1.0 + w, 1.0 - w * w
+        potential = base - (m - 2.0) * up * (centre - m * up / 4.0)
+        drift, curve = cap * (slope - m * w), cap * cap
+        entries += _orthonormal_jacobi(w, diag, off, potential, drift, curve, math.sqrt(weight * mass_ratio))
+    # one node per row of entries; A's factor is C-contiguous (J, J+2), the
+    # layout in which the product has always met BLAS
+    rows_a = np.array(entries).reshape(J + 2, J).T.copy()
     A = rows_a @ rows_a.T
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
+    # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit
+    # of the least eigenvalue (8 of 4000 sampled J = 4 mode-1 matrices)
     evals, evecs = np.linalg.eigh(A)
     gamma = _potential_constant(m)
-    coeff = evecs[:, 0] / np.max(np.abs(evecs[:, 0]))
+    lead = evecs[:, 0]
     return RitzResult(
         min_eigenvalue=(float(evals[0]) - gamma) / gamma,
-        coefficients=coeff,
+        coefficients=lead / max(abs(c) for c in lead.tolist()),
         basis_size=J,
         gram_condition=1.0,
     )

@@ -130,6 +130,22 @@ def test_scan_matches_golden_fixture(tmp_path):
     assert five.read_bytes() + rows_8 == GOLDEN_SCAN.read_bytes()
 
 
+GOLDEN_FS_CURVE = Path(__file__).parent / "data" / "fs_curve_golden.jsonl"
+
+
+def test_fs_curve_matches_golden_fixture(tmp_path):
+    """fs-curve's JSON lines are byte-identical to the committed fixture.
+
+    The fixture holds `fs-curve --N 5 --alpha 0.5:2:7 --json` followed by
+    the same command with `--N 6`: every spectral root rests on J = 4 Ritz
+    solves, so a change in any bit of them shows here.
+    """
+    five, six = tmp_path / "n5.jsonl", tmp_path / "n6.jsonl"
+    for N, out in ((5, five), (6, six)):
+        assert main(["fs-curve", "--N", str(N), "--alpha", "0.5:2:7", "--json", "--out", str(out)]) == 0
+    assert five.read_bytes() + six.read_bytes() == GOLDEN_FS_CURVE.read_bytes()
+
+
 def test_golden_rho1_is_the_closed_form():
     """Every rho1 of the fixture is the closed-form least mode-1 eigenvalue, to the bit."""
     rows = list(csv.DictReader(GOLDEN_SCAN.open()))

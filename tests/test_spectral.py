@@ -16,6 +16,8 @@ from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weig
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
     BracketError,
+    ConditioningError,
+    RitzResult,
     _gauss_jacobi,
     _jacobi_recurrence,
     _orthonormal_jacobi,
@@ -181,6 +183,13 @@ def test_ritz_minimum_is_monotone_in_basis_size(p511):
     assert rho20 <= rho16 + 1e-10
 
 
+def _by_nodes(w, n, a, b):
+    """p_j, p_j', p_j'' at every node of w from `_orthonormal_jacobi`'s unit combinations, shape (n, 3, len(w))."""
+    diag, off = _jacobi_recurrence(n, a, b)
+    unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return np.array([[_orthonormal_jacobi(x, diag, off, *c, 1.0) for c in unit] for x in w]).transpose(2, 1, 0)
+
+
 def _jacobi_polynomials(J, a, b):
     """p_0..p_(J-1) as numpy Polynomials in w, by the orthonormal recurrence."""
     diag, off = _jacobi_recurrence(J, a, b)
@@ -196,7 +205,7 @@ def test_orthonormal_jacobi_values_and_derivatives(M, k):
     """The recurrence's p_j, p_j', p_j'' against the same recurrence on Polynomials."""
     a, b = M / 2.0 - k + 1.0, M / 2.0 + k - 1.0
     w = np.linspace(-0.95, 0.95, 11)
-    vals = _orthonormal_jacobi(w, 8, a, b, order=2)
+    vals = _by_nodes(w, 8, a, b)
     assert vals.shape == (8, 3, 11)
     for j, poly in enumerate(_jacobi_polynomials(8, a, b)):
         for r in range(3):
@@ -216,7 +225,7 @@ def test_ritz_basis_is_orthonormal_for_the_potential_weight(M, k, J):
     """
     a, b = M / 2.0 - k + 1.0, M / 2.0 + k - 1.0
     w, weights = _gauss_jacobi(J + 2, a, b)
-    p = _orthonormal_jacobi(w, J, a, b)[:, 0]
+    p = _by_nodes(w, J, a, b)[:, 0]
     gram = (p * weights) @ p.T
     assert np.max(np.abs(gram - np.eye(J))) <= 1e-12
 
@@ -254,7 +263,7 @@ def test_gauss_jacobi_matches_scipy(n, M, k, shift):
     """Golub-Welsch nodes and weights for the Ritz exponents, against scipy."""
     roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
     a, b = M / 2.0 - k + 1.0 - shift, M / 2.0 + k - 1.0 - shift
-    nodes, normalized = _gauss_jacobi(n, a, b)
+    nodes, normalized = map(np.array, _gauss_jacobi(n, a, b))
     ref_nodes, ref_weights = roots_jacobi(n, a, b)
     log_mu0 = (a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
     weights = math.exp(log_mu0 - math.lgamma(a + b + 2)) * normalized
@@ -295,6 +304,33 @@ def _gauss_jacobi_by_arrays(n, a, b):
     return nodes, 1.0 / np.sum(values * values, axis=0)
 
 
+def _ritz_by_arrays(k, p, J):
+    """`ritz_min_eig` with whole-array numpy passes over the nodes, as it once assembled A."""
+    if J < 4:
+        raise DomainError(f"basis size must be >= 4, got {J}")
+    d = derive(p)
+    m = d.M
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
+    a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
+    if min(a, b) - 2.0 <= -1.0:
+        raise DomainError(f"mode k={k} is inadmissible at M={m:.6g}")
+    w, weight_a = _gauss_jacobi_by_arrays(J + 2, a - 2.0, b - 2.0)
+    p_j, dp_j, d2p_j = _orthonormal_jacobi_by_arrays(w, J, a, b, order=2).transpose(1, 0, 2)
+    up, cap = 1.0 + w, 1.0 - w * w
+    potential = k * (k + m - 2.0) - qql
+    potential -= (m - 2.0) * up * ((m + 2.0 * k) / 2.0 - m * up / 4.0)
+    r_j = potential * p_j + cap * (2.0 * k - m * w) * dp_j + cap**2 * d2p_j
+    mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
+    rows_a = r_j * np.sqrt(weight_a * mass_ratio)
+    A = rows_a @ rows_a.T
+    if not np.all(np.isfinite(A)):
+        raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
+    evals, evecs = np.linalg.eigh(A)
+    gamma = _potential_constant(m)
+    coeff = evecs[:, 0] / np.max(np.abs(evecs[:, 0]))
+    return RitzResult((float(evals[0]) - gamma) / gamma, coeff, J, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     log_m=st.floats(min_value=math.log10(4.5), max_value=16.0),
@@ -317,7 +353,7 @@ def test_ritz_kernels_match_the_array_loops_bit_for_bit(log_m, k, shift, n, orde
     w = np.array(sorted(w))
     for got, expected in (
         (_jacobi_recurrence(n, a, b), _jacobi_recurrence_by_arrays(n, a, b)),
-        ((_orthonormal_jacobi(w, n, a, b, order),), (_orthonormal_jacobi_by_arrays(w, n, a, b, order),)),
+        ((_by_nodes(w, n, a, b)[:, : order + 1],), (_orthonormal_jacobi_by_arrays(w, n, a, b, order),)),
         (_gauss_jacobi(n, a, b), _gauss_jacobi_by_arrays(n, a, b)),
     ):
         for x, y in zip(got, expected):
@@ -326,6 +362,38 @@ def test_ritz_kernels_match_the_array_loops_bit_for_bit(log_m, k, shift, n, orde
 
 def _hex(values):
     return " ".join(float(v).hex() for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(min_value=5, max_value=40),
+    alpha=st.floats(min_value=-1.0, max_value=4.0),
+    reach=st.floats(min_value=0.0, max_value=1.0),
+    k=st.integers(min_value=0, max_value=3),
+    J=st.sampled_from([4, 5, 8, 16, 20, 22]),
+)
+@example(N=8, alpha=1.0, reach=0.0, k=3, J=22)
+@example(N=5, alpha=0.1, reach=0.0, k=1, J=16)
+@example(N=5, alpha=1.0, reach=1.0, k=1, J=4)
+@example(N=5, alpha=1.0, reach=1.0, k=3, J=4)
+def test_ritz_min_eig_matches_the_array_path_bit_for_bit(N, alpha, reach, k, J):
+    """The per-node scalar assembly repeats the array path's floating-point
+    operations in the same order and hands numpy the same matrices, so rho
+    and the coefficients agree to the bit, and a refusal raises the same
+    typed error.  beta = alpha - 2 + depth, with log10(depth) spread evenly
+    from -13 (M near 1e14) to the top of the strip (reach = 1)."""
+    lo, hi = beta_strip(N, alpha)
+    beta = hi if reach == 1.0 else min(hi, lo + 10.0 ** (-13.0 + reach * (math.log10(hi - lo) + 13.0)))
+    p = validate(N, alpha, beta)
+    try:
+        expected = _ritz_by_arrays(k, p, J)
+    except (DomainError, ConditioningError) as exc:
+        with pytest.raises(type(exc)):
+            ritz_min_eig(k, p, J)
+        return
+    got = ritz_min_eig(k, p, J)
+    assert got.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
+    assert _hex(got.coefficients) == _hex(expected.coefficients)
 
 
 # Pinned bit for bit: the (a-2, b-2) rule that assembles A and the Ritz
