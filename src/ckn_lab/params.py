@@ -314,17 +314,21 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     f(k) = (k + N/2 + a)^2 (k + (N-4)/2 - a)^2 over integers k >= 0.
 
     The product inside the square is an upward parabola in k with roots
-    at -N/2 - a and a - (N-4)/2, so f is increasing once k passes the
-    larger root; scanning up to it (plus slack) is exhaustive.
+    at -N/2 - a and a - (N-4)/2, so on k >= 0 its absolute value is least
+    at k = 0 or at an integer next to a nonnegative root; only those are
+    tried.  Raises DomainError for a non-finite a.
     """
     N = _integral(N)
-    k_hi = math.ceil(max(0.0, a - (N - 4.0) / 2.0, -N / 2.0 - a)) + 2
+    if not math.isfinite(a):
+        raise DomainError(f"weight exponent a must be finite, got {a!r}")
 
     def f(k: int) -> float:
         g = (k + N / 2.0 + a) * (k + (N - 4.0) / 2.0 - a)
         return g * g
 
-    best_k = min(range(k_hi + 1), key=f)  # the first k of the least value
+    roots = [r for r in (-N / 2.0 - a, a - (N - 4.0) / 2.0) if r >= 0.0]
+    candidates = sorted({0, *map(math.floor, roots), *map(math.ceil, roots)})
+    best_k = min(candidates, key=f)  # the first k of the least value
     return f(best_k), best_k
 
 
@@ -372,14 +376,21 @@ def s_r_closed(p: Params) -> float:
 
     q^(4/M - 4) * omega^(4/M) * b_closed(M); reduces to s_0_closed(N)
     at alpha = beta = 0 and to (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N)
-    on the upper boundary beta = N*alpha/(N-2).
+    on the upper boundary beta = N*alpha/(N-2).  Raises DomainError where
+    it overflows double precision, as q = 2/(2+beta-alpha) -> 0.
     """
     d = derive(p)
     if d.omega >= sys.float_info.min:
         log_omega = math.log(d.omega)
     else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
         log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
-    return math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
+    try:
+        value = math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"radial constant overflows double precision at M={d.M!r}")
+    return value
 
 
 def s_0_closed(N: int) -> float:

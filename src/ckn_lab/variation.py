@@ -31,7 +31,6 @@ from .params import (
     DEFAULT_EPS,
     Params,
     RegionClass,
-    amplitude_constant,
     beta_fs,
     classify,
     derive,
@@ -39,7 +38,7 @@ from .params import (
     s_r_closed,
     sphere_area,
 )
-from .profiles import extremal, kernel_mode
+from .profiles import PowerPeakProfile, _exponents, kernel_mode
 from .quadrature import integrate_rows, mode_operator, power_weighted
 from .spectral import ritz_min_eig
 from .specfun import DomainError, beta_fn
@@ -77,14 +76,17 @@ def second_variation(p: Params) -> SecondVariation:
     """Closed-form second variation, by Beta-function reduction.
 
     I1 = int (X1')^2 s^(M-4) ds and I2 = int X1^2 s^(M-5) ds with
-    X1 = s(1+s^2)^(-(M-2)/2).  Raises DomainError where a Beta value, or
-    the value off the curve (factor != 0), underflows double precision.
+    X1 = s(1+s^2)^(-(M-2)/2).  Raises DomainError where the value overflows
+    double precision, or a Beta value or a nonzero value underflows it.
     """
     d = derive(p)
     m = d.M
     mu = d.q**2 * (p.N - 1.0)
     factor = mu - (m - 1.0)
-    prefactor = d.omega / p.N * d.q**-3
+    try:
+        prefactor = d.omega / p.N * d.q**-3
+    except OverflowError:
+        prefactor = math.inf
     # Beta reduction: X1' = (1+s^2)^(-M/2) (1 - (M-3)s^2), so (X1')^2 s^(M-4)
     # integrates to half of B((M-3)/2,(M+3)/2) + (M-3)(M-5) B((M-1)/2,(M+1)/2).
     betas = (
@@ -95,6 +97,8 @@ def second_variation(p: Params) -> SecondVariation:
     i1 = 0.5 * (betas[0] + (m - 3.0) * (m - 5.0) * betas[1])
     i2 = 0.5 * betas[2]
     value = prefactor * factor * (2.0 * i1 + ((2.0 * m - 5.0) + mu) * i2)
+    if not math.isfinite(value):
+        raise DomainError(f"second variation overflows double precision at M={m!r}")
     if min(betas) < sys.float_info.min or (factor != 0.0 and abs(value) < sys.float_info.min):
         raise DomainError(f"second variation underflows double precision at M={m!r}")
     return SecondVariation(
@@ -118,10 +122,10 @@ def _theta_rule(N: int):
 
 
 def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U + eps * A g(r) x_i/|x| (first harmonic).
+    """Rayleigh quotient of U1 + eps * g(r) x_i/|x| (first harmonic).
 
-    A is U's amplitude, so eps is relative to U whatever its scale.
-    Numerator: ||U||^2 + eps^2 ||Z||^2 (the cross term vanishes by
+    U1 is U at amplitude 1: the quotient has degree 0, so eps is relative to U.
+    Numerator: ||U1||^2 + eps^2 ||Z||^2 (the cross term vanishes by
     harmonic orthogonality, so it is not quadratured away).  Denominator:
     full 2D quadrature, a 64-node Gauss-Legendre rule in the polar angle
     tensored with the adaptive radial rule.  At eps = 0 this is the
@@ -131,11 +135,11 @@ def directional_quotient(p: Params, eps: float) -> float:
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
     d = derive(p)
-    u = extremal(p)
+    sigma, kappa = _exponents(p)
+    u = PowerPeakProfile([(1.0, 0, -kappa / sigma)], sigma=sigma)
     g = kernel_mode(p, "Z1_radial")
-    eps_z = eps * amplitude_constant(p)
     w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
-    lams = (0.0, harmonic_eigenvalue(p.N, 1))  # ||U||^2, and g's mode-1 energy
+    lams = (0.0, harmonic_eigenvalue(p.N, 1))  # ||U1||^2, and g's mode-1 energy
     cos_t, w_t = _theta_rule(p.N)
     radial_power = p.beta + p.N - 1.0
 
@@ -143,15 +147,12 @@ def directional_quotient(p: Params, eps: float) -> float:
         jets = u.jet(r, 2), g.jet(r, 2)  # one log pass each
         energies = [power_weighted(mode_operator(jet, r, drift, lam), r, 2.0, w) for jet, lam in zip(jets, lams)]
         uv, gv = (jet[0] for jet in jets)
-        angular = w_t @ (np.abs(uv[None, :] + eps_z * np.outer(cos_t, gv)) ** d.p_star)
+        angular = w_t @ (np.abs(uv[None, :] + eps * np.outer(cos_t, gv)) ** d.p_star)
         return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
 
     energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
     # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
-    try:
-        numerator = d.omega * energy_u + eps_z**2 * (d.omega / p.N * energy_g)
-    except OverflowError:
-        raise DomainError(f"perturbation energy overflows double precision at M={d.M!r}") from None
+    numerator = d.omega * energy_u + eps**2 * (d.omega / p.N * energy_g)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
     denominator = (area_factor * raw) ** (2.0 / d.p_star)
     return numerator / denominator
@@ -195,9 +196,9 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     """Three-witness symmetry-breaking certificate at one parameter point.
 
     Witnesses (independent code paths): the factored second variation,
-    the measured quotient drop I(U+eps Z) - S_r, and the least mode-1
-    Ritz eigenvalue in a basis of 16 functions.  Each is
-    reduced to a sign with dead zone `tol` (the second variation through
+    the measured quotient drop I(U1+eps Z) - S_r with U at unit amplitude,
+    and the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each
+    is reduced to a sign with dead zone `tol` (the second variation through
     its sign-carrying factor, the quotient drop against tol * S_r * eps^2,
     its natural second-order scale).
     All-negative yields Breaking, all-positive NotBreaking, zeros without

@@ -472,16 +472,57 @@ def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     assert "M=" in err
 
 
-def test_certify_perturbation_overflow_is_parameter_error(capsys):
-    """U's amplitude is 8.0e166 at M = 320.7, so eps^2 times its square leaves double range:
-    exit 2 with a message, not a traceback."""
-    code, out, err = run(
+def test_certify_answers_where_the_amplitude_squared_overflows(capsys):
+    """U's amplitude is 8.0e166 at M = 320.7, so eps^2 times its square leaves double range;
+    the quotient witness is taken at unit amplitude and never meets it."""
+    code, out, _ = run(
         capsys, "certify", "--N", "12", "--alpha", "1.2873567717275503", "--beta=-0.6418136948579916", "--json"
     )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["verdict"], record["witness_signs"], record["discrepancies"]) == ("NotBreaking", [1, 1, 1], [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
+        ["certify", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
+        ["certify", "--N", "6", "--alpha", "1e200", "--beta=1.5e200"],
+    ],
+    ids=["scan-1e100", "certify-1e100", "certify-1e200"],
+)
+def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
+    """q = 2/(2+beta-alpha) is 4e-100 or 4e-200: S_r or the second variation leaves double range."""
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "overflows double precision at M=" in err
+    assert "M=" in err
+
+
+def test_constants_at_large_weight_exponent(capsys):
+    """|a| = |beta - 2 alpha|/2 is 3e9; the Rellich infimum tries a few k, not three billion."""
+    code, out, _ = run(capsys, "constants", "--N", "6", "--alpha", "1e10", "--beta=1.4e10", "--json")
+    assert code == 0
+    assert json.loads(out)["rellich_argmin"] == 2999999997
+
+
+@pytest.mark.parametrize(
+    "N, alpha, beta, message",
+    [
+        ("6", "1e10", "1e10", "amplitude constant overflows double precision at M="),
+        ("5", "1e308", "1.5e308", "weight exponent a must be finite, got -inf"),
+    ],
+)
+def test_constants_at_huge_alpha_is_parameter_error(capsys, N, alpha, beta, message):
+    """At alpha = beta = 1e10 M is 1e10 and the amplitude overflows; at alpha = 1e308,
+    2 alpha is inf and so is the weight exponent a = (beta - 2 alpha)/2."""
+    code, out, err = run(capsys, "constants", "--N", N, "--alpha", alpha, f"--beta={beta}", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
 
 
 # criteria 01-10 of the acceptance gate, in order

@@ -26,6 +26,7 @@ from ckn_lab.params import (
     sphere_area,
     validate,
 )
+from ckn_lab.specfun import DomainError
 
 
 # 2 + beta - alpha, and N - 4 + 2*alpha - beta, round to exactly 0.0
@@ -327,6 +328,42 @@ def test_rellich_infimum_reference_values():
     value, argmin = rellich_infimum(5, 2.0)
     assert value == pytest.approx(7.5625, rel=1e-14)
     assert argmin == 1
+
+
+def _rellich_scan(N, a):
+    """The exhaustive scan over every k from 0 past the larger root: the reference."""
+    k_hi = math.ceil(max(0.0, a - (N - 4.0) / 2.0, -N / 2.0 - a)) + 2
+
+    def f(k):
+        g = (k + N / 2.0 + a) * (k + (N - 4.0) / 2.0 - a)
+        return g * g
+
+    best_k = min(range(k_hi + 1), key=f)
+    return f(best_k), best_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=40),
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.integers(-4000, 4000).map(lambda n: n / 4.0)),
+)
+@example(5, 0.0)
+@example(7, 0.5)
+@example(6, -3.5)
+def test_rellich_infimum_tries_only_the_roots_neighbours(N, a):
+    """Same value and the same first argmin as the exhaustive scan."""
+    assert rellich_infimum(N, a) == _rellich_scan(N, a)
+
+
+def test_rellich_infimum_at_large_weight_exponent():
+    """The scan would try five billion k here."""
+    assert rellich_infimum(6, -5e9) == (0.0, 4999999997)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_rellich_infimum_rejects_a_non_finite_exponent(a):
+    with pytest.raises(DomainError, match="must be finite"):
+        rellich_infimum(6, a)
 
 
 @settings(max_examples=150, deadline=None)
