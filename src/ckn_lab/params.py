@@ -159,13 +159,12 @@ class Derived(NamedTuple):
     M:      transformed dimension 2(N+beta)/(2+beta-alpha), always > 4
             on the admissible set (and >= N, with equality exactly on
             the upper beta boundary).
-    omega:  surface area of the unit sphere S^(N-1).
+    The surface area of S^(N-1) is `sphere_area(N)`, formed only where it is read.
     """
 
     p_star: float
     q: float
     M: float
-    omega: float
 
 
 def _log_half_sphere_area(n: int) -> float:
@@ -192,7 +191,6 @@ def derive(p: Params) -> Derived:
         p_star=2.0 * (p.N + p.beta) / kappa,
         q=2.0 / sig,
         M=2.0 * (p.N + p.beta) / sig,
-        omega=sphere_area(p.N),
     )
 
 
@@ -267,7 +265,9 @@ def classify(N: int, alpha: float, beta: float) -> RegionClass:
     ``BOUNDARY_TOL`` only labels the on-edge tags.  The degenerate edge
     beta = alpha - 2 (critical exponent collapses to 2, the energy reduces
     to a pure Rellich form) sits outside the admissible box but is
-    reported with its own tag rather than as plain Invalid.
+    reported with its own tag rather than as plain Invalid.  On the upper
+    edge with alpha > 0, S_0 < S_r = (1 + alpha/(N-2))^(4-4/N) S_0, so the
+    radial profile is not optimal there: hence NotAttainedBoundary.
     """
     try:
         lo, upper = beta_strip(N, alpha)
@@ -379,9 +379,9 @@ def s_r_closed(p: Params) -> float:
     on the upper boundary beta = N*alpha/(N-2).  Raises DomainError where
     it overflows double precision, as q = 2/(2+beta-alpha) -> 0.
     """
-    d = derive(p)
-    if d.omega >= sys.float_info.min:
-        log_omega = math.log(d.omega)
+    d, omega = derive(p), sphere_area(p.N)
+    if omega >= sys.float_info.min:
+        log_omega = math.log(omega)
     else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
         log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
     try:

@@ -13,10 +13,10 @@ differences.
 
 Three representation choices matter for accuracy downstream:
 
-* Exponents are kept as exact `Fraction`s (float inputs are dyadic, so
-  the conversion is lossless).  Derivative chains then keep terms on an
-  exact exponent lattice and equal exponents merge exactly instead of
-  drifting apart by rounding.
+* Exponents are ints over one common denominator (float inputs are
+  dyadic, so the conversion is lossless).  Derivative chains then stay on
+  an exact integer lattice, equal exponents merge exactly instead of
+  drifting apart by rounding, and evaluation reads correctly rounded quotients.
 * Power-peak coefficients (and nu) are floats, or `Fraction`s when given
   as `Fraction`s; the algebra is the same for both, and the
   Euler-Lagrange residual runs its operator chain through it in exact
@@ -115,12 +115,26 @@ class _Evaluation:
         return _values(_chain(self, order), r)
 
 
+def _ratio(x, name: str) -> tuple[int, int]:
+    """x as (numerator, denominator > 0), exactly: binary floats are dyadic rationals."""
+    if not isinstance(x, (int, Fraction)):
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x}")
+    return x.as_integer_ratio()
+
+
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))  # exact: binary floats are dyadic rationals
+    return Fraction(*_ratio(x, "exponent"))
+
+
+def _times(c, n: int, d: int):
+    """c * (n/d): exact for a Fraction c; a float c, the other kind, times the rounded n/d."""
+    return c * (n / d) if type(c) is float else Fraction(c.numerator * n, c.denominator * d)
+
+
+class _Lattice(tuple):
+    """(S, D) for sigma = S/D; passed as `sigma`, it marks the terms as (c, P, E) on the denominator D."""
 
 
 class PowerPeakProfile(_Evaluation):
@@ -134,39 +148,57 @@ class PowerPeakProfile(_Evaluation):
 
     so derivatives of any order stay in the family and are exact.
 
-    Coefficients and nu given as `Fraction` stay exact; any other
-    coefficient or nu is converted to float.
+    sigma, p and e are ints over one denominator; `terms` and `sigma_frac` read them as
+    `Fraction`s.  Coefficients and nu given as `Fraction` stay exact, others become floats;
+    a non-finite sigma, p, e or nu is a DomainError.
     """
 
     def __init__(self, terms, sigma, nu=1.0):
-        sigma = _frac(sigma)
-        if sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {float(sigma)}")
-        if not nu > 0:
-            raise DomainError(f"nu must be positive, got {nu}")
-        # merged on integer keys: hashing a Fraction costs a modular inverse
-        merged: dict[tuple[int, int, int, int], list] = {}
-        for c, p, e in terms:
-            if not isinstance(c, Fraction):
+        if not isinstance(sigma, _Lattice):
+            s, d = _ratio(sigma, "sigma")
+            if s <= 0:
+                raise DomainError(f"sigma must be positive, got {s / d}")
+            if not 0 < nu < math.inf:
+                raise DomainError(f"nu must be positive and finite, got {nu}")
+            terms = [(c, _ratio(p, "p"), _ratio(e, "e")) for c, p, e in terms]
+            D = math.lcm(d, *(r[1] for _, *pe in terms for r in pe))
+            terms = [(c, pn * (D // pd), en * (D // ed)) for c, (pn, pd), (en, ed) in terms]
+            sigma, nu = _Lattice((s * (D // d), D)), nu if isinstance(nu, Fraction) else float(nu)
+        merged: dict[tuple[int, int], object] = {}
+        for c, P, E in terms:
+            if type(c) is not float and not isinstance(c, Fraction):
                 c = float(c)
-            if c == 0:
+            if not c:
                 continue
-            p, e = _frac(p), _frac(e)
-            # an int seed keeps Fraction sums exact (0.0 + Fraction is a float)
-            cell = merged.setdefault((p.numerator, p.denominator, e.numerator, e.denominator), [p, e, 0])
-            cell[2] = cell[2] + c
-        self.terms = tuple((c, p, e) for p, e, c in sorted(merged.values()) if c != 0)
-        self.sigma_frac = sigma
-        self.sigma = float(sigma)
-        self.nu = nu if isinstance(nu, Fraction) else float(nu)
+            old = merged.get((P, E))  # a cell's first c as it is: 0 + c is c, and Fractions stay exact
+            merged[P, E] = c if old is None else old + c
+        self._cells = tuple((c, P, E) for (P, E), c in sorted(merged.items()) if c)
+        self._lattice = sigma
+        self.sigma = sigma[0] / sigma[1]
+        self.nu = nu
         self._dcache: list = [self]
+
+    @cached_property
+    def terms(self) -> tuple:
+        D = self._lattice[1]
+        return tuple((c, Fraction(P, D), Fraction(E, D)) for c, P, E in self._cells)
+
+    @cached_property
+    def sigma_frac(self) -> Fraction:
+        return Fraction(*self._lattice)
+
+    def _on(self, D: int) -> tuple[tuple, _Lattice]:
+        """The cells and lattice on D, a multiple of the profile's denominator."""
+        S, m = self._lattice[0], D // self._lattice[1]
+        return (tuple((c, P * m, E * m) for c, P, E in self._cells) if m > 1 else self._cells), _Lattice((S * m, D))
 
     # -- evaluation ---------------------------------------------------
 
     @cached_property
     def _float_view(self) -> list:
         """(c > 0, log|c|, p, e) per term as Python floats, built on first evaluation."""
-        return [(float(c) > 0.0, math.log(abs(float(c))), float(p), float(e)) for c, p, e in self.terms]
+        D = self._lattice[1]
+        return [(float(c) > 0.0, math.log(abs(float(c))), P / D, E / D) for c, P, E in self._cells]
 
     def _logs(self, arr):
         lr = np.log(arr)
@@ -187,34 +219,31 @@ class PowerPeakProfile(_Evaluation):
     # -- algebra ------------------------------------------------------
 
     def differentiate(self) -> "PowerPeakProfile":
-        new_terms = []
-        for c, p, e in self.terms:
-            if p != 0:
-                new_terms.append((c * p, p - 1, e))
-            if e != 0:
-                # float c times the Fraction e*sigma rounds once, as c * float(e*sigma)
-                new_terms.append((c * (e * self.sigma_frac), p + self.sigma_frac - 1, e - 1))
-        return PowerPeakProfile(new_terms, self.sigma_frac, self.nu)
+        S, D = self._lattice
+        cells = []
+        for c, P, E in self._cells:
+            if P:
+                cells.append((_times(c, P, D), P - D, E))
+            if E:
+                cells.append((_times(c, E * S, D * D), P + S - D, E - D))
+        return PowerPeakProfile(cells, self._lattice, self.nu)
 
     def times_power(self, k) -> "PowerPeakProfile":
-        k = _frac(k)
-        return PowerPeakProfile(
-            [(c, p + k, e) for c, p, e in self.terms], self.sigma_frac, self.nu
-        )
+        n, d = _ratio(k, "power")
+        cells, lattice = self._on(math.lcm(self._lattice[1], d))
+        shift = n * (lattice[1] // d)
+        return PowerPeakProfile([(c, P + shift, E) for c, P, E in cells], lattice, self.nu)
 
     def scaled(self, a) -> "PowerPeakProfile":
-        return PowerPeakProfile(
-            [(a * c, p, e) for c, p, e in self.terms], self.sigma_frac, self.nu
-        )
+        return PowerPeakProfile([(a * c, P, E) for c, P, E in self._cells], self._lattice, self.nu)
 
     def compose_power(self, k) -> "PowerPeakProfile":
         """The profile r |-> f(r^k), staying inside the family (k > 0)."""
-        k = _frac(k)
-        if k <= 0:
+        n, d = _ratio(k, "power")
+        if n <= 0:
             raise DomainError("compose_power requires a positive exponent")
-        return PowerPeakProfile(
-            [(c, p * k, e) for c, p, e in self.terms], self.sigma_frac * k, self.nu
-        )
+        S, D = self._lattice
+        return PowerPeakProfile([(c, P * n, E * d) for c, P, E in self._cells], _Lattice((S * n, D * d)), self.nu)
 
     def canonical(self) -> "PowerPeakProfile":
         """Rewrite to the lowest peak exponent per residue class.
@@ -223,41 +252,37 @@ class PowerPeakProfile(_Evaluation):
         the binomial theorem onto the smallest exponent; coefficients of
         algebraically-cancelling combinations then subtract exactly.
         """
-        groups: dict[Fraction, list] = {}
-        for c, p, e in self.terms:
-            res = e - (e.numerator // e.denominator)  # fractional residue of e
-            groups.setdefault(res, []).append((c, p, e))
-        new_terms = []
+        S, D = self._lattice
+        groups: dict[int, list] = {}
+        for cell in self._cells:
+            groups.setdefault(cell[2] % D, []).append(cell)  # e's fractional residue, times D
+        cells = []
         for group in groups.values():
-            e_min = min(e for _, _, e in group)
-            for c, p, e in group:
-                j = int(e - e_min)
+            e_min = min(E for _, _, E in group)
+            for c, P, E in group:
+                j = (E - e_min) // D
                 if j > 64:
                     raise DomainError("canonical expansion span too large")
                 for i in range(j + 1):
-                    new_terms.append(
-                        (c * math.comb(j, i) * self.nu ** (j - i),
-                         p + i * self.sigma_frac,
-                         e_min)
-                    )
-        return PowerPeakProfile(new_terms, self.sigma_frac, self.nu)
+                    cells.append((c * math.comb(j, i) * self.nu ** (j - i), P + i * S, e_min))
+        return PowerPeakProfile(cells, self._lattice, self.nu)
 
     def __add__(self, other: "PowerPeakProfile") -> "PowerPeakProfile":
         if not isinstance(other, PowerPeakProfile):
             return NotImplemented
-        if other.sigma_frac != self.sigma_frac or other.nu != self.nu:
+        (S, D), (S2, D2) = self._lattice, other._lattice
+        if S * D2 != S2 * D or other.nu != self.nu:
             raise DomainError("profiles combine only with matching sigma and nu")
-        return PowerPeakProfile(
-            list(self.terms) + list(other.terms), self.sigma_frac, self.nu
-        )
+        D = math.lcm(D, D2)
+        cells, lattice = self._on(D)
+        return PowerPeakProfile(cells + other._on(D)[0], lattice, self.nu)
 
     def __sub__(self, other: "PowerPeakProfile") -> "PowerPeakProfile":
         return self + other.scaled(-1)
 
     def __repr__(self):
         body = " + ".join(
-            f"{float(c):g}*r^{float(p):g}*(nu+r^{self.sigma:g})^{float(e):g}"
-            for c, p, e in self.terms
+            f"{float(c):g}*r^{float(p):g}*(nu+r^{self.sigma:g})^{float(e):g}" for c, p, e in self.terms
         )
         return f"PowerPeakProfile({body or '0'}, nu={float(self.nu):g})"
 
@@ -301,10 +326,12 @@ class GaussianProfile(_Evaluation):
 # ---------------------------------------------------------------------------
 
 
-def _exponents(p: Params) -> tuple[Fraction, Fraction]:
-    """The exact sigma = 2+beta-alpha and kappa = N-4+2*alpha-beta of the float inputs."""
-    alpha, beta = _frac(p.alpha), _frac(p.beta)
-    return 2 + beta - alpha, p.N - 4 + 2 * alpha - beta
+def _exponents(p: Params) -> tuple[int, int, int]:
+    """(S, K, D): the float inputs' sigma = 2+beta-alpha = S/D and kappa = N-4+2*alpha-beta = K/D."""
+    (a, da), (b, db) = _ratio(p.alpha, "alpha"), _ratio(p.beta, "beta")
+    D = math.lcm(da, db)
+    A, B = a * (D // da), b * (D // db)
+    return 2 * D + B - A, (p.N - 4) * D + 2 * A - B, D
 
 
 def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
@@ -316,18 +343,18 @@ def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
     if not 0.0 < lam < math.inf:
         raise DomainError(f"scaling parameter must be positive and finite, got {lam}")
     lam = float(lam)
-    sigma, kappa = _exponents(p)
+    S, K, D = _exponents(p)
     try:  # the plain float powers, so every in-range profile keeps its bits
-        coeff = amplitude_constant(p) * lam ** (-float(kappa) / 2.0)
-        nu = lam ** (-float(sigma))
+        coeff = amplitude_constant(p) * lam ** (-(K / D) / 2.0)
+        nu = lam ** (-(S / D))
     except OverflowError:
         coeff = nu = math.inf
     if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
         raise DomainError(
-            f"scaling parameter {lam!r} puts nu = lam^(-{float(sigma):g}) or the coefficient "
-            f"amplitude * lam^(-{float(kappa) / 2.0:g}) outside double range"
+            f"scaling parameter {lam!r} puts nu = lam^(-{S / D:g}) or the coefficient "
+            f"amplitude * lam^(-{K / D / 2.0:g}) outside double range"
         )
-    return PowerPeakProfile([(coeff, 0, -kappa / sigma)], sigma=sigma, nu=nu)
+    return PowerPeakProfile([(coeff, 0, -K * D)], _Lattice((S * S, S * D)), nu)  # -kappa/sigma = -K*D/(S*D)
 
 
 def kernel_mode(p: Params, which: str) -> PowerPeakProfile:
@@ -339,15 +366,15 @@ def kernel_mode(p: Params, which: str) -> PowerPeakProfile:
     r^(sigma/2)(1 + r^sigma)^(-(N-2+alpha)/sigma); the full mode carries an
     extra angular factor x_i/|x| tracked by mode index, not here.
     """
-    sigma, kappa = _exponents(p)
-    e = -1 - kappa / sigma  # -(N-2+alpha)/sigma, as N-2+alpha = sigma + kappa
+    S, K, D = _exponents(p)
+    e = -2 * (S + K) * D  # -(N-2+alpha)/sigma = -(S+K)/S over the denominator 2*S*D, where sigma/2 is S*S
     if which == "Z0":
-        terms = [(1.0, 0, e), (-1.0, sigma, e)]
+        terms = [(1.0, 0, e), (-1.0, 2 * S * S, e)]
     elif which == "Z1_radial":
-        terms = [(1.0, sigma / 2, e)]
+        terms = [(1.0, S * S, e)]
     else:
         raise DomainError(f"unknown kernel mode {which!r}")
-    return PowerPeakProfile(terms, sigma=sigma, nu=1.0)
+    return PowerPeakProfile(terms, _Lattice((2 * S * S, 2 * S * D)), nu=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +431,7 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
         beta_f = _frac(p.beta)
         unit = PowerPeakProfile([(Fraction(1), p0, e0)], u.sigma_frac, Fraction(u.nu))
         inner = weighted_laplacian(unit, p.alpha, p.N).times_power(-beta_f)
-        pstar_frac = 2 * (p.N + beta_f) / _exponents(p)[1]  # the equation's p*, whatever u's sigma
+        pstar_frac = 2 * (p.N + beta_f) / Fraction(*_exponents(p)[1:])  # the equation's p*, whatever u's sigma
         # |u|^(p*-2) u is a times |a|^(p*-2) |unit|^(p*-2) unit, for either sign of a
         rhs_unit = abs(a) ** (d.p_star - 2.0)
         rhs_cell = PowerPeakProfile(
@@ -456,14 +483,14 @@ def emden_fowler(u, p: Params):
     _require_power_peak(u)
     d = derive(p)
     m = d.M
-    sigma, kappa = _exponents(p)
-    half = kappa / sigma  # (M-4)/2
+    S, K, D = _exponents(p)
+    half = Fraction(K, S)  # kappa/sigma = (M-4)/2
     try:
         scale = d.q ** float(half)
     except OverflowError:
         scale = math.inf
-    psi = u.compose_power(2 / sigma).times_power(half).scaled(scale)
-    if not all(math.isfinite(c) for c, _, _ in psi.terms):
+    psi = u.compose_power(Fraction(2 * D, S)).times_power(half).scaled(scale)
+    if not all(math.isfinite(c) for c, _, _ in psi._cells):
         raise DomainError(
             f"transformed profile q^((M-4)/2) u overflows double precision at M={m!r}"
         )

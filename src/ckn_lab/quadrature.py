@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import Params, derive
+from .params import Params, derive, sphere_area
 from .specfun import AccuracyError, DivergentIntegralError, DomainError
 
 __all__ = [
@@ -291,7 +291,7 @@ def quotient_radial(u, p: Params) -> float:
     The energy is omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr,
     the critical norm ||u||_* is (omega * integral |u|^p* r^(beta+N-1) dr)^(1/p*).
     """
-    d = derive(p)
+    d, omega = derive(p), sphere_area(p.N)
 
     def rows(r):  # the integrands of ||u||_* and ||u||^2, from one jet
         jet = u.jet(r, 2)
@@ -301,7 +301,7 @@ def quotient_radial(u, p: Params) -> float:
         )
 
     star, energy = (res.value for res in integrate_rows(rows))
-    denom = (d.omega * star) ** (1.0 / d.p_star)
+    denom = (omega * star) ** (1.0 / d.p_star)
     if denom == 0.0:
         raise DomainError("quotient undefined: ||u||_* = 0")
-    return d.omega * energy / (denom * denom)
+    return omega * energy / (denom * denom)

@@ -22,6 +22,7 @@ import functools
 import math
 import sys
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +85,7 @@ def second_variation(p: Params) -> SecondVariation:
     mu = d.q**2 * (p.N - 1.0)
     factor = mu - (m - 1.0)
     try:
-        prefactor = d.omega / p.N * d.q**-3
+        prefactor = sphere_area(p.N) / p.N * d.q**-3
     except OverflowError:
         prefactor = math.inf
     # Beta reduction: X1' = (1+s^2)^(-M/2) (1 - (M-3)s^2), so (X1')^2 s^(M-4)
@@ -134,9 +135,9 @@ def directional_quotient(p: Params, eps: float) -> float:
     """
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
-    d = derive(p)
-    sigma, kappa = _exponents(p)
-    u = PowerPeakProfile([(1.0, 0, -kappa / sigma)], sigma=sigma)
+    d, omega = derive(p), sphere_area(p.N)
+    S, K, D = _exponents(p)
+    u = PowerPeakProfile([(1.0, 0, Fraction(-K, S))], sigma=Fraction(S, D))  # U1, with e = -kappa/sigma
     g = kernel_mode(p, "Z1_radial")
     w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
     lams = (0.0, harmonic_eigenvalue(p.N, 1))  # ||U1||^2, and g's mode-1 energy
@@ -152,7 +153,7 @@ def directional_quotient(p: Params, eps: float) -> float:
 
     energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
     # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
-    numerator = d.omega * energy_u + eps**2 * (d.omega / p.N * energy_g)
+    numerator = omega * energy_u + eps**2 * (omega / p.N * energy_g)
     area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
     denominator = (area_factor * raw) ** (2.0 / d.p_star)
     return numerator / denominator
@@ -205,7 +206,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     sign conflict Boundary.
     The verdict is what was *measured*; if it differs from the analytic
     classification (or the witnesses conflict), the discrepancies field
-    says so explicitly.
+    says so explicitly.  On the upper edge beta = N*alpha/(N-2), alpha > 0,
+    S_0 < S_r, so the radial profile is not optimal and Breaking is expected.
     """
     if eps == 0.0 or not abs(eps) < 0.5:
         raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5, got {eps}")

@@ -146,6 +146,30 @@ def test_fs_curve_matches_golden_fixture(tmp_path):
     assert five.read_bytes() + six.read_bytes() == GOLDEN_FS_CURVE.read_bytes()
 
 
+GOLDEN_PROFILES = Path(__file__).parent / "data" / "profiles_golden.jsonl"
+
+#: the fixture's commands, one JSON line each: betas with long binary expansions
+#: (0.3, -0.6, -1.8, 1.3) put the profile algebra's exponents on large denominators
+GOLDEN_PROFILE_COMMANDS = [
+    *(("transform-check", N, alpha, beta)
+      for N, alpha, beta in [(5, 0.7, 0.3), (5, 1.0, 1.0), (6, 1.3, -0.6), (6, 0.25, 0.1),
+                             (8, 0.1, -1.8), (8, 2.0, 1.3)]),
+    *(("certify", N, alpha, beta) for N, alpha, beta in [(5, 1.0, 1.0), (5, 0.7, 0.3), (6, 1.3, -0.6), (8, 2.0, 2.5)]),
+]
+
+
+def test_profile_commands_match_golden_fixture(tmp_path):
+    """transform-check and certify, which run the exact profile algebra, print the
+    committed fixture's bytes: any moved bit of a residual or a quotient shows here."""
+    out = tmp_path / "line.jsonl"
+    lines = []
+    for command, N, alpha, beta in GOLDEN_PROFILE_COMMANDS:
+        argv = [command, "--N", str(N), "--alpha", repr(alpha), f"--beta={beta!r}", "--json", "--out", str(out)]
+        assert main(argv) == 0
+        lines.append(out.read_bytes())
+    assert b"".join(lines) == GOLDEN_PROFILES.read_bytes()
+
+
 def test_golden_rho1_is_the_closed_form():
     """Every rho1 of the fixture is the closed-form least mode-1 eigenvalue, to the bit."""
     rows = list(csv.DictReader(GOLDEN_SCAN.open()))

@@ -218,7 +218,7 @@ def test_derived_at_reference_point(p511):
     assert d.p_star == pytest.approx(6.0, rel=1e-14)
     assert d.q == pytest.approx(1.0, rel=1e-14)
     assert d.M == pytest.approx(6.0, rel=1e-14)
-    assert d.omega == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-14)
+    assert sphere_area(p511.N) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-14)
 
 
 def test_sphere_area_small_dimensions():

@@ -1,6 +1,7 @@
 """Exact profile algebra, ground states, ODE residuals, closed constants."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -240,6 +241,151 @@ def test_terms_match_the_fraction_keyed_merge(terms, sigma, nu):
     assert _typed_terms(got) == _typed_terms(_merge_by_fraction_keys(terms))
 
 
+# -- the exponent lattice against the Fraction algebra ------------------------
+
+
+def _reference_frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return Fraction(float(x))  # exact: binary floats are dyadic rationals
+
+
+class _FractionPowerPeak:
+    """PowerPeakProfile's algebra with every exponent a `Fraction`, as once computed:
+    the reference the integer lattice must reproduce bit for bit."""
+
+    def __init__(self, terms, sigma, nu=1.0):
+        sigma = _reference_frac(sigma)
+        if sigma <= 0:
+            raise DomainError(f"sigma must be positive, got {float(sigma)}")
+        if not nu > 0:
+            raise DomainError(f"nu must be positive, got {nu}")
+        merged = {}
+        for c, p, e in terms:
+            if not isinstance(c, Fraction):
+                c = float(c)
+            if c == 0:
+                continue
+            p, e = _reference_frac(p), _reference_frac(e)
+            cell = merged.setdefault((p.numerator, p.denominator, e.numerator, e.denominator), [p, e, 0])
+            cell[2] = cell[2] + c
+        self.terms = tuple((c, p, e) for p, e, c in sorted(merged.values()) if c != 0)
+        self.sigma_frac = sigma
+        self.sigma = float(sigma)
+        self.nu = nu if isinstance(nu, Fraction) else float(nu)
+
+    @property
+    def _float_view(self) -> list:
+        return [(float(c) > 0.0, math.log(abs(float(c))), float(p), float(e)) for c, p, e in self.terms]
+
+    def differentiate(self):
+        new_terms = []
+        for c, p, e in self.terms:
+            if p != 0:
+                new_terms.append((c * p, p - 1, e))
+            if e != 0:
+                new_terms.append((c * (e * self.sigma_frac), p + self.sigma_frac - 1, e - 1))
+        return _FractionPowerPeak(new_terms, self.sigma_frac, self.nu)
+
+    def times_power(self, k):
+        k = _reference_frac(k)
+        return _FractionPowerPeak([(c, p + k, e) for c, p, e in self.terms], self.sigma_frac, self.nu)
+
+    def scaled(self, a):
+        return _FractionPowerPeak([(a * c, p, e) for c, p, e in self.terms], self.sigma_frac, self.nu)
+
+    def compose_power(self, k):
+        k = _reference_frac(k)
+        if k <= 0:
+            raise DomainError("compose_power requires a positive exponent")
+        return _FractionPowerPeak([(c, p * k, e) for c, p, e in self.terms], self.sigma_frac * k, self.nu)
+
+    def canonical(self):
+        groups = {}
+        for c, p, e in self.terms:
+            res = e - (e.numerator // e.denominator)
+            groups.setdefault(res, []).append((c, p, e))
+        new_terms = []
+        for group in groups.values():
+            e_min = min(e for _, _, e in group)
+            for c, p, e in group:
+                j = int(e - e_min)
+                if j > 64:
+                    raise DomainError("canonical expansion span too large")
+                for i in range(j + 1):
+                    new_terms.append((c * math.comb(j, i) * self.nu ** (j - i), p + i * self.sigma_frac, e_min))
+        return _FractionPowerPeak(new_terms, self.sigma_frac, self.nu)
+
+    def __add__(self, other):
+        if other.sigma_frac != self.sigma_frac or other.nu != self.nu:
+            raise DomainError("profiles combine only with matching sigma and nu")
+        return _FractionPowerPeak(list(self.terms) + list(other.terms), self.sigma_frac, self.nu)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+
+_LONG_FLOATS = st.floats(min_value=-4.0, max_value=4.0, allow_subnormal=False)
+_POWERS = st.one_of(_EXPONENTS, _LONG_FLOATS)
+_STEPS = st.one_of(
+    st.tuples(st.just("differentiate")),
+    st.tuples(st.just("canonical")),
+    st.tuples(st.just("times_power"), _POWERS),
+    st.tuples(st.just("compose_power"), _POWERS),
+    st.tuples(st.just("scaled"), _COEFFICIENTS),
+    st.tuples(st.sampled_from(["__add__", "__sub__"]), _term_lists(), st.sampled_from([1, 1, 1, 2])),
+)
+
+
+def _apply(cls, f, step):
+    """One algebra step on f; a sum's other operand has f's sigma times `stretch`."""
+    name, *args = step
+    if name in ("__add__", "__sub__"):
+        terms, stretch = args
+        args = [cls(terms, f.sigma_frac * stretch, f.nu)]
+    return getattr(f, name)(*args)
+
+
+def _outcome(f):
+    return _typed_terms(f.terms), f.sigma_frac, [
+        (plus, float(logc).hex(), p.hex(), e.hex()) for plus, logc, p, e in f._float_view
+    ], f.sigma.hex(), f.nu
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=_term_lists(),
+    alpha=st.floats(min_value=-1.0, max_value=3.0),
+    beta=st.floats(min_value=-3.0, max_value=6.0),
+    as_float=st.booleans(),
+    nu=st.one_of(st.floats(min_value=0.05, max_value=20.0), st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9)),
+    steps=st.lists(_STEPS, max_size=5),
+)
+@example(terms=[(1.0, 0, Fraction(-300)), (1.0, 0, 2)], alpha=0.0, beta=0.0, as_float=False, nu=1.0, steps=[("canonical",)])
+@example(terms=[(Fraction(1, 3), 1, -2)], alpha=0.3, beta=0.7, as_float=True, nu=Fraction(1, 3), steps=[("compose_power", -0.5)])
+@example(terms=[(1.0, 0.1, -1.5)], alpha=0.7, beta=0.3, as_float=False, nu=1.0, steps=[("__add__", [(1.0, 0, 0)], 2)])
+def test_lattice_algebra_matches_the_fraction_algebra(terms, alpha, beta, as_float, nu, steps):
+    """Random chains of the algebra steps give the same exact terms and sigma, the same
+    float view to the bit, and the same typed error as the Fraction-exponent algebra."""
+    sigma = 2 + _reference_frac(beta) - _reference_frac(alpha)
+    assume(sigma > 0)
+    if as_float:
+        sigma = float(sigma)
+    got, want = PowerPeakProfile(terms, sigma, nu), _FractionPowerPeak(terms, sigma, nu)
+    assert _outcome(got) == _outcome(want)
+    for step in steps:
+        try:
+            want = _apply(_FractionPowerPeak, want, step)
+        except DomainError as err:
+            with pytest.raises(DomainError, match=re.escape(str(err))):
+                _apply(PowerPeakProfile, got, step)
+            return
+        got = _apply(PowerPeakProfile, got, step)
+        assert _outcome(got) == _outcome(want)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     terms=_term_lists(),
@@ -337,6 +483,40 @@ def test_scaling_inside_double_range_keeps_the_power_expressions(p511, lam):
 def test_nan_or_nonpositive_nu_is_a_domain_error(nu):
     with pytest.raises(DomainError, match="nu must be positive"):
         PowerPeakProfile([(1.0, 0, -1)], sigma=2, nu=nu)
+
+
+@pytest.mark.parametrize(
+    "terms, sigma, nu, name",
+    [
+        ([(1.0, 0, -2)], math.nan, 1.0, "sigma"),
+        ([(1.0, 0, -2)], math.inf, 1.0, "sigma"),
+        ([(1.0, 0, -2)], -math.inf, 1.0, "sigma"),
+        ([(1.0, math.nan, -2)], 2, 1.0, "p"),
+        ([(1.0, -math.inf, -2)], 2, 1.0, "p"),
+        ([(1.0, 0, math.nan)], 2, 1.0, "e"),
+        ([(1.0, 0, math.inf)], 2, 1.0, "e"),
+        ([(1.0, 0, -2)], 2, math.inf, "nu"),
+    ],
+)
+def test_non_finite_sigma_exponent_or_nu_is_a_domain_error_naming_it(terms, sigma, nu, name):
+    """Not a ValueError or OverflowError from the exact conversion, nor an infinite nu
+    whose profile reads a plausible 0.0."""
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        PowerPeakProfile(terms, sigma, nu)
+
+
+@pytest.mark.parametrize("method", ["times_power", "compose_power"])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_power_is_a_domain_error(method, k):
+    f = PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0)
+    with pytest.raises(DomainError, match="^power must be finite"):
+        getattr(f, method)(k)
+
+
+def test_non_finite_coefficient_is_kept():
+    """A coefficient is not checked: emden_fowler reports its own overflow."""
+    f = PowerPeakProfile([(math.inf, 0, -2)], sigma=2, nu=1.0)
+    assert f.terms == ((math.inf, 0, -2),)
 
 
 # -- ground-state family ------------------------------------------------------

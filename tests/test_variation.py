@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ckn_lab.variation as variation
-from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, validate
+from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, sphere_area, validate
 from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, power_weighted
 from ckn_lab.specfun import DomainError
@@ -171,7 +171,7 @@ def test_directional_quotient_taylor_window(p511):
     drop = s_r - directional_quotient(p511, eps)
     u, d = extremal(p511), derive(p511)
     (star,) = integrate_rows(lambda r: (power_weighted(u.eval(r), r, d.p_star, p511.beta + p511.N - 1.0),))
-    norm_star = (d.omega * star.value) ** (1.0 / d.p_star)
+    norm_star = (sphere_area(p511.N) * star.value) ** (1.0 / d.p_star)
     size = eps * amplitude_constant(p511)
     model = -second_variation(p511).value * size * size / norm_star**2
     assert drop > 0.0
