@@ -18,7 +18,7 @@ reversed every other round, and in each one runs
   next one starts, and
 * the command-line runs of CLI_RUNS, each a few ``ckn-lab`` processes
   that call ``main`` once and loop over many cells or alphas inside it,
-  as real use does: ``scan_cli_s`` is three ``scan --jobs 1`` processes
+  as real use does: ``scan_cli_s`` is three ``scan`` processes
   (N = 5, 6, 8; 603 CSV rows), ``fs_curve_cli_s`` two ``fs-curve``
   processes (N = 5, 8; 40 alphas each), ``verify_all_cli_s`` one
   ``verify-all`` process, ``constants_cli_s`` five ``constants --json``
@@ -74,7 +74,7 @@ import speed  # noqa: E402
 
 CLI_RUNS = {
     "scan_cli_s": [
-        ["scan", "--N", str(n), "--alpha", "0.1:2:10", "--beta", "auto:20", "--jobs", "1"]
+        ["scan", "--N", str(n), "--alpha", "0.1:2:10", "--beta", "auto:20"]
         for n in (5, 6, 8)
     ],
     "fs_curve_cli_s": [["fs-curve", "--N", str(n), "--alpha", "0.1:2:40", "--json"] for n in (5, 8)],

@@ -111,7 +111,9 @@ def _output(args: argparse.Namespace, newline: str | None = None):
     return open(args.out, "w", newline=newline) if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _emit_record(record: dict, args: argparse.Namespace) -> None:
+def _emit_record(p, fields: dict, args: argparse.Namespace) -> None:
+    """The point p as n, alpha and beta, then `fields`: aligned text lines, or one JSON line with --json."""
+    record = {"n": p.N, "alpha": p.alpha, "beta": p.beta, **fields}
     with _output(args) as stream:
         if getattr(args, "json", False):
             print(json.dumps(record, sort_keys=True), file=stream)
@@ -133,9 +135,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     # with a_r = (beta - 2 alpha)/2
     r_val, r_k = rellich_infimum(p.N, (p.beta - 2.0 * p.alpha) / 2.0)
     record = {
-        "n": p.N,
-        "alpha": p.alpha,
-        "beta": p.beta,
         "class": classify(p.N, p.alpha, p.beta).value,
         "p_star": d.p_star,
         "q": d.q,
@@ -148,7 +147,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "rellich_infimum": r_val,
         "rellich_argmin": r_k,
     }
-    _emit_record(record, args)
+    _emit_record(p, record, args)
     return 0
 
 
@@ -157,21 +156,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     p = validate(args.N, args.alpha, args.beta)
     cert = certify(p, eps=args.eps, tol=args.tol)
-    record = {
-        "n": p.N,
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "verdict": cert.verdict.value,
-        "expected": cert.expected.value,
-        "witness_signs": list(cert.witness_signs),
-        "s_r": cert.s_r,
-        "second_variation": cert.second_variation,
-        "directional_quotient": cert.directional_quotient,
-        "eps": cert.eps,
-        "ritz_rho1": cert.ritz_rho1,
-        "discrepancies": list(cert.discrepancies),
-    }
-    _emit_record(record, args)
+    fields = cert._asdict()
+    del fields["params"]  # _emit_record prints it as n, alpha and beta
+    fields.update(verdict=cert.verdict.value, expected=cert.expected.value,
+                  witness_signs=list(cert.witness_signs), discrepancies=list(cert.discrepancies))
+    _emit_record(p, fields, args)
     return 1 if cert.discrepancies else 0
 
 
@@ -203,31 +192,28 @@ def _cmd_fs_curve(args: argparse.Namespace) -> int:
 _SCAN_FIELDS = ("N", "alpha", "beta", "class", "beta_fs", "s_r", "second_variation", "rho1", "wall_time_ms")
 
 
-def _scan_point(point: tuple[int, float, float]) -> list[str]:
-    """One CSV row of the scan grid.
+def _scan_cell(N: int, alpha: float, beta: float) -> dict[str, str]:
+    """The cells of one scan row, keyed by column name; `_cmd_scan` leaves a missing one empty.
 
-    rho1 is the closed-form least mode-1 eigenvalue `mode_eigenvalue(1, p)`,
-    negative exactly where the radial extremal is unstable (beta > beta_fs).
-    Numeric cells are empty where the quantity is undefined (Invalid or
-    degenerate triples) or where second_variation underflows double
-    precision (large M or large N); wall_time_ms stays empty so reruns are
-    byte-identical.
+    rho1 is the closed-form least mode-1 eigenvalue `mode_eigenvalue(1, p)`, negative exactly
+    where the radial extremal is unstable (beta > beta_fs).  beta_fs, s_r, second_variation and
+    rho1 are missing at Invalid or degenerate triples, second_variation also where it underflows
+    double precision (large M or large N); wall_time_ms is never filled, so reruns are byte-identical.
     """
     from .spectral import mode_eigenvalue
     from .variation import second_variation
 
-    N, alpha, beta = point
     tag = classify(N, alpha, beta)
-    row = [str(N), repr(alpha), repr(beta), tag.value, "", "", "", "", ""]
+    cell = {"N": str(N), "alpha": repr(alpha), "beta": repr(beta), "class": tag.value}
     if tag in (RegionClass.INVALID, RegionClass.RELLICH_DEGENERATE):
-        return row
+        return cell
     p = validate(N, alpha, beta)
-    row[4] = repr(beta_fs(N, alpha))
-    row[5] = repr(s_r_closed(p))
+    cell["beta_fs"] = repr(beta_fs(N, alpha))
+    cell["s_r"] = repr(s_r_closed(p))
     with contextlib.suppress(DomainError):
-        row[6] = repr(second_variation(p).value)
-    row[7] = repr(mode_eigenvalue(1, p))
-    return row
+        cell["second_variation"] = repr(second_variation(p).value)
+    cell["rho1"] = repr(mode_eigenvalue(1, p))
+    return cell
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -237,13 +223,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for alpha in _parse_range(args.alpha, "alpha")
         for beta in _beta_values(args.N, alpha, args.beta)
     ]
-    rows = [_scan_point(pt) for pt in points]
+    cells = [_scan_cell(*point) for point in points]
     import csv
 
     with _output(args, newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_SCAN_FIELDS)
-        writer.writerows(rows)
+        writer.writerows([cell.get(name, "") for name in _SCAN_FIELDS] for cell in cells)
     return 0
 
 
@@ -273,9 +259,6 @@ def _cmd_transform_check(args: argparse.Namespace) -> int:
     ts = np.linspace(-6.0, 6.0, 101)
     _, residual = emden_fowler(extremal(p), p)
     record = {
-        "n": p.N,
-        "alpha": p.alpha,
-        "beta": p.beta,
         "ground_state_residual": float(np.max(np.abs(residual(ts)))),
         "ground_state_residual_rel": float(np.max(residual(ts, relative=True))),
     }
@@ -286,7 +269,7 @@ def _cmd_transform_check(args: argparse.Namespace) -> int:
         value = float(np.max(np.abs(cosh_profile_residual(m, ts))))
         record[f"cosh_residual_m{str(m).replace('.', '_')}"] = value
         worst = np.maximum(worst, value)
-    _emit_record(record, args)
+    _emit_record(p, record, args)
     return 0 if worst < 1e-6 else 1
 
 

@@ -98,6 +98,8 @@ def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]
         n = 0
     if n < 5:
         return [f"dimension must be an integer >= 5, got N={N!r}"], None
+    if n * n > sys.float_info.max:  # beta_fs's radicand would leave double range
+        return [f"dimension N={N!r} is too large: N*N exceeds the largest double"], None
     reasons = [] if alpha > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
     return reasons, (alpha - 2.0, n * alpha / (n - 2.0))
 
@@ -105,7 +107,8 @@ def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]
 def beta_strip(N: int, alpha: float) -> tuple[float, float]:
     """Ends (lo, hi) = (alpha - 2, N*alpha/(N-2)) of the admissible strip lo < beta <= hi.
 
-    Raises ParamError if N is not an integer >= 5 or alpha <= 2 - N.
+    Raises ParamError if N is not an integer >= 5, N*N exceeds the largest
+    double (N >= 2^512, and a few N just below) or alpha <= 2 - N.
     """
     reasons, ends = _strip(N, alpha)
     if reasons:
@@ -181,7 +184,10 @@ def sphere_area(n: int) -> float:
 def harmonic_eigenvalue(N: int, k: int) -> float:
     """lam_k = k(N-2+k), the eigenvalue of -Delta on degree-k harmonics of S^(N-1), k >= 0."""
     k = _index(k, "mode index")
-    return float(k * (_integral(N) - 2 + k))
+    lam = k * (_integral(N) - 2 + k)
+    if lam > sys.float_info.max:
+        raise DomainError(f"sphere eigenvalue k(N-2+k) at N={N}, k={k} exceeds the largest double")
+    return float(lam)
 
 
 def derive(p: Params) -> Derived:
@@ -199,8 +205,11 @@ def beta_fs(N: int, alpha: float) -> float:
 
     Defined by -N + sqrt(N^2 + alpha^2 + 2(N-2)alpha); the radicand
     equals (alpha + N - 2)^2 + 4(N - 1), positive at every N >= 1.
+    Raises ParamError where N*N exceeds the largest double, as `beta_strip`.
     """
     N = _integral(N)
+    if N * N > sys.float_info.max:
+        raise ParamError(_strip(N, alpha)[0])  # the reason beta_strip gives
     rad = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
     if rad < 0.0:  # only at N < 1, outside the domain
         raise ParamError([f"threshold radicand negative: {rad}"])
@@ -316,11 +325,14 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     The product inside the square is an upward parabola in k with roots
     at -N/2 - a and a - (N-4)/2, so on k >= 0 its absolute value is least
     at k = 0 or at an integer next to a nonnegative root; only those are
-    tried.  Raises DomainError for a non-finite a.
+    tried.  Raises DomainError for a non-finite a, and for |a| >= 2^52,
+    where floats no longer resolve k + a and the formula loses all accuracy.
     """
     N = _integral(N)
     if not math.isfinite(a):
         raise DomainError(f"weight exponent a must be finite, got {a!r}")
+    if abs(a) >= 2.0**52:
+        raise DomainError(f"weight exponent a must satisfy |a| < 2**52, got {a!r}")
 
     def f(k: int) -> float:
         g = (k + N / 2.0 + a) * (k + (N - 4.0) / 2.0 - a)

@@ -44,21 +44,16 @@ from typing import Protocol
 
 import numpy as np
 
-# the sharp constants live in params; b_closed, s_r_closed and s_0_closed are re-bound for callers
-from .params import Params, amplitude_constant, b_closed, derive, gamma_m, s_0_closed, s_r_closed  # noqa: F401
+# s_r_closed is not read here: perfbench still reads it as profiles.s_r_closed
+from .params import Params, amplitude_constant, derive, gamma_m, s_r_closed  # noqa: F401
 from .specfun import DomainError
 
 __all__ = [
     "RadialProfile",
     "PowerPeakProfile",
     "GaussianProfile",
-    "gamma_m",
-    "amplitude_constant",
     "extremal",
     "kernel_mode",
-    "s_r_closed",
-    "b_closed",
-    "s_0_closed",
     "weighted_laplacian",
     "euler_lagrange_residual",
     "emden_fowler",

@@ -56,8 +56,6 @@ from .specfun import AccuracyError, DivergentIntegralError, DomainError
 
 __all__ = [
     "QuadResult",
-    "DivergentIntegralError",
-    "AccuracyError",
     "integrate_semiinfinite",
     "integrate_rows",
     "quotient_radial",

@@ -43,8 +43,6 @@ from .specfun import AccuracyError, BracketError, ConditioningError, DomainError
 __all__ = [
     "ModeData",
     "RitzResult",
-    "ConditioningError",
-    "BracketError",
     "mode_data",
     "mode_eigenvalue",
     "mode_quadratic_form",
@@ -75,7 +73,7 @@ class RitzResult(NamedTuple):
 def mode_data(k: int, p: Params) -> ModeData:
     k, N = _index(k, "mode index"), p.N
     lam = harmonic_eigenvalue(N, k)
-    mult = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
+    mult = (N + 2 * k - 2) * math.comb(N + k - 3, N - 3) // (N - 2)
     m = derive(p).M
     return ModeData(k=k, lambda_k=lam, l_k=mult, varpi_k=float(k) * (m - 2.0 + k))
 
@@ -128,9 +126,12 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
     d = derive(p)
     m = d.M
     qql = d.q**2 * harmonic_eigenvalue(p.N, k)
-    nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
-    shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
-    return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
+    try:  # ldexp(qql, 2) is 4 qql, but raises on overflow (from k near 1e154) where the product is inf
+        nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + math.ldexp(qql, 2)))
+        shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
+        return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
+    except OverflowError:  # rho itself overflows from k near 1e77 M
+        raise DomainError(f"eigenvalue {j} of mode k={k} exceeds the largest double at M={m!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     calls decide bits: `eigvalsh` for the nodes, the product of the factor
     with its transpose, and `eigh`.
     """
+    J = _index(J, "basis size")
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
     d = derive(p)

@@ -51,8 +51,6 @@ __all__ = [
     "second_variation",
     "directional_quotient",
     "certify",
-    "DEFAULT_EPS",
-    "DEFAULT_CERT_TOL",
 ]
 
 
@@ -165,16 +163,16 @@ class Verdict(Enum):
     BOUNDARY = "Boundary"
 
 
-class BreakingCertificate(NamedTuple):
+class BreakingCertificate(NamedTuple):  # fields in the order the command line prints them
     params: Params
+    verdict: Verdict
+    expected: Verdict
+    witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
     s_r: float
     second_variation: float
     directional_quotient: float
     eps: float
     ritz_rho1: float
-    verdict: Verdict
-    expected: Verdict
-    witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
     discrepancies: tuple
 
     # compared and hashed by identity, like RitzResult
@@ -249,13 +247,13 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         )
     return BreakingCertificate(
         params=p,
+        verdict=verdict,
+        expected=expected,
+        witness_signs=signs,
         s_r=s_r,
         second_variation=sv.value,
         directional_quotient=quotient,
         eps=eps,
         ritz_rho1=rho1,
-        verdict=verdict,
-        expected=expected,
-        witness_signs=signs,
         discrepancies=tuple(discrepancies),
     )

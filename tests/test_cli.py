@@ -170,6 +170,22 @@ def test_profile_commands_match_golden_fixture(tmp_path):
     assert b"".join(lines) == GOLDEN_PROFILES.read_bytes()
 
 
+GOLDEN_CERTIFY_TEXT = Path(__file__).parent / "data" / "certify_golden.txt"
+
+
+def test_certify_text_matches_golden_fixture(tmp_path):
+    """certify without --json prints its fields in a fixed order, which the sorted keys of
+    the JSON fixture cannot show: at the fixture's four certify points, the same bytes."""
+    out = tmp_path / "certify.txt"
+    blocks = []
+    for command, N, alpha, beta in GOLDEN_PROFILE_COMMANDS:
+        if command == "certify":
+            assert main([command, "--N", str(N), "--alpha", repr(alpha), f"--beta={beta!r}", "--out", str(out)]) == 0
+            blocks.append(out.read_bytes())
+    assert len(blocks) == 4
+    assert b"".join(blocks) == GOLDEN_CERTIFY_TEXT.read_bytes()
+
+
 def test_golden_rho1_is_the_closed_form():
     """Every rho1 of the fixture is the closed-form least mode-1 eigenvalue, to the bit."""
     rows = list(csv.DictReader(GOLDEN_SCAN.open()))
@@ -188,7 +204,7 @@ def test_scan_rho1_has_the_sign_of_the_breaking_criterion(N, alpha, t):
     J = 16 Ritz value, which scan no longer computes, stays an upper bound of it."""
     lo, hi = beta_strip(N, alpha)
     beta = min(hi, lo + t * (hi - lo))
-    row = dict(zip(cli._SCAN_FIELDS, cli._scan_point((N, alpha, beta))))
+    row = cli._scan_cell(N, alpha, beta)
     p = validate(N, alpha, beta)
     rho1 = float(row["rho1"])
     gap = beta_fs(N, alpha) - beta
@@ -530,6 +546,34 @@ def test_constants_at_large_weight_exponent(capsys):
     code, out, _ = run(capsys, "constants", "--N", "6", "--alpha", "1e10", "--beta=1.4e10", "--json")
     assert code == 0
     assert json.loads(out)["rellich_argmin"] == 2999999997
+
+
+def test_constants_refuses_a_rellich_exponent_from_2_52(capsys):
+    """a = (beta - 2 alpha)/2 is -1.67e16: the float formula printed 0.0 where the exact
+    minimum is 2.78e32, at k = 16666666666666669."""
+    code, out, err = run(capsys, "constants", "--N", "5", "--alpha", "1e17", "--beta=1.6666666666666666e17")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: weight exponent a must satisfy |a| < 2**52")
+
+
+@pytest.mark.parametrize("N", [2**512, 10**400], ids=["2^512", "10^400"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--alpha", "1", "--beta", "1"],
+        ["fs-curve", "--alpha", "1"],
+        ["constants", "--alpha", "1", "--beta", "1"],
+        ["certify", "--alpha", "1", "--beta", "1"],
+    ],
+    ids=["scan", "fs-curve", "constants", "certify"],
+)
+def test_a_dimension_too_large_for_doubles_exits_2(capsys, argv, N):
+    """scan and fs-curve died with an OverflowError traceback and exit 1 here."""
+    code, out, err = run(capsys, argv[0], "--N", str(N), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: dimension N={N} is too large: N*N exceeds the largest double\n"
 
 
 @pytest.mark.parametrize(

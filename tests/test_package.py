@@ -45,6 +45,22 @@ def test_imported_names_are_exported():
     assert set(namespace) - {"__builtins__"} == set(ckn_lab.__all__)
 
 
+LAYERS = ("specfun", "params", "quadrature", "profiles", "spectral", "variation", "identities", "verify", "cli")
+
+
+def test_no_layer_lists_another_layers_names():
+    """Each module's __all__ holds only what it defines: a function or class is its own, and no
+    name (DEFAULT_EPS, say) is listed by two modules."""
+    owners = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"ckn_lab.{layer}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == module.__name__, (layer, name)
+            assert owners.setdefault(name, layer) == layer, (name, owners[name], layer)
+
+
 STARTUP = """
 import contextlib, io, sys
 import ckn_lab

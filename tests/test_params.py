@@ -1,7 +1,9 @@
 """Parameter validation, derived exponents, transition curve, regions."""
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +178,27 @@ def test_beta_strip_ends_and_domain_errors():
         beta_strip(5, -3.0)
     with pytest.raises(ParamError, match="radicand"):
         beta_fs(0, 1.0)
+
+
+#: the largest N whose square N*N, the leading term of beta_fs's radicand, is a finite double
+N_DOUBLE_MAX = math.isqrt(int(sys.float_info.max))
+
+
+@pytest.mark.parametrize("N", [2**512, N_DOUBLE_MAX + 1, 10**400], ids=["2^512", "just_above", "10^400"])
+def test_a_dimension_too_large_for_doubles_is_a_parameter_error(N):
+    """From N = 2^512 (and a few N just below, whose square rounds up to 2^1024) N*N leaves
+    double range: the domain names N where beta_fs leaked OverflowError, and classify says Invalid."""
+    for compute in (lambda: beta_strip(N, 1.0), lambda: validate(N, 1.0, 0.5), lambda: beta_fs(N, 1.0)):
+        with pytest.raises(ParamError, match=f"^dimension N={N} is too large: N\\*N exceeds the largest double$"):
+            compute()
+    assert classify(N, 1.0, 0.5) is RegionClass.INVALID
+
+
+def test_the_largest_dimension_in_double_range_is_admissible():
+    assert N_DOUBLE_MAX < 2**512 and N_DOUBLE_MAX**2 <= sys.float_info.max < (N_DOUBLE_MAX + 1) ** 2
+    assert validate(N_DOUBLE_MAX, 1.0, 0.5).N == N_DOUBLE_MAX
+    assert math.isfinite(beta_fs(N_DOUBLE_MAX, 1.0))
+    assert classify(N_DOUBLE_MAX, 1.0, 0.5) is not RegionClass.INVALID
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -364,6 +387,35 @@ def test_rellich_infimum_at_large_weight_exponent():
 def test_rellich_infimum_rejects_a_non_finite_exponent(a):
     with pytest.raises(DomainError, match="must be finite"):
         rellich_infimum(6, a)
+
+
+def _rellich_exact(N, a):
+    """The least f(k) in exact rationals over the candidates rellich_infimum tries, and its k."""
+    a = Fraction(a)
+
+    def f(k):
+        g = (k + Fraction(N, 2) + a) * (k + Fraction(N - 4, 2) - a)
+        return g * g
+
+    roots = [r for r in (-Fraction(N, 2) - a, a - Fraction(N - 4, 2)) if r >= 0]
+    k = min(sorted({0, *map(math.floor, roots), *map(math.ceil, roots)}), key=f)
+    return f(k), k
+
+
+@pytest.mark.parametrize("N, a", [(5, 2.0**52 - 1.0), (5, 1.0 - 2.0**52), (7, 2.0**52 - 0.5)])
+def test_rellich_infimum_just_below_2_52_keeps_its_accuracy(N, a):
+    exact, k = _rellich_exact(N, a)
+    value, argmin = rellich_infimum(N, a)
+    assert argmin == k
+    assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [2.0**52, -(2.0**52), -1.6666666666666666e16, 1e300])
+def test_rellich_infimum_refuses_a_weight_exponent_from_2_52(a):
+    """From |a| = 2^52 on floats no longer resolve k + a: at a = -1.67e16 the formula read 0.0,
+    where the exact minimum is 2.78e32."""
+    with pytest.raises(DomainError, match=r"^weight exponent a must satisfy \|a\| < 2\*\*52, got "):
+        rellich_infimum(5, a)
 
 
 @settings(max_examples=150, deadline=None)

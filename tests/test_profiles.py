@@ -10,19 +10,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ckn_lab.params import ParamError, derive, sphere_area, validate
+from ckn_lab.params import ParamError, b_closed, derive, s_0_closed, sphere_area, validate
 from ckn_lab.profiles import (
     GaussianProfile,
     PowerPeakProfile,
     amplitude_constant,
-    b_closed,
     cosh_profile_residual,
     _frac,
     emden_fowler,
     euler_lagrange_residual,
     extremal,
     kernel_mode,
-    s_0_closed,
     s_r_closed,
     weighted_laplacian,
 )

@@ -56,6 +56,43 @@ def test_mode_data_combinatorics(N, k):
     assert data.l_k >= 1
 
 
+def test_multiplicity_is_the_factorial_formula_and_fast_at_large_k():
+    """(N+2k-2) C(N+k-3, N-3) / (N-2) is the factorial formula's integer; at k = 10^6 the
+    factorials took about 25 s, the binomial microseconds."""
+    for N in range(5, 40):
+        p = validate(N, 0.0, 0.0)
+        for k in range(60):
+            factorials = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
+            assert mode_data(k, p).l_k == factorials
+    k = 10**6
+    assert mode_data(k, validate(5, 1.0, 1.0)).l_k == (2 * k + 3) * (k + 2) * (k + 1) // 6
+
+
+def test_mode_indices_beyond_double_range_are_domain_errors(p511):
+    """lambda_k leaves double range from k near 1.3e154, 4 q^2 lambda_k a little before, and
+    mode_eigenvalue's rho from k near 1e77 M: each raised OverflowError or returned NaN."""
+    for compute in (lambda: harmonic_eigenvalue(5, 2 * 10**154), lambda: mode_data(2 * 10**154, p511)):
+        with pytest.raises(DomainError, match=r"^sphere eigenvalue k\(N-2\+k\) at N=5, k=2\d{154} exceeds"):
+            compute()
+    for k in (10**154, 10**80):
+        with pytest.raises(DomainError, match=f"^eigenvalue 0 of mode k={k} exceeds the largest double at M="):
+            mode_eigenvalue(k, p511)
+    assert math.isfinite(mode_eigenvalue(10**76, p511))
+
+
+@pytest.mark.parametrize("J", [4.0, np.float64(16.0), "16", None], ids=["float", "float64", "str", "none"])
+def test_a_non_integral_basis_size_is_a_domain_error(p511, J):
+    """J = 4.0 leaked TypeError from range; J is read as mode indices are."""
+    with pytest.raises(DomainError, match="^basis size must be an integer >= 0, got "):
+        ritz_min_eig(1, p511, J)
+
+
+def test_an_integral_basis_size_of_any_type_is_accepted(p511):
+    result = ritz_min_eig(1, p511, np.int64(4))
+    assert result.basis_size == 4 and type(result.basis_size) is int
+    assert result.min_eigenvalue == ritz_min_eig(1, p511, 4).min_eigenvalue
+
+
 def test_negative_mode_index_is_a_domain_error(p511):
     _, x1 = _x_modes(derive(p511).M)
     for compute in (
