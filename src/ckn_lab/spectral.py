@@ -146,12 +146,20 @@ def _jacobi_recurrence(n: int, a: float, b: float):
     Returns diag (length n) and off (length n-1), the Jacobi matrix, as
     lists of Python floats: n <= J + 2 = 18 for every caller, and the whole
     Ritz solve, not only this recurrence, is too small for numpy to pay off
-    outside its three linear algebra steps.
+    outside its three linear algebra steps.  Raises ConditioningError where
+    an entry is not finite or an off-diagonal one is zero: its products
+    leave double range from a + b near 1.2e77.
     """
     t = [2.0 * i + a + b for i in range(n)]
     diag = [(b - a) * (b + a) / (u * (u + 2.0)) for u in t]
     off = [math.sqrt(4.0 * i * (i + a) * (i + b) * (i + a + b)) / math.sqrt(u * u * (u + 1.0) * (u - 1.0))
            for i, u in enumerate(t[1:], 1)]
+    # every entry lies in [-1, 1] and each off[j] is positive: a non-finite sum or a zero off[j]
+    # means that a product above left double range
+    if not math.isfinite(sum(diag) + sum(off)) or 0.0 in off:
+        raise ConditioningError(
+            f"the Jacobi recurrence for the exponents a={a!r}, b={b!r} leaves double range"
+        )
     return diag, off
 
 
@@ -195,12 +203,18 @@ def _gauss_jacobi(n: int, a: float, b: float):
     node's scalar recurrence; they keep their relative accuracy where the
     squared eigenvector components would not (the tail nodes of a skewed
     weight).  Returns the nodes and the weights divided by the mass of the
-    weight function, as lists of Python floats.
+    weight function, as lists of Python floats.  Raises ConditioningError
+    where the recurrence leaves double range or `eigvalsh` fails.
     """
     diag, off = _jacobi_recurrence(n, a, b)
     jacobi = np.diag(diag)
     jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
-    nodes = np.linalg.eigvalsh(jacobi).tolist()
+    try:
+        nodes = np.linalg.eigvalsh(jacobi).tolist()
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            f"the Gauss-Jacobi nodes for the exponents a={a!r}, b={b!r} did not converge"
+        ) from None
     steps = list(zip(diag, [0.0, *off], off))
     weights = []
     for x in nodes:
@@ -229,7 +243,8 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     assemble A exactly.  Both are divided by B's constant 2^(-M-2) mu0,
     which leaves the eigenpairs unchanged at any M; `gram_condition` is 1.
     A Jacobi exponent <= -1 means the form diverges on the basis:
-    DomainError.  A non-finite A raises ConditioningError.
+    DomainError.  A recurrence that leaves double range (from M near 1.2e77),
+    a non-finite A or a failed eigen-solve raises ConditioningError naming M.
 
     A's factor is assembled node by node on Python floats, in the order of
     operations of the whole-array assembly the tests keep.  Three numpy
@@ -248,8 +263,11 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
             f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
         )
-    nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
-    diag, off = _jacobi_recurrence(J, a, b)
+    try:
+        nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
+        diag, off = _jacobi_recurrence(J, a, b)
+    except ConditioningError as exc:
+        raise ConditioningError(f"{exc}, at M={m:.6g}, basis size {J}") from None
     # 2^(2-M) mu0_A / (2^(-M-2) mu0_B), rational since Gamma(x+1) = x Gamma(x)
     mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
     base, centre, slope = k * (k + m - 2.0) - qql, (m + 2.0 * k) / 2.0, 2.0 * k
@@ -268,7 +286,12 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
         raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
     # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit
     # of the least eigenvalue (8 of 4000 sampled J = 4 mode-1 matrices)
-    evals, evecs = np.linalg.eigh(A)
+    try:
+        evals, evecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
+        ) from None
     gamma = _potential_constant(m)
     lead = evecs[:, 0]
     return RitzResult(

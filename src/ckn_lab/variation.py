@@ -120,6 +120,29 @@ def _theta_rule(N: int):
     return cos_t, weight
 
 
+def _angular_sum(uv, gv, eps: float, cos_t, w_t, p_star: float):
+    """w_t @ |uv + eps cos_t gv|^p_star: the angular sum at each radial node.
+
+    The (theta, r) array is built in place by the operations of
+    uv[None, :] + eps * np.outer(cos_t, gv), so every entry keeps its bits.
+    p_star is raised only over the span from the first to the last radial
+    column that eps g moves off uv.  Outside it every theta entry is |uv_j|
+    itself (eps g is below an ulp of U1 toward r = 0, and both underflow far
+    out), so the column is filled with that one power, bit for bit the
+    whole-grid power, and the product with w_t is the same BLAS call.
+    """
+    terms = np.multiply.outer(cos_t, gv)
+    terms *= eps
+    terms += uv
+    moved = np.flatnonzero((terms != uv).any(axis=0))
+    lo, hi = (moved[0], moved[-1] + 1) if moved.size else (0, 0)
+    np.abs(terms, out=terms)
+    terms[:, lo:hi] **= p_star
+    terms[:, :lo] = np.abs(uv[:lo]) ** p_star
+    terms[:, hi:] = np.abs(uv[hi:]) ** p_star
+    return w_t @ terms
+
+
 def directional_quotient(p: Params, eps: float) -> float:
     """Rayleigh quotient of U1 + eps * g(r) x_i/|x| (first harmonic).
 
@@ -127,7 +150,9 @@ def directional_quotient(p: Params, eps: float) -> float:
     Numerator: ||U1||^2 + eps^2 ||Z||^2 (the cross term vanishes by
     harmonic orthogonality, so it is not quadratured away).  Denominator:
     full 2D quadrature, a 64-node Gauss-Legendre rule in the polar angle
-    tensored with the adaptive radial rule.  At eps = 0 this is the
+    tensored with the adaptive radial rule.  The angular powers are raised
+    only over the span of radial nodes where eps g moves U1, bit for bit
+    the whole-grid power (`_angular_sum`).  At eps = 0 this is the
     radial quotient; below the transition curve it exceeds the radial
     constant for small eps, above the curve it drops strictly below.
     """
@@ -146,7 +171,7 @@ def directional_quotient(p: Params, eps: float) -> float:
         jets = u.jet(r, 2), g.jet(r, 2)  # one log pass each
         energies = [power_weighted(mode_operator(jet, r, drift, lam), r, 2.0, w) for jet, lam in zip(jets, lams)]
         uv, gv = (jet[0] for jet in jets)
-        angular = w_t @ (np.abs(uv[None, :] + eps * np.outer(cos_t, gv)) ** d.p_star)
+        angular = _angular_sum(uv, gv, eps, cos_t, w_t, d.p_star)
         return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
 
     energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))

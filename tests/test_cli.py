@@ -577,6 +577,24 @@ def test_a_dimension_too_large_for_doubles_exits_2(capsys, argv, N):
 
 
 @pytest.mark.parametrize(
+    "N, message",
+    [
+        (10**20, "least eigenvalue stays negative toward alpha - 2 = -1: the next lower end, "
+                 "beta=-0.975, has M=8e+21 above the cap 1e+12"),
+        (10**78, "the Jacobi recurrence for the exponents a=5.0000000000000015e+78, "
+                 "b=5.0000000000000015e+78 leaves double range, at M=1e+79, basis size 4"),
+        (10**153, "the Jacobi recurrence for the exponents a=5.000000000000001e+153, "
+                  "b=5.000000000000001e+153 leaves double range, at M=1e+154, basis size 4"),
+    ],
+    ids=["10^20", "10^78", "10^153"],
+)
+def test_fs_curve_at_a_huge_dimension_is_a_verification_failure(capsys, N, message):
+    """At 10^78 a ZeroDivisionError and at 10^153 numpy's LinAlgError escaped as a traceback."""
+    code, out, err = run(capsys, "fs-curve", "--N", str(N), "--alpha", "1")
+    assert (code, out, err) == (1, "", f"verification failure: {message}\n")
+
+
+@pytest.mark.parametrize(
     "N, alpha, beta, message",
     [
         ("6", "1e10", "1e10", "amplitude constant overflows double precision at M="),

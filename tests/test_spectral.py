@@ -568,6 +568,35 @@ def test_ritz_solution_is_pinned(k, point, J, rho, coefficients):
     assert (res.min_eigenvalue.hex(), _hex(res.coefficients)) == (rho, coefficients)
 
 
+@pytest.mark.parametrize("N", [2 * 10**77, 10**100, 10**153], ids=["2e77", "1e100", "1e153"])
+def test_a_recurrence_beyond_double_range_is_a_conditioning_error(N):
+    """On the upper edge M = N.  From M near 1.2e77 an off-diagonal entry's denominator
+    overflows and the entry reads 0 (ZeroDivisionError leaked); from about 1e102 its
+    numerator overflows too and it reads NaN (numpy's LinAlgError leaked)."""
+    p = validate(N, 1.0, beta_strip(N, 1.0)[1])
+    m = derive(p).M
+    with pytest.raises(ConditioningError, match="leaves double range"):
+        _gauss_jacobi(6, m / 2.0 - 2.0, m / 2.0 - 2.0)  # the rule ritz_min_eig(1, p, 4) assembles on
+    with pytest.raises(ConditioningError) as info:
+        ritz_min_eig(1, p, 4)
+    assert str(info.value).endswith(f"leaves double range, at M={m:.6g}, basis size 4")
+
+
+def test_the_largest_recurrence_in_double_range_still_solves():
+    p = validate(10**77, 1.0, beta_strip(10**77, 1.0)[1])
+    assert abs(ritz_min_eig(1, p, 4).min_eigenvalue) < 1e-14  # M = N: on the curve's far end, rho is 0
+
+
+@pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
+def test_a_failed_eigen_solve_is_a_conditioning_error(monkeypatch, solver):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(ConditioningError, match="did not converge,? at M=6, basis size 4$"):
+        ritz_min_eig(1, validate(5, 1.0, 1.0), 4)
+
+
 def _ritz_profile(coefficients, k, m):
     """sum_j c_j s^k (1+s^2)^(-(M-2)/2) p_j(w) as a PowerPeakProfile.
 

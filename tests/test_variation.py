@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,89 @@ def test_directional_quotient_makes_one_log_pass_per_profile(monkeypatch):
 def test_directional_quotient_rejects_large_eps(p511):
     with pytest.raises(DomainError):
         directional_quotient(p511, 0.7)
+
+
+_angular_sum = variation._angular_sum  # kept: the tests below patch the module's name
+
+
+def _whole_grid_angular_sum(uv, gv, eps, cos_t, w_t, p_star):
+    """The reference: the power over the whole (theta, r) grid."""
+    return w_t @ (np.abs(uv[None, :] + eps * np.outer(cos_t, gv)) ** p_star)
+
+
+def _assert_whole_grid_bits(uv, gv, eps, cos_t, w_t, p_star):
+    got = _angular_sum(uv, gv, eps, cos_t, w_t, p_star)
+    want = _whole_grid_angular_sum(uv, gv, eps, cos_t, w_t, p_star)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    return got
+
+
+def _checked_quotient(N, alpha, t, eps):
+    """directional_quotient at beta a fraction t up the strip, each angular sum checked
+    against the reference; the node counts of its integrand calls."""
+    sizes = []
+
+    def checked(uv, *args):
+        sizes.append(uv.size)
+        return _assert_whole_grid_bits(uv, *args)
+
+    lo, hi = beta_strip(N, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variation, "_angular_sum", checked)
+        directional_quotient(validate(N, alpha, min(lo + t * (hi - lo), hi)), eps)
+    return sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(5, 12),
+    alpha=st.floats(-1.0, 4.0),
+    t=st.floats(0.02, 1.0),
+    eps=st.sampled_from([0.0, 1e-8, -1e-8, 0.01, -0.01, 0.3, 0.49]),
+)
+def test_angular_sum_is_the_whole_grid_power_bit_for_bit(N, alpha, t, eps):
+    """On the profiles' own nodes: the first call carries the whole 381-node grid."""
+    assert _checked_quotient(N, alpha, t, eps)[0] == 381
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.49])
+def test_angular_sum_is_the_whole_grid_power_on_a_refinement(eps):
+    """Near the upper edge at alpha = 2 the radial rule refines once, on the 380 odd nodes."""
+    assert _checked_quotient(5, 2.0, 0.95, eps) == [381, 380]
+
+
+_UV = 3.0 * 2.0 ** -np.arange(48.0)
+_GV = np.where((np.arange(48) >= 10) & (np.arange(48) <= 30), 1.0, 0.0)  # moves columns 10 to 30
+
+
+def _with(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+@pytest.mark.parametrize("p_star", [6.0, 3.7])
+@pytest.mark.parametrize(
+    "uv, gv, eps",
+    [
+        (_UV, _GV, 0.0),
+        (_UV, np.ones(48), 0.3),
+        (_UV, _GV, 0.01),
+        (_with(_UV, 3, math.nan), _GV, 0.01),
+        (_with(_UV, 40, math.inf), _GV, 0.01),
+        (_UV, _with(_GV, 45, math.nan), 0.01),
+        (_UV, _with(_GV, 2, math.inf), 0.01),
+        (_UV, _with(_GV, 2, math.inf), 0.0),
+    ],
+    ids=["none_moved", "all_moved", "middle_moved", "nan_in_uv", "inf_in_uv_unmoved", "nan_in_gv",
+         "inf_in_gv", "inf_in_gv_at_eps_0"],
+)
+def test_angular_sum_is_the_whole_grid_power_at_the_edges(uv, gv, eps, p_star):
+    """An unmoved column (inf + 0 is inf) is filled with its one power; a NaN, or 0 * inf,
+    moves its column.  Under errstate(all="ignore"), as integrate_rows calls the integrand."""
+    cos_t, w_t = variation._theta_rule(7)
+    with np.errstate(all="ignore"):
+        _assert_whole_grid_bits(uv, gv, eps, cos_t, w_t, p_star)
 
 
 def test_quotient_rises_on_symmetric_side():
