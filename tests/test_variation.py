@@ -1,6 +1,7 @@
 """Second variation, directional quotients, and the breaking certificate."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import ckn_lab.variation as variation
 from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, sphere_area, validate
 from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, power_weighted
-from ckn_lab.specfun import DomainError
+from ckn_lab.specfun import AccuracyError, DomainError
 from ckn_lab.variation import (
     DEFAULT_EPS,
     Verdict,
@@ -427,3 +428,39 @@ def test_certificate_is_frozen(p511):
     cert = certify(p511)
     with pytest.raises(AttributeError):
         cert.verdict = Verdict.NOT_BREAKING
+
+
+# The certificate's coverage ledger: certify's outcome by class over a 490-point grid, N in
+# {5, 6, 8, 12, 30}, alpha in {-(N-2)/2, -0.5, 0.25, 1, 4}, beta at 15 fractions of the strip
+# (lo, hi], at hi itself and, where alpha > 0, at beta_FS +- {1e-8, 1e-6, 1e-4}.  No count may
+# get worse than this table: "ok" (no discrepancy) may only rise, the others only fall.
+_COVERAGE_LEDGER = {"ok": 212, "discrepancy": 68, "DomainError": 200, "AccuracyError": 10}
+
+
+def _coverage_grid():
+    fractions = [*np.geomspace(1e-6, 0.1, 11).tolist(), 0.3, 0.6, 0.9, 0.999]
+    for N in (5, 6, 8, 12, 30):
+        for alpha in (-(N - 2) / 2, -0.5, 0.25, 1.0, 4.0):
+            lo, hi = beta_strip(N, alpha)
+            betas = [lo + d * (hi - lo) for d in fractions] + [hi]
+            if alpha > 0.0:
+                curve = beta_fs(N, alpha)
+                betas += [curve + sign * d for d in (1e-8, 1e-6, 1e-4) for sign in (1.0, -1.0)]
+            yield from ((N, alpha, beta) for beta in betas)
+
+
+def _certify_outcome(point):
+    try:
+        cert = certify(validate(*point))
+    except AccuracyError:
+        return "AccuracyError"
+    except DomainError:
+        return "DomainError"
+    return "discrepancy" if cert.discrepancies else "ok"
+
+
+def test_certify_coverage_is_no_worse_than_the_ledger():
+    counts = Counter(_certify_outcome(point) for point in _coverage_grid())
+    assert sum(counts.values()) == 490
+    worse = {k: (counts[k], v) for k, v in _COVERAGE_LEDGER.items() if (counts[k] < v if k == "ok" else counts[k] > v)}
+    assert not worse, f"counts worse than the ledger (now, ledger): {worse}; all counts {dict(counts)}"
