@@ -25,7 +25,7 @@ _EXPORTS = {
                     "derive", "fs_correspondence", "hardy_comparison_constants", "rellich_infimum",
                     "s_0_closed", "s_r_closed", "sphere_area", "validate")),
         ("profiles", ("GaussianProfile", "PowerPeakProfile", "cosh_profile_residual", "emden_fowler",
-                      "euler_lagrange_residual", "extremal", "kernel_mode")),
+                      "euler_lagrange_residual", "extremal")),
         ("quadrature", ("integrate_semiinfinite", "quotient_radial")),
         ("specfun", ("AccuracyError", "BracketError", "ConditioningError", "DivergentIntegralError",
                      "DomainError")),

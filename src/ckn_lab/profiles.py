@@ -6,8 +6,8 @@ differentiation, multiplication by powers of r, and linear combination:
 * power-peak profiles   f(r) = sum_i c_i * r^(p_i) * (nu + r^sigma)^(e_i)
 * Gaussian profiles     f(r) = sum_i c_i * r^(p_i) * exp(-r^2)
 
-The ground-state profile, the kernel modes, and every test function in
-the identity batteries live in one of these families, so fourth-order
+The ground-state profile and every test function in the identity
+batteries live in one of these families, so fourth-order
 operators can be applied exactly (term rewriting) instead of by finite
 differences.
 
@@ -53,7 +53,6 @@ __all__ = [
     "PowerPeakProfile",
     "GaussianProfile",
     "extremal",
-    "kernel_mode",
     "weighted_laplacian",
     "euler_lagrange_residual",
     "emden_fowler",
@@ -317,7 +316,7 @@ class GaussianProfile(_Evaluation):
 
 
 # ---------------------------------------------------------------------------
-# Ground state and kernel modes
+# Ground state
 # ---------------------------------------------------------------------------
 
 
@@ -350,26 +349,6 @@ def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
             f"amplitude * lam^(-{K / D / 2.0:g}) outside double range"
         )
     return PowerPeakProfile([(coeff, 0, -K * D)], _Lattice((S * S, S * D)), nu)  # -kappa/sigma = -K*D/(S*D)
-
-
-def kernel_mode(p: Params, which: str) -> PowerPeakProfile:
-    """Radial factor of a linearized-kernel direction.
-
-    which='Z0': scaling direction, (1 - r^sigma)(1 + r^sigma)^(-(N-2+alpha)/sigma);
-    changes sign exactly once, at r = 1.
-    which='Z1_radial': translation-type direction at the transition curve,
-    r^(sigma/2)(1 + r^sigma)^(-(N-2+alpha)/sigma); the full mode carries an
-    extra angular factor x_i/|x| tracked by mode index, not here.
-    """
-    S, K, D = _exponents(p)
-    e = -2 * (S + K) * D  # -(N-2+alpha)/sigma = -(S+K)/S over the denominator 2*S*D, where sigma/2 is S*S
-    if which == "Z0":
-        terms = [(1.0, 0, e), (-1.0, 2 * S * S, e)]
-    elif which == "Z1_radial":
-        terms = [(1.0, S * S, e)]
-    else:
-        raise DomainError(f"unknown kernel mode {which!r}")
-    return PowerPeakProfile(terms, _Lattice((2 * S * S, 2 * S * D)), nu=1.0)
 
 
 # ---------------------------------------------------------------------------

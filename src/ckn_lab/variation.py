@@ -8,7 +8,9 @@ module evaluates that statement three independent ways:
 * a closed-form factored expression for the second variation (Beta
   integrals, sign carried by a single factor; the tests check the Beta
   reductions against quadrature),
-* the directional quotient I(U + eps Z_i) by explicit 2D quadrature,
+* the directional quotient I(U + eps Z_i) by 2D quadrature in C.-S. Lin's
+  variable s = r^(sigma/2), where U, Z_i and their energy integrands are
+  closed forms in s^2/(1+s^2),
 * the least Ritz eigenvalue of the mode-1 stability form (spectral).
 
 `certify` bundles the three witnesses into a verdict and never
@@ -22,7 +24,6 @@ import functools
 import math
 import sys
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +33,14 @@ from .params import (
     DEFAULT_EPS,
     Params,
     RegionClass,
+    _log_half_sphere_area,
     beta_fs,
     classify,
     derive,
-    harmonic_eigenvalue,
     s_r_closed,
     sphere_area,
 )
-from .profiles import PowerPeakProfile, _exponents, kernel_mode
-from .quadrature import integrate_rows, mode_operator, power_weighted
+from .quadrature import integrate_rows
 from .spectral import ritz_min_eig
 from .specfun import DomainError, beta_fn
 
@@ -127,9 +127,9 @@ def _angular_sum(uv, gv, eps: float, cos_t, w_t, p_star: float):
     uv[None, :] + eps * np.outer(cos_t, gv), so every entry keeps its bits.
     p_star is raised only over the span from the first to the last radial
     column that eps g moves off uv.  Outside it every theta entry is |uv_j|
-    itself (eps g is below an ulp of U1 toward r = 0, and both underflow far
-    out), so the column is filled with that one power, bit for bit the
-    whole-grid power, and the product with w_t is the same BLAS call.
+    itself (in the quotient uv is 1 and g = s/(1+s^2) falls below an ulp of
+    it toward both ends), so the column is filled with that one power, bit
+    for bit the whole-grid power, and the product with w_t is the same BLAS call.
     """
     terms = np.multiply.outer(cos_t, gv)
     terms *= eps
@@ -144,42 +144,52 @@ def _angular_sum(uv, gv, eps: float, cos_t, w_t, p_star: float):
 
 
 def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U1 + eps * g(r) x_i/|x| (first harmonic).
+    """Rayleigh quotient of U + eps * g x_i/|x| (first harmonic), in Lin's variable s = r^(sigma/2).
 
-    U1 is U at amplitude 1: the quotient has degree 0, so eps is relative to U.
-    Numerator: ||U1||^2 + eps^2 ||Z||^2 (the cross term vanishes by
-    harmonic orthogonality, so it is not quadratured away).  Denominator:
-    full 2D quadrature, a 64-node Gauss-Legendre rule in the polar angle
-    tensored with the adaptive radial rule.  The angular powers are raised
-    only over the span of radial nodes where eps g moves U1, bit for bit
-    the whole-grid power (`_angular_sum`).  At eps = 0 this is the
-    radial quotient; below the transition curve it exceeds the radial
-    constant for small eps, above the curve it drops strictly below.
+    With q = 2/sigma, t = s^2/(1+s^2) and h = s/(1+s^2) <= 1/2, U = ((1+s^2)/2)^(-(M-4)/2) is the
+    ground state scaled to 1 at s = 1, where its weighted integrands peak (the quotient has
+    degree 0), and g = h U its first kernel mode.  The mode operator s^2 v'' + (M-1) s v' - q^2 lam v
+    is U (M-4) t ((M-2) t - M) on U and U h ((M-1-mu) - (M-2)(M+2) t + (M-2) M t^2) on g, with
+    mu = q^2 (N-1).  With E = int (.)^2 s^(M-5) ds,
+
+        Q = omega q^-3 (E_U + eps^2 E_g/N) / (|S^(N-2)| q int U^p* A s^(M-1) ds)^(2/p*),
+
+    the cross term vanishing by harmonic orthogonality.  A = w_t @ |1 + eps cos(theta) h|^p* is a
+    64-node Gauss-Legendre rule in the polar angle (`_angular_sum`).  The three integrals are rows
+    of one `integrate_rows` call in x = s^sqrt(M), where the peak has unit width at every M, with
+    weights formed in log space: U^2 s^(M-4) = cosh(ln s)^-(M-4) and U^p* s^M = cosh(ln s)^-M.
+    At eps = 0 this is S_r; for small eps it drops below S_r above the transition curve and rises
+    above it below the curve.  Raises DomainError where the value leaves double range.
     """
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
-    d, omega = derive(p), sphere_area(p.N)
-    S, K, D = _exponents(p)
-    u = PowerPeakProfile([(1.0, 0, Fraction(-K, S))], sigma=Fraction(S, D))  # U1, with e = -kappa/sigma
-    g = kernel_mode(p, "Z1_radial")
-    w, drift = p.N + 2.0 * p.alpha - p.beta - 1.0, p.N - 1.0 + p.alpha
-    lams = (0.0, harmonic_eigenvalue(p.N, 1))  # ||U1||^2, and g's mode-1 energy
+    d = derive(p)
+    m, root, power = d.M, math.sqrt(d.M), 2.0 / d.p_star  # power: the norm's, 2/p*
+    c0 = (m - 1.0) - d.q**2 * (p.N - 1.0)  # M-1-mu
     cos_t, w_t = _theta_rule(p.N)
-    radial_power = p.beta + p.N - 1.0
 
-    def rows(r):  # the energies, then the angular sum of the denominator
-        jets = u.jet(r, 2), g.jet(r, 2)  # one log pass each
-        energies = [power_weighted(mode_operator(jet, r, drift, lam), r, 2.0, w) for jet, lam in zip(jets, lams)]
-        uv, gv = (jet[0] for jet in jets)
-        angular = _angular_sum(uv, gv, eps, cos_t, w_t, d.p_star)
-        return [*energies, angular * power_weighted(np.ones_like(r), r, 1.0, radial_power)]
+    def rows(x):  # the energies of U and g, then the denominator's angular sum
+        lx = np.log(x)
+        y = lx / root  # ln s
+        log_cosh = 0.5 * np.log1p(np.sinh(y) ** 2)  # to full relative precision near y = 0
+        t, h = 1.0 / (1.0 + np.exp(-2.0 * y)), 0.5 / np.cosh(y)
+        log_dx = -lx - 0.5 * math.log(m)  # ds/s = dx/(sqrt(M) x)
+        w = np.exp(log_dx - (m - 4.0) * log_cosh)
+        return [
+            ((m - 4.0) * t * ((m - 2.0) * t - m)) ** 2 * w,
+            (h * (c0 + (m - 2.0) * t * (m * t - (m + 2.0)))) ** 2 * w,
+            _angular_sum(np.ones_like(x), h, eps, cos_t, w_t, d.p_star) * np.exp(log_dx - m * log_cosh),
+        ]
 
     energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
-    # ||Z||^2: omega/N (the mean of (x_i/|x|)^2) times the mode-1 energy of g
-    numerator = omega * energy_u + eps**2 * (omega / p.N * energy_g)
-    area_factor = sphere_area(p.N - 1)  # (N-2)-sphere, polar-angle reduction
-    denominator = (area_factor * raw) ** (2.0 / d.p_star)
-    return numerator / denominator
+    log_value = (  # omega/|S^(N-2)|^(2/p*) and q^-(3+2/p*) leave double range before Q does
+        (1.0 - power) * math.log(2.0) + _log_half_sphere_area(p.N) - power * _log_half_sphere_area(p.N - 1)
+        - (3.0 + power) * math.log(d.q) + math.log(energy_u + eps**2 * energy_g / p.N) - power * math.log(raw)
+    )
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"directional quotient overflows double precision at M={m!r}") from None
 
 
 class Verdict(Enum):

@@ -20,7 +20,6 @@ from ckn_lab.profiles import (
     emden_fowler,
     euler_lagrange_residual,
     extremal,
-    kernel_mode,
     s_r_closed,
     weighted_laplacian,
 )
@@ -544,19 +543,21 @@ def test_extremal_dilation_family(p511):
 
 
 def test_scaling_direction_is_dilation_derivative(p511):
-    """d/dlam u_lam at lam=1 is proportional to the Z0 kernel direction.
+    """d/dlam u_lam at lam=1 is proportional to the scaling direction
+    Z0 = (1 - r^sigma)(1 + r^sigma)^(-(N-2+alpha)/sigma).
 
-    The ратio is (kappa/2)*C and must be r-independent; r=1 sits exactly
+    The ratio is (kappa/2)*C and must be r-independent; r=1 sits exactly
     at the sign change of both sides, so probe off the node.
     """
     h = 1e-6
-    z0 = kernel_mode(p511, "Z0")
+    sigma = 2.0 + p511.beta - p511.alpha
     expected = 0.5 * 2.0 * 384.0**0.25  # kappa/2 * C
     for r in (0.3, 1.3, 3.0):
+        z0 = (1.0 - r**sigma) * (1.0 + r**sigma) ** (-(p511.N - 2.0 + p511.alpha) / sigma)
         fd = (extremal(p511, 1.0 + h).eval(r) - extremal(p511, 1.0 - h).eval(r)) / (
             2.0 * h
         )
-        assert fd / z0.eval(r) == pytest.approx(expected, rel=1e-7)
+        assert fd / z0 == pytest.approx(expected, rel=1e-7)
 
 
 def _reference_exponents(p):
@@ -612,27 +613,6 @@ def test_extremal_keeps_the_exponents_and_bits_it_was_built_with(p, lam):
     assert u.nu.hex() == nu.hex()
     ((c, p0, e0),) = u.terms
     assert (c.hex(), p0, e0) == (coeff.hex(), 0, -kappa / sigma)
-
-
-@settings(max_examples=300, deadline=None)
-@given(p=_admissible())
-def test_kernel_modes_keep_the_exponents_they_were_built_with(p):
-    sigma, _ = _reference_exponents(p)
-    e = -(Fraction(p.N - 2) + _frac(p.alpha)) / sigma
-    z0, z1 = kernel_mode(p, "Z0"), kernel_mode(p, "Z1_radial")
-    assert (z0.sigma_frac, z1.sigma_frac) == (sigma, sigma)
-    assert z0.terms == ((1.0, 0, e), (-1.0, sigma, e))
-    assert z1.terms == ((1.0, sigma / 2, e),)
-
-
-def test_kernel_modes_shape(p511):
-    z0 = kernel_mode(p511, "Z0")
-    z1 = kernel_mode(p511, "Z1_radial")
-    assert z0.eval(1.0) == pytest.approx(0.0, abs=1e-14)  # sign change at r=1
-    assert z0.eval(0.5) > 0.0 > z0.eval(2.0)
-    assert z1.eval(1.0) == pytest.approx(2.0**-2.0, rel=1e-13)
-    with pytest.raises(DomainError):
-        kernel_mode(p511, "Z7")
 
 
 # -- operators and residuals --------------------------------------------------

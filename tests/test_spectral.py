@@ -11,7 +11,7 @@ from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
 from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, harmonic_eigenvalue, validate
-from ckn_lab.profiles import PowerPeakProfile, gamma_m, kernel_mode
+from ckn_lab.profiles import PowerPeakProfile, gamma_m
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (

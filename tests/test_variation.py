@@ -180,7 +180,7 @@ def test_directional_quotient_taylor_window(p511):
     assert 0.2 < drop / model < 5.0
 
 
-@pytest.mark.parametrize("eps, expected", [(0.0, "221.68826741979262"), (0.01, "221.68730915697196")])
+@pytest.mark.parametrize("eps, expected", [(0.0, "221.6882674197927"), (0.01, "221.6873091569719")])
 def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, expected):
     """The energies and the angular sum are rows of one integrate_rows call."""
     calls = []
@@ -194,22 +194,30 @@ def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, exp
     assert len(calls) == 1
 
 
-def test_directional_quotient_makes_one_log_pass_per_profile(monkeypatch):
-    """U's and g's values come from their jets: two log passes per integrand call, not three."""
-    passes, calls = [], []
-    logs = PowerPeakProfile._logs
-    monkeypatch.setattr(PowerPeakProfile, "_logs", lambda self, arr: passes.append(self) or logs(self, arr))
+@pytest.mark.parametrize("alpha", [-5.0, -0.5, 0.25, 1.0, 4.0])
+def test_directional_quotient_at_eps_0_is_the_radial_constant_at_m_1002(alpha):
+    """At N = 12, 1 % up the strip, M is about 1002.  In r the unit-amplitude ground state is
+    2^(-(M-4)/2), about 1e-150, at r = 1, where its weighted integrands peak, and its integrals
+    fall to 1e-300 and below; in s every integrand is of order 1, and the quotient at eps = 0
+    is S_r to 1e-12."""
+    lo, hi = beta_strip(12, alpha)
+    p = validate(12, alpha, lo + 0.01 * (hi - lo))
+    assert derive(p).M == pytest.approx(1002.0)
+    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
 
-    def counted(rows):
-        def integrand(r):
-            calls.append(r.size)
-            return rows(r)
 
-        return integrand
-
-    monkeypatch.setattr(variation, "integrate_rows", lambda rows: integrate_rows(counted(rows)))
-    directional_quotient(validate(5, 1.0, 1.0), 1e-2)
-    assert calls and len(passes) == 2 * len(calls)
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(5, 30), alpha=st.floats(-2.5, 4.0), u=st.floats(0.0, 1.0))
+@example(N=5, alpha=1.0, u=1.0)  # M = 1e6
+@example(N=30, alpha=-2.5, u=1.0)
+def test_directional_quotient_at_eps_0_is_the_radial_constant_across_the_strip(N, alpha, u):
+    """From the upper edge (M = N) to M = 1e6, log-uniformly in M, the quotient at eps = 0 is
+    the closed-form S_r to 1e-12."""
+    try:
+        p = validate(N, alpha, _beta_at(N, alpha, N * (1e6 / N) ** u))
+    except ParamError:
+        assume(False)
+    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
 
 
 def test_directional_quotient_rejects_large_eps(p511):
@@ -261,9 +269,12 @@ def test_angular_sum_is_the_whole_grid_power_bit_for_bit(N, alpha, t, eps):
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.49])
-def test_angular_sum_is_the_whole_grid_power_on_a_refinement(eps):
-    """Near the upper edge at alpha = 2 the radial rule refines once, on the 380 odd nodes."""
-    assert _checked_quotient(5, 2.0, 0.95, eps) == [381, 380]
+def test_angular_sum_is_the_whole_grid_power_on_a_refinement(monkeypatch, eps):
+    """At the default tolerance the quotient's rule stops on the first call's 381 nodes.  At
+    tolerance 0, where two levels must agree to the bit, (6, 1, 2 % up the strip) refines,
+    first on the 380 odd nodes, then on the 762 of the next level."""
+    monkeypatch.setattr(variation, "integrate_rows", lambda rows: integrate_rows(rows, tol=0.0))
+    assert _checked_quotient(6, 1.0, 0.02, eps)[:3] == [381, 380, 762]
 
 
 _UV = 3.0 * 2.0 ** -np.arange(48.0)
@@ -434,7 +445,7 @@ def test_certificate_is_frozen(p511):
 # {5, 6, 8, 12, 30}, alpha in {-(N-2)/2, -0.5, 0.25, 1, 4}, beta at 15 fractions of the strip
 # (lo, hi], at hi itself and, where alpha > 0, at beta_FS +- {1e-8, 1e-6, 1e-4}.  No count may
 # get worse than this table: "ok" (no discrepancy) may only rise, the others only fall.
-_COVERAGE_LEDGER = {"ok": 212, "discrepancy": 68, "DomainError": 200, "AccuracyError": 10}
+_COVERAGE_LEDGER = {"ok": 222, "discrepancy": 68, "DomainError": 200, "AccuracyError": 0}
 
 
 def _coverage_grid():
