@@ -8,9 +8,8 @@ module evaluates that statement three independent ways:
 * a closed-form factored expression for the second variation (Beta
   integrals, sign carried by a single factor; the tests check the Beta
   reductions against quadrature),
-* the directional quotient I(U + eps Z_i) by 2D quadrature in C.-S. Lin's
-  variable s = r^(sigma/2), where U, Z_i and their energy integrands are
-  closed forms in s^2/(1+s^2),
+* the directional quotient I(U + eps Z_i) by 2D quadrature of closed-form
+  integrands in C.-S. Lin's variable s = r^(sigma/2),
 * the least Ritz eigenvalue of the mode-1 stability form (spectral).
 
 `certify` bundles the three witnesses into a verdict and never
