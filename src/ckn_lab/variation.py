@@ -8,8 +8,9 @@ module evaluates that statement three independent ways:
 * a closed-form factored expression for the second variation (Beta
   integrals, sign carried by a single factor; the tests check the Beta
   reductions against quadrature),
-* the directional quotient I(U + eps Z_i) by 2D quadrature of closed-form
-  integrands in C.-S. Lin's variable s = r^(sigma/2),
+* the directional quotient I(U + eps Z_i) by radial quadrature of closed-form
+  integrands in C.-S. Lin's variable s = r^(sigma/2), its polar mean a
+  hypergeometric series,
 * the least Ritz eigenvalue of the mode-1 stability form (spectral).
 
 `certify` bundles the three witnesses into a verdict and never
@@ -19,7 +20,6 @@ the analytic classification are reported as discrepancies.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from enum import Enum
@@ -104,42 +104,20 @@ def second_variation(p: Params) -> SecondVariation:
     )
 
 
-_GL_THETA_NODES = 64
+def _polar_mean(x2, p_star: float, N: int):
+    """Mean of (1 + x cos(theta))^p* over S^(N-1) at each x2 = x^2 < 1, by Funk-Hecke.
 
-
-@functools.cache
-def _theta_rule(N: int):
-    """Polar-angle nodes cos(theta) and weights; read-only, built once per N."""
-    x, w = np.polynomial.legendre.leggauss(_GL_THETA_NODES)
-    theta = 0.5 * math.pi * (x + 1.0)
-    weight = 0.5 * math.pi * w * np.sin(theta) ** (N - 2)
-    cos_t = np.cos(theta)
-    cos_t.flags.writeable = False
-    weight.flags.writeable = False
-    return cos_t, weight
-
-
-def _angular_sum(uv, gv, eps: float, cos_t, w_t, p_star: float):
-    """w_t @ |uv + eps cos_t gv|^p_star: the angular sum at each radial node.
-
-    The (theta, r) array is built in place by the operations of
-    uv[None, :] + eps * np.outer(cos_t, gv), so every entry keeps its bits.
-    p_star is raised only over the span from the first to the last radial
-    column that eps g moves off uv.  Outside it every theta entry is |uv_j|
-    itself (in the quotient uv is 1 and g = s/(1+s^2) falls below an ulp of
-    it toward both ends), so the column is filled with that one power, bit
-    for bit the whole-grid power, and the product with w_t is the same BLAS call.
+    E[cos^(2j) theta] = (1/2)_j/(N/2)_j, so the mean is 2F1(-p*/2, (1-p*)/2; N/2; x^2); its
+    series is summed until every term is below an ulp of its partial sum.  It is exactly 1.0
+    where x2 = 0, and the sum ends where p* is an integer and a Pochhammer factor reaches 0.
     """
-    terms = np.multiply.outer(cos_t, gv)
-    terms *= eps
-    terms += uv
-    moved = np.flatnonzero((terms != uv).any(axis=0))
-    lo, hi = (moved[0], moved[-1] + 1) if moved.size else (0, 0)
-    np.abs(terms, out=terms)
-    terms[:, lo:hi] **= p_star
-    terms[:, :lo] = np.abs(uv[:lo]) ** p_star
-    terms[:, hi:] = np.abs(uv[hi:]) ** p_star
-    return w_t @ terms
+    a, b, c = -0.5 * p_star, 0.5 * (1.0 - p_star), 0.5 * N
+    term, total, j = 1.0, np.ones_like(x2), 0
+    while np.any(np.abs(term) >= np.spacing(total)):
+        term = term * ((a + j) * (b + j) / ((c + j) * (j + 1.0))) * x2
+        total += term
+        j += 1
+    return total
 
 
 def directional_quotient(p: Params, eps: float) -> float:
@@ -149,25 +127,25 @@ def directional_quotient(p: Params, eps: float) -> float:
     ground state scaled to 1 at s = 1, where its weighted integrands peak (the quotient has
     degree 0), and g = h U its first kernel mode.  The mode operator s^2 v'' + (M-1) s v' - q^2 lam v
     is U (M-4) t ((M-2) t - M) on U and U h ((M-1-mu) - (M-2)(M+2) t + (M-2) M t^2) on g, with
-    mu = q^2 (N-1).  With E = int (.)^2 s^(M-5) ds,
+    mu = q^2 (N-1).  With E = int (.)^2 s^(M-5) ds and 2/p* = 1 - 4/M,
 
-        Q = omega q^-3 (E_U + eps^2 E_g/N) / (|S^(N-2)| q int U^p* A s^(M-1) ds)^(2/p*),
+        Q = omega^(4/M) q^(4/M-4) (E_U + eps^2 E_g/N) / (int U^p* A((eps h)^2) s^(M-1) ds)^(2/p*),
 
-    the cross term vanishing by harmonic orthogonality.  A = w_t @ |1 + eps cos(theta) h|^p* is a
-    64-node Gauss-Legendre rule in the polar angle (`_angular_sum`).  The three integrals are rows
-    of one `integrate_rows` call in x = s^sqrt(M), where the peak has unit width at every M, with
-    weights formed in log space: U^2 s^(M-4) = cosh(ln s)^-(M-4) and U^p* s^M = cosh(ln s)^-M.
-    At eps = 0 this is S_r; for small eps it drops below S_r above the transition curve and rises
-    above it below the curve.  Raises DomainError where the value leaves double range.
+    the cross term vanishing by harmonic orthogonality.  A is the polar mean of
+    (1 + eps h cos(theta))^p* over S^(N-1), in closed form (`_polar_mean`).  The three integrals
+    are rows of one `integrate_rows` call in x = s^sqrt(M), where the peak has unit width at every
+    M, with weights formed in log space: U^2 s^(M-4) = cosh(ln s)^-(M-4) and
+    U^p* s^M = cosh(ln s)^-M.  At eps = 0 this is S_r; for small eps it drops below S_r above the
+    transition curve and rises above it below the curve.  Raises DomainError where the value
+    leaves double range.
     """
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
     d = derive(p)
     m, root, power = d.M, math.sqrt(d.M), 2.0 / d.p_star  # power: the norm's, 2/p*
     c0 = (m - 1.0) - d.q**2 * (p.N - 1.0)  # M-1-mu
-    cos_t, w_t = _theta_rule(p.N)
 
-    def rows(x):  # the energies of U and g, then the denominator's angular sum
+    def rows(x):  # the energies of U and g, then the denominator's polar mean
         lx = np.log(x)
         y = lx / root  # ln s
         log_cosh = 0.5 * np.log1p(np.sinh(y) ** 2)  # to full relative precision near y = 0
@@ -177,13 +155,13 @@ def directional_quotient(p: Params, eps: float) -> float:
         return [
             ((m - 4.0) * t * ((m - 2.0) * t - m)) ** 2 * w,
             (h * (c0 + (m - 2.0) * t * (m * t - (m + 2.0)))) ** 2 * w,
-            _angular_sum(np.ones_like(x), h, eps, cos_t, w_t, d.p_star) * np.exp(log_dx - m * log_cosh),
+            _polar_mean((eps * h) ** 2, d.p_star, p.N) * np.exp(log_dx - m * log_cosh),
         ]
 
     energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
-    log_value = (  # omega/|S^(N-2)|^(2/p*) and q^-(3+2/p*) leave double range before Q does
-        (1.0 - power) * math.log(2.0) + _log_half_sphere_area(p.N) - power * _log_half_sphere_area(p.N - 1)
-        - (3.0 + power) * math.log(d.q) + math.log(energy_u + eps**2 * energy_g / p.N) - power * math.log(raw)
+    log_value = (  # omega^(4/M) and q^(4/M-4), S_r's prefactor, leave double range before Q does
+        4.0 / m * (math.log(2.0) + _log_half_sphere_area(p.N)) + (4.0 / m - 4.0) * math.log(d.q)
+        + math.log(energy_u + eps**2 * energy_g / p.N) - power * math.log(raw)
     )
     try:
         return math.exp(log_value)

@@ -380,23 +380,23 @@ def test_mode_operator_values_are_pinned(compute, expected):
     assert repr(compute()) == expected
 
 
-# Pinned as hex: the angular sum w_t @ vals runs through BLAS, whose rounding
-# may depend on the batch width, and the integrand's batches are set by the
-# call schedule: 385 abscissae in the first call, a level's odd nodes in each
-# later one.  Points above and below beta_FS of each (N, alpha).
+# Pinned as hex: the three rows of the quotient are summed on the radial rule's
+# call schedule, 381 abscissae in the first call and a level's odd nodes in each
+# later one, and the polar mean is a series summed to an ulp at each node.
+# Points above and below beta_FS of each (N, alpha).
 @pytest.mark.parametrize(
     "N, alpha, beta, eps, expected",
     [
-        (6, 1.0, 0.4082039324993694, 0.01, "0x1.14d7bcee98433p+8"),
+        (6, 1.0, 0.4082039324993694, 0.01, "0x1.14d7bcee98438p+8"),
         (6, 1.0, 0.4082039324993694, 0.003, "0x1.14d79ea0ec74ap+8"),
-        (6, 1.0, 1.0082039324993695, 0.01, "0x1.a1ca4638be6d7p+8"),
-        (6, 1.0, 1.0082039324993695, 0.003, "0x1.a1ca7974d6b64p+8"),
-        (8, 1.0, 0.4749643873921226, 0.01, "0x1.592b902cf1a2cp+9"),
-        (8, 1.0, 0.4749643873921226, 0.003, "0x1.592b7ed21352bp+9"),
+        (6, 1.0, 1.0082039324993695, 0.01, "0x1.a1ca4638be6d0p+8"),
+        (6, 1.0, 1.0082039324993695, 0.003, "0x1.a1ca7974d6b71p+8"),
+        (8, 1.0, 0.4749643873921226, 0.01, "0x1.592b902cf1a32p+9"),
+        (8, 1.0, 0.4749643873921226, 0.003, "0x1.592b7ed213535p+9"),
         (8, 1.0, 1.0749643873921226, 0.01, "0x1.ee8055ae75b39p+9"),
-        (8, 1.0, 1.0749643873921226, 0.003, "0x1.ee807038f2d91p+9"),
-        (12, 2.0, 1.4113092008020878, 0.01, "0x1.53d231f4b72fdp+11"),
-        (12, 2.0, 1.4113092008020878, 0.003, "0x1.53d22c7c49704p+11"),
+        (8, 1.0, 1.0749643873921226, 0.003, "0x1.ee807038f2da1p+9"),
+        (12, 2.0, 1.4113092008020878, 0.01, "0x1.53d231f4b7303p+11"),
+        (12, 2.0, 1.4113092008020878, 0.003, "0x1.53d22c7c49709p+11"),
         (12, 2.0, 2.0113092008020876, 0.01, "0x1.a14f4cd2d892bp+11"),
         (12, 2.0, 2.0113092008020876, 0.003, "0x1.a14f53be9655bp+11"),
     ],

@@ -207,12 +207,14 @@ def test_directional_quotient_at_eps_0_is_the_radial_constant_at_m_1002(alpha):
 
 
 @settings(max_examples=80, deadline=None)
-@given(N=st.integers(5, 30), alpha=st.floats(-2.5, 4.0), u=st.floats(0.0, 1.0))
+@given(N=st.integers(5, 438), alpha=st.floats(-2.5, 4.0), u=st.floats(0.0, 1.0))
 @example(N=5, alpha=1.0, u=1.0)  # M = 1e6
 @example(N=30, alpha=-2.5, u=1.0)
+@example(N=438, alpha=1.0, u=math.log(439 / 438) / math.log(1e6 / 438))  # (438, 1, 1), M = 439
 def test_directional_quotient_at_eps_0_is_the_radial_constant_across_the_strip(N, alpha, u):
-    """From the upper edge (M = N) to M = 1e6, log-uniformly in M, the quotient at eps = 0 is
-    the closed-form S_r to 1e-12."""
+    """From the upper edge (M = N) to M = 1e6, log-uniformly in M, and for N up to 438, the
+    largest N whose sphere area is a normal double, the quotient at eps = 0 is the closed-form
+    S_r to 1e-12."""
     try:
         p = validate(N, alpha, _beta_at(N, alpha, N * (1e6 / N) ** u))
     except ParamError:
@@ -225,90 +227,74 @@ def test_directional_quotient_rejects_large_eps(p511):
         directional_quotient(p511, 0.7)
 
 
-_angular_sum = variation._angular_sum  # kept: the tests below patch the module's name
+# The reference polar rule the quotient used before its closed form: 64-node Gauss-Legendre in
+# theta with the weight sin^(N-2) theta, the power taken over the whole (theta, node) grid.
+_GL_THETA_NODES = 64
 
 
-def _whole_grid_angular_sum(uv, gv, eps, cos_t, w_t, p_star):
-    """The reference: the power over the whole (theta, r) grid."""
-    return w_t @ (np.abs(uv[None, :] + eps * np.outer(cos_t, gv)) ** p_star)
-
-
-def _assert_whole_grid_bits(uv, gv, eps, cos_t, w_t, p_star):
-    got = _angular_sum(uv, gv, eps, cos_t, w_t, p_star)
-    want = _whole_grid_angular_sum(uv, gv, eps, cos_t, w_t, p_star)
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
-    return got
-
-
-def _checked_quotient(N, alpha, t, eps):
-    """directional_quotient at beta a fraction t up the strip, each angular sum checked
-    against the reference; the node counts of its integrand calls."""
-    sizes = []
-
-    def checked(uv, *args):
-        sizes.append(uv.size)
-        return _assert_whole_grid_bits(uv, *args)
-
-    lo, hi = beta_strip(N, alpha)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(variation, "_angular_sum", checked)
-        directional_quotient(validate(N, alpha, min(lo + t * (hi - lo), hi)), eps)
-    return sizes
+def _reference_polar_mean(x2, p_star, N):
+    """w_t @ |1 + x cos(theta)|^p* on the 64-node rule, over the exact int_0^pi sin^(N-2)."""
+    x, w = np.polynomial.legendre.leggauss(_GL_THETA_NODES)
+    theta = 0.5 * math.pi * (x + 1.0)
+    w_t = 0.5 * math.pi * w * np.sin(theta) ** (N - 2)
+    whole_grid = np.abs(1.0 + np.multiply.outer(np.cos(theta), np.sqrt(x2))) ** p_star
+    return w_t @ whole_grid / (math.sqrt(math.pi) * math.exp(math.lgamma((N - 1) / 2) - math.lgamma(N / 2)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    N=st.integers(5, 12),
+    N=st.integers(5, 30),
     alpha=st.floats(-1.0, 4.0),
     t=st.floats(0.02, 1.0),
     eps=st.sampled_from([0.0, 1e-8, -1e-8, 0.01, -0.01, 0.3, 0.49]),
 )
-def test_angular_sum_is_the_whole_grid_power_bit_for_bit(N, alpha, t, eps):
-    """On the profiles' own nodes: the first call carries the whole 381-node grid."""
-    assert _checked_quotient(N, alpha, t, eps)[0] == 381
+def test_directional_quotient_matches_the_64_node_polar_rule(N, alpha, t, eps):
+    """For N <= 30, where the 64-node rule resolves sin^(N-2) theta, the closed-form polar mean
+    gives the quotient of the reference rule to 2e-14."""
+    lo, hi = beta_strip(N, alpha)
+    p = validate(N, alpha, min(lo + t * (hi - lo), hi))
+    got = directional_quotient(p, eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variation, "_polar_mean", _reference_polar_mean)
+        want = directional_quotient(p, eps)
+    assert abs(got - want) <= 2e-14 * want
 
 
-@pytest.mark.parametrize("eps", [0.01, 0.49])
-def test_angular_sum_is_the_whole_grid_power_on_a_refinement(monkeypatch, eps):
-    """At the default tolerance the quotient's rule stops on the first call's 381 nodes.  At
-    tolerance 0, where two levels must agree to the bit, (6, 1, 2 % up the strip) refines,
-    first on the 380 odd nodes, then on the 762 of the next level."""
-    monkeypatch.setattr(variation, "integrate_rows", lambda rows: integrate_rows(rows, tol=0.0))
-    assert _checked_quotient(6, 1.0, 0.02, eps)[:3] == [381, 380, 762]
+def _hyp2f1_oracle(x2, p_star, N):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(-p_star / 2, (1 - mpmath.mpf(p_star)) / 2, mpmath.mpf(N) / 2, x2))
 
 
-_UV = 3.0 * 2.0 ** -np.arange(48.0)
-_GV = np.where((np.arange(48) >= 10) & (np.arange(48) <= 30), 1.0, 0.0)  # moves columns 10 to 30
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(5, 1000), p_star=st.floats(2.0, 10.0, exclude_min=True), x=st.floats(-0.25, 0.25))
+@example(N=5, p_star=10.0, x=0.25)  # M = N = 5: the series ends after its x^10 term
+@example(N=1000, p_star=2.0 + 2.0**-50, x=-0.25)
+def test_polar_mean_is_the_hypergeometric_series(N, p_star, x):
+    """The mean of (1 + x cos(theta))^p* over S^(N-1) is 2F1(-p*/2, (1-p*)/2; N/2; x^2): the
+    series is within 4 ulps of a 40-digit evaluation, for |x| <= 1/4 as in the quotient."""
+    x2 = x * x
+    (got,) = variation._polar_mean(np.array([x2]), p_star, N)
+    want = _hyp2f1_oracle(x2, p_star, N)
+    assert abs(got - want) <= 4 * math.ulp(want)
 
 
-def _with(arr, index, value):
-    arr = arr.copy()
-    arr[index] = value
-    return arr
+@pytest.mark.parametrize("N, p_star", [(5, 10.0), (6, 6.0), (438, 2.0 + 2.0 / 437), (12, 3.7)])
+def test_polar_mean_at_x_0_is_exactly_1(N, p_star):
+    assert variation._polar_mean(np.zeros(3), p_star, N).tolist() == [1.0, 1.0, 1.0]
 
 
-@pytest.mark.parametrize("p_star", [6.0, 3.7])
 @pytest.mark.parametrize(
-    "uv, gv, eps",
-    [
-        (_UV, _GV, 0.0),
-        (_UV, np.ones(48), 0.3),
-        (_UV, _GV, 0.01),
-        (_with(_UV, 3, math.nan), _GV, 0.01),
-        (_with(_UV, 40, math.inf), _GV, 0.01),
-        (_UV, _with(_GV, 45, math.nan), 0.01),
-        (_UV, _with(_GV, 2, math.inf), 0.01),
-        (_UV, _with(_GV, 2, math.inf), 0.0),
-    ],
-    ids=["none_moved", "all_moved", "middle_moved", "nan_in_uv", "inf_in_uv_unmoved", "nan_in_gv",
-         "inf_in_gv", "inf_in_gv_at_eps_0"],
+    "point", [(150, 1.0, 1.000133949726474), (200, 1.0, 1.0000752575227096), (300, 1.0, 1.0000334088918295)]
 )
-def test_angular_sum_is_the_whole_grid_power_at_the_edges(uv, gv, eps, p_star):
-    """An unmoved column (inf + 0 is inf) is filled with its one power; a NaN, or 0 * inf,
-    moves its column.  Under errstate(all="ignore"), as integrate_rows calls the integrand."""
-    cos_t, w_t = variation._theta_rule(7)
-    with np.errstate(all="ignore"):
-        _assert_whole_grid_bits(uv, gv, eps, cos_t, w_t, p_star)
+def test_certificate_at_large_n_has_no_witness_conflict(point):
+    """On the breaking side near the curve, where the 64-node polar rule put the quotient up to
+    2.4e-5 above S_r, the quotient at eps = 0 is S_r to 1e-12 and its witness reads 0."""
+    p = validate(*point)
+    cert = certify(p)
+    assert cert.witness_signs == (-1, 0, -1)
+    assert not any("witness signs conflict" in d for d in cert.discrepancies)
+    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
 
 
 def test_quotient_rises_on_symmetric_side():
