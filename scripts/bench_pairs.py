@@ -14,7 +14,9 @@ reversed every other round, and in each one runs
 
 * ``perfbench/run.py --workload W --seed 1 --seconds S`` for each workload
   W, and keeps the figures of its last line that BENCHMARK.json bounds as
-  ``W/<figure>``; each workload runs in every checkout in turn before the
+  ``W/<figure>``, with the accuracy figures of its record line (ρ₁ and the
+  worst defects over the run's operations) beside them under
+  ``accuracy``; each workload runs in every checkout in turn before the
   next one starts, and
 * the command-line runs of CLI_RUNS, each a few ``ckn-lab`` processes
   that call ``main`` once and loop over many cells or alphas inside it,
@@ -231,13 +233,14 @@ def main(argv: list[str] | None = None) -> int:
         order = _order(names, i)
         record["order"].append(order)
         for name in order:
-            record["checkouts"][name]["runs"].append({"ops": {}, "metrics": {}, "output_sha256": {}})
+            record["checkouts"][name]["runs"].append({"ops": {}, "metrics": {}, "accuracy": {}, "output_sha256": {}})
         for workload in workloads:
             for name in order:
                 machine, last = _run(name, roots[name], workload, seconds, 0)
                 record["machine"] = machine["machine"]
                 run = record["checkouts"][name]["runs"][i]
                 run["ops"][workload] = {key: last[key] for key in ("correct", "attempted", "failed")}
+                run["accuracy"][workload] = machine.get("accuracy", {})
                 run["metrics"].update(
                     {f"{workload}/{key}": last["metrics"][key]["value"] for key in better}
                 )

@@ -90,7 +90,7 @@ def test_main_takes_its_figures_from_benchmark_json(monkeypatch, tmp_path):
         runs.append((name, workload, trace))
         assert seconds == str(BENCH["run_seconds"])
         scale = 2.0 if name == "change" else 1.0
-        return {"machine": {"host": "fake"}}, _fake_line(workload, trace, scale)
+        return {"machine": {"host": "fake"}, "accuracy": {"defect": scale}}, _fake_line(workload, trace, scale)
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     monkeypatch.setattr(bench_pairs, "_time_cli", lambda root, command: (1.0, 1.0, b"out"))
@@ -112,6 +112,7 @@ def test_main_takes_its_figures_from_benchmark_json(monkeypatch, tmp_path):
     assert table["same_cli_output"] is True
 
     change = record["checkouts"]["change"]
+    assert all(run["accuracy"] == {w: {"defect": 2.0} for w in WORKLOADS} for run in change["runs"])
     assert set(change["trace"]) == set(WORKLOADS)
     assert change["trace"]["scan"] == {name: 2.0 * len(name) for name in UNITS}
     assert "trace_order" not in record

@@ -424,6 +424,30 @@ def test_significant_nan_names_its_abscissa():
     assert str(err.value) == "integrand produced a non-finite value at s=2.211354e+00"
 
 
+def test_level_sum_past_double_range_is_a_domain_error():
+    # Kahan's running total overflowed here and its correction turned it into nan.
+    with pytest.raises(DomainError) as err:
+        _level_sum(_level_0_vals([1.57] + [6e307] * 4), quad._H0)
+    assert type(err.value) is DomainError
+    assert str(err.value) == "level sum at step h=0.5 exceeds double range"
+
+
+def test_integral_past_double_range_raises_in_the_first_call():
+    # The exact integral, 5e306 * sqrt(8 pi) * e^2 ~ 1.9e308, exceeds double range;
+    # a nan level sum once ran this to the node cap and an AccuracyError.
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return 5e306 * np.exp(-np.log(s) ** 2 / 8)
+
+    with pytest.raises(DomainError) as err:
+        integrate_semiinfinite(f)
+    assert type(err.value) is DomainError
+    assert str(err.value) == "level sum at step h=0.5 exceeds double range"
+    assert len(calls) == 1
+
+
 def _odd_nodes(level):
     """The abscissae a level adds to the one before: its nodes with odd k."""
     s, _ = quad._grid(quad._H0 / 2**level)
@@ -780,7 +804,8 @@ def _side_count_vectorised(terms, s):
 
 
 def _level_sum_vectorised(vals, h):
-    """A level's sum with the vectorised tail rule above, then Kahan in ascending node order."""
+    """A level's sum with the vectorised tail rule above, then the exact sum of
+    its kept terms rounded once: math.fsum, correctly rounded and order-free."""
     s, w = quad._grid(h)
     mid = s.size // 2
     center = float(vals[mid]) * math.pi * h
@@ -793,13 +818,10 @@ def _level_sum_vectorised(vals, h):
     neg = neg[: _side_count_vectorised(neg, neg_s)]
     pos = pos[: _side_count_vectorised(pos, pos_s)]
     ordered = neg[::-1].tolist() + [center] + pos.tolist()
-    total = 0.0
-    comp = 0.0
-    for t in ordered:
-        y = t - comp
-        acc = total + y
-        comp = (acc - total) - y
-        total = acc
+    try:
+        total = float(sum(map(Fraction, ordered)))
+    except OverflowError:
+        raise DomainError(f"level sum at step h={h:g} exceeds double range") from None
     return total, len(ordered)
 
 
@@ -809,6 +831,14 @@ def _level_outcome(level_sum, vals, h):
     except DomainError as err:
         return type(err).__name__, str(err)
     return total.hex(), count
+
+
+def _level_0_vals(kept):
+    """Level-0 values whose terms are ``kept`` from s = 1 outward and 0 elsewhere."""
+    s, w = quad._grid(quad._H0)
+    terms = np.zeros(s.size)
+    terms[s.size // 2 : s.size // 2 + len(kept)] = kept
+    return terms / w
 
 
 _SUBNORMALS = [5e-324, -5e-324, 2.5e-320, 1e-310]
@@ -835,6 +865,8 @@ def _level_values(draw):
 @given(_level_values())
 @example((np.exp(-quad._grid(quad._H0)[0]), quad._H0))
 @example((_cube_with_overflowing_tail(quad._grid(quad._H0 / 2)[0]), quad._H0 / 2))
+@example((_level_0_vals([1.5707963267948966, 1e100, 1.0, -1e100]), quad._H0))  # Kahan's sum is 0.0
+@example((_level_0_vals([1.57] + [6e307] * 4), quad._H0))  # past double range
 def test_level_sum_matches_the_vectorised_rule(level):
     vals, h = level
     expected = _level_outcome(_level_sum_vectorised, vals, h)
