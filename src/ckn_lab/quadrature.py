@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -197,7 +198,7 @@ def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
             if level:
                 best_err = abs(value - prev)
             result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
-            if level >= 2 and best_err <= max(tol * abs(value), 1e-300):
+            if level >= 2 and best_err <= tol * max(abs(value), sys.float_info.min):
                 break
             if total_nodes >= node_cap:
                 raise AccuracyError(
