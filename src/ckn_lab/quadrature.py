@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -171,10 +172,14 @@ def _walk(vals: np.ndarray, h: float) -> tuple[float, int, int]:
     pos = pos[: _side_count(pos, s[mid + 1 :])]
     # math.fsum, correctly rounded and order-free; taking each side outward from
     # s = 1, largest terms first, keeps its partials few and halves its time.
+    kept = neg + pos + [center]
     try:
-        return math.fsum(neg + pos + [center]), len(neg), len(pos)
-    except OverflowError:
-        raise DomainError(f"level sum at step h={h:g} exceeds double range") from None
+        return math.fsum(kept), len(neg), len(pos)
+    except OverflowError:  # a partial left double range; the exact sum may not
+        try:
+            return float(sum(map(Fraction, kept))), len(neg), len(pos)
+        except OverflowError:
+            raise DomainError(f"level sum at step h={h:g} exceeds double range") from None
 
 
 def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:

@@ -880,6 +880,7 @@ def _level_values(draw):
 @example((_cube_with_overflowing_tail(quad._grid(quad._H0 / 2)[0]), quad._H0 / 2))
 @example((_level_0_vals([1.5707963267948966, 1e100, 1.0, -1e100]), quad._H0))  # Kahan's sum is 0.0
 @example((_level_0_vals([1.57] + [6e307] * 4), quad._H0))  # past double range
+@example((_level_0_vals([1.0, 1e308, 1e308, -1e308]), quad._H0))  # fsum's partial overflows, the sum fits
 def test_level_sum_matches_the_vectorised_rule(level):
     vals, h = level
     expected = _level_outcome(_level_sum_vectorised, vals, h)
