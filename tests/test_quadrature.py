@@ -123,7 +123,7 @@ def test_divergence_is_judged_in_the_first_call_and_names_its_side(f, side):
 
     with np.errstate(all="ignore"), pytest.raises(DivergentIntegralError) as err:
         integrate_semiinfinite(spy)
-    assert calls == [381]
+    assert calls == [_first_call_grid().size]
     level_0_end = quad._grid(quad._H0)[0][-1 if side == "infinity" else 0]
     assert str(err.value) == f"integrand does not decay toward {side}: its terms grow up to s={level_0_end:.6e}"
 
@@ -326,17 +326,17 @@ def _cube_with_overflowing_tail(s):
 @pytest.mark.parametrize(
     "f, expected",
     [
-        (lambda s: np.exp(-s), "QuadResult(value=1.0, abs_error_estimate=5.995204332975845e-15, nodes=318)"),
+        (lambda s: np.exp(-s), "QuadResult(value=1.0, abs_error_estimate=1.842581642819141e-11, nodes=228)"),
         (
             lambda s: np.exp(-s) / np.sqrt(s),
-            "QuadResult(value=1.772453850905516, abs_error_estimate=1.9984014443252818e-15, nodes=357)",
+            "QuadResult(value=1.772453850905516, abs_error_estimate=1.9308554755070872e-11, nodes=249)",
         ),
-        (lambda s: (1.0 + s) ** -3.0, "QuadResult(value=0.5, abs_error_estimate=1.8207657603852567e-14, nodes=108)"),
+        (lambda s: (1.0 + s) ** -3.0, "QuadResult(value=0.5, abs_error_estimate=5.551115123125783e-16, nodes=141)"),
         (
             lambda s: np.exp(-s) * np.cos(s),
-            "QuadResult(value=0.5, abs_error_estimate=1.8318679906315083e-14, nodes=620)",
+            "QuadResult(value=0.5, abs_error_estimate=0.0, nodes=894)",
         ),
-        (_cube_with_overflowing_tail, "QuadResult(value=0.5, abs_error_estimate=1.8207657603852567e-14, nodes=103)"),
+        (_cube_with_overflowing_tail, "QuadResult(value=0.5, abs_error_estimate=5.551115123125783e-16, nodes=133)"),
     ],
     ids=["exp", "exp_over_sqrt", "cube", "exp_cos", "overflowing_tail"],
 )
@@ -347,12 +347,12 @@ def test_result_is_pinned(f, expected):
 def test_a_scalar_integrand_is_broadcast():
     """An integrand constant in s may return a scalar; it is spread over the nodes."""
     assert repr(integrate_semiinfinite(lambda s: 0.0)) == (
-        "QuadResult(value=0.0, abs_error_estimate=0.0, nodes=165)"
+        "QuadResult(value=0.0, abs_error_estimate=0.0, nodes=199)"
     )
 
 
 def test_extremal_quotient_is_pinned(p511):
-    assert repr(quotient_radial(extremal(p511), p511)) == "221.68826741979262"
+    assert repr(quotient_radial(extremal(p511), p511)) == "221.6882674197927"
 
 
 def _mode1_on_curve():
@@ -371,19 +371,19 @@ def _battery_test_function(index, mode):
 @pytest.mark.parametrize(
     "compute, expected",
     [
-        (_mode1_on_curve, "-1.0658141036401503e-14"),
+        (_mode1_on_curve, "-4.440892098500626e-15"),
         (
             lambda: check_laplacian_bound(_battery_test_function(1, 1), validate(6, 1.0, 0.5)),
             "(0.7197035745422843, 2.6530612244897958, True)",
         ),
         (
             lambda: check_divergence_expansion(_battery_test_function(0, 1), validate(6, 1.0, 0.5)),
-            "1.5157257058903395e-16",
+            "0.0",
         ),
-        (lambda: check_pohozaev_identity(_battery_test_function(1, 1), 5), "1.2371844231029978e-16"),
+        (lambda: check_pohozaev_identity(_battery_test_function(1, 1), 5), "6.185922115514988e-17"),
         (
             lambda: check_rellich_sobolev(rellich_sobolev_extremal(5, 1.0 / 3.0), 5, 1.0 / 3.0),
-            "(30.144991216958164, 30.1449912169582, True)",
+            "(30.144991216958154, 30.144991216958193, True)",
         ),
         (lambda: directional_quotient(validate(5, 1.0, 1.0), 0.01), "221.6873091569719"),
     ],
@@ -394,13 +394,13 @@ def test_mode_operator_values_are_pinned(compute, expected):
 
 
 # Pinned as hex: the three rows of the quotient are summed on the radial rule's
-# call schedule, 381 abscissae in the first call and a level's odd nodes in each
+# call schedule, 453 abscissae in the first call and a level's odd nodes in each
 # later one, and the polar mean is a series summed to an ulp at each node.
 # Points above and below beta_FS of each (N, alpha).
 @pytest.mark.parametrize(
     "N, alpha, beta, eps, expected",
     [
-        (6, 1.0, 0.4082039324993694, 0.01, "0x1.14d7bcee98438p+8"),
+        (6, 1.0, 0.4082039324993694, 0.01, "0x1.14d7bcee98433p+8"),
         (6, 1.0, 0.4082039324993694, 0.003, "0x1.14d79ea0ec74ap+8"),
         (6, 1.0, 1.0082039324993695, 0.01, "0x1.a1ca4638be6d0p+8"),
         (6, 1.0, 1.0082039324993695, 0.003, "0x1.a1ca7974d6b71p+8"),
@@ -423,7 +423,7 @@ def test_accuracy_error_result_is_pinned():
     with pytest.raises(AccuracyError) as err:
         integrate_semiinfinite(lambda s: 1.0 / (1.0 + s * s), tol=1e-14, node_cap=32)
     assert repr(err.value.result) == (
-        "QuadResult(value=1.5708084354078866, abs_error_estimate=0.008722405441900616, nodes=56)"
+        "QuadResult(value=1.5707963267948968, abs_error_estimate=3.347953425603123e-08, nodes=68)"
     )
 
 
@@ -434,7 +434,7 @@ def test_significant_nan_names_its_abscissa():
     with pytest.raises(DomainError) as err:
         integrate_semiinfinite(f)
     assert type(err.value) is DomainError
-    assert str(err.value) == "integrand produced a non-finite value at s=2.211354e+00"
+    assert str(err.value) == "integrand produced a non-finite value at s=1.947394e+00"
 
 
 def test_level_sum_past_double_range_is_a_domain_error():
@@ -461,6 +461,11 @@ def test_integral_past_double_range_raises_in_the_first_call():
     assert len(calls) == 1
 
 
+def _first_call_grid():
+    """The abscissae of the first integrand call: the whole level-_FIRST grid."""
+    return quad._grid(quad._H0 / 2**quad._FIRST)[0]
+
+
 def _odd_nodes(level):
     """The abscissae a level adds to the one before: its nodes with odd k."""
     s, _ = quad._grid(quad._H0 / 2**level)
@@ -477,9 +482,8 @@ def test_each_abscissa_reaches_the_integrand_once():
 
     integrate_semiinfinite(spy)
     # one call for the whole level-4 grid, where it converges
-    assert [b.size for b in batches] == [381]
-    assert quad._grid(quad._H0 / 2**4)[0].size == 381
-    assert np.array_equal(batches[0], quad._grid(quad._H0 / 2**4)[0])
+    assert len(batches) == 1
+    assert np.array_equal(batches[0], _first_call_grid())
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
 
@@ -492,8 +496,9 @@ def test_a_finer_level_evaluates_exactly_its_odd_nodes():
         return np.exp(-s) * np.cos(s)
 
     integrate_semiinfinite(spy)
-    # levels 0-4, then level 5's 380 odd nodes over the whole node range
-    assert [b.size for b in batches] == [381, 380]
+    # levels 0-4, then level 5's odd nodes over the whole node range
+    assert len(batches) == 2
+    assert np.array_equal(batches[0], _first_call_grid())
     assert np.array_equal(batches[1], _odd_nodes(5))
     seen = np.concatenate(batches)
     assert np.unique(seen).size == seen.size
@@ -821,7 +826,7 @@ def _level_sum_vectorised(vals, h):
     its kept terms rounded once: math.fsum, correctly rounded and order-free."""
     s, w = quad._grid(h)
     mid = s.size // 2
-    center = float(vals[mid]) * math.pi * h
+    center = float(vals[mid]) * float(w[mid])
     if not math.isfinite(center):
         raise DomainError("integrand produced a non-finite value at s=1")
     with np.errstate(all="ignore"):
