@@ -108,9 +108,9 @@ def test_pohozaev_identity(mode):
 
 def test_every_battery_check_converges_in_its_first_integrand_call(monkeypatch):
     """Every identity check over the battery that answers (points x profiles x modes 0-3)
-    converges inside the first call's grid.  Under s = exp(sinh x) a power-peak bump about
-    one unit wide in log s stays about one unit wide in x; s = exp(pi sinh x) squeezed it
-    to about 1/pi, and 130 of these 325 checks then needed a second call."""
+    converges inside the first call's grid: under s = exp(sinh x) a power-peak bump about
+    one unit wide in log s stays about one unit wide in x.  Under s = exp(pi sinh x), 130
+    of these 325 checks needed a second call."""
     calls = []
 
     def counted(f, *args, **kwargs):

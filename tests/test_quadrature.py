@@ -109,6 +109,11 @@ def test_divergence_at_origin_is_screened():
         integrate_semiinfinite(lambda s: np.exp(-s) * s**-1.5)
 
 
+def _first_call_grid():
+    """The abscissae of the first integrand call: the whole level-_FIRST grid."""
+    return quad._grid(quad._H0 / 2**quad._FIRST)[0]
+
+
 @pytest.mark.parametrize(
     "f, side",
     [(lambda s: 1.0 / (1.0 + s), "infinity"), (lambda s: np.exp(-s) * s**-1.5, "0")],
@@ -459,11 +464,6 @@ def test_integral_past_double_range_raises_in_the_first_call():
     assert type(err.value) is DomainError
     assert str(err.value) == "level sum at step h=0.5 exceeds double range"
     assert len(calls) == 1
-
-
-def _first_call_grid():
-    """The abscissae of the first integrand call: the whole level-_FIRST grid."""
-    return quad._grid(quad._H0 / 2**quad._FIRST)[0]
 
 
 def _odd_nodes(level):
