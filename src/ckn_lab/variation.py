@@ -8,9 +8,9 @@ module evaluates that statement three independent ways:
 * a closed-form factored expression for the second variation (Beta
   integrals, sign carried by a single factor; the tests check the Beta
   reductions against quadrature),
-* the directional quotient I(U + eps Z_i) by radial quadrature of closed-form
-  integrands in C.-S. Lin's variable s = r^(sigma/2), its polar mean a
-  hypergeometric series,
+* the quotient drop D = I(U + eps Z_i)/I(U) - 1 by radial quadrature of closed-form
+  integrands in C.-S. Lin's variable s = r^(sigma/2), on one grid, its polar mean a
+  hypergeometric series (the directional quotient is S_r (1 + D)),
 * the least Ritz eigenvalue of the mode-1 stability form (spectral).
 
 `certify` bundles the three witnesses into a verdict and never
@@ -32,10 +32,10 @@ from .params import (
     DEFAULT_EPS,
     Params,
     RegionClass,
-    _log_half_sphere_area,
     beta_fs,
     classify,
     derive,
+    gamma_m,
     s_r_closed,
     sphere_area,
 )
@@ -104,15 +104,15 @@ def second_variation(p: Params) -> SecondVariation:
     )
 
 
-def _polar_mean(x2, p_star: float, N: int):
-    """Mean of (1 + x cos(theta))^p* over S^(N-1) at each x2 = x^2 < 1, by Funk-Hecke.
+def _polar_excess(x2, p_star: float, N: int):
+    """Mean of (1 + x cos(theta))^p* over S^(N-1), less 1, at each x2 = x^2 < 1, by Funk-Hecke.
 
-    E[cos^(2j) theta] = (1/2)_j/(N/2)_j, so the mean is 2F1(-p*/2, (1-p*)/2; N/2; x^2); its
-    series is summed until every term is below an ulp of its partial sum.  It is exactly 1.0
-    where x2 = 0, and the sum ends where p* is an integer and a Pochhammer factor reaches 0.
+    E[cos^(2j) theta] = (1/2)_j/(N/2)_j, so the mean is 2F1(-p*/2, (1-p*)/2; N/2; x^2); its series
+    from j = 1 is summed until every term is below an ulp of its partial sum, to full relative
+    precision as x -> 0.  It is exactly 0.0 where x2 = 0, and ends where p* is an integer.
     """
     a, b, c = -0.5 * p_star, 0.5 * (1.0 - p_star), 0.5 * N
-    term, total, j = 1.0, np.ones_like(x2), 0
+    term, total, j = 1.0, np.zeros_like(x2), 0
     while np.any(np.abs(term) >= np.spacing(total)):
         term = term * ((a + j) * (b + j) / ((c + j) * (j + 1.0))) * x2
         total += term
@@ -120,32 +120,27 @@ def _polar_mean(x2, p_star: float, N: int):
     return total
 
 
-def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U + eps * g x_i/|x| (first harmonic), in Lin's variable s = r^(sigma/2).
+def _quotient_drop(p: Params, eps: float) -> float:
+    """D = Q(U + eps g x_i/|x|)/Q(U) - 1 on one grid, where S_r's prefactor cancels.
 
-    With q = 2/sigma, t = s^2/(1+s^2) and h = s/(1+s^2) <= 1/2, U = ((1+s^2)/2)^(-(M-4)/2) is the
-    ground state scaled to 1 at s = 1, where its weighted integrands peak (the quotient has
-    degree 0), and g = h U its first kernel mode.  The mode operator s^2 v'' + (M-1) s v' - q^2 lam v
-    is U (M-4) t ((M-2) t - M) on U and U h ((M-1-mu) - (M-2)(M+2) t + (M-2) M t^2) on g, with
-    mu = q^2 (N-1).  With E = int (.)^2 s^(M-5) ds and 2/p* = 1 - 4/M,
+    In C.-S. Lin's variable s = r^(sigma/2), with q = 2/sigma, t = s^2/(1+s^2) and h = s/(1+s^2)
+    <= 1/2, U = ((1+s^2)/2)^(-(M-4)/2) is the ground state scaled to 1 at s = 1 (Q has degree 0)
+    and g = h U its first kernel mode.  On them s^2 v'' + (M-1) s v' - q^2 lam v is
+    U (M-4) t ((M-2) t - M) and U h ((M-1-mu) - (M-2)(M+2) t + (M-2) M t^2), mu = q^2 (N-1).  With
+    E = int (.)^2 s^(M-5) ds, 2/p* = 1 - 4/M and U's equation E_U = gamma_m(M)/16 int U^p* s^(M-1) ds,
 
-        Q = omega^(4/M) q^(4/M-4) (E_U + eps^2 E_g/N) / (int U^p* A((eps h)^2) s^(M-1) ds)^(2/p*),
+        1 + D = (1 + eps^2 E_g/(N E_U)) / (1 + gamma_m(M) X/(16 E_U))^(2/p*),
 
-    the cross term vanishing by harmonic orthogonality.  A is the polar mean of
-    (1 + eps h cos(theta))^p* over S^(N-1), in closed form (`_polar_mean`).  The three integrals
-    are rows of one `integrate_rows` call in x = s^sqrt(M), where the peak has unit width at every
-    M, with weights formed in log space: U^2 s^(M-4) = cosh(ln s)^-(M-4) and
-    U^p* s^M = cosh(ln s)^-M.  At eps = 0 this is S_r; for small eps it drops below S_r above the
-    transition curve and rises above it below the curve.  Raises DomainError where the value
-    leaves double range.
+    the cross term vanishing by harmonic orthogonality; X = int U^p* (A - 1) s^(M-1) ds, A the polar
+    mean of (1 + eps h cos(theta))^p* (`_polar_excess`).  E_U, E_g and X are rows of one
+    `integrate_rows` call in x = s^sqrt(M), of unit peak width at every M, with log-space weights
+    U^2 s^(M-4) = cosh(ln s)^-(M-4) and U^p* s^M = cosh(ln s)^-M.  A non-finite D is a DomainError.
     """
-    if not abs(eps) < 0.5:
-        raise DomainError(f"|eps| must be < 0.5, got {eps}")
     d = derive(p)
-    m, root, power = d.M, math.sqrt(d.M), 2.0 / d.p_star  # power: the norm's, 2/p*
+    m, root = d.M, math.sqrt(d.M)
     c0 = (m - 1.0) - d.q**2 * (p.N - 1.0)  # M-1-mu
 
-    def rows(x):  # the energies of U and g, then the denominator's polar mean
+    def rows(x):  # the energies of U and g, then the denominator's polar excess
         lx = np.log(x)
         y = lx / root  # ln s
         log_cosh = 0.5 * np.log1p(np.sinh(y) ** 2)  # to full relative precision near y = 0
@@ -155,18 +150,24 @@ def directional_quotient(p: Params, eps: float) -> float:
         return [
             ((m - 4.0) * t * ((m - 2.0) * t - m)) ** 2 * w,
             (h * (c0 + (m - 2.0) * t * (m * t - (m + 2.0)))) ** 2 * w,
-            _polar_mean((eps * h) ** 2, d.p_star, p.N) * np.exp(log_dx - m * log_cosh),
+            _polar_excess((eps * h) ** 2, d.p_star, p.N) * np.exp(log_dx - m * log_cosh),
         ]
 
-    energy_u, energy_g, raw = (res.value for res in integrate_rows(rows))
-    log_value = (  # omega^(4/M) and q^(4/M-4), S_r's prefactor, leave double range before Q does
-        4.0 / m * (math.log(2.0) + _log_half_sphere_area(p.N)) + (4.0 / m - 4.0) * math.log(d.q)
-        + math.log(energy_u + eps**2 * energy_g / p.N) - power * math.log(raw)
+    energy_u, energy_g, excess = (res.value for res in integrate_rows(rows))
+    drop = math.expm1(
+        math.log1p(eps**2 * energy_g / (p.N * energy_u))
+        - 2.0 / d.p_star * math.log1p(gamma_m(m) * excess / (16.0 * energy_u))
     )
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"directional quotient overflows double precision at M={m!r}") from None
+    if not math.isfinite(drop):
+        raise DomainError(f"directional quotient drop is not finite at M={m!r}")
+    return drop
+
+
+def directional_quotient(p: Params, eps: float) -> float:
+    """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `_quotient_drop`'s: S_r itself at eps = 0."""
+    if not abs(eps) < 0.5:
+        raise DomainError(f"|eps| must be < 0.5, got {eps}")
+    return s_r_closed(p) * (1.0 + _quotient_drop(p, eps))
 
 
 class Verdict(Enum):
@@ -196,7 +197,7 @@ _CURVE_WINDOW = 1e-9  # |beta - beta_fs| treated as exactly on the curve
 
 def _expected_verdict(p: Params) -> Verdict:
     cls = classify(p.N, p.alpha, p.beta)
-    if p.alpha > 0.0 and abs(p.beta - beta_fs(p.N, p.alpha)) <= _CURVE_WINDOW:
+    if p.alpha >= 0.0 and abs(p.beta - beta_fs(p.N, p.alpha)) <= _CURVE_WINDOW:
         return Verdict.BOUNDARY
     if cls in (RegionClass.SYMMETRY_BREAKING, RegionClass.NOT_ATTAINED_BOUNDARY):
         return Verdict.BREAKING
@@ -206,12 +207,11 @@ def _expected_verdict(p: Params) -> Verdict:
 def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) -> BreakingCertificate:
     """Three-witness symmetry-breaking certificate at one parameter point.
 
-    Witnesses (independent code paths): the factored second variation,
-    the measured quotient drop I(U1+eps Z) - S_r with U at unit amplitude,
-    and the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each
-    is reduced to a sign with dead zone `tol` (the second variation through
-    its sign-carrying factor, the quotient drop against tol * S_r * eps^2,
-    its natural second-order scale).
+    Witnesses (independent code paths): the factored second variation, the
+    quotient drop D = I(U+eps Z)/I(U) - 1 on one grid (reported as S_r (1 + D)),
+    and the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each is
+    reduced to a sign with dead zone `tol` (the second variation through its
+    sign-carrying factor, D against tol * eps^2 for a normal eps^2).
     All-negative yields Breaking, all-positive NotBreaking, zeros without
     sign conflict Boundary.
     The verdict is what was *measured*; if it differs from the analytic
@@ -219,13 +219,13 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     says so explicitly.  On the upper edge beta = N*alpha/(N-2), alpha > 0,
     S_0 < S_r, so the radial profile is not optimal and Breaking is expected.
     """
-    if eps == 0.0 or not abs(eps) < 0.5:
-        raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5, got {eps}")
+    if not (abs(eps) < 0.5 and eps * eps >= sys.float_info.min):
+        raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5 with eps^2 a normal double, got {eps}")
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be >= 0 and finite, got {tol}")
     sv = second_variation(p)
     s_r = s_r_closed(p)
-    quotient = directional_quotient(p, eps)
+    drop = _quotient_drop(p, eps)
     rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
 
     def sign_with_dead_zone(x: float, threshold: float) -> int:
@@ -235,7 +235,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
 
     signs = (
         sign_with_dead_zone(sv.factor, tol),  # value is factor times a positive bracket
-        sign_with_dead_zone(quotient - s_r, tol * s_r * eps**2),
+        sign_with_dead_zone(drop, tol * eps**2),
         sign_with_dead_zone(rho1, tol),
     )
 
@@ -264,7 +264,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         witness_signs=signs,
         s_r=s_r,
         second_variation=sv.value,
-        directional_quotient=quotient,
+        directional_quotient=s_r * (1.0 + drop),
         eps=eps,
         ritz_rho1=rho1,
         discrepancies=tuple(discrepancies),

@@ -404,6 +404,22 @@ def test_certify_eps_flag(capsys):
     assert json.loads(out)["eps"] == pytest.approx(0.03)
 
 
+def test_certify_refuses_an_eps_whose_square_underflows(capsys):
+    """At eps = 1e-200, eps^2 is 0.0 and the quotient drop cannot be told from underflow: a typed
+    error naming eps, exit 2, where the witness once read a false conflict and exited 1."""
+    code, out, err = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1", "--eps", "1e-200")
+    assert (code, out) == (2, "")
+    assert "1e-200" in err
+
+
+def test_certify_small_eps_and_classical_point_exit_zero(capsys):
+    """Exit 0 at eps = 1e-8, with every witness negative, and at alpha = beta = 0, on the curve."""
+    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "1", "--beta", "1", "--eps", "1e-8", "--json")
+    assert (code, json.loads(out)["witness_signs"]) == (0, [-1, -1, -1])
+    code, out, _ = run(capsys, "certify", "--N", "5", "--alpha", "0", "--beta", "0", "--json")
+    assert (code, json.loads(out)["verdict"]) == (0, "Boundary")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

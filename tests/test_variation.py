@@ -9,10 +9,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ckn_lab.variation as variation
-from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, sphere_area, validate
+from ckn_lab.params import (
+    ParamError,
+    _log_half_sphere_area,
+    beta_fs,
+    beta_strip,
+    derive,
+    gamma_m,
+    sphere_area,
+    validate,
+)
 from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, power_weighted
 from ckn_lab.specfun import AccuracyError, DomainError
+from ckn_lab.spectral import mode_eigenvalue
 from ckn_lab.variation import (
     DEFAULT_EPS,
     Verdict,
@@ -180,9 +190,10 @@ def test_directional_quotient_taylor_window(p511):
     assert 0.2 < drop / model < 5.0
 
 
-@pytest.mark.parametrize("eps, expected", [(0.0, "221.6882674197927"), (0.01, "221.6873091569719")])
+@pytest.mark.parametrize("eps, expected", [(0.0, "221.68826741979254"), (0.01, "221.68730915697185")])
 def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, expected):
-    """The energies and the angular sum are rows of one integrate_rows call."""
+    """The energies and the polar excess are rows of one integrate_rows call; at eps = 0 the
+    quotient is S_r itself."""
     calls = []
 
     def counted(rows):
@@ -194,32 +205,88 @@ def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, exp
     assert len(calls) == 1
 
 
+def _quotient_rows(p, eps):
+    """The rows `_quotient_drop` integrates at (p, eps), with U^p* s^(M-1) ds, in x, as a fourth."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variation, "integrate_rows", lambda rows: captured.append(rows) or integrate_rows(rows))
+        drop = variation._quotient_drop(p, eps)
+    m = derive(p).M
+
+    def rows(x):  # U^p* s^M ds/s = cosh(ln s)^-M dx/(sqrt(M) x), with ln s = ln x/sqrt(M)
+        lx = np.log(x)
+        log_cosh = 0.5 * np.log1p(np.sinh(lx / math.sqrt(m)) ** 2)
+        return [*captured[0](x), np.exp(-lx - 0.5 * math.log(m) - m * log_cosh)]
+
+    return drop, rows
+
+
+def _assert_ground_state_identity(p):
+    """U's own equation gives E_U = gamma_m(M)/16 int U^p* s^(M-1) ds, the identity that lets the
+    quotient drop do without a norm row: integrated as a fourth row on the drop's grid, the two
+    sides agree to 1e-13."""
+    _, rows = _quotient_rows(p, 0.01)
+    energy_u, _, _, norm = (res.value for res in integrate_rows(rows))
+    assert abs(16.0 * energy_u / gamma_m(derive(p).M) / norm - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("alpha", [-5.0, -0.5, 0.25, 1.0, 4.0])
 def test_directional_quotient_at_eps_0_is_the_radial_constant_at_m_1002(alpha):
     """At N = 12, 1 % up the strip, M is about 1002.  In r the unit-amplitude ground state is
-    2^(-(M-4)/2), about 1e-150, at r = 1, where its weighted integrands peak, and its integrals
-    fall to 1e-300 and below; in s every integrand is of order 1, and the quotient at eps = 0
-    is S_r to 1e-12."""
+    2^(-(M-4)/2), about 1e-150, at r = 1, where its weighted integrands peak; in s every integrand
+    is of order 1.  At eps = 0 the quotient is S_r exactly, as D(0) = 0; the quadrature behind D
+    keeps the ground state's identity between its energy and its norm."""
     lo, hi = beta_strip(12, alpha)
     p = validate(12, alpha, lo + 0.01 * (hi - lo))
     assert derive(p).M == pytest.approx(1002.0)
-    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
+    assert directional_quotient(p, 0.0) == s_r_closed(p)
+    _assert_ground_state_identity(p)
 
 
 @settings(max_examples=80, deadline=None)
-@given(N=st.integers(5, 438), alpha=st.floats(-2.5, 4.0), u=st.floats(0.0, 1.0))
-@example(N=5, alpha=1.0, u=1.0)  # M = 1e6
-@example(N=30, alpha=-2.5, u=1.0)
-@example(N=438, alpha=1.0, u=math.log(439 / 438) / math.log(1e6 / 438))  # (438, 1, 1), M = 439
-def test_directional_quotient_at_eps_0_is_the_radial_constant_across_the_strip(N, alpha, u):
-    """From the upper edge (M = N) to M = 1e6, log-uniformly in M, and for N up to 438, the
-    largest N whose sphere area is a normal double, the quotient at eps = 0 is the closed-form
-    S_r to 1e-12."""
+@given(
+    N=st.integers(5, 438),
+    alpha=st.floats(-2.5, 4.0),
+    u=st.floats(0.0, 1.0),
+    eps=st.sampled_from([0.0, 1e-8, 0.003, 0.01, 0.3, 0.49]),
+)
+@example(N=5, alpha=1.0, u=1.0, eps=0.0)  # M = 1e6
+@example(N=30, alpha=-2.5, u=1.0, eps=0.01)
+@example(N=438, alpha=1.0, u=math.log(439 / 438) / math.log(1e6 / 438), eps=0.0)  # (438, 1, 1), M = 439
+def test_quotient_drop_matches_the_prefactor_route(N, alpha, u, eps):
+    """From the upper edge (M = N) to M = 1e6, log-uniformly in M, and for N up to 438, D agrees
+    to 5e-14 with Q/S_r - 1, where Q is the quotient as it was taken before the drop: S_r's
+    prefactor omega^(4/M) q^(4/M-4) in log space over int U^p* A s^(M-1) ds, against the closed
+    S_r.  At eps = 0 this checks that the quadrature quotient is S_r to 5e-14."""
     try:
         p = validate(N, alpha, _beta_at(N, alpha, N * (1e6 / N) ** u))
     except ParamError:
         assume(False)
-    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
+    d = derive(p)
+    drop, rows = _quotient_rows(p, eps)
+
+    def prefactor_rows(x):  # the denominator row int U^p* A = int U^p* (A - 1) + int U^p*
+        energy_u, energy_g, excess, norm = rows(x)
+        return [energy_u, energy_g, excess + norm]
+
+    energy_u, energy_g, raw = (res.value for res in integrate_rows(prefactor_rows))
+    log_q = (
+        4.0 / d.M * (math.log(2.0) + _log_half_sphere_area(N)) + (4.0 / d.M - 4.0) * math.log(d.q)
+        + math.log(energy_u + eps**2 * energy_g / N) - 2.0 / d.p_star * math.log(raw)
+    )
+    assert abs(drop - (math.exp(log_q) / s_r_closed(p) - 1.0)) <= 5e-14
+
+
+@pytest.mark.parametrize("N, alpha", [(5, 1.0), (6, -0.5), (12, 3.0), (30, 1.0)])
+@pytest.mark.parametrize("M", [1e3, 1e4, 1e5, 1e6, 1e7])
+def test_quotient_drop_is_second_order_with_the_lower_edge_law(N, alpha, M):
+    """D(eps) = c2 eps^2 + O(eps^4): D(1e-6)/1e-12 is the Richardson c2 = (16 D(eps) - D(2 eps))/(12 eps^2)
+    from eps = 0.01 to 1e-8, and toward the lower edge c2 -> rho_1/(4N), with 4N c2/rho_1 about
+    1 + 7/M for M from 1e3 to 1e7."""
+    p = validate(N, alpha, _beta_at(N, alpha, M))
+    c2 = (16.0 * variation._quotient_drop(p, 0.01) - variation._quotient_drop(p, 0.02)) / 12e-4
+    assert abs(variation._quotient_drop(p, 1e-6) / 1e-12 / c2 - 1.0) <= 1e-8
+    assert abs(4.0 * N * c2 / mode_eigenvalue(1, p) - 1.0) <= 10.0 / M
 
 
 def test_directional_quotient_rejects_large_eps(p511):
@@ -232,12 +299,18 @@ def test_directional_quotient_rejects_large_eps(p511):
 _GL_THETA_NODES = 64
 
 
-def _reference_polar_mean(x2, p_star, N):
-    """w_t @ |1 + x cos(theta)|^p* on the 64-node rule, over the exact int_0^pi sin^(N-2)."""
+def _reference_polar_excess(x2, p_star, N):
+    """w_t @ ((1 + x cos(theta))^p* - 1) on the 64-node rule, over the exact int_0^pi sin^(N-2).
+
+    The rule is symmetric about theta = pi/2, so only the part even in y = x cos(theta) counts,
+    ((1+y)^p* + (1-y)^p*)/2 - 1 = (1-y^2)^(p*/2) cosh(p* atanh(y)) - 1, here to full relative
+    precision as y -> 0, where the odd part's rounding would swamp the excess.
+    """
     x, w = np.polynomial.legendre.leggauss(_GL_THETA_NODES)
     theta = 0.5 * math.pi * (x + 1.0)
     w_t = 0.5 * math.pi * w * np.sin(theta) ** (N - 2)
-    whole_grid = np.abs(1.0 + np.multiply.outer(np.cos(theta), np.sqrt(x2))) ** p_star
+    y = np.multiply.outer(np.cos(theta), np.sqrt(x2))
+    whole_grid = np.expm1(0.5 * p_star * np.log1p(-y * y) + np.log1p(2.0 * np.sinh(0.5 * p_star * np.arctanh(y)) ** 2))
     return w_t @ whole_grid / (math.sqrt(math.pi) * math.exp(math.lgamma((N - 1) / 2) - math.lgamma(N / 2)))
 
 
@@ -255,15 +328,15 @@ def test_directional_quotient_matches_the_64_node_polar_rule(N, alpha, t, eps):
     p = validate(N, alpha, min(lo + t * (hi - lo), hi))
     got = directional_quotient(p, eps)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(variation, "_polar_mean", _reference_polar_mean)
+        mp.setattr(variation, "_polar_excess", _reference_polar_excess)
         want = directional_quotient(p, eps)
     assert abs(got - want) <= 2e-14 * want
 
 
-def _hyp2f1_oracle(x2, p_star, N):
+def _hyp2f1_excess_oracle(x2, p_star, N):
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        return float(mpmath.hyp2f1(-p_star / 2, (1 - mpmath.mpf(p_star)) / 2, mpmath.mpf(N) / 2, x2))
+    with mpmath.workdps(40 - min(0, math.floor(math.log10(x2 or 1.0)))):  # 40 digits past the 1
+        return float(mpmath.hyp2f1(-p_star / 2, (1 - mpmath.mpf(p_star)) / 2, mpmath.mpf(N) / 2, x2) - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,17 +344,19 @@ def _hyp2f1_oracle(x2, p_star, N):
 @example(N=5, p_star=10.0, x=0.25)  # M = N = 5: the series ends after its x^10 term
 @example(N=1000, p_star=2.0 + 2.0**-50, x=-0.25)
 def test_polar_mean_is_the_hypergeometric_series(N, p_star, x):
-    """The mean of (1 + x cos(theta))^p* over S^(N-1) is 2F1(-p*/2, (1-p*)/2; N/2; x^2): the
-    series is within 4 ulps of a 40-digit evaluation, for |x| <= 1/4 as in the quotient."""
+    """The mean of (1 + x cos(theta))^p* over S^(N-1) is 2F1(-p*/2, (1-p*)/2; N/2; x^2): its
+    excess over 1, the series from j = 1, is within 4 ulps of a 40-digit evaluation of 2F1 - 1,
+    for |x| <= 1/4 as in the quotient."""
     x2 = x * x
-    (got,) = variation._polar_mean(np.array([x2]), p_star, N)
-    want = _hyp2f1_oracle(x2, p_star, N)
+    (got,) = variation._polar_excess(np.array([x2]), p_star, N)
+    want = _hyp2f1_excess_oracle(x2, p_star, N)
     assert abs(got - want) <= 4 * math.ulp(want)
 
 
 @pytest.mark.parametrize("N, p_star", [(5, 10.0), (6, 6.0), (438, 2.0 + 2.0 / 437), (12, 3.7)])
 def test_polar_mean_at_x_0_is_exactly_1(N, p_star):
-    assert variation._polar_mean(np.zeros(3), p_star, N).tolist() == [1.0, 1.0, 1.0]
+    """The mean's excess over 1 is exactly 0.0 at x = 0."""
+    assert variation._polar_excess(np.zeros(3), p_star, N).tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -289,12 +364,12 @@ def test_polar_mean_at_x_0_is_exactly_1(N, p_star):
 )
 def test_certificate_at_large_n_has_no_witness_conflict(point):
     """On the breaking side near the curve, where the 64-node polar rule put the quotient up to
-    2.4e-5 above S_r, the quotient at eps = 0 is S_r to 1e-12 and its witness reads 0."""
+    2.4e-5 above S_r, the quotient witness reads 0, and the ground state's identity holds."""
     p = validate(*point)
     cert = certify(p)
     assert cert.witness_signs == (-1, 0, -1)
     assert not any("witness signs conflict" in d for d in cert.discrepancies)
-    assert abs(directional_quotient(p, 0.0) - s_r_closed(p)) <= 1e-12 * s_r_closed(p)
+    _assert_ground_state_identity(p)
 
 
 def test_quotient_rises_on_symmetric_side():
@@ -318,6 +393,29 @@ def test_certificate_at_symmetric_point():
     cert = certify(validate(5, 1.0, 0.3))
     assert cert.verdict is Verdict.NOT_BREAKING
     assert cert.witness_signs == (1, 1, 1)
+    assert cert.discrepancies == ()
+
+
+@pytest.mark.parametrize("N", [5, 6, 8, 12])
+def test_certificate_at_the_classical_point(N):
+    """alpha = beta = 0 lies on the curve (beta_FS(N, 0) = 0, mu - (M-1) = 0): Boundary is expected
+    and measured, with no discrepancy."""
+    cert = certify(validate(N, 0.0, 0.0))
+    assert (cert.verdict, cert.expected) == (Verdict.BOUNDARY, Verdict.BOUNDARY)
+    assert cert.witness_signs[0] == cert.witness_signs[2] == 0
+    assert cert.discrepancies == ()
+
+
+@pytest.mark.parametrize(
+    "point, eps, signs",
+    [((5, 1.0, 1.0), 1e-7, (-1, -1, -1)), ((5, 1.0, 1.0), 1e-8, (-1, -1, -1)), ((5, 0.7, 0.3), 1e-7, (1, 1, 1))],
+    ids=["5-1-1-eps1e-7", "5-1-1-eps1e-8", "5-0.7-0.3-eps1e-7"],
+)
+def test_certificate_at_small_eps_has_no_false_conflict(point, eps, signs):
+    """Where eps^2 c2 is below the 1e-15 bias between a quadrature quotient and the closed S_r, the
+    drop Q(eps)/Q(0) - 1, both on one grid, still reads the side of the curve."""
+    cert = certify(validate(*point), eps=eps)
+    assert cert.witness_signs == signs
     assert cert.discrepancies == ()
 
 
@@ -399,7 +497,7 @@ def test_certificate_flags_forced_disagreement(p511):
 def test_certificate_reports_conflicting_witness_signs(monkeypatch, p511):
     """A quotient that rises against two negative witnesses is a conflict:
     Boundary, with both the conflict and the missed expectation reported."""
-    monkeypatch.setattr(variation, "directional_quotient", lambda p, eps: s_r_closed(p) * (1.0 + eps))
+    monkeypatch.setattr(variation, "_quotient_drop", lambda p, eps: eps)
     cert = certify(p511)
     assert cert.witness_signs == (-1, 1, -1)
     assert cert.verdict is Verdict.BOUNDARY
@@ -419,6 +517,10 @@ def test_certificate_argument_validation(p511):
         certify(p511, tol=float("nan"))
     with pytest.raises(DomainError):
         certify(p511, eps=float("nan"))
+    for eps in (1e-160, -1e-200, 2.0**-511 * (1.0 - 2.0**-53)):  # eps^2 is subnormal or 0.0
+        with pytest.raises(DomainError, match="eps"):
+            certify(p511, eps=eps)
+    assert certify(p511, eps=2.0**-511).witness_signs == (-1, -1, -1)  # eps^2 = 2^-1022, normal
 
 
 def test_certificate_is_frozen(p511):
