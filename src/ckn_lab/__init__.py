@@ -29,7 +29,7 @@ _EXPORTS = {
         ("quadrature", ("integrate_semiinfinite", "quotient_radial")),
         ("specfun", ("AccuracyError", "BracketError", "ConditioningError", "DivergentIntegralError",
                      "DomainError")),
-        ("spectral", ("ModeData", "RitzResult", "fs_locate", "mode_data", "mode_eigenvalue",
+        ("spectral", ("Mode", "RitzResult", "fs_locate", "mode", "mode_eigenvalue",
                       "mode_quadratic_form", "ritz_min_eig")),
         ("variation", ("BreakingCertificate", "SecondVariation", "Verdict", "certify",
                        "directional_quotient", "second_variation")),

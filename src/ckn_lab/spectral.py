@@ -6,7 +6,7 @@ of index k reduces to the sign of a one-dimensional quadratic form
     Q_k(X) = int [X'' + (M-1)X'/s - q^2 lambda_k X/s^2]^2 s^(M-1) ds
              - (M+4)(M-2)M(M+2) int (1+s^2)^(-4) X^2 s^(M-1) ds
 
-over decaying profiles X.  This module provides the mode data, direct
+over decaying profiles X.  This module provides the mode records, direct
 evaluation of Q_k, the closed form of its generalized eigenvalues, a
 Rayleigh-Ritz minimizer for the smallest one, and Brent's method on that
 sign to locate the symmetry-breaking transition curve in beta.
@@ -41,9 +41,9 @@ from .quadrature import integrate_rows, power_weighted
 from .specfun import AccuracyError, BracketError, ConditioningError, DomainError
 
 __all__ = [
-    "ModeData",
+    "Mode",
     "RitzResult",
-    "mode_data",
+    "mode",
     "mode_eigenvalue",
     "mode_quadratic_form",
     "ritz_min_eig",
@@ -51,13 +51,14 @@ __all__ = [
 ]
 
 
-class ModeData(NamedTuple):
-    """Angular data of spherical-harmonic mode k in dimension N."""
+class Mode(NamedTuple):
+    """Closed-form record of spherical-harmonic mode k at one parameter point."""
 
     k: int
     lambda_k: float  # eigenvalue k(N-2+k) of the sphere Laplacian
     l_k: int  # multiplicity of the eigenspace
-    varpi_k: float  # transformed eigenvalue k(M-2+k)
+    nu_k: float  # root nu >= 0 of nu (nu + M - 2) = q^2 lambda_k; 1 at k = 1 on the curve
+    rho_k: float  # least generalized eigenvalue of the mode-k form, `mode_eigenvalue(k, p)`
 
 
 class RitzResult(NamedTuple):
@@ -70,12 +71,24 @@ class RitzResult(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def mode_data(k: int, p: Params) -> ModeData:
+def _coupling(k: int, p: Params) -> tuple[float, float]:
+    """(q^2 lambda_k, M): mode k's coupling in the stability form, and the transformed dimension."""
+    d = derive(p)
+    return d.q**2 * harmonic_eigenvalue(p.N, k), d.M
+
+
+def _nu(qql: float, m: float) -> float:
+    """The root nu >= 0 of nu (nu + M - 2) = qql, free of cancellation.  ldexp(qql, 2) is 4 qql,
+    but raises OverflowError (from k near 1e154) where the product is inf."""
+    return 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + math.ldexp(qql, 2)))
+
+
+def mode(k: int, p: Params) -> Mode:
+    """Mode k's record; DomainError where lambda_k or rho_k exceeds the largest double."""
     k, N = _index(k, "mode index"), p.N
-    lam = harmonic_eigenvalue(N, k)
+    rho = mode_eigenvalue(k, p)  # raises first where nu's 4 q^2 lambda_k would overflow
     mult = (N + 2 * k - 2) * math.comb(N + k - 3, N - 3) // (N - 2)
-    m = derive(p).M
-    return ModeData(k=k, lambda_k=lam, l_k=mult, varpi_k=float(k) * (m - 2.0 + k))
+    return Mode(k, harmonic_eigenvalue(N, k), mult, _nu(*_coupling(k, p)), rho)
 
 
 def _potential_constant(M: float) -> float:
@@ -91,9 +104,7 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     (e.g. non-decaying, or k >= 1 with X(0) != 0), and AccuracyError, with
     the part's QuadResult, where a part's largest terms are subnormal.
     """
-    d = derive(p)
-    m = d.M
-    lam = d.q**2 * harmonic_eigenvalue(p.N, k)
+    lam, m = _coupling(k, p)
 
     def rows(s):  # the lead energy and the potential part, from one jet; s^-2 and (1+s^2)^-4 in the weights
         x, x1, x2 = X.jet(s, 2)
@@ -123,12 +134,9 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
     relative accuracy near the curve and at large M.
     """
     j = _index(j, "eigenvalue index")
-    d = derive(p)
-    m = d.M
-    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
-    try:  # ldexp(qql, 2) is 4 qql, but raises on overflow (from k near 1e154) where the product is inf
-        nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + math.ldexp(qql, 2)))
-        shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
+    qql, m = _coupling(k, p)
+    try:
+        shift = 2.0 * ((qql - (m - 1.0)) / (_nu(qql, m) + m - 1.0) + j)
         return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
     except OverflowError:  # rho itself overflows from k near 1e77 M
         raise DomainError(f"eigenvalue {j} of mode k={k} exceeds the largest double at M={m!r}") from None
@@ -254,9 +262,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     J = _index(J, "basis size")
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
-    d = derive(p)
-    m = d.M
-    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
+    qql, m = _coupling(k, p)
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
         raise DomainError(

@@ -40,7 +40,7 @@ from .params import (
     sphere_area,
 )
 from .quadrature import integrate_rows
-from .spectral import ritz_min_eig
+from .spectral import _coupling, ritz_min_eig
 from .specfun import DomainError, beta_fn
 
 __all__ = [
@@ -77,12 +77,10 @@ def second_variation(p: Params) -> SecondVariation:
     X1 = s(1+s^2)^(-(M-2)/2).  Raises DomainError where the value overflows
     double precision, or a Beta value or a nonzero value underflows it.
     """
-    d = derive(p)
-    m = d.M
-    mu = d.q**2 * (p.N - 1.0)
+    mu, m = _coupling(1, p)
     factor = mu - (m - 1.0)
     try:
-        prefactor = sphere_area(p.N) / p.N * d.q**-3
+        prefactor = sphere_area(p.N) / p.N * derive(p).q**-3
     except OverflowError:
         prefactor = math.inf
     # Beta reduction: X1' = (1+s^2)^(-M/2) (1 - (M-3)s^2), so (X1')^2 s^(M-4)
@@ -138,7 +136,7 @@ def _quotient_drop(p: Params, eps: float) -> float:
     """
     d = derive(p)
     m, root = d.M, math.sqrt(d.M)
-    c0 = (m - 1.0) - d.q**2 * (p.N - 1.0)  # M-1-mu
+    c0 = (m - 1.0) - _coupling(1, p)[0]  # M-1-mu
 
     def rows(x):  # the energies of U and g, then the denominator's polar excess
         lx = np.log(x)
@@ -164,7 +162,8 @@ def _quotient_drop(p: Params, eps: float) -> float:
 
 
 def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `_quotient_drop`'s: S_r itself at eps = 0."""
+    """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `_quotient_drop`'s: S_r itself at eps = 0,
+    and wherever |D| < ulp(1)/2 (value - S_r is 0.0 at (5, 1, 1), eps = 1e-8, D = -4.32e-18); certify signs D."""
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
     return s_r_closed(p) * (1.0 + _quotient_drop(p, eps))

@@ -633,12 +633,17 @@ CHECK_NAMES = """closed_form_consistency extremality euler_lagrange_residual
     breaking_certificate kernel_at_curve identity_battery boundary_equality""".split()
 
 
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_golden.txt"
+
+
 def test_verify_all_runs_the_ten_checks_in_criterion_order(capsys):
+    """Each check's line, its figures too, is the fixture's to the byte."""
     assert [r.name for r in run_all()] == CHECK_NAMES
     code, out, _ = run(capsys, "verify-all")
     assert code == 0
     assert [line.split()[1].rstrip(":") for line in out.splitlines()] == CHECK_NAMES
     assert all(line.startswith("PASS  ") for line in out.splitlines())
+    assert out == GOLDEN_VERIFY_ALL.read_text()
 
 
 def test_verify_all_perturbation_hook(capsys, monkeypatch):

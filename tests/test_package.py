@@ -18,7 +18,7 @@ from ckn_lab import (
     extremal,
     hardy_comparison_constants,
     integrate_semiinfinite,
-    mode_data,
+    mode,
     rellich_sobolev_constants,
     ritz_min_eig,
     second_variation,
@@ -134,7 +134,7 @@ def test_records_are_read_only_tuples():
         derive(p),
         hardy_comparison_constants(p),
         integrate_semiinfinite(lambda s: 1.0 / (1.0 + s * s)),
-        mode_data(1, p),
+        mode(1, p),
         ritz_min_eig(1, p, 4),
         second_variation(p),
         certify(p),

@@ -23,31 +23,34 @@ from ckn_lab.spectral import (
     _orthonormal_jacobi,
     _potential_constant,
     fs_locate,
-    mode_data,
+    mode,
     mode_eigenvalue,
     mode_quadratic_form,
     ritz_min_eig,
 )
-from ckn_lab.verify import EXTREMALITY_POINTS
+from ckn_lab.verify import EXTREMALITY_POINTS, SIGN_LAW_GRID
 
 
-def test_mode_data_reference_values(p511):
-    m0 = mode_data(0, p511)
-    assert (m0.k, m0.lambda_k, m0.l_k, m0.varpi_k) == (0, 0.0, 1, 0.0)
-    m1 = mode_data(1, p511)
-    assert (m1.k, m1.lambda_k, m1.l_k, m1.varpi_k) == (1, 4.0, 5, 5.0)
-    m2 = mode_data(2, p511)
-    assert (m2.k, m2.lambda_k, m2.l_k, m2.varpi_k) == (2, 10.0, 14, 12.0)
+def test_mode_reference_values(p511):
+    """At (5, 1, 1), M = 6 and q = 1: nu_k solves nu (nu + 4) = lambda_k, so nu_0 = 0 and
+    nu_2 = sqrt(14) - 2; nu_1 = sqrt(8) - 2 < 1, the breaking side of the curve."""
+    m0 = mode(0, p511)
+    assert (m0.k, m0.lambda_k, m0.l_k, m0.nu_k) == (0, 0.0, 1, 0.0)
+    m1 = mode(1, p511)
+    assert (m1.k, m1.lambda_k, m1.l_k) == (1, 4.0, 5)
+    assert m1.nu_k == pytest.approx(math.sqrt(8.0) - 2.0, rel=1e-15)
+    m2 = mode(2, p511)
+    assert (m2.k, m2.lambda_k, m2.l_k) == (2, 10.0, 14)
+    assert m2.nu_k == pytest.approx(math.sqrt(14.0) - 2.0, rel=1e-15)
+    assert m1.rho_k < 0.0 < m2.rho_k
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=5, max_value=10), st.integers(min_value=0, max_value=8))
-def test_mode_data_combinatorics(N, k):
+def test_mode_combinatorics(N, k):
     """lambda_k = k(N-2+k); multiplicities are the usual binomial difference."""
-    import math
-
     p = validate(N, 0.0, 0.0)
-    data = mode_data(k, p)
+    data = mode(k, p)
     assert data.lambda_k == k * (N - 2 + k)
     expected_l = (N + 2 * k - 2) * math.factorial(N + k - 3) // (
         math.factorial(N - 2) * math.factorial(k)
@@ -63,21 +66,24 @@ def test_multiplicity_is_the_factorial_formula_and_fast_at_large_k():
         p = validate(N, 0.0, 0.0)
         for k in range(60):
             factorials = (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
-            assert mode_data(k, p).l_k == factorials
+            assert mode(k, p).l_k == factorials
     k = 10**6
-    assert mode_data(k, validate(5, 1.0, 1.0)).l_k == (2 * k + 3) * (k + 2) * (k + 1) // 6
+    assert mode(k, validate(5, 1.0, 1.0)).l_k == (2 * k + 3) * (k + 2) * (k + 1) // 6
 
 
 def test_mode_indices_beyond_double_range_are_domain_errors(p511):
     """lambda_k leaves double range from k near 1.3e154, 4 q^2 lambda_k a little before, and
-    mode_eigenvalue's rho from k near 1e77 M: each raised OverflowError or returned NaN."""
-    for compute in (lambda: harmonic_eigenvalue(5, 2 * 10**154), lambda: mode_data(2 * 10**154, p511)):
+    mode_eigenvalue's rho from k near 1e77 M: each raised OverflowError or returned NaN.  The
+    record carries rho_k, so it raises where rho_k does."""
+    for compute in (lambda: harmonic_eigenvalue(5, 2 * 10**154), lambda: mode(2 * 10**154, p511)):
         with pytest.raises(DomainError, match=r"^sphere eigenvalue k\(N-2\+k\) at N=5, k=2\d{154} exceeds"):
             compute()
     for k in (10**154, 10**80):
-        with pytest.raises(DomainError, match=f"^eigenvalue 0 of mode k={k} exceeds the largest double at M="):
-            mode_eigenvalue(k, p511)
+        for compute in (lambda: mode_eigenvalue(k, p511), lambda: mode(k, p511)):
+            with pytest.raises(DomainError, match=f"^eigenvalue 0 of mode k={k} exceeds the largest double at M="):
+                compute()
     assert math.isfinite(mode_eigenvalue(10**76, p511))
+    assert math.isfinite(mode(10**76, p511).nu_k)
 
 
 @pytest.mark.parametrize("J", [4.0, np.float64(16.0), "16", None], ids=["float", "float64", "str", "none"])
@@ -96,7 +102,7 @@ def test_an_integral_basis_size_of_any_type_is_accepted(p511):
 def test_negative_mode_index_is_a_domain_error(p511):
     _, x1 = _x_modes(derive(p511).M)
     for compute in (
-        lambda: mode_data(-1, p511),
+        lambda: mode(-1, p511),
         lambda: mode_eigenvalue(-1, p511),
         lambda: mode_quadratic_form(x1, -1, p511),
         lambda: ritz_min_eig(-1, p511, 4),
@@ -113,7 +119,7 @@ def test_a_non_integral_mode_index_is_a_domain_error(p511, index):
         lambda: harmonic_eigenvalue(5, index),
         lambda: mode_eigenvalue(index, p511),
         lambda: mode_eigenvalue(1, p511, index),
-        lambda: mode_data(index, p511),
+        lambda: mode(index, p511),
     ):
         with pytest.raises(DomainError, match="index must be an integer >= 0"):
             compute()
@@ -126,13 +132,13 @@ def test_numpy_mode_indices_do_not_wrap(p511):
         assert mode_eigenvalue(np.uint8(200), p511) == mode_eigenvalue(200, p511)
         assert mode_eigenvalue(1, p511, np.uint8(200)) == mode_eigenvalue(1, p511, 200)
         assert mode_eigenvalue(np.int64(1), p511, np.int32(0)) == mode_eigenvalue(1, p511)
-        data = mode_data(np.uint8(200), p511)
-    assert data == mode_data(200, p511) and type(data.k) is type(data.l_k) is int
+        data = mode(np.uint8(200), p511)
+    assert data == mode(200, p511) and type(data.k) is type(data.l_k) is int
 
 
 def test_multiplicity_small_modes(p511):
-    assert mode_data(0, p511).l_k == 1
-    assert mode_data(1, p511).l_k == 5  # = N
+    assert mode(0, p511).l_k == 1
+    assert mode(1, p511).l_k == 5  # = N
 
 
 def test_gamma_m_values():
@@ -188,22 +194,76 @@ def test_quadratic_form_homogeneity(p511):
 
 
 def test_mode_gap_ordering():
-    """q^2 lambda_k >= varpi_k for k >= 1 below/at the curve.
+    """nu_k >= k for k >= 1 below/at the curve.
 
-    Equality holds only for k = 1 exactly on the curve; the k = 2 gap
-    stays strictly positive there.
+    nu (nu + M - 2) increases in nu, so nu_k >= k says q^2 lambda_k >= k(M-2+k).  Equality holds
+    only for k = 1 exactly on the curve; the k = 2 gap stays strictly positive there.
     """
     N, alpha = 5, 1.0
     curve = beta_fs(N, alpha)
     for beta in (0.2, 0.5, curve):
         p = validate(N, alpha, beta)
-        d = derive(p)
         for k in (1, 2, 3):
-            gap = d.q**2 * mode_data(k, p).lambda_k - mode_data(k, p).varpi_k
+            gap = mode(k, p).nu_k - k
             if k == 1 and beta == curve:
                 assert gap == pytest.approx(0.0, abs=1e-12)
             else:
                 assert gap > 1e-6
+
+
+def _mode_eigenvalue_reference(k, p, j):
+    """`mode_eigenvalue` as it read before the mode record, with nu and q^2 lambda_k inline."""
+    d = derive(p)
+    m = d.M
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
+    nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + math.ldexp(qql, 2)))
+    shift = 2.0 * ((qql - (m - 1.0)) / (nu + m - 1.0) + j)
+    return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
+
+
+@settings(max_examples=1200, deadline=None)
+@given(
+    N=st.one_of(st.integers(5, 40), st.integers(41, 10**15)),
+    log_alpha=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([1.0, -0.5, 0.0]),
+    t=st.floats(0.0, 1.0),
+    k=st.integers(0, 8),
+    j=st.integers(0, 3),
+)
+@example(N=5, log_alpha=0.0, sign=1.0, t=1.0, k=1, j=0)
+@example(N=10**15, log_alpha=3.0, sign=1.0, t=1e-12, k=8, j=3)
+def test_mode_eigenvalue_keeps_the_inline_expressions_bits(N, log_alpha, sign, t, k, j):
+    """mode_eigenvalue reads q^2 lambda_k and nu from the record's helpers; every value keeps the
+    bits of the expression it replaced.  alpha = sign 10^log_alpha, beta = lo + t (hi - lo)."""
+    alpha = sign * 10.0**log_alpha
+    try:
+        lo, hi = beta_strip(N, alpha)
+        p = validate(N, alpha, lo + t * (hi - lo))
+    except ParamError:
+        assume(False)
+    assert mode_eigenvalue(k, p, j).hex() == _mode_eigenvalue_reference(k, p, j).hex()
+
+
+def test_the_record_is_the_closed_form():
+    """rho_k is mode_eigenvalue(k, p) to the bit, and nu_k solves nu (nu + M - 2) = q^2 lambda_k
+    to 1e-15 relative, over 2000 sampled points from N = 5 to 1e15 and k up to 60."""
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        N = int(rng.choice([rng.integers(5, 40), 10.0 ** rng.uniform(1.6, 15.0)]))
+        alpha = float(10.0 ** rng.uniform(-3.0, 3.0))
+        lo, hi = beta_strip(N, alpha)
+        p = validate(N, alpha, lo + float(rng.uniform(1e-9, 1.0)) * (hi - lo))
+        k = int(rng.integers(0, 61))
+        record, d = mode(k, p), derive(p)
+        assert record.rho_k.hex() == mode_eigenvalue(k, p).hex()
+        nu, qql = record.nu_k, d.q**2 * record.lambda_k
+        assert abs(nu * (nu + d.M - 2.0) - qql) <= 1e-15 * qql
+
+
+def test_nu_1_is_one_on_the_curve():
+    """On beta_fs, q^2 (N-1) = M-1, so nu_1 = 1; at the sign-law grid's (N, alpha) to 1e-13."""
+    for N, alpha in sorted({(N, a) for N, a, _ in SIGN_LAW_GRID}):
+        assert abs(mode(1, validate(N, alpha, beta_fs(N, alpha))).nu_k - 1.0) <= 1e-13
 
 
 def test_ritz_reference_value(p511):
@@ -657,10 +717,7 @@ def test_adaptive_quadratic_form_never_reads_zero_at_the_lower_edge():
 def _mode_ground_state(k, p):
     """X = s^nu (1+s^2)^(-(M+2nu-4)/2) with nu(nu+M-2) = q^2 lambda_k: the exact ground state of the
     mode-k form, whose Rayleigh quotient is mode_eigenvalue(k, p)."""
-    d = derive(p)
-    m = d.M
-    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
-    nu = 2.0 * qql / ((m - 2.0) + math.sqrt((m - 2.0) ** 2 + 4.0 * qql))
+    m, nu = derive(p).M, mode(k, p).nu_k
     return PowerPeakProfile([(1.0, nu, -(m + 2.0 * nu - 4.0) / 2.0)], sigma=2, nu=1.0)
 
 
