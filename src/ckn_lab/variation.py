@@ -13,9 +13,9 @@ module evaluates that statement three independent ways:
   hypergeometric series (the directional quotient is S_r (1 + D)),
 * the least Ritz eigenvalue of the mode-1 stability form (spectral).
 
-`certify` bundles the three witnesses into a verdict and never
-reconciles disagreement silently: mismatches between measured signs and
-the analytic classification are reported as discrepancies.
+`certify` signs the factor, D and rho_1 (it forms neither the second variation's
+value nor S_r) and never reconciles disagreement silently: mismatches between
+measured signs and the analytic classification are reported as discrepancies.
 """
 
 from __future__ import annotations
@@ -179,10 +179,9 @@ class BreakingCertificate(NamedTuple):  # fields in the order the command line p
     params: Params
     verdict: Verdict
     expected: Verdict
-    witness_signs: tuple  # (second variation, quotient drop, ritz), each in {-1,0,+1}
-    s_r: float
-    second_variation: float
-    directional_quotient: float
+    witness_signs: tuple  # the signs of factor, quotient_drop and ritz_rho1, each in {-1,0,+1}
+    factor: float  # mu - (M-1), the second variation's sign-carrying factor
+    quotient_drop: float  # D = Q(U + eps Z)/Q(U) - 1
     eps: float
     ritz_rho1: float
     discrepancies: tuple
@@ -206,13 +205,13 @@ def _expected_verdict(p: Params) -> Verdict:
 def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) -> BreakingCertificate:
     """Three-witness symmetry-breaking certificate at one parameter point.
 
-    Witnesses (independent code paths): the factored second variation, the
-    quotient drop D = I(U+eps Z)/I(U) - 1 on one grid (reported as S_r (1 + D)),
-    and the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each is
-    reduced to a sign with dead zone `tol` (the second variation through its
-    sign-carrying factor, D against tol * eps^2 for a normal eps^2).
-    All-negative yields Breaking, all-positive NotBreaking, zeros without
-    sign conflict Boundary.
+    Witnesses (independent code paths): the second variation's sign-carrying
+    factor mu - (M-1), the quotient drop D = I(U+eps Z)/I(U) - 1 on one grid, and
+    the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each is
+    reduced to a sign with dead zone `tol` (D against tol * eps^2 for a normal
+    eps^2).  Neither the second variation's value nor S_r is formed, so certify
+    answers where they leave double range.  All-negative yields Breaking,
+    all-positive NotBreaking, zeros without sign conflict Boundary.
     The verdict is what was *measured*; if it differs from the analytic
     classification (or the witnesses conflict), the discrepancies field
     says so explicitly.  On the upper edge beta = N*alpha/(N-2), alpha > 0,
@@ -222,8 +221,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5 with eps^2 a normal double, got {eps}")
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be >= 0 and finite, got {tol}")
-    sv = second_variation(p)
-    s_r = s_r_closed(p)
+    mu, m = _coupling(1, p)
+    factor = mu - (m - 1.0)  # second_variation's: its value is factor times a positive bracket
     drop = _quotient_drop(p, eps)
     rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
 
@@ -233,7 +232,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         return -1 if x < 0.0 else 1
 
     signs = (
-        sign_with_dead_zone(sv.factor, tol),  # value is factor times a positive bracket
+        sign_with_dead_zone(factor, tol),
         sign_with_dead_zone(drop, tol * eps**2),
         sign_with_dead_zone(rho1, tol),
     )
@@ -261,9 +260,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         verdict=verdict,
         expected=expected,
         witness_signs=signs,
-        s_r=s_r,
-        second_variation=sv.value,
-        directional_quotient=s_r * (1.0 + drop),
+        factor=factor,
+        quotient_drop=drop,
         eps=eps,
         ritz_rho1=rho1,
         discrepancies=tuple(discrepancies),

@@ -519,7 +519,7 @@ def test_transform_check_overflow_is_parameter_error(capsys, beta):
     assert "overflows double precision at M=" in err
 
 
-@pytest.mark.parametrize("command", ["constants", "certify", "transform-check"])
+@pytest.mark.parametrize("command", ["constants", "transform-check"])
 def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     # an auto-scan cell at M ~ 3000, where the amplitude exceeds double range
     code, _, err = run(capsys, command, "--N", "5", "--alpha", "0.1", "--beta=-1.89793")
@@ -541,20 +541,34 @@ def test_certify_answers_where_the_amplitude_squared_overflows(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
-        ["certify", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
-        ["certify", "--N", "6", "--alpha", "1e200", "--beta=1.5e200"],
-    ],
-    ids=["scan-1e100", "certify-1e100", "certify-1e200"],
+    [["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"]],
+    ids=["scan-1e100"],
 )
 def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
-    """q = 2/(2+beta-alpha) is 4e-100 or 4e-200: S_r or the second variation leaves double range."""
+    """q = 2/(2+beta-alpha) is 4e-100: S_r leaves double range."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     assert "M=" in err
+
+
+@pytest.mark.parametrize(
+    "N, alpha, beta, verdict, signs",
+    [
+        ("5", "0.1", "-1.89793", "NotBreaking", [1, 1, 1]),
+        ("6", "1e100", "1.5e100", "Breaking", [-1, -1, -1]),
+        ("6", "1e200", "1.5e200", "Breaking", [-1, -1, -1]),
+    ],
+    ids=["lower-edge", "alpha-1e100", "alpha-1e200"],
+)
+def test_certify_answers_where_the_radial_closed_forms_leave_double_range(capsys, N, alpha, beta, verdict, signs):
+    """At M ~ 3000 the second variation underflows; at alpha = 1e100 S_r overflows, and at 1e200
+    the second variation does too.  certify reads neither value, only the factor, D and rho1."""
+    code, out, _ = run(capsys, "certify", "--N", N, "--alpha", alpha, f"--beta={beta}", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["verdict"], record["witness_signs"], record["discrepancies"]) == (verdict, signs, [])
 
 
 def test_constants_at_large_weight_exponent(capsys):

@@ -21,8 +21,8 @@ from ckn_lab.params import (
 )
 from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, power_weighted
-from ckn_lab.specfun import AccuracyError, DomainError
-from ckn_lab.spectral import mode_eigenvalue
+from ckn_lab.specfun import AccuracyError, ConditioningError, DomainError
+from ckn_lab.spectral import mode_eigenvalue, ritz_min_eig
 from ckn_lab.variation import (
     DEFAULT_EPS,
     Verdict,
@@ -384,9 +384,9 @@ def test_certificate_at_breaking_point(p511):
     assert cert.witness_signs == (-1, -1, -1)
     assert cert.discrepancies == ()
     assert cert.eps == DEFAULT_EPS
-    assert cert.second_variation < 0.0
+    assert cert.factor < 0.0
+    assert cert.quotient_drop < 0.0
     assert cert.ritz_rho1 < 0.0
-    assert cert.directional_quotient < cert.s_r
 
 
 def test_certificate_at_symmetric_point():
@@ -533,7 +533,7 @@ def test_certificate_is_frozen(p511):
 # {5, 6, 8, 12, 30}, alpha in {-(N-2)/2, -0.5, 0.25, 1, 4}, beta at 15 fractions of the strip
 # (lo, hi], at hi itself and, where alpha > 0, at beta_FS +- {1e-8, 1e-6, 1e-4}.  No count may
 # get worse than this table: "ok" (no discrepancy) may only rise, the others only fall.
-_COVERAGE_LEDGER = {"ok": 222, "discrepancy": 68, "DomainError": 200, "AccuracyError": 0}
+_COVERAGE_LEDGER = {"ok": 422, "discrepancy": 68, "DomainError": 0, "AccuracyError": 0}
 
 
 def _coverage_grid():
@@ -563,3 +563,57 @@ def test_certify_coverage_is_no_worse_than_the_ledger():
     assert sum(counts.values()) == 490
     worse = {k: (counts[k], v) for k, v in _COVERAGE_LEDGER.items() if (counts[k] < v if k == "ok" else counts[k] > v)}
     assert not worse, f"counts worse than the ledger (now, ledger): {worse}; all counts {dict(counts)}"
+
+
+def test_certificate_carries_the_numbers_its_witnesses_sign():
+    """At every ledger point the certificate's factor is second_variation's, bit for bit, wherever
+    that answers, and its quotient_drop is D itself, bit for bit."""
+    sv_answers = 0
+    for point in _coverage_grid():
+        p = validate(*point)
+        cert = certify(p)
+        assert cert.quotient_drop == variation._quotient_drop(p, cert.eps)
+        try:
+            sv = second_variation(p)
+        except DomainError:
+            continue
+        assert cert.factor == sv.factor
+        sv_answers += 1
+    assert sv_answers == 290  # the other 200 are where the second variation's value underflows
+
+
+def _first_witness_error(p, eps):
+    """The error the first failing witness call raises alone, or None where every one answers."""
+    for witness in (lambda: variation._quotient_drop(p, eps), lambda: ritz_min_eig(1, p, 16)):
+        try:
+            witness()
+        except (DomainError, AccuracyError, ConditioningError) as err:
+            return err
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(5, 500), x=st.floats(-1.0, 203.0, exclude_min=True), t=st.floats(0.0, 1.0))
+@example(N=5, x=3.0, t=0.0004)  # alpha = 1 near the lower edge, M = 7502
+@example(N=6, x=203.0, t=0.5)  # alpha = 1e200, where S_r and the second variation overflow
+@example(N=438, x=3.0, t=0.75)  # N = 438, where the sphere area is 3e-308
+def test_certify_answers_or_raises_what_its_first_failing_witness_raises(N, x, t):
+    """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e200); beta at fraction t of the strip,
+    with M <= 1e4.  certify reads no second-variation value and no S_r, so it either answers or
+    raises the type and message that _quotient_drop, then the J = 16 Ritz solve, raises alone."""
+    alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
+    lo, hi = beta_strip(N, alpha)
+    try:
+        p = validate(N, alpha, lo + t * (hi - lo))
+    except ParamError:
+        assume(False)
+    assume(derive(p).M <= 1e4)
+    expected = _first_witness_error(p, DEFAULT_EPS)
+    try:
+        cert = certify(p)
+    except (DomainError, AccuracyError, ConditioningError) as err:
+        assert expected is not None, f"certify raised {err!r}, but every witness answers alone"
+        assert (type(err), str(err)) == (type(expected), str(expected))
+        return
+    assert expected is None
+    assert all(math.isfinite(v) for v in (cert.factor, cert.quotient_drop, cert.ritz_rho1))
