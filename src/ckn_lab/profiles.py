@@ -66,6 +66,8 @@ class RadialProfile(Protocol):
     call for all integrals of a profile, or ``eval``; the quadrature's tail rule, not the
     profile, judges whether an integrand decays at 0 and at infinity."""
 
+    log2_radius: float  # of the radius where the mass sits; quotient_radial centres its grid there
+
     def eval(self, r): ...
 
     def jet(self, r, order: int) -> list: ...
@@ -181,6 +183,10 @@ class PowerPeakProfile(_Evaluation):
     def sigma_frac(self) -> Fraction:
         return Fraction(*self._lattice)
 
+    @cached_property
+    def log2_radius(self) -> float:  # of r = nu^(1/sigma), where r^sigma = nu; in logs, so it cannot overflow
+        return math.log2(self.nu) / self.sigma
+
     def _on(self, D: int) -> tuple[tuple, _Lattice]:
         """The cells and lattice on D, a multiple of the profile's denominator."""
         S, m = self._lattice[0], D // self._lattice[1]
@@ -284,6 +290,8 @@ class PowerPeakProfile(_Evaluation):
 class GaussianProfile(_Evaluation):
     """sum of c * r^p * exp(-r^2) terms; closed under differentiation."""
 
+    log2_radius = 0.0  # exp(-r^2) sets the radius 1
+
     def __init__(self, terms):
         merged: dict[float, float] = {}
         for c, p in terms:
@@ -331,8 +339,8 @@ def _exponents(p: Params) -> tuple[int, int, int]:
 def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
     """The radial minimizer family: lam^(kappa/2) * U(lam * r).
 
-    kappa = N-4+2*alpha-beta is the decay rate; the profile is
-    amplitude * lam^(-kappa/2) * (lam^(-sigma) + r^sigma)^(-kappa/sigma).
+    kappa = N-4+2*alpha-beta is the decay rate; the profile is amplitude * lam^(-kappa/2) *
+    (lam^(-sigma) + r^sigma)^(-kappa/sigma), of radius nu^(1/sigma) = 1/lam, where `quotient_radial` centres its grid.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"scaling parameter must be positive and finite, got {lam}")

@@ -76,6 +76,8 @@ _X_CUT = math.asinh(_X_MAX)
 _H0 = 0.5
 _FIRST = 4  # the finest level of the first call: step _H0 / 16, 453 nodes
 _TAIL_EPS = 1e-22  # per-term floor relative to the largest term seen
+# |k| bound of quotient_radial's shift r = 2^k s: each 2^k s, s in e^(+-_X_MAX), stays a normal double
+_K_MAX = math.floor(1 - sys.float_info.min_exp - _X_MAX / math.log(2.0))  # 156
 
 
 class QuadResult(NamedTuple):
@@ -294,15 +296,20 @@ def quotient_radial(u, p: Params) -> float:
 
     The energy is omega * integral (u'' + (N-1+alpha) u'/r)^2 r^(N+2*alpha-beta-1) dr,
     the critical norm ||u||_* is (omega * integral |u|^p* r^(beta+N-1) dr)^(1/p*).
+
+    Both are integrated in s = r / 2^k, 2^k the power of two nearest u's radius 2^u.log2_radius
+    (|k| <= _K_MAX = 156), so a scaled extremal costs what lam = 1 costs: the rows are taken at
+    r = 2^k s times dr/ds = 2^k, both products exact and the identity at k = 0.  Errors name s.
     """
     d, omega = derive(p), sphere_area(p.N)
+    scale = 2.0 ** round(min(max(u.log2_radius, -_K_MAX), _K_MAX))
 
-    def rows(r):  # the integrands of ||u||_* and ||u||^2, from one jet
+    def rows(s):  # the integrands of ||u||_* and ||u||^2 in s, from one jet at r = 2^k s
+        r = s * scale
         jet = u.jet(r, 2)
-        return (
-            power_weighted(jet[0], r, d.p_star, p.beta + p.N - 1.0),
-            power_weighted(mode_operator(jet, r, p.N - 1.0 + p.alpha, 0.0), r, 2.0, p.N + 2.0 * p.alpha - p.beta - 1.0),
-        )
+        lap = mode_operator(jet, r, p.N - 1.0 + p.alpha, 0.0)
+        star = power_weighted(jet[0], r, d.p_star, p.beta + p.N - 1.0)
+        return scale * star, scale * power_weighted(lap, r, 2.0, p.N + 2.0 * p.alpha - p.beta - 1.0)
 
     star, energy = (res.value for res in integrate_rows(rows))
     denom = (omega * star) ** (1.0 / d.p_star)

@@ -22,6 +22,7 @@ from ckn_lab.identities import (
 from ckn_lab.params import beta_fs, derive, sphere_area, validate
 from ckn_lab.profiles import (
     DEFAULT_RESIDUAL_SAMPLES,
+    GaussianProfile,
     PowerPeakProfile,
     _exponents,
     euler_lagrange_residual,
@@ -215,12 +216,83 @@ def test_extremal_norms_against_closed_forms(p511):
 
 
 def test_quotient_is_scale_invariant(p511):
-    u = extremal(p511)
-    v = extremal(p511, lam=2.0)
-    q_u = quotient_radial(u, p511)
-    q_v = quotient_radial(v, p511)
-    assert q_u == pytest.approx(q_v, rel=1e-9)
+    """The largest gap seen is 6.8e-15 (4.9e-15 on a grid fixed at r = 1)."""
+    q_u = quotient_radial(extremal(p511), p511)
+    for lam in (2.0, 2.0**20, 2.0**-20, 1e7, 1e-7):
+        assert quotient_radial(extremal(p511, lam), p511) == pytest.approx(q_u, rel=1e-12)
     assert q_u == pytest.approx(s_r_closed(p511), rel=1e-10)
+
+
+def test_a_scaled_extremal_costs_what_lam_one_costs(monkeypatch):
+    """The grid is centred on the power of two nearest the profile's radius 1/lam, so at every
+    extremality point a scaled extremal takes the one integrand call of lam = 1, and over the
+    ten points it sums at most 1.5x their terms (1.45x at lam = 1e-8).  One point alone may
+    take one more level inside that call, 2x its terms, as 10^+-8 sits up to half an octave
+    off a power of two.  On a grid fixed at r = 1, lam = 1e+-8 took three or four calls and
+    about twenty times the terms."""
+    cost = []
+
+    def spy(f, *args, **kwargs):
+        calls = []
+        results = integrate_rows(lambda s: calls.append(s.size) or f(s), *args, **kwargs)
+        cost.append((len(calls), sum(res.nodes for res in results)))
+        return results
+
+    monkeypatch.setattr(quad, "integrate_rows", spy)
+    nodes = {}
+    for lam in (1.0, 1e-8, 1e-4, 1e4, 1e8):
+        cost.clear()
+        for point in EXTREMALITY_POINTS:
+            p = validate(*point)
+            quotient_radial(extremal(p, lam), p)
+        assert [calls for calls, _ in cost] == [1] * len(EXTREMALITY_POINTS)
+        nodes[lam] = sum(n for _, n in cost)
+    for lam in (1e-8, 1e-4, 1e4, 1e8):
+        assert nodes[lam] <= 1.5 * nodes[1.0]
+
+
+_LEDGER_POINTS = EXTREMALITY_POINTS + ((5, 1.0, -0.99), (6, 0.1, -1.89))
+_LEDGER_LOG_LAM = range(-40, 41, 2)
+# The (point, log10 lam) cells that a grid fixed at r = 1 refused: 32 DomainErrors and 16
+# DivergentIntegralErrors on integrals that converge, the latter at log10 lam >= 26.
+_REFUSED_ON_A_FIXED_GRID = {
+    (5, 1.0, -0.99): (*range(-40, -33, 2), *range(6, 41, 2)),
+    (6, 0.1, -1.89): (*range(-40, -27, 2), *range(4, 41, 2)),
+}
+
+
+def test_the_scaled_quotient_ledger():
+    """quotient_radial(extremal(p, lam), p) over 12 points and log10 lam in -40..40.
+
+    Every answer is S_r to 1e-10, and every cell a fixed grid answered still answers.  The 36
+    DomainErrors left are of two kinds, both outside the quadrature: `extremal` refuses a
+    lam that puts nu or its coefficient outside double range (10 cells), and at the two
+    sigma = 0.01 points the jet's u'' overflows to inf near the origin for log10 lam >= 16
+    or 18 although its weighted square is tiny there (26 cells).  Past |k| = 156, e.g. at
+    (8, -2, -8/3) with lam = 1e100, the shift is capped and a DivergentIntegralError returns."""
+    outcomes, answered = {}, set()
+    for point in _LEDGER_POINTS:
+        p = validate(*point)
+        for log_lam in _LEDGER_LOG_LAM:
+            try:
+                q = quotient_radial(extremal(p, 10.0**log_lam), p)
+            except (DomainError, AccuracyError) as err:
+                name = type(err).__name__
+            else:
+                name = "ok"
+                answered.add((point, log_lam))
+                assert q == pytest.approx(s_r_closed(p), rel=1e-10)
+            outcomes[name] = outcomes.get(name, 0) + 1
+    refused = {(point, log_lam) for point, logs in _REFUSED_ON_A_FIXED_GRID.items() for log_lam in logs}
+    grid = {(point, log_lam) for point in _LEDGER_POINTS for log_lam in _LEDGER_LOG_LAM}
+    assert grid - refused <= answered
+    assert outcomes == {"ok": 456, "DomainError": 36}
+
+
+def test_past_the_shift_bound_a_divergence_is_still_reported():
+    p = validate(8, -2.0, -8.0 / 3.0)
+    with pytest.raises(DivergentIntegralError, match="toward 0"):
+        quotient_radial(extremal(p, 1e100), p)
 
 
 def test_non_extremal_profile_sits_strictly_above(p511):
@@ -358,6 +430,40 @@ def test_a_scalar_integrand_is_broadcast():
 
 def test_extremal_quotient_is_pinned(p511):
     assert repr(quotient_radial(extremal(p511), p511)) == "221.6882674197927"
+
+
+# Bit pins from before the grid followed the profile's radius: at nu = 1 (and for a Gaussian)
+# the shift 2^k is 2^0, so none of these may move.
+EXTREMAL_QUOTIENT_HEX = {
+    (5, 0.0, 0.0): "0x1.998878d532ea6p+6",
+    (5, 1.0, 1.0): "0x1.bb60649655d2fp+7",
+    (5, 1.0, 0.3): "0x1.145373edec0f5p+7",
+    (5, 1.0, 5.0 / 3.0): "0x1.010f209bede2cp+8",
+    (5, -1.0, -5.0 / 3.0): "0x1.bf90dd160fc81p+4",
+    (5, -1.0, -1.7): "0x1.bba01accb4449p+4",
+    (6, 1.0, 0.5): "0x1.2a2f12175bca3p+8",
+    (6, 2.0, 2.5): "0x1.95015c26dad07p+9",
+    (7, 2.0, 1.3): "0x1.3252f4497f5adp+9",
+    (8, -2.0, -8.0 / 3.0): "0x1.3c5a5c6e393afp+7",
+}
+
+
+@pytest.mark.parametrize("point", EXTREMALITY_POINTS)
+def test_every_unscaled_extremal_quotient_is_pinned(point):
+    p = validate(*point)
+    assert quotient_radial(extremal(p), p).hex() == EXTREMAL_QUOTIENT_HEX[point]
+
+
+@pytest.mark.parametrize(
+    "profile, expected",
+    [
+        (PowerPeakProfile([(1.0, 0, -3.0)], sigma=2, nu=1.0), "0x1.0287aef95d8a7p+8"),
+        (GaussianProfile([(1.0, 0.0)]), "0x1.3e8744dbddb86p+8"),
+    ],
+    ids=["bump", "gaussian"],
+)
+def test_radius_one_quotients_are_pinned(p511, profile, expected):
+    assert quotient_radial(profile, p511).hex() == expected
 
 
 def _mode1_on_curve():
