@@ -34,6 +34,7 @@ from .params import (
     DEFAULT_EPS,
     ParamError,
     RegionClass,
+    _dimension,
     amplitude_constant,
     beta_fs,
     beta_strip,
@@ -167,7 +168,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_fs_curve(args: argparse.Namespace) -> int:
     from .spectral import fs_locate
 
-    beta_strip(args.N, 0.0)  # alpha = 0 is admissible at every N >= 3: this checks N
+    _dimension(args.N)
     with _output(args) as stream:
         for alpha in _parse_range(args.alpha, "alpha"):
             closed = beta_fs(args.N, alpha)
@@ -217,7 +218,7 @@ def _scan_cell(N: int, alpha: float, beta: float) -> dict[str, str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    beta_strip(args.N, 0.0)  # alpha = 0 is admissible at every N >= 3: this checks N
+    _dimension(args.N)
     points = [
         (args.N, alpha, beta)
         for alpha in _parse_range(args.alpha, "alpha")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .params import (
     Params,
+    _dimension,
     _index,
-    _integral,
     beta_strip,
     harmonic_eigenvalue,
     hardy_comparison_constants,
@@ -180,8 +180,7 @@ def check_pohozaev_identity(v: TestFunction, N: int) -> float:
     (N-4) int |x|^(-2) |grad v|^2 = 2 int (x . grad v) div(|x|^(-2) grad v);
     mode-k reduced, returns the relative defect.
     """
-    if N < 5:
-        raise DomainError(f"dimension must be at least 5, got {N}")
+    N = _dimension(N)
     f = v.radial_part
     lam = harmonic_eigenvalue(N, v.mode_k)
 
@@ -215,9 +214,23 @@ class ShiftConstants(NamedTuple):
     eta: float
 
 
-def _shift_coefficients(N: int, mu: float):
+def _negative_alpha(N: int, alpha: float) -> int:
+    """N as a dimension where 2 - N < alpha < 0, the regime of the shift reduction; DomainError otherwise."""
+    N = _dimension(N)
+    if not (2 - N < alpha < 0):
+        raise DomainError(f"shift reduction needs 2 - N < alpha < 0, got alpha={alpha} at N={N}")
+    return N
+
+
+def _shift_dimension(N: int, mu: float) -> int:
+    """N as a dimension where the shift exponent mu lies in (0, N - 4); DomainError otherwise."""
+    N = _dimension(N)
     if not (0.0 < mu < N - 4.0):
         raise DomainError(f"shift exponent must lie in (0, {N - 4}), got {mu}")
+    return N
+
+
+def _shift_coefficients(N: int, mu: float):
     core = mu * (2.0 * (N - 4.0) - mu)
     c1 = (N * N - 4.0 * N + 8.0) / (2.0 * (N - 4.0) ** 2) * core
     c2 = N * N / (16.0 * (N - 4.0) ** 2) * core**2 - (N - 2.0) / 2.0 * core
@@ -225,13 +238,9 @@ def _shift_coefficients(N: int, mu: float):
 
 
 def rellich_sobolev_constants(N: int, alpha: float) -> ShiftConstants:
-    N = _integral(N)
-    if not (2 - N < alpha < 0):
-        raise DomainError(
-            f"shift reduction needs 2 - N < alpha < 0, got alpha={alpha} at N={N}"
-        )
+    N = _negative_alpha(N, alpha)
     mu = (N - 4.0) * alpha / (2.0 - N)
-    c1, c2 = _shift_coefficients(N, mu)
+    c1, c2 = _shift_coefficients(_shift_dimension(N, mu), mu)  # mu may round onto an end of (0, N-4)
     eta = -(N - 4.0) * alpha / (2.0 * (N - 2.0))
     return ShiftConstants(mu5=mu, c_mu1=c1, c_mu2=c2, eta=eta)
 
@@ -262,9 +271,7 @@ def rellich_sobolev_extremal(
     N: int, mu: float, amplitude: float = 1.0, nu: float = 1.0
 ) -> PowerPeakProfile:
     """Equality-case profile A r^(-mu/2) (nu + r^(2(1-mu/(N-4))))^(-(N-4)/2)."""
-    N = _integral(N)
-    if not (0.0 < mu < N - 4.0):
-        raise DomainError(f"shift exponent must lie in (0, {N - 4}), got {mu}")
+    N = _shift_dimension(N, mu)
     sigma = 2.0 * (1.0 - mu / (N - 4.0))
     return PowerPeakProfile(
         [(amplitude, -mu / 2.0, -(N - 4.0) / 2.0)], sigma=sigma, nu=nu
@@ -280,9 +287,7 @@ def check_rellich_sobolev(v: RadialProfile, N: int, mu: float):
     with passed = lhs >= rhs*(1 - 1e-8); equality holds on the
     `rellich_sobolev_extremal` family.
     """
-    N = _integral(N)
-    if N < 5:
-        raise DomainError(f"dimension must be at least 5, got {N}")
+    N = _shift_dimension(N, mu)
     c1, c2 = _shift_coefficients(N, mu)
     omega = sphere_area(N)
 
@@ -309,11 +314,7 @@ def check_boundary_sharp_constant(N: int, alpha: float):
     the measured quotient of the minimizer, the closed-form constant, and
     their relative gap.
     """
-    N = _integral(N)
-    if not (2 - N < alpha < 0):
-        raise DomainError(
-            f"boundary equality needs 2 - N < alpha < 0, got alpha={alpha} at N={N}"
-        )
+    N = _negative_alpha(N, alpha)
     p = validate(N, alpha, beta_strip(N, alpha)[1])
     quotient = quotient_radial(extremal(p), p)
     constant = (1.0 + alpha / (N - 2.0)) ** (4.0 - 4.0 / N) * s_0_closed(N)

@@ -13,6 +13,8 @@ and every quantity downstream (critical exponent, transformed dimension,
 sharp constants, symmetry-breaking thresholds) is a function of the
 triple (N, alpha, beta).  This module owns that bookkeeping, and the
 closed-form sharp constants with it, so that they need only the stdlib.
+Every function taking N, but `harmonic_eigenvalue` and `sphere_area`,
+refuses an N outside the domain with ParamError, as `beta_strip` does.
 """
 
 from __future__ import annotations
@@ -90,16 +92,22 @@ def _index(k, name: str) -> int:
     return i
 
 
+def _dimension(N) -> int:
+    """N as an int where it is a dimension of the domain: an integer >= 5 whose square is a double."""
+    n = _integral(N)  # any integral type, e.g. numpy's; 5.0 is no integer
+    if n < 5:
+        raise ParamError([f"dimension must be an integer >= 5, got N={N!r}"])
+    if n * n > sys.float_info.max:  # beta_fs's radicand would leave double range
+        raise ParamError([f"dimension N={N!r} is too large: N*N exceeds the largest double"])
+    return n
+
+
 def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
     """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
     try:
-        n = _integral(N)  # any integral type, e.g. numpy's; 5.0 is no integer
-    except ParamError:
-        n = 0
-    if n < 5:
-        return [f"dimension must be an integer >= 5, got N={N!r}"], None
-    if n * n > sys.float_info.max:  # beta_fs's radicand would leave double range
-        return [f"dimension N={N!r} is too large: N*N exceeds the largest double"], None
+        n = _dimension(N)
+    except ParamError as exc:
+        return exc.reasons, None
     reasons = [] if alpha > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
     return reasons, (alpha - 2.0, n * alpha / (n - 2.0))
 
@@ -116,18 +124,20 @@ def beta_strip(N: int, alpha: float) -> tuple[float, float]:
     return ends
 
 
-def _violations(N: int, alpha: float, beta: float) -> list[str]:
+def _violations(N: int, alpha: float, beta: float) -> tuple[list[str], tuple[float, float] | None]:
+    """Every reason the triple leaves the domain, and the strip's ends where N and alpha are in it."""
     reasons, ends = _strip(N, alpha)
-    if ends is not None:
-        lo, hi = ends
-        if not beta > lo:
-            reasons.append(f"beta must exceed alpha - 2 = {lo}, got beta={beta!r}")
-        if not beta <= hi:
-            reasons.append(f"beta must not exceed N*alpha/(N-2) = {hi}, got beta={beta!r}")
-        sig, kappa = _sigma_kappa(N, alpha, beta)
-        if not reasons and not (sig > 0.0 and kappa > 0.0):
-            reasons.append(f"2+beta-alpha={sig!r} and N-4+2*alpha-beta={kappa!r} must be > 0")
-    return reasons
+    if ends is None:
+        return reasons, None
+    alpha_ok, (lo, hi) = not reasons, ends  # at a bad alpha beta's reasons are listed too
+    if not beta > lo:
+        reasons.append(f"beta must exceed alpha - 2 = {lo}, got beta={beta!r}")
+    if not beta <= hi:
+        reasons.append(f"beta must not exceed N*alpha/(N-2) = {hi}, got beta={beta!r}")
+    sig, kappa = _sigma_kappa(N, alpha, beta)
+    if not reasons and not (sig > 0.0 and kappa > 0.0):
+        reasons.append(f"2+beta-alpha={sig!r} and N-4+2*alpha-beta={kappa!r} must be > 0")
+    return reasons, ends if alpha_ok else None
 
 
 def _sigma_kappa(N: int, alpha: float, beta: float) -> tuple[float, float]:
@@ -141,7 +151,7 @@ class Params(NamedTuple("Params", [("N", int), ("alpha", float), ("beta", float)
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, N: int, alpha: float, beta: float):
-        reasons = _violations(N, alpha, beta)
+        reasons = _violations(N, alpha, beta)[0]
         if reasons:
             raise ParamError(reasons)
         return super().__new__(cls, _integral(N), alpha, beta)
@@ -204,16 +214,10 @@ def beta_fs(N: int, alpha: float) -> float:
     """Symmetry-breaking threshold curve beta as a function of alpha.
 
     Defined by -N + sqrt(N^2 + alpha^2 + 2(N-2)alpha); the radicand
-    equals (alpha + N - 2)^2 + 4(N - 1), positive at every N >= 1.
-    Raises ParamError where N*N exceeds the largest double, as `beta_strip`.
+    equals (alpha + N - 2)^2 + 4(N - 1), positive at every dimension.
     """
-    N = _integral(N)
-    if N * N > sys.float_info.max:
-        raise ParamError(_strip(N, alpha)[0])  # the reason beta_strip gives
-    rad = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
-    if rad < 0.0:  # only at N < 1, outside the domain
-        raise ParamError([f"threshold radicand negative: {rad}"])
-    return -N + math.sqrt(rad)
+    N = _dimension(N)
+    return -N + math.sqrt(N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha)
 
 
 def b_fs_first_order(N: int, a: float) -> float:
@@ -221,7 +225,7 @@ def b_fs_first_order(N: int, a: float) -> float:
 
     Uses the L^2 normalisation a_c = (N-2)/2 and requires a < a_c.
     """
-    N = _integral(N)
+    N = _dimension(N)
     a_c = (N - 2.0) / 2.0
     if not a < a_c:
         raise ParamError([f"first-order curve needs a < (N-2)/2 = {a_c}, got a={a!r}"])
@@ -246,7 +250,7 @@ def fs_correspondence(N: int, alpha: float) -> FsCorrespondence:
     reproduces :func:`beta_fs` exactly; the round trip is a consistency
     anchor between the two formulations.
     """
-    N = _integral(N)
+    N = _dimension(N)
     if not alpha > 0.0:
         raise ParamError([f"correspondence defined for alpha > 0, got {alpha!r}"])
     a = -alpha / 2.0
@@ -270,21 +274,21 @@ class RegionClass(Enum):
 def classify(N: int, alpha: float, beta: float) -> RegionClass:
     """Classify a raw triple into exactly one :class:`RegionClass`.
 
-    The strip test is exact, as in `validate`; the absolute tolerance
-    ``BOUNDARY_TOL`` only labels the on-edge tags.  The degenerate edge
-    beta = alpha - 2 (critical exponent collapses to 2, the energy reduces
-    to a pure Rellich form) sits outside the admissible box but is
-    reported with its own tag rather than as plain Invalid.  On the upper
-    edge with alpha > 0, S_0 < S_r = (1 + alpha/(N-2))^(4-4/N) S_0, so the
-    radial profile is not optimal there: hence NotAttainedBoundary.
+    Invalid is exactly what `validate` refuses, from the same reasons; the
+    absolute tolerance ``BOUNDARY_TOL`` only labels the on-edge tags.  The
+    degenerate edge beta = alpha - 2 (critical exponent collapses to 2, the
+    energy reduces to a pure Rellich form) sits outside the admissible box
+    but is reported with its own tag rather than as plain Invalid.  On the
+    upper edge with alpha > 0, S_0 < S_r = (1 + alpha/(N-2))^(4-4/N) S_0, so
+    the radial profile is not optimal there: hence NotAttainedBoundary.
     """
-    try:
-        lo, upper = beta_strip(N, alpha)
-    except ParamError:
+    reasons, ends = _violations(N, alpha, beta)
+    if ends is None:
         return RegionClass.INVALID
+    lo, upper = ends
     if abs(beta - lo) <= BOUNDARY_TOL:
         return RegionClass.RELLICH_DEGENERATE
-    if not lo < beta <= upper:
+    if reasons:
         return RegionClass.INVALID
     if abs(alpha) <= BOUNDARY_TOL and abs(beta) <= BOUNDARY_TOL:
         return RegionClass.CLASSICAL
@@ -328,7 +332,7 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     tried.  Raises DomainError for a non-finite a, and for |a| >= 2^52,
     where floats no longer resolve k + a and the formula loses all accuracy.
     """
-    N = _integral(N)
+    N = _dimension(N)
     if not math.isfinite(a):
         raise DomainError(f"weight exponent a must be finite, got {a!r}")
     if abs(a) >= 2.0**52:
@@ -407,9 +411,7 @@ def s_r_closed(p: Params) -> float:
 
 def s_0_closed(N: int) -> float:
     """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N)."""
-    N = _integral(N)
-    if N < 5:
-        raise DomainError(f"dimension must be at least 5, got {N}")
+    N = _dimension(N)
     poly = N * (N - 4.0) * (N * N - 4.0)
     return math.pi**2 * poly * math.exp(
         4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))

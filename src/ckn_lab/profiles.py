@@ -40,7 +40,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from typing import Protocol
 
 import numpy as np
 
@@ -59,18 +58,6 @@ __all__ = [
     "cosh_profile_residual",
     "DEFAULT_RESIDUAL_SAMPLES",
 ]
-
-
-class RadialProfile(Protocol):
-    """What every radial profile offers.  The radial integrals read ``jet``, once per integrand
-    call for all integrals of a profile, or ``eval``; the quadrature's tail rule, not the
-    profile, judges whether an integrand decays at 0 and at infinity."""
-
-    log2_radius: float  # of the radius where the mass sits; quotient_radial centres its grid there
-
-    def eval(self, r): ...
-
-    def jet(self, r, order: int) -> list: ...
 
 
 def _as_array(r):
@@ -100,8 +87,25 @@ def _values(profiles, r) -> list:
     return [v if np.ndim(v) else np.full(arr.shape, v) for v in out]
 
 
-class _Evaluation:
-    """eval and jet from a family's `_logs(arr)` and `_sum(logs)`."""
+class RadialProfile:
+    """A sum of terms +-exp(log|c| + a*X + b*Y) over the family's two log columns (X, Y) = `_logs(r)`,
+    with (c > 0, log|c|, a, b) per term in `_float_view`.  The radial integrals read ``jet``, once
+    per integrand call for all integrals of a profile, or ``eval``; the quadrature's tail rule, not
+    the profile, judges whether an integrand decays at 0 and at infinity."""
+
+    log2_radius: float  # of the radius where the mass sits; quotient_radial centres its grid there
+
+    def _sum(self, logs):
+        X, Y = logs
+        out = 0.0  # a negative first term is 0.0 - t: +0.0 where t underflows
+        for plus, logc, a, b in self._float_view:
+            expo = logc
+            if a != 0.0:
+                expo = expo + a * X
+            if b != 0.0:
+                expo = expo + b * Y
+            out = out + np.exp(expo) if plus else out - np.exp(expo)
+        return out
 
     def eval(self, r):
         return _values([self], r)[0]
@@ -133,7 +137,7 @@ class _Lattice(tuple):
     """(S, D) for sigma = S/D; passed as `sigma`, it marks the terms as (c, P, E) on the denominator D."""
 
 
-class PowerPeakProfile(_Evaluation):
+class PowerPeakProfile(RadialProfile):
     """sum of c * r^p * (nu + r^sigma)^e terms (fixed sigma and nu).
 
     Immutable by convention.  The family is closed under d/dr:
@@ -203,18 +207,6 @@ class PowerPeakProfile(_Evaluation):
     def _logs(self, arr):
         lr = np.log(arr)
         return lr, np.logaddexp(math.log(self.nu), self.sigma * lr)
-
-    def _sum(self, logs):
-        lr, lpk = logs
-        out = 0.0  # a negative first term is 0.0 - t: +0.0 where t underflows
-        for plus, logc, p, e in self._float_view:
-            expo = logc
-            if p != 0.0:
-                expo = expo + p * lr
-            if e != 0.0:
-                expo = expo + e * lpk
-            out = out + np.exp(expo) if plus else out - np.exp(expo)
-        return out
 
     # -- algebra ------------------------------------------------------
 
@@ -287,7 +279,7 @@ class PowerPeakProfile(_Evaluation):
         return f"PowerPeakProfile({body or '0'}, nu={float(self.nu):g})"
 
 
-class GaussianProfile(_Evaluation):
+class GaussianProfile(RadialProfile):
     """sum of c * r^p * exp(-r^2) terms; closed under differentiation."""
 
     log2_radius = 0.0  # exp(-r^2) sets the radius 1
@@ -300,19 +292,13 @@ class GaussianProfile(_Evaluation):
         self.terms = tuple((c, p) for p, c in sorted(merged.items()) if c != 0.0)
         self._dcache: list = [self]
 
+    @cached_property
+    def _float_view(self) -> list:  # (c > 0, log|c|, 1, p) per term, on the columns (-r^2, log r)
+        return [(c > 0.0, math.log(abs(c)), 1.0, p) for c, p in self.terms]
+
     @staticmethod
     def _logs(arr):
-        return np.log(arr), -arr * arr
-
-    def _sum(self, logs):
-        lr, damp = logs
-        out = 0.0
-        for c, p in self.terms:
-            expo = math.log(abs(c)) + damp
-            if p != 0.0:
-                expo = expo + p * lr
-            out = out + np.exp(expo) if c > 0.0 else out - np.exp(expo)
-        return out
+        return -arr * arr, np.log(arr)
 
     def differentiate(self) -> "GaussianProfile":
         new_terms = []

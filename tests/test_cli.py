@@ -262,6 +262,14 @@ def test_scan_cell_just_above_the_strip_is_an_invalid_row(tmp_path):
     assert rows[1] == "5,1.0,1.6666666666667,Invalid,,,,,"
 
 
+def test_scan_cell_that_validate_refuses_is_an_invalid_row(capsys):
+    """At alpha = 1.5e308 the upper end N*alpha/(N-2) is inf, so beta = inf sits in the strip,
+    but N-4+2*alpha-beta is NaN: validate refuses the triple and its row reads Invalid."""
+    code, out, err = run(capsys, "scan", "--N", "5", "--alpha", "1.5e308", "--beta", "inf")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "5,1.5e+308,inf,Invalid,,,,,"
+
+
 @pytest.mark.parametrize(
     "error",
     [

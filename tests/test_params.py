@@ -1,6 +1,7 @@
 """Parameter validation, derived exponents, transition curve, regions."""
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -11,6 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab.cli import main
+from ckn_lab.identities import (
+    BATTERY_PROFILES,
+    TestFunction,
+    check_boundary_sharp_constant,
+    check_pohozaev_identity,
+    check_rellich_sobolev,
+    rellich_sobolev_constants,
+    rellich_sobolev_extremal,
+)
 from ckn_lab.params import (
     ParamError,
     Params,
@@ -176,7 +186,7 @@ def test_beta_strip_ends_and_domain_errors():
         beta_strip(4, 1.0)
     with pytest.raises(ParamError, match=r"^alpha must exceed 2 - N = -3, got alpha=-3\.0$"):
         beta_strip(5, -3.0)
-    with pytest.raises(ParamError, match="radicand"):
+    with pytest.raises(ParamError, match=r"^dimension must be an integer >= 5, got N=0$"):
         beta_fs(0, 1.0)
 
 
@@ -199,6 +209,63 @@ def test_the_largest_dimension_in_double_range_is_admissible():
     assert validate(N_DOUBLE_MAX, 1.0, 0.5).N == N_DOUBLE_MAX
     assert math.isfinite(beta_fs(N_DOUBLE_MAX, 1.0))
     assert classify(N_DOUBLE_MAX, 1.0, 0.5) is not RegionClass.INVALID
+
+
+@pytest.mark.parametrize("N", [4, 2**512, N_DOUBLE_MAX + 1, 2**600], ids=["4", "2^512", "just_above", "2^600"])
+def test_every_function_taking_a_dimension_refuses_a_non_dimension(capsys, N):
+    """Each raises beta_strip's ParamError, never an OverflowError, a NaN, (inf, 0), a DomainError
+    or a profile with a huge exponent; scan and fs-curve exit 2 with that message."""
+    with pytest.raises(ParamError) as strip:
+        beta_strip(N, 1.0)
+    message = str(strip.value)
+    prof, shifted = BATTERY_PROFILES[0][1], rellich_sobolev_extremal(5, 1.0 / 3.0)
+    for compute in (
+        lambda: beta_fs(N, 1.0),
+        lambda: b_fs_first_order(N, -0.5),
+        lambda: fs_correspondence(N, 1.0),
+        lambda: rellich_infimum(N, 0.5),
+        lambda: s_0_closed(N),
+        lambda: check_pohozaev_identity(TestFunction(prof, 1), N),
+        lambda: rellich_sobolev_constants(N, -0.5),
+        lambda: rellich_sobolev_extremal(N, 1.0 / 3.0),
+        lambda: check_rellich_sobolev(shifted, N, 1.0 / 3.0),
+        lambda: check_boundary_sharp_constant(N, -1.0),
+    ):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            compute()
+    for command in (["scan", "--beta", "1"], ["fs-curve"]):
+        assert main([command[0], "--N", str(N), "--alpha", "1", *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@st.composite
+def _triples_near_the_strip_edges(draw):
+    """N from 5 to 2^40 and the largest in double range, any finite alpha, and beta a few
+    ulps off either end of alpha's strip, or +-inf, or NaN."""
+    N = draw(st.one_of(st.integers(min_value=5, max_value=60), st.integers(min_value=5, max_value=2**40),
+                       st.just(N_DOUBLE_MAX)))
+    alpha = draw(st.one_of(st.floats(min_value=-1.7e308, max_value=1.7e308),
+                           st.builds(_ulps, st.sampled_from([2.0 - N, 0.0, 1.7e308]), st.integers(-4, 4))))
+    end = draw(st.sampled_from([alpha - 2.0, N * alpha / (N - 2.0)]))
+    beta = draw(st.one_of(st.builds(_ulps, st.just(end), st.integers(-4, 4)),
+                          st.sampled_from([math.inf, -math.inf, math.nan])))
+    return N, alpha, beta
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_triples_near_the_strip_edges())
+@example((5, 1.5e308, math.inf))
+@example((2**40, 6.685339476714826e297, 1.7976931348623157e308))
+def test_classify_never_tags_what_validate_refuses(triple):
+    """classify tags Invalid exactly what validate refuses, but for RellichDegenerate, which
+    names the refused lower edge beta = alpha - 2 (and a beta within BOUNDARY_TOL of it)."""
+    tag = classify(*triple)
+    try:
+        validate(*triple)
+    except ParamError:
+        assert tag in (RegionClass.INVALID, RegionClass.RELLICH_DEGENERATE)
+    else:
+        assert tag is not RegionClass.INVALID
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -434,6 +434,60 @@ def test_negative_term_that_underflows_reads_plus_zero():
     assert [v.hex() for v in f.jet(np.array([1e-10]), 1)[1]] == ["0x0.0p+0"]
 
 
+#: jet(r, 4) of each profile, value and four derivatives, as .hex() per radius
+JET_PROFILES = {
+    "gaussian": GaussianProfile([(1.0, 0.0)]),
+    "gaussian_two_term": GaussianProfile([(2.0, 1.0), (-0.5, 3.0)]),
+    "power_peak_two_term": PowerPeakProfile([(2.0, 1, -3), (-0.5, 3, -2)], sigma=2, nu=1.5),
+}
+JET_HEX = {
+    "gaussian": {
+        0.0: ("0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+1", "0x0.0p+0", "0x1.8000000000000p+3"),
+        1e-300: ("0x1.0000000000000p+0", "-0x1.56e1fc2f8f29cp-996", "-0x1.0000000000000p+1",
+                 "0x1.01297d23ab5f3p-993", "0x1.8000000000000p+3"),
+        1e-3: ("0x1.ffffde7211d81p-1", "-0x1.0624cc010f47cp-9", "-0x1.ffff9b5637bb1p+0",
+               "0x1.893720d38c23ep-7", "0x1.7fff822bc8698p+3"),
+        1.0: ("0x1.78b56362cef38p-2", "-0x1.78b56362cef38p-1", "0x1.78b56362cef36p-1",
+              "0x1.78b56362cef3ap+0", "-0x1.d6e2bc3b82b0bp+2"),
+        7.3: ("0x1.15f81e103a06ep-77", "-0x1.fb4b36dd9d18ap-74", "0x1.ca8ff4cb91a42p-70",
+              "-0x1.9a82fc1e4b3dbp-66", "0x1.6bd8265212741p-62"),
+        30.0: ("0x0.0p+0",) * 5,
+    },
+    "gaussian_two_term": {
+        0.0: ("0x0.0p+0", "0x1.0000000000000p+1", "0x0.0p+0", "-0x1.e000000000000p+3", "0x0.0p+0"),
+        1e-300: ("0x1.56e1fc2f8f29cp-996", "0x1.0000000000000p+1", "-0x1.4173dc6c9645bp-993",
+                 "-0x1.e000000000000p+3", "0x1.e22dcaa2e1877p-990"),
+        1e-3: ("0x1.0624c7b58c95cp-9", "0x1.ffff822bc709bp+0", "-0x1.eb84de4ba8b77p-7",
+               "-0x1.dfff4341af061p+3", "0x1.70a39545fc4aep-3"),
+        1.0: ("0x1.1a880a8a1b36ap-1", "-0x1.d6e2bc3b82b04p-1", "-0x1.78b56362cef38p-1",
+              "0x1.1a880a8a1b366p+3", "-0x1.9040b998fbe3ep+3"),
+        7.3: ("-0x1.86b20bf9a31a8p-70", "0x1.59ee86c21ec37p-66", "-0x1.2f24d3a3f5f23p-62",
+              "0x1.06d36fc3c8343p-58", "-0x1.c2bc88cbf1aa9p-55"),
+        30.0: ("0x0.0p+0",) * 5,
+    },
+    "power_peak_two_term": {
+        0.0: ("0x0.0p+0", "0x1.2f684bda12f68p-1", "0x0.0p+0", "-0x1.0e38e38e38e39p+3", "0x0.0p+0"),
+        1e-300: ("0x1.96612ae308830p-998", "0x1.2f684bda12f68p-1", "-0x1.69ee8a3233aecp-994",
+                 "-0x1.0e38e38e38e39p+3", "0x1.2d9c1dd480668p-989"),
+        1e-3: ("0x1.36b03e150bbf2p-11", "0x1.2f67be2d8abd3p-1", "-0x1.14b4d1c39fc80p-7",
+               "-0x1.0e37f76ec405ep+3", "0x1.cd2cfc92afa7ep-3"),
+        1.0: ("0x1.89374bc6a7efcp-5", "-0x1.2a305532617c1p-2", "0x1.5ca6ca03c4afep-3",
+              "0x1.512ec6bce8537p+0", "-0x1.d323fee2c98f4p+2"),
+        7.3: ("-0x1.09088a9dfc3a0p-4", "0x1.0111a3ba7ce9cp-7", "-0x1.c87fc65fbd970p-10",
+              "0x1.05ebd29ce2600p-11", "-0x1.14cefef775200p-13"),
+        30.0: ("-0x1.1028499c1b832p-6", "0x1.205d04f501926p-11", "-0x1.307dc44f6e2b0p-15",
+               "0x1.e09788b804540p-19", "-0x1.f7db800e10800p-22"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_PROFILES))
+def test_jet_is_pinned_bit_for_bit(name):
+    """Both families' jets to order 4 keep their bits at the origin, deep inside, near and far."""
+    f = JET_PROFILES[name]
+    assert {r: tuple(v.hex() for v in f.jet(r, 4)) for r in JET_HEX[name]} == JET_HEX[name]
+
+
 @pytest.mark.parametrize(
     "f", [PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0), GaussianProfile([(1.0, 0.0)])]
 )
