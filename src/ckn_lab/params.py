@@ -410,9 +410,19 @@ def s_r_closed(p: Params) -> float:
 
 
 def s_0_closed(N: int) -> float:
-    """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N)."""
+    """Unweighted sharp constant pi^2 N(N-4)(N^2-4) (Gamma(N/2)/Gamma(N))^(4/N).
+
+    The constant grows like N^2 while its polynomial grows like N^4, so from N ~ 1e77 the
+    product is taken in logs; raises DomainError where the constant itself leaves double range.
+    """
     N = _dimension(N)
-    poly = N * (N - 4.0) * (N * N - 4.0)
-    return math.pi**2 * poly * math.exp(
-        4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
-    )
+    log_ratio = 4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
+    value = math.pi**2 * (N * (N - 4.0) * (N * N - 4.0)) * math.exp(log_ratio)
+    if value == math.inf:  # the polynomial overflows, or pi^2 times it does
+        try:
+            value = math.exp(
+                2.0 * math.log(math.pi) + math.log(N) + math.log(N - 4.0) + math.log(N * N - 4.0) + log_ratio
+            )
+        except OverflowError:
+            raise DomainError(f"sharp constant overflows double precision at N={N!r}") from None
+    return value

@@ -91,9 +91,15 @@ class RadialProfile:
     """A sum of terms +-exp(log|c| + a*X + b*Y) over the family's two log columns (X, Y) = `_logs(r)`,
     with (c > 0, log|c|, a, b) per term in `_float_view`.  The radial integrals read ``jet``, once
     per integrand call for all integrals of a profile, or ``eval``; the quadrature's tail rule, not
-    the profile, judges whether an integrand decays at 0 and at infinity."""
+    the profile, judges whether an integrand decays at 0 and at infinity.
+
+    Each profile keeps its last jet: called again on abscissae of the same shape and bytes at an
+    order no higher, ``jet`` and ``eval`` return the kept values, so a profile that the identity
+    checks integrate many times on the quadrature's first-call grid is evaluated there once.
+    Their array results are read-only."""
 
     log2_radius: float  # of the radius where the mass sits; quotient_radial centres its grid there
+    _kept: tuple = ((), [])  # (abscissae's shape and bytes, [f, f', ..., f^(k)] there)
 
     def _sum(self, logs):
         X, Y = logs
@@ -108,11 +114,22 @@ class RadialProfile:
         return out
 
     def eval(self, r):
-        return _values([self], r)[0]
+        return self.jet(r, 0)[0]
 
     def jet(self, r, order: int) -> list:
-        """[f(r), f'(r), ..., f^(order)(r)] from one log pass."""
-        return _values(_chain(self, order), r)
+        """[f(r), f'(r), ..., f^(order)(r)] from one log pass, or from the kept jet when r has its
+        shape and bytes and order is no higher than its own (equal bytes give equal bits)."""
+        chain = _chain(self, order)
+        arr, _ = _as_array(r)
+        key = (arr.shape, arr.tobytes())
+        kept_key, values = self._kept
+        if kept_key != key or len(values) <= order:
+            values = _values(chain, arr)
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+            self._kept = (key, values)
+        return values[: order + 1]
 
 
 def _ratio(x, name: str) -> tuple[int, int]:

@@ -4,6 +4,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -666,6 +669,27 @@ def test_verify_all_runs_the_ten_checks_in_criterion_order(capsys):
     assert [line.split()[1].rstrip(":") for line in out.splitlines()] == CHECK_NAMES
     assert all(line.startswith("PASS  ") for line in out.splitlines())
     assert out == GOLDEN_VERIFY_ALL.read_text()
+
+
+TWICE = """
+import contextlib, io, json
+from ckn_lab.cli import main
+outs = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify-all"]) == 0
+    outs.append(out.getvalue())
+print(json.dumps(outs))
+"""
+
+
+def test_verify_all_prints_the_same_bytes_with_every_profile_jet_kept():
+    """A fresh interpreter runs verify-all cold, then again with the battery profiles' jets kept
+    on the quadrature's first-call grid; both print the fixture to the byte."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", TWICE], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [GOLDEN_VERIFY_ALL.read_text()] * 2
 
 
 def test_verify_all_perturbation_hook(capsys, monkeypatch):

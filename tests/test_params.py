@@ -35,6 +35,7 @@ from ckn_lab.params import (
     harmonic_eigenvalue,
     rellich_infimum,
     s_0_closed,
+    s_r_closed,
     sphere_area,
     validate,
 )
@@ -107,6 +108,29 @@ def test_every_closed_form_takes_an_integral_dimension_of_any_type(kind):
     assert [x.hex() for x in corr] == [
         "-0x1.0000000000000p-1", "-0x1.27d875243e008p-2", "0x1.4a7e9cb8a3491p+1", "0x1.7def58a7a76cbp-1"]
     assert {type(x) for x in (*corr, s_0_closed(kind(16)), b_fs_first_order(kind(7), -0.5))} == {float}
+
+
+# s_0_closed before it took its polynomial in logs where the linear-space product overflows
+S_0_CLOSED_PINS = {
+    5: "0x1.998878d532eb1p+6",
+    6: "0x1.ee91a315ce2eap+7",
+    7: "0x1.af885cb65e934p+8",
+    8: "0x1.46e99028399b6p+9",
+    9: "0x1.c8c45506979c0p+9",
+    10: "0x1.2e94b659dfea2p+10",
+    10**76: "0x1.167c0266494f9p+509",
+}
+
+
+def test_s_0_closed_answers_at_every_dimension_whose_constant_is_a_double():
+    """N(N-4)(N^2-4) ~ N^4 overflows from N ~ 1e77 while the constant ~ 18 N^2 stays in range
+    until N ~ 3e153: the log form answers there, as s_r_closed does, and every N that answered
+    in linear space keeps its bits."""
+    assert {N: s_0_closed(N).hex() for N in S_0_CLOSED_PINS} == S_0_CLOSED_PINS
+    assert math.isfinite(s_0_closed(10**100))
+    assert s_0_closed(10**77) == pytest.approx(s_r_closed(validate(10**77, 0, 0)), rel=1e-12)
+    with pytest.raises(DomainError, match=f"^sharp constant overflows double precision at N={2**511}$"):
+        s_0_closed(2**511)
 
 
 @pytest.mark.parametrize("N", [5.0, 5.5, np.float64(5.0), "5"], ids=["float", "half", "float64", "str"])

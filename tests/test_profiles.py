@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ckn_lab import profiles, quadrature
 from ckn_lab.params import ParamError, b_closed, derive, s_0_closed, sphere_area, validate
 from ckn_lab.profiles import (
     GaussianProfile,
@@ -488,11 +489,65 @@ def test_jet_is_pinned_bit_for_bit(name):
     assert {r: tuple(v.hex() for v in f.jet(r, 4)) for r in JET_HEX[name]} == JET_HEX[name]
 
 
+#: a fresh, never-evaluated profile of each family per call, and the minimizer
+KEPT_JET_PROFILES = {
+    "power_peak": lambda: PowerPeakProfile([(2.0, 1, -3), (-0.5, 3, -2)], sigma=2, nu=1.5),
+    "gaussian": lambda: GaussianProfile([(2.0, 1.0), (-0.5, 3.0)]),
+    "extremal": lambda: extremal(validate(5, 1.0, 1.0)),
+}
+FIRST_CALL_GRID = quadrature._grid(quadrature._H0 / 2**quadrature._FIRST)[0]  # 453 abscissae
+
+
+@pytest.mark.parametrize("r", [0.7, FIRST_CALL_GRID], ids=["scalar", "first_call_grid"])
+@pytest.mark.parametrize("name", sorted(KEPT_JET_PROFILES))
+def test_jet_returns_its_kept_values_on_bitwise_equal_abscissae(monkeypatch, name, r):
+    """A repeated jet on abscissae of the same shape and bytes, at an order no higher, evaluates
+    nothing and returns a fresh profile's bits; any other abscissae or a higher order evaluate."""
+    want = _hex(KEPT_JET_PROFILES[name]().jet(r, 4))
+    calls, values = [], profiles._values
+
+    def counted(chain, at):
+        calls.append(np.shape(at))
+        return values(chain, at)
+
+    monkeypatch.setattr(profiles, "_values", counted)
+    f = KEPT_JET_PROFILES[name]()
+    assert _hex(f.jet(r, 4)) == want and len(calls) == 1
+    for order in range(5):
+        assert _hex(f.jet(r, order)) == want[: order + 1]  # a lower order returns the prefix
+        assert _hex(f.jet(np.array(r), order)) == want[: order + 1]  # a fresh array, equal bytes
+    assert _hex([f.eval(r)]) == want[:1] and len(calls) == 1
+    mine = f.jet(r, 2)
+    mine[0] = None
+    mine.append(0.0)
+    assert _hex(f.jet(r, 2)) == want[:3] and len(calls) == 1
+    if np.ndim(r):
+        for v in (*f.jet(r, 4), f.eval(r)):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
+
+    g = KEPT_JET_PROFILES[name]()
+    g.jet(r, 2)
+    assert _hex([g.eval(r)]) == want[:1] and len(calls) == 2  # eval after jet(r, 2) is a hit
+    assert _hex(g.jet(r, 3)) == want[:4] and len(calls) == 3  # a higher order evaluates again
+    row = g.jet(np.reshape(r, (1, -1)), 1)  # another shape, the same bytes: evaluated again
+    assert [np.shape(v) for v in row] == [(1, np.size(r))] * 2 and len(calls) == 4
+    assert [bits for _, _, bits in _hex(row)] == [bits for _, _, bits in want[:2]]
+    moved = np.array(r, ndmin=1)
+    g.jet(moved, 1)
+    moved[-1] *= 2.0
+    row, n = g.jet(moved, 1), len(calls)  # the same array, written into: evaluated again
+    assert _hex(row) == _hex(KEPT_JET_PROFILES[name]().jet(moved.copy(), 1)) and n == 6
+
+
 @pytest.mark.parametrize(
     "f", [PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0), GaussianProfile([(1.0, 0.0)])]
 )
 @pytest.mark.parametrize("order", [-1, 1.5, 2.0, "1"])
 def test_derivative_order_must_be_a_nonnegative_integer(f, order):
+    """Also when the call would find its abscissae's jet kept."""
+    f.jet(0.5, 2)
+    f.jet(0.5, 1)
     with pytest.raises(DomainError, match="derivative order"):
         f.jet(0.5, order)
 
