@@ -381,29 +381,38 @@ def amplitude_constant(p: Params) -> float:
 
 
 def b_closed(M: float) -> float:
-    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4."""
+    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4; inf from M ~ 2.3e77."""
+    return _scaled_b_closed(M, 0.0)
+
+
+def _scaled_b_closed(M: float, log_scale: float) -> float:
+    """exp(log_scale) b_closed(M), inf where it overflows; in logs only where gamma_m(M) overflows,
+    from M ~ 1.2e77, so every M below keeps its bits."""
     gamma = gamma_m(M)
-    log_bracket = 2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M)
-    return gamma * math.exp(4.0 / M * log_bracket)
+    log_bracket = 4.0 / M * (2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M))
+    try:
+        if gamma < math.inf:
+            return math.exp(log_scale) * (gamma * math.exp(log_bracket))
+        return math.exp(log_scale + math.fsum(math.log(M + c) for c in (-4.0, -2.0, 0.0, 2.0)) + log_bracket)
+    except OverflowError:
+        return math.inf
 
 
 def s_r_closed(p: Params) -> float:
     """Sharp constant of the radial problem, in closed form.
 
-    q^(4/M - 4) * omega^(4/M) * b_closed(M); reduces to s_0_closed(N)
-    at alpha = beta = 0 and to (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N)
-    on the upper boundary beta = N*alpha/(N-2).  Raises DomainError where
-    it overflows double precision, as q = 2/(2+beta-alpha) -> 0.
+    q^(4/M - 4) * omega^(4/M) * b_closed(M), in logs where gamma_m(M) overflows;
+    reduces to s_0_closed(N) at alpha = beta = 0 and to
+    (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N) on the upper boundary
+    beta = N*alpha/(N-2).  Raises DomainError where it overflows double
+    precision, as q = 2/(2+beta-alpha) -> 0.
     """
     d, omega = derive(p), sphere_area(p.N)
     if omega >= sys.float_info.min:
         log_omega = math.log(omega)
     else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
         log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
-    try:
-        value = math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
-    except OverflowError:
-        value = math.inf
+    value = _scaled_b_closed(d.M, (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega)
     if not math.isfinite(value):
         raise DomainError(f"radial constant overflows double precision at M={d.M!r}")
     return value

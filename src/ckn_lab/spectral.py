@@ -20,8 +20,9 @@ A Ritz solve in use works on J + 2 nodes and J polynomials, J = 4 for
 the root search and 16 for the certificate: too few for numpy's per-call
 cost to pay off.  Its recurrences and its assembly run node by node on
 Python floats, and the only numpy calls that decide bits are the three
-linear algebra steps: the nodes' `eigvalsh`, the factor's product with
-its transpose, and `eigh`.
+linear algebra steps: the nodes' `eigvalsh_lo`, the factor's product with
+its transpose, and `eigh_lo`, the LAPACK kernels that `numpy.linalg.eigvalsh`
+and `eigh` call, under the wrappers' error state but not their checks.
 The test suite checks the Ritz minimizer's Rayleigh quotient on the
 adaptive route and the Ritz value against the closed form.  The root
 search needs only the smallest basis, because every basis holds the exact
@@ -35,6 +36,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 from .params import Params, _index, beta_strip, derive, harmonic_eigenvalue, validate
 from .quadrature import integrate_rows, power_weighted
@@ -206,20 +208,21 @@ def _gauss_jacobi(n: int, a: float, b: float):
     """n-point Gauss-Jacobi rule for the weight (1-w)^a (1+w)^b on (-1, 1).
 
     Golub-Welsch: nodes are the eigenvalues of the recurrence's Jacobi
-    matrix, by numpy's `eigvalsh`.  The weights, normalized to sum 1, are
-    the Christoffel numbers 1 / sum_j p_j(w)^2, summed over j along each
-    node's scalar recurrence; they keep their relative accuracy where the
-    squared eigenvector components would not (the tail nodes of a skewed
-    weight).  Returns the nodes and the weights divided by the mass of the
-    weight function, as lists of Python floats.  Raises ConditioningError
-    where the recurrence leaves double range or `eigvalsh` fails.
+    matrix, by the LAPACK kernel `eigvalsh_lo`.  The weights, normalized
+    to sum 1, are the Christoffel numbers 1 / sum_j p_j(w)^2, summed over j
+    along each node's scalar recurrence; they keep their relative accuracy
+    where the squared eigenvector components would not (the tail nodes of a
+    skewed weight).  Returns the nodes and the weights divided by the mass
+    of the weight function, as Python float lists.  Raises ConditioningError
+    where the recurrence leaves double range or the kernel fails.
     """
     diag, off = _jacobi_recurrence(n, a, b)
     jacobi = np.diag(diag)
     jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
     try:
-        nodes = np.linalg.eigvalsh(jacobi).tolist()
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            nodes = eigvalsh_lo(jacobi).tolist()
+    except FloatingPointError:
         raise ConditioningError(
             f"the Gauss-Jacobi nodes for the exponents a={a!r}, b={b!r} did not converge"
         ) from None
@@ -256,8 +259,8 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
 
     A's factor is assembled node by node on Python floats, in the order of
     operations of the whole-array assembly the tests keep.  Three numpy
-    calls decide bits: `eigvalsh` for the nodes, the product of the factor
-    with its transpose, and `eigh`.
+    calls decide bits: `eigvalsh_lo` for the nodes, the product of the factor
+    with its transpose, and `eigh_lo`.
     """
     J = _index(J, "basis size")
     if J < 4:
@@ -290,11 +293,12 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     A = rows_a @ rows_a.T
     if not np.isfinite(A).all():
         raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
-    # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit
+    # eigh_lo, not eigvalsh_lo: the two LAPACK drivers can differ in the last bit
     # of the least eigenvalue (8 of 4000 sampled J = 4 mode-1 matrices)
     try:
-        evals, evecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            evals, evecs = eigh_lo(A)
+    except FloatingPointError:
         raise ConditioningError(
             f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
         ) from None

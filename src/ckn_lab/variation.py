@@ -48,6 +48,8 @@ __all__ = [
     "Verdict",
     "BreakingCertificate",
     "second_variation",
+    "quotient_drop",
+    "kernel_coefficients",
     "directional_quotient",
     "certify",
 ]
@@ -118,7 +120,7 @@ def _polar_excess(x2, p_star: float, N: int):
     return total
 
 
-def _quotient_drop(p: Params, eps: float) -> float:
+def quotient_drop(p: Params, eps: float) -> float:
     """D = Q(U + eps g x_i/|x|)/Q(U) - 1 on one grid, where S_r's prefactor cancels.
 
     In C.-S. Lin's variable s = r^(sigma/2), with q = 2/sigma, t = s^2/(1+s^2) and h = s/(1+s^2)
@@ -161,12 +163,31 @@ def _quotient_drop(p: Params, eps: float) -> float:
     return drop
 
 
+def kernel_coefficients(p: Params) -> tuple[float, float]:
+    """(c2, c4'): `quotient_drop` is D(eps) = c2 eps^2 + c4' eps^4 + O(eps^6), in closed form.
+
+    Each row of the drop is a Beta moment, so 1 + D = (1 + a1 eps^2) (1 + sum_j b_j eps^(2j))^(-r), r = 2/p*,
+    with b_j `_polar_excess`'s term j times prod_(i<j) (M+2i)/(4(M+2i+1)) = B(M/2+j, M/2+j)/B(M/2, M/2).
+    N c2 = 2 factor (M^3 - 2M^2 - 4M + 6 + 2 mu (M-1)) / (M (M-4) (M-2)^2 (M+2)), with certify's
+    factor = mu - (M-1) and the rest, taken over powers of M, positive on the strip: c2 has factor's
+    sign.  With a1 = c2 + r b1, c4' = -r b2 + r(r+1)/2 b1^2 - a1 r b1 = -r b2 + r(1-r)/2 b1^2 - r b1 c2.
+    """
+    mu, m = _coupling(1, p)
+    factor, p_star, n = mu - (m - 1.0), derive(p).p_star, p.N
+    cubic = 1.0 - (2.0 + (4.0 - 6.0 / m) / m) / m + 2.0 * mu / m * (1.0 - 1.0 / m) / m  # over M^3
+    c2 = 2.0 * factor / m * cubic / ((1.0 - 4.0 / m) * (1.0 - 2.0 / m) ** 2 * (1.0 + 2.0 / m)) / m / n
+    b1 = p_star * (p_star - 1.0) / (2.0 * n) * m / (4.0 * (m + 1.0))
+    b2 = b1 * (2.0 - p_star) * (3.0 - p_star) / (4.0 * (n + 2.0)) * (m + 2.0) / (4.0 * (m + 3.0))
+    r = 2.0 / p_star
+    return c2, -r * b2 + r * (1.0 - r) / 2.0 * b1**2 - r * b1 * c2
+
+
 def directional_quotient(p: Params, eps: float) -> float:
-    """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `_quotient_drop`'s: S_r itself at eps = 0,
+    """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `quotient_drop`'s: S_r itself at eps = 0,
     and wherever |D| < ulp(1)/2 (value - S_r is 0.0 at (5, 1, 1), eps = 1e-8, D = -4.32e-18); certify signs D."""
     if not abs(eps) < 0.5:
         raise DomainError(f"|eps| must be < 0.5, got {eps}")
-    return s_r_closed(p) * (1.0 + _quotient_drop(p, eps))
+    return s_r_closed(p) * (1.0 + quotient_drop(p, eps))
 
 
 class Verdict(Enum):
@@ -223,7 +244,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         raise DomainError(f"tol must be >= 0 and finite, got {tol}")
     mu, m = _coupling(1, p)
     factor = mu - (m - 1.0)  # second_variation's: its value is factor times a positive bracket
-    drop = _quotient_drop(p, eps)
+    drop = quotient_drop(p, eps)
     rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
 
     def sign_with_dead_zone(x: float, threshold: float) -> int:

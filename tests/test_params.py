@@ -25,6 +25,7 @@ from ckn_lab.params import (
     ParamError,
     Params,
     RegionClass,
+    b_closed,
     b_fs_first_order,
     beta_fs,
     beta_strip,
@@ -131,6 +132,28 @@ def test_s_0_closed_answers_at_every_dimension_whose_constant_is_a_double():
     assert s_0_closed(10**77) == pytest.approx(s_r_closed(validate(10**77, 0, 0)), rel=1e-12)
     with pytest.raises(DomainError, match=f"^sharp constant overflows double precision at N={2**511}$"):
         s_0_closed(2**511)
+
+
+#: b_closed(M) and s_r_closed(p) before gamma_m(M) went to logs where it overflows
+B_CLOSED_PINS = {5.5: "0x1.d5ce430a24b8bp+3", 100.0: "0x1.5a63af40ddae5p+22", 1e76: "0x1.d2a1be40490f4p+1005"}
+S_R_CLOSED_PINS = {
+    (5, 1.0, 1.0): "0x1.bb60649655d29p+7",
+    (6, 1.3, -0.6): "0x1.ecb648f1a5ad9p+5",
+    (5, 0.1, -1.89793): "0x1.75673fd319440p+2",
+    (12, -5.0, -6.99): "0x1.40c2b459aa119p+5",
+    (10**77, 0.0, 0.0): "0x1.b321c3bfd26dfp+515",
+}
+
+
+def test_b_closed_answers_where_gamma_m_overflows():
+    """gamma_m(M) ~ M^4 overflows from M ~ 1.2e77, b_closed ~ M^4/16 from M ~ 2.3e77, and the radial
+    constant they feed stays in range: at (10^100, 0, 0) it is s_0_closed(10^100).  gamma_m(M) goes
+    to logs only where it overflows, so every M and point that answered keeps its bits."""
+    assert {M: b_closed(M).hex() for M in B_CLOSED_PINS} == B_CLOSED_PINS
+    assert {pt: s_r_closed(validate(*pt)).hex() for pt in S_R_CLOSED_PINS} == S_R_CLOSED_PINS
+    assert b_closed(2e77) == pytest.approx(1e308, rel=1e-12)
+    assert b_closed(1e100) == math.inf
+    assert s_r_closed(validate(10**100, 0, 0)) == pytest.approx(s_0_closed(10**100), rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [5.0, 5.5, np.float64(5.0), "5"], ids=["float", "half", "float64", "str"])

@@ -649,12 +649,44 @@ def test_the_largest_recurrence_in_double_range_still_solves():
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
 def test_a_failed_eigen_solve_is_a_conditioning_error(monkeypatch, solver):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    """The kernel `spectral` calls fails as a LAPACK kernel does: NaNs out and the invalid flag
+    raised.  The solve raises ConditioningError, and no RuntimeWarning escapes."""
+    def fail(a):
+        nans = np.sqrt(np.full(a.shape, -1.0))
+        return nans[0] if solver == "eigvalsh" else (nans[0], nans)
 
-    monkeypatch.setattr(np.linalg, solver, fail)
-    with pytest.raises(ConditioningError, match="did not converge,? at M=6, basis size 4$"):
-        ritz_min_eig(1, validate(5, 1.0, 1.0), 4)
+    monkeypatch.setattr(spectral, f"{solver}_lo", fail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConditioningError, match="did not converge,? at M=6, basis size 4$"):
+            ritz_min_eig(1, validate(5, 1.0, 1.0), 4)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jacobi=st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=5),
+    ),
+    J=st.sampled_from([4, 16, 22]),
+    seed=st.integers(0, 2**32 - 1),
+    cols=st.integers(0, 6),
+)
+def test_the_lapack_kernels_are_numpy_linalg_to_the_bit(jacobi, J, seed, cols):
+    """`spectral` calls the gufuncs numpy.linalg.eigvalsh and eigh dispatch to for float64 input
+    and the lower triangle.  On symmetric tridiagonal 6 x 6 matrices, as the Gauss-Jacobi rule
+    solves, and on SPD J x J products F F^T, as the Ritz operator is formed, the kernels give the
+    wrappers' bits.  Should a numpy release dispatch elsewhere, this fails."""
+    diag, off = jacobi
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert spectral.eigvalsh_lo(matrix).tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+    factor = np.random.default_rng(seed).standard_normal((J, J + 2 + cols))
+    spd = factor @ factor.T
+    evals, evecs = spectral.eigh_lo(spd)
+    expected = np.linalg.eigh(spd)
+    assert evals.tobytes() == expected.eigenvalues.tobytes()
+    assert evecs.tobytes() == expected.eigenvectors.tobytes()
 
 
 def _ritz_profile(coefficients, k, m):

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,12 +23,13 @@ from ckn_lab.params import (
 from ckn_lab.profiles import PowerPeakProfile, amplitude_constant, extremal, s_r_closed
 from ckn_lab.quadrature import integrate_rows, power_weighted
 from ckn_lab.specfun import AccuracyError, ConditioningError, DomainError
-from ckn_lab.spectral import mode_eigenvalue, ritz_min_eig
+from ckn_lab.spectral import _coupling, mode_eigenvalue, ritz_min_eig
 from ckn_lab.variation import (
     DEFAULT_EPS,
     Verdict,
     certify,
     directional_quotient,
+    kernel_coefficients,
     second_variation,
 )
 
@@ -206,11 +208,11 @@ def test_directional_quotient_integrates_in_one_pass(monkeypatch, p511, eps, exp
 
 
 def _quotient_rows(p, eps):
-    """The rows `_quotient_drop` integrates at (p, eps), with U^p* s^(M-1) ds, in x, as a fourth."""
+    """The rows `quotient_drop` integrates at (p, eps), with U^p* s^(M-1) ds, in x, as a fourth."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variation, "integrate_rows", lambda rows: captured.append(rows) or integrate_rows(rows))
-        drop = variation._quotient_drop(p, eps)
+        drop = variation.quotient_drop(p, eps)
     m = derive(p).M
 
     def rows(x):  # U^p* s^M ds/s = cosh(ln s)^-M dx/(sqrt(M) x), with ln s = ln x/sqrt(M)
@@ -282,11 +284,101 @@ def test_quotient_drop_matches_the_prefactor_route(N, alpha, u, eps):
 def test_quotient_drop_is_second_order_with_the_lower_edge_law(N, alpha, M):
     """D(eps) = c2 eps^2 + O(eps^4): D(1e-6)/1e-12 is the Richardson c2 = (16 D(eps) - D(2 eps))/(12 eps^2)
     from eps = 0.01 to 1e-8, and toward the lower edge c2 -> rho_1/(4N), with 4N c2/rho_1 about
-    1 + 7/M for M from 1e3 to 1e7."""
+    1 + 7/M for M from 1e3 to 1e7.  The closed c2 of `kernel_coefficients` matches D(1e-6)/1e-12 to
+    1e-8 too (5e-14 measured)."""
     p = validate(N, alpha, _beta_at(N, alpha, M))
-    c2 = (16.0 * variation._quotient_drop(p, 0.01) - variation._quotient_drop(p, 0.02)) / 12e-4
-    assert abs(variation._quotient_drop(p, 1e-6) / 1e-12 / c2 - 1.0) <= 1e-8
+    c2 = (16.0 * variation.quotient_drop(p, 0.01) - variation.quotient_drop(p, 0.02)) / 12e-4
+    assert abs(variation.quotient_drop(p, 1e-6) / 1e-12 / c2 - 1.0) <= 1e-8
+    assert abs(variation.quotient_drop(p, 1e-6) / 1e-12 / kernel_coefficients(p)[0] - 1.0) <= 1e-8
     assert abs(4.0 * N * c2 / mode_eigenvalue(1, p) - 1.0) <= 10.0 / M
+
+
+def _closed_drop(p, eps):
+    """D(eps) from its closed series, in 50-digit arithmetic on p's own doubles mu, M and p*, and
+    a1 = E_g/(N E_U): 1 + D = (1 + a1 eps^2) (1 + sum_(j>=1) b_j eps^(2j))^(-2/p*), with E_g/E_U
+    the sextic over 4M(M-4)(M-2)^2(M+1)(M+2) and b_j the polar series' term j times
+    B(M/2+j, M/2+j)/B(M/2, M/2), summed until a term is below 1e-45 of the sum."""
+    with mpmath.workdps(50):
+        mu, m = (mpmath.mpf(v) for v in _coupling(1, p))
+        n, p_star, x2 = p.N, mpmath.mpf(derive(p).p_star), mpmath.mpf(eps) ** 2
+        sextic = (m**6 - 6 * m**5 + 8 * m**4 * mu + 4 * m**4 - 24 * m**3 * mu + 32 * m**3 + 16 * m**2 * mu**2
+                  - 32 * m**2 * mu - 32 * m**2 + 32 * m * mu - 32 * m - 16 * mu**2 + 32 * mu + 48)
+        a1 = sextic / (4 * m * (m - 4) * (m - 2) ** 2 * (m + 1) * (m + 2)) / n
+        term, total, j = mpmath.mpf(1), mpmath.mpf(0), 0
+        while j == 0 or abs(term) >= mpmath.mpf(10) ** -45 * abs(total):
+            term *= (j - p_star / 2) * (j + (1 - p_star) / 2) / ((j + mpmath.mpf(n) / 2) * (j + 1))
+            term *= (m / 2 + j) ** 2 / ((m + 2 * j) * (m + 2 * j + 1)) * x2
+            total += term
+            j += 1
+        return float((1 + a1 * x2) * (1 + total) ** (-2 / p_star) - 1), float(a1)
+
+
+def test_quotient_drop_matches_its_closed_series_over_the_ledger():
+    """Every row of the drop is a Beta moment, so D(eps) has a closed series (`_closed_drop`).  The
+    quadrature matches it to 5e-12 relative plus 8 ulps of a1 eps^2 at every ledger point and
+    eps in {1e-7, 0.01, 0.3}: D is the difference of two logs of size a1 eps^2, so near the curve,
+    where |D| is far below them, the drop's rounding is a few ulps of a1 eps^2 (at most 3.9
+    measured).  Off the curve by more than 1e-3 the 5e-12 relative bound holds alone."""
+    for N, alpha, beta in _coverage_grid():
+        p = validate(N, alpha, beta)
+        off_curve = alpha <= 0.0 or abs(beta - beta_fs(N, alpha)) > 1e-3
+        for eps in (1e-7, 0.01, 0.3):
+            drop = variation.quotient_drop(p, eps)
+            closed, a1 = _closed_drop(p, eps)
+            floor = 0.0 if off_curve else 8.0 * np.finfo(float).eps * a1 * eps**2
+            assert abs(drop - closed) <= 5e-12 * abs(closed) + floor, ((N, alpha, beta), eps, drop, closed)
+
+
+def _sign(x):
+    return (x > 0.0) - (x < 0.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(N=st.integers(5, 10**6), x=st.floats(-1.0, 203.0, exclude_min=True), t=st.floats(0.0, 1.0))
+@example(N=5, x=3.0, t=0.0004)  # alpha = 1 near the lower edge, M = 7502
+@example(N=10**6, x=3.0, t=1.0)  # the upper edge at N = 1e6
+def test_c2_has_the_sign_of_certify_factor(N, x, t):
+    """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e200); beta at fraction t of the strip.
+    The cubic that multiplies factor in c2 is positive on the strip, so c2 takes factor's sign."""
+    alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
+    lo, hi = beta_strip(N, alpha)
+    try:
+        p = validate(N, alpha, lo + t * (hi - lo))
+        factor = certify(p).factor
+    except (ParamError, DomainError, AccuracyError, ConditioningError):
+        assume(False)
+    c2, c4 = kernel_coefficients(p)
+    assert _sign(c2) == _sign(factor)
+    assert math.isfinite(c4)
+
+
+@pytest.mark.parametrize("N", [10**60, 10**100, 10**150])
+def test_kernel_coefficients_answer_where_the_powers_of_m_overflow(N):
+    """M^6 overflows from M ~ 1.7e51: each power of M is divided out, so c2 keeps factor's sign
+    and c4' stays finite at M up to 2e150."""
+    lo, hi = beta_strip(N, 1.0)
+    for beta in (lo + 0.5 * (hi - lo), hi):
+        p = validate(N, 1.0, beta)
+        mu, m = _coupling(1, p)
+        c2, c4 = kernel_coefficients(p)
+        assert _sign(c2) == _sign(mu - (m - 1.0))
+        assert math.isfinite(c2) and math.isfinite(c4)
+
+
+@pytest.mark.parametrize(
+    "N, alpha, c4",
+    [(5, 1.0, 1.27879e-2), (5, 4.5, 1.04837e-3), (8, 2.0, 8.24038e-4), (5, 1.0, None), (6, -0.5, None),
+     (12, 3.0, None), (30, 1.0, None)],
+)
+def test_c4_is_the_richardson_quartic(N, alpha, c4):
+    """c4' matches the Richardson value (D(2 eps) - 4 D(eps))/(12 eps^4) at eps = 0.01 to 1e-3
+    relative (3.2e-4 measured): on the curve, where it is pinned to six digits, and at M = 1e3."""
+    p = validate(N, alpha, beta_fs(N, alpha) if c4 else _beta_at(N, alpha, 1e3))
+    closed = kernel_coefficients(p)[1]
+    richardson = (variation.quotient_drop(p, 0.02) - 4.0 * variation.quotient_drop(p, 0.01)) / 12e-8
+    assert abs(closed / richardson - 1.0) <= 1e-3
+    if c4:
+        assert closed == pytest.approx(c4, rel=5e-6)
 
 
 def test_directional_quotient_rejects_large_eps(p511):
@@ -497,7 +589,7 @@ def test_certificate_flags_forced_disagreement(p511):
 def test_certificate_reports_conflicting_witness_signs(monkeypatch, p511):
     """A quotient that rises against two negative witnesses is a conflict:
     Boundary, with both the conflict and the missed expectation reported."""
-    monkeypatch.setattr(variation, "_quotient_drop", lambda p, eps: eps)
+    monkeypatch.setattr(variation, "quotient_drop", lambda p, eps: eps)
     cert = certify(p511)
     assert cert.witness_signs == (-1, 1, -1)
     assert cert.verdict is Verdict.BOUNDARY
@@ -567,12 +659,13 @@ def test_certify_coverage_is_no_worse_than_the_ledger():
 
 def test_certificate_carries_the_numbers_its_witnesses_sign():
     """At every ledger point the certificate's factor is second_variation's, bit for bit, wherever
-    that answers, and its quotient_drop is D itself, bit for bit."""
+    that answers, and has the sign of the closed c2; its quotient_drop is D itself, bit for bit."""
     sv_answers = 0
     for point in _coverage_grid():
         p = validate(*point)
         cert = certify(p)
-        assert cert.quotient_drop == variation._quotient_drop(p, cert.eps)
+        assert cert.quotient_drop == variation.quotient_drop(p, cert.eps)
+        assert _sign(kernel_coefficients(p)[0]) == _sign(cert.factor), point
         try:
             sv = second_variation(p)
         except DomainError:
@@ -584,7 +677,7 @@ def test_certificate_carries_the_numbers_its_witnesses_sign():
 
 def _first_witness_error(p, eps):
     """The error the first failing witness call raises alone, or None where every one answers."""
-    for witness in (lambda: variation._quotient_drop(p, eps), lambda: ritz_min_eig(1, p, 16)):
+    for witness in (lambda: variation.quotient_drop(p, eps), lambda: ritz_min_eig(1, p, 16)):
         try:
             witness()
         except (DomainError, AccuracyError, ConditioningError) as err:
@@ -600,7 +693,7 @@ def _first_witness_error(p, eps):
 def test_certify_answers_or_raises_what_its_first_failing_witness_raises(N, x, t):
     """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e200); beta at fraction t of the strip,
     with M <= 1e4.  certify reads no second-variation value and no S_r, so it either answers or
-    raises the type and message that _quotient_drop, then the J = 16 Ritz solve, raises alone."""
+    raises the type and message that quotient_drop, then the J = 16 Ritz solve, raises alone."""
     alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
     lo, hi = beta_strip(N, alpha)
     try:
