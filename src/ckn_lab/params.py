@@ -25,7 +25,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .specfun import DomainError, log_gamma
+from .specfun import DomainError, _finite, _or_inf, log_gamma
 
 __all__ = [
     "ParamError",
@@ -329,8 +329,9 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     The product inside the square is an upward parabola in k with roots
     at -N/2 - a and a - (N-4)/2, so on k >= 0 its absolute value is least
     at k = 0 or at an integer next to a nonnegative root; only those are
-    tried.  Raises DomainError for a non-finite a, and for |a| >= 2^52,
-    where floats no longer resolve k + a and the formula loses all accuracy.
+    tried.  Raises DomainError for a non-finite a, for |a| >= 2^52, where
+    floats no longer resolve k + a and the formula loses all accuracy, and
+    where the infimum overflows double precision (from N ~ 2.3e77 at a = 0).
     """
     N = _dimension(N)
     if not math.isfinite(a):
@@ -345,7 +346,7 @@ def rellich_infimum(N: int, a: float) -> tuple[float, int]:
     roots = [r for r in (-N / 2.0 - a, a - (N - 4.0) / 2.0) if r >= 0.0]
     candidates = sorted({0, *map(math.floor, roots), *map(math.ceil, roots)})
     best_k = min(candidates, key=f)  # the first k of the least value
-    return f(best_k), best_k
+    return _finite(f(best_k), "Rellich infimum", f"N={N!r}, a={a!r}"), best_k
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +372,8 @@ def amplitude_constant(p: Params) -> float:
             near the lower edge beta -> alpha - 2 of the strip (M -> inf).
     """
     d = derive(p)
-    m = d.M
-    try:
-        return math.exp((m - 4.0) / 8.0 * (math.log(gamma_m(m)) - 4.0 * math.log(d.q)))
-    except OverflowError:
-        raise DomainError(
-            f"amplitude constant overflows double precision at M={m!r}"
-        ) from None
+    log_value = (d.M - 4.0) / 8.0 * (math.log(gamma_m(d.M)) - 4.0 * math.log(d.q))
+    return _finite(_or_inf(math.exp, log_value), "amplitude constant", f"M={d.M!r}")
 
 
 def b_closed(M: float) -> float:
@@ -390,12 +386,9 @@ def _scaled_b_closed(M: float, log_scale: float) -> float:
     from M ~ 1.2e77, so every M below keeps its bits."""
     gamma = gamma_m(M)
     log_bracket = 4.0 / M * (2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M))
-    try:
-        if gamma < math.inf:
-            return math.exp(log_scale) * (gamma * math.exp(log_bracket))
-        return math.exp(log_scale + math.fsum(math.log(M + c) for c in (-4.0, -2.0, 0.0, 2.0)) + log_bracket)
-    except OverflowError:
-        return math.inf
+    if gamma < math.inf:
+        return _or_inf(math.exp, log_scale) * (gamma * math.exp(log_bracket))
+    return _or_inf(math.exp, log_scale + math.fsum(math.log(M + c) for c in (-4.0, -2.0, 0.0, 2.0)) + log_bracket)
 
 
 def s_r_closed(p: Params) -> float:
@@ -413,9 +406,7 @@ def s_r_closed(p: Params) -> float:
     else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
         log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
     value = _scaled_b_closed(d.M, (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega)
-    if not math.isfinite(value):
-        raise DomainError(f"radial constant overflows double precision at M={d.M!r}")
-    return value
+    return _finite(value, "radial constant", f"M={d.M!r}")
 
 
 def s_0_closed(N: int) -> float:
@@ -428,10 +419,6 @@ def s_0_closed(N: int) -> float:
     log_ratio = 4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
     value = math.pi**2 * (N * (N - 4.0) * (N * N - 4.0)) * math.exp(log_ratio)
     if value == math.inf:  # the polynomial overflows, or pi^2 times it does
-        try:
-            value = math.exp(
-                2.0 * math.log(math.pi) + math.log(N) + math.log(N - 4.0) + math.log(N * N - 4.0) + log_ratio
-            )
-        except OverflowError:
-            raise DomainError(f"sharp constant overflows double precision at N={N!r}") from None
+        log_value = 2.0 * math.log(math.pi) + math.log(N) + math.log(N - 4.0) + math.log(N * N - 4.0) + log_ratio
+        value = _finite(_or_inf(math.exp, log_value), "sharp constant", f"N={N!r}")
     return value

@@ -44,8 +44,8 @@ from functools import cached_property
 import numpy as np
 
 # s_r_closed is not read here: perfbench still reads it as profiles.s_r_closed
-from .params import Params, amplitude_constant, derive, gamma_m, s_r_closed  # noqa: F401
-from .specfun import DomainError
+from .params import Params, _index, amplitude_constant, derive, gamma_m, s_r_closed  # noqa: F401
+from .specfun import DomainError, _finite, _or_inf
 
 __all__ = [
     "RadialProfile",
@@ -67,9 +67,7 @@ def _as_array(r):
 
 def _chain(f, order) -> list:
     """[f, f', ..., f^(order)]; each derivative is built once per profile."""
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
-    cache = f._dcache
+    order, cache = _index(order, "derivative order"), f._dcache
     while len(cache) <= order:
         cache.append(cache[-1].differentiate())
     return cache[: order + 1]
@@ -349,11 +347,8 @@ def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
         raise DomainError(f"scaling parameter must be positive and finite, got {lam}")
     lam = float(lam)
     S, K, D = _exponents(p)
-    try:  # the plain float powers, so every in-range profile keeps its bits
-        coeff = amplitude_constant(p) * lam ** (-(K / D) / 2.0)
-        nu = lam ** (-(S / D))
-    except OverflowError:
-        coeff = nu = math.inf
+    # the plain float powers, so every in-range profile keeps its bits
+    coeff, nu = amplitude_constant(p) * _or_inf(pow, lam, -(K / D) / 2.0), _or_inf(pow, lam, -(S / D))
     if not (sys.float_info.min <= coeff < math.inf and sys.float_info.min <= nu < math.inf):
         raise DomainError(
             f"scaling parameter {lam!r} puts nu = lam^(-{S / D:g}) or the coefficient "
@@ -470,15 +465,9 @@ def emden_fowler(u, p: Params):
     m = d.M
     S, K, D = _exponents(p)
     half = Fraction(K, S)  # kappa/sigma = (M-4)/2
-    try:
-        scale = d.q ** float(half)
-    except OverflowError:
-        scale = math.inf
-    psi = u.compose_power(Fraction(2 * D, S)).times_power(half).scaled(scale)
-    if not all(math.isfinite(c) for c, _, _ in psi._cells):
-        raise DomainError(
-            f"transformed profile q^((M-4)/2) u overflows double precision at M={m!r}"
-        )
+    psi = u.compose_power(Fraction(2 * D, S)).times_power(half).scaled(_or_inf(pow, d.q, float(half)))
+    for c, _, _ in psi._cells:
+        _finite(c, "transformed profile q^((M-4)/2) u", f"M={m!r}")
     c2 = ((m - 2.0) ** 2 + 4.0) / 2.0
     c0 = m**2 * (m - 4.0) ** 2 / 16.0
     pw = 8.0 / (m - 4.0)
@@ -494,10 +483,7 @@ def emden_fowler(u, p: Params):
         phi2 = s * d1 + s**2 * d2
         phi4 = s * d1 + 7.0 * s**2 * d2 + 6.0 * s**3 * d3 + s**4 * d4
         out = phi4 - c2 * phi2 + c0 * v - np.abs(v) ** pw * v
-        if not np.all(np.isfinite(out)):
-            raise DomainError(
-                f"Emden-Fowler residual overflows double precision at M={m!r}"
-            )
+        _finite(float(np.max(np.abs(out), initial=0.0)), "Emden-Fowler residual", f"M={m!r}")  # NaN if any is NaN
         if relative:
             mag = np.abs(v)
             size = np.maximum(c0 * mag, mag**pw * mag)
@@ -519,14 +505,9 @@ def cosh_profile_residual(M: float, t) -> float:
 
     Raises:
         DomainError: if the amplitude gamma_m(M)^((M-4)/8) exceeds double
-            range, which happens from M ~ 259.5 on.
+            range, which happens from M ~ 259.5 on, M = inf included.
     """
-    try:
-        amp = math.exp(math.log(gamma_m(M)) * (M - 4.0) / 8.0)
-    except OverflowError:
-        raise DomainError(
-            f"cosh profile amplitude overflows double precision at M={M!r}"
-        ) from None
+    amp = _finite(_or_inf(math.exp, math.log(gamma_m(M)) * (M - 4.0) / 8.0), "cosh profile amplitude", f"M={M!r}")
     arr, scalar = _as_array(t)
     kappa = (M - 4.0) / 2.0
     u = np.tanh(arr)

@@ -4,7 +4,10 @@ Everything downstream (sharp constants, Beta-function reductions of the
 spectral integrals, sphere areas) funnels through ``log_gamma``, which
 is the stdlib ``math.lgamma`` restricted to the positive axis.  The
 errors the numerical layers raise live here too, beside ``DomainError``,
-so the command line can catch them without importing those layers.
+so the command line can catch them without importing those layers, and
+so does the range rule of every closed form: a value is formed in floats,
+inf where ``_or_inf`` meets an ``OverflowError``, and judged once by
+``_finite`` where the quantity is named.
 """
 
 from __future__ import annotations
@@ -42,6 +45,21 @@ class ConditioningError(RuntimeError):
 
 class BracketError(RuntimeError):
     """No sign change of the least eigenvalue inside the search interval."""
+
+
+def _or_inf(fn, *args) -> float:
+    """fn(*args), or inf where it raises OverflowError (math.exp and float ** do past double range)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(value: float, what: str, at: str) -> float:
+    """value where it is finite; a DomainError naming what overflows, and where, otherwise."""
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"{what} overflows double precision at {at}")
 
 
 def log_gamma(x: float) -> float:

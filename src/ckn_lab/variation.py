@@ -41,7 +41,7 @@ from .params import (
 )
 from .quadrature import integrate_rows
 from .spectral import _coupling, ritz_min_eig
-from .specfun import DomainError, beta_fn
+from .specfun import DomainError, _finite, _or_inf, beta_fn
 
 __all__ = [
     "SecondVariation",
@@ -81,10 +81,7 @@ def second_variation(p: Params) -> SecondVariation:
     """
     mu, m = _coupling(1, p)
     factor = mu - (m - 1.0)
-    try:
-        prefactor = sphere_area(p.N) / p.N * derive(p).q**-3
-    except OverflowError:
-        prefactor = math.inf
+    prefactor = sphere_area(p.N) / p.N * _or_inf(pow, derive(p).q, -3)
     # Beta reduction: X1' = (1+s^2)^(-M/2) (1 - (M-3)s^2), so (X1')^2 s^(M-4)
     # integrates to half of B((M-3)/2,(M+3)/2) + (M-3)(M-5) B((M-1)/2,(M+1)/2).
     betas = (
@@ -94,9 +91,7 @@ def second_variation(p: Params) -> SecondVariation:
     )
     i1 = 0.5 * (betas[0] + (m - 3.0) * (m - 5.0) * betas[1])
     i2 = 0.5 * betas[2]
-    value = prefactor * factor * (2.0 * i1 + ((2.0 * m - 5.0) + mu) * i2)
-    if not math.isfinite(value):
-        raise DomainError(f"second variation overflows double precision at M={m!r}")
+    value = _finite(prefactor * factor * (2.0 * i1 + ((2.0 * m - 5.0) + mu) * i2), "second variation", f"M={m!r}")
     if min(betas) < sys.float_info.min or (factor != 0.0 and abs(value) < sys.float_info.min):
         raise DomainError(f"second variation underflows double precision at M={m!r}")
     return SecondVariation(
@@ -134,8 +129,11 @@ def quotient_drop(p: Params, eps: float) -> float:
     the cross term vanishing by harmonic orthogonality; X = int U^p* (A - 1) s^(M-1) ds, A the polar
     mean of (1 + eps h cos(theta))^p* (`_polar_excess`).  E_U, E_g and X are rows of one
     `integrate_rows` call in x = s^sqrt(M), of unit peak width at every M, with log-space weights
-    U^2 s^(M-4) = cosh(ln s)^-(M-4) and U^p* s^M = cosh(ln s)^-M.  A non-finite D is a DomainError.
+    U^2 s^(M-4) = cosh(ln s)^-(M-4) and U^p* s^M = cosh(ln s)^-M.  A non-finite D is a DomainError,
+    and so is eps outside |eps| < 0.5 or with eps^2 neither 0.0 nor a normal double, before any quadrature.
     """
+    if not (abs(eps) < 0.5 and (eps == 0.0 or eps * eps >= sys.float_info.min)):
+        raise DomainError(f"quotient drop needs |eps| < 0.5 with eps^2 0.0 or a normal double, got {eps}")
     d = derive(p)
     m, root = d.M, math.sqrt(d.M)
     c0 = (m - 1.0) - _coupling(1, p)[0]  # M-1-mu
@@ -170,23 +168,26 @@ def kernel_coefficients(p: Params) -> tuple[float, float]:
     with b_j `_polar_excess`'s term j times prod_(i<j) (M+2i)/(4(M+2i+1)) = B(M/2+j, M/2+j)/B(M/2, M/2).
     N c2 = 2 factor (M^3 - 2M^2 - 4M + 6 + 2 mu (M-1)) / (M (M-4) (M-2)^2 (M+2)), with certify's
     factor = mu - (M-1) and the rest, taken over powers of M, positive on the strip: c2 has factor's
-    sign.  With a1 = c2 + r b1, c4' = -r b2 + r(r+1)/2 b1^2 - a1 r b1 = -r b2 + r(1-r)/2 b1^2 - r b1 c2.
+    sign.  With a1 = c2 + r b1, c4' = -r b2 + r(r+1)/2 b1^2 - a1 r b1 = -r b2 + r(1-r)/2 b1^2 - r b1 c2,
+    where p* = 2M/(M-4), so p*-1, 2-p*, 3-p*, r and 1-r are taken from M, free of cancellation as
+    p* -> 2.  A DomainError where c4', or c2 off factor = 0, underflows the normal doubles.
     """
     mu, m = _coupling(1, p)
-    factor, p_star, n = mu - (m - 1.0), derive(p).p_star, p.N
+    factor, n, w = mu - (m - 1.0), p.N, m - 4.0
     cubic = 1.0 - (2.0 + (4.0 - 6.0 / m) / m) / m + 2.0 * mu / m * (1.0 - 1.0 / m) / m  # over M^3
     c2 = 2.0 * factor / m * cubic / ((1.0 - 4.0 / m) * (1.0 - 2.0 / m) ** 2 * (1.0 + 2.0 / m)) / m / n
-    b1 = p_star * (p_star - 1.0) / (2.0 * n) * m / (4.0 * (m + 1.0))
-    b2 = b1 * (2.0 - p_star) * (3.0 - p_star) / (4.0 * (n + 2.0)) * (m + 2.0) / (4.0 * (m + 3.0))
-    r = 2.0 / p_star
-    return c2, -r * b2 + r * (1.0 - r) / 2.0 * b1**2 - r * b1 * c2
+    b1 = 2.0 * m / w * ((m + 4.0) / w) / (2.0 * n) * m / (4.0 * (m + 1.0))
+    b2 = b1 * (-8.0 / w) * ((m - 12.0) / w) / (4.0 * (n + 2.0)) * (m + 2.0) / (4.0 * (m + 3.0))
+    r = w / m
+    c4 = -r * b2 + r * (4.0 / m) / 2.0 * b1**2 - r * b1 * c2
+    if abs(c4) < sys.float_info.min or (factor != 0.0 and abs(c2) < sys.float_info.min):
+        raise DomainError(f"kernel coefficients underflow double precision at M={m!r}")
+    return c2, c4
 
 
 def directional_quotient(p: Params, eps: float) -> float:
     """Rayleigh quotient of U + eps g x_i/|x|, S_r (1 + D) with D `quotient_drop`'s: S_r itself at eps = 0,
     and wherever |D| < ulp(1)/2 (value - S_r is 0.0 at (5, 1, 1), eps = 1e-8, D = -4.32e-18); certify signs D."""
-    if not abs(eps) < 0.5:
-        raise DomainError(f"|eps| must be < 0.5, got {eps}")
     return s_r_closed(p) * (1.0 + quotient_drop(p, eps))
 
 
@@ -238,10 +239,8 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     says so explicitly.  On the upper edge beta = N*alpha/(N-2), alpha > 0,
     S_0 < S_r, so the radial profile is not optimal and Breaking is expected.
     """
-    if not (abs(eps) < 0.5 and eps * eps >= sys.float_info.min):
-        raise DomainError(f"certificate perturbation needs 0 < |eps| < 0.5 with eps^2 a normal double, got {eps}")
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be >= 0 and finite, got {tol}")
+    if not (eps != 0.0 and 0.0 <= tol < math.inf):  # quotient_drop judges eps further
+        raise DomainError(f"certificate needs eps != 0 and tol >= 0 finite, got eps={eps}, tol={tol}")
     mu, m = _coupling(1, p)
     factor = mu - (m - 1.0)  # second_variation's: its value is factor times a positive bracket
     drop = quotient_drop(p, eps)

@@ -652,6 +652,25 @@ def test_constants_at_huge_alpha_is_parameter_error(capsys, N, alpha, beta, mess
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--N", str(10**78), "--alpha", "0", "--beta", "0"],
+         f"Rellich infimum overflows double precision at N={10**78}, a=0.0"),
+        (["constants", "--N", str(10**70), "--alpha", "1", "--beta=-0.99999999"],
+         "amplitude constant overflows double precision at M=2.0000000121549423e+78"),
+        (["transform-check", "--N", str(10**70), "--alpha", "1", "--beta=-0.99999999"],
+         "amplitude constant overflows double precision at M=2.0000000121549423e+78"),
+    ],
+    ids=["constants-1e78", "constants-1e70", "transform-check-1e70"],
+)
+def test_a_closed_form_past_double_range_names_itself(capsys, argv, message):
+    """gamma_m(M) is inf from M ~ 1.2e77: constants once printed "amplitude": Infinity and
+    "rellich_infimum": Infinity, which is not JSON, and transform-check blamed the scaling parameter."""
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # criteria 01-10 of the acceptance gate, in order
 CHECK_NAMES = """closed_form_consistency extremality euler_lagrange_residual
     transform_closed_form fs_curve_recoveries second_variation_sign_law

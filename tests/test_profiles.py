@@ -913,6 +913,15 @@ def test_cosh_profile_amplitude_overflow_is_a_domain_error():
         cosh_profile_residual(300.0, 0.0)
 
 
+@pytest.mark.parametrize("m", [1.3e77, 1e78, 1e300, math.inf])
+def test_cosh_profile_refuses_where_gamma_m_is_inf(m):
+    """gamma_m(M) is inf from M ~ 1.2e77, and exp(inf) is inf, not an OverflowError: the residual
+    once read NaN there, and M**2 leaked a raw OverflowError at M = 1e300."""
+    message = f"cosh profile amplitude overflows double precision at M={m!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        cosh_profile_residual(m, np.array([-1.0, 0.0, 2.0]))
+
+
 PIN_TS = np.array([-7.5, -0.3, 0.7, 11.0])
 #: cosh_profile_residual(M, PIN_TS), bit for bit
 COSH_HEX = {

@@ -17,6 +17,8 @@ from ckn_lab.params import (
     beta_strip,
     derive,
     gamma_m,
+    rellich_infimum,
+    s_0_closed,
     sphere_area,
     validate,
 )
@@ -355,14 +357,48 @@ def test_c2_has_the_sign_of_certify_factor(N, x, t):
 @pytest.mark.parametrize("N", [10**60, 10**100, 10**150])
 def test_kernel_coefficients_answer_where_the_powers_of_m_overflow(N):
     """M^6 overflows from M ~ 1.7e51: each power of M is divided out, so c2 keeps factor's sign
-    and c4' stays finite at M up to 2e150."""
+    and c4' stays finite at M up to 2e100.  At N = 1e150 c4' is about N^-3/8 in size, below the
+    smallest normal double at both points: a DomainError, where it once read 0.0."""
     lo, hi = beta_strip(N, 1.0)
     for beta in (lo + 0.5 * (hi - lo), hi):
         p = validate(N, 1.0, beta)
+        if N == 10**150:
+            with pytest.raises(DomainError, match=r"^kernel coefficients underflow double precision at M="):
+                kernel_coefficients(p)
+            continue
         mu, m = _coupling(1, p)
         c2, c4 = kernel_coefficients(p)
         assert _sign(c2) == _sign(mu - (m - 1.0))
         assert math.isfinite(c2) and math.isfinite(c4)
+
+
+def _closed_coefficients(p):
+    """(c2, c4') of `kernel_coefficients`' closed form in 400-digit arithmetic on p's own doubles mu, M
+    and N, with p* = 2M/(M-4)."""
+    with mpmath.workdps(400):
+        mu, m = (mpmath.mpf(v) for v in _coupling(1, p))
+        n = mpmath.mpf(p.N)
+        p_star = 2 * m / (m - 4)
+        r = 2 / p_star
+        b1 = p_star * (p_star - 1) / (2 * n) * m / (4 * (m + 1))
+        b2 = b1 * (2 - p_star) * (3 - p_star) / (4 * (n + 2)) * (m + 2) / (4 * (m + 3))
+        cubic = m**3 - 2 * m**2 - 4 * m + 6 + 2 * mu * (m - 1)
+        c2 = 2 * (mu - (m - 1)) * cubic / (m * (m - 4) * (m - 2) ** 2 * (m + 2)) / n
+        return c2, -r * b2 + r * (1 - r) / 2 * b1**2 - r * b1 * c2
+
+
+@pytest.mark.parametrize("N", [5, 10**6, 10**20, 10**100])
+def test_kernel_coefficients_match_their_closed_form_to_rounding(N):
+    """c2 and c4' within 2e-15 relative of the 400-digit closed form, at alpha in {-0.5, 1, 4.5} and
+    0.1, 0.5 and 0.9 of the strip (1.3e-15 measured).  p*-1, 2-p*, 3-p*, r and 1-r are taken from M:
+    p* = 2M/(M-4) rounds to exactly 2 from M ~ 2^55, where forming them from p* made c4' off by a
+    factor of 2 mid-strip, and lost digits below (4.8e-11 relative at (1e6, 1))."""
+    for alpha in (-0.5, 1.0, 4.5):
+        lo, hi = beta_strip(N, alpha)
+        for t in (0.1, 0.5, 0.9):
+            p = validate(N, alpha, lo + t * (hi - lo))
+            for value, closed in zip(kernel_coefficients(p), _closed_coefficients(p)):
+                assert abs(value - closed) <= 2e-15 * abs(closed), (alpha, t, value, closed)
 
 
 @pytest.mark.parametrize(
@@ -384,6 +420,61 @@ def test_c4_is_the_richardson_quartic(N, alpha, c4):
 def test_directional_quotient_rejects_large_eps(p511):
     with pytest.raises(DomainError):
         directional_quotient(p511, 0.7)
+
+
+def test_quotient_drop_judges_eps_before_any_quadrature(monkeypatch, p511):
+    """|eps| < 0.5, with eps^2 0.0 or a normal double: inside, the drop keeps its bits; outside, a
+    DomainError naming eps, for directional_quotient too, raised before the rows are integrated (at
+    eps = 3 the drop once answered 0.1055 at (5, 1, 1), and at eps = 1e-200 it read 0.0)."""
+    assert variation.quotient_drop(p511, 0.0) == 0.0
+    hexes = [variation.quotient_drop(p511, eps).hex() for eps in (1e-8, 0.01, 0.49)]
+    assert hexes == ["-0x1.3ef9964c29270p-58", "-0x1.22152b46d5517p-18", "-0x1.191c21388f943p-7"]
+
+    def reached(rows):
+        raise AssertionError("quotient_drop integrated its rows")
+
+    monkeypatch.setattr(variation, "integrate_rows", reached)
+    for eps in (1e-200, -1e-160, 0.5, 2.1, 3.0, math.nan, math.inf):
+        for call in (variation.quotient_drop, directional_quotient):
+            with pytest.raises(DomainError, match=r"^quotient drop needs \|eps\| < 0.5 with eps\^2 0.0 or a normal"):
+                call(p511, eps)
+
+
+def _finite_or_domain_error(call):
+    """call() answers a finite float or raises DomainError."""
+    try:
+        value = call()
+    except DomainError:
+        return
+    assert type(value) is float and math.isfinite(value), value
+
+
+@settings(max_examples=1000, deadline=None)
+@given(N=st.one_of(st.integers(5, 1000), st.integers(5, 2**500)), x=st.floats(-1.0, 303.0, exclude_min=True),
+       t=st.floats(0.0, 1.0))
+@example(N=10**78, x=0.0, t=1.0)  # gamma_m(M) is inf: the amplitude once read inf, and the Rellich infimum
+@example(N=10**70, x=3.0, t=5e-9)  # (1e70, 1, -0.99999999): M = 2e78 near the lower edge
+@example(N=2**500, x=3.0, t=0.5)  # M = 4.4e150
+@example(N=6, x=303.0, t=0.5)  # q = 4e-300: q^-3 and S_r's scale overflow
+def test_closed_forms_answer_a_finite_double_or_raise_domain_error(N, x, t):
+    """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e300); beta at fraction t of the strip.
+    Each closed form returns a finite double or raises DomainError: never inf, NaN or a raw
+    OverflowError."""
+    alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
+    try:
+        lo, hi = beta_strip(N, alpha)
+        p = validate(N, alpha, lo + t * (hi - lo))
+    except ParamError:
+        assume(False)
+    for call in (
+        lambda: amplitude_constant(p),
+        lambda: s_r_closed(p),
+        lambda: s_0_closed(N),
+        lambda: rellich_infimum(N, (p.beta - 2.0 * p.alpha) / 2.0)[0],
+        lambda: second_variation(p).value,
+        lambda: extremal(p).terms[0][0],
+    ):
+        _finite_or_domain_error(call)
 
 
 # The reference polar rule the quotient used before its closed form: 64-node Gauss-Legendre in
