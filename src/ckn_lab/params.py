@@ -215,9 +215,15 @@ def beta_fs(N: int, alpha: float) -> float:
 
     Defined by -N + sqrt(N^2 + alpha^2 + 2(N-2)alpha); the radicand
     equals (alpha + N - 2)^2 + 4(N - 1), positive at every dimension.
+    Where the radicand overflows (from |alpha| near 1.34e154) its root is
+    taken as hypot(alpha + N - 2, 2 sqrt(N - 1)); every finite radicand
+    keeps its bits.
     """
     N = _dimension(N)
-    return -N + math.sqrt(N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha)
+    radicand = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
+    if radicand == math.inf:
+        return -N + math.hypot(alpha + N - 2.0, 2.0 * math.sqrt(N - 1.0))
+    return -N + math.sqrt(radicand)
 
 
 def b_fs_first_order(N: int, a: float) -> float:
@@ -398,7 +404,8 @@ def s_r_closed(p: Params) -> float:
     reduces to s_0_closed(N) at alpha = beta = 0 and to
     (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N) on the upper boundary
     beta = N*alpha/(N-2).  Raises DomainError where it overflows double
-    precision, as q = 2/(2+beta-alpha) -> 0.
+    precision, as q = 2/(2+beta-alpha) -> 0, or falls below the smallest
+    normal double, where a plausible 0.0 would come of underflow.
     """
     d, omega = derive(p), sphere_area(p.N)
     if omega >= sys.float_info.min:
@@ -406,6 +413,8 @@ def s_r_closed(p: Params) -> float:
     else:  # omega has lost precision or underflowed: take its log from the log-gamma sum
         log_omega = math.log(2.0) + _log_half_sphere_area(p.N)
     value = _scaled_b_closed(d.M, (4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega)
+    if value < sys.float_info.min:
+        raise DomainError(f"radial constant underflows double precision at M={d.M!r}")
     return _finite(value, "radial constant", f"M={d.M!r}")
 
 

@@ -22,11 +22,12 @@ cost to pay off.  Its recurrences and its assembly run node by node on
 Python floats, and the only numpy calls that decide bits are the three
 linear algebra steps: the nodes' `eigvalsh_lo`, the factor's product with
 its transpose, and `eigh_lo`, the LAPACK kernels that `numpy.linalg.eigvalsh`
-and `eigh` call, under the wrappers' error state but not their checks.
-The test suite checks the Ritz minimizer's Rayleigh quotient on the
-adaptive route and the Ritz value against the closed form.  The root
-search needs only the smallest basis, because every basis holds the exact
-mode-1 ground state on the curve (see `fs_locate`).
+and `eigh` call, without the wrappers' checks; `ritz_min_eig` enters their
+error state once per solve, around all three.  The test suite checks the
+Ritz minimizer's Rayleigh quotient on the adaptive route and the Ritz value
+against the closed form.  The root search needs only the smallest basis,
+because every basis holds the exact mode-1 ground state on the curve (see
+`fs_locate`).
 """
 
 from __future__ import annotations
@@ -174,26 +175,27 @@ def _jacobi_recurrence(n: int, a: float, b: float):
 
 
 def _orthonormal_jacobi(
-    x: float, diag: list[float], off: list[float], c0: float, c1: float, c2: float, scale: float
+    x: float, steps: list[tuple[float, float, float]], c0: float, c1: float, c2: float, scale: float
 ) -> list[float]:
-    """(c0 p_j(x) + c1 p_j'(x) + c2 p_j''(x)) scale for j < len(diag).
+    """(c0 p_j(x) + c1 p_j'(x) + c2 p_j''(x)) scale for j <= len(steps).
 
     p_j are the orthonormal polynomials of `_jacobi_recurrence`, and
     (w p)^(r) = r p^(r-1) + w p^(r) carries their recurrence over to the
-    derivatives.  Each step takes (x - diag[j]) v_j, subtracts
-    off[j-1] v_(j-1), adds 1 v_j and 2 v_j' to the first and second
-    derivatives and divides by off[j], in the order of the array loop the
-    tests keep, so every value agrees with it to the bit; the step at j = 0
-    subtracts 0 * 0, which changes no value.  The combination is formed as
-    each p_j comes, with the recurrence's values in local names: handing
-    (p_j, p_j', p_j'') back for the caller to combine made a J = 16 solve
-    slower than the array loop it replaces.
+    derivatives.  steps is zip(diag, [0.0, *off], off), listed once per
+    solve.  Step j takes (x - diag[j]) v_j, subtracts off[j-1] v_(j-1),
+    adds 1 v_j and 2 v_j' to the first and second derivatives and divides
+    by off[j], in the order of the array loop the tests keep, so every
+    value agrees with it to the bit; the step at j = 0 subtracts 0 * 0,
+    which changes no value.  The combination is formed as each p_j comes,
+    with the recurrence's values in local names: handing (p_j, p_j', p_j'')
+    back for the caller to combine made a J = 16 solve slower than the array
+    loop it replaces.
     """
     v0, v1, v2 = 1.0, 0.0, 0.0
     u0 = u1 = u2 = 0.0
     column = [(c0 * v0 + c1 * v1 + c2 * v2) * scale]
     append = column.append
-    for centre, below, above in zip(diag, [0.0, *off], off):
+    for centre, below, above in steps:
         shift = x - centre
         n0 = shift * v0 - below * u0
         n1 = shift * v1 - below * u1 + v0
@@ -214,14 +216,14 @@ def _gauss_jacobi(n: int, a: float, b: float):
     where the squared eigenvector components would not (the tail nodes of a
     skewed weight).  Returns the nodes and the weights divided by the mass
     of the weight function, as Python float lists.  Raises ConditioningError
-    where the recurrence leaves double range or the kernel fails.
+    where the recurrence leaves double range or the kernel fails, which it
+    sees under its caller's np.errstate(invalid="raise") (`ritz_min_eig`'s).
     """
     diag, off = _jacobi_recurrence(n, a, b)
-    jacobi = np.diag(diag)
-    jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = off
+    flat = [0.0] * (n * n)  # the matrix, row by row
+    flat[:: n + 1], flat[1 :: n + 1], flat[n :: n + 1] = diag, off, off
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            nodes = eigvalsh_lo(jacobi).tolist()
+        nodes = eigvalsh_lo(np.array(flat).reshape(n, n)).tolist()
     except FloatingPointError:
         raise ConditioningError(
             f"the Gauss-Jacobi nodes for the exponents a={a!r}, b={b!r} did not converge"
@@ -260,7 +262,8 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     A's factor is assembled node by node on Python floats, in the order of
     operations of the whole-array assembly the tests keep.  Three numpy
     calls decide bits: `eigvalsh_lo` for the nodes, the product of the factor
-    with its transpose, and `eigh_lo`.
+    with its transpose, and `eigh_lo`, all under the one np.errstate that
+    the solve enters, where a failed kernel raises FloatingPointError.
     """
     J = _index(J, "basis size")
     if J < 4:
@@ -272,44 +275,41 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             f"mode k={k} is inadmissible at M={m:.6g}: its stability form "
             f"diverges on the Ritz basis (needs M > {max(2 * k, 4 - 2 * k)})"
         )
-    try:
-        nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
-        diag, off = _jacobi_recurrence(J, a, b)
-    except ConditioningError as exc:
-        raise ConditioningError(f"{exc}, at M={m:.6g}, basis size {J}") from None
-    # 2^(2-M) mu0_A / (2^(-M-2) mu0_B), rational since Gamma(x+1) = x Gamma(x)
-    mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
-    base, centre, slope = k * (k + m - 2.0) - qql, (m + 2.0 * k) / 2.0, 2.0 * k
-    entries = []
-    for w, weight in zip(nodes, weights):
-        # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
-        up, cap = 1.0 + w, 1.0 - w * w
-        potential = base - (m - 2.0) * up * (centre - m * up / 4.0)
-        drift, curve = cap * (slope - m * w), cap * cap
-        entries += _orthonormal_jacobi(w, diag, off, potential, drift, curve, math.sqrt(weight * mass_ratio))
-    # one node per row of entries; A's factor is C-contiguous (J, J+2), the
-    # layout in which the product has always met BLAS
-    rows_a = np.array(entries).reshape(J + 2, J).T.copy()
-    A = rows_a @ rows_a.T
-    if not np.isfinite(A).all():
-        raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}")
-    # eigh_lo, not eigvalsh_lo: the two LAPACK drivers can differ in the last bit
-    # of the least eigenvalue (8 of 4000 sampled J = 4 mode-1 matrices)
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
+            diag, off = _jacobi_recurrence(J, a, b)
+        except ConditioningError as exc:
+            raise ConditioningError(f"{exc}, at M={m:.6g}, basis size {J}") from None
+        steps = list(zip(diag, [0.0, *off], off))
+        # 2^(2-M) mu0_A / (2^(-M-2) mu0_B), rational since Gamma(x+1) = x Gamma(x)
+        mass_ratio = (m + 1.0) * m * (m - 1.0) * (m - 2.0) / (a * (a - 1.0) * b * (b - 1.0))
+        base, centre, slope = k * (k + m - 2.0) - qql, (m + 2.0 * k) / 2.0, 2.0 * k
+        entries = []
+        for w, weight in zip(nodes, weights):
+            # chain rule: L phi_j = s^k (1+s^2)^(-(M-2)/2) (1-w)/(1+w) R_j(w)
+            up, cap = 1.0 + w, 1.0 - w * w
+            potential = base - (m - 2.0) * up * (centre - m * up / 4.0)
+            drift, curve = cap * (slope - m * w), cap * cap
+            entries += _orthonormal_jacobi(w, steps, potential, drift, curve, math.sqrt(weight * mass_ratio))
+        # one node per row of entries; A's factor is C-contiguous (J, J+2), as BLAS has always met it
+        rows_a = np.array(entries).reshape(J + 2, J).T.copy()
+        try:  # past an overflow a sum in the product can meet inf - inf, which raises the invalid flag
+            A = rows_a @ rows_a.T
+            if not np.isfinite(A).all():
+                raise FloatingPointError
+        except FloatingPointError:
+            raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}") from None
+        # eigh_lo, not eigvalsh_lo: their least eigenvalues can differ in the last bit (8 of 4000 J = 4 samples)
+        try:
             evals, evecs = eigh_lo(A)
-    except FloatingPointError:
-        raise ConditioningError(
-            f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
-        ) from None
+        except FloatingPointError:
+            raise ConditioningError(
+                f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
+            ) from None
     gamma = _potential_constant(m)
     lead = evecs[:, 0]
-    return RitzResult(
-        min_eigenvalue=(float(evals[0]) - gamma) / gamma,
-        coefficients=lead / max(abs(c) for c in lead.tolist()),
-        basis_size=J,
-        gram_condition=1.0,
-    )
+    return RitzResult((float(evals[0]) - gamma) / gamma, lead / max(map(abs, lead.tolist())), J, 1.0)
 
 
 #: the largest M at which fs_locate's lower bracket end may solve: the J = 4

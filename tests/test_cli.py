@@ -552,11 +552,15 @@ def test_certify_answers_where_the_amplitude_squared_overflows(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"]],
-    ids=["scan-1e100"],
+    [
+        ["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
+        ["scan", "--N", str(2**500), "--alpha", "1e300", "--beta=1.0000001e300"],
+    ],
+    ids=["scan-1e100", "scan-2^500"],
 )
 def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
-    """q = 2/(2+beta-alpha) is 4e-100: S_r leaves double range."""
+    """q = 2/(2+beta-alpha) is 4e-100: S_r leaves double range.  At (2^500, 1e300, 1.0000001e300),
+    M = 2e7, its log scale is about -1.1e146: S_r underflows there, where scan printed 0.0."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -570,16 +574,19 @@ def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
         ("5", "0.1", "-1.89793", "NotBreaking", [1, 1, 1]),
         ("6", "1e100", "1.5e100", "Breaking", [-1, -1, -1]),
         ("6", "1e200", "1.5e200", "Breaking", [-1, -1, -1]),
+        ("5", "1e160", "1.2e160", "Breaking", [-1, -1, -1]),
     ],
-    ids=["lower-edge", "alpha-1e100", "alpha-1e200"],
+    ids=["lower-edge", "alpha-1e100", "alpha-1e200", "alpha-1e160"],
 )
 def test_certify_answers_where_the_radial_closed_forms_leave_double_range(capsys, N, alpha, beta, verdict, signs):
     """At M ~ 3000 the second variation underflows; at alpha = 1e100 S_r overflows, and at 1e200
-    the second variation does too.  certify reads neither value, only the factor, D and rho1."""
+    the second variation does too.  certify reads neither value, only the factor, D and rho1.  At
+    alpha = 1e160 beta_fs's radicand overflows: it read inf, so the expected verdict was NotBreaking."""
     code, out, _ = run(capsys, "certify", "--N", N, "--alpha", alpha, f"--beta={beta}", "--json")
     assert code == 0
     record = json.loads(out)
     assert (record["verdict"], record["witness_signs"], record["discrepancies"]) == (verdict, signs, [])
+    assert record["expected"] == verdict
 
 
 def test_constants_at_large_weight_exponent(capsys):

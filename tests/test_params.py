@@ -6,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -394,6 +395,35 @@ def test_exponent_identities(N, alpha, frac):
 def test_transition_curve_reference_value():
     # N^2 + alpha^2 + 2(N-2)alpha = 32 at (5,1)
     assert beta_fs(5, 1.0) == pytest.approx(-5.0 + math.sqrt(32.0), rel=1e-14)
+
+
+@settings(max_examples=500, deadline=None)
+@given(N=st.one_of(st.integers(5, 1000), st.integers(5, 2**500)),
+       alpha=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300), st.floats(1e150, 1e155)))
+@example(N=5, alpha=1.3407807929942596e154)  # the largest alpha whose square is finite
+def test_transition_curve_keeps_its_bits_wherever_the_radicand_is_finite(N, alpha):
+    radicand = N * N + alpha * alpha + 2.0 * (N - 2.0) * alpha
+    if 0.0 <= radicand < math.inf:
+        assert beta_fs(N, alpha).hex() == (-N + math.sqrt(radicand)).hex()
+    elif radicand == math.inf:
+        assert math.isfinite(beta_fs(N, alpha))
+
+
+@pytest.mark.parametrize("N", [5, 1000, 10**100], ids=["5", "1000", "1e100"])
+@pytest.mark.parametrize("alpha", [1.35e154, 1e160, 1e200, 1e300, sys.float_info.max, -1e200])
+def test_transition_curve_where_its_radicand_overflows(N, alpha):
+    """alpha^2 (or 2(N-2)alpha) leaves double range from |alpha| near 1.34e154, where the curve
+    once read inf; the root is then hypot(alpha + N - 2, 2 sqrt(N - 1)), against 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        exact = -N + mpmath.sqrt((a + N - 2) ** 2 + 4 * (N - 1))
+    assert beta_fs(N, alpha) == pytest.approx(float(exact), rel=4e-16)
+
+
+def test_the_breaking_side_stays_breaking_where_the_radicand_overflows():
+    """At (5, 1e160, 1.2e160), far above the curve, classify once read ConjecturedSymmetry
+    against beta_fs = inf (certify then reported a false discrepancy)."""
+    assert classify(5, 1e160, 1.2e160) is RegionClass.SYMMETRY_BREAKING
 
 
 def test_transition_curve_stays_in_strip():

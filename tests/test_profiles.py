@@ -1003,6 +1003,14 @@ def test_s_r_closed_at_large_n_against_lgamma(N):
     assert s_r_closed(p) == pytest.approx(_s_r_by_lgamma(p), rel=1e-12)
 
 
+def test_s_r_closed_refuses_where_it_underflows():
+    """At (2^500, 1e300, 1.0000001e300), M = 2e7, log omega is about -5.6e152 and S_r's log scale
+    about -1.1e146: S_r read 0.0, made by underflow."""
+    p = validate(2**500, 1e300, 1.0000001e300)
+    with pytest.raises(DomainError, match=r"^radial constant underflows double precision at M=2000000"):
+        s_r_closed(p)
+
+
 @pytest.mark.parametrize("N", [5, 100, 438])
 def test_s_r_closed_takes_the_log_of_a_normal_sphere_area(N):
     p = validate(N, 1.0, 0.5)

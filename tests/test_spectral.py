@@ -1,5 +1,6 @@
 """Spherical-mode data, quadratic forms, Ritz minimization, curve location."""
 
+import itertools
 import math
 import warnings
 
@@ -283,8 +284,9 @@ def test_ritz_minimum_is_monotone_in_basis_size(p511):
 def _by_nodes(w, n, a, b):
     """p_j, p_j', p_j'' at every node of w from `_orthonormal_jacobi`'s unit combinations, shape (n, 3, len(w))."""
     diag, off = _jacobi_recurrence(n, a, b)
+    steps = list(zip(diag, [0.0, *off], off))
     unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return np.array([[_orthonormal_jacobi(x, diag, off, *c, 1.0) for c in unit] for x in w]).transpose(2, 1, 0)
+    return np.array([[_orthonormal_jacobi(x, steps, *c, 1.0) for c in unit] for x in w]).transpose(2, 1, 0)
 
 
 def _jacobi_polynomials(J, a, b):
@@ -663,6 +665,21 @@ def test_a_failed_eigen_solve_is_a_conditioning_error(monkeypatch, solver):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("big", [math.inf, 1e200], ids=["inf", "overflow"])
+def test_a_non_finite_operator_is_a_conditioning_error(monkeypatch, big):
+    """A factor whose rows 0 and 1 agree in sign at every other node and differ at the rest:
+    with inf entries their product meets inf - inf, the invalid flag under the solve's error
+    state, and with 1e200 it overflows.  Either is a ConditioningError naming M, and no
+    RuntimeWarning escapes."""
+    columns = itertools.cycle([[big, big, 1.0, 1.0], [big, -big, 1.0, 1.0]])
+    monkeypatch.setattr(spectral, "_orthonormal_jacobi", lambda *args: next(columns))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConditioningError, match="^operator matrix is not finite at M=6, basis size 4$"):
+            ritz_min_eig(1, validate(5, 1.0, 1.0), 4)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     jacobi=st.tuples(
@@ -865,6 +882,19 @@ def test_mode_eigenvalue_special_values(p511):
         mode_eigenvalue(1, p511, -1)
 
 
+#: every beta fs_locate solves at tol 1e-4, in order: the bracket ends, then Brent's steps
+_SOLVE_PATHS = {
+    (5, 1.0): (
+        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.32679476bf60fp+0", "0x1.0ade13e547c08p-1",
+        "0x1.5fb672b9b7e29p-1", "0x1.512686c03fb0ap-1", "0x1.504f0b5b9cf66p-1", "0x1.5055991457bd7p-1",
+    ),
+    (6, 2.0): (
+        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.071cd3bc80c38p+1", "0x1.5d7b1f12952b6p+0",
+        "0x1.816ce5a150acep+0", "0x1.7bf2a63590664p+0", "0x1.7bba801d74647p+0", "0x1.7bbdc6f9d1c80p+0",
+    ),
+}
+
+
 def test_fs_locate_matches_closed_form(monkeypatch):
     calls = []
 
@@ -878,8 +908,8 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
         assert repr(located) == pinned
-        assert 2 <= len(calls) <= 10
-        assert all(J == 4 for _, _, J in calls)
+        assert tuple(p.beta.hex() for _, p, _ in calls) == _SOLVE_PATHS[N, alpha]
+        assert all(k == 1 and p[:2] == (N, alpha) and J == 4 for k, p, J in calls)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])

@@ -1,6 +1,7 @@
 """Second variation, directional quotients, and the breaking certificate."""
 
 import math
+import sys
 from collections import Counter
 
 import mpmath
@@ -440,13 +441,14 @@ def test_quotient_drop_judges_eps_before_any_quadrature(monkeypatch, p511):
                 call(p511, eps)
 
 
-def _finite_or_domain_error(call):
-    """call() answers a finite float or raises DomainError."""
+def _finite_or_domain_error(call, normal=False):
+    """call() answers a finite float, with normal a normal double, or raises DomainError."""
     try:
         value = call()
     except DomainError:
         return
     assert type(value) is float and math.isfinite(value), value
+    assert not normal or abs(value) >= sys.float_info.min, value
 
 
 @settings(max_examples=1000, deadline=None)
@@ -459,17 +461,18 @@ def _finite_or_domain_error(call):
 def test_closed_forms_answer_a_finite_double_or_raise_domain_error(N, x, t):
     """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e300); beta at fraction t of the strip.
     Each closed form returns a finite double or raises DomainError: never inf, NaN or a raw
-    OverflowError."""
+    OverflowError.  The sharp constants S_r and S_0 answer a normal double: never a 0.0 or a
+    subnormal made by underflow."""
     alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
     try:
         lo, hi = beta_strip(N, alpha)
         p = validate(N, alpha, lo + t * (hi - lo))
     except ParamError:
         assume(False)
+    for call in (lambda: s_r_closed(p), lambda: s_0_closed(N)):
+        _finite_or_domain_error(call, normal=True)
     for call in (
         lambda: amplitude_constant(p),
-        lambda: s_r_closed(p),
-        lambda: s_0_closed(N),
         lambda: rellich_infimum(N, (p.beta - 2.0 * p.alpha) / 2.0)[0],
         lambda: second_variation(p).value,
         lambda: extremal(p).terms[0][0],
