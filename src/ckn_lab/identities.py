@@ -17,10 +17,7 @@ Mode-k reduction rules used below, for u = f(r) Y_k and lam_k =
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .params import (
     Params,
@@ -30,7 +27,6 @@ from .params import (
     harmonic_eigenvalue,
     hardy_comparison_constants,
     s_0_closed,
-    s_r_closed,
     sphere_area,
     validate,
 )

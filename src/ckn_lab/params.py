@@ -374,12 +374,16 @@ def amplitude_constant(p: Params) -> float:
     or in transformed-dimension variables (gamma_m(M)/q^4)^((M-4)/8).
 
     Raises:
-        DomainError: if the constant exceeds double range, which happens
-            near the lower edge beta -> alpha - 2 of the strip (M -> inf).
+        DomainError: if the constant leaves the normal doubles: it overflows
+            near the lower edge beta -> alpha - 2 of the strip (M -> inf), and
+            underflows, where a subnormal would pass for an answer, at large q.
     """
     d = derive(p)
     log_value = (d.M - 4.0) / 8.0 * (math.log(gamma_m(d.M)) - 4.0 * math.log(d.q))
-    return _finite(_or_inf(math.exp, log_value), "amplitude constant", f"M={d.M!r}")
+    value = _or_inf(math.exp, log_value)
+    if value < sys.float_info.min:
+        raise DomainError(f"amplitude constant underflows double precision at M={d.M!r}")
+    return _finite(value, "amplitude constant", f"M={d.M!r}")
 
 
 def b_closed(M: float) -> float:

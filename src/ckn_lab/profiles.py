@@ -287,12 +287,6 @@ class PowerPeakProfile(RadialProfile):
     def __sub__(self, other: "PowerPeakProfile") -> "PowerPeakProfile":
         return self + other.scaled(-1)
 
-    def __repr__(self):
-        body = " + ".join(
-            f"{float(c):g}*r^{float(p):g}*(nu+r^{self.sigma:g})^{float(e):g}" for c, p, e in self.terms
-        )
-        return f"PowerPeakProfile({body or '0'}, nu={float(self.nu):g})"
-
 
 class GaussianProfile(RadialProfile):
     """sum of c * r^p * exp(-r^2) terms; closed under differentiation."""

@@ -184,55 +184,50 @@ def _walk(vals: np.ndarray, h: float) -> tuple[float, int, int]:
             raise DomainError(f"level sum at step h={h:g} exceeds double range") from None
 
 
-def _integrate(f, tol: float, node_cap: int) -> tuple[QuadResult, ...]:
-    """The body of both integrators, so that a trace times each apart.  Runs
-    under np.errstate(all="ignore"): the tail rule, not numpy, judges overflow.
-    Rows run one by one, each to its result or its error (module docstring)."""
-    finest = _FIRST
-    s = _grid(_H0 / 2**finest)[0].copy()  # levels 0 to _FIRST, writable for the integrand
-    grid = [np.asarray(v, dtype=float) for v in f(s)]
-    grid = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in grid]
-    results = []
-    for i in range(len(grid)):
-        total_nodes, prev, best_err, level = 0, None, math.inf, 0
-        while True:
-            h = _H0 / 2**level
-            if level > finest:
-                finest, grid = level, _refine(grid, f, h)
-            stride = 1 << (finest - level)  # this level is every stride-th node, centred on s = 1
-            value, n_neg, n_pos = _walk(grid[i][grid[i].size // 2 % stride :: stride], h)
-            total_nodes += n_neg + n_pos + 1
-            if level:
-                best_err = abs(value - prev)
-            result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
-            if level >= 2 and best_err <= tol * max(abs(value), sys.float_info.min):
-                break
-            if total_nodes >= node_cap:
-                raise AccuracyError(
-                    f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})", result
-                )
-            prev = value
-            level += 1
-        results.append(result)
-    return tuple(results)
-
-
 def integrate_rows(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> tuple[QuadResult, ...]:
     """Integrate each row of ``f`` over (0, inf) to relative tolerance ``tol``.
 
     ``f`` maps a float ndarray of abscissae to a sequence of integrand rows,
     one per integral (a row constant in s may be a scalar).  The rows are
     integrated one by one, in order, on one grid that each call of ``f``
-    refines for all of them: row i's result is :func:`integrate_semiinfinite`
-    of row i alone, bit for bit, and the first row that fails raises what it
-    would raise alone.
+    refines for all of them: row i's result is the one-row call's on row i
+    alone, bit for bit, and the first row that fails raises what it would
+    raise alone.  Runs under np.errstate(all="ignore"): the tail rule, not
+    numpy, judges overflow.
     """
     with np.errstate(all="ignore"):
-        return _integrate(f, tol, node_cap)
+        finest = _FIRST
+        s = _grid(_H0 / 2**finest)[0].copy()  # levels 0 to _FIRST, writable for the integrand
+        grid = [np.asarray(v, dtype=float) for v in f(s)]
+        grid = [v if v.shape == s.shape else np.broadcast_to(v, s.shape) for v in grid]
+        results = []
+        for i in range(len(grid)):
+            total_nodes, prev, best_err, level = 0, None, math.inf, 0
+            while True:
+                h = _H0 / 2**level
+                if level > finest:
+                    finest, grid = level, _refine(grid, f, h)
+                stride = 1 << (finest - level)  # this level is every stride-th node, centred on s = 1
+                value, n_neg, n_pos = _walk(grid[i][grid[i].size // 2 % stride :: stride], h)
+                total_nodes += n_neg + n_pos + 1
+                if level:
+                    best_err = abs(value - prev)
+                result = QuadResult(value=value, abs_error_estimate=best_err, nodes=total_nodes)
+                if level >= 2 and best_err <= tol * max(abs(value), sys.float_info.min):
+                    break
+                if total_nodes >= node_cap:
+                    raise AccuracyError(
+                        f"no convergence to tol={tol:g} within {node_cap} nodes (best error estimate {best_err:g})",
+                        result,
+                    )
+                prev = value
+                level += 1
+            results.append(result)
+    return tuple(results)
 
 
 def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_CAP) -> QuadResult:
-    """Integrate ``f`` over (0, inf) to relative tolerance ``tol``.
+    """Integrate ``f`` over (0, inf) to relative tolerance ``tol``: :func:`integrate_rows` on one row.
 
     ``f`` maps a float ndarray of abscissae to an array of integrand
     values; a result that is constant in s may come back as a scalar.
@@ -245,8 +240,7 @@ def integrate_semiinfinite(f, tol: float = DEFAULT_TOL, *, node_cap: int = NODE_
         DomainError: a significant term is non-finite, or a level sum
             exceeds double range.
     """
-    with np.errstate(all="ignore"):
-        return _integrate(lambda s: (f(s),), tol, node_cap)[0]
+    return integrate_rows(lambda s: (f(s),), tol, node_cap=node_cap)[0]
 
 
 def power_weighted(vals: np.ndarray, s: np.ndarray, expo: float, w: float) -> np.ndarray:

@@ -74,10 +74,12 @@ class RitzResult(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def _coupling(k: int, p: Params) -> tuple[float, float]:
-    """(q^2 lambda_k, M): mode k's coupling in the stability form, and the transformed dimension."""
+def _coupling(k: int, p: Params) -> tuple[float, float, float]:
+    """(q^2 lambda_k, M, q^2 lambda_k - (M-1)): mode k's coupling in the stability form, the transformed
+    dimension and the excess, formed here alone; at k = 1 its sign is the breaking criterion (`certify`'s factor)."""
     d = derive(p)
-    return d.q**2 * harmonic_eigenvalue(p.N, k), d.M
+    qql = d.q**2 * harmonic_eigenvalue(p.N, k)
+    return qql, d.M, qql - (d.M - 1.0)
 
 
 def _nu(qql: float, m: float) -> float:
@@ -91,7 +93,7 @@ def mode(k: int, p: Params) -> Mode:
     k, N = _index(k, "mode index"), p.N
     rho = mode_eigenvalue(k, p)  # raises first where nu's 4 q^2 lambda_k would overflow
     mult = (N + 2 * k - 2) * math.comb(N + k - 3, N - 3) // (N - 2)
-    return Mode(k, harmonic_eigenvalue(N, k), mult, _nu(*_coupling(k, p)), rho)
+    return Mode(k, harmonic_eigenvalue(N, k), mult, _nu(*_coupling(k, p)[:2]), rho)
 
 
 def _potential_constant(M: float) -> float:
@@ -107,7 +109,7 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     (e.g. non-decaying, or k >= 1 with X(0) != 0), and AccuracyError, with
     the part's QuadResult, where a part's largest terms are subnormal.
     """
-    lam, m = _coupling(k, p)
+    lam, m, _ = _coupling(k, p)
 
     def rows(s):  # the lead energy and the potential part, from one jet; s^-2 and (1+s^2)^-4 in the weights
         x, x1, x2 = X.jet(s, 2)
@@ -137,9 +139,9 @@ def mode_eigenvalue(k: int, p: Params, j: int = 0) -> float:
     relative accuracy near the curve and at large M.
     """
     j = _index(j, "eigenvalue index")
-    qql, m = _coupling(k, p)
+    qql, m, excess = _coupling(k, p)
     try:
-        shift = 2.0 * ((qql - (m - 1.0)) / (_nu(qql, m) + m - 1.0) + j)
+        shift = 2.0 * (excess / (_nu(qql, m) + m - 1.0) + j)
         return math.expm1(math.fsum(math.log1p(shift / c) for c in (m - 2.0, m, m + 2.0, m + 4.0)))
     except OverflowError:  # rho itself overflows from k near 1e77 M
         raise DomainError(f"eigenvalue {j} of mode k={k} exceeds the largest double at M={m!r}") from None
@@ -268,7 +270,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     J = _index(J, "basis size")
     if J < 4:
         raise DomainError(f"basis size must be >= 4, got {J}")
-    qql, m = _coupling(k, p)
+    qql, m, _ = _coupling(k, p)
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
         raise DomainError(

@@ -79,8 +79,7 @@ def second_variation(p: Params) -> SecondVariation:
     X1 = s(1+s^2)^(-(M-2)/2).  Raises DomainError where the value overflows
     double precision, or a Beta value or a nonzero value underflows it.
     """
-    mu, m = _coupling(1, p)
-    factor = mu - (m - 1.0)
+    mu, m, factor = _coupling(1, p)
     prefactor = sphere_area(p.N) / p.N * _or_inf(pow, derive(p).q, -3)
     # Beta reduction: X1' = (1+s^2)^(-M/2) (1 - (M-3)s^2), so (X1')^2 s^(M-4)
     # integrates to half of B((M-3)/2,(M+3)/2) + (M-3)(M-5) B((M-1)/2,(M+1)/2).
@@ -136,7 +135,7 @@ def quotient_drop(p: Params, eps: float) -> float:
         raise DomainError(f"quotient drop needs |eps| < 0.5 with eps^2 0.0 or a normal double, got {eps}")
     d = derive(p)
     m, root = d.M, math.sqrt(d.M)
-    c0 = (m - 1.0) - _coupling(1, p)[0]  # M-1-mu
+    factor = _coupling(1, p)[2]  # certify's factor mu - (M-1)
 
     def rows(x):  # the energies of U and g, then the denominator's polar excess
         lx = np.log(x)
@@ -147,7 +146,7 @@ def quotient_drop(p: Params, eps: float) -> float:
         w = np.exp(log_dx - (m - 4.0) * log_cosh)
         return [
             ((m - 4.0) * t * ((m - 2.0) * t - m)) ** 2 * w,
-            (h * (c0 + (m - 2.0) * t * (m * t - (m + 2.0)))) ** 2 * w,
+            (h * ((m - 2.0) * t * (m * t - (m + 2.0)) - factor)) ** 2 * w,
             _polar_excess((eps * h) ** 2, d.p_star, p.N) * np.exp(log_dx - m * log_cosh),
         ]
 
@@ -172,8 +171,8 @@ def kernel_coefficients(p: Params) -> tuple[float, float]:
     where p* = 2M/(M-4), so p*-1, 2-p*, 3-p*, r and 1-r are taken from M, free of cancellation as
     p* -> 2.  A DomainError where c4', or c2 off factor = 0, underflows the normal doubles.
     """
-    mu, m = _coupling(1, p)
-    factor, n, w = mu - (m - 1.0), p.N, m - 4.0
+    mu, m, factor = _coupling(1, p)
+    n, w = p.N, m - 4.0
     cubic = 1.0 - (2.0 + (4.0 - 6.0 / m) / m) / m + 2.0 * mu / m * (1.0 - 1.0 / m) / m  # over M^3
     c2 = 2.0 * factor / m * cubic / ((1.0 - 4.0 / m) * (1.0 - 2.0 / m) ** 2 * (1.0 + 2.0 / m)) / m / n
     b1 = 2.0 * m / w * ((m + 4.0) / w) / (2.0 * n) * m / (4.0 * (m + 1.0))
@@ -241,8 +240,7 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     """
     if not (eps != 0.0 and 0.0 <= tol < math.inf):  # quotient_drop judges eps further
         raise DomainError(f"certificate needs eps != 0 and tol >= 0 finite, got eps={eps}, tol={tol}")
-    mu, m = _coupling(1, p)
-    factor = mu - (m - 1.0)  # second_variation's: its value is factor times a positive bracket
+    factor = _coupling(1, p)[2]  # second_variation's: its value is factor times a positive bracket
     drop = quotient_drop(p, eps)
     rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
 

@@ -539,6 +539,15 @@ def test_lower_strip_edge_overflow_is_parameter_error(capsys, command):
     assert "M=" in err
 
 
+@pytest.mark.parametrize("command", ["constants", "transform-check"])
+def test_an_underflowing_amplitude_is_parameter_error(capsys, command):
+    """At the upper edge with alpha = -0.99999 (N-2), q = 1e5 and the amplitude underflows: constants
+    printed the subnormal 5.6e-309 with exit 0, and transform-check blamed the scaling parameter."""
+    code, out, err = run(capsys, command, "--N", "239", "--alpha", "-236.99763", "--beta=-238.99761", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: amplitude constant underflows double precision at M=239.0000002629008\n"
+
+
 def test_certify_answers_where_the_amplitude_squared_overflows(capsys):
     """U's amplitude is 8.0e166 at M = 320.7, so eps^2 times its square leaves double range;
     the quotient witness is taken at unit amplitude and never meets it."""
@@ -794,3 +803,9 @@ def test_shared_parser_keeps_nothing_between_calls(capsys):
     code, _, err = run(capsys, "scan", "--N", "5", "--alpha", "1", "--beta", "1", "--jobs", "0")
     assert code == 2
     assert "--jobs" in err
+
+
+def test_a_malformed_alpha_is_parameter_error(capsys):
+    code, out, err = run(capsys, "scan", "--N", "5", "--alpha", "abc", "--beta", "auto")
+    assert (code, out) == (2, "")
+    assert err == "error: alpha must be a number or lo:hi:steps, got 'abc'\n"

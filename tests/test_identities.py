@@ -256,3 +256,12 @@ def test_the_identities_reject_a_non_integral_dimension(N):
     ):
         with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
             compute()
+
+
+def test_identity_checks_refuse_what_they_do_not_cover(p511):
+    with pytest.raises(DomainError, match=r"^shift exponent must lie in \(0, 1\), got 2\.0$"):
+        rellich_sobolev_extremal(5, 2.0)
+    with pytest.raises(DomainError, match=r"^substitution check applies to radial test functions$"):
+        check_eta_substitution(TestFunction(PowerPeakProfile([(1.0, 1, -3)], sigma=2), 1), 5, 1.0)
+    with pytest.raises(DomainError, match=r"^test function annihilated by the weighted operator$"):
+        check_laplacian_bound(TestFunction(PowerPeakProfile([], sigma=2), 0), p511)

@@ -1,5 +1,6 @@
-"""The package namespace: what it exports, and what its start-up loads."""
+"""The package namespace: what it exports, what its start-up loads, and what its modules import."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -158,3 +159,39 @@ def test_ritz_results_and_certificates_compare_by_identity():
         assert twin is not record
         assert record == record and record != twin and not record == twin
         assert len({record, twin, record}) == 2
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names an import binds in `source` that nothing there reads, less `__future__`'s, the names
+    of its literal `__all__`, and those imported on a line marked `# noqa: F401` (a re-export)."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {elt.value for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
+    return [
+        f"{alias.lineno}: {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.partition(".")[0]) not in read
+        and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+
+
+def test_unread_imports_are_found():
+    source = "from __future__ import annotations\nimport math, os.path\nfrom x import (\n    a,\n    b as c,\n)\n"
+    assert _unread_imports(source) == ["2: math", "2: os.path", "4: a", "5: c"]
+    assert _unread_imports(source + "__all__ = ['a']\nmath.pi, os, c\n") == []
+    assert _unread_imports("from x import a  # noqa: F401\nimport os\n") == ["2: os"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name each module of the package imports is read there, or listed in its __all__; the one
+    `# noqa: F401` line is `profiles`' re-export of `s_r_closed`."""
+    unread = {
+        path.name: names
+        for path in sorted(Path(ckn_lab.__file__).parent.glob("*.py"))
+        if (names := _unread_imports(path.read_text()))
+    }
+    assert not unread, f"imported but never read: {unread}"

@@ -579,3 +579,10 @@ def test_rellich_infimum_matches_brute_force(N, a):
     assert f(argmin) <= f(argmin + 1)
     if argmin > 0:
         assert f(argmin) <= f(argmin - 1)
+
+
+def test_first_order_curve_refuses_outside_its_domain():
+    with pytest.raises(ParamError, match=r"^correspondence defined for alpha > 0, got 0\.0$"):
+        fs_correspondence(5, 0.0)
+    with pytest.raises(ParamError, match=re.escape("first-order curve needs a < (N-2)/2 = 1.5, got a=1.5")):
+        b_fs_first_order(5, 1.5)

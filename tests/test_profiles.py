@@ -1031,3 +1031,8 @@ def test_s_0_closed_independent_oracle():
 
 def test_unweighted_reduction(p500):
     assert s_r_closed(p500) == pytest.approx(s_0_closed(5), rel=1e-13)
+
+
+def test_a_nonpositive_sigma_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^sigma must be positive, got -2\.0$"):
+        PowerPeakProfile([(1.0, 0, -2)], sigma=-2)

@@ -1031,3 +1031,8 @@ def test_power_weighted_matches_the_masked_form(pairs, expo, w):
         got = power_weighted(*args, expo, w)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def test_the_quotient_of_the_zero_profile_is_a_domain_error(p511):
+    with pytest.raises(DomainError, match=r"^quotient undefined: \|\|u\|\|_\* = 0$"):
+        quotient_radial(PowerPeakProfile([], sigma=2), p511)

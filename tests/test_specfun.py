@@ -63,3 +63,8 @@ def test_beta_fn_exact_small_integers():
     assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
     assert beta_fn(3.0, 3.0) == pytest.approx(1.0 / 30.0, rel=1e-13)
+
+
+def test_log_beta_refuses_a_nonpositive_argument():
+    with pytest.raises(DomainError, match=r"^log_beta requires a, b > 0, got a=0\.0, b=1\.0$"):
+        log_beta(0.0, 1.0)

@@ -302,7 +302,7 @@ def _closed_drop(p, eps):
     the sextic over 4M(M-4)(M-2)^2(M+1)(M+2) and b_j the polar series' term j times
     B(M/2+j, M/2+j)/B(M/2, M/2), summed until a term is below 1e-45 of the sum."""
     with mpmath.workdps(50):
-        mu, m = (mpmath.mpf(v) for v in _coupling(1, p))
+        mu, m, _ = (mpmath.mpf(v) for v in _coupling(1, p))
         n, p_star, x2 = p.N, mpmath.mpf(derive(p).p_star), mpmath.mpf(eps) ** 2
         sextic = (m**6 - 6 * m**5 + 8 * m**4 * mu + 4 * m**4 - 24 * m**3 * mu + 32 * m**3 + 16 * m**2 * mu**2
                   - 32 * m**2 * mu - 32 * m**2 + 32 * m * mu - 32 * m - 16 * mu**2 + 32 * mu + 48)
@@ -367,7 +367,7 @@ def test_kernel_coefficients_answer_where_the_powers_of_m_overflow(N):
             with pytest.raises(DomainError, match=r"^kernel coefficients underflow double precision at M="):
                 kernel_coefficients(p)
             continue
-        mu, m = _coupling(1, p)
+        mu, m, _ = _coupling(1, p)
         c2, c4 = kernel_coefficients(p)
         assert _sign(c2) == _sign(mu - (m - 1.0))
         assert math.isfinite(c2) and math.isfinite(c4)
@@ -377,7 +377,7 @@ def _closed_coefficients(p):
     """(c2, c4') of `kernel_coefficients`' closed form in 400-digit arithmetic on p's own doubles mu, M
     and N, with p* = 2M/(M-4)."""
     with mpmath.workdps(400):
-        mu, m = (mpmath.mpf(v) for v in _coupling(1, p))
+        mu, m, _ = (mpmath.mpf(v) for v in _coupling(1, p))
         n = mpmath.mpf(p.N)
         p_star = 2 * m / (m - 4)
         r = 2 / p_star
@@ -458,21 +458,21 @@ def _finite_or_domain_error(call, normal=False):
 @example(N=10**70, x=3.0, t=5e-9)  # (1e70, 1, -0.99999999): M = 2e78 near the lower edge
 @example(N=2**500, x=3.0, t=0.5)  # M = 4.4e150
 @example(N=6, x=303.0, t=0.5)  # q = 4e-300: q^-3 and S_r's scale overflow
+@example(N=239, x=-0.99999, t=1.0)  # q = 1e5 at the upper edge: the amplitude once read 5.6e-309, a subnormal
 def test_closed_forms_answer_a_finite_double_or_raise_domain_error(N, x, t):
     """alpha = (N-2) x for x <= 0, else 10^(x-3) (up to 1e300); beta at fraction t of the strip.
     Each closed form returns a finite double or raises DomainError: never inf, NaN or a raw
-    OverflowError.  The sharp constants S_r and S_0 answer a normal double: never a 0.0 or a
-    subnormal made by underflow."""
+    OverflowError.  The sharp constants S_r and S_0 and the amplitude answer a normal double:
+    never a 0.0 or a subnormal made by underflow."""
     alpha = (N - 2) * x if x <= 0.0 else 10.0 ** (x - 3.0)
     try:
         lo, hi = beta_strip(N, alpha)
         p = validate(N, alpha, lo + t * (hi - lo))
     except ParamError:
         assume(False)
-    for call in (lambda: s_r_closed(p), lambda: s_0_closed(N)):
+    for call in (lambda: s_r_closed(p), lambda: s_0_closed(N), lambda: amplitude_constant(p)):
         _finite_or_domain_error(call, normal=True)
     for call in (
-        lambda: amplitude_constant(p),
         lambda: rellich_infimum(N, (p.beta - 2.0 * p.alpha) / 2.0)[0],
         lambda: second_variation(p).value,
         lambda: extremal(p).terms[0][0],
