@@ -584,13 +584,16 @@ def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
         ("6", "1e100", "1.5e100", "Breaking", [-1, -1, -1]),
         ("6", "1e200", "1.5e200", "Breaking", [-1, -1, -1]),
         ("5", "1e160", "1.2e160", "Breaking", [-1, -1, -1]),
+        ("5", "1", "-0.9905158431464591", "NotBreaking", [1, 1, 1]),
     ],
-    ids=["lower-edge", "alpha-1e100", "alpha-1e200", "alpha-1e160"],
+    ids=["lower-edge", "alpha-1e100", "alpha-1e200", "alpha-1e160", "m-845"],
 )
 def test_certify_answers_where_the_radial_closed_forms_leave_double_range(capsys, N, alpha, beta, verdict, signs):
     """At M ~ 3000 the second variation underflows; at alpha = 1e100 S_r overflows, and at 1e200
     the second variation does too.  certify reads neither value, only the factor, D and rho1.  At
-    alpha = 1e160 beta_fs's radicand overflows: it read inf, so the expected verdict was NotBreaking."""
+    alpha = 1e160 beta_fs's radicand overflows: it read inf, so the expected verdict was NotBreaking.
+    At M = 845.5 the unit-amplitude ground state's integrals in r are subnormal, where certify once
+    exited 1 with an AccuracyError; in Lin's variable s every integrand of the quotient is of order 1."""
     code, out, _ = run(capsys, "certify", "--N", N, "--alpha", alpha, f"--beta={beta}", "--json")
     assert code == 0
     record = json.loads(out)
