@@ -27,6 +27,7 @@ import functools
 import importlib
 import json
 import math
+import re
 import sys
 
 from .params import (
@@ -66,7 +67,7 @@ def __getattr__(name: str):
 
 
 def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
-    """`steps` evenly spaced values from lo to hi; numpy loads only for a valid range."""
+    """`steps` evenly spaced values from lo to hi; numpy loads only once steps, width and order pass."""
     if steps < 2:
         raise DomainError(f"{name} range needs steps >= 2, got {steps}")
     if not math.isfinite(hi - lo):
@@ -75,7 +76,11 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
         raise DomainError(f"{name} range needs lo < hi, got {lo} >= {hi}")
     import numpy as np
 
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    try:
+        values = np.linspace(lo, hi, steps)
+    except ValueError as exc:  # a step count numpy cannot hold, refused by size before it allocates
+        raise DomainError(f"{name} range from {lo} to {hi} has {steps} steps, more than numpy can hold") from exc
+    return [float(v) for v in values]
 
 
 def _parse_range(text: str, name: str) -> list[float]:
@@ -354,9 +359,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LONG_OPTION, _NEGATIVE_VALUE = re.compile(r"--[^=]+"), re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--opt -1e-3` written `--opt=-1e-3`.
+
+    argparse reads a token that starts with '-' as an option unless it looks like -5 or -.5, so it
+    refuses -1e-3, -inf or a range -1:0.5:2 after its option; joined by '=', any value passes.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if _NEGATIVE_VALUE.match(token) and joined and _LONG_OPTION.fullmatch(joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

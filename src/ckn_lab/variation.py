@@ -196,6 +196,18 @@ class Verdict(Enum):
     BOUNDARY = "Boundary"
 
 
+class _Witness(NamedTuple):
+    """One certificate witness: its value and the dead zone its sign is read against."""
+
+    value: float
+    zone: float
+
+    @property
+    def sign(self) -> int:
+        """0 where |value| <= zone, else the value's sign."""
+        return 0 if abs(self.value) <= self.zone else (-1 if self.value < 0.0 else 1)
+
+
 class BreakingCertificate(NamedTuple):  # fields in the order the command line prints them
     params: Params
     verdict: Verdict
@@ -228,11 +240,11 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
 
     Witnesses (independent code paths): the second variation's sign-carrying
     factor mu - (M-1), the quotient drop D = I(U+eps Z)/I(U) - 1 on one grid, and
-    the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each is
-    reduced to a sign with dead zone `tol` (D against tol * eps^2 for a normal
-    eps^2).  Neither the second variation's value nor S_r is formed, so certify
-    answers where they leave double range.  All-negative yields Breaking,
-    all-positive NotBreaking, zeros without sign conflict Boundary.
+    the least mode-1 Ritz eigenvalue in a basis of 16 functions.  Each is a
+    `_Witness` signed against its own dead zone, `tol` (D's tol * eps^2 for a
+    normal eps^2).  Neither the second variation's value nor S_r is formed, so
+    certify answers where they leave double range.  All-negative yields
+    Breaking, all-positive NotBreaking, anything else Boundary.
     The verdict is what was *measured*; if it differs from the analytic
     classification (or the witnesses conflict), the discrepancies field
     says so explicitly.  On the upper edge beta = N*alpha/(N-2), alpha > 0,
@@ -240,27 +252,11 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
     """
     if not (eps != 0.0 and 0.0 <= tol < math.inf):  # quotient_drop judges eps further
         raise DomainError(f"certificate needs eps != 0 and tol >= 0 finite, got eps={eps}, tol={tol}")
-    factor = _coupling(1, p)[2]  # second_variation's: its value is factor times a positive bracket
-    drop = quotient_drop(p, eps)
-    rho1 = ritz_min_eig(1, p, 16).min_eigenvalue
-
-    def sign_with_dead_zone(x: float, threshold: float) -> int:
-        if abs(x) <= threshold:
-            return 0
-        return -1 if x < 0.0 else 1
-
-    signs = (
-        sign_with_dead_zone(factor, tol),
-        sign_with_dead_zone(drop, tol * eps**2),
-        sign_with_dead_zone(rho1, tol),
-    )
-
-    if all(s == -1 for s in signs):
-        verdict = Verdict.BREAKING
-    elif all(s == 1 for s in signs):
-        verdict = Verdict.NOT_BREAKING
-    else:
-        verdict = Verdict.BOUNDARY
+    factor = _Witness(_coupling(1, p)[2], tol)  # second_variation's: its value is factor times a positive bracket
+    drop = _Witness(quotient_drop(p, eps), tol * eps**2)
+    rho1 = _Witness(ritz_min_eig(1, p, 16).min_eigenvalue, tol)
+    signs = (factor.sign, drop.sign, rho1.sign)
+    verdict = {(-1, -1, -1): Verdict.BREAKING, (1, 1, 1): Verdict.NOT_BREAKING}.get(signs, Verdict.BOUNDARY)
 
     discrepancies = []
     if -1 in signs and 1 in signs:
@@ -278,9 +274,9 @@ def certify(p: Params, eps: float = DEFAULT_EPS, tol: float = DEFAULT_CERT_TOL) 
         verdict=verdict,
         expected=expected,
         witness_signs=signs,
-        factor=factor,
-        quotient_drop=drop,
+        factor=factor.value,
+        quotient_drop=drop.value,
         eps=eps,
-        ritz_rho1=rho1,
+        ritz_rho1=rho1.value,
         discrepancies=tuple(discrepancies),
     )

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: records, scans, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -451,10 +453,11 @@ def test_certify_small_eps_and_classical_point_exit_zero(capsys):
         ["scan", "--N", "5", "--alpha", "1", "--beta", "auto3"],  # once scanned the strip in 20 steps
         ["scan", "--N", "5", "--alpha", "1", "--beta", "autofoo"],
         ["scan", "--N", "5", "--alpha", "1", "--beta", "auto:x"],
+        ["constants", "--N", "5", "--alpha", "1", "--beta", "1", "--json", "-1e-3"],  # a flag takes no value
     ],
     ids=["jobs_zero", "jobs_negative", "jobs_two", "tol_nan", "config_removed", "fs_tol_inf", "fs_tol_nan",
          "fs_tol_zero", "tol_inf", "auto_strip_n2", "fs_n2", "alpha_range_to_inf", "alpha_range_overflows",
-         "fs_alpha_inf", "auto_digits", "auto_word", "auto_bad_steps"],
+         "fs_alpha_inf", "auto_digits", "auto_word", "auto_bad_steps", "json_negative_value"],
 )
 def test_bad_setting_is_parameter_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -812,3 +815,53 @@ def test_a_malformed_alpha_is_parameter_error(capsys):
     code, out, err = run(capsys, "scan", "--N", "5", "--alpha", "abc", "--beta", "auto")
     assert (code, out) == (2, "")
     assert err == "error: alpha must be a number or lo:hi:steps, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["scan", "--N", "5", "--alpha", "1", "--beta", "auto:4611686018427387904"], "auto beta"),
+        (["scan", "--N", "5", "--alpha", "0.1:2:10000000000000000000", "--beta", "1"], "alpha"),
+        (["fs-curve", "--N", "5", "--alpha", "0.5:2:4611686018427387904"], "alpha"),
+    ],
+    ids=["scan_auto_2^62", "scan_alpha_10^19", "fs_curve_2^62"],
+)
+def test_a_step_count_numpy_cannot_hold_is_parameter_error(capsys, argv, label):
+    """numpy refuses these counts by size before it allocates; a count it might try to allocate stays untested."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {label} range from ") and err.endswith(" steps, more than numpy can hold\n")
+
+
+def _main_io(argv):
+    """main(argv)'s exit code, stdout and stderr, captured without a pytest fixture, which hypothesis would share."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(allow_nan=False, allow_infinity=False), beta=st.floats(allow_nan=False, allow_infinity=False))
+@example(alpha=-1e-3, beta=-1.5)  # "--alpha -1e-3" was refused as an option with no value
+@example(alpha=1.0, beta=-0.9905158431464591)
+@example(alpha=-2.5e-05, beta=-1.9999)
+def test_a_negative_value_may_follow_its_option(alpha, beta):
+    """`--alpha <repr> --beta <repr>` answers exactly as `--alpha=<repr> --beta=<repr>` does."""
+    spaced = _main_io(["constants", "--N", "5", "--alpha", repr(alpha), "--beta", repr(beta), "--json"])
+    assert spaced == _main_io(["constants", "--N", "5", f"--alpha={alpha!r}", f"--beta={beta!r}", "--json"])
+
+
+@pytest.mark.parametrize(
+    "head, option, value",
+    [
+        (["scan", "--N", "5", "--beta", "auto:2"], "--alpha", "-1:0.5:2"),
+        (["scan", "--N", "5", "--alpha", "1"], "--beta", "-0.5:0.5:2"),
+        (["certify", "--N", "5", "--alpha", "1", "--beta", "1", "--json"], "--eps", "-1e-2"),
+    ],
+    ids=["scan_alpha_range", "scan_beta_range", "certify_eps"],
+)
+def test_a_negative_range_or_eps_may_follow_its_option(capsys, head, option, value):
+    spaced = run(capsys, *head, option, value)
+    assert spaced[0] == 0 and spaced[1] != ""
+    assert spaced == run(capsys, *head, f"{option}={value}")

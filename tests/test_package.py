@@ -25,6 +25,7 @@ from ckn_lab import (
     second_variation,
     validate,
 )
+from ckn_lab.variation import _Witness
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "scan_golden.csv"
 
@@ -139,11 +140,12 @@ def test_records_are_read_only_tuples():
         ritz_min_eig(1, p, 4),
         second_variation(p),
         certify(p),
+        _Witness(-1.0, 1e-10),
         TestFunction(extremal(p)),
         rellich_sobolev_constants(5, -0.5),
         CheckResult("name", True, "detail"),
     ]
-    assert len({type(r) for r in records}) == 11
+    assert len({type(r) for r in records}) == 12
     for record in records:
         assert isinstance(record, tuple)
         assert len(record) == len(record._fields)

@@ -28,6 +28,7 @@ from ckn_lab.quadrature import integrate_rows, power_weighted
 from ckn_lab.specfun import AccuracyError, ConditioningError, DomainError
 from ckn_lab.spectral import _coupling, mode_eigenvalue, ritz_min_eig
 from ckn_lab.variation import (
+    DEFAULT_CERT_TOL,
     DEFAULT_EPS,
     Verdict,
     certify,
@@ -670,6 +671,33 @@ def test_second_variation_dead_zone_is_its_factor(p511):
     assert factor < 0.0
     assert certify(p511, tol=abs(factor) * (1.0 + 1e-9)).witness_signs[0] == 0
     assert certify(p511, tol=abs(factor) * (1.0 - 1e-9)).witness_signs[0] == -1
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("witness", ["factor", "quotient_drop", "ritz_rho1"])
+def test_a_witness_on_its_dead_zone_reads_zero_and_one_double_out_its_sign(monkeypatch, witness, sign):
+    """|value| <= zone reads 0, at each witness's own zone: the factor against tol = |factor| (then one
+    double less), D against tol * eps^2 and rho_1 against tol, those two patched in as +-zone and the
+    next double out."""
+    p = validate(5, 1.0, 1.0 if sign < 0 else 0.3)  # factor -1.0, or a positive factor
+    if witness == "factor":
+        zone = abs(_coupling(1, p)[2])
+        edge, out = certify(p, tol=zone), certify(p, tol=math.nextafter(zone, 0.0))
+    else:
+        zone = DEFAULT_CERT_TOL * DEFAULT_EPS**2 if witness == "quotient_drop" else DEFAULT_CERT_TOL
+        ritz = ritz_min_eig(1, p, 16)
+
+        def certify_at(value):
+            if witness == "quotient_drop":
+                monkeypatch.setattr(variation, "quotient_drop", lambda p, eps: value)
+            else:
+                monkeypatch.setattr(variation, "ritz_min_eig", lambda k, p, J: ritz._replace(min_eigenvalue=value))
+            return certify(p)
+
+        edge, out = certify_at(sign * zone), certify_at(sign * math.nextafter(zone, math.inf))
+    index = ("factor", "quotient_drop", "ritz_rho1").index(witness)
+    assert getattr(edge, witness) == sign * zone
+    assert (edge.witness_signs[index], out.witness_signs[index]) == (0, sign)
 
 
 def test_certificate_flags_forced_disagreement(p511):
