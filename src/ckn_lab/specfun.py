@@ -44,7 +44,7 @@ class ConditioningError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """No sign change of the least eigenvalue inside the search interval."""
+    """No sign change of the least eigenvalue inside the search interval that its rounding resolves."""
 
 
 def _or_inf(fn, *args) -> float:

@@ -16,7 +16,7 @@ integrates adaptively one profile at a time in s; `ritz_min_eig` maps the
 basis to w = (s^2-1)/(s^2+1), makes it orthonormal for the potential
 weight and assembles the operator exactly by Gauss-Jacobi quadrature; and
 `mode_eigenvalue` is the closed form the Ritz value falls to from above.
-A Ritz solve in use works on J + 2 nodes and J polynomials, J = 4 for
+A Ritz solve in use works on J + 2 nodes and J polynomials, J = 1 for
 the root search and 16 for the certificate: too few for numpy's per-call
 cost to pay off.  Its recurrences and its assembly run node by node on
 Python floats, and the only numpy calls that decide bits are the three
@@ -268,8 +268,8 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     the solve enters, where a failed kernel raises FloatingPointError.
     """
     J = _index(J, "basis size")
-    if J < 4:
-        raise DomainError(f"basis size must be >= 4, got {J}")
+    if J < 1:
+        raise DomainError(f"basis size must be >= 1, got {J}")
     qql, m, _ = _coupling(k, p)
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
@@ -314,10 +314,15 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     return RitzResult((float(evals[0]) - gamma) / gamma, lead / max(map(abs, lead.tolist())), J, 1.0)
 
 
-#: the largest M at which fs_locate's lower bracket end may solve: the J = 4
+#: the largest M at which fs_locate's lower bracket end may solve: the J = 1
 #: Ritz value keeps the closed form's sign beyond it, and there
 #: 2 + beta - alpha = 2(N + beta)/M is still about 1e4 ulps of N + beta
 M_CAP = 1e12
+
+#: the rounding floor of a J = 1 Ritz value: on the float curve, where rho_1 vanishes, |rho|
+#: stayed below 5.3 eps at 29620 seeded points (N to 1e22, alpha 1e-4 to 1e6); three times
+#: that, rounded up to a power of two
+RHO_FLOOR = 16.0 * sys.float_info.epsilon
 
 
 def fs_locate(N: int, alpha: float, tol: float) -> float:
@@ -331,11 +336,12 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     few ulps of beta).  Requires a finite alpha > 0 (the transition leaves
     the admissible strip otherwise).
 
-    Every step solves the smallest basis, J = 4.  On the curve nu_1 = 1,
-    so the first basis function s (1+s^2)^(-(M-2)/2) is the exact mode-1
-    ground state: rho_J vanishes there for every J, and the root does not
-    depend on the basis.  Elsewhere Rayleigh-Ritz keeps rho_J at or above
-    the true rho_1.
+    Every step solves the smallest basis, J = 1: three Gauss-Jacobi nodes
+    and a 1 x 1 operator.  On the curve nu_1 = 1, so the first basis
+    function s (1+s^2)^(-(M-2)/2) is the exact mode-1 ground state: rho_J
+    vanishes there for every J, and the root does not depend on the basis.
+    Elsewhere Rayleigh-Ritz keeps rho_J at or above the true rho_1; with
+    J = 1 it is the Rayleigh quotient of that one function.
 
     The bracket starts at lo = beta_min + width/10 and hi = 0.99 beta_max.
     Where hi is no upper end (at large N beta_FS/beta_max tends to 1) it
@@ -343,6 +349,13 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     Where rho_1(lo) < 0 (at large alpha beta_FS sinks toward beta_min) lo
     moves to beta_min + (lo - beta_min)/8 until rho_1 turns positive, or
     until M passes M_CAP: BracketError.
+
+    At large N rho_1(beta_max) is about -16 alpha/N^2, so rounding, not the
+    curve, decides its sign from N near 1e7 at alpha = 1.  The final bracket
+    must have rho_1(lo) > RHO_FLOOR > -rho_1(hi), and a chord steep enough
+    that an error of RHO_FLOOR moves its root by at most tol/2 (tol read as
+    at least 2^-32 of the bracket): otherwise BracketError, rather than an
+    answer read from rounding.
     """
     if alpha <= 0.0:
         raise DomainError(f"transition search requires alpha > 0, got {alpha}")
@@ -355,7 +368,7 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:
-        return ritz_min_eig(1, validate(N, alpha, beta), 4).min_eigenvalue
+        return ritz_min_eig(1, validate(N, alpha, beta), 1).min_eigenvalue
 
     rho_lo = rho_at(lo)
     rho_hi = rho_at(hi) if hi > lo else math.inf
@@ -370,14 +383,12 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
                 f"the next lower end, beta={lo:.9g}, has M={m:.3g} above the cap {M_CAP:.0e}"
             )
         rho_lo = rho_at(lo)
-    if rho_lo == 0.0:
-        return lo
-    if rho_hi == 0.0:
-        return hi
-    if not (rho_lo > 0.0 > rho_hi):
+    # below 2^-32 of the bracket a tol asks only for the search's stop at a few ulps
+    resolve = max(tol, math.ldexp(hi - lo, -32))
+    if not (min(rho_lo, -rho_hi) > RHO_FLOOR and RHO_FLOOR * (hi - lo) <= 0.5 * resolve * (rho_lo - rho_hi)):
         raise BracketError(
-            f"least eigenvalue does not change sign on [{lo:.6g}, {hi:.6g}] "
-            f"(rho: {rho_lo:.3e}, {rho_hi:.3e})"
+            f"least eigenvalue does not change sign on [{lo:.6g}, {hi:.6g}] (rho: {rho_lo:.3e}, {rho_hi:.3e}) "
+            f"clear of its rounding floor {RHO_FLOOR:.3g} and steeply enough to resolve tol={resolve:.3g}"
         )
     # b is the best estimate, [b, c] brackets the root, a is the previous b
     a, fa, b, fb, c, fc = lo, rho_lo, hi, rho_hi, lo, rho_lo

@@ -142,7 +142,7 @@ def test_fs_curve_matches_golden_fixture(tmp_path):
     """fs-curve's JSON lines are byte-identical to the committed fixture.
 
     The fixture holds `fs-curve --N 5 --alpha 0.5:2:7 --json` followed by
-    the same command with `--N 6`: every spectral root rests on J = 4 Ritz
+    the same command with `--N 6`: every spectral root rests on J = 1 Ritz
     solves, so a change in any bit of them shows here.
     """
     five, six = tmp_path / "n5.jsonl", tmp_path / "n6.jsonl"
@@ -642,17 +642,23 @@ def test_a_dimension_too_large_for_doubles_exits_2(capsys, argv, N):
 @pytest.mark.parametrize(
     "N, message",
     [
-        (10**20, "least eigenvalue stays negative toward alpha - 2 = -1: the next lower end, "
-                 "beta=-0.975, has M=8e+21 above the cap 1e+12"),
+        (10**14, "least eigenvalue does not change sign on [-0.8, 0.99] (rho: 7.261e-14, 0.000e+00) "
+                 "clear of its rounding floor 3.55e-15 and steeply enough to resolve tol=0.0001"),
+        (10**16, "least eigenvalue does not change sign on [-0.8, 0.99] (rho: 7.184e-16, -1.432e-16) "
+                 "clear of its rounding floor 3.55e-15 and steeply enough to resolve tol=0.0001"),
+        (10**20, "least eigenvalue does not change sign on [-0.8, 1] (rho: 0.000e+00, 1.316e-16) "
+                 "clear of its rounding floor 3.55e-15 and steeply enough to resolve tol=0.0001"),
         (10**78, "the Jacobi recurrence for the exponents a=5.0000000000000015e+78, "
-                 "b=5.0000000000000015e+78 leaves double range, at M=1e+79, basis size 4"),
+                 "b=5.0000000000000015e+78 leaves double range, at M=1e+79, basis size 1"),
         (10**153, "the Jacobi recurrence for the exponents a=5.000000000000001e+153, "
-                  "b=5.000000000000001e+153 leaves double range, at M=1e+154, basis size 4"),
+                  "b=5.000000000000001e+153 leaves double range, at M=1e+154, basis size 1"),
     ],
-    ids=["10^20", "10^78", "10^153"],
+    ids=["10^14", "10^16", "10^20", "10^78", "10^153"],
 )
 def test_fs_curve_at_a_huge_dimension_is_a_verification_failure(capsys, N, message):
-    """At 10^78 a ZeroDivisionError and at 10^153 numpy's LinAlgError escaped as a traceback."""
+    """At 10^78 a ZeroDivisionError and at 10^153 numpy's LinAlgError escaped as a traceback.
+    At 10^14, 10^16 and 10^20 the end values are within rounding (an exact 0.0 among them), where
+    the search printed 0.98469, -0.8 and, with J = 1, -0.8 against beta_FS near 1."""
     code, out, err = run(capsys, "fs-curve", "--N", str(N), "--alpha", "1")
     assert (code, out, err) == (1, "", f"verification failure: {message}\n")
 

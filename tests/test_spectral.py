@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import random
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +19,8 @@ from ckn_lab.profiles import PowerPeakProfile, gamma_m
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
+    M_CAP,
+    RHO_FLOOR,
     BracketError,
     ConditioningError,
     RitzResult,
@@ -342,8 +347,8 @@ def test_ritz_conditions_where_the_legendre_gram_did_not():
 
 
 def test_ritz_rejects_tiny_basis(p511):
-    with pytest.raises(DomainError):
-        ritz_min_eig(1, p511, 3)
+    with pytest.raises(DomainError, match="basis size must be >= 1, got 0"):
+        ritz_min_eig(1, p511, 0)
 
 
 def test_ritz_rejects_inadmissible_mode(p511):
@@ -405,8 +410,8 @@ def _gauss_jacobi_by_arrays(n, a, b):
 
 def _ritz_by_arrays(k, p, J):
     """`ritz_min_eig` with whole-array numpy passes over the nodes, as it once assembled A."""
-    if J < 4:
-        raise DomainError(f"basis size must be >= 4, got {J}")
+    if J < 1:
+        raise DomainError(f"basis size must be >= 1, got {J}")
     d = derive(p)
     m = d.M
     qql = d.q**2 * harmonic_eigenvalue(p.N, k)
@@ -469,9 +474,10 @@ def _hex(values):
     alpha=st.floats(min_value=-1.0, max_value=4.0),
     reach=st.floats(min_value=0.0, max_value=1.0),
     k=st.integers(min_value=0, max_value=3),
-    J=st.sampled_from([4, 5, 8, 16, 20, 22]),
+    J=st.sampled_from([1, 2, 4, 5, 8, 16, 20, 22]),
 )
 @example(N=8, alpha=1.0, reach=0.0, k=3, J=22)
+@example(N=5, alpha=1.0, reach=1.0, k=1, J=1)
 @example(N=5, alpha=0.1, reach=0.0, k=1, J=16)
 @example(N=5, alpha=1.0, reach=1.0, k=1, J=4)
 @example(N=5, alpha=1.0, reach=1.0, k=3, J=4)
@@ -816,7 +822,7 @@ def test_ritz_vanishes_on_the_curve_at_every_basis_size(N):
     for every J: the root `fs_locate` seeks does not depend on the basis."""
     for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         p = validate(N, alpha, beta_fs(N, alpha))
-        for J in (4, 8, 12, 16):
+        for J in (1, 4, 8, 12, 16):
             assert abs(ritz_min_eig(1, p, J).min_eigenvalue) <= 1e-12
 
 
@@ -843,10 +849,9 @@ def test_ritz_falls_to_the_closed_form_from_above(point):
             continue
         rho = mode_eigenvalue(k, p)
         slack = 1e-12 * max(1.0, abs(rho))
-        ritz = [ritz_min_eig(k, p, J).min_eigenvalue for J in (4, 8, 16)]
+        ritz = [ritz_min_eig(k, p, J).min_eigenvalue for J in (1, 4, 8, 16)]
         assert min(ritz) >= rho - slack
-        assert ritz[1] <= ritz[0] + slack
-        assert ritz[2] <= ritz[1] + slack
+        assert all(larger <= smaller + slack for smaller, larger in itertools.pairwise(ritz))
 
 
 @pytest.mark.parametrize("point", LOWER_EDGE_POINTS)
@@ -885,12 +890,12 @@ def test_mode_eigenvalue_special_values(p511):
 #: every beta fs_locate solves at tol 1e-4, in order: the bracket ends, then Brent's steps
 _SOLVE_PATHS = {
     (5, 1.0): (
-        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.32679476bf60fp+0", "0x1.0ade13e547c08p-1",
-        "0x1.5fb672b9b7e29p-1", "0x1.512686c03fb0ap-1", "0x1.504f0b5b9cf66p-1", "0x1.5055991457bd7p-1",
+        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.34c0b7387ad14p+0", "0x1.00d4a6f637445p-1",
+        "0x1.632d095afc26cp-1", "0x1.518933ea53035p-1", "0x1.504ed60ede2f5p-1", "0x1.505563c798f66p-1",
     ),
     (6, 2.0): (
-        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.071cd3bc80c38p+1", "0x1.5d7b1f12952b6p+0",
-        "0x1.816ce5a150acep+0", "0x1.7bf2a63590664p+0", "0x1.7bba801d74647p+0", "0x1.7bbdc6f9d1c80p+0",
+        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.0898aeabb25bcp+1", "0x1.593196b96782cp+0",
+        "0x1.82961693f3182p+0", "0x1.7c09765efe21fp+0", "0x1.7bba7b5321f22p+0", "0x1.7bbdc22f7f55bp+0",
     ),
 }
 
@@ -903,13 +908,13 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         return ritz_min_eig(*args)
 
     monkeypatch.setattr(spectral, "ritz_min_eig", counted)
-    for N, alpha, pinned in ((5, 1.0, "0.6568530606586875"), (6, 2.0, "1.4833145210181031")):
+    for N, alpha, pinned in ((5, 1.0, "0.6568514722012809"), (6, 2.0, "1.4833142354927493")):
         calls.clear()
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
         assert repr(located) == pinned
         assert tuple(p.beta.hex() for _, p, _ in calls) == _SOLVE_PATHS[N, alpha]
-        assert all(k == 1 and p[:2] == (N, alpha) and J == 4 for k, p, J in calls)
+        assert all(k == 1 and p[:2] == (N, alpha) and J == 1 for k, p, J in calls)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])
@@ -929,7 +934,7 @@ def test_fs_locate_finds_the_curve_wherever_its_bracket_holds_it(N):
 def test_fs_locate_finds_the_curve_on_the_whole_alpha_axis(monkeypatch, tol):
     """At large alpha beta_FS sinks toward alpha - 2 and at large N it nears
     N alpha/(N-2); the widened bracket finds it at both ends, in at most
-    eleven J = 4 solves."""
+    eleven J = 1 solves."""
     calls = []
 
     def counted(*args):
@@ -975,11 +980,36 @@ def _synthetic_rho(monkeypatch, rho):
 
 
 @pytest.mark.parametrize("end", [0, 1])
-def test_fs_locate_returns_an_end_where_rho_is_exactly_zero(monkeypatch, end):
-    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: root - beta)
-    root = (lo, hi)[end]
-    assert fs_locate(5, 1.0, 1e-4) == root
-    assert seen == [lo, hi]
+def test_fs_locate_refuses_an_end_within_the_rounding_floor(monkeypatch, end):
+    """An end whose value is 0.0, or RHO_FLOOR from it, is read from rounding: BracketError after
+    the two end solves, where the search once returned an exact-zero end.  One double further out
+    the end is a sign, and the root comes back within tol."""
+    for offset in (0.0, RHO_FLOOR, math.nextafter(RHO_FLOOR, 1.0)):
+        lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: root - beta + (offset if end == 0 else -offset))
+        root = (lo, hi)[end]
+        if offset <= RHO_FLOOR:
+            with pytest.raises(BracketError, match="clear of its rounding floor"):
+                fs_locate(5, 1.0, 1e-4)
+            assert seen == [lo, hi]
+        else:
+            assert abs(fs_locate(5, 1.0, 1e-4) - root) <= 1e-4
+
+
+def test_fs_locate_refuses_a_chord_too_flat_to_resolve_tol(monkeypatch):
+    """rho = c (root - beta): an error of RHO_FLOOR moves the chord's root by RHO_FLOOR/c, which
+    must stay within tol/2.  At c = RHO_FLOOR/tol it moves tol and the search refuses; at four
+    times that it answers.  A tol below 2^-32 of the bracket is checked as that width."""
+    tol = 1e-4
+    for c, answers in ((RHO_FLOOR / tol, False), (4.0 * RHO_FLOOR / tol, True)):
+        lo, hi, _ = _synthetic_rho(monkeypatch, lambda beta: c * (root - beta))
+        root = 0.5 * (lo + hi)
+        if answers:
+            assert abs(fs_locate(5, 1.0, tol) - root) <= tol
+        else:
+            with pytest.raises(BracketError, match=f"steeply enough to resolve tol={tol:.3g}$"):
+                fs_locate(5, 1.0, tol)
+    with pytest.raises(BracketError, match=f"resolve tol={math.ldexp(hi - lo, -32):.3g}$"):
+        fs_locate(5, 1.0, 1e-300)
 
 
 def test_fs_locate_bisects_a_step_that_defeats_interpolation(monkeypatch):
@@ -991,6 +1021,95 @@ def test_fs_locate_bisects_a_step_that_defeats_interpolation(monkeypatch):
     assert abs(fs_locate(5, 1.0, tol) - root) <= tol
     assert seen[2] == pytest.approx(0.5 * (lo + hi), abs=1e-12)  # the first step is a bisection
     assert len(seen) == pytest.approx(2 + math.log2((hi - lo) / tol), abs=2)
+
+
+def _beta_fs_50_digits(N, alpha):
+    """beta_FS in the stable form alpha (alpha + 2(N-2)) / (N + sqrt(N^2 + alpha^2 + 2(N-2) alpha)), to 50 digits."""
+    with mpmath.workdps(50):
+        n, a = mpmath.mpf(N), mpmath.mpf(alpha)
+        return a * (a + 2 * (n - 2)) / (n + mpmath.sqrt(n * n + a * a + 2 * (n - 2) * a))
+
+
+def test_the_rounding_floor_bounds_the_one_function_ritz_value_on_the_curve():
+    """RHO_FLOOR's error model: at the double nearest beta_FS, where rho_1 vanishes to within its
+    slope times half an ulp, the J = 1 value is its own rounding.  Over the comment's seeded sample
+    (its first 5000 points) it stays below 5.3 eps, and the floor is three times that."""
+    rng, worst = random.Random(20261020), 0.0
+    for _ in range(5000):
+        N, alpha = int(10 ** rng.uniform(math.log10(5), 22)), 10 ** rng.uniform(-4, 6)
+        beta = float(_beta_fs_50_digits(N, alpha))
+        if beta > beta_strip(N, alpha)[1]:  # at large N the curve can round past the strip's upper end
+            continue
+        worst = max(worst, abs(ritz_min_eig(1, validate(N, alpha, beta), 1).min_eigenvalue))
+    assert 0.0 < worst < 5.3 * sys.float_info.epsilon
+    assert RHO_FLOOR >= 3.0 * 5.3 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_fs_locate_at_large_n_answers_within_tol_or_refuses(tol):
+    """From N near 1e7 rho_1(beta_max) is about -16 alpha/N^2 and rounding decides the end signs; at
+    N = 10^16 and alpha = 1 the search once answered -0.8.  Every locate either lies within tol of
+    the 50-digit curve or raises BracketError, and the smaller N answer."""
+    answered = set()
+    for exponent in range(5, 21):
+        for alpha in (1e-3, 1.0, 100.0):
+            try:
+                located = fs_locate(10**exponent, alpha, tol)
+            except BracketError:  # an end within the floor, a flat chord, or noise walking lo past M_CAP
+                continue
+            assert abs(located - _beta_fs_50_digits(10**exponent, alpha)) <= tol, (exponent, alpha)
+            answered.add((exponent, alpha))
+    assert {(5, alpha) for alpha in (1e-3, 1.0, 100.0)} <= answered
+    with pytest.raises(BracketError):
+        fs_locate(10**16, 1.0, tol)
+
+
+_J1_POINTS = ((5, 1.0, 1.0), (5, 1.0, 0.3), (5, -1.0, -1.7), (5, 0.7, 0.3), (6, 1.3, -0.6), (8, 2.0, 2.5),
+              (8, 0.1, -1.8593), (8, 1.0, -0.95), (12, 1.0, 0.5), (20, 3.0, 2.0), (100, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("point", _J1_POINTS)
+def test_one_function_ritz_value_is_the_rayleigh_quotient_of_x1(point):
+    """With J = 1 the span is X1 = s (1+s^2)^(-(M-2)/2) alone: the solve's value is X1's Rayleigh
+    quotient by adaptive quadrature in s, and Rayleigh-Ritz keeps it at or above the closed form."""
+    p = validate(*point)
+    m = derive(p).M
+    x1 = PowerPeakProfile([(1.0, 1.0, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
+    potential = integrate_semiinfinite(
+        lambda s: power_weighted(x1.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)
+    ).value
+    quotient = mode_quadratic_form(x1, 1, p) / (_potential_constant(m) * potential)
+    rho = ritz_min_eig(1, p, 1).min_eigenvalue
+    assert rho == pytest.approx(quotient, rel=1e-12)
+    assert rho >= mode_eigenvalue(1, p)
+
+
+def test_one_function_ritz_value_has_the_closed_form_sign():
+    """The sign fs_locate reads: wherever |rho_J=1| exceeds RHO_FLOOR it has mode_eigenvalue(1, p)'s
+    sign, at 9000 seeded strip points (N <= 100, alpha <= 20, 30 % of the alpha > 0 ones within
+    1e-12 to 0.1 of the curve) and at 960 lower-edge points with M from 1e3 to M_CAP (N <= 1000),
+    where fs_locate's walk toward alpha - 2 solves."""
+    rng, points = random.Random(52), []
+    for _ in range(9000):
+        N = round(10 ** rng.uniform(math.log10(5), 2))
+        alpha = rng.uniform(2.0 - N, 20.0)
+        lo, hi = beta_strip(N, alpha)
+        beta = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+        if rng.random() < 0.3 and alpha > 0.0:
+            beta = beta_fs(N, alpha) + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12, -1)
+        points.append((N, alpha, beta))
+    for N in (5, 6, 8, 12, 20, 50, 100, 1000):
+        for alpha in (-0.5, 1e-3, 0.1, 1.0, 10.0, 100.0):
+            for m in np.geomspace(1e3, M_CAP, 20):
+                points.append((N, alpha, alpha - 2.0 + 2.0 * (N + alpha - 2.0) / float(m)))  # 2 + beta - alpha = 2(N + beta)/M
+    compared = 0
+    for point in points:
+        p = validate(*point)
+        rho = ritz_min_eig(1, p, 1).min_eigenvalue
+        if abs(rho) > RHO_FLOOR:
+            compared += 1
+            assert (rho > 0.0) == (mode_eigenvalue(1, p) > 0.0), point
+    assert compared == len(points) == 9960
 
 
 def test_fs_locate_terminates_below_rounding():
