@@ -109,12 +109,22 @@ def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]
     except ParamError as exc:
         return exc.reasons, None
     reasons = [] if alpha > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
-    return reasons, (alpha - 2.0, n * alpha / (n - 2.0))
+    hi = n * alpha / (n - 2.0)
+    if (n >= 2**53 or not math.isfinite(hi)) and math.isfinite(alpha):  # N - 2.0 or N*alpha rounded off
+        num, den = alpha.as_integer_ratio()
+        try:
+            hi = num * n / (den * (n - 2))  # int true division rounds once
+        except OverflowError:
+            hi = math.copysign(math.inf, alpha)
+    return reasons, (alpha - 2.0, hi)
 
 
 def beta_strip(N: int, alpha: float) -> tuple[float, float]:
     """Ends (lo, hi) = (alpha - 2, N*alpha/(N-2)) of the admissible strip lo < beta <= hi.
 
+    hi is the float expression n * alpha / (n - 2.0) where N < 2^53 and that
+    is finite; elsewhere it is N*alpha/(N-2) correctly rounded, since N - 2.0
+    rounds to N from 2^54 and N*alpha may overflow where the end does not.
     Raises ParamError if N is not an integer >= 5, N*N exceeds the largest
     double (N >= 2^512, and a few N just below) or alpha <= 2 - N.
     """

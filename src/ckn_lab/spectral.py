@@ -23,7 +23,11 @@ Python floats, and the only numpy calls that decide bits are the three
 linear algebra steps: the nodes' `eigvalsh_lo`, the factor's product with
 its transpose, and `eigh_lo`, the LAPACK kernels that `numpy.linalg.eigvalsh`
 and `eigh` call, without the wrappers' checks; `ritz_min_eig` enters their
-error state once per solve, around all three.  The test suite checks the
+error state once per solve, around all three.  At J = 1 the operator is
+the 1 x 1 Rayleigh quotient of the one basis function, and LAPACK's syevd
+returns a 1 x 1 matrix's entry and the vector [1.0] untouched, so that
+solve skips `eigh_lo` and the recurrence steps with the same bits: only
+`eigvalsh_lo` and the product decide them.  The test suite checks the
 Ritz minimizer's Rayleigh quotient on the adaptive route and the Ritz value
 against the closed form.  The root search needs only the smallest basis,
 because every basis holds the exact mode-1 ground state on the curve (see
@@ -265,7 +269,11 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     operations of the whole-array assembly the tests keep.  Three numpy
     calls decide bits: `eigvalsh_lo` for the nodes, the product of the factor
     with its transpose, and `eigh_lo`, all under the one np.errstate that
-    the solve enters, where a failed kernel raises FloatingPointError.
+    the solve enters, where a failed kernel raises FloatingPointError.  At
+    J = 1 only the first two do: A is the one entry a00 = row . row, and
+    `eigh_lo`'s syevd returns a 1 x 1 matrix as the pair (a00, [1.0]) with no
+    arithmetic, so the solve takes that pair and skips the call, the
+    recurrence steps and the eigenvector's scaling, keeping every check.
     """
     J = _index(J, "basis size")
     if J < 1:
@@ -293,23 +301,30 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             up, cap = 1.0 + w, 1.0 - w * w
             potential = base - (m - 2.0) * up * (centre - m * up / 4.0)
             drift, curve = cap * (slope - m * w), cap * cap
-            entries += _orthonormal_jacobi(w, steps, potential, drift, curve, math.sqrt(weight * mass_ratio))
+            scale = math.sqrt(weight * mass_ratio)
+            if J == 1:  # _orthonormal_jacobi's one value, p_0 = 1 with no derivatives, in its operations
+                entries.append((potential * 1.0 + drift * 0.0 + curve * 0.0) * scale)
+            else:
+                entries += _orthonormal_jacobi(w, steps, potential, drift, curve, scale)
         # one node per row of entries; A's factor is C-contiguous (J, J+2), as BLAS has always met it
-        rows_a = np.array(entries).reshape(J + 2, J).T.copy()
+        rows_a = np.array(entries).reshape(J + 2, J).T.copy() if J > 1 else np.array([entries])
         try:  # past an overflow a sum in the product can meet inf - inf, which raises the invalid flag
             A = rows_a @ rows_a.T
-            if not np.isfinite(A).all():
+            if not (math.isfinite(A.item()) if J == 1 else np.isfinite(A).all()):
                 raise FloatingPointError
         except FloatingPointError:
             raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}") from None
         # eigh_lo, not eigvalsh_lo: their least eigenvalues can differ in the last bit (8 of 4000 J = 4 samples)
-        try:
-            evals, evecs = eigh_lo(A)
-        except FloatingPointError:
-            raise ConditioningError(
-                f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
-            ) from None
+        if J > 1:
+            try:
+                evals, evecs = eigh_lo(A)
+            except FloatingPointError:
+                raise ConditioningError(
+                    f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
+                ) from None
     gamma = _potential_constant(m)
+    if J == 1:  # syevd returns a 1 x 1 matrix as the pair (a00, [1.0]), with no arithmetic
+        return RitzResult((A.item() - gamma) / gamma, np.array([1.0]), 1, 1.0)
     lead = evecs[:, 0]
     return RitzResult((float(evals[0]) - gamma) / gamma, lead / max(map(abs, lead.tolist())), J, 1.0)
 

@@ -483,9 +483,18 @@ def test_dimension_outside_domain_is_parameter_error(capsys, argv):
 
 
 def test_auto_strip_of_infinite_width_is_parameter_error(capsys):
-    code, _, err = run(capsys, "scan", "--N", "5", "--alpha", "1e308", "--beta", "auto:3")
+    """At (5, 1.5e308) the strip's upper end 5/3 alpha itself exceeds the largest double."""
+    code, _, err = run(capsys, "scan", "--N", "5", "--alpha", "1.5e308", "--beta", "auto:3")
     assert code == 2
     assert "finite" in err
+
+
+def test_auto_strip_where_only_n_alpha_overflows_is_finite(capsys):
+    """At (5, 1e308) N*alpha overflows, but the end 5/3 alpha does not: the strip has a finite width,
+    where it once read inf, and its first cell meets the radial constant's overflow instead."""
+    code, out, err = run(capsys, "scan", "--N", "5", "--alpha", "1e308", "--beta", "auto:3")
+    assert (code, out) == (2, "")
+    assert err == "error: radial constant overflows double precision at M=inf\n"
 
 
 def test_transform_check_record(capsys):
@@ -566,13 +575,13 @@ def test_certify_answers_where_the_amplitude_squared_overflows(capsys):
     "argv",
     [
         ["scan", "--N", "6", "--alpha", "1e100", "--beta=1.5e100"],
-        ["scan", "--N", str(2**500), "--alpha", "1e300", "--beta=1.0000001e300"],
+        ["scan", "--N", "1000000", "--alpha=-999997.9999997726", "--beta=-999999.9999997725"],
     ],
-    ids=["scan-1e100", "scan-2^500"],
+    ids=["scan-1e100", "scan-underflow"],
 )
 def test_closed_form_overflow_at_large_alpha_is_parameter_error(capsys, argv):
-    """q = 2/(2+beta-alpha) is 4e-100: S_r leaves double range.  At (2^500, 1e300, 1.0000001e300),
-    M = 2e7, its log scale is about -1.1e146: S_r underflows there, where scan printed 0.0."""
+    """q = 2/(2+beta-alpha) is 4e-100: S_r leaves double range.  At (10^6, -999997.9999997726,
+    -999999.9999997725), M = 3908, its log scale is about -5.7e3: S_r underflows there."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,6 +1,7 @@
 """Parameter validation, derived exponents, transition curve, regions."""
 
 import math
+import random
 import re
 import sys
 import warnings
@@ -9,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab.cli import main
@@ -236,6 +237,59 @@ def test_beta_strip_ends_and_domain_errors():
         beta_strip(5, -3.0)
     with pytest.raises(ParamError, match=r"^dimension must be an integer >= 5, got N=0$"):
         beta_fs(0, 1.0)
+
+
+def _exact_upper_end(N, alpha):
+    """N alpha/(N-2) to 50 digits, rounded to the nearest double (inf beyond double range)."""
+    with mpmath.workdps(50):
+        return float(mpmath.mpf(alpha) * N / (N - 2))
+
+
+def _exact_beta_fs(N, alpha):
+    """The breaking curve to 50 digits in the stable form alpha(alpha + 2(N-2))/(N + sqrt(...)),
+    rounded to the nearest double."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        return float(a * (a + 2 * (N - 2)) / (N + mpmath.sqrt(mpmath.mpf(N) ** 2 + a * a + 2 * (N - 2) * a)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(N=st.one_of(st.integers(5, 1000), st.integers(5, 2**53 - 1)),
+       alpha=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e15, 1e15), st.floats(1e300, 1.7976931348623157e308)))
+@example(N=2**53 - 1, alpha=1.0)
+@example(N=5, alpha=1e308)  # N*alpha overflows, N*alpha/(N-2) does not
+@example(N=5, alpha=1.5e308)  # the end itself overflows
+def test_beta_strip_keeps_its_bits_below_2_53(N, alpha):
+    """Below N = 2^53, wherever the float expression N*alpha/(N-2.0) is finite, the upper end is
+    that expression to the bit, so the scan CSV and every fixture keep their bits; where it is
+    not, the end is N*alpha/(N-2) correctly rounded, inf only where that leaves double range."""
+    assume(alpha > 2 - N)
+    top = N * alpha / (N - 2.0)
+    if math.isfinite(top):
+        assert beta_strip(N, alpha)[1].hex() == top.hex()
+    else:
+        assert beta_strip(N, alpha)[1] == _exact_upper_end(N, alpha)
+
+
+def test_beta_strip_rounds_its_upper_end_correctly_at_large_n():
+    """From N = 2^54, N - 2.0 rounds to N, and the float expression read alpha or an ulp off the
+    true end: on this seeded sample it lay below the correctly rounded end at 150 of 3000 points,
+    and validate refused the double nearest beta_FS at 150.  Now the end is correctly rounded,
+    within half an ulp of 50 digits, and every point on the curve is admissible."""
+    rng = random.Random(1)
+    for _ in range(3000):
+        N, alpha = int(10 ** rng.uniform(16.5, 22.0)), 10 ** rng.uniform(-4.0, 6.0)
+        assert beta_strip(N, alpha)[1] == _exact_upper_end(N, alpha)
+        validate(N, alpha, _exact_beta_fs(N, alpha))
+
+
+def test_beta_strip_end_at_a_huge_dimension_refuses_what_lies_above_it():
+    """At N = 2^500 the end alpha N/(N-2) rounds to alpha = 1e300, where N*alpha overflowed and the
+    strip once read (alpha - 2, inf): validate accepted beta = 1.9e300."""
+    assert beta_strip(2**500, 1e300) == (1e300, 1e300)
+    for beta in (1.9e300, 1.0000001e300):
+        with pytest.raises(ParamError, match=r"^beta must not exceed N\*alpha/\(N-2\) = 1e\+300, got beta="):
+            validate(2**500, 1e300, beta)
 
 
 #: the largest N whose square N*N, the leading term of beta_fs's radicand, is a finite double

@@ -1004,10 +1004,11 @@ def test_s_r_closed_at_large_n_against_lgamma(N):
 
 
 def test_s_r_closed_refuses_where_it_underflows():
-    """At (2^500, 1e300, 1.0000001e300), M = 2e7, log omega is about -5.6e152 and S_r's log scale
-    about -1.1e146: S_r read 0.0, made by underflow."""
-    p = validate(2**500, 1e300, 1.0000001e300)
-    with pytest.raises(DomainError, match=r"^radial constant underflows double precision at M=2000000"):
+    """At (10^6, -999997.9999997726, -999999.9999997725), M = 3908, log omega is about -5.5e6 and
+    S_r's log scale about -5.7e3: S_r would read 0.0, made by underflow.  The point that once
+    pinned this, (2^500, 1e300, 1.0000001e300), lies above the strip's upper end, 1e300."""
+    p = validate(10**6, -999997.9999997726, -999999.9999997725)
+    with pytest.raises(DomainError, match=r"^radial constant underflows double precision at M=3908\.0$"):
         s_r_closed(p)
 
 

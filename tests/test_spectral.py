@@ -418,6 +418,11 @@ def _ritz_by_arrays(k, p, J):
     a, b = m / 2.0 - k + 1.0, m / 2.0 + k - 1.0
     if min(a, b) - 2.0 <= -1.0:
         raise DomainError(f"mode k={k} is inadmissible at M={m:.6g}")
+    for n, c, d in ((J + 2, a - 2.0, b - 2.0), (J, a, b)):  # both recurrences' range checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, off = _jacobi_recurrence_by_arrays(n, c, d)
+        if not (np.isfinite(diag).all() and np.isfinite(off).all() and (off != 0.0).all()):
+            raise ConditioningError(f"the Jacobi recurrence leaves double range at M={m:.6g}, basis size {J}")
     w, weight_a = _gauss_jacobi_by_arrays(J + 2, a - 2.0, b - 2.0)
     p_j, dp_j, d2p_j = _orthonormal_jacobi_by_arrays(w, J, a, b, order=2).transpose(1, 0, 2)
     up, cap = 1.0 + w, 1.0 - w * w
@@ -481,12 +486,20 @@ def _hex(values):
 @example(N=5, alpha=0.1, reach=0.0, k=1, J=16)
 @example(N=5, alpha=1.0, reach=1.0, k=1, J=4)
 @example(N=5, alpha=1.0, reach=1.0, k=3, J=4)
+@example(N=7, alpha=0.5, reach=0.6, k=0, J=1)
+@example(N=7, alpha=0.5, reach=0.6, k=2, J=1)
+@example(N=8, alpha=1.0, reach=1.0, k=3, J=1)
+@example(N=5, alpha=1.0, reach=0.0, k=1, J=1)  # depth 1e-13, M near 1e14
+@example(N=10**154, alpha=1.0, reach=1.0, k=1, J=1)  # M = 1e154: the three-node recurrence leaves double range
+@example(N=5, alpha=1.0, reach=1.0, k=3, J=1)  # M = 5 <= 2k: inadmissible
 def test_ritz_min_eig_matches_the_array_path_bit_for_bit(N, alpha, reach, k, J):
     """The per-node scalar assembly repeats the array path's floating-point
     operations in the same order and hands numpy the same matrices, so rho
     and the coefficients agree to the bit, and a refusal raises the same
-    typed error.  beta = alpha - 2 + depth, with log10(depth) spread evenly
-    from -13 (M near 1e14) to the top of the strip (reach = 1)."""
+    typed error.  At J = 1 the solve takes syevd's answer for a 1 x 1 matrix,
+    (a00, [1.0]), without the call; the array path makes the call.
+    beta = alpha - 2 + depth, with log10(depth) spread evenly from -13
+    (M near 1e14) to the top of the strip (reach = 1)."""
     lo, hi = beta_strip(N, alpha)
     beta = hi if reach == 1.0 else min(hi, lo + 10.0 ** (-13.0 + reach * (math.log10(hi - lo) + 13.0)))
     p = validate(N, alpha, beta)
@@ -499,6 +512,11 @@ def test_ritz_min_eig_matches_the_array_path_bit_for_bit(N, alpha, reach, k, J):
     got = ritz_min_eig(k, p, J)
     assert got.min_eigenvalue.hex() == expected.min_eigenvalue.hex()
     assert _hex(got.coefficients) == _hex(expected.coefficients)
+    assert (got.coefficients.dtype, got.coefficients.shape, got.basis_size, got.gram_condition) == (
+        np.float64, (J,), J, 1.0
+    )
+    if J == 1:
+        assert got.coefficients.tolist() == [1.0]
 
 
 # Pinned bit for bit: the (a-2, b-2) rule that assembles A and the Ritz
