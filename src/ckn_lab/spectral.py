@@ -8,8 +8,8 @@ of index k reduces to the sign of a one-dimensional quadratic form
 
 over decaying profiles X.  This module provides the mode records, direct
 evaluation of Q_k, the closed form of its generalized eigenvalues, a
-Rayleigh-Ritz minimizer for the smallest one, and Brent's method on that
-sign to locate the symmetry-breaking transition curve in beta.
+Rayleigh-Ritz minimizer for the smallest one, and Brent's method on its
+log(1 + rho) to locate the symmetry-breaking transition curve in beta.
 
 Three deliberately independent routes coexist: `mode_quadratic_form`
 integrates adaptively one profile at a time in s; `ritz_min_eig` maps the
@@ -23,11 +23,8 @@ Python floats, and the only numpy calls that decide bits are the three
 linear algebra steps: the nodes' `eigvalsh_lo`, the factor's product with
 its transpose, and `eigh_lo`, the LAPACK kernels that `numpy.linalg.eigvalsh`
 and `eigh` call, without the wrappers' checks; `ritz_min_eig` enters their
-error state once per solve, around all three.  At J = 1 the operator is
-the 1 x 1 Rayleigh quotient of the one basis function, and LAPACK's syevd
-returns a 1 x 1 matrix's entry and the vector [1.0] untouched, so that
-solve skips `eigh_lo` and the recurrence steps with the same bits: only
-`eigvalsh_lo` and the product decide them.  The test suite checks the
+error state once per solve, around all three; at J = 1 only the first two
+decide them (see `ritz_min_eig`).  The test suite checks the
 Ritz minimizer's Rayleigh quotient on the adaptive route and the Ritz value
 against the closed form.  The root search needs only the smallest basis,
 because every basis holds the exact mode-1 ground state on the curve (see
@@ -272,8 +269,9 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     the solve enters, where a failed kernel raises FloatingPointError.  At
     J = 1 only the first two do: A is the one entry a00 = row . row, and
     `eigh_lo`'s syevd returns a 1 x 1 matrix as the pair (a00, [1.0]) with no
-    arithmetic, so the solve takes that pair and skips the call, the
-    recurrence steps and the eigenvector's scaling, keeping every check.
+    arithmetic, so the solve takes that pair and skips the call, the basis
+    recurrence, whose range check fails only where the nodes' has, and the
+    eigenvector's scaling: every bit and every error stay.
     """
     J = _index(J, "basis size")
     if J < 1:
@@ -288,7 +286,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
             nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
-            diag, off = _jacobi_recurrence(J, a, b)
+            diag, off = _jacobi_recurrence(J, a, b) if J > 1 else ([], [])  # J = 1 reads no step
         except ConditioningError as exc:
             raise ConditioningError(f"{exc}, at M={m:.6g}, basis size {J}") from None
         steps = list(zip(diag, [0.0, *off], off))
@@ -346,10 +344,10 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     Brackets the sign change of rho_1(beta) over beta in (alpha-2,
     N*alpha/(N-2)); the least mode-1 eigenvalue is positive below the curve
     and negative above it.  Brent's method (Brent 1973) mixes inverse
-    quadratic interpolation, secant and bisection steps, and returns the end
-    with the smaller |rho_1| once the bracket is at most `tol` wide (or a
-    few ulps of beta).  Requires a finite alpha > 0 (the transition leaves
-    the admissible strip otherwise).
+    quadratic interpolation, secant and bisection steps on log(1 + rho_1),
+    nearly linear in beta, and returns the end with the smaller |log(1 +
+    rho_1)| once the bracket is at most `tol` wide (or a few ulps of beta).
+    Requires a finite alpha > 0 (the transition leaves the strip otherwise).
 
     Every step solves the smallest basis, J = 1: three Gauss-Jacobi nodes
     and a 1 x 1 operator.  On the curve nu_1 = 1, so the first basis
@@ -405,8 +403,15 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
             f"least eigenvalue does not change sign on [{lo:.6g}, {hi:.6g}] (rho: {rho_lo:.3e}, {rho_hi:.3e}) "
             f"clear of its rounding floor {RHO_FLOOR:.3g} and steeply enough to resolve tol={resolve:.3g}"
         )
+
+    def log1p_rho(beta: float, rho: float) -> float:  # Brent's variable log(tau/g), nearly linear in beta
+        if rho <= -1.0:  # no solve gives one: a00 >= 0, and a Ritz value is at least rho_1 > -1 as M > 4
+            raise ConditioningError(f"least eigenvalue rho={rho!r} at beta={beta!r} has no log(1 + rho)")
+        return math.log1p(rho)
+
     # b is the best estimate, [b, c] brackets the root, a is the previous b
-    a, fa, b, fb, c, fc = lo, rho_lo, hi, rho_hi, lo, rho_lo
+    a, fa, b, fb = lo, log1p_rho(lo, rho_lo), hi, log1p_rho(hi, rho_hi)
+    c, fc = a, fa
     step = prev_step = b - a
     while True:
         if (fb > 0.0) == (fc > 0.0):
@@ -436,4 +441,4 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
             step = prev_step = half_gap
         a, fa = b, fb
         b += step if abs(step) > half_tol else math.copysign(half_tol, half_gap)
-        fb = rho_at(b)
+        fb = log1p_rho(b, rho_at(b))

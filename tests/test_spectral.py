@@ -908,12 +908,12 @@ def test_mode_eigenvalue_special_values(p511):
 #: every beta fs_locate solves at tol 1e-4, in order: the bracket ends, then Brent's steps
 _SOLVE_PATHS = {
     (5, 1.0): (
-        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.34c0b7387ad14p+0", "0x1.00d4a6f637445p-1",
-        "0x1.632d095afc26cp-1", "0x1.518933ea53035p-1", "0x1.504ed60ede2f5p-1", "0x1.505563c798f66p-1",
+        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.95b7ac0df357fp-1", "0x1.5096494732aefp-1",
+        "0x1.504f461fd5069p-1", "0x1.5048b8671a3f8p-1",
     ),
     (6, 2.0): (
-        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.0898aeabb25bcp+1", "0x1.593196b96782cp+0",
-        "0x1.82961693f3182p+0", "0x1.7c09765efe21fp+0", "0x1.7bba7b5321f22p+0", "0x1.7bbdc22f7f55bp+0",
+        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.a15787712191ep+0", "0x1.7fe33de69be42p+0",
+        "0x1.7bbb07035e2ddp+0", "0x1.7bb7c02700ca4p+0",
     ),
 }
 
@@ -926,7 +926,7 @@ def test_fs_locate_matches_closed_form(monkeypatch):
         return ritz_min_eig(*args)
 
     monkeypatch.setattr(spectral, "ritz_min_eig", counted)
-    for N, alpha, pinned in ((5, 1.0, "0.6568514722012809"), (6, 2.0, "1.4833142354927493")):
+    for N, alpha, pinned in ((5, 1.0, "0.6568548120362837"), (6, 2.0, "1.4833225615713481")):
         calls.clear()
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
@@ -1001,9 +1001,12 @@ def _synthetic_rho(monkeypatch, rho):
 def test_fs_locate_refuses_an_end_within_the_rounding_floor(monkeypatch, end):
     """An end whose value is 0.0, or RHO_FLOOR from it, is read from rounding: BracketError after
     the two end solves, where the search once returned an exact-zero end.  One double further out
-    the end is a sign, and the root comes back within tol."""
+    the end is a sign, and the root comes back within tol.  The slope 1/4 keeps rho in (-1, 1),
+    where Brent's variable log(1 + rho) is defined."""
     for offset in (0.0, RHO_FLOOR, math.nextafter(RHO_FLOOR, 1.0)):
-        lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: root - beta + (offset if end == 0 else -offset))
+        lo, hi, seen = _synthetic_rho(
+            monkeypatch, lambda beta: 0.25 * (root - beta) + (offset if end == 0 else -offset)
+        )
         root = (lo, hi)[end]
         if offset <= RHO_FLOOR:
             with pytest.raises(BracketError, match="clear of its rounding floor"):
@@ -1031,14 +1034,44 @@ def test_fs_locate_refuses_a_chord_too_flat_to_resolve_tol(monkeypatch):
 
 
 def test_fs_locate_bisects_a_step_that_defeats_interpolation(monkeypatch):
-    """With rho = +-1, |rho(a)| never exceeds |rho(b)|, so Brent's method never
-    interpolates and each step halves the bracket; the root comes back within tol."""
-    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: 1.0 if beta < root else -1.0)
+    """With rho = 1 below the root and -1/2 above it, |log(1 + rho)| is log 2 on both sides, so
+    Brent's method never interpolates and each step halves the bracket; the root comes back
+    within tol."""
+    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: 1.0 if beta < root else -0.5)
     root = lo + 0.3 * (hi - lo)
     tol = 1e-6
     assert abs(fs_locate(5, 1.0, tol) - root) <= tol
     assert seen[2] == pytest.approx(0.5 * (lo + hi), abs=1e-12)  # the first step is a bisection
     assert len(seen) == pytest.approx(2 + math.log2((hi - lo) / tol), abs=2)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -2.0])
+def test_fs_locate_refuses_a_step_with_no_log(monkeypatch, rho):
+    """Brent's variable is log(1 + rho).  No Ritz value reaches -1 (a00 >= 0, and it is at least
+    rho_1 > -1 as M > 4), but a step that did gets ConditioningError naming beta and rho, not the
+    ValueError of math.log1p."""
+    lo, hi, seen = _synthetic_rho(monkeypatch, lambda beta: {lo: 0.5, hi: -0.5}.get(beta, rho))
+    with pytest.raises(ConditioningError, match=rf"rho={rho!r} at beta=\S+ has no log\(1 \+ rho\)$"):
+        fs_locate(5, 1.0, 1e-4)
+    assert seen[:2] == [lo, hi] and len(seen) == 3
+
+
+def test_fs_locate_takes_six_solves_on_the_benchmark_range(monkeypatch):
+    """On log(1 + rho), nearly linear in beta across the strip, each locate of the fs_curve
+    benchmark's shape (N alternating 5 and 6, alpha on a golden-ratio sequence over [0.5, 2])
+    takes exactly six J = 1 solves: two bracket ends, three interpolations and one closing step."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ritz_min_eig(*args)
+
+    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
+    for number in range(200):
+        N, alpha = (5, 6)[number % 2], 0.5 + 1.5 * (number * 0.6180339887498949 % 1.0)
+        calls.clear()
+        assert abs(fs_locate(N, alpha, 1e-4) - beta_fs(N, alpha)) <= 1e-4, (N, alpha)
+        assert len(calls) == 6, (N, alpha)
 
 
 def _beta_fs_50_digits(N, alpha):
