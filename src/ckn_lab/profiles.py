@@ -431,6 +431,11 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _autonomous_coefficients(M: float) -> tuple[float, float, float]:
+    """(((M-2)^2+4)/2, M^2(M-4)^2/16, 8/(M-4)): phi'''' - c2 phi'' + c0 phi = |phi|^pw phi."""
+    return ((M - 2.0) ** 2 + 4.0) / 2.0, M**2 * (M - 4.0) ** 2 / 16.0, 8.0 / (M - 4.0)
+
+
 def emden_fowler(u, p: Params):
     """Transform a radial profile to the autonomous fourth-order ODE picture.
 
@@ -462,9 +467,7 @@ def emden_fowler(u, p: Params):
     psi = u.compose_power(Fraction(2 * D, S)).times_power(half).scaled(_or_inf(pow, d.q, float(half)))
     for c, _, _ in psi._cells:
         _finite(c, "transformed profile q^((M-4)/2) u", f"M={m!r}")
-    c2 = ((m - 2.0) ** 2 + 4.0) / 2.0
-    c0 = m**2 * (m - 4.0) ** 2 / 16.0
-    pw = 8.0 / (m - 4.0)
+    c2, c0, pw = _autonomous_coefficients(m)
 
     def phi(t):
         return psi.eval(np.exp(-np.asarray(t, dtype=float)))  # a float for a scalar t, as eval gives
@@ -513,10 +516,9 @@ def cosh_profile_residual(M: float, t) -> float:
     # log(2 cosh t) = |t| + log1p(e^(-2|t|)), stable for large |t|
     F = np.exp(-kappa * (np.abs(arr) + np.log1p(np.exp(-2.0 * np.abs(arr)))))
     p2, p4 = polys[2](u), polys[4](u)
-    c2 = ((M - 2.0) ** 2 + 4.0) / 2.0
-    c0 = M**2 * (M - 4.0) ** 2 / 16.0
+    c2, c0, pw = _autonomous_coefficients(M)
     phi = amp * F
     lhs = amp * F * (p4 - c2 * p2 + c0)
-    rhs = np.abs(phi) ** (8.0 / (M - 4.0)) * phi
+    rhs = np.abs(phi) ** pw * phi
     out = lhs - rhs
     return float(out) if scalar else out

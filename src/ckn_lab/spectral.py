@@ -98,7 +98,7 @@ def mode(k: int, p: Params) -> Mode:
 
 
 def _potential_constant(M: float) -> float:
-    # (2M/(M-4) - 1) * profiles.gamma_m(M), simplified
+    # (2M/(M-4) - 1) * params.gamma_m(M), simplified
     return (M + 4.0) * (M - 2.0) * M * (M + 2.0)
 
 

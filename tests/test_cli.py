@@ -503,10 +503,11 @@ def test_transform_check_record(capsys):
     )
     assert code == 0
     record = json.loads(out)
+    # the record holds its own point only: the cosh profiles' residuals, which depend on
+    # none of N, alpha and beta, are verify-all's transform_closed_form check
+    assert set(record) == {"n", "alpha", "beta", "ground_state_residual", "ground_state_residual_rel"}
     assert record["ground_state_residual"] < 1e-8
-    for key in ("cosh_residual_m4_5", "cosh_residual_m5_0",
-                "cosh_residual_m6_0", "cosh_residual_m8_0"):
-        assert record[key] < 1e-8
+    assert record["ground_state_residual_rel"] < 1e-8
 
 
 @pytest.mark.parametrize("point", [("10", "10"), ("100", "100")])
@@ -523,9 +524,13 @@ def test_transform_check_judges_the_relative_residual(capsys, point):
 
 
 def test_transform_check_nan_residual_fails(capsys, monkeypatch):
-    monkeypatch.setattr(profiles, "cosh_profile_residual", lambda m, ts: float("nan"))
-    code, _, _ = run(capsys, "transform-check", "--N", "5", "--alpha", "1", "--beta", "1")
+    def emden_fowler(u, p):
+        return None, lambda t, relative=False: t * math.nan
+
+    monkeypatch.setattr(profiles, "emden_fowler", emden_fowler)
+    code, out, _ = run(capsys, "transform-check", "--N", "5", "--alpha", "1", "--beta", "1", "--json")
     assert code == 1
+    assert math.isnan(json.loads(out)["ground_state_residual_rel"])
 
 
 @pytest.mark.parametrize("beta", ["-1.852", "-1.859", "-1.87"])

@@ -166,8 +166,9 @@ def test_substitution_exponent_identity(N, alpha):
 
 @pytest.mark.parametrize("N, alpha", [(5, -1.0), (6, -0.5), (8, -2.0)])
 def test_eta_substitution_norms_agree(N, alpha):
-    prof = PowerPeakProfile([(1.0, 0, -2)], sigma=2, nu=1.0)
-    assert check_eta_substitution(TestFunction(prof), N, alpha) < 1e-12
+    """The two critical weights' exponents cancel exactly at (6, -0.5) and (8, -2), and to
+    6.7e-17 at (5, -1), within a unit roundoff: there eta = 1/6 and 5/3 are both rounded."""
+    assert check_eta_substitution(N, alpha) <= (2.0**-53 if N == 5 else 0.0)
 
 
 def test_shifted_inequality_equality_on_extremal_family():
@@ -252,7 +253,7 @@ def test_the_identities_reject_a_non_integral_dimension(N):
         lambda: rellich_sobolev_extremal(N, 1.0 / 3.0),
         lambda: check_rellich_sobolev(v, N, 1.0 / 3.0),
         lambda: check_pohozaev_identity(TestFunction(prof, 1), N),
-        lambda: check_eta_substitution(TestFunction(prof), N, -0.5),
+        lambda: check_eta_substitution(N, -0.5),
     ):
         with pytest.raises(ParamError, match=r"^dimension must be an integer, got N="):
             compute()
@@ -261,7 +262,7 @@ def test_the_identities_reject_a_non_integral_dimension(N):
 def test_identity_checks_refuse_what_they_do_not_cover(p511):
     with pytest.raises(DomainError, match=r"^shift exponent must lie in \(0, 1\), got 2\.0$"):
         rellich_sobolev_extremal(5, 2.0)
-    with pytest.raises(DomainError, match=r"^substitution check applies to radial test functions$"):
-        check_eta_substitution(TestFunction(PowerPeakProfile([(1.0, 1, -3)], sigma=2), 1), 5, 1.0)
+    with pytest.raises(DomainError, match=r"^shift reduction needs 2 - N < alpha < 0, got alpha=1\.0 at N=5$"):
+        check_eta_substitution(5, 1.0)
     with pytest.raises(DomainError, match=r"^test function annihilated by the weighted operator$"):
         check_laplacian_bound(TestFunction(PowerPeakProfile([], sigma=2), 0), p511)

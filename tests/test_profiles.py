@@ -88,6 +88,11 @@ def test_addition_requires_matching_shape():
         a + b
 
 
+def test_addition_of_a_non_profile_is_a_type_error():
+    with pytest.raises(TypeError):
+        PowerPeakProfile([(1.0, 0, -1)], sigma=2, nu=1.0) + 1.0
+
+
 def test_compose_power_substitutes_radius():
     f = PowerPeakProfile([(1.0, 1, -2)], sigma=2, nu=1.0)
     g = f.compose_power(3)  # g(r) = f(r^3)

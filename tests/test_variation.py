@@ -442,6 +442,18 @@ def test_quotient_drop_judges_eps_before_any_quadrature(monkeypatch, p511):
                 call(p511, eps)
 
 
+def test_a_non_finite_drop_is_a_domain_error(monkeypatch, p511):
+    """An energy of g that integrates to inf makes D inf: a DomainError naming M, not a number."""
+
+    def infinite_energy_g(rows):
+        energy_u, energy_g, excess = integrate_rows(rows)
+        return energy_u, energy_g._replace(value=math.inf), excess
+
+    monkeypatch.setattr(variation, "integrate_rows", infinite_energy_g)
+    with pytest.raises(DomainError, match=r"^directional quotient drop is not finite at M=6\.0$"):
+        variation.quotient_drop(p511, 0.01)
+
+
 def _finite_or_domain_error(call, normal=False):
     """call() answers a finite float, with normal a normal double, or raises DomainError."""
     try:

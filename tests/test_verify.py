@@ -30,3 +30,13 @@ def test_nan_input_fails_its_check(monkeypatch, check, name, stand_in):
     assert check().passed
     monkeypatch.setattr(verify, name, stand_in)
     assert not check().passed
+
+
+def test_a_failing_laplacian_bound_fails_the_battery_and_names_its_points(monkeypatch):
+    monkeypatch.setattr(verify, "check_laplacian_bound", lambda u, p: (2.0, 1.0, False))
+    result = verify._check_identity_battery()
+    assert not result.passed
+    assert ", laplacian bound fails at [" in result.detail
+    for N, a, b in verify.BATTERY_POINTS:
+        for k in (0, 1):
+            assert f"({N}, {a}, {b}, {k})" in result.detail
