@@ -25,7 +25,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .specfun import DomainError, _finite, _or_inf, log_gamma
+from .specfun import DomainError, _finite, _or_inf
 
 __all__ = [
     "ParamError",
@@ -47,7 +47,6 @@ __all__ = [
     "harmonic_eigenvalue",
     "gamma_m",
     "amplitude_constant",
-    "b_closed",
     "s_r_closed",
     "s_0_closed",
     "DEFAULT_EPS",
@@ -191,13 +190,16 @@ class Derived(NamedTuple):
 
 
 def _log_half_sphere_area(n: int) -> float:
-    return 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n)
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
 
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^(n-1) in R^n: 2 pi^(n/2) / Gamma(n/2).
 
-    Subnormal from n = 439 and 0.0 from n = 456."""
+    Subnormal from n = 439 and 0.0 from n = 456.  Raises DomainError outside 1e-323 <= n <= 5.1e305,
+    where n/2 rounds to 0.0, a pole of Gamma, or log Gamma(n/2) overflows (from n ~ 5.12e305)."""
+    if not 1e-323 <= n <= 5.1e305:
+        raise DomainError(f"sphere area needs 1e-323 <= n <= 5.1e305, got n={n!r}")
     return 2.0 * math.exp(_log_half_sphere_area(n))
 
 
@@ -208,6 +210,14 @@ def harmonic_eigenvalue(N: int, k: int) -> float:
     if lam > sys.float_info.max:
         raise DomainError(f"sphere eigenvalue k(N-2+k) at N={N}, k={k} exceeds the largest double")
     return float(lam)
+
+
+def _exponents(p: Params) -> tuple[int, int, int]:
+    """(S, K, D): the float inputs' sigma = 2+beta-alpha = S/D and kappa = N-4+2*alpha-beta = K/D."""
+    (a, da), (b, db) = float(p.alpha).as_integer_ratio(), float(p.beta).as_integer_ratio()  # numpy's ints too
+    D = math.lcm(da, db)
+    A, B = a * (D // da), b * (D // db)
+    return 2 * D + B - A, (p.N - 4) * D + 2 * A - B, D
 
 
 def derive(p: Params) -> Derived:
@@ -396,16 +406,11 @@ def amplitude_constant(p: Params) -> float:
     return _finite(value, "amplitude constant", f"M={d.M!r}")
 
 
-def b_closed(M: float) -> float:
-    """gamma_m(M) * [Gamma(M/2)^2 / (2 Gamma(M))]^(4/M) for M > 4; inf from M ~ 2.3e77."""
-    return _scaled_b_closed(M, 0.0)
-
-
 def _scaled_b_closed(M: float, log_scale: float) -> float:
-    """exp(log_scale) b_closed(M), inf where it overflows; in logs only where gamma_m(M) overflows,
-    from M ~ 1.2e77, so every M below keeps its bits."""
+    """exp(log_scale) gamma_m(M) (Gamma(M/2)^2 / (2 Gamma(M)))^(4/M), inf where it overflows; in logs
+    only where gamma_m(M) overflows, from M ~ 1.2e77, so every M below keeps its bits."""
     gamma = gamma_m(M)
-    log_bracket = 4.0 / M * (2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M))
+    log_bracket = 4.0 / M * (2.0 * math.lgamma(M / 2.0) - math.log(2.0) - math.lgamma(M))
     if gamma < math.inf:
         return _or_inf(math.exp, log_scale) * (gamma * math.exp(log_bracket))
     return _or_inf(math.exp, log_scale + math.fsum(math.log(M + c) for c in (-4.0, -2.0, 0.0, 2.0)) + log_bracket)
@@ -414,7 +419,7 @@ def _scaled_b_closed(M: float, log_scale: float) -> float:
 def s_r_closed(p: Params) -> float:
     """Sharp constant of the radial problem, in closed form.
 
-    q^(4/M - 4) * omega^(4/M) * b_closed(M), in logs where gamma_m(M) overflows;
+    q^(4/M-4) omega^(4/M) gamma_m(M) (Gamma(M/2)^2 / (2 Gamma(M)))^(4/M), in logs where gamma_m(M) overflows;
     reduces to s_0_closed(N) at alpha = beta = 0 and to
     (1 + alpha/(N-2))^(4-4/N) * s_0_closed(N) on the upper boundary
     beta = N*alpha/(N-2).  Raises DomainError where it overflows double
@@ -439,7 +444,7 @@ def s_0_closed(N: int) -> float:
     product is taken in logs; raises DomainError where the constant itself leaves double range.
     """
     N = _dimension(N)
-    log_ratio = 4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))
+    log_ratio = 4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(float(N)))
     value = math.pi**2 * (N * (N - 4.0) * (N * N - 4.0)) * math.exp(log_ratio)
     if value == math.inf:  # the polynomial overflows, or pi^2 times it does
         log_value = 2.0 * math.log(math.pi) + math.log(N) + math.log(N - 4.0) + math.log(N * N - 4.0) + log_ratio

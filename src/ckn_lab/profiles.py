@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 # s_r_closed is not read here: perfbench still reads it as profiles.s_r_closed
-from .params import Params, _index, amplitude_constant, derive, gamma_m, s_r_closed  # noqa: F401
+from .params import Params, _exponents, _index, amplitude_constant, derive, gamma_m, s_r_closed  # noqa: F401
 from .specfun import DomainError, _finite, _or_inf
 
 __all__ = [
@@ -323,14 +323,6 @@ class GaussianProfile(RadialProfile):
 # ---------------------------------------------------------------------------
 
 
-def _exponents(p: Params) -> tuple[int, int, int]:
-    """(S, K, D): the float inputs' sigma = 2+beta-alpha = S/D and kappa = N-4+2*alpha-beta = K/D."""
-    (a, da), (b, db) = _ratio(p.alpha, "alpha"), _ratio(p.beta, "beta")
-    D = math.lcm(da, db)
-    A, B = a * (D // da), b * (D // db)
-    return 2 * D + B - A, (p.N - 4) * D + 2 * A - B, D
-
-
 def extremal(p: Params, lam: float = 1.0) -> PowerPeakProfile:
     """The radial minimizer family: lam^(kappa/2) * U(lam * r).
 
@@ -382,7 +374,8 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
 
     Applying the weighted divergence, dividing by r^beta, and applying
     the weighted divergence again must reproduce r^beta |u|^(p*-2) u.
-    Returns the max over the samples of |lhs - rhs| / (|lhs| + |rhs| + 1e-300).
+    Returns the max over the samples of |lhs - rhs| / (|lhs| + |rhs| + 1e-300); DomainError where the
+    samples are empty or one is not a finite radius r > 0.
 
     For a single-term profile a * r^p0 * (nu + r^sigma)^e0 (the minimizer
     family and its multiples) the defect is formed in coefficient space:
@@ -397,9 +390,9 @@ def euler_lagrange_residual(u, p: Params, samples=None) -> float:
     peak size.
     """
     d = derive(p)
-    pts = np.asarray(
-        DEFAULT_RESIDUAL_SAMPLES if samples is None else samples, dtype=float
-    )
+    pts = np.asarray(DEFAULT_RESIDUAL_SAMPLES if samples is None else samples, dtype=float)
+    if not (pts.size and np.all((pts > 0.0) & (pts < math.inf))):
+        raise DomainError(f"residual samples must be radii r with 0 < r < inf, at least one, got {samples!r}")
     if isinstance(u, PowerPeakProfile) and len(u.terms) == 1:
         a, p0, e0 = u.terms[0]
         beta_f = _frac(p.beta)

@@ -1,13 +1,14 @@
 """Scalar special functions used by the closed-form constants, and the typed errors.
 
-Everything downstream (sharp constants, Beta-function reductions of the
-spectral integrals, sphere areas) funnels through ``log_gamma``, which
-is the stdlib ``math.lgamma`` restricted to the positive axis.  The
-errors the numerical layers raise live here too, beside ``DomainError``,
-so the command line can catch them without importing those layers, and
-so does the range rule of every closed form: a value is formed in floats,
-inf where ``_or_inf`` meets an ``OverflowError``, and judged once by
-``_finite`` where the quantity is named.
+The closed forms downstream (sharp constants, sphere areas) call the
+stdlib ``math.lgamma`` on arguments they have already judged positive;
+the Beta-function reductions of the spectral integrals go through
+``log_beta``, which judges its own.  The errors the numerical layers
+raise live here too, beside ``DomainError``, so the command line can
+catch them without importing those layers, and so does the range rule
+of every closed form: a value is formed in floats, inf where ``_or_inf``
+meets an ``OverflowError``, and judged once by ``_finite`` where the
+quantity is named.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "log_gamma", "log_beta", "beta_fn",
+    "log_beta", "beta_fn",
     "DomainError", "DivergentIntegralError", "AccuracyError", "ConditioningError", "BracketError",
 ]
 
@@ -62,24 +63,11 @@ def _finite(value: float, what: str, at: str) -> float:
     raise DomainError(f"{what} overflows double precision at {at}")
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for real x > 0.
-
-    Raises:
-        DomainError: if ``x <= 0`` (poles and the branch on the negative
-            axis are outside the supported domain).
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a,b > 0."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"log_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def beta_fn(a: float, b: float) -> float:

@@ -106,9 +106,10 @@ def mode_quadratic_form(X, k: int, p: Params) -> float:
     """Q_k(X): stability form of mode k at the radial minimizer.
 
     Negative values certify an energy-lowering perturbation in mode k.
-    Raises the quadrature layer's divergence error if X is inadmissible
-    (e.g. non-decaying, or k >= 1 with X(0) != 0), and AccuracyError, with
-    the part's QuadResult, where a part's largest terms are subnormal.
+    Raises the quadrature layer's divergence error where X does not decay
+    at infinity, and AccuracyError, with the part's QuadResult, where a
+    part's largest terms are subnormal.  X(0) != 0 is admissible at every
+    k: the lead term near 0 is (q^2 lam X(0))^2 s^(M-5), integrable for M > 4.
     """
     lam, m, _ = _coupling(k, p)
 

@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -197,3 +198,57 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := _unread_imports(path.read_text()))
     }
     assert not unread, f"imported but never read: {unread}"
+
+
+def _unread_definitions(modules: dict[str, str], readers: list[str], exported) -> list[str]:
+    """The top-level functions and classes of `modules` (name: source) whose name no module there
+    loads outside the definition's own body, as a name, an attribute or an imported name, that no
+    source of `readers` loads, and that `exported` does not list; a dunder, which Python calls, is read."""
+
+    def loads(tree) -> Counter:
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.alias)
+        )
+
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    inside = sum(map(loads, trees.values()), Counter())
+    outside = sum((loads(ast.parse(source)) for source in readers), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and inside[node.name] == loads(node)[node.name]
+        and not outside[node.name]
+        and node.name not in exported
+    ]
+
+
+def test_unread_definitions_are_found():
+    module = "def a():\n    return a()\n\ndef b():\n    pass\n\nclass C:\n    pass\n\n"
+    module += "def __dir__():\n    pass\n\nx = b\n"
+    assert _unread_definitions({"m": module}, [], ()) == ["m.a", "m.C"]
+    assert _unread_definitions({"m": module, "n": "from m import C\nm.a\n"}, [], ()) == []
+    assert _unread_definitions({"m": module}, ["import m\nm.C\n"], ("a",)) == []
+
+
+#: definitions in src/ckn_lab that nothing in src/ or perfbench/ reads yet, each with the reason it stays
+UNREAD_ALLOWED = {
+    "kernel_coefficients": "ROADMAP item 4(a) gives it a caller: certify's quotient-drop dead zone reads its c4'",
+}
+
+
+def test_every_definition_has_a_reader():
+    """Each top-level function and class of the package is read elsewhere in it or in perfbench/, or
+    exported by the package, or allowed above with its reason: a definition that nothing reads goes."""
+    package = Path(ckn_lab.__file__).resolve().parent
+    perfbench = package.parents[1] / "perfbench"
+    assert perfbench.is_dir()
+    modules = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    readers = [path.read_text() for path in sorted(perfbench.glob("*.py"))]
+    unread = _unread_definitions(modules, readers, ckn_lab.__all__)
+    assert sorted(name.partition(".")[2] for name in unread) == sorted(UNREAD_ALLOWED)

@@ -27,7 +27,7 @@ from ckn_lab.params import (
     ParamError,
     Params,
     RegionClass,
-    b_closed,
+    _scaled_b_closed,
     b_fs_first_order,
     beta_fs,
     beta_strip,
@@ -136,7 +136,7 @@ def test_s_0_closed_answers_at_every_dimension_whose_constant_is_a_double():
         s_0_closed(2**511)
 
 
-#: b_closed(M) and s_r_closed(p) before gamma_m(M) went to logs where it overflows
+#: B(M) = _scaled_b_closed(M, 0.0) and s_r_closed(p) before gamma_m(M) went to logs where it overflows
 B_CLOSED_PINS = {5.5: "0x1.d5ce430a24b8bp+3", 100.0: "0x1.5a63af40ddae5p+22", 1e76: "0x1.d2a1be40490f4p+1005"}
 S_R_CLOSED_PINS = {
     (5, 1.0, 1.0): "0x1.bb60649655d29p+7",
@@ -148,13 +148,13 @@ S_R_CLOSED_PINS = {
 
 
 def test_b_closed_answers_where_gamma_m_overflows():
-    """gamma_m(M) ~ M^4 overflows from M ~ 1.2e77, b_closed ~ M^4/16 from M ~ 2.3e77, and the radial
+    """gamma_m(M) ~ M^4 overflows from M ~ 1.2e77, B(M) ~ M^4/16 from M ~ 2.3e77, and the radial
     constant they feed stays in range: at (10^100, 0, 0) it is s_0_closed(10^100).  gamma_m(M) goes
     to logs only where it overflows, so every M and point that answered keeps its bits."""
-    assert {M: b_closed(M).hex() for M in B_CLOSED_PINS} == B_CLOSED_PINS
+    assert {M: _scaled_b_closed(M, 0.0).hex() for M in B_CLOSED_PINS} == B_CLOSED_PINS
     assert {pt: s_r_closed(validate(*pt)).hex() for pt in S_R_CLOSED_PINS} == S_R_CLOSED_PINS
-    assert b_closed(2e77) == pytest.approx(1e308, rel=1e-12)
-    assert b_closed(1e100) == math.inf
+    assert _scaled_b_closed(2e77, 0.0) == pytest.approx(1e308, rel=1e-12)
+    assert _scaled_b_closed(1e100, 0.0) == math.inf
     assert s_r_closed(validate(10**100, 0, 0)) == pytest.approx(s_0_closed(10**100), rel=1e-12)
 
 
@@ -418,6 +418,19 @@ def test_sphere_area_small_dimensions():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
     assert sphere_area(4) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
     assert sphere_area(5) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n", [0, -1, -0.2, math.nan, math.inf, 1e308, 10**400, 5e-324],
+    ids=["0", "-1", "-0.2", "nan", "inf", "1e308", "10^400", "5e-324"],
+)
+def test_sphere_area_refuses_every_n_it_cannot_answer(n):
+    """n <= 0 and NaN once raised log-Gamma's own DomainError, inf read nan, and 1e308 and 10**400
+    leaked OverflowError; 5e-324 halves to 0.0, Gamma's pole.  Each now names n; n = 456 answers 0.0."""
+    with pytest.raises(DomainError, match=rf"^sphere area needs 1e-323 <= n <= 5\.1e305, got n={re.escape(repr(n))}$"):
+        sphere_area(n)
+    assert sphere_area(456) == 0.0
+    assert sphere_area(1e-323) > 0.0 and sphere_area(5.1e305) == 0.0
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ckn_lab import profiles, quadrature
-from ckn_lab.params import ParamError, b_closed, derive, s_0_closed, sphere_area, validate
+from ckn_lab.params import ParamError, Params, _scaled_b_closed, derive, s_0_closed, sphere_area, validate
 from ckn_lab.profiles import (
     GaussianProfile,
     PowerPeakProfile,
@@ -710,6 +710,7 @@ def _admissible(draw):
 )
 @example(p=validate(5, 1.0, 1.0), lam=1.0)
 @example(p=validate(5, 1.0, 5.0 / 3.0), lam=1e3)
+@example(p=Params(5, np.int64(1), np.int64(1)), lam=1.0)  # a Params built directly from numpy's ints
 def test_extremal_keeps_the_exponents_and_bits_it_was_built_with(p, lam):
     """terms, sigma and nu of the minimizer are those of the formulas it was first built from."""
     sigma, kappa = _reference_exponents(p)
@@ -861,6 +862,13 @@ def test_perturbed_amplitude_fails_euler_lagrange(p511):
     assert euler_lagrange_residual(wrong, p511) > 1e-2
 
 
+@pytest.mark.parametrize("samples", [[], [math.nan], [math.inf], [-1.0], [0.0]], ids=str)
+def test_euler_lagrange_residual_refuses_samples_it_cannot_judge(p511, samples):
+    """An empty set once leaked numpy's ValueError, and nan, inf, -1 and 0 answered nan or 0.0."""
+    with pytest.raises(DomainError, match=r"^residual samples must be radii r with 0 < r < inf, at least one"):
+        euler_lagrange_residual(extremal(p511), p511, samples=samples)
+
+
 def test_transform_to_autonomous_picture(p511):
     """phi of the ground state matches the closed cosh form."""
     u = extremal(p511)
@@ -973,10 +981,11 @@ def test_emden_fowler_residual_is_pinned_bit_for_bit(point):
 
 
 def test_b_closed_reference_values():
-    assert b_closed(5.0) == pytest.approx(7.481940131235293, rel=1e-12)
-    assert b_closed(6.0) == pytest.approx(25.055152903480717, rel=1e-12)
+    """B(M) = gamma_m(M) (Gamma(M/2)^2 / (2 Gamma(M)))^(4/M), S_r's M-dependent factor."""
+    assert _scaled_b_closed(5.0, 0.0) == pytest.approx(7.481940131235293, rel=1e-12)
+    assert _scaled_b_closed(6.0, 0.0) == pytest.approx(25.055152903480717, rel=1e-12)
     with pytest.raises(DomainError):
-        b_closed(4.0)
+        _scaled_b_closed(4.0, 0.0)
 
 
 def test_b_closed_independent_oracle():
@@ -984,7 +993,7 @@ def test_b_closed_independent_oracle():
     m = 5.5
     gamma = (m - 4.0) * (m - 2.0) * m * (m + 2.0)
     bracket = math.gamma(m / 2.0) ** 2 / (2.0 * math.gamma(m))
-    assert b_closed(m) == pytest.approx(gamma * bracket ** (4.0 / m), rel=1e-12)
+    assert _scaled_b_closed(m, 0.0) == pytest.approx(gamma * bracket ** (4.0 / m), rel=1e-12)
 
 
 def test_s_r_closed_reference_value(p511):
@@ -1022,7 +1031,7 @@ def test_s_r_closed_takes_the_log_of_a_normal_sphere_area(N):
     p = validate(N, 1.0, 0.5)
     d = derive(p)
     log_omega = math.log(sphere_area(N))
-    expected = math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * b_closed(d.M)
+    expected = math.exp((4.0 / d.M - 4.0) * math.log(d.q) + 4.0 / d.M * log_omega) * _scaled_b_closed(d.M, 0.0)
     assert s_r_closed(p).hex() == expected.hex()
 
 

@@ -19,12 +19,11 @@ from ckn_lab.identities import (
     check_rellich_sobolev,
     rellich_sobolev_extremal,
 )
-from ckn_lab.params import beta_fs, derive, sphere_area, validate
+from ckn_lab.params import _exponents, beta_fs, derive, sphere_area, validate
 from ckn_lab.profiles import (
     DEFAULT_RESIDUAL_SAMPLES,
     GaussianProfile,
     PowerPeakProfile,
-    _exponents,
     euler_lagrange_residual,
     extremal,
     s_r_closed,

@@ -15,7 +15,7 @@ from numpy.polynomial import Polynomial
 
 import ckn_lab.spectral as spectral
 from ckn_lab.params import ParamError, beta_fs, beta_strip, derive, harmonic_eigenvalue, validate
-from ckn_lab.profiles import PowerPeakProfile, gamma_m
+from ckn_lab.profiles import PowerPeakProfile, extremal, gamma_m
 from ckn_lab.quadrature import AccuracyError, integrate_semiinfinite, power_weighted
 from ckn_lab.specfun import DomainError
 from ckn_lab.spectral import (
@@ -178,6 +178,8 @@ def test_scaling_mode_is_always_a_zero_direction(p511):
 def test_translation_mode_value_at_breaking_point(p511):
     _, x1 = _x_modes(derive(p511).M)
     assert mode_quadratic_form(x1, 1, p511) == pytest.approx(-83.0 / 60.0, rel=1e-9)
+    # X(0) != 0 is admissible at k >= 1: the lead term near 0, (q^2 lam_1 X(0))^2 s^(M-5), is integrable
+    assert mode_quadratic_form(extremal(p511), 1, p511) == pytest.approx(-83.60924988699924, rel=1e-9)
 
 
 def test_translation_mode_vanishes_exactly_on_curve():
@@ -725,9 +727,9 @@ def test_the_lapack_kernels_are_numpy_linalg_to_the_bit(jacobi, J, seed, cols):
     factor = np.random.default_rng(seed).standard_normal((J, J + 2 + cols))
     spd = factor @ factor.T
     evals, evecs = spectral.eigh_lo(spd)
-    expected = np.linalg.eigh(spd)
-    assert evals.tobytes() == expected.eigenvalues.tobytes()
-    assert evecs.tobytes() == expected.eigenvectors.tobytes()
+    expected_evals, expected_evecs = np.linalg.eigh(spd)  # a plain pair before numpy 2.0's EighResult
+    assert evals.tobytes() == expected_evals.tobytes()
+    assert evecs.tobytes() == expected_evecs.tobytes()
 
 
 def _ritz_profile(coefficients, k, m):
