@@ -17,6 +17,11 @@ byte-identical.
 numpy and the numerical layers are imported by the handlers that use
 them, so ``constants``, ``--help`` and argument errors run on the stdlib
 alone.
+
+A named command is parsed by its own parser, the one the whole parser
+would hand its tokens to; the whole parser answers only an argv that
+names no command or leaves tokens over, so every usage line, error and
+exit code is the one the whole parser gives.
 """
 
 from __future__ import annotations
@@ -372,9 +377,19 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of `_build_parser`, by name."""
+    return next(a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        if command := _commands().get(argv[0] if argv else None):  # a named command: its own parser reads the rest
+            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not command or rest:  # no command, or tokens left over: the whole parser answers
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -102,20 +102,24 @@ def _dimension(N) -> int:
 
 
 def _strip(N: int, alpha: float) -> tuple[list[str], tuple[float, float] | None]:
-    """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N)."""
+    """Why N or alpha leaves the domain, and the ends of the beta strip (None at a bad N or a non-double alpha)."""
     try:
         n = _dimension(N)
     except ParamError as exc:
         return exc.reasons, None
-    reasons = [] if alpha > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
-    hi = n * alpha / (n - 2.0)
-    if (n >= 2**53 or not math.isfinite(hi)) and math.isfinite(alpha):  # N - 2.0 or N*alpha rounded off
-        num, den = alpha.as_integer_ratio()
+    try:
+        a = float(alpha)  # every float keeps its bits; numpy's ints are read too
+    except (TypeError, ValueError, OverflowError):
+        return [f"alpha must have a double value, got alpha={alpha!r}"], None
+    reasons = [] if a > 2 - n else [f"alpha must exceed 2 - N = {2 - n}, got alpha={alpha!r}"]
+    hi = n * a / (n - 2.0)
+    if (n >= 2**53 or not math.isfinite(hi)) and math.isfinite(a):  # N - 2.0 or N*alpha rounded off
+        num, den = a.as_integer_ratio()
         try:
             hi = num * n / (den * (n - 2))  # int true division rounds once
         except OverflowError:
-            hi = math.copysign(math.inf, alpha)
-    return reasons, (alpha - 2.0, hi)
+            hi = math.copysign(math.inf, a)
+    return reasons, (a - 2.0, hi)
 
 
 def beta_strip(N: int, alpha: float) -> tuple[float, float]:
@@ -125,7 +129,8 @@ def beta_strip(N: int, alpha: float) -> tuple[float, float]:
     is finite; elsewhere it is N*alpha/(N-2) correctly rounded, since N - 2.0
     rounds to N from 2^54 and N*alpha may overflow where the end does not.
     Raises ParamError if N is not an integer >= 5, N*N exceeds the largest
-    double (N >= 2^512, and a few N just below) or alpha <= 2 - N.
+    double (N >= 2^512, and a few N just below), alpha has no double value
+    (the int 10**400) or alpha <= 2 - N.
     """
     reasons, ends = _strip(N, alpha)
     if reasons:

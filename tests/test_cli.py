@@ -795,9 +795,7 @@ def test_out_file_holds_the_stdout_bytes(capsysbinary, tmp_path, argv):
 
 
 def test_every_option_is_shown_in_help():
-    (subcommands,) = (
-        a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+    subcommands = cli._commands()
     assert set(subcommands) == set(OUTPUT_COMMANDS)
     for name, sp in subcommands.items():
         shown = sp.format_help()
@@ -817,6 +815,51 @@ def test_unknown_flag_is_parameter_error(capsys):
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+_POINT = ["--N", "5", "--alpha", "1", "--beta", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["scan", "-h"],
+        ["frob"], ["Scan"], ["-x", "scan"],
+        ["--", "constants"], ["constants", *_POINT, "stray"], ["constants", *_POINT, "--frob"],
+        ["constants", *_POINT, "--", "x"], ["verify-all", "x"],
+        ["constants", "--N", "5", "--al", "1"], ["scan", "--N", "5", "--N", "6", "--alpha", "1"],
+        ["constants", "--N", "x", "--alpha", "1", "--beta", "1"], ["scan", *_POINT, "--jobs", "0"],
+        ["certify", "--N", "5", "--alpha", "1"], ["constants", *_POINT, "--out"],
+        ["constants", "--N", "5", "--alpha", "-1e-3"], ["fs-curve", "--N", "5", "--help"],
+    ],
+    ids=[
+        "none", "-h", "--help", "scan_-h", "unknown", "miscased", "-x_scan", "leading_--", "stray", "unknown_flag",
+        "--_x", "verify_all_stray", "abbreviation", "repeated_N", "bad_int", "bad_choice", "missing_required",
+        "out_without_value", "negative_alpha", "fs_curve_--help",
+    ],
+)
+def test_main_answers_as_the_whole_parser(argv):
+    """Where the whole parser exits, main exits with its code, stdout and stderr, though a named command
+    is parsed on its own subparser: the argv with no command, the one with tokens left over, and each
+    error or help that the subparser gives."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(cli._join_negative_values(argv))
+    assert _main_io(argv) == (exc.value.code, out.getvalue(), err.getvalue())
+
+
+def test_a_named_command_is_not_parsed_by_the_whole_parser(capsysbinary, monkeypatch):
+    """A named command with no tokens left over is parsed on its subparser alone, the whole parser idle."""
+    argv = ["constants", *_POINT, "--json"]
+    expected = (main(argv), capsysbinary.readouterr())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole parser parsed a named command")
+
+    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli._build_parser(), "parse_known_args", refuse)
+    assert (main(argv), capsysbinary.readouterr()) == expected
+    assert expected[0] == 0 and expected[1].out.startswith(b'{"alpha": 1.0, ')
 
 
 def test_shared_parser_keeps_nothing_between_calls(capsys):

@@ -292,6 +292,28 @@ def test_beta_strip_end_at_a_huge_dimension_refuses_what_lies_above_it():
             validate(2**500, 1e300, beta)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, int])
+def test_an_integer_alpha_at_a_huge_dimension_answers_as_its_float(kind):
+    """From N = 2^53 the strip's end is formed exactly from alpha's ratio, which a numpy integer
+    alpha once had none of: beta_strip, classify and Params raised a raw AttributeError."""
+    N = 2**53 + 1
+    assert beta_strip(N, kind(3)) == beta_strip(N, 3.0)
+    for beta in (1.0, kind(1), 2.0):  # on the upper edge, and above the strip
+        assert classify(N, kind(1), beta) is classify(N, 1.0, float(beta))
+    assert Params(N, kind(1), kind(1)) == Params(N, 1.0, 1.0)
+
+
+def test_an_alpha_with_no_double_value_is_a_parameter_error():
+    """An int alpha of 10^400 once leaked OverflowError from N*alpha/(N-2.0); now the strip names
+    alpha, Params refuses it and classify says Invalid."""
+    message = r"^alpha must have a double value, got alpha=10{400}$"
+    with pytest.raises(ParamError, match=message):
+        beta_strip(5, 10**400)
+    with pytest.raises(ParamError, match=message):
+        Params(5, 10**400, 1.0)
+    assert classify(5, 10**400, 1.0) is classify(5, -(10**400), 1.0) is RegionClass.INVALID
+
+
 #: the largest N whose square N*N, the leading term of beta_fs's radicand, is a finite double
 N_DOUBLE_MAX = math.isqrt(int(sys.float_info.max))
 
