@@ -139,16 +139,20 @@ def beta_strip(N: int, alpha: float) -> tuple[float, float]:
 
 
 def _violations(N: int, alpha: float, beta: float) -> tuple[list[str], tuple[float, float] | None]:
-    """Every reason the triple leaves the domain, and the strip's ends where N and alpha are in it."""
+    """Every reason the triple leaves the domain; the strip's ends where N and alpha are in it and beta is a double."""
     reasons, ends = _strip(N, alpha)
     if ends is None:
         return reasons, None
+    try:
+        b = float(beta)  # as _strip reads alpha
+    except (TypeError, ValueError, OverflowError):
+        return [*reasons, f"beta must have a double value, got beta={beta!r}"], None
     alpha_ok, (lo, hi) = not reasons, ends  # at a bad alpha beta's reasons are listed too
-    if not beta > lo:
+    if not b > lo:
         reasons.append(f"beta must exceed alpha - 2 = {lo}, got beta={beta!r}")
-    if not beta <= hi:
+    if not b <= hi:
         reasons.append(f"beta must not exceed N*alpha/(N-2) = {hi}, got beta={beta!r}")
-    sig, kappa = _sigma_kappa(N, alpha, beta)
+    sig, kappa = _sigma_kappa(N, alpha, b)
     if not reasons and not (sig > 0.0 and kappa > 0.0):
         reasons.append(f"2+beta-alpha={sig!r} and N-4+2*alpha-beta={kappa!r} must be > 0")
     return reasons, ends if alpha_ok else None
@@ -175,7 +179,11 @@ def validate(N: int, alpha: float, beta: float) -> Params:
     """Return a validated :class:`Params` or raise :class:`ParamError`.
 
     N may be of any integral type, numpy's too; ``Params.N`` is an int."""
-    return Params(N, float(alpha), float(beta))
+    try:
+        alpha, beta = float(alpha), float(beta)
+    except (TypeError, ValueError, OverflowError):
+        pass  # Params names the value with no double
+    return Params(N, alpha, beta)
 
 
 class Derived(NamedTuple):

@@ -16,19 +16,18 @@ integrates adaptively one profile at a time in s; `ritz_min_eig` maps the
 basis to w = (s^2-1)/(s^2+1), makes it orthonormal for the potential
 weight and assembles the operator exactly by Gauss-Jacobi quadrature; and
 `mode_eigenvalue` is the closed form the Ritz value falls to from above.
-A Ritz solve in use works on J + 2 nodes and J polynomials, J = 1 for
-the root search and 16 for the certificate: too few for numpy's per-call
-cost to pay off.  Its recurrences and its assembly run node by node on
-Python floats, and the only numpy calls that decide bits are the three
-linear algebra steps: the nodes' `eigvalsh_lo`, the factor's product with
-its transpose, and `eigh_lo`, the LAPACK kernels that `numpy.linalg.eigvalsh`
-and `eigh` call, without the wrappers' checks; `ritz_min_eig` enters their
-error state once per solve, around all three; at J = 1 only the first two
-decide them (see `ritz_min_eig`).  The test suite checks the
-Ritz minimizer's Rayleigh quotient on the adaptive route and the Ritz value
-against the closed form.  The root search needs only the smallest basis,
-because every basis holds the exact mode-1 ground state on the curve (see
-`fs_locate`).
+A Ritz solve in use works on J + 2 nodes and J polynomials, J = 16 for
+the certificate: too few for numpy's per-call cost to pay off.  Its
+recurrences and its assembly run node by node on Python floats, and the
+only numpy calls that decide bits are the three linear algebra steps (the
+nodes' `eigvalsh_lo`, the factor's product with its transpose, `eigh_lo`),
+inside one error state per solve; the `_lo` kernels are what
+`numpy.linalg.eigvalsh` and `eigh` call, without the wrappers' checks.
+The test suite checks the Ritz minimizer's Rayleigh quotient on the
+adaptive route and the Ritz value against the closed form.  The root
+search reads only the smallest basis, whose three Gauss-Gegenbauer nodes
+are known in closed form (`_x1_rho`, no eigen-solve): every basis holds
+the exact mode-1 ground state on the curve (see `fs_locate`).
 """
 
 from __future__ import annotations
@@ -246,33 +245,24 @@ def _gauss_jacobi(n: int, a: float, b: float):
 def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     """Least generalized eigenvalue of the mode-k stability form.
 
-    Minimizes Q_k over the span of s^k (1+s^2)^(-(M-2)/2) p_j(w), j < J,
-    w = (s^2-1)/(s^2+1), with p_j the polynomials orthonormal for the
-    potential weight, so that the potential Gram B is the identity.  The
-    reported value is rho = (tau_min - g)/g, tau_min the least eigenvalue
-    of the operator matrix A and g = (M+4)(M-2)M(M+2): sign(rho) is the
-    sign of the minimum of Q_k over the span, rho = 0 marks kernel, and
-    rho >= mode_eigenvalue(k, p).  Coefficients refer to the p_j basis.
+    Minimizes Q_k over the span of s^k (1+s^2)^(-(M-2)/2) p_j(w), j < J, w = (s^2-1)/(s^2+1), with
+    p_j the polynomials orthonormal for the potential weight, so that the potential Gram B is the
+    identity.  The reported value is rho = (tau_min - g)/g, tau_min the least eigenvalue of the
+    operator matrix A and g = (M+4)(M-2)M(M+2): sign(rho) is the sign of the minimum of Q_k over the
+    span, rho = 0 marks kernel, and rho >= mode_eigenvalue(k, p).  Coefficients refer to the p_j
+    basis.
 
-    In w, B's integrand is 2^(-M-2) (1-w)^a (1+w)^b p_i p_j with
-    (a, b) = (M/2-k+1, M/2+k-1), and A's is 2^(2-M) (1-w)^(a-2)
-    (1+w)^(b-2) R_i R_j with R_j of degree j+2, so J+2 Gauss-Jacobi nodes
-    assemble A exactly.  Both are divided by B's constant 2^(-M-2) mu0,
-    which leaves the eigenpairs unchanged at any M; `gram_condition` is 1.
-    A Jacobi exponent <= -1 means the form diverges on the basis:
-    DomainError.  A recurrence that leaves double range (from M near 1.2e77),
-    a non-finite A or a failed eigen-solve raises ConditioningError naming M.
+    In w, B's integrand is 2^(-M-2) (1-w)^a (1+w)^b p_i p_j with (a, b) = (M/2-k+1, M/2+k-1), and
+    A's is 2^(2-M) (1-w)^(a-2) (1+w)^(b-2) R_i R_j with R_j of degree j+2, so J+2 Gauss-Jacobi nodes
+    assemble A exactly.  Both are divided by B's constant 2^(-M-2) mu0, which leaves the eigenpairs
+    unchanged at any M; `gram_condition` is 1.  A Jacobi exponent <= -1 means the form diverges on
+    the basis: DomainError.  A recurrence that leaves double range (from M near 1.2e77), a
+    non-finite A or a failed eigen-solve raises ConditioningError naming M.
 
-    A's factor is assembled node by node on Python floats, in the order of
-    operations of the whole-array assembly the tests keep.  Three numpy
-    calls decide bits: `eigvalsh_lo` for the nodes, the product of the factor
-    with its transpose, and `eigh_lo`, all under the one np.errstate that
-    the solve enters, where a failed kernel raises FloatingPointError.  At
-    J = 1 only the first two do: A is the one entry a00 = row . row, and
-    `eigh_lo`'s syevd returns a 1 x 1 matrix as the pair (a00, [1.0]) with no
-    arithmetic, so the solve takes that pair and skips the call, the basis
-    recurrence, whose range check fails only where the nodes' has, and the
-    eigenvector's scaling: every bit and every error stay.
+    A's factor is assembled node by node on Python floats, in the order of operations of the
+    whole-array assembly the tests keep.  Three numpy calls decide bits: `eigvalsh_lo` for the
+    nodes, the product of the factor with its transpose, and `eigh_lo`, all under the one
+    np.errstate that the solve enters, where a failed kernel raises FloatingPointError.
     """
     J = _index(J, "basis size")
     if J < 1:
@@ -287,7 +277,7 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
             nodes, weights = _gauss_jacobi(J + 2, a - 2.0, b - 2.0)
-            diag, off = _jacobi_recurrence(J, a, b) if J > 1 else ([], [])  # J = 1 reads no step
+            diag, off = _jacobi_recurrence(J, a, b)
         except ConditioningError as exc:
             raise ConditioningError(f"{exc}, at M={m:.6g}, basis size {J}") from None
         steps = list(zip(diag, [0.0, *off], off))
@@ -301,31 +291,39 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
             potential = base - (m - 2.0) * up * (centre - m * up / 4.0)
             drift, curve = cap * (slope - m * w), cap * cap
             scale = math.sqrt(weight * mass_ratio)
-            if J == 1:  # _orthonormal_jacobi's one value, p_0 = 1 with no derivatives, in its operations
-                entries.append((potential * 1.0 + drift * 0.0 + curve * 0.0) * scale)
-            else:
-                entries += _orthonormal_jacobi(w, steps, potential, drift, curve, scale)
+            entries += _orthonormal_jacobi(w, steps, potential, drift, curve, scale)
         # one node per row of entries; A's factor is C-contiguous (J, J+2), as BLAS has always met it
-        rows_a = np.array(entries).reshape(J + 2, J).T.copy() if J > 1 else np.array([entries])
+        rows_a = np.array(entries).reshape(J + 2, J).T.copy()
         try:  # past an overflow a sum in the product can meet inf - inf, which raises the invalid flag
             A = rows_a @ rows_a.T
-            if not (math.isfinite(A.item()) if J == 1 else np.isfinite(A).all()):
+            if not np.isfinite(A).all():
                 raise FloatingPointError
         except FloatingPointError:
             raise ConditioningError(f"operator matrix is not finite at M={m:.6g}, basis size {J}") from None
         # eigh_lo, not eigvalsh_lo: their least eigenvalues can differ in the last bit (8 of 4000 J = 4 samples)
-        if J > 1:
-            try:
-                evals, evecs = eigh_lo(A)
-            except FloatingPointError:
-                raise ConditioningError(
-                    f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
-                ) from None
+        try:
+            evals, evecs = eigh_lo(A)
+        except FloatingPointError:
+            raise ConditioningError(
+                f"the operator matrix's eigh did not converge at M={m:.6g}, basis size {J}"
+            ) from None
     gamma = _potential_constant(m)
-    if J == 1:  # syevd returns a 1 x 1 matrix as the pair (a00, [1.0]), with no arithmetic
-        return RitzResult((A.item() - gamma) / gamma, np.array([1.0]), 1, 1.0)
     lead = evecs[:, 0]
     return RitzResult((float(evals[0]) - gamma) / gamma, lead / max(map(abs, lead.tolist())), J, 1.0)
+
+
+def _x1_rho(p: Params) -> float:
+    """ritz_min_eig(1, p, 1)'s value on its rule in closed form: at k = 1 the weight (1-w^2)^(M/2-2) is
+    symmetric, with nodes 0, +-sqrt(3/(M+1)), weights 2(M-2)/(3(M-1)), (M+1)/(6(M-1)) and A's mass ratio
+    16(M+1)(M-1)/(M(M-2)).  ConditioningError naming M where a00 or g is not finite (from M near 1.16e77)."""
+    _, m, excess = _coupling(1, p)
+    x, centre = math.sqrt(3.0 / (m + 1.0)), (m + 2.0) / 2.0
+    p0, p1, p2 = (-excess - (m - 2.0) * up * (centre - m * up / 4.0) for up in (1.0, 1.0 + x, 1.0 - x))
+    a00 = 8.0 * (m + 1.0) / (3.0 * m) * (4.0 * p0 * p0 + (m + 1.0) / (m - 2.0) * (p1 * p1 + p2 * p2))
+    gamma = _potential_constant(m)
+    if not (math.isfinite(a00) and math.isfinite(gamma)):
+        raise ConditioningError(f"X1's Rayleigh quotient leaves double range at M={m:.6g}")
+    return (a00 - gamma) / gamma
 
 
 #: the largest M at which fs_locate's lower bracket end may solve: the J = 1
@@ -333,9 +331,9 @@ def ritz_min_eig(k: int, p: Params, J: int) -> RitzResult:
 #: 2 + beta - alpha = 2(N + beta)/M is still about 1e4 ulps of N + beta
 M_CAP = 1e12
 
-#: the rounding floor of a J = 1 Ritz value: on the float curve, where rho_1 vanishes, |rho|
-#: stayed below 5.3 eps at 29620 seeded points (N to 1e22, alpha 1e-4 to 1e6); three times
-#: that, rounded up to a power of two
+#: the rounding floor of fs_locate's J = 1 value `_x1_rho`: on the float curve, where rho_1 vanishes, |rho|
+#: stayed below 3.6 eps at 30000 seeded points (N to 1e22, alpha 1e-4 to 1e6), and below 5.3 eps on the
+#: Golub-Welsch rule of ritz_min_eig(1, p, 1); three times the latter, rounded up to a power of two
 RHO_FLOOR = 16.0 * sys.float_info.epsilon
 
 
@@ -350,10 +348,10 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     rho_1)| once the bracket is at most `tol` wide (or a few ulps of beta).
     Requires a finite alpha > 0 (the transition leaves the strip otherwise).
 
-    Every step solves the smallest basis, J = 1: three Gauss-Jacobi nodes
-    and a 1 x 1 operator.  On the curve nu_1 = 1, so the first basis
-    function s (1+s^2)^(-(M-2)/2) is the exact mode-1 ground state: rho_J
-    vanishes there for every J, and the root does not depend on the basis.
+    Every step solves the smallest basis, J = 1, on three Gauss-Gegenbauer
+    nodes in closed form (`_x1_rho`).  On the curve nu_1 = 1, so the first
+    basis function s (1+s^2)^(-(M-2)/2) is the exact mode-1 ground state:
+    rho_J vanishes there for every J, and the root does not depend on it.
     Elsewhere Rayleigh-Ritz keeps rho_J at or above the true rho_1; with
     J = 1 it is the Rayleigh quotient of that one function.
 
@@ -382,7 +380,7 @@ def fs_locate(N: int, alpha: float, tol: float) -> float:
     hi = 0.99 * beta_max
 
     def rho_at(beta: float) -> float:
-        return ritz_min_eig(1, validate(N, alpha, beta), 1).min_eigenvalue
+        return _x1_rho(validate(N, alpha, beta))
 
     rho_lo = rho_at(lo)
     rho_hi = rho_at(hi) if hi > lo else math.inf

@@ -312,6 +312,37 @@ def test_an_alpha_with_no_double_value_is_a_parameter_error():
     with pytest.raises(ParamError, match=message):
         Params(5, 10**400, 1.0)
     assert classify(5, 10**400, 1.0) is classify(5, -(10**400), 1.0) is RegionClass.INVALID
+    with pytest.raises(ParamError, match=message):
+        validate(5, 10**400, 1.0)
+
+
+def test_a_beta_with_no_double_value_is_a_parameter_error():
+    """An int beta of 10^400 once leaked OverflowError from validate's float(beta), from Params'
+    2 + beta - alpha and from classify; now each names beta, and classify says Invalid."""
+    message = r"^beta must have a double value, got beta=-?10{400}$"
+    for beta in (10**400, -(10**400)):
+        for compute in (lambda: validate(5, 1.0, beta), lambda: Params(5, 1.0, beta)):
+            with pytest.raises(ParamError, match=message):
+                compute()
+        assert classify(5, 1.0, beta) is RegionClass.INVALID
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, int], ids=["int64", "int32", "uint8", "int"])
+def test_an_integer_beta_answers_as_its_float(kind):
+    """beta is read as a double once: a numpy integer beta gives validate, Params and classify the
+    answers of the equal float, inside the strip, on its upper edge, above it and at a huge N."""
+    for N, alpha, beta in ((5, 1.0, 1), (5, 3.0, 5), (5, 1.0, 2), (2**53 + 1, 1.0, 1), (8, 2.0, 0)):
+        assert classify(N, alpha, kind(beta)) is classify(N, alpha, float(beta))
+        try:
+            expected = validate(N, alpha, float(beta))
+        except ParamError as exc:
+            with pytest.raises(ParamError, match=f"^{re.escape(str(exc))}$"):
+                validate(N, alpha, kind(beta))
+            with pytest.raises(ParamError):
+                Params(N, alpha, kind(beta))
+            continue
+        assert validate(N, alpha, kind(beta)) == expected
+        assert Params(N, alpha, kind(beta)) == expected
 
 
 #: the largest N whose square N*N, the leading term of beta_fs's radicand, is a finite double

@@ -28,6 +28,7 @@ from ckn_lab.spectral import (
     _jacobi_recurrence,
     _orthonormal_jacobi,
     _potential_constant,
+    _x1_rho,
     fs_locate,
     mode,
     mode_eigenvalue,
@@ -498,8 +499,8 @@ def test_ritz_min_eig_matches_the_array_path_bit_for_bit(N, alpha, reach, k, J):
     """The per-node scalar assembly repeats the array path's floating-point
     operations in the same order and hands numpy the same matrices, so rho
     and the coefficients agree to the bit, and a refusal raises the same
-    typed error.  At J = 1 the solve takes syevd's answer for a 1 x 1 matrix,
-    (a00, [1.0]), without the call; the array path makes the call.
+    typed error.  At J = 1 both hand eigh the 1 x 1 matrix, whose syevd answer
+    is (a00, [1.0]).
     beta = alpha - 2 + depth, with log10(depth) spread evenly from -13
     (M near 1e14) to the top of the strip (reach = 1)."""
     lo, hi = beta_strip(N, alpha)
@@ -668,11 +669,15 @@ def test_a_recurrence_beyond_double_range_is_a_conditioning_error(N):
     with pytest.raises(ConditioningError) as info:
         ritz_min_eig(1, p, 4)
     assert str(info.value).endswith(f"leaves double range, at M={m:.6g}, basis size 4")
+    with pytest.raises(ConditioningError) as info:
+        _x1_rho(p)  # g = (M+4)(M-2)M(M+2) overflows from M near 1.16e77, and a00 with it
+    assert str(info.value) == f"X1's Rayleigh quotient leaves double range at M={m:.6g}"
 
 
 def test_the_largest_recurrence_in_double_range_still_solves():
     p = validate(10**77, 1.0, beta_strip(10**77, 1.0)[1])
     assert abs(ritz_min_eig(1, p, 4).min_eigenvalue) < 1e-14  # M = N: on the curve's far end, rho is 0
+    assert abs(_x1_rho(p)) < 1e-14
 
 
 @pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
@@ -910,12 +915,12 @@ def test_mode_eigenvalue_special_values(p511):
 #: every beta fs_locate solves at tol 1e-4, in order: the bracket ends, then Brent's steps
 _SOLVE_PATHS = {
     (5, 1.0): (
-        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.95b7ac0df357fp-1", "0x1.5096494732aefp-1",
-        "0x1.504f461fd5069p-1", "0x1.5048b8671a3f8p-1",
+        "-0x1.7777777777777p-1", "0x1.a666666666667p+0", "0x1.95b7ac0df357fp-1", "0x1.5096494732ae6p-1",
+        "0x1.504f461fd5066p-1", "0x1.5048b8671a3f5p-1",
     ),
     (6, 2.0): (
-        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.a15787712191ep+0", "0x1.7fe33de69be42p+0",
-        "0x1.7bbb07035e2ddp+0", "0x1.7bb7c02700ca4p+0",
+        "0x1.3333333333334p-2", "0x1.7c28f5c28f5c2p+1", "0x1.a15787712191ep+0", "0x1.7fe33de69be43p+0",
+        "0x1.7bbb07035e2d8p+0", "0x1.7bb7c02700c9fp+0",
     ),
 }
 
@@ -923,18 +928,18 @@ _SOLVE_PATHS = {
 def test_fs_locate_matches_closed_form(monkeypatch):
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ritz_min_eig(*args)
+    def counted(p):
+        calls.append(p)
+        return _x1_rho(p)
 
-    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
-    for N, alpha, pinned in ((5, 1.0, "0.6568548120362837"), (6, 2.0, "1.4833225615713481")):
+    monkeypatch.setattr(spectral, "_x1_rho", counted)
+    for N, alpha, pinned in ((5, 1.0, "0.6568548120362834"), (6, 2.0, "1.483322561571347")):
         calls.clear()
         located = fs_locate(N, alpha, 1e-4)
         assert located == pytest.approx(beta_fs(N, alpha), abs=1e-4)
         assert repr(located) == pinned
-        assert tuple(p.beta.hex() for _, p, _ in calls) == _SOLVE_PATHS[N, alpha]
-        assert all(k == 1 and p[:2] == (N, alpha) and J == 1 for k, p, J in calls)
+        assert tuple(p.beta.hex() for p in calls) == _SOLVE_PATHS[N, alpha]
+        assert all(p[:2] == (N, alpha) for p in calls)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 10, 12, 20, 40])
@@ -957,11 +962,11 @@ def test_fs_locate_finds_the_curve_on_the_whole_alpha_axis(monkeypatch, tol):
     eleven J = 1 solves."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ritz_min_eig(*args)
+    def counted(p):
+        calls.append(p)
+        return _x1_rho(p)
 
-    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
+    monkeypatch.setattr(spectral, "_x1_rho", counted)
     for N in (5, 6, 8, 12, 100, 500, 1000):
         for alpha in (1e-3, 0.1, 1.0, 2.0, 8.0, 20.0, 100.0, 1000.0):
             calls.clear()
@@ -974,11 +979,11 @@ def test_fs_locate_caps_the_walk_toward_the_lower_edge(monkeypatch):
     passes M_CAP, and the BracketError names that M."""
     seen = []
 
-    def negative(k, p, J):
+    def negative(p):
         seen.append(derive(p).M)
-        return spectral.RitzResult(-1.0, np.zeros(J), J, 1.0)
+        return -1.0
 
-    monkeypatch.setattr(spectral, "ritz_min_eig", negative)
+    monkeypatch.setattr(spectral, "_x1_rho", negative)
     with pytest.raises(BracketError, match=r"M=\S+ above the cap 1e\+12"):
         fs_locate(5, 1.0, 1e-4)
     assert max(seen) <= spectral.M_CAP < 8.0 * max(seen)
@@ -986,15 +991,15 @@ def test_fs_locate_caps_the_walk_toward_the_lower_edge(monkeypatch):
 
 
 def _synthetic_rho(monkeypatch, rho):
-    """fs_locate's bracket for (5, 1), with ritz_min_eig replaced by rho(beta);
+    """fs_locate's bracket for (5, 1), with its J = 1 value replaced by rho(beta);
     returns the bracket and the list of betas evaluated."""
     seen = []
 
-    def fake(k, p, J):
+    def fake(p):
         seen.append(p.beta)
-        return spectral.RitzResult(rho(p.beta), np.zeros(J), J, 1.0)
+        return rho(p.beta)
 
-    monkeypatch.setattr(spectral, "ritz_min_eig", fake)
+    monkeypatch.setattr(spectral, "_x1_rho", fake)
     beta_min, beta_max = beta_strip(5, 1.0)
     return beta_min + 0.1 * (beta_max - beta_min), 0.99 * beta_max, seen
 
@@ -1064,11 +1069,11 @@ def test_fs_locate_takes_six_solves_on_the_benchmark_range(monkeypatch):
     takes exactly six J = 1 solves: two bracket ends, three interpolations and one closing step."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ritz_min_eig(*args)
+    def counted(p):
+        calls.append(p)
+        return _x1_rho(p)
 
-    monkeypatch.setattr(spectral, "ritz_min_eig", counted)
+    monkeypatch.setattr(spectral, "_x1_rho", counted)
     for number in range(200):
         N, alpha = (5, 6)[number % 2], 0.5 + 1.5 * (number * 0.6180339887498949 % 1.0)
         calls.clear()
@@ -1093,7 +1098,7 @@ def test_the_rounding_floor_bounds_the_one_function_ritz_value_on_the_curve():
         beta = float(_beta_fs_50_digits(N, alpha))
         if beta > beta_strip(N, alpha)[1]:  # at large N the curve can round past the strip's upper end
             continue
-        worst = max(worst, abs(ritz_min_eig(1, validate(N, alpha, beta), 1).min_eigenvalue))
+        worst = max(worst, abs(_x1_rho(validate(N, alpha, beta))))
     assert 0.0 < worst < 5.3 * sys.float_info.epsilon
     assert RHO_FLOOR >= 3.0 * 5.3 * sys.float_info.epsilon
 
@@ -1123,8 +1128,9 @@ _J1_POINTS = ((5, 1.0, 1.0), (5, 1.0, 0.3), (5, -1.0, -1.7), (5, 0.7, 0.3), (6, 
 
 @pytest.mark.parametrize("point", _J1_POINTS)
 def test_one_function_ritz_value_is_the_rayleigh_quotient_of_x1(point):
-    """With J = 1 the span is X1 = s (1+s^2)^(-(M-2)/2) alone: the solve's value is X1's Rayleigh
-    quotient by adaptive quadrature in s, and Rayleigh-Ritz keeps it at or above the closed form."""
+    """With J = 1 the span is X1 = s (1+s^2)^(-(M-2)/2) alone: the solve's value, on Golub-Welsch's
+    rule and on the closed one fs_locate reads (`_x1_rho`), is X1's Rayleigh quotient by adaptive
+    quadrature in s, and Rayleigh-Ritz keeps it at or above the closed form."""
     p = validate(*point)
     m = derive(p).M
     x1 = PowerPeakProfile([(1.0, 1.0, -(m - 2.0) / 2.0)], sigma=2, nu=1.0)
@@ -1132,10 +1138,86 @@ def test_one_function_ritz_value_is_the_rayleigh_quotient_of_x1(point):
         lambda s: power_weighted(x1.eval(s) / (1.0 + s * s) ** 2, s, 2.0, m - 1.0)
     ).value
     quotient = mode_quadratic_form(x1, 1, p) / (_potential_constant(m) * potential)
-    rho = ritz_min_eig(1, p, 1).min_eigenvalue
-    assert rho == pytest.approx(quotient, rel=1e-12)
-    assert rho >= mode_eigenvalue(1, p)
+    for rho in (ritz_min_eig(1, p, 1).min_eigenvalue, _x1_rho(p)):
+        assert rho == pytest.approx(quotient, rel=1e-12)
+        assert rho >= mode_eigenvalue(1, p)
 
+
+
+def _closed_rule(m):
+    """The three-node Gauss-Gegenbauer rule `_x1_rho` assembles on, for the weight (1-w^2)^(M/2-2):
+    nodes -x, 0, x with x = sqrt(3/(M+1)), and their weights normalized to sum 1."""
+    x = math.sqrt(3.0 / (m + 1.0))
+    outer, centre = (m + 1.0) / (6.0 * (m - 1.0)), 2.0 * (m - 2.0) / (3.0 * (m - 1.0))
+    return [-x, 0.0, x], [outer, centre, outer]
+
+
+def _closed_rule_samples(count, seed):
+    """M = 4.01, 1e12 and `count` seeded M log-uniform between them."""
+    rng = random.Random(seed)
+    return [4.01, 1e12] + [10 ** rng.uniform(math.log10(4.01), 12.0) for _ in range(count)]
+
+
+def test_the_closed_rule_is_gauss_gegenbauer_to_two_ulps():
+    """Against Golub-Welsch at 50 digits (mpmath's eigsy of the three-node Jacobi matrix, the weights
+    the eigenvectors' squared first components), every node and weight of the closed rule lies within
+    2 ulps, and the middle node is 0 to the oracle's own precision."""
+    for m in _closed_rule_samples(200, 58):
+        nodes, weights = _closed_rule(m)
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(m) / 2 - 2  # both Jacobi exponents
+
+            def off(j):
+                u = 2 * j + 2 * mu
+                return mpmath.sqrt(4 * j * (j + mu) ** 2 * (j + 2 * mu) / (u * u * (u + 1) * (u - 1)))
+
+            values, vectors = mpmath.eigsy(mpmath.matrix([[0, off(1), 0], [off(1), 0, off(2)], [0, off(2), 0]]))
+            order = sorted(range(3), key=lambda i: values[i])
+            exact = [(values[i], vectors[0, i] ** 2) for i in order]
+            assert abs(exact[1][0]) < mpmath.mpf(10) ** -40, m
+            for i, (node, weight) in enumerate(zip(nodes, weights)):
+                if i != 1:
+                    assert abs(node - exact[i][0]) <= 2 * math.ulp(node), (m, i)
+                assert abs(weight - exact[i][1]) <= 2 * math.ulp(weight), (m, i)
+
+
+def test_the_closed_rule_matches_the_golub_welsch_rule():
+    """`_gauss_jacobi(3, M/2-2, M/2-2)` is the rule ritz_min_eig(1, p, 1) assembles on.  Against
+    50 digits its nodes erred by up to 6.4 ulps of the outer node x and its weights by up to 16.4 of
+    their own ulps at 2000 seeded M, so, with the closed rule's 2 ulps and some margin, every node
+    must agree within 10 ulps of x and every weight within 25 of its ulps (7 and 19 seen here)."""
+    with np.errstate(invalid="raise"):
+        for m in _closed_rule_samples(20000, 59):
+            (nodes, weights), (gw_nodes, gw_weights) = _closed_rule(m), _gauss_jacobi(3, m / 2.0 - 2.0, m / 2.0 - 2.0)
+            for node, gw_node in zip(nodes, gw_nodes):
+                assert abs(node - gw_node) <= 10 * math.ulp(nodes[2]), m
+            for weight, gw_weight in zip(weights, gw_weights):
+                assert abs(weight - gw_weight) <= 25 * math.ulp(weight), m
+
+
+def test_the_closed_rule_value_matches_the_golub_welsch_solve():
+    """`_x1_rho` and ritz_min_eig(1, p, 1) agree within 8 eps (1 + |rho|) at 6000 seeded draws, those
+    inside the strip: 2000 across it, 2000 at a depth log-uniform from 1e-12 to 1 of it (M to about
+    6e14) and 2000 within 1e-12 to 0.1 relative of the curve (N <= 1000; 5.5 eps seen at 5955 points,
+    6.9 eps at most over a separate probe of about 15000)."""
+    rng, eps, compared = random.Random(60), sys.float_info.epsilon, 0
+    for kind in ("strip", "deep", "curve"):
+        for _ in range(2000):
+            N = round(10 ** rng.uniform(math.log10(5), 3))
+            alpha = rng.uniform(2.0 - N, 20.0) if kind != "curve" else 10 ** rng.uniform(-3, math.log10(20))
+            lo, hi = beta_strip(N, alpha)
+            beta = {
+                "strip": lambda: lo + rng.uniform(0.0, 1.0) * (hi - lo),
+                "deep": lambda: lo + 10 ** rng.uniform(-12, 0) * (hi - lo),
+                "curve": lambda: beta_fs(N, alpha) * (1.0 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12, -1)),
+            }[kind]()
+            if not lo < beta <= hi:
+                continue
+            p = validate(N, alpha, beta)
+            rho = ritz_min_eig(1, p, 1).min_eigenvalue
+            assert abs(_x1_rho(p) - rho) <= 8.0 * eps * (1.0 + abs(rho)), (N, alpha, beta)
+            compared += 1
+    assert compared > 5900
 
 def test_one_function_ritz_value_has_the_closed_form_sign():
     """The sign fs_locate reads: wherever |rho_J=1| exceeds RHO_FLOOR it has mode_eigenvalue(1, p)'s
@@ -1158,7 +1240,7 @@ def test_one_function_ritz_value_has_the_closed_form_sign():
     compared = 0
     for point in points:
         p = validate(*point)
-        rho = ritz_min_eig(1, p, 1).min_eigenvalue
+        rho = _x1_rho(p)
         if abs(rho) > RHO_FLOOR:
             compared += 1
             assert (rho > 0.0) == (mode_eigenvalue(1, p) > 0.0), point
